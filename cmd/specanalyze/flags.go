@@ -7,8 +7,8 @@ import (
 )
 
 // The flag parsers reject unknown values instead of silently falling back to
-// a default: a typo in -scheduler or -exec must not quietly benchmark or
-// analyze the wrong configuration.
+// a default: a typo in -strategy or -passes must not quietly analyze the
+// wrong configuration.
 
 // parseStrategy resolves the -strategy flag value.
 func parseStrategy(s string) (specabsint.Strategy, error) {
@@ -21,28 +21,6 @@ func parseStrategy(s string) (specabsint.Strategy, error) {
 		return specabsint.PerRollbackBlock, nil
 	}
 	return specabsint.JustInTime, fmt.Errorf("unknown strategy %q (want jit, rollback or partition)", s)
-}
-
-// parseScheduler resolves the -scheduler flag value.
-func parseScheduler(s string) (specabsint.Scheduler, error) {
-	switch s {
-	case "wto":
-		return specabsint.WTO, nil
-	case "worklist":
-		return specabsint.Worklist, nil
-	}
-	return specabsint.WTO, fmt.Errorf("unknown scheduler %q (want wto or worklist)", s)
-}
-
-// parseExec resolves the -exec flag value.
-func parseExec(s string) (specabsint.Exec, error) {
-	switch s {
-	case "compiled":
-		return specabsint.Compiled, nil
-	case "interp":
-		return specabsint.Interp, nil
-	}
-	return specabsint.Compiled, fmt.Errorf("unknown exec engine %q (want compiled or interp)", s)
 }
 
 // parsePasses resolves the -passes flag value.

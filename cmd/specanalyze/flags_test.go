@@ -13,15 +13,6 @@ func TestFlagParsers(t *testing.T) {
 	if s, err := parseStrategy("partition"); err != nil || s != specabsint.PerRollbackBlock {
 		t.Errorf("parseStrategy(partition) = %v, %v", s, err)
 	}
-	if s, err := parseScheduler("worklist"); err != nil || s != specabsint.Worklist {
-		t.Errorf("parseScheduler(worklist) = %v, %v", s, err)
-	}
-	if m, err := parseExec("compiled"); err != nil || m != specabsint.Compiled {
-		t.Errorf("parseExec(compiled) = %v, %v", m, err)
-	}
-	if m, err := parseExec("interp"); err != nil || m != specabsint.Interp {
-		t.Errorf("parseExec(interp) = %v, %v", m, err)
-	}
 	if on, err := parsePasses("off"); err != nil || on {
 		t.Errorf("parsePasses(off) = %v, %v", on, err)
 	}
@@ -31,10 +22,6 @@ func TestFlagParsers(t *testing.T) {
 		err  error
 	}{
 		{"strategy", errOf(parseStrategy("speculate-harder"))},
-		{"scheduler", errOf(parseScheduler("wt0"))},
-		{"scheduler-empty", errOf(parseScheduler(""))},
-		{"exec", errOf(parseExec("bytecode"))},
-		{"exec-empty", errOf(parseExec(""))},
 		{"passes", errOf(parsePasses("maybe"))},
 	} {
 		if bad.err == nil {

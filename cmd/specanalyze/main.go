@@ -40,8 +40,6 @@ func main() {
 		nonspec    = flag.Bool("nonspec", false, "run the classic non-speculative analysis instead")
 		passesFlag = flag.String("passes", "on", "analysis-preserving pass pipeline (SCCP, copy propagation, branch resolution, DCE): on or off")
 		strategy   = flag.String("strategy", "jit", "merge strategy: jit, rollback, partition")
-		scheduler  = flag.String("scheduler", "wto", "fixpoint scheduler: wto or worklist (results are identical; effort differs)")
-		execFlag   = flag.String("exec", "compiled", "execution engine: compiled or interp (results are identical; speed differs)")
 		parallel   = flag.Int("parallel", 0, "cache-set fixpoint parallelism (0 = single dense fixpoint)")
 		timeout    = flag.Duration("timeout", 0, "abort the analysis after this long (0 = no limit)")
 		sim        = flag.Bool("sim", false, "also run the concrete speculative simulator")
@@ -89,14 +87,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sched, err := parseScheduler(*scheduler)
-	if err != nil {
-		fatal(err)
-	}
-	exec, err := parseExec(*execFlag)
-	if err != nil {
-		fatal(err)
-	}
 	runPasses, err := parsePasses(*passesFlag)
 	if err != nil {
 		fatal(err)
@@ -106,8 +96,6 @@ func main() {
 		specabsint.WithDepths(*bm, *bh),
 		specabsint.WithSpeculation(!*nonspec),
 		specabsint.WithStrategy(strat),
-		specabsint.WithScheduler(sched),
-		specabsint.WithExec(exec),
 		specabsint.WithSetParallelism(*parallel),
 		specabsint.WithPasses(runPasses),
 		specabsint.WithStats(*statsMode != ""),
@@ -165,8 +153,8 @@ func main() {
 	if *nonspec {
 		mode = "non-speculative"
 	}
-	fmt.Printf("analysis: %s, cache %v, b_m=%d b_h=%d, strategy %v, scheduler %v\n",
-		mode, cfg.Cache, cfg.DepthMiss, cfg.DepthHit, cfg.Strategy, cfg.Scheduler)
+	fmt.Printf("analysis: %s, cache %v, b_m=%d b_h=%d, strategy %v\n",
+		mode, cfg.Cache, cfg.DepthMiss, cfg.DepthHit, cfg.Strategy)
 	fmt.Printf("accesses: %d   misses (#Miss): %d   wrong-path misses (#SpMiss): %d\n",
 		len(rep.Accesses), rep.Misses, rep.SpecMisses)
 	fmt.Printf("branches: %d   fixpoint iterations: %d\n", rep.Branches, rep.Iterations)

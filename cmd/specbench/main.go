@@ -29,8 +29,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"specabsint/internal/bytecode"
-	"specabsint/internal/core"
 	"specabsint/internal/experiments"
 	"specabsint/internal/runner"
 )
@@ -42,28 +40,9 @@ func main() {
 	benchOut := flag.String("benchout", "BENCH_fixpoint.json", "output path of the fixpoint benchmark report")
 	benchRounds := flag.Int("benchrounds", 0, "fixpoint benchmark rounds (0 = default)")
 	minSpeedup := flag.Float64("minspeedup", 0, "fail the fixpoint experiment if the pass-pipeline speedup falls below this (0 = don't assert)")
-	scheduler := flag.String("scheduler", "wto", "fixpoint scheduler for the headline measurements: wto or worklist")
-	schedCompare := flag.Bool("schedcompare", true, "measure the scheduler-comparison section (legacy/worklist/wto over the branch-heavy slice)")
-	minWTOSpeedup := flag.Float64("minwtospeedup", 0, "fail the fixpoint experiment if jcmarker's WTO-vs-worklist speedup falls below this, or if any slice kernel's scheduler arms disagree (0 = don't assert)")
-	execFlag := flag.String("exec", "compiled", "execution engine for the headline measurements: compiled or interp")
-	execCompare := flag.Bool("execcompare", true, "measure the exec-comparison section (compiled vs interp over the loop-carrying slice)")
-	minExecSpeedup := flag.Float64("minexecspeedup", 0, "fail the fixpoint experiment if the compiled engine's geomean speedup over the interpreter falls below this, or if any slice kernel's exec arms disagree (0 = don't assert)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
-	// Validate enum flags before any experiment runs: a typo must be an
-	// error for every -experiment value, never a silent fallback to the
-	// default configuration.
-	sched, err := parseScheduler(*scheduler)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "specbench: %v\n", err)
-		os.Exit(2)
-	}
-	exec, err := parseExec(*execFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "specbench: %v\n", err)
-		os.Exit(2)
-	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "specbench: %v\n", err)
@@ -115,8 +94,7 @@ func main() {
 	run("geometry", func() error { return geometry(ctx, setup) })
 	if *which == "fixpoint" {
 		run("fixpoint", func() error {
-			return fixpoint(*benchRounds, *benchOut, *minSpeedup, *minWTOSpeedup, *minExecSpeedup,
-				sched, exec, *schedCompare, *execCompare)
+			return fixpoint(*benchRounds, *benchOut, *minSpeedup)
 		})
 	}
 }
@@ -161,13 +139,12 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 	}, nil
 }
 
-func fixpoint(rounds int, outPath string, minSpeedup, minWTOSpeedup, minExecSpeedup float64, sched core.Scheduler, exec bytecode.ExecMode, schedCompare, execCompare bool) error {
-	rep, err := experiments.FixpointBench(rounds, sched, exec, schedCompare, execCompare)
+func fixpoint(rounds int, outPath string, minSpeedup float64) error {
+	rep, err := experiments.FixpointBench(rounds)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Fixpoint benchmark — %s, paper options, %d rounds, %s scheduler, %s exec\n",
-		rep.Kernel, rep.Rounds, rep.Meta.Scheduler, rep.Meta.Exec)
+	fmt.Printf("Fixpoint benchmark — %s, paper options, %d rounds\n", rep.Kernel, rep.Rounds)
 	fmt.Printf("  now:         %8.1f ms/op  %9d allocs/op  %d states pooled/op\n",
 		float64(rep.Now.NsPerOp)/1e6, rep.Now.AllocsPerOp, rep.StatesPooledPerOp)
 	fmt.Printf("  baseline:    %8.1f ms/op  %9d allocs/op  (seed engine)\n",
@@ -183,58 +160,10 @@ func fixpoint(rounds int, outPath string, minSpeedup, minWTOSpeedup, minExecSpee
 		fmt.Printf("    off: %8.1f ms/op   on: %8.1f ms/op   speedup: %.2fx\n",
 			float64(d.Off.NsPerOp)/1e6, float64(d.On.NsPerOp)/1e6, d.Speedup)
 	}
-	if s := rep.Schedulers; s != nil {
-		fmt.Println("  schedulers (legacy = seed-equivalent worklist, uncertainty focusing off):")
-		for _, r := range s.Kernels {
-			fmt.Printf("    %-9s %2d comps  legacy %8.1f  worklist %8.1f  wto %8.1f ms/op  %.2fx vs legacy  %.2fx vs worklist  identical=%v\n",
-				r.Kernel, r.WTOComponents,
-				float64(r.Legacy.NsPerOp)/1e6, float64(r.Worklist.NsPerOp)/1e6,
-				float64(r.WTO.NsPerOp)/1e6, r.SpeedupVsLegacy, r.SpeedupVsWorklist, r.Identical)
-		}
-		fmt.Printf("    geomean: %.2fx vs legacy, %.2fx vs worklist\n",
-			s.GeomeanSpeedup, s.GeomeanVsWorklist)
-	}
-	if e := rep.Execs; e != nil {
-		fmt.Println("  exec engines (loop-carrying slice, identical analysis semantics):")
-		for _, r := range e.Kernels {
-			fmt.Printf("    %-9s interp %8.1f  compiled %8.1f ms/op  %.2fx  identical=%v\n",
-				r.Kernel, float64(r.Interp.NsPerOp)/1e6, float64(r.Compiled.NsPerOp)/1e6,
-				r.SpeedupVsInterp, r.Identical)
-		}
-		fmt.Printf("    geomean: %.2fx vs interp\n", e.GeomeanSpeedup)
-	}
 	if err := rep.WriteJSON(outPath); err != nil {
 		return err
 	}
 	fmt.Printf("  wrote %s\n", outPath)
-	if minWTOSpeedup > 0 {
-		if rep.Schedulers == nil {
-			return fmt.Errorf("-minwtospeedup needs the scheduler comparison (-schedcompare)")
-		}
-		for _, r := range rep.Schedulers.Kernels {
-			if !r.Identical {
-				return fmt.Errorf("scheduler arms disagree on %s — equivalence bug, not noise", r.Kernel)
-			}
-			if r.Kernel == "jcmarker" && r.SpeedupVsWorklist < minWTOSpeedup {
-				return fmt.Errorf("WTO speedup %.2fx on %s below required %.2fx — wall-clock regression",
-					r.SpeedupVsWorklist, r.Kernel, minWTOSpeedup)
-			}
-		}
-	}
-	if minExecSpeedup > 0 {
-		if rep.Execs == nil {
-			return fmt.Errorf("-minexecspeedup needs the exec comparison (-execcompare)")
-		}
-		for _, r := range rep.Execs.Kernels {
-			if !r.Identical {
-				return fmt.Errorf("exec arms disagree on %s — equivalence bug, not noise", r.Kernel)
-			}
-		}
-		if rep.Execs.GeomeanSpeedup < minExecSpeedup {
-			return fmt.Errorf("compiled-engine geomean speedup %.2fx below required %.2fx — wall-clock regression",
-				rep.Execs.GeomeanSpeedup, minExecSpeedup)
-		}
-	}
 	if minSpeedup > 0 {
 		if rep.PassesSpeedup < minSpeedup {
 			return fmt.Errorf("pass-pipeline speedup %.2fx on %s below required %.2fx — wall-clock regression",

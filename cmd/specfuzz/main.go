@@ -2,9 +2,8 @@
 // MiniC programs (internal/gen), checks every oracle property on each
 // (internal/oracle) — must-hit/must-miss soundness against the concrete
 // speculative simulator, leak-detection completeness, the metamorphic window
-// and unroll relations, parallel equivalence, and (with -scheduler=both /
-// -exec=both) the worklist-vs-WTO scheduler and compiled-vs-interp engine
-// cross-checks — and shrinks any failing program to a minimal reproducer.
+// and unroll relations, and parallel equivalence — and shrinks any failing
+// program to a minimal reproducer.
 //
 // Usage:
 //
@@ -42,8 +41,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "analysis pool workers (0 = GOMAXPROCS)")
 		corpus   = flag.String("corpus", "", "write shrunk reproducers to this directory")
 		quick    = flag.Bool("quick", false, "use the cut-down oracle sweep (fewer configurations)")
-		sched    = flag.String("scheduler", "default", "scheduler sweep: default (WTO only) or both (cross-check worklist vs WTO)")
-		exec     = flag.String("exec", "default", "exec sweep: default (compiled only) or both (cross-check interp vs compiled, analysis and simulator)")
 		verbose  = flag.Bool("v", false, "log every program checked")
 	)
 	flag.Parse()
@@ -56,22 +53,6 @@ func main() {
 	cfg := oracle.Default()
 	if *quick {
 		cfg = oracle.Quick()
-	}
-	switch *sched {
-	case "default":
-	case "both":
-		cfg.CheckSchedulers = true
-	default:
-		fmt.Fprintf(os.Stderr, "specfuzz: unknown -scheduler %q (want default or both)\n", *sched)
-		os.Exit(2)
-	}
-	switch *exec {
-	case "default":
-	case "both":
-		cfg.CheckExec = true
-	default:
-		fmt.Fprintf(os.Stderr, "specfuzz: unknown -exec %q (want default or both)\n", *exec)
-		os.Exit(2)
 	}
 	cfg.Pool = runner.New(*workers)
 

@@ -1,0 +1,143 @@
+package specabsint
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"specabsint/internal/bench"
+)
+
+// corpusDigestCheap is the slice of the corpus checked under -race and
+// -short, where the detector makes the full sweep an order of magnitude
+// slower: Fig. 2, one loop-carrying WCET kernel, and two side-channel
+// kernels (des also pins a fence set).
+var corpusDigestCheap = map[string]bool{"fig2": true, "jcmarker": true, "hash": true, "des": true}
+
+// corpusDigestMitigate names the programs whose synthesized fence set is
+// pinned alongside their analysis digest.
+var corpusDigestMitigate = map[string]bool{"fig2": true, "ocb": true, "des": true}
+
+// corpusProgram is one named program of the paper corpus.
+type corpusProgram struct {
+	name, src string
+}
+
+// paperCorpus returns the paper's 21 programs in a fixed order: Fig. 2, then
+// bench.All(), with side-channel kernels wrapped in the 4 KiB client.
+func paperCorpus() []corpusProgram {
+	out := []corpusProgram{{"fig2", bench.Fig2Program(-1)}}
+	for _, b := range bench.All() {
+		code := b.Code
+		if b.Kind == bench.SideChannel {
+			code = bench.WithClient(b, 4096)
+		}
+		out = append(out, corpusProgram{b.Name, code})
+	}
+	return out
+}
+
+// classificationText renders every externally observable verdict of a
+// report: per-access classifications, the miss counts, leaks, and gadgets.
+func classificationText(rep *Report) string {
+	var sb strings.Builder
+	for _, a := range rep.Accesses {
+		fmt.Fprintf(&sb, "line=%d store=%v sym=%s class=%v spec=%v reached=%v\n",
+			a.Line, a.Store, a.Symbol, a.Class, a.SpecClass, a.SpecReached)
+	}
+	fmt.Fprintf(&sb, "misses=%d specmisses=%d branches=%d\n", rep.Misses, rep.SpecMisses, rep.Branches)
+	for _, l := range rep.Leaks {
+		fmt.Fprintf(&sb, "leak line=%d sym=%s store=%v class=%v\n", l.Line, l.Symbol, l.Store, l.Class)
+	}
+	for _, g := range rep.SpectreGadgets {
+		fmt.Fprintf(&sb, "gadget line=%d sym=%s store=%v class=%v\n", g.Line, g.Symbol, g.Store, g.Class)
+	}
+	return sb.String()
+}
+
+// execReportText is classificationText plus the full WCET estimate.
+func execReportText(rep *Report) string {
+	return classificationText(rep) + fmt.Sprintf("wcet=%+v\n", rep.WCET)
+}
+
+// corpusDigestLine analyzes one program under DefaultConfig and renders its
+// digest: the headline counts, a SHA-256 of every verdict and the WCET
+// estimate, a SHA-256 of the ZeroTimes stats document, and, for the
+// programs in corpusDigestMitigate, the synthesized fences and residuals.
+func corpusDigestLine(t *testing.T, cp corpusProgram) string {
+	t.Helper()
+	opts := []Option{WithStats(true)}
+	p, err := CompileOpts(cp.src, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", cp.name, err)
+	}
+	rep, err := AnalyzeContext(t.Context(), p, opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", cp.name, err)
+	}
+	rep.Stats.ZeroTimes()
+	stats, err := rep.Stats.JSON()
+	if err != nil {
+		t.Fatalf("%s: %v", cp.name, err)
+	}
+	line := fmt.Sprintf("%s accesses=%d misses=%d specmisses=%d leaks=%d report=%x stats=%x",
+		cp.name, len(rep.Accesses), rep.Misses, rep.SpecMisses, len(rep.Leaks),
+		sha256.Sum256([]byte(execReportText(rep))), sha256.Sum256(stats))
+	if corpusDigestMitigate[cp.name] {
+		mrep, err := Mitigate(t.Context(), p)
+		if err != nil {
+			t.Fatalf("%s: mitigate: %v", cp.name, err)
+		}
+		fences := make([]string, len(mrep.Fences))
+		for i, f := range mrep.Fences {
+			fences[i] = fmt.Sprintf("%s+%d@%d:%s", f.Block, f.Index, f.Line, f.Symbol)
+		}
+		line += fmt.Sprintf(" fences=[%s] residual_leaks=%d residual_gadgets=%d",
+			strings.Join(fences, ","), mrep.ResidualLeaks, mrep.ResidualGadgets)
+	}
+	return line
+}
+
+// TestGoldenCorpusDigest pins the analyzer's output on the whole paper
+// corpus: one digest line per program in testdata/golden/corpus_digest.txt.
+// Any change to an access verdict, a leak, the WCET bound, a deterministic
+// stats counter, or a synthesized fence shows up as a changed line. Under
+// -race or -short only the cheap slice is analyzed, and its lines are
+// compared against the full golden file.
+func TestGoldenCorpusDigest(t *testing.T) {
+	cheap := (raceDetectorOn || testing.Short()) && !*updateGolden
+	var sb strings.Builder
+	got := map[string]string{}
+	for _, cp := range paperCorpus() {
+		if cheap && !corpusDigestCheap[cp.name] {
+			continue
+		}
+		line := corpusDigestLine(t, cp)
+		got[cp.name] = line
+		sb.WriteString(line + "\n")
+	}
+	if !cheap {
+		checkGolden(t, "corpus_digest.txt", sb.String())
+		return
+	}
+	path := filepath.Join("testdata", "golden", "corpus_digest.txt")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ln := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
+		name, _, _ := strings.Cut(ln, " ")
+		if g, ok := got[name]; ok {
+			if g != ln {
+				t.Errorf("%s drifted from %s:\n got %s\nwant %s", name, path, g, ln)
+			}
+			delete(got, name)
+		}
+	}
+	for name := range got {
+		t.Errorf("%s has no line in %s", name, path)
+	}
+}

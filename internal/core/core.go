@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"runtime/pprof"
 
-	"specabsint/internal/bytecode"
 	"specabsint/internal/cache"
 	"specabsint/internal/cfg"
 	"specabsint/internal/interval"
@@ -65,38 +64,6 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// Scheduler selects the fixpoint iteration order. Both schedulers compute
-// the same fixpoint — classifications are byte-identical — and each is
-// individually deterministic; they differ in how many block re-iterations
-// convergence takes.
-type Scheduler int
-
-// Schedulers.
-const (
-	// SchedulerWTO (the default) iterates in Bourdoncle's hierarchical weak
-	// topological order: inner loop components are stabilized, with widening
-	// at their heads, before the enclosing component re-iterates. On nested
-	// loops this avoids the re-iteration churn a flat priority worklist pays
-	// every time an outer change re-dirties an inner loop.
-	SchedulerWTO Scheduler = iota
-	// SchedulerWorklist is the classic reverse-postorder priority worklist
-	// (the engine's original schedule), kept as an escape hatch and as the
-	// reference arm of the scheduler-equivalence test harness.
-	SchedulerWorklist
-)
-
-// String names the scheduler (the same names specanalyze -scheduler and the
-// wire options accept).
-func (s Scheduler) String() string {
-	switch s {
-	case SchedulerWTO:
-		return "wto"
-	case SchedulerWorklist:
-		return "worklist"
-	}
-	return fmt.Sprintf("scheduler(%d)", int(s))
-}
-
 // Options configures the analysis.
 type Options struct {
 	// Cache is the modeled cache geometry.
@@ -120,19 +87,11 @@ type Options struct {
 	// WideningThreshold is the number of in-state changes at a block before
 	// widening; 0 disables widening (§6.3).
 	WideningThreshold int
-	// Scheduler selects the fixpoint iteration order; the zero value is the
-	// WTO schedule. Classifications are identical under either scheduler.
-	Scheduler Scheduler
-	// Exec selects the execution engine for the transfer loops; the zero
-	// value is the bytecode-compiled form. Results are identical under
-	// either engine — the interpreted (tree-walking) form is the
-	// differential-testing reference.
-	Exec bytecode.ExecMode
 	// DisableUncertainty turns off uncertainty-focused speculation — the
 	// classic must/may warm-start pre-pass and the certain-branch lane-spawn
-	// skip — reverting to eager lane spawning. An ablation/benchmark knob
-	// (the baseline arm of the scheduler experiment); not exposed through
-	// the public configuration surface.
+	// skip — reverting to eager lane spawning. An ablation knob (the
+	// reference the pruning-invisibility tests compare against); not exposed
+	// through the public configuration surface.
 	DisableUncertainty bool
 	// SetParallelism >= 1 partitions the block universe into independent
 	// cache-set groups and runs one fixpoint per group, fanning the groups
@@ -151,8 +110,8 @@ type Options struct {
 
 // DefaultOptions mirrors the paper's experimental setup: 512-line 64-byte
 // fully-associative LRU cache, speculation depths 20 (hit) / 200 (miss),
-// just-in-time merging, refined join, dynamic depth bounding on, WTO
-// scheduling with uncertainty-focused speculation.
+// just-in-time merging, refined join, dynamic depth bounding on, and
+// uncertainty-focused speculation.
 func DefaultOptions() Options {
 	return Options{
 		Cache:                layout.PaperConfig(),
@@ -163,8 +122,6 @@ func DefaultOptions() Options {
 		Strategy:             StrategyJustInTime,
 		RefinedJoin:          true,
 		WideningThreshold:    4,
-		Scheduler:            SchedulerWTO,
-		Exec:                 bytecode.ExecCompiled,
 	}
 }
 
@@ -306,26 +263,19 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (*Resul
 	}
 	g := cfg.New(prog)
 	idx := interval.Analyze(g)
-	access, accessSpec := dataAccessMaps(prog, l, idx)
-	// Lower the transfer loops once, up front: the dense engine, every
-	// per-set-group engine, and the depth group all share the compiled form
-	// (access steps are unfiltered; the domain's set filter applies inside
-	// Transfer/Classify as always).
-	var code *bytecode.Program
-	if opts.Exec == bytecode.ExecCompiled {
-		opts.Collector.Phase("compile_exec", func() {
-			code = bytecode.Compile(prog, access, accessSpec)
-		})
-		opts.Collector.SetBytecode(obs.BytecodeStats{
-			Blocks:       int64(len(code.Blocks)),
-			ArchSteps:    int64(code.ArchSteps),
-			SpecSteps:    int64(code.SpecSteps),
-			FencedBlocks: int64(code.FencedBlocks),
-		})
-	}
+	// Resolve every access once, up front: the dense engine, every
+	// per-set-group engine, and the depth group all share the steps (they
+	// are unfiltered; the domain's set filter applies inside
+	// Transfer/Classify). The stats goldens, the stats schema, and the
+	// benchmark read the compile_exec and bytecode names.
+	var steps *stepProgram
+	opts.Collector.Phase("compile_exec", func() {
+		steps = dataSteps(prog, l, idx)
+	})
+	opts.Collector.SetBytecode(steps.stats())
 	var res *Result
 	if opts.SetParallelism >= 1 {
-		r, handled, perr := analyzePartitioned(ctx, prog, g, l, idx, opts, access, accessSpec, code)
+		r, handled, perr := analyzePartitioned(ctx, prog, g, l, idx, opts, steps)
 		if perr != nil {
 			return nil, perr
 		}
@@ -334,7 +284,7 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (*Resul
 		}
 	}
 	if res == nil {
-		e := newEngineShared(prog, g, l, idx, opts, access, accessSpec, code)
+		e := newEngine(prog, g, l, idx, opts, steps)
 		var runErr error
 		pprof.Do(ctx, pprof.Labels("phase", "fixpoint", "engine", "dense"), func(ctx context.Context) {
 			runErr = e.run(ctx)

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 
-	"specabsint/internal/bytecode"
 	"specabsint/internal/cache"
 	"specabsint/internal/cfg"
 	"specabsint/internal/interval"
@@ -100,18 +99,10 @@ type engine struct {
 	idx  *interval.Result
 	opts Options
 
-	access map[int]cache.Access // per mem-instr id, architectural (in-bounds)
-	// accessSpec resolves the same instructions on wrong paths, where
-	// out-of-bounds indices reach adjacent memory instead of faulting
-	// (Spectre v1); used by the lanes.
-	accessSpec map[int]cache.Access
-	// code is the bytecode-compiled transfer program (ExecCompiled), nil
-	// under ExecInterp. When non-nil, transferBlock, laneWalk, classify, and
-	// depthForLive iterate its pre-resolved access steps instead of
-	// re-walking b.Instrs with an access-map lookup per instruction; the
-	// tree-walking loops remain the differential reference. Shared read-only
-	// across the per-set-group engines.
-	code *bytecode.Program
+	// steps holds every block's pre-resolved accesses, the only form in
+	// which the engine sees instructions; shared read-only across the
+	// per-set-group engines.
+	steps *stepProgram
 
 	S  []*cache.State
 	SS []map[int]*cache.State
@@ -167,8 +158,9 @@ type engine struct {
 	heap    blockHeap
 	inWork  []bool
 	changes []int // per-block S-change counts, for widening
-	// wto is the Bourdoncle ordering of the effective CFG, non-nil iff the
-	// engine runs under SchedulerWTO. Enqueued blocks are then tracked as
+	// wto is the Bourdoncle ordering of the effective CFG, nil when the CFG
+	// is acyclic (the RPO heap then gives the same order). Enqueued blocks
+	// are then tracked as
 	// pending counts per enclosing component (wtoPending, plus the global
 	// wtoLive) instead of heap entries: the recursive sweep re-iterates a
 	// component exactly while it has pending members, stabilizing inner
@@ -252,21 +244,10 @@ type engine struct {
 	stats obs.FixpointStats
 }
 
-func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.Result, opts Options) *engine {
-	access, accessSpec := dataAccessMaps(prog, l, idx)
-	var code *bytecode.Program
-	if opts.Exec == bytecode.ExecCompiled {
-		code = bytecode.Compile(prog, access, accessSpec)
-	}
-	return newEngineShared(prog, g, l, idx, opts, access, accessSpec, code)
-}
-
-// newEngineShared builds an engine around precomputed access maps and an
-// optionally precompiled transfer program, so the per-set-group engines of
-// the partitioned analysis can share one resolution pass and one compiled
-// form (both are read-only from here on). code must be nil exactly when
-// opts.Exec is ExecInterp.
-func newEngineShared(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.Result, opts Options, access, accessSpec map[int]cache.Access, code *bytecode.Program) *engine {
+// newEngine builds an engine over prebuilt access steps (dataSteps for the
+// data cache, fetchSteps for the instruction cache), which the per-set-group
+// engines of the partitioned analysis share.
+func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.Result, opts Options, steps *stepProgram) *engine {
 	n := len(prog.Blocks)
 	e := &engine{
 		prog:         prog,
@@ -275,9 +256,7 @@ func newEngineShared(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *inte
 		dom:          &cache.Domain{L: l, Refined: opts.RefinedJoin},
 		idx:          idx,
 		opts:         opts,
-		access:       access,
-		accessSpec:   accessSpec,
-		code:         code,
+		steps:        steps,
 		pool:         cache.NewPool(l.NumBlocks),
 		S:            make([]*cache.State, n),
 		SS:           make([]map[int]*cache.State, n),
@@ -354,7 +333,7 @@ func newEngineShared(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *inte
 		}
 	}
 	if e.uncertainty() {
-		e.laneNeed = laneNeedBudgets(prog, e.succs, accessSpec)
+		e.laneNeed = laneNeedBudgets(prog, e.succs, steps)
 	}
 	return e
 }
@@ -383,33 +362,27 @@ const laneNeedInf = int(^uint(0)>>1) / 2
 // entering b can reach any wrong-path memory access. A fence truncates both
 // terms exactly as it truncates laneWalk: only accesses before the block's
 // first fence are reachable, and a fenced block has no successor
-// continuation (the lane dies at the fence). The recurrence is monotone
-// decreasing from laneNeedInf, so round-robin iteration converges.
-func laneNeedBudgets(prog *ir.Program, succs [][]ir.BlockID, accessSpec map[int]cache.Access) []int {
+// continuation (the lane dies at the fence). Both terms come from the access
+// steps the lanes walk, so the budgets count whatever the engine treats as
+// an access: data loads and stores, or every instruction fetch. The
+// recurrence is monotone decreasing from laneNeedInf, so round-robin
+// iteration converges.
+func laneNeedBudgets(prog *ir.Program, succs [][]ir.BlockID, steps *stepProgram) []int {
 	n := len(prog.Blocks)
 	need := make([]int, n)
 	first := make([]int, n)
-	fenced := make([]bool, n)
 	for _, b := range prog.Blocks {
 		need[b.ID] = laneNeedInf
 		first[b.ID] = laneNeedInf
-		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpFence {
-				fenced[b.ID] = true
-				break
-			}
-			if first[b.ID] == laneNeedInf {
-				if _, ok := accessSpec[b.Instrs[i].ID]; ok {
-					first[b.ID] = i + 1
-				}
-			}
+		if spec := steps.blocks[b.ID].specSteps(); len(spec) > 0 {
+			first[b.ID] = spec[0].pos + 1
 		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, b := range prog.Blocks {
 			v := first[b.ID]
-			if !fenced[b.ID] {
+			if steps.blocks[b.ID].fenceIdx < 0 {
 				for _, s := range succs[b.ID] {
 					if c := len(b.Instrs) + need[s]; c < v {
 						v = c
@@ -495,27 +468,25 @@ func (e *engine) run(ctx context.Context) error {
 		singlePass = !hasLoops || e.opts.WideningThreshold <= 0
 	}
 	if singlePass {
-		// Single-pass solve under the configured scheduler. With
-		// DisableUncertainty this is the legacy ablation/benchmark baseline
-		// (seed-equivalent under SchedulerWorklist): widening triggers on
-		// per-block change counts and schedulers batch changes differently,
-		// so around widening its results are scheduler-dependent — it is
-		// not a supported configuration, just the attribution arm.
-		if e.opts.Scheduler == SchedulerWTO {
-			e.initWTO()
-		}
+		// Single-pass solve. With DisableUncertainty this is the ablation
+		// baseline: widening triggers on per-block change counts, which
+		// depend on the visit order, so its verdicts around widening are
+		// those of this one schedule — the reference for the pruning-
+		// invisibility tests, not a supported configuration.
+		e.initWTO()
 		e.widenOK = true
 		e.enqueue(e.prog.Entry)
 		return e.solver()(e, ctx)
 	}
 	// Phase 1 — canonical classic pass. Lane spawning is off: with no lanes
 	// there are no rollbacks and hence no SS flows, so this converges
-	// exactly the non-speculative must/may fixpoint. It always runs under
-	// the WTO schedule with widening enabled, whatever Options.Scheduler
-	// says: widening triggers on per-block change counts, which depend on
-	// iteration order, so pinning this phase to one canonical deterministic
-	// schedule is what makes every widening decision — and therefore the
-	// final classifications — identical across schedulers.
+	// exactly the non-speculative must/may fixpoint, with widening enabled.
+	// Widening triggers on per-block change counts, which depend on
+	// iteration order, so every count-triggered widening happens here, on
+	// the normal flow under the canonical WTO schedule; phase 2 replaces it
+	// with order-independent reference saturation. That split is what keeps
+	// the dense engine and the per-set-group engines, whose visit orders
+	// differ, on the same verdicts.
 	e.initWTO()
 	e.lanesOff = true
 	e.widenOK = true
@@ -523,16 +494,15 @@ func (e *engine) run(ctx context.Context) error {
 	if err := e.solver()(e, ctx); err != nil {
 		return err
 	}
-	// Phase 2 — speculative completion under the configured scheduler.
-	// Every unresolved branch whose state is live is re-seeded, so lanes
-	// spawn once, from the converged classic states where the analysis is
-	// actually uncertain, instead of being re-spawned on every intermediate
-	// state change (uncertainty-focused speculation). Starting from the
-	// identical phase-1 states, the remaining system is a monotone
-	// iteration — joins, transfers, budget maxima, and the reference
-	// saturation described on satWiden — whose least fixpoint is
-	// schedule-independent: both schedulers land on byte-identical results
-	// and differ only in how much work they spend getting there.
+	// Phase 2 — speculative completion. Every unresolved branch whose state
+	// is live is re-seeded, so lanes spawn once, from the converged classic
+	// states where the analysis is actually uncertain, instead of being
+	// re-spawned on every intermediate state change (uncertainty-focused
+	// speculation). Starting from the phase-1 states, the remaining system
+	// is a monotone iteration — joins, transfers, budget maxima, and the
+	// reference saturation described on satWiden — whose least fixpoint is
+	// independent of the visit order, and therefore of how the per-set-
+	// group engines interleave their lane and rollback traffic.
 	e.lanesOff = false
 	e.widenOK = false
 	e.satWiden = true
@@ -544,9 +514,6 @@ func (e *engine) run(ctx context.Context) error {
 			}
 		}
 	}
-	if e.opts.Scheduler != SchedulerWTO {
-		e.wto = nil // route enqueues back to the RPO heap
-	}
 	for _, b := range e.prog.Blocks {
 		if len(e.colorsAt[b.ID]) > 0 && !e.S[b.ID].IsBottom {
 			e.dirtyS[b.ID] = true
@@ -556,7 +523,8 @@ func (e *engine) run(ctx context.Context) error {
 	return e.solver()(e, ctx)
 }
 
-// solveWorklist drains the RPO-ordered worklist heap (SchedulerWorklist).
+// solveWorklist drains the RPO-ordered worklist heap: the schedule of an
+// acyclic CFG, where the weak topological order is plain reverse postorder.
 func (e *engine) solveWorklist(ctx context.Context) error {
 	for e.heap.Len() > 0 {
 		if e.iter%ctxCheckInterval == 0 {
@@ -730,48 +698,18 @@ func (e *engine) stepWTO(ctx context.Context, b ir.BlockID) error {
 	return nil
 }
 
-// dataAccessMaps resolves every Load/Store to its candidate blocks: the
-// architectural (in-bounds) resolution and the wrong-path (OOB-extended)
-// resolution.
-func dataAccessMaps(prog *ir.Program, l *layout.Layout, idx *interval.Result) (access, accessSpec map[int]cache.Access) {
-	access = make(map[int]cache.Access)
-	accessSpec = make(map[int]cache.Access)
-	for _, b := range prog.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Op == ir.OpLoad || in.Op == ir.OpStore {
-				access[in.ID] = resolveAccess(l, idx, in)
-				accessSpec[in.ID] = resolveSpecAccess(l, idx, in)
-			}
-		}
-	}
-	return access, accessSpec
-}
-
-// transferBlock pushes a cache state through all instructions of a block.
+// transferBlock pushes a cache state through all accesses of a block.
 // The returned state is pooled scratch: the caller must hand it back with
 // e.pool.Put once it has been joined into its targets (joins copy, so no
 // target retains it).
 func (e *engine) transferBlock(b *ir.Block, st *cache.State) *cache.State {
 	out := e.pool.Get()
 	out.CopyFrom(st)
-	if e.code != nil {
-		// Compiled form: the access sequence and its resolutions were
-		// precomputed, so the loop touches only memory instructions — same
-		// transfers, in the same order, as the tree walk below.
-		steps := e.code.Blocks[b.ID].Arch
-		for i := range steps {
-			e.dom.Transfer(out, steps[i].Acc)
-		}
-		e.stats.Transfers += int64(len(steps))
-		return out
+	steps := e.steps.blocks[b.ID].steps
+	for i := range steps {
+		e.dom.Transfer(out, steps[i].acc)
 	}
-	for i := range b.Instrs {
-		if acc, ok := e.access[b.Instrs[i].ID]; ok {
-			e.dom.Transfer(out, acc)
-			e.stats.Transfers++
-		}
-	}
+	e.stats.Transfers += int64(len(steps))
 	return out
 }
 
@@ -945,7 +883,7 @@ func (e *engine) process(n ir.BlockID) {
 			// nothing, and accumulates a Bottom rollback — spawning it
 			// would only burn lane joins and walks. Skipping is invisible
 			// to every classification (see laneNeed) and consistent across
-			// schedulers and set-group engines: the §6.2 depth per flow is
+			// set-group engines: the §6.2 depth per flow is
 			// nondecreasing during iteration, so the flow's final spawn is
 			// skipped in one engine iff it is skipped in all.
 			if e.laneNeed != nil && depth < e.laneNeed[c.specSucc] {
@@ -1019,80 +957,48 @@ func (e *engine) process(n ir.BlockID) {
 	}
 }
 
-// laneWalk pushes a lane through a block, consuming budget per instruction
-// and joining the state after each memory access into the rollback
-// accumulator (a rollback may occur at any moment, §5.1). Both returned
-// states are pooled scratch the caller must Put back.
+// laneWalk pushes a lane through a block, consuming one budget unit per
+// instruction and joining the state after each memory access into the
+// rollback accumulator (a rollback may occur at any moment, §5.1). Both
+// returned states are pooled scratch the caller must Put back.
+//
+// The budget arithmetic is positional: an entry budget B executes the spec
+// step at instruction index p iff B >= p+1 (the spec steps already stop at
+// the block's first fence). The fence is *hit* — FencesHit accounting — iff
+// B strictly exceeds its index; at B == fenceIdx the budget expires at the
+// fence before it reaches execute. A fence reaching execute kills all
+// in-flight speculation, so a fenced block always leaves an out-budget of
+// zero; the accumulated rollback still injects, since a rollback may have
+// occurred at any access before the fence.
 //
 // The rollback accumulation points are structural — every memory access in
 // range, whether or not this engine's set filter owns it (a filtered
 // Transfer is then a no-op, but the rollback join must still happen so the
 // per-set-group engines inject the same SS flows as the dense engine).
 func (e *engine) laneWalk(b *ir.Block, lv laneVal) (laneVal, *cache.State) {
-	if e.code != nil {
-		return e.laneWalkCompiled(&e.code.Blocks[b.ID], lv)
-	}
+	bs := &e.steps.blocks[b.ID]
 	st := e.pool.Get()
 	st.CopyFrom(lv.st)
 	budget := lv.budget
 	rollback := e.pool.Get()
 	rollback.SetBottom()
-	for i := range b.Instrs {
-		if budget == 0 {
-			break
-		}
-		if b.Instrs[i].Op == ir.OpFence {
-			// A fence reaching execute kills all in-flight speculation: the
-			// wrong path stops here, before the fence issues, so nothing past
-			// it transfers, classifies, or continues into successors. The
-			// accumulated rollback still injects — a rollback may have
-			// occurred at any access before the fence.
-			budget = 0
-			e.stats.FencesHit++
-			break
-		}
-		budget--
-		if acc, ok := e.accessSpec[b.Instrs[i].ID]; ok {
-			e.dom.Transfer(st, acc)
-			e.stats.SpecTransfers++
-			e.dom.JoinInto(rollback, st)
-		}
-	}
-	return laneVal{st: st, budget: budget}, rollback
-}
-
-// laneWalkCompiled is laneWalk on the compiled form. The tree walk decrements
-// the budget once per instruction and breaks at the first fence; here that
-// arithmetic is positional. An entry budget B executes the spec step at
-// instruction index p iff B >= p+1 (the step list is already truncated at
-// the block's first fence), the fence is *hit* — FencesHit accounting — iff
-// B strictly exceeds its index (at B == FenceIdx the budget expires at the
-// fence without reaching execute, exactly the tree walk's order of checks),
-// and with a fence present the out-budget is always zero since the walk can
-// never cross it.
-func (e *engine) laneWalkCompiled(bc *bytecode.BlockCode, lv laneVal) (laneVal, *cache.State) {
-	st := e.pool.Get()
-	st.CopyFrom(lv.st)
-	budget := lv.budget
-	rollback := e.pool.Get()
-	rollback.SetBottom()
-	steps := bc.Spec
+	steps := bs.specSteps()
 	for i := range steps {
-		if budget <= steps[i].Pos {
+		if budget <= steps[i].pos {
 			break
 		}
-		e.dom.Transfer(st, steps[i].Acc)
+		e.dom.Transfer(st, steps[i].spec)
 		e.stats.SpecTransfers++
 		e.dom.JoinInto(rollback, st)
 	}
 	switch {
-	case bc.FenceIdx >= 0 && budget > bc.FenceIdx:
+	case bs.fenceIdx >= 0 && budget > bs.fenceIdx:
 		budget = 0
 		e.stats.FencesHit++
-	case bc.FenceIdx >= 0:
+	case bs.fenceIdx >= 0:
 		budget = 0
 	default:
-		budget -= bc.NumInstrs
+		budget -= bs.numInstrs
 		if budget < 0 {
 			budget = 0
 		}
@@ -1208,26 +1114,12 @@ func (e *engine) depthForLive(block *ir.Block, src *cache.State) (int, bool) {
 	st := e.pool.Get()
 	st.CopyFrom(src)
 	defer e.pool.Put(st)
-	if e.code != nil {
-		steps := e.code.Blocks[block.ID].Arch
-		for i := range steps {
-			if sliceLoads[steps[i].In.ID] && e.dom.Classify(st, steps[i].Acc) != cache.AlwaysHit {
-				return e.opts.DepthMiss, false
-			}
-			e.dom.Transfer(st, steps[i].Acc)
-		}
-		return e.opts.DepthHit, true
-	}
-	for i := range block.Instrs {
-		in := &block.Instrs[i]
-		acc, ok := e.access[in.ID]
-		if !ok {
-			continue
-		}
-		if sliceLoads[in.ID] && e.dom.Classify(st, acc) != cache.AlwaysHit {
+	steps := e.steps.blocks[block.ID].steps
+	for i := range steps {
+		if sliceLoads[steps[i].in.ID] && e.dom.Classify(st, steps[i].acc) != cache.AlwaysHit {
 			return e.opts.DepthMiss, false
 		}
-		e.dom.Transfer(st, acc)
+		e.dom.Transfer(st, steps[i].acc)
 	}
 	return e.opts.DepthHit, true
 }
@@ -1332,9 +1224,9 @@ func (e *engine) result() *Result {
 // classify walks every flow through every block once more, combining
 // per-access verdicts: an access is always-hit only if it is always-hit on
 // the normal flow and on every speculative flow passing through it. Under a
-// set filter only owned accesses are judged (and recorded); foreign accesses
-// still appear in the walk but their transfers are no-ops and their verdicts
-// belong to the engine owning their sets.
+// set filter only owned accesses are judged (and recorded); skipping a
+// foreign access equals transferring it, since a filtered Transfer is a
+// no-op, and its verdict belongs to the engine owning its sets.
 func (e *engine) classify(res *Result) {
 	st := e.pool.Get()
 	defer e.pool.Put(st)
@@ -1348,36 +1240,15 @@ func (e *engine) classify(res *Result) {
 				flows = append(flows, f)
 			}
 		}
+		bs := &e.steps.blocks[b.ID]
 		for fi, f := range flows {
 			st.CopyFrom(f)
-			if e.code != nil {
-				// Compiled form: the same accesses in the same order; skipping
-				// a non-owned access entirely (as the tree walk does) equals
-				// transferring it, since a filtered Transfer is a no-op.
-				steps := e.code.Blocks[b.ID].Arch
-				for i := range steps {
-					acc := steps[i].Acc
-					if !e.dom.Owns(acc) {
-						continue
-					}
-					in := steps[i].In
-					cls := e.dom.Classify(st, acc)
-					if fi == 0 {
-						res.Access[in.ID] = AccessInfo{Instr: in, Block: b.ID, Acc: acc, Class: cls}
-					} else if prev := res.Access[in.ID]; prev.Class != cls {
-						prev.Class = cache.Unknown
-						res.Access[in.ID] = prev
-					}
-					e.dom.Transfer(st, acc)
-				}
-				continue
-			}
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				acc, ok := e.access[in.ID]
-				if !ok || !e.dom.Owns(acc) {
+			for i := range bs.steps {
+				acc := bs.steps[i].acc
+				if !e.dom.Owns(acc) {
 					continue
 				}
+				in := bs.steps[i].in
 				cls := e.dom.Classify(st, acc)
 				if fi == 0 {
 					res.Access[in.ID] = AccessInfo{Instr: in, Block: b.ID, Acc: acc, Class: cls}
@@ -1388,52 +1259,24 @@ func (e *engine) classify(res *Result) {
 				e.dom.Transfer(st, acc)
 			}
 		}
-		// Wrong-path verdicts from lanes (#SpMiss).
+		// Wrong-path verdicts from lanes (#SpMiss), with laneWalk's
+		// positional budget and fence truncation (without re-counting
+		// FencesHit).
 		for _, lv := range e.Lane[b.ID] {
 			if lv.budget < 0 || lv.st.IsBottom {
 				continue
 			}
 			st.CopyFrom(lv.st)
-			budget := lv.budget
-			if e.code != nil {
-				// Compiled lane walk, budget positional as in laneWalkCompiled;
-				// the spec step list is already fence-truncated, mirroring
-				// laneWalk's truncation without re-counting FencesHit.
-				steps := e.code.Blocks[b.ID].Spec
-				for i := range steps {
-					if budget <= steps[i].Pos {
-						break
-					}
-					acc := steps[i].Acc
-					if !e.dom.Owns(acc) {
-						continue
-					}
-					in := steps[i].In
-					cls := e.dom.Classify(st, acc)
-					if prev, seen := res.SpecAccess[in.ID]; !seen {
-						res.SpecAccess[in.ID] = cls
-					} else if prev != cls {
-						res.SpecAccess[in.ID] = cache.Unknown
-					}
-					e.dom.Transfer(st, acc)
-				}
-				continue
-			}
-			for i := range b.Instrs {
-				if budget == 0 {
+			steps := bs.specSteps()
+			for i := range steps {
+				if lv.budget <= steps[i].pos {
 					break
 				}
-				// Mirror laneWalk's fence truncation (without re-counting
-				// FencesHit): no wrong-path verdict exists past a fence.
-				if b.Instrs[i].Op == ir.OpFence {
-					break
-				}
-				budget--
-				in := &b.Instrs[i]
-				acc, ok := e.accessSpec[in.ID]
-				if !ok || !e.dom.Owns(acc) {
+				acc := steps[i].spec
+				if !e.dom.Owns(acc) {
 					continue
 				}
+				in := steps[i].in
 				cls := e.dom.Classify(st, acc)
 				if prev, seen := res.SpecAccess[in.ID]; !seen {
 					res.SpecAccess[in.ID] = cls

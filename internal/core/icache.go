@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 
-	"specabsint/internal/bytecode"
-	"specabsint/internal/cache"
 	"specabsint/internal/cfg"
 	"specabsint/internal/interval"
 	"specabsint/internal/ir"
@@ -15,7 +13,7 @@ import (
 // *instruction* cache: every instruction's fetch touches its code block, and
 // wrong-path fetches pollute the i-cache exactly like wrong-path loads
 // pollute the d-cache. The paper notes this extension in §3.2; it reuses
-// the identical fixpoint machinery — only the access map changes (every
+// the identical fixpoint machinery — only the access steps change (every
 // instruction accesses its statically-known code block), which also makes
 // the analysis exact per access (no index uncertainty).
 //
@@ -39,25 +37,11 @@ func AnalyzeInstructionCacheContext(ctx context.Context, prog *ir.Program, opts 
 	opts.DynamicDepthBounding = false
 	g := cfg.New(prog)
 	idx := interval.Analyze(g)
-	e := newEngine(prog, g, codeL, idx, opts)
-	// Replace the data-access maps with instruction fetches: every
-	// instruction touches exactly its code block, on right and wrong paths
-	// alike.
-	fetch := make(map[int]cache.Access, prog.NumInstrs)
-	for _, b := range prog.Blocks {
-		for i := range b.Instrs {
-			id := b.Instrs[i].ID
-			fetch[id] = cache.Access{First: fetchBlocks[id], Count: 1}
-		}
-	}
-	e.access = fetch
-	e.accessSpec = fetch
-	if e.code != nil {
-		// The engine was compiled against the data-access maps; relower it
-		// against the fetch map so the compiled walks see the same accesses
-		// the tree-walking loops would.
-		e.code = bytecode.Compile(prog, fetch, fetch)
-	}
+	// Every instruction touches exactly its code block, on right and wrong
+	// paths alike. The lane budgets (laneNeed) are derived from these same
+	// fetch steps: a lane into register-only code still fetches every
+	// instruction it executes.
+	e := newEngine(prog, g, codeL, idx, opts, fetchSteps(prog, fetchBlocks))
 	if err := e.run(ctx); err != nil {
 		return nil, err
 	}

@@ -206,3 +206,79 @@ func TestICacheMachineCounters(t *testing.T) {
 			stats.IFetchHits+stats.IFetchMisses, stats.Instructions)
 	}
 }
+
+// TestICacheRegisterOnlyArmsAreSpeculated pins the i-cache lane budgets to
+// fetches, not data accesses: the arms below touch no memory, yet every
+// wrong-path instruction in them is a fetch that can evict code. Uncertainty
+// focusing must therefore leave the verdicts exactly as the eager ablation
+// run computes them, and every wrong-path fetch the simulator performs under
+// forced misprediction must have a lane verdict.
+func TestICacheRegisterOnlyArmsAreSpeculated(t *testing.T) {
+	prog := compile(t, `
+	int y;
+	int main(int x) {
+		reg int r;
+		r = 0;
+		if (x > 0) {
+			`+bigArm("r = r + 3;", 10)+`
+		} else {
+			`+bigArm("r = r - 5;", 10)+`
+		}
+		return y + r;
+	}`)
+	cc := icacheCfg(2)
+	for _, depth := range []int{4, 10, 50} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Cache = cc
+			opts.DepthMiss, opts.DepthHit = depth, depth
+			res, err := AnalyzeInstructionCache(prog, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.DisableUncertainty = true
+			ref, err := AnalyzeInstructionCache(prog, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ref.SpecAccess) == 0 {
+				t.Fatal("reference run has no wrong-path verdicts")
+			}
+			if got, want := fmt.Sprint(res.SpecAccess), fmt.Sprint(ref.SpecAccess); got != want {
+				t.Errorf("wrong-path verdicts differ from the DisableUncertainty run (%d lanes skipped):\n got %s\nwant %s",
+					res.Stats.LanesSkippedCertain, got, want)
+			}
+			for id, a := range ref.Access {
+				if got := res.Access[id].Class; got != a.Class {
+					t.Errorf("fetch of instr %d classified %v, DisableUncertainty run says %v", id, got, a.Class)
+				}
+			}
+
+			sim, err := machine.New(prog, machine.Config{
+				Cache:           layout.PaperConfig(),
+				ICache:          &cc,
+				ForceMispredict: true,
+				DepthMiss:       depth,
+				DepthHit:        depth,
+				MaxSteps:        1_000_000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.OnFetch = func(r machine.AccessRecord) {
+				if !r.Speculative {
+					if cls, _ := res.ClassOf(r.InstrID); cls == cache.AlwaysMiss && r.Hit {
+						t.Errorf("fetch of instr %d classified always-miss but hit", r.InstrID)
+					}
+					return
+				}
+				if _, ok := res.SpecAccess[r.InstrID]; !ok {
+					t.Errorf("wrong-path fetch of instr %d has no verdict", r.InstrID)
+				}
+			}
+			if err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

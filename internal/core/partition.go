@@ -5,7 +5,6 @@ import (
 	"runtime/pprof"
 	"sort"
 
-	"specabsint/internal/bytecode"
 	"specabsint/internal/cache"
 	"specabsint/internal/cfg"
 	"specabsint/internal/interval"
@@ -84,7 +83,7 @@ func unionAccess(uf unionFind, l *layout.Layout, acc cache.Access) {
 // bounding is live — all branch-slice loads share a single group. Sets no
 // access ever touches are dropped: no transfer writes them, so their state
 // entries stay zero in every engine, dense or partitioned.
-func partitionSets(prog *ir.Program, l *layout.Layout, opts Options, access, accessSpec map[int]cache.Access) setPartition {
+func partitionSets(prog *ir.Program, l *layout.Layout, opts Options, steps *stepProgram) setPartition {
 	numSets := l.Config.NumSets
 	uf := newUnionFind(numSets)
 	touched := make([]bool, numSets)
@@ -98,11 +97,11 @@ func partitionSets(prog *ir.Program, l *layout.Layout, opts Options, access, acc
 			touched[l.SetOf(acc.First+layout.BlockID(i))] = true
 		}
 	}
-	for _, acc := range access {
-		touch(acc)
-	}
-	for _, acc := range accessSpec {
-		touch(acc)
+	for _, bs := range steps.blocks {
+		for _, st := range bs.steps {
+			touch(st.acc)
+			touch(st.spec)
+		}
 	}
 
 	// Merge the components of all branch-slice loads: their classification
@@ -121,12 +120,11 @@ func partitionSets(prog *ir.Program, l *layout.Layout, opts Options, access, acc
 			if !resolved {
 				continue // depth is statically b_m, no state dependence
 			}
-			for id := range sliceLoads {
-				acc, ok := access[id]
-				if !ok {
+			for _, st := range steps.blocks[b.ID].steps {
+				if !sliceLoads[st.in.ID] {
 					continue
 				}
-				set := l.SetOf(acc.First)
+				set := l.SetOf(st.acc.First)
 				if depthRoot < 0 {
 					depthRoot = set
 				} else {
@@ -164,8 +162,8 @@ func partitionSets(prog *ir.Program, l *layout.Layout, opts Options, access, acc
 // analyzePartitioned runs the per-set-group fixpoints and stitches one
 // Result. It reports handled=false when the partition is trivial (zero or
 // one group), in which case the caller should run the dense engine.
-func analyzePartitioned(ctx context.Context, prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.Result, opts Options, access, accessSpec map[int]cache.Access, code *bytecode.Program) (*Result, bool, error) {
-	part := partitionSets(prog, l, opts, access, accessSpec)
+func analyzePartitioned(ctx context.Context, prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.Result, opts Options, steps *stepProgram) (*Result, bool, error) {
+	part := partitionSets(prog, l, opts, steps)
 	if len(part.groups) <= 1 {
 		return nil, false, nil
 	}
@@ -173,7 +171,7 @@ func analyzePartitioned(ctx context.Context, prog *ir.Program, g *cfg.Graph, l *
 	engines := make([]*engine, len(part.groups))
 	results := make([]*Result, len(part.groups))
 	newGroupEngine := func(i int) *engine {
-		ge := newEngineShared(prog, g, l, idx, opts, access, accessSpec, code)
+		ge := newEngine(prog, g, l, idx, opts, steps)
 		ge.dom.Filter = cache.NewSetFilter(l.Config.NumSets, part.groups[i])
 		engines[i] = ge
 		return ge

@@ -255,8 +255,8 @@ func TestPartitionGrouping(t *testing.T) {
 		}
 		g := cfg.New(prog)
 		idx := interval.Analyze(g)
-		access, accessSpec := dataAccessMaps(prog, l, idx)
-		part := partitionSets(prog, l, opts, access, accessSpec)
+		steps := dataSteps(prog, l, idx)
+		part := partitionSets(prog, l, opts, steps)
 
 		groupOf := make([]int, l.Config.NumSets)
 		for i := range groupOf {
@@ -282,11 +282,11 @@ func TestPartitionGrouping(t *testing.T) {
 				}
 			}
 		}
-		for _, acc := range access {
-			check(acc)
-		}
-		for _, acc := range accessSpec {
-			check(acc)
+		for _, bs := range steps.blocks {
+			for _, st := range bs.steps {
+				check(st.acc)
+				check(st.spec)
+			}
 		}
 		if part.depthGroup >= 0 {
 			for _, b := range prog.Blocks {
@@ -298,13 +298,12 @@ func TestPartitionGrouping(t *testing.T) {
 				if !resolved {
 					continue
 				}
-				for id := range loads {
-					acc, ok := access[id]
-					if !ok {
+				for _, st := range steps.blocks[b.ID].steps {
+					if !loads[st.in.ID] {
 						continue
 					}
-					if got := groupOf[l.SetOf(acc.First)]; got != part.depthGroup {
-						t.Fatalf("%s: slice load %d in group %d, depth group is %d", name, id, got, part.depthGroup)
+					if got := groupOf[l.SetOf(st.acc.First)]; got != part.depthGroup {
+						t.Fatalf("%s: slice load %d in group %d, depth group is %d", name, st.in.ID, got, part.depthGroup)
 					}
 				}
 			}

@@ -35,7 +35,7 @@ func AnalyzePersistenceContext(ctx context.Context, prog *ir.Program, opts Optio
 	opts.DynamicDepthBounding = false
 	g := cfg.New(prog)
 	idx := interval.Analyze(g)
-	e := newEngine(prog, g, l, idx, opts)
+	e := newEngine(prog, g, l, idx, opts, dataSteps(prog, l, idx))
 	e.dom.Persist = true
 	e.dom.Refined = false // the NYoung refinement is a must-analysis rule
 	if err := e.run(ctx); err != nil {

@@ -193,8 +193,7 @@ func TestUncertaintyPruningInvisible(t *testing.T) {
 }
 
 // TestWTOComponentsStat pins the component counter: a loop-free program has
-// none, a loopy one at least one, and the counter follows the scheduler that
-// actually built a WTO.
+// none and a loopy one at least one.
 func TestWTOComponentsStat(t *testing.T) {
 	straight := compile(t, certainSrc)
 	res, err := Analyze(straight, DefaultOptions())

@@ -4,15 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"time"
 
 	"specabsint/internal/bench"
-	"specabsint/internal/bytecode"
 	"specabsint/internal/core"
 	"specabsint/internal/ir"
 	"specabsint/internal/mitigate"
@@ -49,14 +46,6 @@ type BenchMeta struct {
 	// binary was built outside version control); "-dirty" marks uncommitted
 	// changes.
 	Commit string `json:"commit,omitempty"`
-	// Scheduler is the fixpoint scheduler the headline measurements ran
-	// under ("wto" or "worklist"); the schedulers section below always
-	// measures both, so this only disambiguates Now/WithPasses.
-	Scheduler string `json:"scheduler,omitempty"`
-	// Exec is the execution engine the headline measurements ran under
-	// ("compiled" or "interp"); the exec section below always measures
-	// both, so this only disambiguates Now/WithPasses.
-	Exec string `json:"exec,omitempty"`
 	// PassConfig lists the enabled analysis-preserving passes of the
 	// measured pipeline configuration, in execution order.
 	PassConfig []string `json:"pass_config,omitempty"`
@@ -119,12 +108,6 @@ type FixpointReport struct {
 	// resolution fires hardest; g72 has no statically-decided branches, so
 	// its speedup hovers at 1.0x and this is where the lane reduction pays.
 	ResolvedKernel *ResolvedKernelDemo `json:"resolved_kernel,omitempty"`
-	// Schedulers compares the fixpoint schedulers on the branch-heavy
-	// corpus slice (see SchedulerSlice).
-	Schedulers *SchedulerComparison `json:"schedulers,omitempty"`
-	// Execs compares the bytecode-compiled engine against the tree-walking
-	// interpreter on the loop-carrying corpus slice (see ExecSlice).
-	Execs *ExecComparison `json:"execs,omitempty"`
 	// Mitigation sweeps the fence synthesizer over the corpus: one row per
 	// leak-reporting kernel, recording the synthesized fence count, the
 	// residual, and the WCET overhead the repair costs.
@@ -135,94 +118,6 @@ type FixpointReport struct {
 	// Iterations is the fixpoint's worklist block count (a determinism
 	// canary: it must not vary run to run).
 	Iterations int `json:"iterations"`
-}
-
-// SchedulerSlice is the branch-heavy corpus slice the scheduler comparison
-// measures: every corpus kernel whose simplified CFG retains loops after
-// unrolling (where the WTO's stabilize-inner-first discipline can pay —
-// deepest in adpcm, g72, jcphuff), plus the two large acyclic guard-chain
-// kernels (jcmarker, susan) as break-even controls — on an acyclic CFG both
-// schedulers degenerate to the same reverse-postorder drain, so anything but
-// 1.0x there is measurement noise.
-var SchedulerSlice = []string{
-	"adpcm", "g72", "jcphuff", "layer3", "jdmarker", "gtk", "vga", "ocb",
-	"jcmarker", "susan",
-}
-
-// SchedulerKernelRow compares the fixpoint schedulers on one kernel. All
-// three arms run the shipped two-phase engine semantics except Legacy, which
-// is the pre-WTO seed configuration (worklist order, uncertainty focusing
-// off) kept for attribution: Worklist-vs-WTO isolates the scheduling win,
-// Legacy-vs-WTO shows the whole trajectory.
-type SchedulerKernelRow struct {
-	Kernel string `json:"kernel"`
-	// WTOComponents counts the hierarchical components of the kernel's WTO
-	// (0 means the simplified CFG is loop-free).
-	WTOComponents int `json:"wto_components"`
-	// Legacy is the seed-equivalent ablation: worklist scheduler with the
-	// uncertainty machinery disabled.
-	Legacy FixpointSample `json:"legacy"`
-	// Worklist and WTO are the shipped engine under each scheduler. On an
-	// acyclic kernel (WTOComponents == 0) the engine routes both schedulers
-	// through the same worklist code path, so the WTO arm reuses the
-	// worklist measurement rather than re-timing identical code.
-	Worklist FixpointSample `json:"worklist"`
-	WTO      FixpointSample `json:"wto"`
-	// SpeedupVsLegacy is Legacy ns/op over WTO ns/op: what the WTO schedule
-	// and uncertainty focusing buy together over the seed engine.
-	SpeedupVsLegacy float64 `json:"speedup_vs_legacy"`
-	// SpeedupVsWorklist is Worklist ns/op over WTO ns/op: the scheduling
-	// win alone, with the two-phase semantics held fixed.
-	SpeedupVsWorklist float64 `json:"speedup_vs_worklist"`
-	// Identical asserts the two shipped arms produced byte-identical
-	// classifications (the tentpole equivalence guarantee); a false here is
-	// an engine bug, not noise.
-	Identical bool `json:"identical"`
-}
-
-// SchedulerComparison is the scheduler section of the fixpoint report.
-type SchedulerComparison struct {
-	Kernels []SchedulerKernelRow `json:"kernels"`
-	// GeomeanSpeedup is the geometric mean of the per-kernel
-	// SpeedupVsLegacy figures — the headline WTO+uncertainty claim.
-	GeomeanSpeedup float64 `json:"geomean_speedup"`
-	// GeomeanVsWorklist is the geometric mean of SpeedupVsWorklist.
-	GeomeanVsWorklist float64 `json:"geomean_vs_worklist"`
-}
-
-// ExecSlice is the loop-carrying corpus slice the exec comparison measures:
-// every corpus kernel whose simplified CFG retains loops after unrolling.
-// Loop blocks are transferred once per fixpoint iteration, so they are where
-// the compiled form's flat access-step replay (no per-instruction dispatch
-// on ir.Instr kinds) pays; acyclic kernels amortize the compile over a
-// single sweep and hover near break-even.
-var ExecSlice = []string{
-	"adpcm", "g72", "jcphuff", "layer3", "jdmarker", "gtk", "vga", "ocb",
-}
-
-// ExecKernelRow compares the execution engines on one kernel: the same
-// shipped two-phase engine, once walking the IR tree (interp) and once
-// replaying the bytecode-compiled access steps (compiled).
-type ExecKernelRow struct {
-	Kernel string `json:"kernel"`
-	// Interp and Compiled time the identical analysis under each engine.
-	Interp   FixpointSample `json:"interp"`
-	Compiled FixpointSample `json:"compiled"`
-	// SpeedupVsInterp is Interp ns/op over Compiled ns/op: what eliminating
-	// the per-instruction dispatch buys, semantics held fixed.
-	SpeedupVsInterp float64 `json:"speedup_vs_interp"`
-	// Identical asserts the two arms produced byte-identical
-	// classifications (the tentpole equivalence guarantee); a false here is
-	// an engine bug, not noise.
-	Identical bool `json:"identical"`
-}
-
-// ExecComparison is the execution-engine section of the fixpoint report.
-type ExecComparison struct {
-	Kernels []ExecKernelRow `json:"kernels"`
-	// GeomeanSpeedup is the geometric mean of the per-kernel
-	// SpeedupVsInterp figures — the headline compiled-engine claim.
-	GeomeanSpeedup float64 `json:"geomean_speedup"`
 }
 
 // MitigationKernelRow is the fence synthesizer's outcome on one
@@ -274,11 +169,8 @@ type ResolvedKernelDemo struct {
 
 // FixpointBench measures the full speculative fixpoint on the reference
 // medium kernel (g72, paper options) and returns the report. rounds <= 0
-// picks enough rounds for a stable median on a quiet machine. scheduler and
-// exec drive the headline Now/WithPasses measurements; schedCompare adds the
-// three-arm scheduler section over the branch-heavy slice, execCompare the
-// compiled-vs-interp section over the loop-carrying slice.
-func FixpointBench(rounds int, scheduler core.Scheduler, exec bytecode.ExecMode, schedCompare, execCompare bool) (*FixpointReport, error) {
+// picks enough rounds for a stable median on a quiet machine.
+func FixpointBench(rounds int) (*FixpointReport, error) {
 	const kernel = "g72"
 	b, ok := bench.ByName(kernel)
 	if !ok {
@@ -299,8 +191,6 @@ func FixpointBench(rounds int, scheduler core.Scheduler, exec bytecode.ExecMode,
 		return nil, err
 	}
 	opts := core.DefaultOptions()
-	opts.Scheduler = scheduler
-	opts.Exec = exec
 
 	// Warm-up runs, also the source of the pool and iteration counters.
 	warm, err := core.Analyze(prog, opts)
@@ -341,8 +231,6 @@ func FixpointBench(rounds int, scheduler core.Scheduler, exec bytecode.ExecMode,
 	if rep.WithPasses.NsPerOp > 0 {
 		rep.PassesSpeedup = float64(rep.Now.NsPerOp) / float64(rep.WithPasses.NsPerOp)
 	}
-	rep.Meta.Scheduler = opts.Scheduler.String()
-	rep.Meta.Exec = opts.Exec.String()
 	rep.Meta.PassConfig = passNames(passes.Default())
 	demo, err := resolvedKernelDemo(opts, rounds)
 	if err != nil {
@@ -354,20 +242,6 @@ func FixpointBench(rounds int, scheduler core.Scheduler, exec bytecode.ExecMode,
 		return nil, err
 	}
 	rep.Mitigation = mit
-	if schedCompare {
-		sched, err := schedulerComparison(rounds)
-		if err != nil {
-			return nil, err
-		}
-		rep.Schedulers = sched
-	}
-	if execCompare {
-		execs, err := execComparison(rounds)
-		if err != nil {
-			return nil, err
-		}
-		rep.Execs = execs
-	}
 	return rep, nil
 }
 
@@ -387,142 +261,6 @@ func passNames(o passes.Options) []string {
 		names = append(names, "dce")
 	}
 	return names
-}
-
-// sameClassifications reports whether two analyses agreed on every
-// architectural and speculative verdict (map printing is key-sorted, so the
-// rendered forms are canonical).
-func sameClassifications(a, b *core.Result) bool {
-	return fmt.Sprint(a.Access) == fmt.Sprint(b.Access) &&
-		fmt.Sprint(a.SpecAccess) == fmt.Sprint(b.SpecAccess)
-}
-
-// schedulerComparison measures the three scheduler arms over the
-// branch-heavy slice: legacy (seed-equivalent single-pass worklist), and the
-// shipped two-phase engine under each scheduler. The WTO arm's verdicts are
-// checked byte-identical against the worklist arm's before timing anything —
-// a speedup with different answers would be meaningless.
-func schedulerComparison(rounds int) (*SchedulerComparison, error) {
-	cmp := &SchedulerComparison{}
-	var logLegacy, logWorklist float64
-	for _, name := range SchedulerSlice {
-		b, ok := bench.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("fixpoint: kernel %q not in corpus", name)
-		}
-		code := b.Code
-		if b.Kind == bench.SideChannel {
-			code = bench.WithClient(b, 4096)
-		}
-		prog, err := bench.Compile(code, 0)
-		if err != nil {
-			return nil, err
-		}
-		legacyOpts := core.DefaultOptions()
-		legacyOpts.Scheduler = core.SchedulerWorklist
-		legacyOpts.DisableUncertainty = true
-		wlOpts := core.DefaultOptions()
-		wlOpts.Scheduler = core.SchedulerWorklist
-		wtoOpts := core.DefaultOptions()
-
-		wtoRes, err := core.Analyze(prog, wtoOpts)
-		if err != nil {
-			return nil, err
-		}
-		wlRes, err := core.Analyze(prog, wlOpts)
-		if err != nil {
-			return nil, err
-		}
-		row := SchedulerKernelRow{
-			Kernel:        name,
-			WTOComponents: int(wtoRes.Stats.WTOComponents),
-			Identical:     sameClassifications(wtoRes, wlRes),
-		}
-		optsList := []core.Options{legacyOpts, wlOpts, wtoOpts}
-		if row.WTOComponents == 0 {
-			// Acyclic kernel: the WTO degenerates to reverse postorder and the
-			// engine routes both schedulers through the identical worklist
-			// code path, so timing the arm twice would only measure noise.
-			// Share the measured sample; the ratio is 1.0 by construction.
-			optsList = optsList[:2]
-		}
-		arms, err := timeArms(prog, optsList, rounds)
-		if err != nil {
-			return nil, err
-		}
-		row.Legacy, row.Worklist = arms[0], arms[1]
-		row.WTO = arms[1]
-		if len(arms) > 2 {
-			row.WTO = arms[2]
-		}
-		if row.WTO.NsPerOp > 0 {
-			row.SpeedupVsLegacy = float64(row.Legacy.NsPerOp) / float64(row.WTO.NsPerOp)
-			row.SpeedupVsWorklist = float64(row.Worklist.NsPerOp) / float64(row.WTO.NsPerOp)
-			logLegacy += math.Log(row.SpeedupVsLegacy)
-			logWorklist += math.Log(row.SpeedupVsWorklist)
-		}
-		cmp.Kernels = append(cmp.Kernels, row)
-	}
-	if n := float64(len(cmp.Kernels)); n > 0 {
-		cmp.GeomeanSpeedup = math.Exp(logLegacy / n)
-		cmp.GeomeanVsWorklist = math.Exp(logWorklist / n)
-	}
-	return cmp, nil
-}
-
-// execComparison measures the execution engines over the loop-carrying
-// slice: the shipped engine once under the tree-walking interpreter and once
-// under the bytecode-compiled replay. The compiled arm's verdicts are checked
-// byte-identical against the interpreter's before timing anything — a
-// speedup with different answers would be meaningless.
-func execComparison(rounds int) (*ExecComparison, error) {
-	cmp := &ExecComparison{}
-	var logSpeedup float64
-	for _, name := range ExecSlice {
-		b, ok := bench.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("fixpoint: kernel %q not in corpus", name)
-		}
-		code := b.Code
-		if b.Kind == bench.SideChannel {
-			code = bench.WithClient(b, 4096)
-		}
-		prog, err := bench.Compile(code, 0)
-		if err != nil {
-			return nil, err
-		}
-		interpOpts := core.DefaultOptions()
-		interpOpts.Exec = bytecode.ExecInterp
-		compiledOpts := core.DefaultOptions()
-		compiledOpts.Exec = bytecode.ExecCompiled
-
-		compiledRes, err := core.Analyze(prog, compiledOpts)
-		if err != nil {
-			return nil, err
-		}
-		interpRes, err := core.Analyze(prog, interpOpts)
-		if err != nil {
-			return nil, err
-		}
-		row := ExecKernelRow{
-			Kernel:    name,
-			Identical: sameClassifications(compiledRes, interpRes),
-		}
-		arms, err := timeArms(prog, []core.Options{interpOpts, compiledOpts}, rounds)
-		if err != nil {
-			return nil, err
-		}
-		row.Interp, row.Compiled = arms[0], arms[1]
-		if row.Compiled.NsPerOp > 0 {
-			row.SpeedupVsInterp = float64(row.Interp.NsPerOp) / float64(row.Compiled.NsPerOp)
-			logSpeedup += math.Log(row.SpeedupVsInterp)
-		}
-		cmp.Kernels = append(cmp.Kernels, row)
-	}
-	if n := float64(len(cmp.Kernels)); n > 0 {
-		cmp.GeomeanSpeedup = math.Exp(logSpeedup / n)
-	}
-	return cmp, nil
 }
 
 // mitigationSummary sweeps the fence synthesizer over the corpus plus the
@@ -616,54 +354,6 @@ func resolvedKernelDemo(opts core.Options, rounds int) (*ResolvedKernelDemo, err
 		demo.Speedup = float64(demo.Off.NsPerOp) / float64(demo.On.NsPerOp)
 	}
 	return demo, nil
-}
-
-// timeArms times several option configurations over one program with their
-// rounds interleaved (arm A round 1, arm B round 1, ..., arm A round 2, ...)
-// and reports the per-arm median round. Interleaving means slow environment
-// drift — turbo clocks, allocator growth, background load — lands on every
-// arm equally instead of biasing whichever was measured last; the median
-// drops the odd GC-hit round. Back-to-back sequential timings of
-// near-identical arms were observed to differ by 6% from drift alone, which
-// would swamp the scheduler deltas this section exists to resolve.
-func timeArms(prog *ir.Program, optsList []core.Options, rounds int) ([]FixpointSample, error) {
-	if rounds <= 0 {
-		rounds = 5
-	}
-	ns := make([][]int64, len(optsList))
-	allocs := make([]int64, len(optsList))
-	bytes := make([]int64, len(optsList))
-	var ms0, ms1 runtime.MemStats
-	for r := 0; r < rounds; r++ {
-		// Rotate the starting arm each round: with a fixed order, whichever
-		// arm always runs first after the round's GC sees a systematically
-		// smaller heap and measures a few percent fast.
-		for k := 0; k < len(optsList); k++ {
-			i := (r + k) % len(optsList)
-			opts := optsList[i]
-			runtime.GC()
-			runtime.ReadMemStats(&ms0)
-			start := time.Now()
-			if _, err := core.Analyze(prog, opts); err != nil {
-				return nil, err
-			}
-			elapsed := time.Since(start)
-			runtime.ReadMemStats(&ms1)
-			ns[i] = append(ns[i], elapsed.Nanoseconds())
-			allocs[i] += int64(ms1.Mallocs - ms0.Mallocs)
-			bytes[i] += int64(ms1.TotalAlloc - ms0.TotalAlloc)
-		}
-	}
-	samples := make([]FixpointSample, len(optsList))
-	for i := range samples {
-		sort.Slice(ns[i], func(a, b int) bool { return ns[i][a] < ns[i][b] })
-		samples[i] = FixpointSample{
-			NsPerOp:     ns[i][len(ns[i])/2],
-			AllocsPerOp: allocs[i] / int64(rounds),
-			BytesPerOp:  bytes[i] / int64(rounds),
-		}
-	}
-	return samples, nil
 }
 
 // timeAnalyze runs the fixpoint rounds times over one program and returns the

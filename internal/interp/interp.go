@@ -76,16 +76,6 @@ func NewMachine(prog *ir.Program) *Machine {
 	return &Machine{Prog: prog}
 }
 
-// SetHooks installs the execution observers. It exists so the simulator can
-// drive this machine and the bytecode-compiled one through one interface.
-func (m *Machine) SetHooks(h Hooks) { m.Hooks = h }
-
-// SetResolveOOB installs the wrong-path out-of-bounds redirection (see
-// ResolveOOB).
-func (m *Machine) SetResolveOOB(f func(ir.SymbolID, int64) (ir.SymbolID, int64, bool)) {
-	m.ResolveOOB = f
-}
-
 // NewState builds the initial state: registers zeroed, memory zeroed and
 // then filled from symbol initializers.
 func (m *Machine) NewState() *State {

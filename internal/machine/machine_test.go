@@ -416,3 +416,91 @@ func TestConfigInputs(t *testing.T) {
 		t.Error("unknown input symbol: want error")
 	}
 }
+
+// TestFenceSquashesWrongPath puts a fence at the head of the mispredicted
+// arm: the wrong path must stop there, count the fence in SpecFences, and
+// perform no access past it. The unfenced twin shows the same wrong path
+// does reach memory, so the check is not vacuous.
+func TestFenceSquashesWrongPath(t *testing.T) {
+	const src = `
+char pub[16];
+char probe[256];
+secret int k;
+int main() {
+	reg int t;
+	reg int v;
+	t = 0;
+	if (k < 16) {
+		%s
+		v = pub[k & 15];
+		t = probe[v & 255];
+	}
+	return t;
+}
+`
+	run := func(fence string) (Stats, int) {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.ForceMispredict = true
+		cfg.Inputs = map[string]int64{"k": 200}
+		sim, err := New(compile(t, fmt.Sprintf(src, fence)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := 0
+		sim.OnAccess = func(r AccessRecord) {
+			if r.Speculative {
+				spec++
+			}
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return sim.Stats, spec
+	}
+	fenced, spec := run("fence;")
+	if fenced.Mispredicts != 1 || fenced.SpecFences != 1 {
+		t.Fatalf("want one mispredict squashed by one fence, got %+v", fenced)
+	}
+	if spec != 0 || fenced.SpecHits+fenced.SpecMisses != 0 || fenced.SpecInstructions != 0 {
+		t.Errorf("wrong path ran past the fence: %d accesses, stats %+v", spec, fenced)
+	}
+	open, spec := run("")
+	if open.SpecFences != 0 || spec == 0 {
+		t.Errorf("unfenced wrong path: %d accesses, stats %+v; want accesses and no fence", spec, open)
+	}
+}
+
+// TestICacheFetchStream records the fetch stream with an instruction cache
+// simulated: every executed instruction, architectural or wrong-path, fires
+// OnFetch once, and the records agree with the fetch counters.
+func TestICacheFetchStream(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ForceMispredict = true
+	cfg.ICache = &layout.CacheConfig{LineSize: 64, NumSets: 4, Assoc: 2}
+	sim, err := New(compile(t, fig2Src(64*3)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arch, spec int64
+	sim.OnFetch = func(r AccessRecord) {
+		if r.Speculative {
+			spec++
+		} else {
+			arch++
+		}
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := sim.Stats
+	if arch == 0 || spec == 0 {
+		t.Fatalf("fetch stream has %d architectural and %d wrong-path records; want both", arch, spec)
+	}
+	if arch != st.IFetchHits+st.IFetchMisses || arch != st.Instructions {
+		t.Errorf("architectural fetches %d, counters %d+%d, instructions %d", arch, st.IFetchHits, st.IFetchMisses, st.Instructions)
+	}
+	if spec != st.SpecIFetchHits+st.SpecIFetchMisses || spec != st.SpecInstructions {
+		t.Errorf("wrong-path fetches %d, counters %d+%d, wrong-path instructions %d", spec, st.SpecIFetchHits, st.SpecIFetchMisses, st.SpecInstructions)
+	}
+}

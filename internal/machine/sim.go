@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"specabsint/internal/bytecode"
 	"specabsint/internal/interp"
 	"specabsint/internal/ir"
 	"specabsint/internal/layout"
@@ -15,10 +14,6 @@ type Config struct {
 	Cache layout.CacheConfig
 	// Predictor chooses branch targets; nil defaults to NewTwoBit().
 	Predictor Predictor
-	// Exec selects the fetch/execute core: the zero value runs the
-	// bytecode-compiled machine, ExecInterp the tree-walking interpreter.
-	// Traces, stats, and hook firing are identical under both.
-	Exec bytecode.ExecMode
 	// DepthMiss / DepthHit bound the wrong-path window in instructions,
 	// depending on whether a load missed since the last branch (a proxy for
 	// "the condition is waiting on memory"). These mirror the analysis
@@ -128,21 +123,8 @@ type Simulator struct {
 	ICacheSim   *CacheSim
 	fetchBlocks []layout.BlockID
 
-	m           stepper
+	m           *interp.Machine
 	missedSince bool // a load missed since the last branch resolved
-}
-
-// stepper is the execution core contract the simulator drives: the
-// tree-walking interp.Machine or the bytecode-compiled bytecode.Machine.
-// Both operate on interp.State, fire the same hooks at the same points, and
-// return the same error values, so the simulator's speculation, squash, and
-// predictor logic is engine-agnostic.
-type stepper interface {
-	NewState() *interp.State
-	CurrentInstr(*interp.State) *ir.Instr
-	Step(*interp.State) error
-	SetHooks(interp.Hooks)
-	SetResolveOOB(func(ir.SymbolID, int64) (ir.SymbolID, int64, bool))
 }
 
 // New creates a simulator.
@@ -157,18 +139,12 @@ func New(prog *ir.Program, cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var m stepper
-	if cfg.Exec == bytecode.ExecInterp {
-		m = interp.NewMachine(prog)
-	} else {
-		m = bytecode.NewMachine(prog)
-	}
 	sim := &Simulator{
 		Prog:   prog,
 		Layout: l,
 		Cfg:    cfg,
 		Cache:  NewCacheSim(cfg.Cache),
-		m:      m,
+		m:      interp.NewMachine(prog),
 	}
 	if cfg.ICache != nil {
 		_, blocks, err := layout.CodeLayout(prog, *cfg.ICache)
@@ -264,7 +240,7 @@ func (s *Simulator) Run() error {
 		},
 	}
 
-	s.m.SetHooks(archHooks)
+	s.m.Hooks = archHooks
 	for !st.Done {
 		if st.Steps >= s.Cfg.MaxSteps {
 			return interp.ErrStepLimit
@@ -299,7 +275,7 @@ func (s *Simulator) Run() error {
 				}
 				if depth > 0 {
 					s.speculate(st, in, predicted, depth, specHooks)
-					s.m.SetHooks(archHooks)
+					s.m.Hooks = archHooks
 					s.Stats.Rollbacks++
 				}
 			}
@@ -339,9 +315,9 @@ func (s *Simulator) speculate(st *interp.State, branch *ir.Instr, predicted bool
 		clone.Block = branch.FalseTarget
 	}
 	clone.IP = 0
-	s.m.SetHooks(hooks)
+	s.m.Hooks = hooks
 	if s.Cfg.WrongPathOOB {
-		s.m.SetResolveOOB(func(sym ir.SymbolID, elem int64) (ir.SymbolID, int64, bool) {
+		s.m.ResolveOOB = func(sym ir.SymbolID, elem int64) (ir.SymbolID, int64, bool) {
 			const lim = int64(1) << 40
 			if elem > lim || elem < -lim {
 				return 0, 0, false
@@ -351,8 +327,8 @@ func (s *Simulator) speculate(st *interp.State, branch *ir.Instr, predicted bool
 				return 0, 0, false
 			}
 			return s.Layout.AddrToElem(addr)
-		})
-		defer s.m.SetResolveOOB(nil)
+		}
+		defer func() { s.m.ResolveOOB = nil }()
 	}
 	for i := 0; i < depth && !clone.Done; i++ {
 		in := s.m.CurrentInstr(clone)

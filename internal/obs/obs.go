@@ -113,8 +113,7 @@ func (c *Collector) AddFixpoint(f FixpointStats) {
 	c.mu.Unlock()
 }
 
-// SetBytecode records the compiled execution form's shape (zero when the
-// interpreted engine ran).
+// SetBytecode records the shape of the fixpoint's access-step program.
 func (c *Collector) SetBytecode(b BytecodeStats) {
 	if c == nil {
 		return

@@ -31,8 +31,8 @@ type Stats struct {
 	Fixpoint FixpointStats `json:"fixpoint"`
 	// Partition describes the per-cache-set decomposition that ran.
 	Partition PartitionStats `json:"partition"`
-	// Bytecode describes the compiled execution form's shape (all zero when
-	// the interpreted engine ran). Structural, hence deterministic.
+	// Bytecode describes the fixpoint's per-block access steps. Structural,
+	// hence deterministic.
 	Bytecode BytecodeStats `json:"bytecode"`
 	// Phases is the wall-clock breakdown, in execution order. The only
 	// nondeterministic section of the report.
@@ -170,12 +170,11 @@ type PartitionStats struct {
 	SetsAnalyzed int `json:"sets_analyzed"`
 }
 
-// BytecodeStats is the shape of the bytecode-compiled transfer program (PR
-// 10's execution lowering): how many pre-resolved access steps the fixpoint
-// loops iterate instead of re-walking ir.Instr. A pure function of the
-// lowered program and cache geometry — identical across runs, schedulers,
-// and parallelism — and all zero under the interpreted engine, which builds
-// no compiled form.
+// BytecodeStats is the shape of the fixpoint's access-step program: how many
+// pre-resolved access steps the engine's loops iterate. A pure function of
+// the lowered program and cache geometry — identical across runs and
+// parallelism. All zero for analyses that record no data-cache steps (the
+// i-cache and persistence variants).
 type BytecodeStats struct {
 	// Blocks counts compiled basic blocks.
 	Blocks int64 `json:"blocks"`
@@ -184,8 +183,8 @@ type BytecodeStats struct {
 	// fence, with OOB-extended resolutions).
 	ArchSteps int64 `json:"arch_steps"`
 	SpecSteps int64 `json:"spec_steps"`
-	// FencedBlocks counts blocks whose speculative step list was truncated
-	// by a fence.
+	// FencedBlocks counts blocks containing a fence, which truncates their
+	// speculative step list.
 	FencedBlocks int64 `json:"fenced_blocks"`
 }
 
@@ -256,10 +255,8 @@ func (s *Stats) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "depth 6.2: %d pruned to b_h, %d at b_m\n",
 		f.DepthHitBounds, f.DepthMissBounds)
 	if bc := s.Bytecode; bc.Blocks > 0 {
-		fmt.Fprintf(w, "exec:      compiled, %d blocks -> %d arch + %d spec access steps (%d fence-truncated)\n",
+		fmt.Fprintf(w, "steps:     %d blocks -> %d arch + %d spec access steps (%d fenced blocks)\n",
 			bc.Blocks, bc.ArchSteps, bc.SpecSteps, bc.FencedBlocks)
-	} else {
-		fmt.Fprintf(w, "exec:      interpreted\n")
 	}
 	if pt.Groups > 0 {
 		fmt.Fprintf(w, "partition: %d engines over %d set groups (%d sets analyzed, depth group %d)\n",

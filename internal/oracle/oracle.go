@@ -40,7 +40,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"specabsint/internal/bytecode"
 	"specabsint/internal/cache"
 	"specabsint/internal/core"
 	"specabsint/internal/ir"
@@ -77,12 +76,6 @@ const (
 	UnrollMonotone Property = "unroll-monotonicity"
 	// ParallelEquivalence: SetParallelism changed a classification.
 	ParallelEquivalence Property = "parallel-equivalence"
-	// SchedulerEquivalence: the fixpoint scheduler (WTO vs worklist) changed
-	// a classification.
-	SchedulerEquivalence Property = "scheduler-equivalence"
-	// ExecEquivalence: the execution engine (compiled vs interp) changed a
-	// classification or a concrete simulator trace.
-	ExecEquivalence Property = "exec-equivalence"
 	// Crash: an analysis or simulation failed outright (panic or error).
 	Crash Property = "crash"
 )
@@ -134,20 +127,6 @@ type Config struct {
 	// Parallelism is the SetParallelism equivalence sweep (always compared
 	// against the dense engine, 0).
 	Parallelism []int
-	// CheckSchedulers additionally runs the analysis under the worklist
-	// scheduler — dense and set-partitioned — and asserts classifications are
-	// byte-identical to the default (WTO) scheduler's. Off by default: the
-	// property is also covered by the top-level scheduler-equivalence suite;
-	// turn it on for fuzzing (specfuzz -scheduler=both) and corpus replay.
-	CheckSchedulers bool
-	// CheckExec additionally runs the analysis under the tree-walking
-	// interpreter — dense and set-partitioned — and asserts classifications
-	// are byte-identical to the default (compiled) engine's, then replays
-	// one forced-mispredict concrete simulation under both machine cores
-	// and asserts the traces and counters match exactly. Off by default:
-	// the property is also covered by the top-level exec-equivalence suite;
-	// turn it on for fuzzing (specfuzz -exec=both) and corpus replay.
-	CheckExec bool
 	// WindowPair is the (small, large) speculation-depth pair of the window
 	// monotonicity property.
 	WindowPair [2]int
@@ -279,7 +258,7 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 	// parallelism sweep, and the unroll pair (Source-keyed so the pool's
 	// compile cache provides the re-lowered programs).
 	combos := c.combos()
-	jobs := make([]runner.Job, 0, len(combos)+2+len(cfg.Parallelism)+2+2)
+	jobs := make([]runner.Job, 0, len(combos)+2+1+len(cfg.Parallelism)+2)
 	for _, cb := range combos {
 		jobs = append(jobs, runner.Job{Name: cb.label, Prog: prog, Opts: cb.opts, Mode: runner.ModeSideChannel})
 	}
@@ -296,34 +275,6 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 		opts.DepthMiss, opts.DepthHit = 30, 30
 		opts.SetParallelism = p
 		jobs = append(jobs, runner.Job{Name: fmt.Sprintf("parallel-%d", p), Prog: prog, Opts: opts, Mode: runner.ModeSideChannel})
-	}
-	schedBase := len(jobs)
-	if cfg.CheckSchedulers {
-		// The worklist arms reuse the parallel sweep's base configuration, so
-		// the dense default-scheduler job at parBase doubles as the reference:
-		// one dense worklist run and one set-partitioned worklist run.
-		for _, p := range []int{0, 4} {
-			opts := c.baseOpts()
-			opts.Cache = layout.CacheConfig{LineSize: 64, NumSets: 4, Assoc: 2}
-			opts.DepthMiss, opts.DepthHit = 30, 30
-			opts.SetParallelism = p
-			opts.Scheduler = core.SchedulerWorklist
-			jobs = append(jobs, runner.Job{Name: fmt.Sprintf("sched-worklist-p%d", p), Prog: prog, Opts: opts, Mode: runner.ModeSideChannel})
-		}
-	}
-	execBase := len(jobs)
-	if cfg.CheckExec {
-		// The interp arms mirror the scheduler arms: the dense compiled job
-		// at parBase is the reference, compared against one dense and one
-		// set-partitioned interpreter run.
-		for _, p := range []int{0, 4} {
-			opts := c.baseOpts()
-			opts.Cache = layout.CacheConfig{LineSize: 64, NumSets: 4, Assoc: 2}
-			opts.DepthMiss, opts.DepthHit = 30, 30
-			opts.SetParallelism = p
-			opts.Exec = bytecode.ExecInterp
-			jobs = append(jobs, runner.Job{Name: fmt.Sprintf("exec-interp-p%d", p), Prog: prog, Opts: opts, Mode: runner.ModeSideChannel})
-		}
 	}
 	unrollBase := len(jobs)
 	if cfg.SmallUnroll > 0 {
@@ -361,17 +312,6 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 	c.checkWindowMonotone(results[windowBase].Leaks, results[windowBase+1].Leaks)
 	for i := range cfg.Parallelism {
 		c.checkParallelEquivalence(results[parBase].Leaks.Analysis, results[parBase+1+i].Leaks.Analysis, jobs[parBase+1+i].Name)
-	}
-	if cfg.CheckSchedulers {
-		for i := schedBase; i < execBase; i++ {
-			c.checkSchedulerEquivalence(results[parBase].Leaks.Analysis, results[i].Leaks.Analysis, jobs[i].Name)
-		}
-	}
-	if cfg.CheckExec {
-		for i := execBase; i < unrollBase; i++ {
-			c.checkExecEquivalence(results[parBase].Leaks.Analysis, results[i].Leaks.Analysis, jobs[i].Name)
-		}
-		c.checkExecTraces()
 	}
 	if cfg.SmallUnroll > 0 {
 		c.checkUnrollMonotone(results[unrollBase], results[unrollBase+1])

@@ -60,10 +60,8 @@ func TestOracleOnGeneratedPrograms(t *testing.T) {
 }
 
 // TestFuzzCorpusReplay replays every checked-in reproducer under the full
-// sweep — with the worklist-vs-WTO scheduler and compiled-vs-interp exec
-// cross-checks on, so reproducers caught by specfuzz -scheduler=both or
-// -exec=both stay caught. Failures found by cmd/specfuzz land in
-// testdata/fuzz-corpus and are re-verified here forever.
+// sweep. Failures found by cmd/specfuzz land in testdata/fuzz-corpus and are
+// re-verified here forever.
 func TestFuzzCorpusReplay(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "fuzz-corpus", "*.c"))
 	if err != nil {
@@ -78,10 +76,7 @@ func TestFuzzCorpusReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := testConfig()
-			cfg.CheckSchedulers = true
-			cfg.CheckExec = true
-			res, err := Check(string(src), cfg)
+			res, err := Check(string(src), testConfig())
 			if err != nil {
 				t.Fatalf("corpus program no longer compiles: %v", err)
 			}
@@ -89,67 +84,6 @@ func TestFuzzCorpusReplay(t *testing.T) {
 				t.Errorf("%s", v)
 			}
 		})
-	}
-}
-
-// TestSchedulerCheckExtendsSweep guards against the scheduler cross-check
-// silently becoming vacuous: enabling CheckSchedulers must add exactly the
-// two worklist arms (dense and set-partitioned) to the analysis sweep, and
-// they must agree with the WTO reference on a loopy corpus program.
-func TestSchedulerCheckExtendsSweep(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "fuzz-corpus", "loops.c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Check(string(src), Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Quick()
-	cfg.CheckSchedulers = true
-	res, err := Check(string(src), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Analyses != base.Analyses+2 {
-		t.Fatalf("CheckSchedulers ran %d analyses, want %d (base %d + 2 worklist arms)",
-			res.Analyses, base.Analyses+2, base.Analyses)
-	}
-	if res.Failed() {
-		t.Fatalf("unexpected violations: %v", res.Violations)
-	}
-}
-
-// TestExecCheckExtendsSweep guards against the exec cross-check silently
-// becoming vacuous: enabling CheckExec must add exactly the two interpreter
-// arms (dense and set-partitioned) to the analysis sweep plus the two
-// simulator trace replays, and they must agree with the compiled reference
-// on a loopy corpus program.
-func TestExecCheckExtendsSweep(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "fuzz-corpus", "loops.c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Check(string(src), Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Quick()
-	cfg.CheckExec = true
-	res, err := Check(string(src), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Analyses != base.Analyses+2 {
-		t.Fatalf("CheckExec ran %d analyses, want %d (base %d + 2 interp arms)",
-			res.Analyses, base.Analyses+2, base.Analyses)
-	}
-	if res.Traces != base.Traces+2 {
-		t.Fatalf("CheckExec ran %d traces, want %d (base %d + 2 exec-sim replays)",
-			res.Traces, base.Traces+2, base.Traces)
-	}
-	if res.Failed() {
-		t.Fatalf("unexpected violations: %v", res.Violations)
 	}
 }
 

@@ -3,7 +3,6 @@ package oracle
 import (
 	"fmt"
 
-	"specabsint/internal/bytecode"
 	"specabsint/internal/cache"
 	"specabsint/internal/core"
 	"specabsint/internal/machine"
@@ -155,116 +154,6 @@ func (c *checker) checkParallelEquivalence(dense, part *core.Result, label strin
 		if p, ok := part.SpecAccess[id]; !ok || p != d {
 			c.violate(Violation{Property: ParallelEquivalence, Config: label, InstrID: id,
 				Detail: fmt.Sprintf("lane-classified %v, dense engine lane-classified %v", p, d)})
-		}
-	}
-}
-
-// checkSchedulerEquivalence asserts the fixpoint scheduler is invisible:
-// classifications under the worklist scheduler (dense or set-partitioned)
-// must be byte-identical to the default WTO scheduler's. The engine earns
-// this by construction — widening runs in a canonical schedule-independent
-// phase, and the remaining iteration is monotone — and the oracle holds it
-// to that claim on every fuzzed program.
-func (c *checker) checkSchedulerEquivalence(wto, wl *core.Result, label string) {
-	if len(wto.Access) != len(wl.Access) || len(wto.SpecAccess) != len(wl.SpecAccess) {
-		c.violate(Violation{Property: SchedulerEquivalence, Config: label,
-			Detail: fmt.Sprintf("classified %d/%d accesses, WTO scheduler classified %d/%d",
-				len(wl.Access), len(wl.SpecAccess), len(wto.Access), len(wto.SpecAccess))})
-		return
-	}
-	for id, d := range wto.Access {
-		p, ok := wl.Access[id]
-		if !ok || p.Class != d.Class {
-			c.violate(Violation{Property: SchedulerEquivalence, Config: label, InstrID: id, Line: d.Instr.Line,
-				Detail: fmt.Sprintf("classified %v, WTO scheduler classified %v", p.Class, d.Class)})
-		}
-	}
-	for id, d := range wto.SpecAccess {
-		if p, ok := wl.SpecAccess[id]; !ok || p != d {
-			c.violate(Violation{Property: SchedulerEquivalence, Config: label, InstrID: id,
-				Detail: fmt.Sprintf("lane-classified %v, WTO scheduler lane-classified %v", p, d)})
-		}
-	}
-}
-
-// checkExecEquivalence asserts the execution engine is invisible to the
-// analysis: classifications under the tree-walking interpreter (dense or
-// set-partitioned) must be byte-identical to the default compiled engine's.
-// The bytecode earns this by construction — each block's compiled form
-// replays the exact access/transfer sequence the tree walk performs — and
-// the oracle holds it to that claim on every fuzzed program.
-func (c *checker) checkExecEquivalence(compiled, interp *core.Result, label string) {
-	if len(compiled.Access) != len(interp.Access) || len(compiled.SpecAccess) != len(interp.SpecAccess) {
-		c.violate(Violation{Property: ExecEquivalence, Config: label,
-			Detail: fmt.Sprintf("classified %d/%d accesses, compiled engine classified %d/%d",
-				len(interp.Access), len(interp.SpecAccess), len(compiled.Access), len(compiled.SpecAccess))})
-		return
-	}
-	for id, d := range compiled.Access {
-		p, ok := interp.Access[id]
-		if !ok || p.Class != d.Class {
-			c.violate(Violation{Property: ExecEquivalence, Config: label, InstrID: id, Line: d.Instr.Line,
-				Detail: fmt.Sprintf("classified %v, compiled engine classified %v", p.Class, d.Class)})
-		}
-	}
-	for id, d := range compiled.SpecAccess {
-		if p, ok := interp.SpecAccess[id]; !ok || p != d {
-			c.violate(Violation{Property: ExecEquivalence, Config: label, InstrID: id,
-				Detail: fmt.Sprintf("lane-classified %v, compiled engine lane-classified %v", p, d)})
-		}
-	}
-}
-
-// checkExecTraces asserts the simulator cores are indistinguishable: one
-// forced-mispredict run (maximal wrong-path coverage, Spectre OOB reads
-// enabled) must produce the identical access sequence and counters whether
-// the fetch/execute step is the bytecode-compiled machine or the
-// tree-walking interpreter.
-func (c *checker) checkExecTraces() {
-	const label = "exec-sim compiled-vs-interp"
-	trace := func(mode bytecode.ExecMode) ([]machine.AccessRecord, machine.Stats, bool) {
-		simCfg := machine.Config{
-			Cache:           c.baseOpts().Cache,
-			ForceMispredict: true,
-			DepthMiss:       30,
-			DepthHit:        30,
-			WrongPathOOB:    true,
-			MaxSteps:        c.cfg.MaxSteps,
-			Exec:            mode,
-		}
-		sim, err := machine.New(c.prog, simCfg)
-		if err != nil {
-			c.violate(Violation{Property: Crash, Config: label, Detail: fmt.Sprintf("simulator: %v", err)})
-			return nil, machine.Stats{}, false
-		}
-		c.res.Traces++
-		var recs []machine.AccessRecord
-		sim.OnAccess = func(r machine.AccessRecord) { recs = append(recs, r) }
-		if err := sim.Run(); err != nil {
-			c.violate(Violation{Property: Crash, Config: label, Detail: fmt.Sprintf("simulation failed: %v", err)})
-			return nil, machine.Stats{}, false
-		}
-		return recs, sim.Stats, true
-	}
-	cRecs, cStats, okC := trace(bytecode.ExecCompiled)
-	iRecs, iStats, okI := trace(bytecode.ExecInterp)
-	if !okC || !okI {
-		return // the crash is already recorded
-	}
-	if cStats != iStats {
-		c.violate(Violation{Property: ExecEquivalence, Config: label,
-			Detail: fmt.Sprintf("stats diverge: compiled %+v, interp %+v", cStats, iStats)})
-	}
-	if len(cRecs) != len(iRecs) {
-		c.violate(Violation{Property: ExecEquivalence, Config: label,
-			Detail: fmt.Sprintf("trace lengths diverge: compiled %d accesses, interp %d", len(cRecs), len(iRecs))})
-		return
-	}
-	for i := range cRecs {
-		if cRecs[i] != iRecs[i] {
-			c.violate(Violation{Property: ExecEquivalence, Config: label, InstrID: cRecs[i].InstrID,
-				Detail: fmt.Sprintf("trace diverges at access %d: compiled %+v, interp %+v", i, cRecs[i], iRecs[i])})
-			return
 		}
 	}
 }

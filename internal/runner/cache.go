@@ -45,7 +45,6 @@ type optsKey struct {
 	depthHit     int
 	dynamicDepth bool
 	strategy     core.Strategy
-	scheduler    core.Scheduler
 	noUncert     bool
 	refinedJoin  bool
 	widening     int
@@ -62,7 +61,6 @@ func fingerprintOptions(o core.Options) optsKey {
 		depthHit:     o.DepthHit,
 		dynamicDepth: o.DynamicDepthBounding,
 		strategy:     o.Strategy,
-		scheduler:    o.Scheduler,
 		noUncert:     o.DisableUncertainty,
 		refinedJoin:  o.RefinedJoin,
 		widening:     o.WideningThreshold,

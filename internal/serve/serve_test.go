@@ -330,6 +330,47 @@ func TestBadRequests(t *testing.T) {
 	decodeErr(t, data)
 }
 
+// TestRetiredOptionsAreNoOps pins wire v1 compatibility: a request that
+// still carries the retired scheduler and exec options gets a report
+// byte-identical to one without them, while an unknown value is still
+// rejected.
+func TestRetiredOptionsAreNoOps(t *testing.T) {
+	report := func(opts *wire.Options) []byte {
+		t.Helper()
+		_, ts := newTestServer(t, Config{})
+		status, data := post(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: bench.Fig2Program(-1), Options: opts})
+		if status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, data)
+		}
+		var resp wire.AnalyzeResponse
+		if err := wire.Unmarshal(data, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.CacheHit {
+			t.Fatal("fresh server answered from its report cache")
+		}
+		out, err := wire.Marshal(resp.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	worklist, interp := wire.SchedulerWorklist, wire.ExecInterp
+	if got, want := report(&wire.Options{Scheduler: &worklist, Exec: &interp}), report(nil); string(got) != string(want) {
+		t.Errorf("scheduler=worklist exec=interp changed the report:\n%s\nvs\n%s", got, want)
+	}
+
+	_, ts := newTestServer(t, Config{})
+	bogus := "bogus"
+	status, data := post(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{
+		Source: "int main() { return 0; }", Options: &wire.Options{Scheduler: &bogus},
+	})
+	if status != http.StatusBadRequest {
+		t.Errorf("scheduler=bogus: status %d", status)
+	}
+	decodeErr(t, data)
+}
+
 // TestAdmissionControl checks a request whose job count exceeds the queue
 // bound is rejected with 429 and a Retry-After hint.
 func TestAdmissionControl(t *testing.T) {

@@ -38,26 +38,6 @@ func WithDepths(miss, hit int) Option {
 	return func(c *Config) { c.DepthMiss, c.DepthHit = miss, hit }
 }
 
-// WithScheduler selects the fixpoint iteration order: WTO (Bourdoncle's
-// hierarchical weak topological ordering, the default) or Worklist (the
-// classic reverse-postorder priority worklist). Classifications are
-// byte-identical under either scheduler; only wall clock and the effort
-// counters differ.
-func WithScheduler(s Scheduler) Option {
-	return func(c *Config) { c.Scheduler = s }
-}
-
-// WithExec selects the execution engine: Compiled (per-block bytecode for
-// the fixpoint transfer loops and specialized closures for the simulator,
-// the default) or Interp (the original tree-walking loops over the IR).
-// Results are byte-identical under either engine — the compiled form
-// replays the exact access/transfer sequence of the tree walk — so this is
-// purely a performance knob; Interp exists as the differential-testing
-// reference.
-func WithExec(m Exec) Option {
-	return func(c *Config) { c.Exec = m }
-}
-
 // WithRefinedJoin toggles the Appendix-B shadow-variable join refinement
 // (on by default).
 func WithRefinedJoin(on bool) Option {
@@ -136,8 +116,6 @@ func (c Config) Options() []Option {
 		WithDepths(c.DepthMiss, c.DepthHit),
 		WithDynamicDepthBounding(c.DynamicDepthBounding),
 		WithStrategy(c.Strategy),
-		WithScheduler(c.Scheduler),
-		WithExec(c.Exec),
 		WithRefinedJoin(c.RefinedJoin),
 		WithMaxUnroll(c.MaxUnroll),
 		WithPasses(c.Passes),

@@ -2,8 +2,8 @@
 
 package specabsint
 
-// raceDetectorOn marks builds under `go test -race`. The corpus-wide
-// scheduler-equivalence sweep trims to its cheap kernels there (the detector
-// makes the full corpus an order of magnitude slower); the determinism and
-// equivalence properties themselves still run raced on those kernels.
+// raceDetectorOn marks builds under `go test -race`. The corpus digest
+// golden checks only its cheap kernels there (the detector makes the full
+// corpus an order of magnitude slower); their lines are still compared
+// against the full golden file.
 const raceDetectorOn = true

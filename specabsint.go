@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"sort"
 
-	"specabsint/internal/bytecode"
 	"specabsint/internal/cache"
 	"specabsint/internal/core"
 	"specabsint/internal/ir"
@@ -62,34 +61,6 @@ const (
 	JustInTime       = core.StrategyJustInTime
 	MergeAtRollback  = core.StrategyMergeAtRollback
 	PerRollbackBlock = core.StrategyPerRollbackBlock
-)
-
-// Scheduler selects the fixpoint iteration order (see WithScheduler).
-type Scheduler = core.Scheduler
-
-// Fixpoint schedulers.
-const (
-	// WTO iterates in Bourdoncle's hierarchical weak topological order,
-	// stabilizing inner loop components before re-entering outer ones.
-	// The default.
-	WTO = core.SchedulerWTO
-	// Worklist is the classic reverse-postorder priority worklist.
-	Worklist = core.SchedulerWorklist
-)
-
-// Exec selects the execution engine for the fixpoint transfer loops and the
-// concrete simulator core (see WithExec).
-type Exec = bytecode.ExecMode
-
-// Execution engines.
-const (
-	// Compiled runs the bytecode-compiled forms: per-block access steps for
-	// the fixpoint engine, specialized closures for the simulator. The
-	// default.
-	Compiled = bytecode.ExecCompiled
-	// Interp runs the original tree-walking loops over the IR — the
-	// differential-testing reference.
-	Interp = bytecode.ExecInterp
 )
 
 // Classification of one memory access.
@@ -162,18 +133,6 @@ type Config struct {
 	DynamicDepthBounding bool
 	// Strategy selects the merge strategy (default JustInTime).
 	Strategy Strategy
-	// Scheduler selects the fixpoint iteration order (default WTO).
-	// Classifications are byte-identical under either scheduler — the
-	// classic widening-bearing pass always runs under one canonical
-	// schedule, and the speculative completion is a pure monotone
-	// iteration — so this is purely a performance knob; only the effort
-	// counters (iterations, joins, spawns) differ.
-	Scheduler Scheduler
-	// Exec selects the execution engine (default Compiled). Results are
-	// byte-identical under either engine — the compiled form replays the
-	// exact access/transfer sequence of the tree walk — so this is purely
-	// a performance knob; Interp is the differential-testing reference.
-	Exec Exec
 	// RefinedJoin enables the Appendix-B shadow-variable refinement.
 	RefinedJoin bool
 	// MaxUnroll caps full unrolling of constant-trip loops.
@@ -209,8 +168,6 @@ func DefaultConfig() Config {
 		DepthHit:             o.DepthHit,
 		DynamicDepthBounding: o.DynamicDepthBounding,
 		Strategy:             o.Strategy,
-		Scheduler:            o.Scheduler,
-		Exec:                 o.Exec,
 		RefinedJoin:          o.RefinedJoin,
 		MaxUnroll:            lower.DefaultOptions().MaxUnroll,
 		Passes:               true,
@@ -226,8 +183,6 @@ func (c Config) coreOptions() core.Options {
 	o.DepthHit = c.DepthHit
 	o.DynamicDepthBounding = c.DynamicDepthBounding
 	o.Strategy = c.Strategy
-	o.Scheduler = c.Scheduler
-	o.Exec = c.Exec
 	o.RefinedJoin = c.RefinedJoin
 	o.SetParallelism = c.SetParallelism
 	return o
@@ -454,7 +409,6 @@ func Simulate(p *CompiledProgram, cfg Config) (SimulationResult, error) {
 	mc.Cache = cfg.Cache
 	mc.DepthMiss = cfg.DepthMiss
 	mc.DepthHit = cfg.DepthHit
-	mc.Exec = cfg.Exec
 	mc.ForceMispredict = true
 	if !cfg.Speculative {
 		mc.DepthMiss, mc.DepthHit = 0, 0

@@ -26,13 +26,13 @@ type Options struct {
 	// Strategy selects the merge strategy: "jit", "rollback" or "partition"
 	// (the same names specanalyze -strategy accepts).
 	Strategy *string `json:"strategy,omitempty"`
-	// Scheduler selects the fixpoint iteration order: "wto" or "worklist"
-	// (the same names specanalyze -scheduler accepts). Classifications are
-	// byte-identical under either; it is a performance knob.
+	// Scheduler is accepted for compatibility and ignored: "wto" and
+	// "worklist" both run the analyzer's one fixpoint schedule, and any
+	// other value is rejected. FromConfig never emits it.
 	Scheduler *string `json:"scheduler,omitempty"`
-	// Exec selects the execution engine: "compiled" or "interp" (the same
-	// names specanalyze -exec accepts). Results are byte-identical under
-	// either; it is a performance knob.
+	// Exec is accepted for compatibility and ignored: "compiled" and
+	// "interp" both run the analyzer's one execution engine, and any other
+	// value is rejected. FromConfig never emits it.
 	Exec *string `json:"exec,omitempty"`
 	// RefinedJoin toggles the Appendix-B shadow-variable refinement.
 	RefinedJoin *bool `json:"refined_join,omitempty"`
@@ -92,62 +92,21 @@ func strategyFromString(s string) (specabsint.Strategy, error) {
 		s, StrategyJIT, StrategyRollback, StrategyPartition)
 }
 
-// Scheduler wire names.
+// Values the retired scheduler and exec fields accept (and ignore).
 const (
 	SchedulerWTO      = "wto"
 	SchedulerWorklist = "worklist"
+	ExecCompiled      = "compiled"
+	ExecInterp        = "interp"
 )
 
-// schedulerString renders a fixpoint scheduler into its frozen wire name.
-func schedulerString(s specabsint.Scheduler) (string, error) {
-	switch s {
-	case specabsint.WTO:
-		return SchedulerWTO, nil
-	case specabsint.Worklist:
-		return SchedulerWorklist, nil
+// checkRetired validates a retired no-op field: absent, or one of the two
+// values it documented when it was a knob.
+func checkRetired(field string, v *string, a, b string) error {
+	if v == nil || *v == a || *v == b {
+		return nil
 	}
-	return "", fmt.Errorf("wire: unknown scheduler %v", s)
-}
-
-// schedulerFromString is the inverse of schedulerString.
-func schedulerFromString(s string) (specabsint.Scheduler, error) {
-	switch s {
-	case SchedulerWTO:
-		return specabsint.WTO, nil
-	case SchedulerWorklist:
-		return specabsint.Worklist, nil
-	}
-	return specabsint.WTO, fmt.Errorf("wire: unknown scheduler %q (want %s or %s)",
-		s, SchedulerWTO, SchedulerWorklist)
-}
-
-// Exec wire names.
-const (
-	ExecCompiled = "compiled"
-	ExecInterp   = "interp"
-)
-
-// execString renders an execution engine into its frozen wire name.
-func execString(m specabsint.Exec) (string, error) {
-	switch m {
-	case specabsint.Compiled:
-		return ExecCompiled, nil
-	case specabsint.Interp:
-		return ExecInterp, nil
-	}
-	return "", fmt.Errorf("wire: unknown exec engine %v", m)
-}
-
-// execFromString is the inverse of execString.
-func execFromString(s string) (specabsint.Exec, error) {
-	switch s {
-	case ExecCompiled:
-		return specabsint.Compiled, nil
-	case ExecInterp:
-		return specabsint.Interp, nil
-	}
-	return specabsint.Compiled, fmt.Errorf("wire: unknown exec engine %q (want %s or %s)",
-		s, ExecCompiled, ExecInterp)
+	return fmt.Errorf("wire: unknown %s %q (want %s or %s)", field, *v, a, b)
 }
 
 // FromConfig renders a Config with every field populated, so the document
@@ -155,14 +114,6 @@ func execFromString(s string) (specabsint.Exec, error) {
 // defaults.
 func FromConfig(cfg specabsint.Config) (*Options, error) {
 	strat, err := strategyString(cfg.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	sched, err := schedulerString(cfg.Scheduler)
-	if err != nil {
-		return nil, err
-	}
-	exec, err := execString(cfg.Exec)
 	if err != nil {
 		return nil, err
 	}
@@ -177,8 +128,6 @@ func FromConfig(cfg specabsint.Config) (*Options, error) {
 		DepthHit:             ptr(cfg.DepthHit),
 		DynamicDepthBounding: ptr(cfg.DynamicDepthBounding),
 		Strategy:             ptr(strat),
-		Scheduler:            ptr(sched),
-		Exec:                 ptr(exec),
 		RefinedJoin:          ptr(cfg.RefinedJoin),
 		MaxUnroll:            ptr(cfg.MaxUnroll),
 		Passes:               ptr(cfg.Passes),
@@ -229,19 +178,11 @@ func (o *Options) Config() (specabsint.Config, error) {
 		}
 		cfg.Strategy = strat
 	}
-	if o.Scheduler != nil {
-		sched, err := schedulerFromString(*o.Scheduler)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Scheduler = sched
+	if err := checkRetired("scheduler", o.Scheduler, SchedulerWTO, SchedulerWorklist); err != nil {
+		return cfg, err
 	}
-	if o.Exec != nil {
-		exec, err := execFromString(*o.Exec)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Exec = exec
+	if err := checkRetired("exec engine", o.Exec, ExecCompiled, ExecInterp); err != nil {
+		return cfg, err
 	}
 	if o.RefinedJoin != nil {
 		cfg.RefinedJoin = *o.RefinedJoin

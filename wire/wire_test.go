@@ -170,8 +170,6 @@ func TestOptionsRoundTrip(t *testing.T) {
 		DepthHit:             7,
 		DynamicDepthBounding: false,
 		Strategy:             specabsint.PerRollbackBlock,
-		Scheduler:            specabsint.Worklist,
-		Exec:                 specabsint.Interp,
 		RefinedJoin:          true,
 		MaxUnroll:            9,
 		Passes:               true,
@@ -247,6 +245,44 @@ func TestOptionsDefaults(t *testing.T) {
 	if _, err := badExec.Config(); err == nil {
 		t.Error("unknown exec engine accepted")
 	}
+	badSched := Options{Scheduler: ptr("bogus")}
+	if _, err := badSched.Config(); err == nil {
+		t.Error("unknown scheduler accepted")
+	}
+}
+
+// TestRetiredOptionsAreNoOps pins wire v1 compatibility for the retired
+// scheduler and exec knobs: every value they used to accept still decodes
+// and resolves to the configuration without them, and FromConfig emits
+// neither.
+func TestRetiredOptionsAreNoOps(t *testing.T) {
+	for _, o := range []Options{
+		{Scheduler: ptr(SchedulerWTO)},
+		{Scheduler: ptr(SchedulerWorklist)},
+		{Exec: ptr(ExecCompiled)},
+		{Exec: ptr(ExecInterp)},
+		{Scheduler: ptr(SchedulerWorklist), Exec: ptr(ExecInterp)},
+	} {
+		cfg, err := o.Config()
+		if err != nil || cfg != specabsint.DefaultConfig() {
+			t.Errorf("%s/%s resolved to %+v (err %v), want DefaultConfig",
+				deref(o.Scheduler), deref(o.Exec), cfg, err)
+		}
+	}
+	o, err := FromConfig(specabsint.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Scheduler != nil || o.Exec != nil {
+		t.Errorf("FromConfig emitted scheduler=%q exec=%q", deref(o.Scheduler), deref(o.Exec))
+	}
+}
+
+func deref(s *string) string {
+	if s == nil {
+		return ""
+	}
+	return *s
 }
 
 // TestMarshalLine checks the NDJSON encoding is one line with the same
