@@ -60,7 +60,6 @@ func TestConfigOptionsRoundTrip(t *testing.T) {
 			RefinedJoin:          true,
 			MaxUnroll:            5,
 			Passes:               false,
-			SetParallelism:       4,
 			Stats:                true,
 			MitigateVerify:       true,
 		},
@@ -82,7 +81,6 @@ func TestOptionSetters(t *testing.T) {
 		WithSpeculation(false),
 		WithDynamicDepthBounding(false),
 		WithMaxUnroll(17),
-		WithSetParallelism(3),
 		nil, // nil options are ignored
 	})
 	if cfg.Cache.LineSize != 32 || cfg.Cache.NumSets != 2 || cfg.Cache.Assoc != 4 {
@@ -93,32 +91,6 @@ func TestOptionSetters(t *testing.T) {
 	}
 	if cfg.RefinedJoin || cfg.Speculative || cfg.DynamicDepthBounding || cfg.MaxUnroll != 17 {
 		t.Errorf("flags = %+v", cfg)
-	}
-	if cfg.SetParallelism != 3 {
-		t.Errorf("SetParallelism = %d, want 3", cfg.SetParallelism)
-	}
-}
-
-// TestSetParallelismReportUnchanged: the parallelism knob must not alter any
-// reported number, only how the fixpoint is scheduled.
-func TestSetParallelismReportUnchanged(t *testing.T) {
-	setAssoc := WithCache(CacheConfig{LineSize: 64, NumSets: 8, Assoc: 4})
-	prog, err := CompileOpts(apiProgram, setAssoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := AnalyzeContext(context.Background(), prog, setAssoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		parallel, err := AnalyzeContext(context.Background(), prog, setAssoc, WithSetParallelism(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := reportJSON(t, parallel), reportJSON(t, serial); got != want {
-			t.Errorf("workers=%d report diverges from serial:\n%s\n%s", workers, got, want)
-		}
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 
 	"specabsint"
 	"specabsint/internal/bench"
+	"specabsint/internal/layout"
 	"specabsint/internal/obs"
 	"specabsint/wire"
 )
@@ -40,7 +41,6 @@ func main() {
 		nonspec    = flag.Bool("nonspec", false, "run the classic non-speculative analysis instead")
 		passesFlag = flag.String("passes", "on", "analysis-preserving pass pipeline (SCCP, copy propagation, branch resolution, DCE): on or off")
 		strategy   = flag.String("strategy", "jit", "merge strategy: jit, rollback, partition")
-		parallel   = flag.Int("parallel", 0, "cache-set fixpoint parallelism (0 = single dense fixpoint)")
 		timeout    = flag.Duration("timeout", 0, "abort the analysis after this long (0 = no limit)")
 		sim        = flag.Bool("sim", false, "also run the concrete speculative simulator")
 		mitigateF  = flag.Bool("mitigate", false, "synthesize a fence set repairing the reported leaks and print the mitigation summary (text mode only)")
@@ -54,6 +54,12 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
+	cacheCfg, err := layout.Geometry(*lines, *lineSize, *sets)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "specanalyze: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *statsMode != "" && *statsMode != "json" && *statsMode != "text" {
 		fatal(fmt.Errorf("-stats must be json or text, got %q", *statsMode))
 	}
@@ -92,11 +98,10 @@ func main() {
 		fatal(err)
 	}
 	opts := []specabsint.Option{
-		specabsint.WithCache(specabsint.CacheConfig{LineSize: *lineSize, NumSets: *sets, Assoc: *lines / *sets}),
+		specabsint.WithCache(cacheCfg),
 		specabsint.WithDepths(*bm, *bh),
 		specabsint.WithSpeculation(!*nonspec),
 		specabsint.WithStrategy(strat),
-		specabsint.WithSetParallelism(*parallel),
 		specabsint.WithPasses(runPasses),
 		specabsint.WithStats(*statsMode != ""),
 	}

@@ -30,6 +30,7 @@ import (
 
 	"specabsint"
 	"specabsint/internal/bench"
+	"specabsint/internal/layout"
 	"specabsint/wire"
 )
 
@@ -47,6 +48,12 @@ func main() {
 		corpus   = flag.String("corpus", "", "mitigate a built-in program instead of a file: fig2 or a benchmark name")
 	)
 	flag.Parse()
+	cacheCfg, err := layout.Geometry(*lines, *lineSize, *sets)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "specmitigate: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var src, srcName string
 	switch {
@@ -71,7 +78,7 @@ func main() {
 	}
 
 	opts := []specabsint.Option{
-		specabsint.WithCache(specabsint.CacheConfig{LineSize: *lineSize, NumSets: *sets, Assoc: *lines / *sets}),
+		specabsint.WithCache(cacheCfg),
 		specabsint.WithDepths(*bm, *bh),
 		specabsint.WithMitigateVerify(*verify),
 	}

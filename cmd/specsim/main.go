@@ -36,6 +36,12 @@ func main() {
 		unroll      = flag.Int("unroll", 4096, "loop unrolling cap")
 	)
 	flag.Parse()
+	cacheCfg, err := layout.Geometry(*lines, *lineSize, *sets)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "specsim: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: specsim [flags] program.c")
 		flag.Usage()
@@ -55,7 +61,7 @@ func main() {
 	}
 
 	cfg := machine.DefaultConfig()
-	cfg.Cache = layout.CacheConfig{LineSize: *lineSize, NumSets: *sets, Assoc: *lines / *sets}
+	cfg.Cache = cacheCfg
 	cfg.DepthMiss = *bm
 	cfg.DepthHit = *bh
 	cfg.ForceMispredict = *force

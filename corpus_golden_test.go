@@ -63,13 +63,33 @@ func execReportText(rep *Report) string {
 	return classificationText(rep) + fmt.Sprintf("wcet=%+v\n", rep.WCET)
 }
 
-// corpusDigestLine analyzes one program under DefaultConfig and renders its
-// digest: the headline counts, a SHA-256 of every verdict and the WCET
-// estimate, a SHA-256 of the ZeroTimes stats document, and, for the
-// programs in corpusDigestMitigate, the synthesized fences and residuals.
-func corpusDigestLine(t *testing.T, cp corpusProgram) string {
+// corpusDigestGeometry is one cache geometry the corpus digest golden pins,
+// with the golden file its lines live in.
+type corpusDigestGeometry struct {
+	name  string
+	file  string
+	cache CacheConfig
+	// fences also pins the synthesized fence sets of corpusDigestMitigate's
+	// programs; one geometry pinning them is enough.
+	fences bool
+}
+
+// corpusDigestGeometries are the pinned geometries: the paper's 512-line
+// fully associative cache, and a 64-set × 8-way cache whose set mapping
+// exercises the strided domain operations a one-set cache never does.
+var corpusDigestGeometries = []corpusDigestGeometry{
+	{name: "paper", file: "corpus_digest.txt", cache: PaperCache(), fences: true},
+	{name: "64x8", file: "corpus_digest_64x8.txt", cache: CacheConfig{LineSize: 64, NumSets: 64, Assoc: 8}},
+}
+
+// corpusDigestLine analyzes one program under DefaultConfig on the
+// geometry's cache and renders its digest: the headline counts, a SHA-256
+// of every verdict and the WCET estimate, a SHA-256 of the ZeroTimes stats
+// document, and, when the geometry pins fences and the program is in
+// corpusDigestMitigate, the synthesized fences and residuals.
+func corpusDigestLine(t *testing.T, cp corpusProgram, geom corpusDigestGeometry) string {
 	t.Helper()
-	opts := []Option{WithStats(true)}
+	opts := []Option{WithStats(true), WithCache(geom.cache)}
 	p, err := CompileOpts(cp.src, opts...)
 	if err != nil {
 		t.Fatalf("%s: %v", cp.name, err)
@@ -86,8 +106,8 @@ func corpusDigestLine(t *testing.T, cp corpusProgram) string {
 	line := fmt.Sprintf("%s accesses=%d misses=%d specmisses=%d leaks=%d report=%x stats=%x",
 		cp.name, len(rep.Accesses), rep.Misses, rep.SpecMisses, len(rep.Leaks),
 		sha256.Sum256([]byte(execReportText(rep))), sha256.Sum256(stats))
-	if corpusDigestMitigate[cp.name] {
-		mrep, err := Mitigate(t.Context(), p)
+	if geom.fences && corpusDigestMitigate[cp.name] {
+		mrep, err := Mitigate(t.Context(), p, WithCache(geom.cache))
 		if err != nil {
 			t.Fatalf("%s: mitigate: %v", cp.name, err)
 		}
@@ -102,12 +122,19 @@ func corpusDigestLine(t *testing.T, cp corpusProgram) string {
 }
 
 // TestGoldenCorpusDigest pins the analyzer's output on the whole paper
-// corpus: one digest line per program in testdata/golden/corpus_digest.txt.
-// Any change to an access verdict, a leak, the WCET bound, a deterministic
-// stats counter, or a synthesized fence shows up as a changed line. Under
-// -race or -short only the cheap slice is analyzed, and its lines are
-// compared against the full golden file.
+// corpus at every geometry in corpusDigestGeometries: one digest line per
+// program in the geometry's file under testdata/golden. Any change to an
+// access verdict, a leak, the WCET bound, a deterministic stats counter, or
+// a synthesized fence shows up as a changed line. Under -race or -short only
+// the cheap slice is analyzed, and its lines are compared against the full
+// golden file.
 func TestGoldenCorpusDigest(t *testing.T) {
+	for _, geom := range corpusDigestGeometries {
+		t.Run(geom.name, func(t *testing.T) { checkCorpusDigest(t, geom) })
+	}
+}
+
+func checkCorpusDigest(t *testing.T, geom corpusDigestGeometry) {
 	cheap := (raceDetectorOn || testing.Short()) && !*updateGolden
 	var sb strings.Builder
 	got := map[string]string{}
@@ -115,15 +142,15 @@ func TestGoldenCorpusDigest(t *testing.T) {
 		if cheap && !corpusDigestCheap[cp.name] {
 			continue
 		}
-		line := corpusDigestLine(t, cp)
+		line := corpusDigestLine(t, cp, geom)
 		got[cp.name] = line
 		sb.WriteString(line + "\n")
 	}
 	if !cheap {
-		checkGolden(t, "corpus_digest.txt", sb.String())
+		checkGolden(t, geom.file, sb.String())
 		return
 	}
-	path := filepath.Join("testdata", "golden", "corpus_digest.txt")
+	path := filepath.Join("testdata", "golden", geom.file)
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -99,18 +99,3 @@ func BenchmarkJoinInto(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkJoinIntoFiltered measures the per-set view: joining only one
-// set's blocks out of 64, the partitioned engine's steady-state join.
-func BenchmarkJoinIntoFiltered(b *testing.B) {
-	l := benchLayout(b, 512, 64, 8)
-	d := NewDomain(l)
-	d.Filter = NewSetFilter(64, []int{5})
-	src := warmState(d, 512, 4)
-	dst := src.Clone()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.JoinInto(dst, src)
-	}
-}

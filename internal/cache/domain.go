@@ -69,10 +69,6 @@ type Domain struct {
 	// pointwise max, and AlwaysHit means "misses at most once in total".
 	// See persist.go.
 	Persist bool
-	// Filter, when non-nil, restricts the domain to a subset of the cache
-	// sets: Transfer ignores accesses outside the filter, and JoinInto /
-	// Leq / Equal / Widen iterate only the owned sets' blocks. See filter.go.
-	Filter *SetFilter
 
 	// prefix is scratch for the NYoung cumulative histogram.
 	prefix []int
@@ -116,18 +112,9 @@ func (d *Domain) assoc() int { return d.L.Config.Assoc }
 // iterating with stride NumSets visits exactly b's competitors.
 func (d *Domain) setStart(b layout.BlockID) int { return d.L.SetOf(b) }
 
-// Owns reports whether acc falls inside the domain's set filter. The
-// partitioned engine's grouping guarantees all candidate blocks of an access
-// share one set group, so checking the first candidate suffices.
-func (d *Domain) Owns(acc Access) bool {
-	return d.Filter == nil || d.Filter.Contains(d.L.SetOf(acc.First))
-}
-
-// Transfer applies one memory access to the state in place. Accesses outside
-// the domain's set filter are no-ops: their effects are confined to cache
-// sets this domain does not own.
+// Transfer applies one memory access to the state in place.
 func (d *Domain) Transfer(s *State, acc Access) {
-	if s.IsBottom || !d.Owns(acc) {
+	if s.IsBottom {
 		return
 	}
 	if d.Persist {
@@ -304,21 +291,6 @@ func (d *Domain) TransferInto(dst, src *State, acc Access) {
 	d.Transfer(dst, acc)
 }
 
-// spans invokes fn once per (start, stride) index span the domain's filter
-// selects: the whole vector when unfiltered, or one span per owned cache set.
-// fn returns whether to keep going (false short-circuits, for Leq/Equal).
-func (d *Domain) spans(fn func(start, stride int) bool) {
-	if d.Filter == nil {
-		fn(0, 1)
-		return
-	}
-	for _, set := range d.Filter.Sets() {
-		if !fn(d.L.SetSpan(set)) {
-			return
-		}
-	}
-}
-
 // Join returns the least upper bound of a and b (Fig. 5 plus the Appendix-B
 // shadow rule): max of must ages (with 0 = infinity absorbing), min of
 // shadow ages (with 0 = infinity neutral).
@@ -348,21 +320,22 @@ func (d *Domain) JoinInto(dst, src *State) bool {
 		return true
 	}
 	changed := false
-	d.spans(func(start, stride int) bool {
-		for i := start; i < len(dst.must); i += stride {
-			dm, sm := dst.must[i], src.must[i]
-			if dm != 0 && (sm == 0 || sm > dm) {
-				dst.must[i] = sm
-				changed = true
-			}
-			ds, ss := dst.shadow[i], src.shadow[i]
-			if ss != 0 && (ds == 0 || ss < ds) {
-				dst.shadow[i] = ss
-				changed = true
-			}
+	// Bounding i by len(dst.must) on every iteration, rather than ranging
+	// over it, lets the compiler drop dst.must's bounds check: the stores
+	// below may alias dst's slice headers, so a range bound would not prove
+	// it. This loop and Leq carry the fixpoint's joins and orders.
+	for i := 0; i < len(dst.must); i++ {
+		dm, sm := dst.must[i], src.must[i]
+		if dm != 0 && (sm == 0 || sm > dm) {
+			dst.must[i] = sm
+			changed = true
 		}
-		return true
-	})
+		ds, ss := dst.shadow[i], src.shadow[i]
+		if ss != 0 && (ds == 0 || ss < ds) {
+			dst.shadow[i] = ss
+			changed = true
+		}
+	}
 	return changed
 }
 
@@ -378,45 +351,17 @@ func (d *Domain) Leq(a, b *State) bool {
 	if b.IsBottom {
 		return false
 	}
-	leq := true
-	d.spans(func(start, stride int) bool {
-		for i := start; i < len(a.must); i += stride {
-			am, bm := a.must[i], b.must[i]
-			if bm != 0 && (am == 0 || am > bm) {
-				leq = false
-				return false
-			}
-			as, bs := a.shadow[i], b.shadow[i]
-			if as != 0 && (bs == 0 || bs > as) {
-				leq = false
-				return false
-			}
+	for i := 0; i < len(a.must); i++ {
+		am, bm := a.must[i], b.must[i]
+		if bm != 0 && (am == 0 || am > bm) {
+			return false
 		}
-		return true
-	})
-	return leq
-}
-
-// Equal reports state equality under the domain's filter: only blocks in
-// owned cache sets are compared (full structural equality when unfiltered).
-func (d *Domain) Equal(a, b *State) bool {
-	if a.IsBottom || b.IsBottom {
-		return a.IsBottom == b.IsBottom
-	}
-	if len(a.must) != len(b.must) {
-		return false
-	}
-	eq := true
-	d.spans(func(start, stride int) bool {
-		for i := start; i < len(a.must); i += stride {
-			if a.must[i] != b.must[i] || a.shadow[i] != b.shadow[i] {
-				eq = false
-				return false
-			}
+		as, bs := a.shadow[i], b.shadow[i]
+		if as != 0 && (bs == 0 || bs > as) {
+			return false
 		}
-		return true
-	})
-	return eq
+	}
+	return true
 }
 
 // Widen accelerates convergence: any must age that grew since prev jumps to
@@ -433,19 +378,16 @@ func (d *Domain) Widen(prev, next *State) *State {
 		return prev.Clone()
 	}
 	out := next.Clone()
-	d.spans(func(start, stride int) bool {
-		for i := start; i < len(out.must); i += stride {
-			nm, pm := next.must[i], prev.must[i]
-			if nm != 0 && (pm == 0 || nm > pm) {
-				out.must[i] = 0
-			}
-			ns, ps := next.shadow[i], prev.shadow[i]
-			if (ns != 0 && (ps == 0 || ns < ps)) || (ns == 0 && ps != 0) {
-				out.shadow[i] = 1
-			}
+	for i := 0; i < len(out.must); i++ {
+		nm, pm := next.must[i], prev.must[i]
+		if nm != 0 && (pm == 0 || nm > pm) {
+			out.must[i] = 0
 		}
-		return true
-	})
+		ns, ps := next.shadow[i], prev.shadow[i]
+		if (ns != 0 && (ps == 0 || ns < ps)) || (ns == 0 && ps != 0) {
+			out.shadow[i] = 1
+		}
+	}
 	return out
 }
 
@@ -466,23 +408,20 @@ func (d *Domain) Saturate(ref, x *State) {
 	if ref.IsBottom || x.IsBottom {
 		return
 	}
-	d.spans(func(start, stride int) bool {
-		for i := start; i < len(x.must); i += stride {
-			xm, rm := x.must[i], ref.must[i]
-			if d.Persist {
-				if xm > rm {
-					x.must[i] = persistTop
-				}
-			} else if xm != 0 && (rm == 0 || xm > rm) {
-				x.must[i] = 0
+	for i := 0; i < len(x.must); i++ {
+		xm, rm := x.must[i], ref.must[i]
+		if d.Persist {
+			if xm > rm {
+				x.must[i] = persistTop
 			}
-			xs, rs := x.shadow[i], ref.shadow[i]
-			if xs != 0 && (rs == 0 || xs < rs) {
-				x.shadow[i] = 1
-			}
+		} else if xm != 0 && (rm == 0 || xm > rm) {
+			x.must[i] = 0
 		}
-		return true
-	})
+		xs, rs := x.shadow[i], ref.shadow[i]
+		if xs != 0 && (rs == 0 || xs < rs) {
+			x.shadow[i] = 1
+		}
+	}
 }
 
 // Classify judges one access against the state: it is an AlwaysHit when all

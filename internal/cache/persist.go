@@ -90,20 +90,17 @@ func (d *Domain) persistJoinInto(dst, src *State) bool {
 		return true
 	}
 	changed := false
-	d.spans(func(start, stride int) bool {
-		for i := start; i < len(dst.must); i += stride {
-			if src.must[i] > dst.must[i] {
-				dst.must[i] = src.must[i]
-				changed = true
-			}
-			ds, ss := dst.shadow[i], src.shadow[i]
-			if ss != 0 && (ds == 0 || ss < ds) {
-				dst.shadow[i] = ss
-				changed = true
-			}
+	for i := 0; i < len(dst.must); i++ {
+		if src.must[i] > dst.must[i] {
+			dst.must[i] = src.must[i]
+			changed = true
 		}
-		return true
-	})
+		ds, ss := dst.shadow[i], src.shadow[i]
+		if ss != 0 && (ds == 0 || ss < ds) {
+			dst.shadow[i] = ss
+			changed = true
+		}
+	}
 	return changed
 }
 
@@ -115,22 +112,16 @@ func (d *Domain) persistLeq(a, b *State) bool {
 	if b.IsBottom {
 		return false
 	}
-	leq := true
-	d.spans(func(start, stride int) bool {
-		for i := start; i < len(a.must); i += stride {
-			if a.must[i] > b.must[i] {
-				leq = false
-				return false
-			}
-			as, bs := a.shadow[i], b.shadow[i]
-			if as != 0 && (bs == 0 || bs > as) {
-				leq = false
-				return false
-			}
+	for i := 0; i < len(a.must); i++ {
+		if a.must[i] > b.must[i] {
+			return false
 		}
-		return true
-	})
-	return leq
+		as, bs := a.shadow[i], b.shadow[i]
+		if as != 0 && (bs == 0 || bs > as) {
+			return false
+		}
+	}
+	return true
 }
 
 // persistWiden jumps growing ages straight to persistTop.
@@ -142,18 +133,15 @@ func (d *Domain) persistWiden(prev, next *State) *State {
 		return prev.Clone()
 	}
 	out := next.Clone()
-	d.spans(func(start, stride int) bool {
-		for i := start; i < len(out.must); i += stride {
-			if next.must[i] > prev.must[i] && prev.must[i] != 0 {
-				out.must[i] = persistTop
-			}
-			ns, ps := next.shadow[i], prev.shadow[i]
-			if (ns != 0 && (ps == 0 || ns < ps)) || (ns == 0 && ps != 0) {
-				out.shadow[i] = 1
-			}
+	for i := 0; i < len(out.must); i++ {
+		if next.must[i] > prev.must[i] && prev.must[i] != 0 {
+			out.must[i] = persistTop
 		}
-		return true
-	})
+		ns, ps := next.shadow[i], prev.shadow[i]
+		if (ns != 0 && (ps == 0 || ns < ps)) || (ns == 0 && ps != 0) {
+			out.shadow[i] = 1
+		}
+	}
 	return out
 }
 

@@ -13,7 +13,7 @@ func (s PoolStats) Reused() int { return s.Gets - s.News }
 
 // Pool is a free list of equally-sized State buffers for one fixpoint
 // engine. It is deliberately not safe for concurrent use: each engine owns
-// its pool, and the parallel per-set analysis runs one engine per goroutine.
+// its pool, and an engine runs on one goroutine.
 //
 // Ownership rules (see DESIGN.md): a state obtained from Get carries
 // arbitrary stale contents and must be initialized with CopyFrom or

@@ -265,71 +265,6 @@ func randState(d *Domain, rng *rand.Rand, blocks, n int) *State {
 	return st
 }
 
-// TestPropertyFilteredOpsMatchUnfiltered is the dirty-set invariant the
-// partitioned fixpoint rests on: a Domain restricted to a set filter must
-// behave exactly like the unrestricted Domain *on the owned sets*, and its
-// joins must leave un-owned entries of the destination untouched.
-func TestPropertyFilteredOpsMatchUnfiltered(t *testing.T) {
-	const blocks, sets, assoc = 24, 4, 3
-	l := propLayout(t, blocks, sets, assoc)
-	full := NewDomain(l)
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		owned := []int{rng.Intn(sets)}
-		if rng.Intn(2) == 0 {
-			owned = append(owned, rng.Intn(sets))
-		}
-		part := &Domain{L: l, Refined: true, Filter: NewSetFilter(sets, owned)}
-
-		a := randState(full, rng, blocks, 30)
-		b := randState(full, rng, blocks, 30)
-
-		// Filtered join: owned entries equal the full join, others untouched.
-		fullJoined := a.Clone()
-		full.JoinInto(fullJoined, b)
-		partJoined := a.Clone()
-		partChanged := part.JoinInto(partJoined, b)
-		for blk := 0; blk < blocks; blk++ {
-			id := layout.BlockID(blk)
-			want := a // un-owned: join must not have written
-			if part.Filter.Contains(l.SetOf(id)) {
-				want = fullJoined
-			}
-			wm, _ := want.Must(id)
-			gm, _ := partJoined.Must(id)
-			ws, _ := want.Shadow(id)
-			gs, _ := partJoined.Shadow(id)
-			if wm != gm || ws != gs {
-				t.Fatalf("seed %d: block %d (set %d, owned=%v): got must/shadow %d/%d, want %d/%d",
-					seed, blk, l.SetOf(id), part.Filter.Contains(l.SetOf(id)), gm, gs, wm, ws)
-			}
-		}
-		// The changed flag must agree with filtered equality.
-		if partChanged == part.Equal(a, partJoined) {
-			t.Fatalf("seed %d: JoinInto changed=%v but filtered Equal=%v",
-				seed, partChanged, part.Equal(a, partJoined))
-		}
-
-		// Filtered Leq/Equal ignore differences outside the filter: a state
-		// perturbed only on un-owned sets stays filtered-equal.
-		perturbed := a.Clone()
-		for blk := 0; blk < blocks; blk++ {
-			id := layout.BlockID(blk)
-			if !part.Filter.Contains(l.SetOf(id)) {
-				perturbed.SetMust(id, assoc)
-				perturbed.SetShadow(id, 1)
-			}
-		}
-		if !part.Equal(a, perturbed) || !part.Leq(a, perturbed) || !part.Leq(perturbed, a) {
-			t.Fatalf("seed %d: un-owned perturbation visible through the filter", seed)
-		}
-		// And the join is still an upper bound through the filtered Leq.
-		if !part.Leq(a, partJoined) || !part.Leq(b, partJoined) {
-			t.Fatalf("seed %d: filtered join not an upper bound on owned sets", seed)
-		}
-	}
-}
-
 // TestPropertyCopyFromMatchesClone: CopyFrom into a reused state — including
 // across bottom transitions — must be indistinguishable from Clone.
 func TestPropertyCopyFromMatchesClone(t *testing.T) {

@@ -92,19 +92,6 @@ func (s *State) CopyFrom(src *State) {
 // allocating. The pooled counterpart of Bottom().
 func (s *State) SetBottom() { s.IsBottom = true }
 
-// CopySets overwrites s's entries in the given cache sets with src's,
-// leaving all other entries untouched. Both states must be non-bottom and of
-// equal size; numSets is the cache-set count the block universe is strided
-// by. Used to stitch per-set-group fixpoint results into one dense state.
-func (s *State) CopySets(src *State, sets []int, numSets int) {
-	for _, set := range sets {
-		for i := set; i < len(s.must); i += numSets {
-			s.must[i] = src.must[i]
-			s.shadow[i] = src.shadow[i]
-		}
-	}
-}
-
 // Equal reports structural equality.
 func (s *State) Equal(o *State) bool {
 	if s.IsBottom || o.IsBottom {

@@ -93,16 +93,8 @@ type Options struct {
 	// reference the pruning-invisibility tests compare against); not exposed
 	// through the public configuration surface.
 	DisableUncertainty bool
-	// SetParallelism >= 1 partitions the block universe into independent
-	// cache-set groups and runs one fixpoint per group, fanning the groups
-	// across up to SetParallelism goroutines (1 = partitioned but serial).
-	// 0 (the default) keeps the single dense fixpoint. Classifications are
-	// identical at every value; only wall-clock and allocation change. With
-	// a fully-associative cache (NumSets == 1) there is nothing to split and
-	// the dense engine runs regardless.
-	SetParallelism int
 	// Collector, when non-nil, receives the run's fixpoint and partition
-	// stats on completion (Result.Stats / Result.Partition always carry them
+	// stats on completion (Result.Stats always carries the fixpoint counters
 	// regardless; the collector is for callers aggregating several runs and
 	// phases). A nil collector costs nothing on the hot path.
 	Collector *obs.Collector
@@ -178,13 +170,9 @@ type Result struct {
 	// virtual control flow of §5.1 made explicit, e.g. for DOT export).
 	Flows []SpecFlow
 
-	// Stats carries the engine's semantic effort counters — deterministic
-	// across repeated runs and worker counts; summed over the per-set-group
-	// engines when partitioned. Partition describes the decomposition that
-	// ran (Engines=1, Groups=0 for the dense engine, including the dense
-	// fallback a trivial partition takes).
-	Stats     obs.FixpointStats
-	Partition obs.PartitionStats
+	// Stats carries the engine's semantic effort counters, deterministic
+	// across repeated runs.
+	Stats obs.FixpointStats
 
 	domain *cache.Domain
 	idx    *interval.Result
@@ -263,43 +251,27 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (*Resul
 	}
 	g := cfg.New(prog)
 	idx := interval.Analyze(g)
-	// Resolve every access once, up front: the dense engine, every
-	// per-set-group engine, and the depth group all share the steps (they
-	// are unfiltered; the domain's set filter applies inside
-	// Transfer/Classify). The stats goldens, the stats schema, and the
-	// benchmark read the compile_exec and bytecode names.
+	// Resolve every access once, up front. The stats goldens, the stats
+	// schema, and the benchmark read the compile_exec and bytecode names.
 	var steps *stepProgram
 	opts.Collector.Phase("compile_exec", func() {
 		steps = dataSteps(prog, l, idx)
 	})
 	opts.Collector.SetBytecode(steps.stats())
-	var res *Result
-	if opts.SetParallelism >= 1 {
-		r, handled, perr := analyzePartitioned(ctx, prog, g, l, idx, opts, steps)
-		if perr != nil {
-			return nil, perr
-		}
-		if handled {
-			res = r
-		}
+	e := newEngine(prog, g, l, idx, opts, steps)
+	var runErr error
+	pprof.Do(ctx, pprof.Labels("phase", "fixpoint", "engine", "dense"), func(ctx context.Context) {
+		runErr = e.run(ctx)
+	})
+	if runErr != nil {
+		return nil, runErr
 	}
-	if res == nil {
-		e := newEngine(prog, g, l, idx, opts, steps)
-		var runErr error
-		pprof.Do(ctx, pprof.Labels("phase", "fixpoint", "engine", "dense"), func(ctx context.Context) {
-			runErr = e.run(ctx)
-		})
-		if runErr != nil {
-			return nil, runErr
-		}
-		res = e.result()
-		// The trivial-partition fallback lands here too, and must report the
-		// same PartitionStats as a pure dense run: at any SetParallelism a
-		// fully-associative config yields byte-identical stats.
-		res.Partition = obs.PartitionStats{Engines: 1, Groups: 0, DepthGroup: -1}
-	}
+	res := e.result()
 	opts.Collector.AddFixpoint(res.Stats)
-	opts.Collector.SetPartition(res.Partition)
+	// Every analysis is one dense fixpoint. Wire v1 and stats.schema.json
+	// still require the partition section; this is the one place it is
+	// written.
+	opts.Collector.SetPartition(obs.PartitionStats{Engines: 1, Groups: 0, DepthGroup: -1})
 	return res, nil
 }
 

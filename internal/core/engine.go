@@ -43,35 +43,6 @@ type partKey struct {
 	src     ir.BlockID
 }
 
-// flowKey names a flow at a block for speculation-depth purposes: the normal
-// flow is {-1, -1}; an SS flow is its partition's (colorID, src). Unlike
-// partition ids (interned in encounter order, which differs between
-// engines), flow keys are stable across the dense and per-set-group engines.
-type flowKey struct {
-	colorID int
-	src     ir.BlockID
-}
-
-var normalFlow = flowKey{colorID: -1, src: -1}
-
-// depthOracle records the converged speculation depth per (branch block,
-// flow). The per-set partitioned analysis needs it because §6.2's dynamic
-// depth bounding classifies the branch-condition loads — state owned by
-// whichever set group holds those loads' cache sets — yet the resulting
-// budget steers lane propagation in every group. The group union holding all
-// branch-slice loads runs first with live depth computation; its converged
-// depths are then fixed constants for the remaining groups. The two systems
-// have the same least fixpoint: depths only grow b_h → b_m as states weaken
-// (monotone feedback), so running with the final depths from the start
-// over-approximates every live iterate yet agrees with the live system at
-// its fixpoint.
-type depthOracle map[depthKey]int
-
-type depthKey struct {
-	block ir.BlockID
-	flow  flowKey
-}
-
 // blockHeap is a worklist ordered by reverse postorder, which minimizes
 // re-iteration of downstream blocks.
 type blockHeap struct {
@@ -100,8 +71,7 @@ type engine struct {
 	opts Options
 
 	// steps holds every block's pre-resolved accesses, the only form in
-	// which the engine sees instructions; shared read-only across the
-	// per-set-group engines.
+	// which the engine sees instructions.
 	steps *stepProgram
 
 	S  []*cache.State
@@ -147,10 +117,6 @@ type engine struct {
 	// pool recycles the engine's transfer/walk/classify scratch states; see
 	// cache.Pool for the ownership rules.
 	pool *cache.Pool
-	// oracle, when non-nil, supplies speculation depths instead of the live
-	// §6.2 classification (per-set-group engines that do not own the
-	// branch-slice loads' cache sets).
-	oracle depthOracle
 	// slices caches branchSlice per conditional-branch block: the slice is
 	// state-independent, and depthFor runs on every pop of a dirty condbr.
 	slices map[ir.BlockID]blockSlice
@@ -200,9 +166,9 @@ type engine struct {
 	// re-propagated on every early state change.
 	lanesOff bool
 	// widenOK permits the classic count-triggered widening at loop headers
-	// (the canonical phase-1 solve and the legacy single-pass path). That
-	// widening fires on per-block change counts, which depend on iteration
-	// order — which is why phase 1 is pinned to one canonical schedule.
+	// (the phase-1 solve and the single-pass path). That widening fires on
+	// per-block change counts, which depend on iteration order, so it runs
+	// only under the canonical WTO schedule.
 	//
 	// satWiden replaces it in phase 2: every loop-head contribution is
 	// first Saturate'd against satRef — a frozen snapshot of the block's
@@ -245,8 +211,7 @@ type engine struct {
 }
 
 // newEngine builds an engine over prebuilt access steps (dataSteps for the
-// data cache, fetchSteps for the instruction cache), which the per-set-group
-// engines of the partitioned analysis share.
+// data cache, fetchSteps for the instruction cache).
 func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.Result, opts Options, steps *stepProgram) *engine {
 	n := len(prog.Blocks)
 	e := &engine{
@@ -450,14 +415,16 @@ const ctxCheckInterval = 256
 func (e *engine) run(ctx context.Context) error {
 	singlePass := e.opts.DisableUncertainty
 	if !singlePass {
-		// The two-phase split below exists to canonicalize widening
-		// decisions. When widening cannot fire at all — no loop headers in
-		// the simplified CFG (the common case after full unrolling), or
-		// widening disabled — the whole system is a plain monotone
-		// iteration whose least fixpoint is schedule-independent by itself,
-		// and the split would only pay its phase-2 re-solve overhead for a
-		// canonicalization it does not need. Solve in one pass instead;
-		// uncertainty focusing (laneNeed pruning) still applies.
+		// The two-phase split below is the uncertainty pre-pass: lanes
+		// spawn once, from converged classic states, and count-triggered
+		// widening fires only on the classic flow, with reference
+		// saturation in its place while lanes are live. The corpus goldens
+		// pin the verdicts it produces. When widening cannot fire at all —
+		// no loop headers in the simplified CFG (the common case after full
+		// unrolling), or widening disabled — the whole system is a plain
+		// monotone iteration, and the split would only pay its phase-2
+		// re-solve overhead. Solve in one pass instead; uncertainty
+		// focusing (laneNeed pruning) still applies.
 		hasLoops := false
 		for _, lh := range e.loopHeader {
 			if lh {
@@ -484,9 +451,7 @@ func (e *engine) run(ctx context.Context) error {
 	// Widening triggers on per-block change counts, which depend on
 	// iteration order, so every count-triggered widening happens here, on
 	// the normal flow under the canonical WTO schedule; phase 2 replaces it
-	// with order-independent reference saturation. That split is what keeps
-	// the dense engine and the per-set-group engines, whose visit orders
-	// differ, on the same verdicts.
+	// with order-independent reference saturation.
 	e.initWTO()
 	e.lanesOff = true
 	e.widenOK = true
@@ -501,8 +466,8 @@ func (e *engine) run(ctx context.Context) error {
 	// speculation). Starting from the phase-1 states, the remaining system
 	// is a monotone iteration — joins, transfers, budget maxima, and the
 	// reference saturation described on satWiden — whose least fixpoint is
-	// independent of the visit order, and therefore of how the per-set-
-	// group engines interleave their lane and rollback traffic.
+	// independent of the visit order in which lane and rollback traffic
+	// arrives.
 	e.lanesOff = false
 	e.widenOK = false
 	e.satWiden = true
@@ -867,13 +832,12 @@ func (e *engine) process(n ir.BlockID) {
 	// injectLanes starts the block's speculative flows from one source
 	// state (either the normal flow or a post-rollback SS flow — after a
 	// rollback, execution is architectural again and can itself
-	// mispredict, so SS flows must seed lanes too). fk identifies the
-	// source flow for the depth oracle.
-	injectLanes := func(src, out *cache.State, fk flowKey) {
+	// mispredict, so SS flows must seed lanes too).
+	injectLanes := func(src, out *cache.State) {
 		if !e.opts.Speculative || !isCondBr || e.lanesOff {
 			return
 		}
-		depth := e.depthFor(block, src, fk)
+		depth := e.depthFor(block, src)
 		if depth <= 0 {
 			return
 		}
@@ -882,10 +846,7 @@ func (e *engine) process(n ir.BlockID) {
 			// wrong-path memory access transfers nothing, classifies
 			// nothing, and accumulates a Bottom rollback — spawning it
 			// would only burn lane joins and walks. Skipping is invisible
-			// to every classification (see laneNeed) and consistent across
-			// set-group engines: the §6.2 depth per flow is
-			// nondecreasing during iteration, so the flow's final spawn is
-			// skipped in one engine iff it is skipped in all.
+			// to every classification (see laneNeed).
 			if e.laneNeed != nil && depth < e.laneNeed[c.specSucc] {
 				e.stats.LanesSkippedCertain++
 				continue
@@ -903,7 +864,7 @@ func (e *engine) process(n ir.BlockID) {
 			for _, s := range e.succs[n] {
 				e.joinS(s, out)
 			}
-			injectLanes(e.S[n], out, normalFlow)
+			injectLanes(e.S[n], out)
 			e.pool.Put(out)
 		}
 	}
@@ -927,7 +888,7 @@ func (e *engine) process(n ir.BlockID) {
 		for _, s := range e.succs[n] {
 			e.joinSS(s, pid, out)
 		}
-		injectLanes(st, out, flowKey{colorID: p.color.id, src: p.src})
+		injectLanes(st, out)
 		e.pool.Put(out)
 	}
 
@@ -970,11 +931,6 @@ func (e *engine) process(n ir.BlockID) {
 // in-flight speculation, so a fenced block always leaves an out-budget of
 // zero; the accumulated rollback still injects, since a rollback may have
 // occurred at any access before the fence.
-//
-// The rollback accumulation points are structural — every memory access in
-// range, whether or not this engine's set filter owns it (a filtered
-// Transfer is then a no-op, but the rollback join must still happen so the
-// per-set-group engines inject the same SS flows as the dense engine).
 func (e *engine) laneWalk(b *ir.Block, lv laneVal) (laneVal, *cache.State) {
 	bs := &e.steps.blocks[b.ID]
 	st := e.pool.Get()
@@ -1037,8 +993,7 @@ type blockSlice struct {
 // branchSlice computes the backward slice of a block's branch condition
 // within the block: the load instruction ids feeding the condition, and
 // whether the condition is fully resolved by in-block computation. It is
-// purely structural (state-independent), so the per-set grouping can use it
-// to find the cache sets the §6.2 depth decision depends on.
+// purely structural (state-independent), so engines cache it per block.
 func branchSlice(block *ir.Block) (sliceLoads map[int]bool, resolved bool) {
 	t := block.Terminator()
 	if t.A.IsConst {
@@ -1071,87 +1026,44 @@ func branchSlice(block *ir.Block) (sliceLoads map[int]bool, resolved bool) {
 // depthFor implements §6.2: use b_h when every load feeding the branch
 // condition (within the branch block) is proved a must-hit against the
 // source state, b_m otherwise. As the fixpoint weakens states, the choice
-// can only move from b_h to b_m, so convergence is monotone. Engines running
-// behind a depth oracle look the flow's converged depth up instead (their
-// set filter does not cover the branch-slice loads' state).
-func (e *engine) depthFor(block *ir.Block, src *cache.State, fk flowKey) int {
+// can only move from b_h to b_m, so convergence is monotone. Each call is
+// one decision for the stats counters.
+func (e *engine) depthFor(block *ir.Block, src *cache.State) int {
 	if !e.opts.DynamicDepthBounding {
 		return e.opts.DepthMiss
 	}
-	if e.oracle != nil {
-		if d, ok := e.oracle[depthKey{block: block.ID, flow: fk}]; ok {
-			return d
-		}
-		return e.opts.DepthMiss
-	}
-	d, hit := e.depthForLive(block, src)
-	// Count only live decisions (not oracle lookups or recordDepths replays):
-	// a decision is one §6.2 classification of the branch slice against the
-	// current state, pruned to b_h on a proved must-hit.
-	if hit {
+	if e.sliceHits(block, src) {
 		e.stats.DepthHitBounds++
-	} else {
-		e.stats.DepthMissBounds++
+		return e.opts.DepthHit
 	}
-	return d
+	e.stats.DepthMissBounds++
+	return e.opts.DepthMiss
 }
 
-// depthForLive reports the speculation depth for a branch against a concrete
-// source state, plus whether §6.2 pruned it to the must-hit bound b_h (the
-// bool disambiguates the two cases when DepthHit == DepthMiss).
-func (e *engine) depthForLive(block *ir.Block, src *cache.State) (int, bool) {
+// sliceHits reports whether the block's branch condition is resolved within
+// the block and every load feeding it is a must-hit against src.
+func (e *engine) sliceHits(block *ir.Block, src *cache.State) bool {
 	bs, ok := e.slices[block.ID]
 	if !ok {
 		bs.loads, bs.resolved = branchSlice(block)
 	}
 	if !bs.resolved {
-		return e.opts.DepthMiss, false
+		return false
 	}
 	if len(bs.loads) == 0 {
-		return e.opts.DepthHit, true
+		return true
 	}
-	sliceLoads := bs.loads
 	st := e.pool.Get()
 	st.CopyFrom(src)
 	defer e.pool.Put(st)
 	steps := e.steps.blocks[block.ID].steps
 	for i := range steps {
-		if sliceLoads[steps[i].in.ID] && e.dom.Classify(st, steps[i].acc) != cache.AlwaysHit {
-			return e.opts.DepthMiss, false
+		if bs.loads[steps[i].in.ID] && e.dom.Classify(st, steps[i].acc) != cache.AlwaysHit {
+			return false
 		}
 		e.dom.Transfer(st, steps[i].acc)
 	}
-	return e.opts.DepthHit, true
-}
-
-// recordDepths replays §6.2's depth decision against the converged states of
-// every flow at every conditional branch, producing the oracle consumed by
-// the set groups that do not own the branch-slice loads' cache sets. At the
-// fixpoint the live decision equals the last one taken during iteration
-// (depth choice is monotone in the state), so the recorded depths are
-// exactly the ones the dense engine ends up using.
-func (e *engine) recordDepths() depthOracle {
-	o := depthOracle{}
-	for _, b := range e.prog.Blocks {
-		t := b.Terminator()
-		if t == nil || t.Op != ir.OpCondBr || t.Resolved {
-			continue
-		}
-		if !e.S[b.ID].IsBottom {
-			d, _ := e.depthForLive(b, e.S[b.ID])
-			o[depthKey{block: b.ID, flow: normalFlow}] = d
-		}
-		for pid, st := range e.SS[b.ID] {
-			if st.IsBottom {
-				continue
-			}
-			p := e.parts[pid]
-			fk := flowKey{colorID: p.color.id, src: p.src}
-			d, _ := e.depthForLive(b, st)
-			o[depthKey{block: b.ID, flow: fk}] = d
-		}
-	}
-	return o
+	return true
 }
 
 func writesDst(op ir.Op) bool {
@@ -1223,10 +1135,7 @@ func (e *engine) result() *Result {
 
 // classify walks every flow through every block once more, combining
 // per-access verdicts: an access is always-hit only if it is always-hit on
-// the normal flow and on every speculative flow passing through it. Under a
-// set filter only owned accesses are judged (and recorded); skipping a
-// foreign access equals transferring it, since a filtered Transfer is a
-// no-op, and its verdict belongs to the engine owning its sets.
+// the normal flow and on every speculative flow passing through it.
 func (e *engine) classify(res *Result) {
 	st := e.pool.Get()
 	defer e.pool.Put(st)
@@ -1245,9 +1154,6 @@ func (e *engine) classify(res *Result) {
 			st.CopyFrom(f)
 			for i := range bs.steps {
 				acc := bs.steps[i].acc
-				if !e.dom.Owns(acc) {
-					continue
-				}
 				in := bs.steps[i].in
 				cls := e.dom.Classify(st, acc)
 				if fi == 0 {
@@ -1273,9 +1179,6 @@ func (e *engine) classify(res *Result) {
 					break
 				}
 				acc := steps[i].spec
-				if !e.dom.Owns(acc) {
-					continue
-				}
 				in := steps[i].in
 				cls := e.dom.Classify(st, acc)
 				if prev, seen := res.SpecAccess[in.ID]; !seen {

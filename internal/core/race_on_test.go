@@ -2,8 +2,7 @@
 
 package core
 
-// raceDetectorOn marks builds under `go test -race`. The full-corpus
-// partition-equivalence sweeps are skipped there (the detector makes them an
-// order of magnitude slower); the partitioned fan-out itself is still raced
-// by TestPartitionedFanOutRace and the random-program equivalence test.
+// raceDetectorOn marks builds under `go test -race`, where the detector
+// makes analyses an order of magnitude slower and tests shrink their
+// sweeps.
 const raceDetectorOn = true

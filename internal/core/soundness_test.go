@@ -77,14 +77,18 @@ func TestSoundnessRandomPrograms(t *testing.T) {
 		{LineSize: 64, NumSets: 2, Assoc: 2},
 		{LineSize: 64, NumSets: 1, Assoc: 8},
 		{LineSize: 32, NumSets: 4, Assoc: 2},
+		{LineSize: 64, NumSets: 8, Assoc: 4},
 	}
 	strategies := []Strategy{StrategyJustInTime, StrategyMergeAtRollback, StrategyPerRollbackBlock}
-	depths := []int{0, 8, 60}
+	depths := []int{0, 8, 60, 30}
 
 	// gen.Source reproduces the historical in-package generator byte for
 	// byte (pinned by gen's TestDefaultMatchesHistoricalGenerator), so seeds
-	// 1..25 still regenerate the original regression programs.
-	for seed := int64(1); seed <= 25; seed++ {
+	// 1..25 still regenerate the original regression programs. The table
+	// lengths 5, 3 and 4 are pairwise coprime, so seeds 1..60 run every
+	// (cache, strategy, depth) combination once; the join alternates per
+	// depth.
+	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		src := gen.Source(rng)
 		prog := compile(t, src)
@@ -97,7 +101,7 @@ func TestSoundnessRandomPrograms(t *testing.T) {
 		opts.Strategy = strat
 		opts.DepthMiss = depth
 		opts.DepthHit = depth
-		opts.RefinedJoin = seed%2 == 0
+		opts.RefinedJoin = (seed/4)%2 == 0
 
 		for _, pred := range []machine.Predictor{
 			machine.NewTwoBit(),

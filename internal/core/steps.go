@@ -49,9 +49,7 @@ type blockSteps struct {
 func (bs *blockSteps) specSteps() []accessStep { return bs.steps[:bs.numSpec] }
 
 // stepProgram is a program's access steps, indexed by block id. It is
-// immutable once built and shared read-only by the per-set-group engines:
-// steps carry unfiltered resolutions, and the domain's set filter applies
-// inside Transfer/Classify.
+// immutable once built.
 type stepProgram struct {
 	blocks []blockSteps
 }

@@ -1,7 +1,7 @@
 // Package gen generates random, well-formed MiniC programs for differential
 // testing. It is the single source of fuzz programs for the soundness suite
-// (internal/core), the instruction-cache tests, the parallel-equivalence
-// sweeps, and the specfuzz oracle driver (cmd/specfuzz): one generator means
+// (internal/core), the instruction-cache tests, and the specfuzz oracle
+// driver (cmd/specfuzz): one generator means
 // a failing seed reproduces identically everywhere.
 //
 // Programs are generated from a seeded *rand.Rand and a Config, and are

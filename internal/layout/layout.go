@@ -40,6 +40,22 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
+// Geometry builds the configuration of a cache with the given total line
+// count, line size and set count, as the command-line tools take them. It
+// rejects a set count that is not positive or does not divide the lines
+// evenly, instead of dividing by zero or silently dropping lines, and then
+// applies Validate.
+func Geometry(lines, lineSize, sets int) (CacheConfig, error) {
+	if sets <= 0 {
+		return CacheConfig{}, fmt.Errorf("layout: cache set count must be positive, got %d", sets)
+	}
+	if lines%sets != 0 {
+		return CacheConfig{}, fmt.Errorf("layout: %d cache lines do not split evenly into %d sets", lines, sets)
+	}
+	c := CacheConfig{LineSize: lineSize, NumSets: sets, Assoc: lines / sets}
+	return c, c.Validate()
+}
+
 // String formats the configuration compactly.
 func (c CacheConfig) String() string {
 	shape := "fully-assoc"
@@ -130,13 +146,6 @@ func (l *Layout) BlockRangeOfElems(sym ir.SymbolID, lo, hi int64) (BlockID, int)
 
 // SetOf returns the cache set a block maps to.
 func (l *Layout) SetOf(b BlockID) int { return int(b) % l.Config.NumSets }
-
-// SetSpan returns the span of set's blocks within a dense per-block vector:
-// blocks map to sets round-robin (SetOf above), so set s owns exactly the
-// indices {s, s+NumSets, s+2·NumSets, …}. The per-set views of the cache
-// domain (filtered joins, per-set-group state stitching) iterate these spans
-// rather than re-deriving the mapping.
-func (l *Layout) SetSpan(set int) (start, stride int) { return set, l.Config.NumSets }
 
 // BlockName renders a block id as symbol[line-offset] for diagnostics,
 // matching the paper's decis_lev[1*] style.

@@ -14,10 +14,9 @@
 //   - A nil *Collector is valid everywhere and every method on it is an
 //     allocation-free no-op, so un-instrumented runs pay nothing.
 //
-// Semantic counters are deterministic and parallelism-independent by
-// construction: each engine's counting is single-goroutine, and cross-engine
-// aggregation is integer addition, which no goroutine schedule can reorder
-// into a different sum. That determinism is the testable contract pinned by
+// Semantic counters are deterministic by construction: each engine's
+// counting is single-goroutine, and aggregation across runs is integer
+// addition, which no goroutine schedule can reorder into a different sum. That determinism is the testable contract pinned by
 // the golden and property tests.
 package obs
 
@@ -28,8 +27,7 @@ import (
 
 // Collector accumulates one run's Stats. The zero value is ready to use;
 // a nil *Collector is valid and turns every method into a no-op. Collectors
-// are safe for concurrent use (the partitioned engine flushes from several
-// goroutines).
+// are safe for concurrent use.
 type Collector struct {
 	mu    sync.Mutex
 	stats Stats

@@ -78,8 +78,8 @@ func TestCollectorAccumulates(t *testing.T) {
 	}
 }
 
-// TestCollectorConcurrentFlush drives concurrent engine flushes (the
-// partitioned fan-out) under -race and checks the sum is exact.
+// TestCollectorConcurrentFlush drives concurrent engine flushes under -race
+// and checks the sum is exact.
 func TestCollectorConcurrentFlush(t *testing.T) {
 	c := NewCollector()
 	const goroutines, perG = 8, 100

@@ -18,8 +18,7 @@ import (
 //     the analysis *computed* — how many fixpoint iterations ran, how many
 //     lanes were spawned, how often §6.2 pruned the speculation window. They
 //     are a pure function of (program, options): byte-identical across
-//     repeated runs, across SetParallelism worker counts, and across the
-//     goroutine schedules of the partitioned engine.
+//     repeated runs.
 //   - Wall-clock fields (Phases, and nothing else) measure where time went.
 //     They vary run to run; ZeroTimes clears them for diffable output.
 type Stats struct {
@@ -69,11 +68,8 @@ type PassStat struct {
 
 // FixpointStats are the engine's semantic effort counters — the paper's
 // evaluation columns (§7 Tables 2-4) as first-class data. Every field is
-// deterministic: identical across repeated runs and worker counts. In the
-// partitioned analysis the counters are sums over the per-set-group engines,
-// so they differ from the dense engine's (SetParallelism 0) — the engines
-// solve different flow systems — but are identical at every SetParallelism
-// >= 1. The struct is flat and comparable with ==.
+// deterministic: identical across repeated runs. The struct is flat and
+// comparable with ==.
 type FixpointStats struct {
 	// Iterations counts worklist block processings (the paper's #Iteration).
 	Iterations int64 `json:"iterations"`
@@ -93,7 +89,7 @@ type FixpointStats struct {
 	Widenings int64 `json:"widenings"`
 	// Colors counts the speculative flows the engine built: two per
 	// unresolved, effectively-reachable conditional branch (§6.4). It is
-	// structural — identical in every per-set-group engine — so Add treats
+	// structural — identical in every run over one program — so Add treats
 	// it as set-once rather than summed.
 	Colors int64 `json:"colors"`
 	// LanesSpawned counts lane injections at mispredicted branches (a color
@@ -111,15 +107,15 @@ type FixpointStats struct {
 	FencesHit int64 `json:"fences_hit"`
 	// WTOComponents counts the components of the Bourdoncle weak
 	// topological ordering of the effective CFG — structural, identical in
-	// every per-set-group engine (set-once in Add, like Colors), and 0
-	// under the worklist scheduler, which never computes the ordering.
+	// every run over one program (set-once in Add, like Colors), and 0 for
+	// an acyclic CFG.
 	WTOComponents int64 `json:"wto_components"`
 	// Rollbacks counts rollback states injected into the architectural flow
 	// (every memory access inside a speculation window accumulates one).
 	Rollbacks int64 `json:"rollbacks"`
 	// DepthHitBounds counts §6.2 decisions that proved the branch condition
-	// a must-hit and used the small window b_h (the depth-oracle prunes);
-	// DepthMissBounds counts decisions falling back to b_m.
+	// a must-hit and used the small window b_h; DepthMissBounds counts
+	// decisions falling back to b_m.
 	DepthHitBounds  int64 `json:"depth_hit_bounds"`
 	DepthMissBounds int64 `json:"depth_miss_bounds"`
 	// StatesPooled counts scratch states served from the engine free list
@@ -127,9 +123,8 @@ type FixpointStats struct {
 	StatesPooled int64 `json:"states_pooled"`
 }
 
-// Add accumulates o into s (used to sum per-set-group engines; integer sums
-// are schedule-independent, which is what keeps the partitioned counters
-// deterministic at any worker count).
+// Add accumulates o into s, for collectors that aggregate several runs.
+// Integer sums are order-independent, so the aggregate is deterministic.
 func (s *FixpointStats) Add(o FixpointStats) {
 	s.Iterations += o.Iterations
 	s.Joins += o.Joins
@@ -155,25 +150,26 @@ func (s *FixpointStats) Add(o FixpointStats) {
 	s.StatesPooled += o.StatesPooled
 }
 
-// PartitionStats describes the per-cache-set decomposition (PR 2's
-// partitioned fixpoint). The dense single-fixpoint engine reports Engines=1,
-// Groups=0.
+// PartitionStats is the stats document's partition section. Wire v1 and
+// stats.schema.json require it. The analyzer solves one dense fixpoint, so
+// every analysis reports Engines=1, Groups=0, DepthGroup=-1 and
+// SetsAnalyzed=0; the fields keep the names of the per-cache-set
+// decomposition the section once described.
 type PartitionStats struct {
-	// Engines counts fixpoint engines run (1 dense, or one per set group).
+	// Engines counts fixpoint engines run: always 1.
 	Engines int `json:"engines"`
-	// Groups counts independent cache-set groups (0 when dense).
+	// Groups counts independent cache-set groups: always 0.
 	Groups int `json:"groups"`
-	// DepthGroup is the index of the group owning the branch-slice loads
-	// (§6.2's depth decisions), -1 when none or dense.
+	// DepthGroup is the index of the set group owning §6.2's depth
+	// decisions: always -1.
 	DepthGroup int `json:"depth_group"`
-	// SetsAnalyzed counts cache sets touched by at least one access.
+	// SetsAnalyzed counts cache sets analyzed by set-group engines: always 0.
 	SetsAnalyzed int `json:"sets_analyzed"`
 }
 
 // BytecodeStats is the shape of the fixpoint's access-step program: how many
 // pre-resolved access steps the engine's loops iterate. A pure function of
-// the lowered program and cache geometry — identical across runs and
-// parallelism. All zero for analyses that record no data-cache steps (the
+// the lowered program and cache geometry — identical across runs. All zero for analyses that record no data-cache steps (the
 // i-cache and persistence variants).
 type BytecodeStats struct {
 	// Blocks counts compiled basic blocks.
@@ -234,7 +230,7 @@ func (s *Stats) JSON() ([]byte, error) {
 // WriteText renders the human-readable form (`specanalyze -stats=text`):
 // one glossary-ordered line per counter, aligned for scanning.
 func (s *Stats) WriteText(w io.Writer) {
-	p, f, pt := s.Program, s.Fixpoint, s.Partition
+	p, f := s.Program, s.Fixpoint
 	fmt.Fprintf(w, "program:   %d blocks, %d instrs, %d symbols, %d mem accesses\n",
 		p.Blocks, p.Instrs, p.Symbols, p.MemAccesses)
 	fmt.Fprintf(w, "branches:  %d conditional, %d resolved statically -> %d speculative lanes\n",
@@ -258,12 +254,7 @@ func (s *Stats) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "steps:     %d blocks -> %d arch + %d spec access steps (%d fenced blocks)\n",
 			bc.Blocks, bc.ArchSteps, bc.SpecSteps, bc.FencedBlocks)
 	}
-	if pt.Groups > 0 {
-		fmt.Fprintf(w, "partition: %d engines over %d set groups (%d sets analyzed, depth group %d)\n",
-			pt.Engines, pt.Groups, pt.SetsAnalyzed, pt.DepthGroup)
-	} else {
-		fmt.Fprintf(w, "partition: dense single fixpoint\n")
-	}
+	fmt.Fprintf(w, "partition: dense single fixpoint\n")
 	for _, ph := range s.Phases {
 		fmt.Fprintf(w, "phase:     %-12s %.3f ms\n", ph.Name, float64(ph.Nanos)/1e6)
 	}

@@ -25,9 +25,7 @@
 //     a superset of lane-analyzed instructions and reports a superset of
 //     Spectre gadgets;
 //   - metamorphic unroll monotonicity: deeper loop unrolling never flips a
-//     concretely executed line from always-hit to always-miss;
-//   - parallel equivalence: SetParallelism 0/1/4/... produce byte-identical
-//     classifications.
+//     concretely executed line from always-hit to always-miss.
 //
 // Abstract analyses fan out through a runner.Pool (the PR-1 batch engine);
 // concrete simulations run inline. Everything is deterministic in
@@ -74,8 +72,6 @@ const (
 	// UnrollMonotone: deeper unrolling flipped an executed line from
 	// always-hit to always-miss.
 	UnrollMonotone Property = "unroll-monotonicity"
-	// ParallelEquivalence: SetParallelism changed a classification.
-	ParallelEquivalence Property = "parallel-equivalence"
 	// Crash: an analysis or simulation failed outright (panic or error).
 	Crash Property = "crash"
 )
@@ -124,9 +120,6 @@ type Config struct {
 	// SecretPairs are (s1, s2) secret assignments compared by the
 	// leak-completeness property.
 	SecretPairs [][2]int64
-	// Parallelism is the SetParallelism equivalence sweep (always compared
-	// against the dense engine, 0).
-	Parallelism []int
 	// WindowPair is the (small, large) speculation-depth pair of the window
 	// monotonicity property.
 	WindowPair [2]int
@@ -152,7 +145,7 @@ type Config struct {
 // Default is the standard oracle sweep: three cache geometries × three
 // depths with the merge strategies cycled across them, three trained
 // predictors plus forced misprediction, three input vectors, and the
-// metamorphic and parallel-equivalence relations.
+// metamorphic relations.
 func Default() Config {
 	return Config{
 		Caches: []layout.CacheConfig{
@@ -166,7 +159,6 @@ func Default() Config {
 		InputNames:   []string{"inp"},
 		InputVectors: 3,
 		SecretPairs:  [][2]int64{{0, 15}, {3, 12}, {7, 8}},
-		Parallelism:  []int{1, 4},
 		WindowPair:   [2]int{4, 40},
 		SmallUnroll:  1,
 		MaxSteps:     2_000_000,
@@ -183,7 +175,6 @@ func Quick() Config {
 	c.Predictors = []string{"adversarial"}
 	c.InputVectors = 2
 	c.SecretPairs = c.SecretPairs[:1]
-	c.Parallelism = []int{2}
 	return c
 }
 
@@ -254,11 +245,11 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 	c := &checker{cfg: cfg, prog: prog, tnt: taint.Analyze(prog), res: &Result{}}
 
 	// One batch carries every abstract analysis of the sweep: the
-	// (cache × depth) soundness combos, the window-monotonicity pair, the
-	// parallelism sweep, and the unroll pair (Source-keyed so the pool's
-	// compile cache provides the re-lowered programs).
+	// (cache × depth) soundness combos, the window-monotonicity pair, and
+	// the unroll pair (Source-keyed so the pool's compile cache provides the
+	// re-lowered programs).
 	combos := c.combos()
-	jobs := make([]runner.Job, 0, len(combos)+2+1+len(cfg.Parallelism)+2)
+	jobs := make([]runner.Job, 0, len(combos)+2+2)
 	for _, cb := range combos {
 		jobs = append(jobs, runner.Job{Name: cb.label, Prog: prog, Opts: cb.opts, Mode: runner.ModeSideChannel})
 	}
@@ -267,14 +258,6 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 		opts := c.baseOpts()
 		opts.DepthMiss, opts.DepthHit = d, d
 		jobs = append(jobs, runner.Job{Name: fmt.Sprintf("window-d%d", d), Prog: prog, Opts: opts, Mode: runner.ModeSideChannel})
-	}
-	parBase := len(jobs)
-	for _, p := range append([]int{0}, cfg.Parallelism...) {
-		opts := c.baseOpts()
-		opts.Cache = layout.CacheConfig{LineSize: 64, NumSets: 4, Assoc: 2}
-		opts.DepthMiss, opts.DepthHit = 30, 30
-		opts.SetParallelism = p
-		jobs = append(jobs, runner.Job{Name: fmt.Sprintf("parallel-%d", p), Prog: prog, Opts: opts, Mode: runner.ModeSideChannel})
 	}
 	unrollBase := len(jobs)
 	if cfg.SmallUnroll > 0 {
@@ -304,15 +287,12 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 	}
 
 	// Property sweep. Soundness and leak completeness per combo; the
-	// metamorphic and equivalence properties on their dedicated jobs.
+	// metamorphic properties on their dedicated jobs.
 	for i, cb := range combos {
 		c.checkSoundness(results[i].Leaks.Analysis, cb)
 		c.checkLeakCompleteness(results[i].Leaks, cb)
 	}
 	c.checkWindowMonotone(results[windowBase].Leaks, results[windowBase+1].Leaks)
-	for i := range cfg.Parallelism {
-		c.checkParallelEquivalence(results[parBase].Leaks.Analysis, results[parBase+1+i].Leaks.Analysis, jobs[parBase+1+i].Name)
-	}
 	if cfg.SmallUnroll > 0 {
 		c.checkUnrollMonotone(results[unrollBase], results[unrollBase+1])
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"specabsint/internal/cache"
-	"specabsint/internal/core"
 	"specabsint/internal/machine"
 	"specabsint/internal/runner"
 	"specabsint/internal/sidechannel"
@@ -129,31 +128,6 @@ func (c *checker) checkWindowMonotone(small, large *sidechannel.Report) {
 		if !largeGadgets[l.InstrID] {
 			c.violate(Violation{Property: WindowMonotone, Config: label, InstrID: l.InstrID, Line: l.Line,
 				Detail: "Spectre gadget reported under the small window disappeared under the large one"})
-		}
-	}
-}
-
-// checkParallelEquivalence asserts the set-partitioned engine is invisible:
-// classifications under SetParallelism p must be byte-identical to the dense
-// engine's.
-func (c *checker) checkParallelEquivalence(dense, part *core.Result, label string) {
-	if len(dense.Access) != len(part.Access) || len(dense.SpecAccess) != len(part.SpecAccess) {
-		c.violate(Violation{Property: ParallelEquivalence, Config: label,
-			Detail: fmt.Sprintf("classified %d/%d accesses, dense engine classified %d/%d",
-				len(part.Access), len(part.SpecAccess), len(dense.Access), len(dense.SpecAccess))})
-		return
-	}
-	for id, d := range dense.Access {
-		p, ok := part.Access[id]
-		if !ok || p.Class != d.Class {
-			c.violate(Violation{Property: ParallelEquivalence, Config: label, InstrID: id, Line: d.Instr.Line,
-				Detail: fmt.Sprintf("classified %v, dense engine classified %v", p.Class, d.Class)})
-		}
-	}
-	for id, d := range dense.SpecAccess {
-		if p, ok := part.SpecAccess[id]; !ok || p != d {
-			c.violate(Violation{Property: ParallelEquivalence, Config: label, InstrID: id,
-				Detail: fmt.Sprintf("lane-classified %v, dense engine lane-classified %v", p, d)})
 		}
 	}
 }

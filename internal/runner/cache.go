@@ -48,7 +48,6 @@ type optsKey struct {
 	noUncert     bool
 	refinedJoin  bool
 	widening     int
-	parallelism  int
 	stats        bool
 }
 
@@ -64,7 +63,6 @@ func fingerprintOptions(o core.Options) optsKey {
 		noUncert:     o.DisableUncertainty,
 		refinedJoin:  o.RefinedJoin,
 		widening:     o.WideningThreshold,
-		parallelism:  o.SetParallelism,
 		stats:        o.Collector != nil,
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"specabsint/internal/bench"
 	"specabsint/internal/core"
-	"specabsint/internal/layout"
 	"specabsint/internal/obs"
 	"specabsint/internal/sidechannel"
 )
@@ -221,43 +220,6 @@ func TestBatchMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(got.Leaks, want.Leaks) ||
 			!reflect.DeepEqual(got.SpectreLeaks, want.SpectreLeaks) {
 			t.Errorf("%s: leak reports diverge from serial", b.Name)
-		}
-	}
-}
-
-// TestBatchSetParallelismMatchesSerial nests the engine's per-cache-set
-// fan-out inside the pool's job-level fan-out: results must still match the
-// serial dense engine exactly (and the nesting is exercised under -race by
-// the CI race job).
-func TestBatchSetParallelismMatchesSerial(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Cache = layout.CacheConfig{LineSize: 64, NumSets: 64, Assoc: 8}
-	par := opts
-	par.SetParallelism = 2
-
-	var jobs []Job
-	var names []string
-	for _, name := range []string{"jcmarker", "jdmarker"} {
-		b, ok := bench.ByName(name)
-		if !ok {
-			t.Fatalf("kernel %q not in corpus", name)
-		}
-		jobs = append(jobs, Job{Name: name, Source: b.Code, Opts: par})
-		names = append(names, name)
-	}
-	results := New(2).RunAll(context.Background(), jobs)
-	for i, name := range names {
-		r := results[i]
-		if r.Err != nil {
-			t.Fatalf("%s: %v", name, r.Err)
-		}
-		want, err := core.Analyze(r.Prog, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(r.Analysis.Access, want.Access) ||
-			!reflect.DeepEqual(r.Analysis.SpecAccess, want.SpecAccess) {
-			t.Errorf("%s: set-parallel batch classifications diverge from serial dense", name)
 		}
 	}
 }

@@ -311,9 +311,6 @@ func mergeOptions(batch, job *wire.Options) *wire.Options {
 	if job.Passes != nil {
 		out.Passes = job.Passes
 	}
-	if job.SetParallelism != nil {
-		out.SetParallelism = job.SetParallelism
-	}
 	if job.Stats != nil {
 		out.Stats = job.Stats
 	}

@@ -331,33 +331,65 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestRetiredOptionsAreNoOps pins wire v1 compatibility: a request that
-// still carries the retired scheduler and exec options gets a report
-// byte-identical to one without them, while an unknown value is still
-// rejected.
+// still carries the retired scheduler, exec and set_parallelism options gets
+// a report byte-identical to one without them, and on one server it is
+// answered from the report-cache entry the request without them filled. An
+// unknown scheduler is still rejected. layer3 runs on a 64-set × 8-way
+// cache, the geometry on which a set_parallelism that reached the engine
+// would change the reported iteration count.
 func TestRetiredOptionsAreNoOps(t *testing.T) {
-	report := func(opts *wire.Options) []byte {
-		t.Helper()
-		_, ts := newTestServer(t, Config{})
-		status, data := post(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: bench.Fig2Program(-1), Options: opts})
-		if status != http.StatusOK {
-			t.Fatalf("status %d: %s", status, data)
-		}
-		var resp wire.AnalyzeResponse
-		if err := wire.Unmarshal(data, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.CacheHit {
-			t.Fatal("fresh server answered from its report cache")
-		}
-		out, err := wire.Marshal(resp.Report)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+	layer3, ok := bench.ByName("layer3")
+	if !ok {
+		t.Fatal("layer3 not in corpus")
 	}
-	worklist, interp := wire.SchedulerWorklist, wire.ExecInterp
-	if got, want := report(&wire.Options{Scheduler: &worklist, Exec: &interp}), report(nil); string(got) != string(want) {
-		t.Errorf("scheduler=worklist exec=interp changed the report:\n%s\nvs\n%s", got, want)
+	worklist, interp, four := wire.SchedulerWorklist, wire.ExecInterp, 4
+	for _, tc := range []struct {
+		name  string
+		src   string
+		cache *wire.CacheGeometry
+	}{
+		{"fig2", bench.Fig2Program(-1), nil},
+		{"layer3-64x8", layer3.Code, &wire.CacheGeometry{LineSize: 64, NumSets: 64, Assoc: 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			report := func(url string, opts *wire.Options, wantHit bool) []byte {
+				t.Helper()
+				status, data := post(t, url+"/v1/analyze", wire.AnalyzeRequest{Source: tc.src, Options: opts})
+				if status != http.StatusOK {
+					t.Fatalf("status %d: %s", status, data)
+				}
+				var resp wire.AnalyzeResponse
+				if err := wire.Unmarshal(data, &resp); err != nil {
+					t.Fatal(err)
+				}
+				if resp.CacheHit != wantHit {
+					t.Fatalf("cache hit %v, want %v", resp.CacheHit, wantHit)
+				}
+				out, err := wire.Marshal(resp.Report)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			fresh := func() string {
+				_, ts := newTestServer(t, Config{})
+				return ts.URL
+			}
+			plain := &wire.Options{Cache: tc.cache}
+			retired := &wire.Options{Cache: tc.cache, Scheduler: &worklist, Exec: &interp, SetParallelism: &four}
+
+			// On fresh servers both requests run their own analysis.
+			want := report(fresh(), plain, false)
+			if got := report(fresh(), retired, false); !bytes.Equal(got, want) {
+				t.Errorf("retired options changed the report:\n%s\nvs\n%s", got, want)
+			}
+			// On one server they address the same report-cache entry.
+			shared := fresh()
+			report(shared, plain, false)
+			if got := report(shared, retired, true); !bytes.Equal(got, want) {
+				t.Errorf("cached report differs:\n%s\nvs\n%s", got, want)
+			}
+		})
 	}
 
 	_, ts := newTestServer(t, Config{})

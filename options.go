@@ -57,22 +57,11 @@ func WithDynamicDepthBounding(on bool) Option {
 	return func(c *Config) { c.DynamicDepthBounding = on }
 }
 
-// WithSetParallelism partitions the analysis into independent cache-set
-// groups and fans the per-group fixpoints across up to n goroutines (1 =
-// partitioned but serial; 0, the default, keeps the single dense fixpoint).
-// Classifications are identical at every value — only wall-clock and
-// allocation behavior change — so it is purely a performance knob for
-// set-associative cache configurations on multicore hosts.
-func WithSetParallelism(n int) Option {
-	return func(c *Config) { c.SetParallelism = n }
-}
-
 // WithStats populates Report.Stats with the run's observability snapshot:
 // program shape, pass effects, the deterministic fixpoint counters, the
-// cache-set partition, and per-phase wall clock. Off by default — the
+// partition section, and per-phase wall clock. Off by default — the
 // un-instrumented engine path allocates nothing for stats. Everything except
-// the phase timings is deterministic: identical across repeated runs and
-// across WithSetParallelism worker counts.
+// the phase timings is deterministic: identical across repeated runs.
 func WithStats(on bool) Option {
 	return func(c *Config) { c.Stats = on }
 }
@@ -119,7 +108,6 @@ func (c Config) Options() []Option {
 		WithRefinedJoin(c.RefinedJoin),
 		WithMaxUnroll(c.MaxUnroll),
 		WithPasses(c.Passes),
-		WithSetParallelism(c.SetParallelism),
 		WithStats(c.Stats),
 		WithMitigateVerify(c.MitigateVerify),
 	}

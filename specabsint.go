@@ -77,12 +77,12 @@ const (
 type WCETEstimate = wcet.Estimate
 
 // Stats is the full observability snapshot of one compile + analyze run:
-// program shape, pass effects, deterministic fixpoint counters, the cache-set
-// partition that ran, and per-phase wall clock. Request it with
-// WithStats(true); read it from Report.Stats. All counters except
-// Phases[].Nanos are deterministic — identical across repeated runs and
-// across SetParallelism worker counts. Stats.JSON renders the canonical form
-// validated by internal/obs/stats.schema.json.
+// program shape, pass effects, deterministic fixpoint counters, the
+// partition section (always one dense fixpoint), and per-phase wall clock.
+// Request it with WithStats(true); read it from Report.Stats. All counters
+// except Phases[].Nanos are deterministic — identical across repeated runs.
+// Stats.JSON renders the canonical form validated by
+// internal/obs/stats.schema.json.
 type Stats = obs.Stats
 
 // Component types of Stats, aliased so callers can name them.
@@ -143,11 +143,6 @@ type Config struct {
 	// strictly more precise, never weaker. WithPasses(false) is the escape
 	// hatch for debugging or A/B comparison against the untransformed IR.
 	Passes bool
-	// SetParallelism >= 1 partitions the analysis by independent cache-set
-	// groups and fans the per-group fixpoints across up to that many
-	// goroutines (1 = partitioned but serial). 0, the default, runs the
-	// single dense fixpoint. Results are identical at every value.
-	SetParallelism int
 	// Stats populates Report.Stats with the observability snapshot (compile
 	// phases, pass effects, fixpoint counters, partition shape). Off by
 	// default; the un-instrumented analysis path is allocation-free.
@@ -184,7 +179,6 @@ func (c Config) coreOptions() core.Options {
 	o.DynamicDepthBounding = c.DynamicDepthBounding
 	o.Strategy = c.Strategy
 	o.RefinedJoin = c.RefinedJoin
-	o.SetParallelism = c.SetParallelism
 	return o
 }
 

@@ -40,8 +40,9 @@ type Options struct {
 	MaxUnroll *int `json:"max_unroll,omitempty"`
 	// Passes toggles the analysis-preserving pass pipeline after lowering.
 	Passes *bool `json:"passes,omitempty"`
-	// SetParallelism fans the per-cache-set fixpoints across goroutines
-	// (0 = single dense fixpoint). Results are identical at every value.
+	// SetParallelism is accepted for compatibility and ignored: every
+	// analysis runs one dense fixpoint, so any int decodes and changes
+	// nothing. FromConfig never emits it.
 	SetParallelism *int `json:"set_parallelism,omitempty"`
 	// Stats requests the observability snapshot in the response report.
 	Stats *bool `json:"stats,omitempty"`
@@ -131,7 +132,6 @@ func FromConfig(cfg specabsint.Config) (*Options, error) {
 		RefinedJoin:          ptr(cfg.RefinedJoin),
 		MaxUnroll:            ptr(cfg.MaxUnroll),
 		Passes:               ptr(cfg.Passes),
-		SetParallelism:       ptr(cfg.SetParallelism),
 		Stats:                ptr(cfg.Stats),
 		MitigateVerify:       ptr(cfg.MitigateVerify),
 	}, nil
@@ -192,9 +192,6 @@ func (o *Options) Config() (specabsint.Config, error) {
 	}
 	if o.Passes != nil {
 		cfg.Passes = *o.Passes
-	}
-	if o.SetParallelism != nil {
-		cfg.SetParallelism = *o.SetParallelism
 	}
 	if o.Stats != nil {
 		cfg.Stats = *o.Stats

@@ -173,7 +173,6 @@ func TestOptionsRoundTrip(t *testing.T) {
 		RefinedJoin:          true,
 		MaxUnroll:            9,
 		Passes:               true,
-		SetParallelism:       3,
 		Stats:                true,
 	}
 	cfgs := testConfigs()
@@ -252,37 +251,49 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 // TestRetiredOptionsAreNoOps pins wire v1 compatibility for the retired
-// scheduler and exec knobs: every value they used to accept still decodes
-// and resolves to the configuration without them, and FromConfig emits
-// neither.
+// scheduler, exec and set_parallelism knobs: every value they used to
+// accept still decodes and resolves to the configuration without them, and
+// FromConfig emits none of them.
 func TestRetiredOptionsAreNoOps(t *testing.T) {
 	for _, o := range []Options{
 		{Scheduler: ptr(SchedulerWTO)},
 		{Scheduler: ptr(SchedulerWorklist)},
 		{Exec: ptr(ExecCompiled)},
 		{Exec: ptr(ExecInterp)},
-		{Scheduler: ptr(SchedulerWorklist), Exec: ptr(ExecInterp)},
+		{SetParallelism: ptr(0)},
+		{SetParallelism: ptr(4)},
+		{SetParallelism: ptr(-1)},
+		{Scheduler: ptr(SchedulerWorklist), Exec: ptr(ExecInterp), SetParallelism: ptr(4)},
 	} {
 		cfg, err := o.Config()
 		if err != nil || cfg != specabsint.DefaultConfig() {
-			t.Errorf("%s/%s resolved to %+v (err %v), want DefaultConfig",
-				deref(o.Scheduler), deref(o.Exec), cfg, err)
+			t.Errorf("%s/%s/%d resolved to %+v (err %v), want DefaultConfig",
+				deref(o.Scheduler), deref(o.Exec), deref(o.SetParallelism), cfg, err)
 		}
+	}
+	var decoded Options
+	if err := Unmarshal([]byte(`{"set_parallelism": 4}`), &decoded); err != nil {
+		t.Fatalf("set_parallelism no longer decodes: %v", err)
+	}
+	if cfg, err := decoded.Config(); err != nil || cfg != specabsint.DefaultConfig() {
+		t.Errorf(`{"set_parallelism": 4} resolved to %+v (err %v), want DefaultConfig`, cfg, err)
 	}
 	o, err := FromConfig(specabsint.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Scheduler != nil || o.Exec != nil {
-		t.Errorf("FromConfig emitted scheduler=%q exec=%q", deref(o.Scheduler), deref(o.Exec))
+	if o.Scheduler != nil || o.Exec != nil || o.SetParallelism != nil {
+		t.Errorf("FromConfig emitted scheduler=%q exec=%q set_parallelism=%d",
+			deref(o.Scheduler), deref(o.Exec), deref(o.SetParallelism))
 	}
 }
 
-func deref(s *string) string {
-	if s == nil {
-		return ""
+func deref[T any](p *T) T {
+	var zero T
+	if p == nil {
+		return zero
 	}
-	return *s
+	return *p
 }
 
 // TestMarshalLine checks the NDJSON encoding is one line with the same
