@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	specbench [-experiment all|fig2|table3|table4|table5|table6|table7|depth|icache|geometry|fixpoint]
+//	specbench [-experiment all|fig2|table3|table4|table5|table6|table7|depth|icache|geometry]
 //	          [-workers N] [-timeout d] [-cpuprofile f] [-memprofile f]
 //
 // The corpus sweeps fan out across -workers CPUs on a shared batch engine
@@ -12,9 +12,6 @@
 // identical to the serial path. Ctrl-C or -timeout cancels the running
 // fixpoints mid-iteration.
 //
-// -experiment fixpoint (not part of "all") measures the engine's cost on the
-// reference medium kernel and writes a machine-readable report with the
-// seed-engine baseline to -benchout (default BENCH_fixpoint.json).
 // -cpuprofile / -memprofile write pprof profiles of whatever experiments ran.
 package main
 
@@ -34,12 +31,9 @@ import (
 )
 
 func main() {
-	which := flag.String("experiment", "all", "which experiment to run: all, fig2, table3, table4, table5, table6, table7, depth, icache, geometry, fixpoint")
+	which := flag.String("experiment", "all", "which experiment to run: all, fig2, table3, table4, table5, table6, table7, depth, icache, geometry")
 	workers := flag.Int("workers", 0, "concurrent analysis workers (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-	benchOut := flag.String("benchout", "BENCH_fixpoint.json", "output path of the fixpoint benchmark report")
-	benchRounds := flag.Int("benchrounds", 0, "fixpoint benchmark rounds (0 = default)")
-	minSpeedup := flag.Float64("minspeedup", 0, "fail the fixpoint experiment if the pass-pipeline speedup falls below this (0 = don't assert)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
@@ -92,11 +86,6 @@ func main() {
 	run("depth", func() error { return depth(ctx, setup) })
 	run("icache", func() error { return icache(ctx, setup) })
 	run("geometry", func() error { return geometry(ctx, setup) })
-	if *which == "fixpoint" {
-		run("fixpoint", func() error {
-			return fixpoint(*benchRounds, *benchOut, *minSpeedup)
-		})
-	}
 }
 
 // startProfiles starts the requested pprof profiles and returns an
@@ -137,44 +126,6 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 			}
 		}
 	}, nil
-}
-
-func fixpoint(rounds int, outPath string, minSpeedup float64) error {
-	rep, err := experiments.FixpointBench(rounds)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Fixpoint benchmark — %s, paper options, %d rounds\n", rep.Kernel, rep.Rounds)
-	fmt.Printf("  now:         %8.1f ms/op  %9d allocs/op  %d states pooled/op\n",
-		float64(rep.Now.NsPerOp)/1e6, rep.Now.AllocsPerOp, rep.StatesPooledPerOp)
-	fmt.Printf("  baseline:    %8.1f ms/op  %9d allocs/op  (seed engine)\n",
-		float64(rep.Baseline.NsPerOp)/1e6, rep.Baseline.AllocsPerOp)
-	fmt.Printf("  with passes: %8.1f ms/op  %9d allocs/op  (%d vs %d iterations)\n",
-		float64(rep.WithPasses.NsPerOp)/1e6, rep.WithPasses.AllocsPerOp,
-		rep.PassesIterations, rep.Iterations)
-	fmt.Printf("  alloc ratio: %.1fx fewer allocations\n", rep.AllocRatio)
-	fmt.Printf("  passes speedup: %.2fx\n", rep.PassesSpeedup)
-	if d := rep.ResolvedKernel; d != nil {
-		fmt.Printf("  %s (where branch resolution fires): %d branches resolved, lanes %d -> %d\n",
-			d.Kernel, d.ResolvedBranches, d.LanesBefore, d.LanesAfter)
-		fmt.Printf("    off: %8.1f ms/op   on: %8.1f ms/op   speedup: %.2fx\n",
-			float64(d.Off.NsPerOp)/1e6, float64(d.On.NsPerOp)/1e6, d.Speedup)
-	}
-	if err := rep.WriteJSON(outPath); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %s\n", outPath)
-	if minSpeedup > 0 {
-		if rep.PassesSpeedup < minSpeedup {
-			return fmt.Errorf("pass-pipeline speedup %.2fx on %s below required %.2fx — wall-clock regression",
-				rep.PassesSpeedup, rep.Kernel, minSpeedup)
-		}
-		if d := rep.ResolvedKernel; d != nil && d.Speedup < minSpeedup {
-			return fmt.Errorf("pass-pipeline speedup %.2fx on %s below required %.2fx — wall-clock regression",
-				d.Speedup, d.Kernel, minSpeedup)
-		}
-	}
-	return nil
 }
 
 func fig2(setup experiments.Setup) error {

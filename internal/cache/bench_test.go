@@ -35,7 +35,7 @@ func benchLayout(b *testing.B, nBlocks, numSets, assoc int) *layout.Layout {
 // benchmarks operate on realistic mid-fixpoint contents.
 func warmState(d *Domain, nBlocks int, seed int64) *State {
 	rng := rand.New(rand.NewSource(seed))
-	st := d.NewState()
+	st := NewState(d.L.NumBlocks)
 	for i := 0; i < 4*nBlocks; i++ {
 		d.Transfer(st, Access{First: layout.BlockID(rng.Intn(nBlocks)), Count: 1})
 	}
@@ -65,20 +65,6 @@ func BenchmarkTransfer(b *testing.B) {
 				d.Transfer(st, Access{First: layout.BlockID(i % sh.blocks), Count: 1})
 			}
 		})
-	}
-}
-
-// BenchmarkTransferInto measures the copy+transfer step that replaces the
-// clone-then-mutate pattern in the fixpoint engine.
-func BenchmarkTransferInto(b *testing.B) {
-	l := benchLayout(b, 512, 1, 512)
-	d := NewDomain(l)
-	src := warmState(d, 512, 2)
-	dst := d.NewState()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.TransferInto(dst, src, Access{First: layout.BlockID(i % 512), Count: 1})
 	}
 }
 

@@ -19,15 +19,6 @@ type Access struct {
 // Exact reports whether the accessed block is statically known.
 func (a Access) Exact() bool { return a.Count == 1 }
 
-// Blocks returns the candidate block ids.
-func (a Access) Blocks() []layout.BlockID {
-	ids := make([]layout.BlockID, a.Count)
-	for i := range ids {
-		ids[i] = a.First + layout.BlockID(i)
-	}
-	return ids
-}
-
 // Classification of a single access against an abstract state.
 type Classification int
 
@@ -102,9 +93,6 @@ func (d *Domain) affectedSets(acc Access) []int {
 
 // NewDomain creates a refined domain over l.
 func NewDomain(l *layout.Layout) *Domain { return &Domain{L: l, Refined: true} }
-
-// NewState returns the empty-cache state sized for the domain's layout.
-func (d *Domain) NewState() *State { return NewState(d.L.NumBlocks) }
 
 func (d *Domain) assoc() int { return d.L.Config.Assoc }
 
@@ -281,14 +269,6 @@ func (d *Domain) accessRange(s *State, acc Access) {
 			}
 		}
 	}
-}
-
-// TransferInto makes dst a copy of src with one access applied — the
-// allocation-free replacement for the engine's clone-then-mutate pattern
-// (dst is typically pooled scratch).
-func (d *Domain) TransferInto(dst, src *State, acc Access) {
-	dst.CopyFrom(src)
-	d.Transfer(dst, acc)
 }
 
 // Join returns the least upper bound of a and b (Fig. 5 plus the Appendix-B

@@ -55,7 +55,7 @@ func TestTransferFig4LeftMiss(t *testing.T) {
 	// at age 1 and evicts u4.
 	l, blk := fourLine(t, "v", "u1", "u2", "u3", "u4")
 	d := &Domain{L: l, Refined: false}
-	s := d.NewState()
+	s := NewState(d.L.NumBlocks)
 	for i, n := range []string{"u1", "u2", "u3", "u4"} {
 		s.SetMust(blk[n], i+1)
 		s.SetShadow(blk[n], i+1)
@@ -82,7 +82,7 @@ func TestTransferFig4RightHit(t *testing.T) {
 	// v moves it to 1; u ages to 2; w1/w2 keep their ages.
 	l, blk := fourLine(t, "u", "v", "w1", "w2")
 	d := &Domain{L: l, Refined: false}
-	s := d.NewState()
+	s := NewState(d.L.NumBlocks)
 	ages := map[string]int{"u": 1, "v": 2, "w1": 3, "w2": 4}
 	for n, a := range ages {
 		s.SetMust(blk[n], a)
@@ -102,12 +102,12 @@ func TestJoinFig5(t *testing.T) {
 	// Join keeps x:3, z:3, k:4; y and t drop out of the must state.
 	l, blk := fourLine(t, "x", "y", "z", "k", "t")
 	d := &Domain{L: l, Refined: true}
-	s1 := d.NewState()
+	s1 := NewState(d.L.NumBlocks)
 	for n, a := range map[string]int{"x": 1, "y": 2, "z": 3, "k": 4} {
 		s1.SetMust(blk[n], a)
 		s1.SetShadow(blk[n], a)
 	}
-	s2 := d.NewState()
+	s2 := NewState(d.L.NumBlocks)
 	for n, a := range map[string]int{"t": 1, "z": 2, "x": 3, "k": 4} {
 		s2.SetMust(blk[n], a)
 		s2.SetShadow(blk[n], a)
@@ -134,7 +134,7 @@ func TestJoinFig5(t *testing.T) {
 // appendixBState reproduces the pre-state of Example B.2:
 // must [{},{},{x,z},{k}], shadow [{∃x,∃t},{∃y,∃z},{},{∃k}].
 func appendixBState(d *Domain, blk map[string]layout.BlockID) *State {
-	s := d.NewState()
+	s := NewState(d.L.NumBlocks)
 	s.SetMust(blk["x"], 3)
 	s.SetMust(blk["z"], 3)
 	s.SetMust(blk["k"], 4)
@@ -224,7 +224,7 @@ func TestAppendixCLoop(t *testing.T) {
 
 	run := func(refined bool, rounds int) *State {
 		d := &Domain{L: l, Refined: refined}
-		s := d.NewState()
+		s := NewState(d.L.NumBlocks)
 		d.Transfer(s, exact(a)) // S1 = ref a
 		for i := 0; i < rounds; i++ {
 			sb := s.Clone()
@@ -260,7 +260,7 @@ func TestAppendixCFixedPoint(t *testing.T) {
 	l, blk := fourLine(t, "a", "b", "c")
 	a, b, c := blk["a"], blk["b"], blk["c"]
 	d := &Domain{L: l, Refined: true}
-	s := d.NewState()
+	s := NewState(d.L.NumBlocks)
 	d.Transfer(s, exact(a))
 	var prev *State
 	for i := 0; i < 10; i++ {
@@ -284,7 +284,7 @@ func TestAppendixCFixedPoint(t *testing.T) {
 func TestRangeAccessAgesEverything(t *testing.T) {
 	l, blk := fourLine(t, "x", "y", "arr")
 	d := &Domain{L: l, Refined: false}
-	s := d.NewState()
+	s := NewState(d.L.NumBlocks)
 	s.SetMust(blk["x"], 1)
 	s.SetShadow(blk["x"], 1)
 	s.SetMust(blk["y"], 2)
@@ -330,7 +330,7 @@ func TestRangeAccessRepeatedEvicts(t *testing.T) {
 	}
 
 	d := &Domain{L: l, Refined: false}
-	st := d.NewState()
+	st := NewState(d.L.NumBlocks)
 	d.Transfer(st, exact(sBlk))
 	for i := 0; i < 3; i++ {
 		d.Transfer(st, Access{First: aBlk, Count: 4})
@@ -347,7 +347,7 @@ func TestRangeAccessRepeatedEvicts(t *testing.T) {
 func TestClassify(t *testing.T) {
 	l, blk := fourLine(t, "x", "y")
 	d := NewDomain(l)
-	s := d.NewState()
+	s := NewState(d.L.NumBlocks)
 	s.SetMust(blk["x"], 2)
 	s.SetShadow(blk["x"], 1)
 	if got := d.Classify(s, exact(blk["x"])); got != AlwaysHit {
@@ -365,7 +365,7 @@ func TestClassify(t *testing.T) {
 func TestBottomJoinIdentity(t *testing.T) {
 	l, blk := fourLine(t, "x")
 	d := NewDomain(l)
-	s := d.NewState()
+	s := NewState(d.L.NumBlocks)
 	s.SetMust(blk["x"], 1)
 	s.SetShadow(blk["x"], 1)
 	j := d.Join(Bottom(), s)
@@ -387,12 +387,12 @@ func TestBottomJoinIdentity(t *testing.T) {
 func TestJoinIntoMatchesJoin(t *testing.T) {
 	l, blk := fourLine(t, "x", "y", "z")
 	d := NewDomain(l)
-	a := d.NewState()
+	a := NewState(d.L.NumBlocks)
 	a.SetMust(blk["x"], 1)
 	a.SetMust(blk["y"], 2)
 	a.SetShadow(blk["x"], 1)
 	a.SetShadow(blk["y"], 2)
-	b := d.NewState()
+	b := NewState(d.L.NumBlocks)
 	b.SetMust(blk["x"], 2)
 	b.SetMust(blk["z"], 1)
 	b.SetShadow(blk["x"], 2)
@@ -413,10 +413,10 @@ func TestJoinIntoMatchesJoin(t *testing.T) {
 func TestLeqOrder(t *testing.T) {
 	l, blk := fourLine(t, "x", "y")
 	d := NewDomain(l)
-	strong := d.NewState()
+	strong := NewState(d.L.NumBlocks)
 	strong.SetMust(blk["x"], 1)
 	strong.SetShadow(blk["x"], 2)
-	weak := d.NewState()
+	weak := NewState(d.L.NumBlocks)
 	weak.SetMust(blk["x"], 3) // older must age = weaker guarantee
 	weak.SetShadow(blk["x"], 1)
 	weak.SetShadow(blk["y"], 1)
@@ -434,12 +434,12 @@ func TestLeqOrder(t *testing.T) {
 func TestJoinIsLub(t *testing.T) {
 	l, blk := fourLine(t, "x", "y", "z")
 	d := NewDomain(l)
-	a := d.NewState()
+	a := NewState(d.L.NumBlocks)
 	a.SetMust(blk["x"], 1)
 	a.SetMust(blk["y"], 2)
 	a.SetShadow(blk["x"], 1)
 	a.SetShadow(blk["y"], 2)
-	b := d.NewState()
+	b := NewState(d.L.NumBlocks)
 	b.SetMust(blk["x"], 2)
 	b.SetMust(blk["z"], 1)
 	b.SetShadow(blk["x"], 2)
@@ -456,7 +456,7 @@ func TestJoinIsLub(t *testing.T) {
 func TestWidenOverApproximatesJoin(t *testing.T) {
 	l, blk := fourLine(t, "x", "y")
 	d := NewDomain(l)
-	prev := d.NewState()
+	prev := NewState(d.L.NumBlocks)
 	prev.SetMust(blk["x"], 1)
 	prev.SetMust(blk["y"], 2)
 	prev.SetShadow(blk["x"], 1)
@@ -489,7 +489,7 @@ func TestTransferOnBottomIsNoop(t *testing.T) {
 func TestStateCloneIndependence(t *testing.T) {
 	l, blk := fourLine(t, "x", "y")
 	d := NewDomain(l)
-	s := d.NewState()
+	s := NewState(d.L.NumBlocks)
 	d.Transfer(s, exact(blk["x"]))
 	c := s.Clone()
 	d.Transfer(c, exact(blk["y"]))
@@ -501,7 +501,7 @@ func TestStateCloneIndependence(t *testing.T) {
 func TestStateFormat(t *testing.T) {
 	l, blk := fourLine(t, "x", "y")
 	d := NewDomain(l)
-	s := d.NewState()
+	s := NewState(d.L.NumBlocks)
 	d.Transfer(s, exact(blk["x"]))
 	d.Transfer(s, exact(blk["y"]))
 	got := s.Format(l)
@@ -516,7 +516,7 @@ func TestStateFormat(t *testing.T) {
 func TestMustBlocksOrdering(t *testing.T) {
 	l, blk := fourLine(t, "x", "y", "z")
 	d := NewDomain(l)
-	s := d.NewState()
+	s := NewState(d.L.NumBlocks)
 	d.Transfer(s, exact(blk["z"]))
 	d.Transfer(s, exact(blk["x"]))
 	d.Transfer(s, exact(blk["y"]))
@@ -554,7 +554,7 @@ func TestSetAssociativeIsolation(t *testing.T) {
 	if l.SetOf(aBlk) == l.SetOf(bBlk) {
 		t.Fatal("test setup: blocks should be in different sets")
 	}
-	s := d.NewState()
+	s := NewState(d.L.NumBlocks)
 	d.Transfer(s, exact(aBlk))
 	d.Transfer(s, exact(bBlk))
 	if mAge(s, aBlk) != 1 {

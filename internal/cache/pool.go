@@ -54,10 +54,3 @@ func (p *Pool) Put(s *State) {
 
 // Stats returns the pool's traffic counters.
 func (p *Pool) Stats() PoolStats { return p.stats }
-
-// Add merges another pool's counters into s (for stitching parallel runs).
-func (s *PoolStats) Add(o PoolStats) {
-	s.Gets += o.Gets
-	s.News += o.News
-	s.Puts += o.Puts
-}

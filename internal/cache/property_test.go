@@ -95,7 +95,7 @@ func TestPropertyMustAgeIsUpperBound(t *testing.T) {
 			d := &Domain{L: l, Refined: refined}
 			for seed := int64(0); seed < 30; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				st := d.NewState()
+				st := NewState(d.L.NumBlocks)
 				conc := newConcreteLRU(sh.sets, sh.assoc)
 				for step := 0; step < 200; step++ {
 					b := layout.BlockID(rng.Intn(sh.blocks))
@@ -136,7 +136,7 @@ func TestPropertyJoinCoversBothPaths(t *testing.T) {
 		armA := randSeq(rng, blocks, 15)
 		armB := randSeq(rng, blocks, 15)
 
-		absA, absB := d.NewState(), d.NewState()
+		absA, absB := NewState(d.L.NumBlocks), NewState(d.L.NumBlocks)
 		concA, concB := newConcreteLRU(1, assoc), newConcreteLRU(1, assoc)
 		for _, b := range prefix {
 			d.Transfer(absA, Access{First: b, Count: 1})
@@ -190,7 +190,7 @@ func TestPropertyRangeAccessCoversAllResolutions(t *testing.T) {
 		first := layout.BlockID(rng.Intn(blocks - 2))
 		count := 2 + rng.Intn(int(layout.BlockID(blocks)-first)-1)
 
-		abs := d.NewState()
+		abs := NewState(d.L.NumBlocks)
 		conc := newConcreteLRU(1, assoc)
 		for _, b := range prefix {
 			d.Transfer(abs, Access{First: b, Count: 1})
@@ -231,12 +231,12 @@ func TestPropertyTransferMonotone(t *testing.T) {
 		d := &Domain{L: l, Refined: refined}
 		for seed := int64(0); seed < 60; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			x := d.NewState()
+			x := NewState(d.L.NumBlocks)
 			for _, b := range randSeq(rng, blocks, 20) {
 				d.Transfer(x, Access{First: b, Count: 1})
 			}
 			// y = x joined with another state is ⊒ x.
-			other := d.NewState()
+			other := NewState(d.L.NumBlocks)
 			for _, b := range randSeq(rng, blocks, 20) {
 				d.Transfer(other, Access{First: b, Count: 1})
 			}
@@ -258,7 +258,7 @@ func TestPropertyTransferMonotone(t *testing.T) {
 
 // randState drives a random access sequence into a fresh state.
 func randState(d *Domain, rng *rand.Rand, blocks, n int) *State {
-	st := d.NewState()
+	st := NewState(d.L.NumBlocks)
 	for _, b := range randSeq(rng, blocks, n) {
 		d.Transfer(st, Access{First: b, Count: 1})
 	}
@@ -271,7 +271,7 @@ func TestPropertyCopyFromMatchesClone(t *testing.T) {
 	const blocks, assoc = 10, 4
 	l := propLayout(t, blocks, 1, assoc)
 	d := NewDomain(l)
-	dst := d.NewState()
+	dst := NewState(d.L.NumBlocks)
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var src *State
@@ -281,7 +281,7 @@ func TestPropertyCopyFromMatchesClone(t *testing.T) {
 		case 1:
 			src = Bottom()
 		default:
-			src = d.NewState()
+			src = NewState(d.L.NumBlocks)
 		}
 		if seed%2 == 0 {
 			dst.SetBottom() // must not poison the next CopyFrom
@@ -343,7 +343,7 @@ func TestQuickCloneEquality(t *testing.T) {
 	l := propLayout(t, blocks, 1, assoc)
 	d := NewDomain(l)
 	f := func(seq []uint8) bool {
-		st := d.NewState()
+		st := NewState(d.L.NumBlocks)
 		for _, v := range seq {
 			d.Transfer(st, Access{First: layout.BlockID(int(v) % blocks), Count: 1})
 		}

@@ -136,18 +136,6 @@ func (s *State) SetShadow(b layout.BlockID, age int) { s.shadow[b] = uint16(age)
 // ClearShadow marks b as definitely not cached on any path.
 func (s *State) ClearShadow(b layout.BlockID) { s.shadow[b] = 0 }
 
-// MustAge returns the must age of b, or assoc+1 ("not guaranteed cached")
-// when absent.
-func (s *State) MustAge(b layout.BlockID, assoc int) int {
-	if a, ok := s.Must(b); ok {
-		return a
-	}
-	if s.IsBottom {
-		return 1 // bottom guarantees everything vacuously; callers guard
-	}
-	return assoc + 1
-}
-
 // MustHit reports whether an access to block b is guaranteed to hit.
 func (s *State) MustHit(b layout.BlockID, assoc int) bool {
 	if s.IsBottom {

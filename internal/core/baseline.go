@@ -64,7 +64,7 @@ func AnalyzeAlgorithm1(prog *ir.Program, opts Options) (*Result, error) {
 		}
 	}
 	sol := absint.Solve[*cache.State](g, d, absint.Options{
-		WideningThreshold: opts.WideningThreshold,
+		WideningThreshold: wideningThreshold,
 	})
 	res := &Result{
 		Prog:       prog,

@@ -34,8 +34,7 @@ func compileKernel(tb testing.TB, name string) *ir.Program {
 }
 
 // BenchmarkFixpoint measures the full speculative fixpoint (paper default
-// options) per corpus kernel. This is the headline perf-trajectory number
-// recorded in BENCH_fixpoint.json.
+// options) per corpus kernel.
 func BenchmarkFixpoint(b *testing.B) {
 	for _, k := range fixpointKernels {
 		prog := compileKernel(b, k.name)

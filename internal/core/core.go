@@ -84,21 +84,24 @@ type Options struct {
 	Strategy Strategy
 	// RefinedJoin enables the Appendix-B shadow-variable refinement.
 	RefinedJoin bool
-	// WideningThreshold is the number of in-state changes at a block before
-	// widening; 0 disables widening (§6.3).
-	WideningThreshold int
-	// DisableUncertainty turns off uncertainty-focused speculation — the
-	// classic must/may warm-start pre-pass and the certain-branch lane-spawn
-	// skip — reverting to eager lane spawning. An ablation knob (the
-	// reference the pruning-invisibility tests compare against); not exposed
-	// through the public configuration surface.
+	// DisableUncertainty turns off the certain-branch lane-spawn skip
+	// (laneNeed), so every lane spawns and the useless ones die on their
+	// own. It is the spawn-everything reference the pruning-invisibility
+	// tests compare against, not exposed through the public configuration
+	// surface; the classic pre-pass and its widening run either way.
 	DisableUncertainty bool
-	// Collector, when non-nil, receives the run's fixpoint and partition
-	// stats on completion (Result.Stats always carries the fixpoint counters
+	// Collector, when non-nil, receives the run's compile_exec phase and
+	// its bytecode, partition and fixpoint sections on completion, from every
+	// entry point (Result.Stats always carries the fixpoint counters
 	// regardless; the collector is for callers aggregating several runs and
 	// phases). A nil collector costs nothing on the hot path.
 	Collector *obs.Collector
 }
+
+// wideningThreshold is the number of changes of a loop head's normal state
+// in the classic pre-pass after which every further change is widened
+// (§6.3).
+const wideningThreshold = 4
 
 // DefaultOptions mirrors the paper's experimental setup: 512-line 64-byte
 // fully-associative LRU cache, speculation depths 20 (hit) / 200 (miss),
@@ -113,7 +116,6 @@ func DefaultOptions() Options {
 		DynamicDepthBounding: true,
 		Strategy:             StrategyJustInTime,
 		RefinedJoin:          true,
-		WideningThreshold:    4,
 	}
 }
 
@@ -242,23 +244,63 @@ func Analyze(prog *ir.Program, opts Options) (*Result, error) {
 // between worklist iterations and returns ctx.Err() once it is done. The
 // analysis itself is pure, so a canceled run leaves no state behind.
 func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (*Result, error) {
+	return analyze(ctx, prog, opts, dataCache)
+}
+
+// model selects what one analysis tracks.
+type model int
+
+const (
+	// dataCache is the must/may analysis of loads and stores.
+	dataCache model = iota
+	// instrCache is the must/may analysis of instruction fetches.
+	instrCache
+	// persistence is the first-miss analysis of loads and stores.
+	persistence
+)
+
+// analyze runs the analysis behind all three entry points: it resolves every
+// access once, up front (timed as compile_exec), runs the fixpoint under
+// pprof labels, and flushes the bytecode, partition and fixpoint sections
+// into opts.Collector. The stats goldens, the stats schema, and the
+// benchmark read the compile_exec and bytecode names.
+func analyze(ctx context.Context, prog *ir.Program, opts Options, m model) (*Result, error) {
 	if err := validateDepths(opts); err != nil {
 		return nil, err
 	}
-	l, err := layout.New(prog, opts.Cache)
+	var l *layout.Layout
+	var fetchBlocks []layout.BlockID
+	var err error
+	if m == instrCache {
+		l, fetchBlocks, err = layout.CodeLayout(prog, opts.Cache)
+	} else {
+		l, err = layout.New(prog, opts.Cache)
+	}
 	if err != nil {
 		return nil, err
 	}
+	if m != dataCache {
+		// Dynamic depth bounding keys off data-cache must-hit facts, which
+		// neither the i-cache nor the persistence domain provides; use the
+		// conservative b_m window throughout.
+		opts.DynamicDepthBounding = false
+	}
 	g := cfg.New(prog)
 	idx := interval.Analyze(g)
-	// Resolve every access once, up front. The stats goldens, the stats
-	// schema, and the benchmark read the compile_exec and bytecode names.
 	var steps *stepProgram
 	opts.Collector.Phase("compile_exec", func() {
-		steps = dataSteps(prog, l, idx)
+		if m == instrCache {
+			steps = fetchSteps(prog, fetchBlocks)
+		} else {
+			steps = dataSteps(prog, l, idx)
+		}
 	})
 	opts.Collector.SetBytecode(steps.stats())
 	e := newEngine(prog, g, l, idx, opts, steps)
+	if m == persistence {
+		e.dom.Persist = true
+		e.dom.Refined = false // the NYoung refinement is a must-analysis rule
+	}
 	var runErr error
 	pprof.Do(ctx, pprof.Labels("phase", "fixpoint", "engine", "dense"), func(ctx context.Context) {
 		runErr = e.run(ctx)

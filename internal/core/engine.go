@@ -1,8 +1,8 @@
 package core
 
 import (
-	"container/heap"
 	"context"
+	"slices"
 
 	"specabsint/internal/cache"
 	"specabsint/internal/cfg"
@@ -43,25 +43,6 @@ type partKey struct {
 	src     ir.BlockID
 }
 
-// blockHeap is a worklist ordered by reverse postorder, which minimizes
-// re-iteration of downstream blocks.
-type blockHeap struct {
-	order []int // RPO index per block
-	items []ir.BlockID
-}
-
-func (h *blockHeap) Len() int           { return len(h.items) }
-func (h *blockHeap) Less(i, j int) bool { return h.order[h.items[i]] < h.order[h.items[j]] }
-func (h *blockHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *blockHeap) Push(x any)         { h.items = append(h.items, x.(ir.BlockID)) }
-func (h *blockHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
-}
-
 type engine struct {
 	prog *ir.Program
 	g    *cfg.Graph
@@ -93,10 +74,6 @@ type engine struct {
 	dirtySSOrder [][]int
 	dirtyLane    [][]bool
 
-	// change counters drive widening of speculative flows.
-	ssChanges   []map[int]int
-	laneChanges [][]int
-
 	colors    []*color
 	colorsAt  map[ir.BlockID][]*color
 	parts     []partition
@@ -117,23 +94,21 @@ type engine struct {
 	// pool recycles the engine's transfer/walk/classify scratch states; see
 	// cache.Pool for the ownership rules.
 	pool *cache.Pool
-	// slices caches branchSlice per conditional-branch block: the slice is
-	// state-independent, and depthFor runs on every pop of a dirty condbr.
+	// slices holds branchSlice for every block that spawns colors (an
+	// effectively reachable unresolved condbr), the only blocks depthFor
+	// sees: the slice is state-independent, and depthFor runs on every pop
+	// of a dirty condbr.
 	slices map[ir.BlockID]blockSlice
 
-	heap    blockHeap
 	inWork  []bool
-	changes []int // per-block S-change counts, for widening
-	// wto is the Bourdoncle ordering of the effective CFG, nil when the CFG
-	// is acyclic (the RPO heap then gives the same order). Enqueued blocks
-	// are then tracked as
-	// pending counts per enclosing component (wtoPending, plus the global
-	// wtoLive) instead of heap entries: the recursive sweep re-iterates a
-	// component exactly while it has pending members, stabilizing inner
-	// components before re-entering outer ones.
+	changes []int // per-block S-change counts, for phase-1 widening
+	// wto is the Bourdoncle ordering of the effective CFG; an acyclic CFG is
+	// one top-level sequence with no components. Enqueued blocks are tracked
+	// as pending counts per enclosing component (wtoPending): the recursive
+	// sweep re-iterates a component exactly while it has pending members,
+	// stabilizing inner components before re-entering outer ones.
 	wto        *cfg.WTO
 	wtoPending []int
-	wtoLive    int
 	// Dirty-element min-heaps, one per WTO nesting level (index c+1 for
 	// component c, index 0 for the top-level sequence), holding the indices
 	// of that level's dirty elements. Speculation makes information flow
@@ -144,9 +119,9 @@ type engine struct {
 	// intermediate states through the whole downstream tail once per
 	// backward event. The heaps let each sweep always process the earliest
 	// dirty element of its level next, draining upstream re-dirt before any
-	// downstream block is (re)visited — the same upstream-first discipline
-	// the RPO priority heap provides, applied per nesting level (on an
-	// acyclic CFG the single top-level heap degenerates to exactly that).
+	// downstream block is (re)visited: upstream-first, per nesting level (on
+	// an acyclic CFG the single top-level heap is a topological-order
+	// priority worklist).
 	// Entries are lazily deleted: an element may be stale by the time it is
 	// popped (block no longer in-work, component no longer pending) and is
 	// then skipped.
@@ -159,42 +134,40 @@ type engine struct {
 	wtoCompIdx []int
 	// wtoHeadComp[b] is the component headed by b, or -1.
 	wtoHeadComp []int
-	// lanesOff suppresses lane spawning during the uncertainty pre-pass:
-	// the engine first converges the cheap classic must/may analysis
-	// (normal flow only), then re-seeds every unresolved branch so lanes
+	// classic marks phase 1, the uncertainty pre-pass: lane spawning is off,
+	// so the engine converges the cheap classic must/may analysis (normal
+	// flow only) before every unresolved branch is re-seeded and lanes
 	// spawn once, from near-final states, instead of being re-spawned and
-	// re-propagated on every early state change.
-	lanesOff bool
-	// widenOK permits the classic count-triggered widening at loop headers
-	// (the phase-1 solve and the single-pass path). That widening fires on
-	// per-block change counts, which depend on iteration order, so it runs
-	// only under the canonical WTO schedule.
-	//
-	// satWiden replaces it in phase 2: every loop-head contribution is
-	// first Saturate'd against satRef — a frozen snapshot of the block's
-	// phase-1 state — before being joined. Any dimension a contribution
-	// pushes past its classic value jumps straight to the join-absorbing
-	// extreme (must age to evicted, shadow age to 1). Because the reference
-	// is constant, the saturation is a monotone transform, so the phase-2
-	// system stays monotone and its least fixpoint is identical under any
-	// fair visit order — widening never re-introduces schedule dependence.
-	// (Widening against the *evolving* previous iterate would: for states
-	// seeded at bottom, such as the per-color lanes and per-pid SS flows,
-	// whichever contribution lands first would become the reference.)
-	// Semantically this is the paper's §6.3 amplification: speculative
-	// pollution reaching a loop head is widened to its absorbing worst
-	// immediately instead of creeping one age step per fixpoint round.
-	widenOK  bool
-	satWiden bool
-	satRef   []*cache.State
+	// re-propagated on every early state change. It is also the one place
+	// count-triggered widening fires: joinS widens every change of a loop
+	// head's normal state after its first wideningThreshold. Those counts
+	// depend on the visit order, so they are taken only here, under the
+	// canonical WTO schedule.
+	classic bool
+	// satRef replaces that widening in phase 2 (nil before): every
+	// loop-head contribution is first Saturate'd against satRef — a frozen
+	// snapshot of the block's phase-1 state — before being joined. Any
+	// dimension a contribution pushes past its classic value jumps straight
+	// to the join-absorbing extreme (must age to evicted, shadow age to 1).
+	// Because the reference is constant, the saturation is a monotone
+	// transform, so the phase-2 system stays monotone and its least fixpoint
+	// is identical under any fair visit order — widening never
+	// re-introduces schedule dependence. (Widening against the *evolving*
+	// previous iterate would: for states seeded at bottom, such as the
+	// per-color lanes and per-pid SS flows, whichever contribution lands
+	// first would become the reference.) Semantically this is the paper's
+	// §6.3 amplification: speculative pollution reaching a loop head is
+	// widened to its absorbing worst immediately instead of creeping one age
+	// step per fixpoint round.
+	satRef []*cache.State
 	// laneNeed[b] is the minimum entry budget with which a wrong-path lane
 	// entering block b can still transfer at least one memory access
 	// (structural: from instruction counts and access positions along
 	// effective successors). Spawns with depth < laneNeed[specSucc] are
 	// provably invisible — the lane would expire before touching memory,
 	// contributing no SpecAccess verdict and no rollback — and are skipped
-	// (counted as LanesSkippedCertain). nil when uncertainty focusing is
-	// disabled.
+	// (counted as LanesSkippedCertain). nil under DisableUncertainty, the
+	// spawn-everything reference run.
 	laneNeed []int
 	// loopHeader marks natural-loop headers: widening applies only there
 	// (§6.3 targets loops; widening ordinary merge blocks would discard
@@ -230,26 +203,15 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 		dirtySS:      make([]map[int]bool, n),
 		dirtySSOrder: make([][]int, n),
 		dirtyLane:    make([][]bool, n),
-		ssChanges:    make([]map[int]int, n),
-		laneChanges:  make([][]int, n),
 		colorsAt:     map[ir.BlockID][]*color{},
 		partByKey:    map[partKey]int{},
 		inWork:       make([]bool, n),
 		changes:      make([]int, n),
 	}
-	e.heap.order = make([]int, n)
-	for i := range e.heap.order {
-		if g.RPOIndex[i] >= 0 {
-			e.heap.order[i] = g.RPOIndex[i]
-		} else {
-			e.heap.order[i] = n // unreachable: last
-		}
-	}
 	for i := range e.S {
 		e.S[i] = cache.Bottom()
 		e.SS[i] = map[int]*cache.State{}
 		e.dirtySS[i] = map[int]bool{}
-		e.ssChanges[i] = map[int]int{}
 	}
 	e.S[prog.Entry] = cache.NewState(l.NumBlocks)
 	e.dirtyS[prog.Entry] = true
@@ -297,18 +259,10 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 			}
 		}
 	}
-	if e.uncertainty() {
+	if len(e.colors) > 0 && !opts.DisableUncertainty {
 		e.laneNeed = laneNeedBudgets(prog, e.succs, steps)
 	}
 	return e
-}
-
-// uncertainty reports whether the engine runs the uncertainty-focused
-// speculation machinery: the classic warm-start pre-pass plus the
-// certain-branch spawn skip. It is on for every speculative analysis with at
-// least one unresolved branch unless the ablation knob disables it.
-func (e *engine) uncertainty() bool {
-	return e.opts.Speculative && !e.opts.DisableUncertainty && len(e.colors) > 0
 }
 
 // laneNeedInf is the laneNeed value for blocks from which no wrong-path
@@ -387,24 +341,19 @@ func (e *engine) enqueue(b ir.BlockID) {
 		return
 	}
 	e.inWork[b] = true
-	if e.wto != nil {
-		e.wtoLive++
-		// Queue b's element at its own level (component heads have no body
-		// element — they are re-stepped by their component's stabilization
-		// loop), then push each enclosing component's element at the level
-		// above when it transitions clean→pending.
-		if e.wtoHeadComp[b] < 0 {
-			intHeapPush(&e.wtoDirty[e.wto.CompOf[b]+1], e.wtoBlockIdx[b])
-		}
-		for c := e.wto.CompOf[b]; c >= 0; c = e.wto.Parent[c] {
-			e.wtoPending[c]++
-			if e.wtoPending[c] == 1 {
-				intHeapPush(&e.wtoDirty[e.wto.Parent[c]+1], e.wtoCompIdx[c])
-			}
-		}
-		return
+	// Queue b's element at its own level (component heads have no body
+	// element — they are re-stepped by their component's stabilization
+	// loop), then push each enclosing component's element at the level
+	// above when it transitions clean→pending.
+	if e.wtoHeadComp[b] < 0 {
+		intHeapPush(&e.wtoDirty[e.wto.CompOf[b]+1], e.wtoBlockIdx[b])
 	}
-	heap.Push(&e.heap, b)
+	for c := e.wto.CompOf[b]; c >= 0; c = e.wto.Parent[c] {
+		e.wtoPending[c]++
+		if e.wtoPending[c] == 1 {
+			intHeapPush(&e.wtoDirty[e.wto.Parent[c]+1], e.wtoCompIdx[c])
+		}
+	}
 }
 
 // ctxCheckInterval is how many worklist pops pass between context polls.
@@ -413,50 +362,24 @@ func (e *engine) enqueue(b ir.BlockID) {
 const ctxCheckInterval = 256
 
 func (e *engine) run(ctx context.Context) error {
-	singlePass := e.opts.DisableUncertainty
-	if !singlePass {
-		// The two-phase split below is the uncertainty pre-pass: lanes
-		// spawn once, from converged classic states, and count-triggered
-		// widening fires only on the classic flow, with reference
-		// saturation in its place while lanes are live. The corpus goldens
-		// pin the verdicts it produces. When widening cannot fire at all —
-		// no loop headers in the simplified CFG (the common case after full
-		// unrolling), or widening disabled — the whole system is a plain
-		// monotone iteration, and the split would only pay its phase-2
-		// re-solve overhead. Solve in one pass instead; uncertainty
-		// focusing (laneNeed pruning) still applies.
-		hasLoops := false
-		for _, lh := range e.loopHeader {
-			if lh {
-				hasLoops = true
-				break
-			}
-		}
-		singlePass = !hasLoops || e.opts.WideningThreshold <= 0
-	}
-	if singlePass {
-		// Single-pass solve. With DisableUncertainty this is the ablation
-		// baseline: widening triggers on per-block change counts, which
-		// depend on the visit order, so its verdicts around widening are
-		// those of this one schedule — the reference for the pruning-
-		// invisibility tests, not a supported configuration.
-		e.initWTO()
-		e.widenOK = true
-		e.enqueue(e.prog.Entry)
-		return e.solver()(e, ctx)
-	}
-	// Phase 1 — canonical classic pass. Lane spawning is off: with no lanes
-	// there are no rollbacks and hence no SS flows, so this converges
-	// exactly the non-speculative must/may fixpoint, with widening enabled.
-	// Widening triggers on per-block change counts, which depend on
-	// iteration order, so every count-triggered widening happens here, on
-	// the normal flow under the canonical WTO schedule; phase 2 replaces it
-	// with order-independent reference saturation.
 	e.initWTO()
-	e.lanesOff = true
-	e.widenOK = true
+	if !slices.Contains(e.loopHeader, true) {
+		// No loop headers in the simplified CFG (the common case after full
+		// unrolling): widening cannot fire, so the whole system is a plain
+		// monotone iteration and the two-phase split below would only pay
+		// its phase-2 re-solve overhead. Solve in one pass; the laneNeed
+		// spawn skip still applies.
+		e.enqueue(e.prog.Entry)
+		return e.solveWTO(ctx)
+	}
+	// Phase 1 — the uncertainty pre-pass, a canonical classic pass. Lane
+	// spawning is off: with no lanes there are no rollbacks and hence no SS
+	// flows, so this converges exactly the non-speculative must/may
+	// fixpoint, with count-triggered widening on the normal flow (see
+	// classic). The corpus goldens pin the verdicts this split produces.
+	e.classic = true
 	e.enqueue(e.prog.Entry)
-	if err := e.solver()(e, ctx); err != nil {
+	if err := e.solveWTO(ctx); err != nil {
 		return err
 	}
 	// Phase 2 — speculative completion. Every unresolved branch whose state
@@ -465,18 +388,14 @@ func (e *engine) run(ctx context.Context) error {
 	// re-spawned on every intermediate state change (uncertainty-focused
 	// speculation). Starting from the phase-1 states, the remaining system
 	// is a monotone iteration — joins, transfers, budget maxima, and the
-	// reference saturation described on satWiden — whose least fixpoint is
+	// reference saturation described on satRef — whose least fixpoint is
 	// independent of the visit order in which lane and rollback traffic
 	// arrives.
-	e.lanesOff = false
-	e.widenOK = false
-	e.satWiden = true
-	if e.opts.WideningThreshold > 0 {
-		e.satRef = make([]*cache.State, len(e.S))
-		for i := range e.satRef {
-			if e.loopHeader[i] {
-				e.satRef[i] = e.S[i].Clone()
-			}
+	e.classic = false
+	e.satRef = make([]*cache.State, len(e.S))
+	for i := range e.satRef {
+		if e.loopHeader[i] {
+			e.satRef[i] = e.S[i].Clone()
 		}
 	}
 	for _, b := range e.prog.Blocks {
@@ -485,26 +404,7 @@ func (e *engine) run(ctx context.Context) error {
 			e.enqueue(b.ID)
 		}
 	}
-	return e.solver()(e, ctx)
-}
-
-// solveWorklist drains the RPO-ordered worklist heap: the schedule of an
-// acyclic CFG, where the weak topological order is plain reverse postorder.
-func (e *engine) solveWorklist(ctx context.Context) error {
-	for e.heap.Len() > 0 {
-		if e.iter%ctxCheckInterval == 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			default:
-			}
-		}
-		b := heap.Pop(&e.heap).(ir.BlockID)
-		e.inWork[b] = false
-		e.iter++
-		e.process(b)
-	}
-	return nil
+	return e.solveWTO(ctx)
 }
 
 // intHeapPush and intHeapPop maintain a plain min-heap of ints — the
@@ -548,23 +448,14 @@ func intHeapPop(h *[]int) int {
 	return v
 }
 
-// initWTO computes the Bourdoncle ordering over the effective CFG, indexes
-// the element tree for enqueue's cursor bubbling, and switches enqueue to
-// component-pending accounting.
+// initWTO computes the Bourdoncle ordering over the effective CFG and
+// indexes the element tree for enqueue's cursor bubbling.
 func (e *engine) initWTO() {
 	n := len(e.prog.Blocks)
 	wto := cfg.WTOOf(n, e.prog.Entry, func(b ir.BlockID) []ir.BlockID {
 		return e.succs[b]
 	})
 	e.stats.WTOComponents = int64(wto.NumComponents)
-	if wto.NumComponents == 0 {
-		// Acyclic CFG (common after full unrolling): the weak topological
-		// order degenerates to plain reverse postorder, which the RPO
-		// priority heap already implements — identical visit order without
-		// the per-level sweep bookkeeping. Leave e.wto nil so enqueue and
-		// run route through the worklist machinery.
-		return
-	}
 	e.wto = wto
 	e.wtoPending = make([]int, e.wto.NumComponents)
 	e.wtoBlockIdx = make([]int, n)
@@ -587,15 +478,6 @@ func (e *engine) initWTO() {
 		}
 	}
 	index(e.wto.Sequence)
-}
-
-// solver picks the drain routine matching the schedule initWTO (or a later
-// e.wto reset) left in place.
-func (e *engine) solver() func(*engine, context.Context) error {
-	if e.wto != nil {
-		return (*engine).solveWTO
-	}
-	return (*engine).solveWorklist
 }
 
 // solveWTO drains pending work in weak topological order. One sweep of the
@@ -647,7 +529,6 @@ func (e *engine) stepWTO(ctx context.Context, b ir.BlockID) error {
 		return nil
 	}
 	e.inWork[b] = false
-	e.wtoLive--
 	for c := e.wto.CompOf[b]; c >= 0; c = e.wto.Parent[c] {
 		e.wtoPending[c]--
 	}
@@ -679,11 +560,11 @@ func (e *engine) transferBlock(b *ir.Block, st *cache.State) *cache.State {
 }
 
 // saturate applies the phase-2 reference saturation to a loop-head
-// contribution (see satWiden): the returned state is pooled scratch the
+// contribution (see satRef): the returned state is pooled scratch the
 // caller must Put back when owned is true. Outside phase 2, or away from
 // loop heads, st is returned untouched.
 func (e *engine) saturate(target ir.BlockID, st *cache.State) (out *cache.State, owned bool) {
-	if !e.satWiden || e.satRef == nil || !e.loopHeader[target] {
+	if e.satRef == nil || !e.loopHeader[target] {
 		return st, false
 	}
 	scratch := e.pool.Get()
@@ -693,13 +574,13 @@ func (e *engine) saturate(target ir.BlockID, st *cache.State) (out *cache.State,
 	return scratch, true
 }
 
-// joinS merges st into S[target], widening if the block keeps changing, and
-// re-enqueues the target on change.
+// joinS merges st into S[target] and re-enqueues the target on change. In
+// phase 1 a loop head that keeps changing is widened: the engine's one
+// count-triggered widening site.
 func (e *engine) joinS(target ir.BlockID, st *cache.State) {
 	e.stats.Joins++
 	st, owned := e.saturate(target, st)
-	widening := e.widenOK && e.opts.WideningThreshold > 0 && e.loopHeader[target] &&
-		e.changes[target] >= e.opts.WideningThreshold
+	widening := e.classic && e.loopHeader[target] && e.changes[target] >= wideningThreshold
 	var prev *cache.State
 	if widening {
 		prev = e.S[target].Clone()
@@ -722,9 +603,6 @@ func (e *engine) joinS(target ir.BlockID, st *cache.State) {
 }
 
 // joinSS merges st into SS[target][pid] and re-enqueues on change.
-// Like joinS, repeated growth is widened: speculative states circulating in
-// loops would otherwise creep one age step per fixpoint round (§6.3 applies
-// to speculative flows just as much as to normal ones).
 func (e *engine) joinSS(target ir.BlockID, pid int, st *cache.State) {
 	e.stats.SpecJoins++
 	cur, ok := e.SS[target][pid]
@@ -733,12 +611,6 @@ func (e *engine) joinSS(target ir.BlockID, pid int, st *cache.State) {
 		e.SS[target][pid] = cur
 	}
 	st, owned := e.saturate(target, st)
-	widening := e.widenOK && e.opts.WideningThreshold > 0 && e.loopHeader[target] &&
-		e.ssChanges[target][pid] >= e.opts.WideningThreshold
-	var prev *cache.State
-	if widening {
-		prev = cur.Clone()
-	}
 	changed := e.dom.JoinInto(cur, st)
 	if owned {
 		e.pool.Put(st)
@@ -746,11 +618,6 @@ func (e *engine) joinSS(target ir.BlockID, pid int, st *cache.State) {
 	if !changed {
 		return
 	}
-	if widening {
-		e.SS[target][pid] = e.dom.Widen(prev, cur)
-		e.stats.Widenings++
-	}
-	e.ssChanges[target][pid]++
 	if !e.dirtySS[target][pid] {
 		e.dirtySS[target][pid] = true
 		e.dirtySSOrder[target] = append(e.dirtySSOrder[target], pid)
@@ -759,7 +626,7 @@ func (e *engine) joinSS(target ir.BlockID, pid int, st *cache.State) {
 }
 
 // joinLane merges a lane value (state join, budget max) and re-enqueues on
-// change, widening after repeated growth.
+// change.
 func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 	e.stats.LaneJoins++
 	if e.Lane[target] == nil {
@@ -775,7 +642,6 @@ func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 		}
 		e.Lane[target] = lanes
 		e.dirtyLane[target] = make([]bool, nc)
-		e.laneChanges[target] = make([]int, nc)
 	}
 	cur := &e.Lane[target][colorID]
 	fresh := cur.budget < 0
@@ -783,26 +649,15 @@ func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 		cur.budget = 0
 	}
 	lst, owned := e.saturate(target, lv.st)
-	widening := e.widenOK && e.opts.WideningThreshold > 0 && e.loopHeader[target] &&
-		e.laneChanges[target][colorID] >= e.opts.WideningThreshold
-	var prev *cache.State
-	if widening {
-		prev = cur.st.Clone()
-	}
 	changed := e.dom.JoinInto(cur.st, lst)
 	if owned {
 		e.pool.Put(lst)
-	}
-	if changed && widening {
-		cur.st = e.dom.Widen(prev, cur.st)
-		e.stats.Widenings++
 	}
 	if lv.budget > cur.budget {
 		cur.budget = lv.budget
 		changed = true
 	}
 	if changed || fresh {
-		e.laneChanges[target][colorID]++
 		e.dirtyLane[target][colorID] = true
 		e.enqueue(target)
 	}
@@ -834,7 +689,7 @@ func (e *engine) process(n ir.BlockID) {
 	// rollback, execution is architectural again and can itself
 	// mispredict, so SS flows must seed lanes too).
 	injectLanes := func(src, out *cache.State) {
-		if !e.opts.Speculative || !isCondBr || e.lanesOff {
+		if !e.opts.Speculative || !isCondBr || e.classic {
 			return
 		}
 		depth := e.depthFor(block, src)
@@ -1043,10 +898,7 @@ func (e *engine) depthFor(block *ir.Block, src *cache.State) int {
 // sliceHits reports whether the block's branch condition is resolved within
 // the block and every load feeding it is a must-hit against src.
 func (e *engine) sliceHits(block *ir.Block, src *cache.State) bool {
-	bs, ok := e.slices[block.ID]
-	if !ok {
-		bs.loads, bs.resolved = branchSlice(block)
-	}
+	bs := e.slices[block.ID]
 	if !bs.resolved {
 		return false
 	}

@@ -3,10 +3,7 @@ package core
 import (
 	"context"
 
-	"specabsint/internal/cfg"
-	"specabsint/internal/interval"
 	"specabsint/internal/ir"
-	"specabsint/internal/layout"
 )
 
 // AnalyzeInstructionCache runs the speculation-aware analysis on the
@@ -15,7 +12,9 @@ import (
 // pollute the d-cache. The paper notes this extension in §3.2; it reuses
 // the identical fixpoint machinery — only the access steps change (every
 // instruction accesses its statically-known code block), which also makes
-// the analysis exact per access (no index uncertainty).
+// the analysis exact per access (no index uncertainty). The lane budgets
+// (laneNeed) are derived from these same fetch steps: a lane into
+// register-only code still fetches every instruction it executes.
 //
 // Dynamic depth bounding is disabled: the speculation window depends on
 // *data*-cache residency of the branch condition, which this analysis does
@@ -27,23 +26,5 @@ func AnalyzeInstructionCache(prog *ir.Program, opts Options) (*Result, error) {
 // AnalyzeInstructionCacheContext is AnalyzeInstructionCache with
 // cancellation.
 func AnalyzeInstructionCacheContext(ctx context.Context, prog *ir.Program, opts Options) (*Result, error) {
-	if err := validateDepths(opts); err != nil {
-		return nil, err
-	}
-	codeL, fetchBlocks, err := layout.CodeLayout(prog, opts.Cache)
-	if err != nil {
-		return nil, err
-	}
-	opts.DynamicDepthBounding = false
-	g := cfg.New(prog)
-	idx := interval.Analyze(g)
-	// Every instruction touches exactly its code block, on right and wrong
-	// paths alike. The lane budgets (laneNeed) are derived from these same
-	// fetch steps: a lane into register-only code still fetches every
-	// instruction it executes.
-	e := newEngine(prog, g, codeL, idx, opts, fetchSteps(prog, fetchBlocks))
-	if err := e.run(ctx); err != nil {
-		return nil, err
-	}
-	return e.result(), nil
+	return analyze(ctx, prog, opts, instrCache)
 }

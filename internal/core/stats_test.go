@@ -115,30 +115,49 @@ func TestStatsRepeatedRunsDeterministic(t *testing.T) {
 }
 
 // TestStatsCollectorFlush checks the collector plumbing end to end at the
-// core layer: a run with a collector snapshots exactly the counters the
-// Result carries, and a nil collector changes nothing about the analysis.
+// core layer, for every entry point: a run with a collector snapshots
+// exactly the counters the Result carries, plus the bytecode and dense
+// partition sections, and a nil collector changes nothing about the
+// analysis.
 func TestStatsCollectorFlush(t *testing.T) {
 	prog := compile(t, bench.Fig2Program(-1))
-	opts := DefaultOptions()
-	col := obs.NewCollector()
-	opts.Collector = col
-	withCol, err := Analyze(prog, opts)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		analyze func(*ir.Program, Options) (*Result, error)
+	}{
+		{"data", Analyze},
+		{"icache", AnalyzeInstructionCache},
+		{"persistence", AnalyzePersistence},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			col := obs.NewCollector()
+			opts.Collector = col
+			withCol, err := tc.analyze(prog, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := col.Snapshot()
+			if snap.Fixpoint != withCol.Stats {
+				t.Fatalf("collector fixpoint %+v, result carries %+v", snap.Fixpoint, withCol.Stats)
+			}
+			if snap.Bytecode.Blocks == 0 || snap.Bytecode.ArchSteps == 0 {
+				t.Errorf("bytecode section %+v, want the step program's shape", snap.Bytecode)
+			}
+			if want := (obs.PartitionStats{Engines: 1, Groups: 0, DepthGroup: -1}); snap.Partition != want {
+				t.Errorf("partition %+v, want the dense %+v", snap.Partition, want)
+			}
+			opts.Collector = nil
+			without, err := tc.analyze(prog, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if without.Stats != withCol.Stats {
+				t.Fatalf("collector presence changed semantic counters:\n nil %+v\n col %+v", without.Stats, withCol.Stats)
+			}
+			requireSameResult(t, "nil vs collector", withCol, without)
+		})
 	}
-	snap := col.Snapshot()
-	if snap.Fixpoint != withCol.Stats {
-		t.Fatalf("collector fixpoint %+v, result carries %+v", snap.Fixpoint, withCol.Stats)
-	}
-	opts.Collector = nil
-	without, err := Analyze(prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if without.Stats != withCol.Stats {
-		t.Fatalf("collector presence changed semantic counters:\n nil %+v\n col %+v", without.Stats, withCol.Stats)
-	}
-	requireSameResult(t, "nil vs collector", withCol, without)
 }
 
 // TestCollectorOverhead is the observability layer's performance contract:

@@ -50,6 +50,25 @@ int main() {
 	return i;
 }`
 
+// loopSrc keeps a loop in the CFG (the bound is data-dependent, so lowering
+// cannot unroll it) and branches on a loaded byte in the body, so it runs
+// the two-phase solve with rollback (SS) flows reaching the loop head. The
+// loop exit's arm touches no memory: its lane is skipped.
+const loopSrc = `
+char a[256];
+char p;
+int main() {
+	reg int i;
+	reg int t;
+	reg int s;
+	t = p;
+	s = 0;
+	for (i = 0; i < t; i += 1) {
+		if (a[i] == 0) { s = s + a[128]; } else { s = s + 1; }
+	}
+	return s;
+}`
+
 func TestUncertaintySkipsCertainBranch(t *testing.T) {
 	prog := compile(t, certainSrc)
 	res, err := Analyze(prog, DefaultOptions())
@@ -169,6 +188,7 @@ int main() {
 func TestUncertaintyPruningInvisible(t *testing.T) {
 	for name, src := range map[string]string{
 		"certain": certainSrc, "uncertain": uncertainSrc, "mixed": mixedSrc, "fig2": fig2Source,
+		"loop": loopSrc,
 	} {
 		t.Run(name, func(t *testing.T) {
 			prog := compile(t, src)

@@ -85,7 +85,10 @@ type FixpointStats struct {
 	// flows; SpecTransfers the same on wrong-path lanes.
 	Transfers     int64 `json:"transfers"`
 	SpecTransfers int64 `json:"spec_transfers"`
-	// Widenings counts §6.3 widening applications across all flow kinds.
+	// Widenings counts §6.3 widening applications: count-triggered widenings
+	// of a loop head's normal state in the classic pre-pass (phase 1), plus
+	// reference saturations of loop-head contributions on every flow in the
+	// speculative completion (phase 2).
 	Widenings int64 `json:"widenings"`
 	// Colors counts the speculative flows the engine built: two per
 	// unresolved, effectively-reachable conditional branch (§6.4). It is

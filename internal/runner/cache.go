@@ -47,7 +47,6 @@ type optsKey struct {
 	strategy     core.Strategy
 	noUncert     bool
 	refinedJoin  bool
-	widening     int
 	stats        bool
 }
 
@@ -62,7 +61,6 @@ func fingerprintOptions(o core.Options) optsKey {
 		strategy:     o.Strategy,
 		noUncert:     o.DisableUncertainty,
 		refinedJoin:  o.RefinedJoin,
-		widening:     o.WideningThreshold,
 		stats:        o.Collector != nil,
 	}
 }

@@ -199,9 +199,6 @@ func New(workers int) *Pool {
 	}
 }
 
-// Workers returns the pool's concurrency.
-func (p *Pool) Workers() int { return p.workers }
-
 // CacheStats returns the program tier's hit and miss counts (the report
 // tier's live under ReportCacheStats; Snapshot carries both).
 func (p *Pool) CacheStats() (hits, misses int64) {
@@ -465,44 +462,58 @@ func (p *Pool) compile(src string, maxUnroll int, runPasses, icache bool) (*ir.P
 				e.err = fmt.Errorf("compile panicked: %v", r)
 			}
 		}()
-		col := obs.NewCollector()
-		var ast *source.Program
-		var err error
-		col.Phase("parse", func() { ast, err = source.Parse(src) })
-		if err != nil {
-			e.err = err
-			return
-		}
-		opts := lower.DefaultOptions()
-		if maxUnroll > 0 {
-			opts.MaxUnroll = maxUnroll
-		}
-		col.Phase("lower", func() { e.prog, e.err = lower.Lower(ast, opts) })
-		if e.err == nil && runPasses {
-			popts := passes.Default()
-			popts.ICacheModeled = icache
-			var pres *passes.Result
-			var perr error
-			col.Phase("passes", func() { pres, perr = passes.Run(e.prog, popts) })
-			if perr != nil {
-				e.prog, e.err = nil, perr
-			} else {
-				for _, ps := range pres.Stats {
-					col.AddPass(ps.Name, ps.Changed)
-				}
-			}
-		}
-		if e.err == nil {
-			col.SetProgram(obs.ProgramStats{
-				Blocks:           len(e.prog.Blocks),
-				Instrs:           e.prog.InstrCount(),
-				Symbols:          len(e.prog.Symbols),
-				MemAccesses:      e.prog.MemAccessCount(),
-				CondBranches:     e.prog.CondBranchCount(),
-				ResolvedBranches: e.prog.ResolvedBranchCount(),
-			})
-			e.stats = col.Snapshot()
-		}
+		e.prog, e.stats, e.err = Compile(src, maxUnroll, runPasses, icache)
 	})
 	return e.prog, e.stats, e.err
+}
+
+// Compile is the uncached compile pipeline behind the pool's program cache
+// and specabsint.CompileOpts: it parses src, lowers it (maxUnroll > 0
+// overrides the lowering's unroll cap) and, when runPasses is set, runs the
+// pass pipeline, with DCE gated off when icache is set (see Job.Passes). The
+// returned snapshot holds the parse/lower/passes phases, each pass's effect
+// and the program's shape.
+func Compile(src string, maxUnroll int, runPasses, icache bool) (*ir.Program, *obs.Stats, error) {
+	col := obs.NewCollector()
+	var ast *source.Program
+	var err error
+	col.Phase("parse", func() { ast, err = source.Parse(src) })
+	if err != nil {
+		return nil, nil, err
+	}
+	opts := lower.DefaultOptions()
+	if maxUnroll > 0 {
+		opts.MaxUnroll = maxUnroll
+	}
+	var prog *ir.Program
+	col.Phase("lower", func() { prog, err = lower.Lower(ast, opts) })
+	if err != nil {
+		return nil, nil, err
+	}
+	if runPasses {
+		popts := passes.Default()
+		popts.ICacheModeled = icache
+		var pres *passes.Result
+		col.Phase("passes", func() { pres, err = passes.Run(prog, popts) })
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, ps := range pres.Stats {
+			col.AddPass(ps.Name, ps.Changed)
+		}
+	}
+	col.SetProgram(ProgramStats(prog))
+	return prog, col.Snapshot(), nil
+}
+
+// ProgramStats summarizes the IR shape after lowering and passes.
+func ProgramStats(prog *ir.Program) obs.ProgramStats {
+	return obs.ProgramStats{
+		Blocks:           len(prog.Blocks),
+		Instrs:           prog.InstrCount(),
+		Symbols:          len(prog.Symbols),
+		MemAccesses:      prog.MemAccessCount(),
+		CondBranches:     prog.CondBranchCount(),
+		ResolvedBranches: prog.ResolvedBranchCount(),
+	}
 }

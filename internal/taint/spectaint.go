@@ -20,16 +20,6 @@ type SpecResult struct {
 	SpectreSinks []int
 }
 
-// IsSink reports whether the instruction id is a Spectre transmission sink.
-func (r *SpecResult) IsSink(id int) bool {
-	for _, x := range r.SpectreSinks {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
 // AnalyzeSpeculative computes the speculative taint: loads that can read out
 // of bounds on wrong paths become taint sources, and the taint propagates
 // exactly like secret taint (flow-insensitively, covering speculative
@@ -38,84 +28,30 @@ func (r *SpecResult) IsSink(id int) bool {
 // mis-speculated guards.
 func AnalyzeSpeculative(prog *ir.Program, idx *interval.Result) *SpecResult {
 	res := &SpecResult{}
-	tainted := make([]bool, prog.NumRegs)
-	scalars := make([]bool, len(prog.Symbols))
-	arrays := make([]bool, len(prog.Symbols))
-
-	oob := func(in *ir.Instr) bool {
-		sym := prog.Symbol(in.Sym)
-		iv := idx.IndexOf(in)
-		return iv.Lo < 0 || iv.Hi >= int64(sym.Len)
-	}
-
+	oob := map[int]bool{}
 	for _, b := range prog.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if in.Op == ir.OpLoad && oob(in) {
+			if in.Op != ir.OpLoad {
+				continue
+			}
+			if iv := idx.IndexOf(in); iv.Lo < 0 || iv.Hi >= int64(prog.Symbol(in.Sym).Len) {
 				res.OOBSources = append(res.OOBSources, in.ID)
+				oob[in.ID] = true
 			}
 		}
 	}
 	if len(res.OOBSources) == 0 {
 		return res
 	}
-	oobSet := map[int]bool{}
-	for _, id := range res.OOBSources {
-		oobSet[id] = true
-	}
-
-	taintedVal := func(v ir.Value) bool { return !v.IsConst && tainted[v.Reg] }
-
-	changed := true
-	for changed {
-		changed = false
-		setReg := func(r ir.Reg, v bool) {
-			if v && !tainted[r] {
-				tainted[r] = true
-				changed = true
-			}
-		}
-		for _, b := range prog.Blocks {
-			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				switch in.Op {
-				case ir.OpConst:
-				case ir.OpMov, ir.OpNeg, ir.OpNot, ir.OpBool:
-					setReg(in.Dst, taintedVal(in.A))
-				case ir.OpLoad:
-					sym := prog.Symbol(in.Sym)
-					src := oobSet[in.ID] // the OOB read itself is the source
-					if sym.Len == 1 {
-						src = src || scalars[in.Sym]
-					} else {
-						src = src || arrays[in.Sym]
-					}
-					setReg(in.Dst, src || taintedVal(in.Idx))
-				case ir.OpStore:
-					sym := prog.Symbol(in.Sym)
-					if taintedVal(in.A) || taintedVal(in.Idx) {
-						if sym.Len == 1 {
-							if !scalars[in.Sym] {
-								scalars[in.Sym] = true
-								changed = true
-							}
-						} else if !arrays[in.Sym] {
-							arrays[in.Sym] = true
-							changed = true
-						}
-					}
-				case ir.OpBr, ir.OpCondBr, ir.OpRet, ir.OpNop, ir.OpFence:
-				default: // binops
-					setReg(in.Dst, taintedVal(in.A) || taintedVal(in.B))
-				}
-			}
-		}
-	}
+	// The out-of-bounds read itself is the source.
+	facts := newResult(prog)
+	facts.propagate(prog, oob)
 
 	for _, b := range prog.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			if (in.Op == ir.OpLoad || in.Op == ir.OpStore) && taintedVal(in.Idx) {
+			if (in.Op == ir.OpLoad || in.Op == ir.OpStore) && facts.tainted(in.Idx) {
 				res.SpectreSinks = append(res.SpectreSinks, in.ID)
 			}
 		}

@@ -42,19 +42,10 @@ func (r *Result) IsSecretIndexed(id int) bool {
 // all executions including speculative ones — exactly what a sound leak
 // detector needs.
 func Analyze(prog *ir.Program) *Result {
-	res := &Result{
-		Regs:    make([]bool, prog.NumRegs),
-		Scalars: make([]bool, len(prog.Symbols)),
-		Arrays:  make([]bool, len(prog.Symbols)),
-	}
+	res := newResult(prog)
 	for _, s := range prog.Symbols {
-		if !s.Secret {
-			continue
-		}
-		if s.Len == 1 {
-			res.Scalars[s.ID] = true
-		} else {
-			res.Arrays[s.ID] = true
+		if s.Secret {
+			*res.cell(prog, s.ID) = true
 		}
 	}
 	// `secret reg` declarations have no Symbol; the lowerer tags the
@@ -62,17 +53,57 @@ func Analyze(prog *ir.Program) *Result {
 	for _, r := range prog.SecretRegs {
 		res.Regs[r] = true
 	}
+	res.propagate(prog, nil)
 
-	tainted := func(v ir.Value) bool {
-		return !v.IsConst && res.Regs[v.Reg]
+	for _, b := range prog.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			switch in.Op {
+			case ir.OpLoad, ir.OpStore:
+				if res.tainted(in.Idx) {
+					res.SecretIndexed = append(res.SecretIndexed, in.ID)
+				}
+			case ir.OpCondBr:
+				if res.tainted(in.A) {
+					res.SecretBranches = append(res.SecretBranches, in.ID)
+				}
+			}
+		}
 	}
+	return res
+}
 
-	changed := true
-	for changed {
+func newResult(prog *ir.Program) *Result {
+	return &Result{
+		Regs:    make([]bool, prog.NumRegs),
+		Scalars: make([]bool, len(prog.Symbols)),
+		Arrays:  make([]bool, len(prog.Symbols)),
+	}
+}
+
+// tainted reports whether an operand may carry tainted data.
+func (r *Result) tainted(v ir.Value) bool { return !v.IsConst && r.Regs[v.Reg] }
+
+// cell returns the taint bit of the memory sym names: the scalar cell, or
+// the contents of the whole array.
+func (r *Result) cell(prog *ir.Program, sym ir.SymbolID) *bool {
+	if prog.Symbol(sym).Len == 1 {
+		return &r.Scalars[sym]
+	}
+	return &r.Arrays[sym]
+}
+
+// propagate runs the flow-insensitive fixpoint from the taint already in r,
+// shared by Analyze and AnalyzeSpeculative: an operation's result is tainted
+// when an operand is, a load's when its cell or its index is (the value
+// reveals the index) or when the load's id is in sourceLoads, and a cell once
+// a tainted value or index is stored into it. sourceLoads may be nil.
+func (r *Result) propagate(prog *ir.Program, sourceLoads map[int]bool) {
+	for changed := true; changed; {
 		changed = false
-		setReg := func(r ir.Reg, v bool) {
-			if v && !res.Regs[r] {
-				res.Regs[r] = true
+		setReg := func(reg ir.Reg, v bool) {
+			if v && !r.Regs[reg] {
+				r.Regs[reg] = true
 				changed = true
 			}
 		}
@@ -83,54 +114,20 @@ func Analyze(prog *ir.Program) *Result {
 				case ir.OpConst:
 					// never tainted
 				case ir.OpMov, ir.OpNeg, ir.OpNot, ir.OpBool:
-					setReg(in.Dst, tainted(in.A))
+					setReg(in.Dst, r.tainted(in.A))
 				case ir.OpLoad:
-					sym := prog.Symbol(in.Sym)
-					src := false
-					if sym.Len == 1 {
-						src = res.Scalars[in.Sym]
-					} else {
-						src = res.Arrays[in.Sym]
-					}
-					// Loading via a tainted index also taints the value
-					// (the value reveals the index).
-					setReg(in.Dst, src || tainted(in.Idx))
+					setReg(in.Dst, *r.cell(prog, in.Sym) || r.tainted(in.Idx) || sourceLoads[in.ID])
 				case ir.OpStore:
-					sym := prog.Symbol(in.Sym)
-					if tainted(in.A) || tainted(in.Idx) {
-						if sym.Len == 1 {
-							if !res.Scalars[in.Sym] {
-								res.Scalars[in.Sym] = true
-								changed = true
-							}
-						} else if !res.Arrays[in.Sym] {
-							res.Arrays[in.Sym] = true
-							changed = true
-						}
+					if c := r.cell(prog, in.Sym); !*c && (r.tainted(in.A) || r.tainted(in.Idx)) {
+						*c = true
+						changed = true
 					}
 				case ir.OpBr, ir.OpCondBr, ir.OpRet, ir.OpNop, ir.OpFence:
 					// no dataflow
 				default: // binops
-					setReg(in.Dst, tainted(in.A) || tainted(in.B))
+					setReg(in.Dst, r.tainted(in.A) || r.tainted(in.B))
 				}
 			}
 		}
 	}
-
-	for _, b := range prog.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			switch in.Op {
-			case ir.OpLoad, ir.OpStore:
-				if tainted(in.Idx) {
-					res.SecretIndexed = append(res.SecretIndexed, in.ID)
-				}
-			case ir.OpCondBr:
-				if tainted(in.A) {
-					res.SecretBranches = append(res.SecretBranches, in.ID)
-				}
-			}
-		}
-	}
-	return res
 }

@@ -5,6 +5,7 @@ import (
 
 	"specabsint/internal/mitigate"
 	"specabsint/internal/obs"
+	"specabsint/internal/runner"
 	"specabsint/internal/wcet"
 )
 
@@ -119,7 +120,7 @@ func mitigateConfig(ctx context.Context, p *CompiledProgram, cfg Config) (*Mitig
 		// changed, and the input's pass/phase history does not describe it.
 		out.Program = &CompiledProgram{
 			prog:  rep.Program,
-			stats: &obs.Stats{Program: programStats(rep.Program)},
+			stats: &obs.Stats{Program: runner.ProgramStats(rep.Program)},
 		}
 	}
 	return out, nil

@@ -39,9 +39,8 @@ import (
 	"specabsint/internal/lower"
 	"specabsint/internal/machine"
 	"specabsint/internal/obs"
-	"specabsint/internal/passes"
+	"specabsint/internal/runner"
 	"specabsint/internal/sidechannel"
-	"specabsint/internal/source"
 	"specabsint/internal/wcet"
 )
 
@@ -274,46 +273,11 @@ func compileConfig(src string, cfg Config) (*CompiledProgram, error) {
 	// Compile-time stats are collected unconditionally: the counters are a
 	// handful of integers and the phase timers two clock reads each, noise
 	// next to parsing and lowering. WithStats only gates the analysis side.
-	col := obs.NewCollector()
-	var ast *source.Program
-	var err error
-	col.Phase("parse", func() { ast, err = source.Parse(src) })
+	prog, stats, err := runner.Compile(src, cfg.MaxUnroll, cfg.Passes, false)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	lopts := lower.DefaultOptions()
-	if cfg.MaxUnroll > 0 {
-		lopts.MaxUnroll = cfg.MaxUnroll
-	}
-	var prog *ir.Program
-	col.Phase("lower", func() { prog, err = lower.Lower(ast, lopts) })
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if cfg.Passes {
-		var pres *passes.Result
-		col.Phase("passes", func() { pres, err = passes.Run(prog, passes.Default()) })
-		if err != nil {
-			return nil, wrapErr(err)
-		}
-		for _, ps := range pres.Stats {
-			col.AddPass(ps.Name, ps.Changed)
-		}
-	}
-	col.SetProgram(programStats(prog))
-	return &CompiledProgram{prog: prog, stats: col.Snapshot()}, nil
-}
-
-// programStats summarizes the IR shape after lowering and passes.
-func programStats(prog *ir.Program) ProgramStats {
-	return ProgramStats{
-		Blocks:           len(prog.Blocks),
-		Instrs:           prog.InstrCount(),
-		Symbols:          len(prog.Symbols),
-		MemAccesses:      prog.MemAccessCount(),
-		CondBranches:     prog.CondBranchCount(),
-		ResolvedBranches: prog.ResolvedBranchCount(),
-	}
+	return &CompiledProgram{prog: prog, stats: stats}, nil
 }
 
 // AnalyzeContext runs the speculation-aware cache analysis and both
@@ -332,15 +296,7 @@ func analyzeConfig(ctx context.Context, p *CompiledProgram, cfg Config) (*Report
 		col = obs.NewCollector()
 		// Replay the compile-time snapshot so one Stats document covers the
 		// whole pipeline: program shape, pass effects, then analysis phases.
-		if cs := p.stats; cs != nil {
-			col.SetProgram(cs.Program)
-			for _, ps := range cs.Passes {
-				col.AddPass(ps.Name, ps.Changed)
-			}
-			for _, ph := range cs.Phases {
-				col.AddPhase(ph.Name, ph.Nanos)
-			}
-		}
+		col.Replay(p.stats)
 		copts.Collector = col
 	}
 	rep, err := sidechannel.AnalyzeContext(ctx, p.prog, copts)
