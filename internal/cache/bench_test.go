@@ -43,7 +43,8 @@ func warmState(d *Domain, nBlocks int, seed int64) *State {
 }
 
 // BenchmarkTransfer measures one exact-access transfer on the paper's
-// fully-associative geometry and on a 64-set/8-way one.
+// fully-associative geometry and on a 64-set/8-way one. The universe-64
+// shape has the paper corpus's proportions: far fewer blocks than ways.
 func BenchmarkTransfer(b *testing.B) {
 	shapes := []struct {
 		name           string
@@ -51,6 +52,7 @@ func BenchmarkTransfer(b *testing.B) {
 		assoc, refined int // refined: 1 = NYoung rule on
 	}{
 		{"fullyassoc-512", 512, 1, 512, 1},
+		{"fullyassoc-512-universe-64", 64, 1, 512, 1},
 		{"64set-8way", 512, 64, 8, 1},
 		{"fullyassoc-classic", 512, 1, 512, 0},
 	}

@@ -61,7 +61,12 @@ type Domain struct {
 	// See persist.go.
 	Persist bool
 
-	// prefix is scratch for the NYoung cumulative histogram.
+	// prefix is scratch for the NYoung cumulative histogram: prefix[a] is
+	// the number of shadow blocks in the set with age <= a. It is only as
+	// tall as the oldest counted age (top+1 entries), so an access costs
+	// O(blocks in the set) rather than O(assoc); shouldAge clamps taller
+	// ages to prefix[top]. Entries past len(prefix), up to its capacity,
+	// are always zero.
 	prefix []int
 	// affected/affectedList are scratch for range transfers: membership mask
 	// and list of the cache sets a range access may touch. Reused across
@@ -128,40 +133,38 @@ func (d *Domain) Transfer(s *State, acc Access) {
 func (d *Domain) shadowUpdateExact(s *State, v layout.BlockID) {
 	assoc := uint16(d.assoc())
 	stride := d.L.Config.NumSets
-	oldShadowV := s.shadow[v] // 0 = infinity
+	shadow := s.shadow
+	oldShadowV := shadow[v] // 0 = infinity
 	counting := d.Refined
+	var hist []int
 	if counting {
-		if cap(d.prefix) < int(assoc)+2 {
-			d.prefix = make([]int, int(assoc)+2)
-		}
-		d.prefix = d.prefix[:int(assoc)+2]
-		for i := range d.prefix {
-			d.prefix[i] = 0
-		}
+		hist = d.histogram()
 	}
-	for i := d.setStart(v); i < len(s.shadow); i += stride {
-		a := s.shadow[i]
-		if a == 0 {
+	top := uint16(1) // v's own new age
+	for i := d.setStart(v); i < len(shadow); i += stride {
+		a := shadow[i]
+		if a == 0 || layout.BlockID(i) == v {
 			continue
 		}
-		if layout.BlockID(i) != v && (oldShadowV == 0 || a <= oldShadowV) {
+		if oldShadowV == 0 || a <= oldShadowV {
 			if a+1 > assoc {
-				s.shadow[i] = 0
+				shadow[i] = 0
 				continue
 			}
 			a++
-			s.shadow[i] = a
+			shadow[i] = a
 		}
-		if counting && layout.BlockID(i) != v {
-			d.prefix[a]++
+		if counting {
+			hist[a]++
+			if a > top {
+				top = a
+			}
 		}
 	}
-	s.shadow[v] = 1
+	shadow[v] = 1
 	if counting {
-		d.prefix[1]++ // v itself
-		for a := 2; a <= int(assoc)+1; a++ {
-			d.prefix[a] += d.prefix[a-1]
-		}
+		hist[1]++ // v itself
+		d.cumulate(hist, int(top))
 	}
 }
 
@@ -170,27 +173,49 @@ func (d *Domain) shadowUpdateExact(s *State, v layout.BlockID) {
 // the set with age <= a. It makes the NYoung rule O(1) per aged block.
 func (d *Domain) buildPrefix(s *State, set int) {
 	assoc := d.assoc()
-	if cap(d.prefix) < assoc+2 {
-		d.prefix = make([]int, assoc+2)
-	}
-	d.prefix = d.prefix[:assoc+2]
-	for i := range d.prefix {
-		d.prefix[i] = 0
-	}
 	stride := d.L.Config.NumSets
-	for i := set; i < len(s.shadow); i += stride {
-		if a := int(s.shadow[i]); a != 0 && a <= assoc {
-			d.prefix[a]++
+	shadow := s.shadow
+	hist := d.histogram()
+	top := 0
+	for i := set; i < len(shadow); i += stride {
+		if a := int(shadow[i]); a != 0 && a <= assoc {
+			hist[a]++
+			if a > top {
+				top = a
+			}
 		}
 	}
-	for a := 1; a <= assoc+1; a++ {
-		d.prefix[a] += d.prefix[a-1]
+	d.cumulate(hist, top)
+}
+
+// histogram returns the NYoung scratch at full height (assoc+2 entries),
+// all zero. Only d.prefix[:len(d.prefix)], the part the previous histogram
+// used, can hold counts, so only that part is cleared.
+func (d *Domain) histogram() []int {
+	n := d.assoc() + 2
+	if cap(d.prefix) < n {
+		d.prefix = make([]int, n)
+		return d.prefix
 	}
+	clear(d.prefix)
+	return d.prefix[:n]
+}
+
+// cumulate turns hist, whose counts all lie at ages 1..top, into the
+// cumulative histogram and cuts d.prefix to top+1 entries. Past top the
+// full-height sum is flat at prefix[top], which is what shouldAge's clamp
+// reads for any older age; so the sum costs O(top), not O(assoc).
+func (d *Domain) cumulate(hist []int, top int) {
+	for a := 2; a <= top; a++ {
+		hist[a] += hist[a-1]
+	}
+	d.prefix = hist[:top+1]
 }
 
 // shouldAge implements the NYoung rule: u ages only if at least Age(u)
 // shadow blocks (other than u, in u's set) may be younger than or as young
-// as u. Shadow ages are the *new* ages, per Appendix B.
+// as u. Shadow ages are the *new* ages, per Appendix B. An age past the
+// histogram's top reads prefix[top]: no counted shadow age is older.
 func (d *Domain) shouldAge(s *State, u int, ageU int) bool {
 	idx := ageU
 	if idx >= len(d.prefix) {

@@ -88,6 +88,7 @@ func TestPropertyMustAgeIsUpperBound(t *testing.T) {
 		{12, 2, 3},
 		{16, 4, 2},
 		{6, 1, 8},
+		{40, 1, 512}, // assoc ≫ universe: the NYoung histogram is cut short
 	}
 	for _, refined := range []bool{true, false} {
 		for _, sh := range shapes {
@@ -122,6 +123,129 @@ func TestPropertyMustAgeIsUpperBound(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randAccess picks an exact access or, one time in three, a range access of
+// 2..8 candidate blocks, all within the first span blocks.
+func randAccess(rng *rand.Rand, span int) Access {
+	if span < 2 || rng.Intn(3) > 0 {
+		return Access{First: layout.BlockID(rng.Intn(span)), Count: 1}
+	}
+	count := 2 + rng.Intn(min(span-1, 7))
+	return Access{First: layout.BlockID(rng.Intn(span - count + 1)), Count: count}
+}
+
+// TestPropertyNYoungScratchInvisible: a Domain reuses one NYoung histogram
+// across transfers, cut to the height of the ages it last counted. Reusing
+// it across states whose histograms differ in height — a state warmed over
+// the whole universe, with shadow ages up to assoc, interleaved with states
+// confined to a few blocks — must give exactly the states a fresh Domain
+// gives per transfer.
+func TestPropertyNYoungScratchInvisible(t *testing.T) {
+	shapes := []struct{ blocks, sets, assoc int }{
+		{24, 1, 512},
+		{600, 1, 512},
+		{512, 64, 8},
+	}
+	for _, sh := range shapes {
+		l := propLayout(t, sh.blocks, sh.sets, sh.assoc)
+		shared := NewDomain(l)
+		spans := []int{sh.blocks, min(sh.blocks, 24), 3}
+		for seed := int64(0); seed < 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			states := make([]*State, len(spans))
+			for k := range states {
+				states[k] = NewState(l.NumBlocks)
+			}
+			step := func(k int) {
+				acc := randAccess(rng, spans[k])
+				want := states[k].Clone()
+				NewDomain(l).Transfer(want, acc)
+				shared.Transfer(states[k], acc)
+				if !states[k].Equal(want) {
+					t.Fatalf("shape=%+v seed=%d span=%d access=%+v: reused domain gives\n %v\nfresh domain gives\n %v",
+						sh, seed, spans[k], acc, states[k], want)
+				}
+			}
+			for i := 0; i < 2*sh.blocks; i++ {
+				step(0)
+			}
+			for i := 0; i < 1000; i++ {
+				step(rng.Intn(len(states)))
+			}
+		}
+	}
+}
+
+// TestPropertyRollbackClosedForm checks the law that would let a lane walk
+// build its rollback without a join per access. laneWalk joins the state
+// after every access of the walk into the rollback. A block the walk never
+// touches only ages on the must side, where 0 (evicted) absorbs the join,
+// and only ages on the shadow side, where 0 is neutral. So its rollback
+// must age is the final state's, and its rollback shadow age is the one
+// after the first step.
+func TestPropertyRollbackClosedForm(t *testing.T) {
+	shapes := []struct{ blocks, sets, assoc int }{
+		{24, 1, 512},
+		{600, 1, 512},
+		{512, 64, 8},
+		{16, 4, 2},
+		{8, 1, 4},
+	}
+	checked := 0
+	for _, refined := range []bool{true, false} {
+		for _, sh := range shapes {
+			l := propLayout(t, sh.blocks, sh.sets, sh.assoc)
+			d := &Domain{L: l, Refined: refined}
+			// Walks start from a join of two random states, so must and
+			// shadow ages disagree; each start state serves eight walks.
+			var start *State
+			for seed := int64(0); seed < 40; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				if seed%8 == 0 {
+					start = d.Join(randState(d, rng, sh.blocks, 2*sh.blocks), randState(d, rng, sh.blocks, sh.blocks))
+				}
+				st := start.Clone()
+				touched := make([]bool, sh.blocks)
+				rollback := Bottom()
+				var first *State
+				for i, n := 0, 1+rng.Intn(12); i < n; i++ {
+					acc := randAccess(rng, sh.blocks)
+					for c := 0; c < acc.Count; c++ {
+						touched[int(acc.First)+c] = true
+					}
+					d.Transfer(st, acc)
+					d.JoinInto(rollback, st)
+					if first == nil {
+						first = st.Clone()
+					}
+				}
+				for blk := 0; blk < sh.blocks; blk++ {
+					if touched[blk] {
+						continue
+					}
+					checked++
+					id := layout.BlockID(blk)
+					rm, rok := rollback.Must(id)
+					fm, fok := st.Must(id)
+					if rm != fm || rok != fok {
+						t.Fatalf("refined=%v shape=%+v seed=%d: untouched block %d has rollback must age %d, final %d",
+							refined, sh, seed, blk, rm, fm)
+					}
+					rs, rsok := rollback.Shadow(id)
+					fs, fsok := first.Shadow(id)
+					if rs != fs || rsok != fsok {
+						t.Fatalf("refined=%v shape=%+v seed=%d: untouched block %d has rollback shadow age %d, after the first step %d",
+							refined, sh, seed, blk, rs, fs)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no walk left a block untouched")
+	}
+	t.Logf("%d untouched blocks checked", checked)
 }
 
 // TestPropertyJoinCoversBothPaths models two divergent access sequences that

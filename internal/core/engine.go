@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
 
@@ -31,6 +32,14 @@ type laneVal struct {
 	budget int
 }
 
+// laneSlot is one color's lane at a block, with its dirty flag: the lane's
+// in-state changed since it was last walked through the block.
+type laneSlot struct {
+	color int
+	laneVal
+	dirty bool
+}
+
 // partition is one SS flow: a color, plus (for per-rollback-block
 // partitioning) the block where the rollback occurred.
 type partition struct {
@@ -57,11 +66,12 @@ type engine struct {
 
 	S  []*cache.State
 	SS []map[int]*cache.State
-	// Lane[n] is indexed by color id and allocated lazily on the first lane
-	// reaching n (a dense slice: every condbr seeds all its colors, so maps
-	// only added bucket churn on the hottest join). budget < 0 marks a slot
-	// no lane has reached yet.
-	Lane [][]laneVal
+	// Lane[n] holds the lanes that have reached n, one slot per color,
+	// sorted by color id. A slot is inserted on its color's first joinLane
+	// at n, so memory follows the lanes the fixpoint reaches (a handful per
+	// block) rather than blocks × colors, and process and classify visit
+	// the reached lanes in ascending color order.
+	Lane [][]laneSlot
 
 	// dirty flags: which flows at a block changed since last processed.
 	dirtyS  []bool
@@ -72,7 +82,6 @@ type engine struct {
 	// totals, widening decisions — are pinned as run-to-run deterministic by
 	// the stats contract).
 	dirtySSOrder [][]int
-	dirtyLane    [][]bool
 
 	colors    []*color
 	colorsAt  map[ir.BlockID][]*color
@@ -198,11 +207,10 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 		pool:         cache.NewPool(l.NumBlocks),
 		S:            make([]*cache.State, n),
 		SS:           make([]map[int]*cache.State, n),
-		Lane:         make([][]laneVal, n),
+		Lane:         make([][]laneSlot, n),
 		dirtyS:       make([]bool, n),
 		dirtySS:      make([]map[int]bool, n),
 		dirtySSOrder: make([][]int, n),
-		dirtyLane:    make([][]bool, n),
 		colorsAt:     map[ir.BlockID][]*color{},
 		partByKey:    map[partKey]int{},
 		inWork:       make([]bool, n),
@@ -629,25 +637,15 @@ func (e *engine) joinSS(target ir.BlockID, pid int, st *cache.State) {
 // change.
 func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 	e.stats.LaneJoins++
-	if e.Lane[target] == nil {
-		// One arena of bottom states for all colors at this block: the lane
-		// universe is dense (every mispredicted branch seeds all its colors),
-		// so batching the allocation beats per-color map inserts.
-		nc := len(e.colors)
-		lanes := make([]laneVal, nc)
-		arena := make([]cache.State, nc)
-		for i := range lanes {
-			arena[i].IsBottom = true
-			lanes[i] = laneVal{st: &arena[i], budget: -1}
-		}
+	lanes := e.Lane[target]
+	i, found := slices.BinarySearchFunc(lanes, colorID, func(s laneSlot, c int) int {
+		return cmp.Compare(s.color, c)
+	})
+	if !found {
+		lanes = slices.Insert(lanes, i, laneSlot{color: colorID, laneVal: laneVal{st: cache.Bottom()}})
 		e.Lane[target] = lanes
-		e.dirtyLane[target] = make([]bool, nc)
 	}
-	cur := &e.Lane[target][colorID]
-	fresh := cur.budget < 0
-	if fresh {
-		cur.budget = 0
-	}
+	cur := &lanes[i]
 	lst, owned := e.saturate(target, lv.st)
 	changed := e.dom.JoinInto(cur.st, lst)
 	if owned {
@@ -657,8 +655,8 @@ func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 		cur.budget = lv.budget
 		changed = true
 	}
-	if changed || fresh {
-		e.dirtyLane[target][colorID] = true
+	if changed || !found {
+		cur.dirty = true
 		e.enqueue(target)
 	}
 }
@@ -748,18 +746,23 @@ func (e *engine) process(n ir.BlockID) {
 	}
 
 	// Wrong-path lanes: explore the speculated side, accumulating a rollback
-	// state after every memory access within the budget.
-	for colorID := range e.dirtyLane[n] {
-		if !e.dirtyLane[n][colorID] {
+	// state after every memory access within the budget. No slot is
+	// inserted into lanes during this loop: a lane joins only its own
+	// color at n's successors, and when n is its own successor that color
+	// already holds its slot here. So lanes stays valid throughout, and a
+	// lane a self-loop re-dirties stays dirty for the next pop of n.
+	lanes := e.Lane[n]
+	for i := range lanes {
+		if !lanes[i].dirty {
 			continue
 		}
-		e.dirtyLane[n][colorID] = false
-		lv := e.Lane[n][colorID]
-		c := e.colors[colorID]
+		lanes[i].dirty = false
+		lv := lanes[i].laneVal
+		c := e.colors[lanes[i].color]
 		out, rollback := e.laneWalk(block, lv)
 		if out.budget > 0 {
 			for _, s := range e.succs[n] {
-				e.joinLane(s, colorID, out)
+				e.joinLane(s, c.id, out)
 			}
 		} else {
 			e.stats.LanesExpired++
@@ -1021,7 +1024,7 @@ func (e *engine) classify(res *Result) {
 		// positional budget and fence truncation (without re-counting
 		// FencesHit).
 		for _, lv := range e.Lane[b.ID] {
-			if lv.budget < 0 || lv.st.IsBottom {
+			if lv.st.IsBottom {
 				continue
 			}
 			st.CopyFrom(lv.st)
