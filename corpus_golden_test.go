@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"specabsint/internal/bench"
+	"specabsint/internal/cache"
+	"specabsint/internal/core"
+	"specabsint/internal/runner"
 )
 
 // corpusDigestCheap is the slice of the corpus checked under -race and
@@ -167,4 +171,79 @@ func checkCorpusDigest(t *testing.T, geom corpusDigestGeometry) {
 	for name := range got {
 		t.Errorf("%s has no line in %s", name, path)
 	}
+}
+
+// corpusModelsPrograms is the slice of the corpus the models digest pins:
+// Fig. 2, the ten side-channel kernels in the 4 KiB client, and two WCET
+// kernels (gtk and jdmarker carry loops and nested branches without the
+// multi-second i-cache cost of susan or adpcm).
+func corpusModelsPrograms() []corpusProgram {
+	var out []corpusProgram
+	for _, cp := range paperCorpus() {
+		b, ok := bench.ByName(cp.name)
+		if cp.name == "fig2" || cp.name == "gtk" || cp.name == "jdmarker" || (ok && b.Kind == bench.SideChannel) {
+			out = append(out, cp)
+		}
+	}
+	return out
+}
+
+// corpusModelLine analyzes one program under the i-cache or the persistence
+// model with core.DefaultOptions on the paper's cache and renders its
+// digest: the access counts, a SHA-256 of every architectural and wrong-path
+// verdict by instruction id, and a SHA-256 of the fixpoint counters with
+// states_pooled zeroed (it counts scratch-state reuse, not analysis work).
+func corpusModelLine(t *testing.T, cp corpusProgram, model string) string {
+	t.Helper()
+	icache := model == "icache"
+	prog, _, err := runner.Compile(cp.src, 0, true, icache)
+	if err != nil {
+		t.Fatalf("%s: %v", cp.name, err)
+	}
+	var res *core.Result
+	if icache {
+		res, err = core.AnalyzeInstructionCache(prog, core.DefaultOptions())
+	} else {
+		res, err = core.AnalyzePersistence(prog, core.DefaultOptions())
+	}
+	if err != nil {
+		t.Fatalf("%s %s: %v", cp.name, model, err)
+	}
+	ids := make([]int, 0, len(res.Access))
+	for id := range res.Access {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var classes strings.Builder
+	hits := 0
+	for _, id := range ids {
+		cls := res.Access[id].Class
+		if cls == cache.AlwaysHit {
+			hits++
+		}
+		fmt.Fprintf(&classes, "%d %v", id, cls)
+		if spec, ok := res.SpecAccess[id]; ok {
+			fmt.Fprintf(&classes, " spec=%v", spec)
+		}
+		classes.WriteString("\n")
+	}
+	counters := res.Stats
+	counters.StatesPooled = 0
+	return fmt.Sprintf("%s %s accesses=%d hits=%d spec=%d classes=%x counters=%x",
+		cp.name, model, len(ids), hits, len(res.SpecAccess),
+		sha256.Sum256([]byte(classes.String())), sha256.Sum256([]byte(fmt.Sprintf("%+v", counters))))
+}
+
+// TestGoldenCorpusDigestModels pins the instruction-cache and persistence
+// analyses, which share the data-cache analysis's fixpoint and lane walks
+// but are otherwise pinned by no corpus-wide golden: one line per program
+// and model in testdata/golden/corpus_digest_models.txt.
+func TestGoldenCorpusDigestModels(t *testing.T) {
+	var sb strings.Builder
+	for _, cp := range corpusModelsPrograms() {
+		for _, model := range []string{"icache", "persist"} {
+			sb.WriteString(corpusModelLine(t, cp, model) + "\n")
+		}
+	}
+	checkGolden(t, "corpus_digest_models.txt", sb.String())
 }

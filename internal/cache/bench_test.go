@@ -87,3 +87,53 @@ func BenchmarkJoinInto(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWalk measures one lane walk of 6 exact accesses, about the paper
+// corpus's mean number of wrong-path accesses per rollback: the state's
+// copy, each access's verdict and transfer, and the rollback. "stepwise" is
+// the reference, a whole-state JoinInto per access; "walk" is Domain.Walk,
+// which joins only the blocks a later access may touch.
+func BenchmarkWalk(b *testing.B) {
+	const walkLen = 6
+	shapes := []struct {
+		name                string
+		blocks, sets, assoc int
+	}{
+		{"fullyassoc-512-universe-64", 64, 1, 512},
+		{"fullyassoc-512-universe-600", 600, 1, 512},
+		{"64set-8way", 512, 64, 8},
+	}
+	for _, sh := range shapes {
+		l := benchLayout(b, sh.blocks, sh.sets, sh.assoc)
+		d := NewDomain(l)
+		start := warmState(d, sh.blocks, 5)
+		rng := rand.New(rand.NewSource(6))
+		accs := make([]Access, 64*walkLen)
+		for i := range accs {
+			accs[i] = Access{First: layout.BlockID(rng.Intn(sh.blocks)), Count: 1}
+		}
+		walks := len(accs) / walkLen
+		st, rollback := NewState(l.NumBlocks), NewState(l.NumBlocks)
+		verdicts := make([]Classification, walkLen)
+		b.Run(sh.name+"/stepwise", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				walk := accs[i%walks*walkLen:][:walkLen]
+				st.CopyFrom(start)
+				rollback.SetBottom()
+				for j, acc := range walk {
+					verdicts[j] = d.Classify(st, acc)
+					d.Transfer(st, acc)
+					d.JoinInto(rollback, st)
+				}
+			}
+		})
+		b.Run(sh.name+"/walk", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				st.CopyFrom(start)
+				d.Walk(st, rollback, accs[i%walks*walkLen:][:walkLen], verdicts)
+			}
+		})
+	}
+}

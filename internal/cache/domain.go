@@ -2,6 +2,7 @@ package cache
 
 import (
 	"encoding/json"
+	"slices"
 
 	"specabsint/internal/ir"
 	"specabsint/internal/layout"
@@ -19,8 +20,9 @@ type Access struct {
 // Exact reports whether the accessed block is statically known.
 func (a Access) Exact() bool { return a.Count == 1 }
 
-// Classification of a single access against an abstract state.
-type Classification int
+// Classification of a single access against an abstract state. It is one
+// byte, so a lane can keep the verdicts of its last walk at one byte each.
+type Classification uint8
 
 // Access classifications.
 const (
@@ -73,7 +75,13 @@ type Domain struct {
 	// calls so the hot path performs no per-transfer allocation.
 	affected     []bool
 	affectedList []int
+	// touched is Walk's scratch: the block ranges its later accesses may
+	// touch, sorted and coalesced.
+	touched []blockRange
 }
+
+// blockRange is the half-open block-id range [lo, hi).
+type blockRange struct{ lo, hi int }
 
 // affectedSets collects the distinct cache sets touched by acc into the
 // domain's scratch list, returning it. Valid until the next call.
@@ -342,6 +350,99 @@ func (d *Domain) JoinInto(dst, src *State) bool {
 		}
 	}
 	return changed
+}
+
+// Walk pushes st through accs, one wrong-path lane's accesses in program
+// order. It records in verdicts[i] the verdict of accs[i] against the state
+// the access meets, and leaves in rollback the join of the states after each
+// access, since a rollback may follow any of them (§5.1); with no access the
+// rollback is bottom. verdicts must hold len(accs) entries, and rollback must
+// not alias st. The result equals a Transfer, JoinInto(rollback) and
+// Classify per access.
+//
+// The rollback is built in closed form rather than by a whole-state join per
+// access. A block no later access touches only ages: its must age grows
+// toward 0 (evicted), which absorbs the must join, or toward the persistence
+// domain's top, and its shadow age grows toward 0, which the shadow join
+// ignores. So its rollback must age is the final one and its rollback shadow
+// age the one after the first access. The rollback therefore starts as a copy
+// of the state after the first access; each later access joins in only the
+// blocks some later access may touch; and the untouched must ages are copied
+// from the final state at the end. A walk costs O(universe + accesses ×
+// touched blocks) instead of O(accesses × universe).
+func (d *Domain) Walk(st, rollback *State, accs []Access, verdicts []Classification) {
+	rollback.SetBottom()
+	if len(accs) == 0 || st.IsBottom {
+		for i := range accs {
+			verdicts[i] = d.Classify(st, accs[i])
+		}
+		return
+	}
+	verdicts[0] = d.Classify(st, accs[0])
+	d.Transfer(st, accs[0])
+	rollback.CopyFrom(st)
+	if len(accs) == 1 {
+		return
+	}
+	touched := d.touchedRanges(accs[1:])
+	for i := 1; i < len(accs); i++ {
+		verdicts[i] = d.Classify(st, accs[i])
+		d.Transfer(st, accs[i])
+		for _, r := range touched {
+			d.joinRange(rollback, st, r)
+		}
+	}
+	lo := 0
+	for _, r := range touched {
+		copy(rollback.must[lo:r.lo], st.must[lo:r.lo])
+		lo = r.hi
+	}
+	copy(rollback.must[lo:], st.must[lo:])
+}
+
+// touchedRanges collects the candidate ranges of accs into d.touched, sorted
+// by first block with overlapping and adjacent ranges merged, and returns
+// it. Valid until the next call.
+func (d *Domain) touchedRanges(accs []Access) []blockRange {
+	rs := slices.Grow(d.touched[:0], len(accs))
+	for _, a := range accs {
+		rs = append(rs, blockRange{int(a.First), int(a.First) + a.Count})
+	}
+	slices.SortFunc(rs, func(a, b blockRange) int { return a.lo - b.lo })
+	out := rs[:1]
+	for _, r := range rs[1:] {
+		if last := &out[len(out)-1]; r.lo <= last.hi {
+			last.hi = max(last.hi, r.hi)
+		} else {
+			out = append(out, r)
+		}
+	}
+	d.touched = rs
+	return out
+}
+
+// joinRange joins src into dst over the blocks of r by the domain's own
+// rule: the must join is a max in which 0 (evicted) absorbs, or a plain max
+// under persistence; the shadow join is a min in which 0 is neutral.
+func (d *Domain) joinRange(dst, src *State, r blockRange) {
+	dm, sm := dst.must[r.lo:r.hi], src.must[r.lo:r.hi]
+	if d.Persist {
+		for i, s := range sm {
+			dm[i] = max(dm[i], s)
+		}
+	} else {
+		for i, s := range sm {
+			if dm[i] != 0 && (s == 0 || s > dm[i]) {
+				dm[i] = s
+			}
+		}
+	}
+	ds, ss := dst.shadow[r.lo:r.hi], src.shadow[r.lo:r.hi]
+	for i, s := range ss {
+		if s != 0 && (ds[i] == 0 || s < ds[i]) {
+			ds[i] = s
+		}
+	}
 }
 
 // Leq reports whether a ⊑ b (b over-approximates a): b's must ages are no

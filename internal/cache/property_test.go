@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -177,26 +179,36 @@ func TestPropertyNYoungScratchInvisible(t *testing.T) {
 	}
 }
 
-// TestPropertyRollbackClosedForm checks the law that would let a lane walk
-// build its rollback without a join per access. laneWalk joins the state
-// after every access of the walk into the rollback. A block the walk never
-// touches only ages on the must side, where 0 (evicted) absorbs the join,
-// and only ages on the shadow side, where 0 is neutral. So its rollback
-// must age is the final state's, and its rollback shadow age is the one
-// after the first step.
+// walkShapes are the cache shapes the rollback walk properties run on: the
+// paper's 512-way cache over a universe smaller and larger than the ways, a
+// 64-set × 8-way cache, and two small set-associative shapes that evict
+// often.
+var walkShapes = []struct{ blocks, sets, assoc int }{
+	{24, 1, 512},
+	{600, 1, 512},
+	{512, 64, 8},
+	{16, 4, 2},
+	{8, 1, 4},
+}
+
+// TestPropertyRollbackClosedForm checks the law Walk builds its rollback
+// by. A lane's rollback joins the state after every access of the walk. A
+// block the walk never touches only ages: on the must side toward 0
+// (evicted), which absorbs the join, or toward the persistence domain's
+// top, the largest value of its plain-max join; on the shadow side toward
+// 0, which the join ignores. So its rollback must age is the final state's,
+// and its rollback shadow age is the one after the first step.
 func TestPropertyRollbackClosedForm(t *testing.T) {
-	shapes := []struct{ blocks, sets, assoc int }{
-		{24, 1, 512},
-		{600, 1, 512},
-		{512, 64, 8},
-		{16, 4, 2},
-		{8, 1, 4},
+	domains := []struct{ refined, persist bool }{
+		{true, false},
+		{false, false},
+		{false, true}, // persistence, as core.AnalyzePersistence sets it
 	}
 	checked := 0
-	for _, refined := range []bool{true, false} {
-		for _, sh := range shapes {
+	for _, dc := range domains {
+		for _, sh := range walkShapes {
 			l := propLayout(t, sh.blocks, sh.sets, sh.assoc)
-			d := &Domain{L: l, Refined: refined}
+			d := &Domain{L: l, Refined: dc.refined, Persist: dc.persist}
 			// Walks start from a join of two random states, so must and
 			// shadow ages disagree; each start state serves eight walks.
 			var start *State
@@ -229,14 +241,14 @@ func TestPropertyRollbackClosedForm(t *testing.T) {
 					rm, rok := rollback.Must(id)
 					fm, fok := st.Must(id)
 					if rm != fm || rok != fok {
-						t.Fatalf("refined=%v shape=%+v seed=%d: untouched block %d has rollback must age %d, final %d",
-							refined, sh, seed, blk, rm, fm)
+						t.Fatalf("domain=%+v shape=%+v seed=%d: untouched block %d has rollback must age %d, final %d",
+							dc, sh, seed, blk, rm, fm)
 					}
 					rs, rsok := rollback.Shadow(id)
 					fs, fsok := first.Shadow(id)
 					if rs != fs || rsok != fsok {
-						t.Fatalf("refined=%v shape=%+v seed=%d: untouched block %d has rollback shadow age %d, after the first step %d",
-							refined, sh, seed, blk, rs, fs)
+						t.Fatalf("domain=%+v shape=%+v seed=%d: untouched block %d has rollback shadow age %d, after the first step %d",
+							dc, sh, seed, blk, rs, fs)
 					}
 				}
 			}
@@ -246,6 +258,64 @@ func TestPropertyRollbackClosedForm(t *testing.T) {
 		t.Fatal("no walk left a block untouched")
 	}
 	t.Logf("%d untouched blocks checked", checked)
+}
+
+// TestPropertyWalkMatchesStepwiseJoin: Walk's final state, rollback and
+// verdicts must equal a Classify, Transfer and JoinInto per access, on
+// random starts and random walks of 0–12 exact, range and whole-universe
+// accesses, with the NYoung rule on and off, in the must and the
+// persistence domain, over every shape in walkShapes.
+func TestPropertyWalkMatchesStepwiseJoin(t *testing.T) {
+	walks := 0
+	for _, refined := range []bool{true, false} {
+		for _, persist := range []bool{false, true} {
+			for _, sh := range walkShapes {
+				l := propLayout(t, sh.blocks, sh.sets, sh.assoc)
+				d := &Domain{L: l, Refined: refined, Persist: persist}
+				ref := &Domain{L: l, Refined: refined, Persist: persist}
+				rollback := Bottom() // reused across walks, as the engine's pool does
+				var start *State
+				for seed := int64(0); seed < 48; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					if seed%8 == 0 {
+						start = d.Join(randState(d, rng, sh.blocks, 2*sh.blocks), randState(d, rng, sh.blocks, sh.blocks))
+					}
+					accs := make([]Access, rng.Intn(13))
+					for i := range accs {
+						if rng.Intn(8) == 0 {
+							accs[i] = Access{First: 0, Count: sh.blocks}
+						} else {
+							accs[i] = randAccess(rng, sh.blocks)
+						}
+					}
+					wantSt, wantRb := start.Clone(), Bottom()
+					want := make([]Classification, len(accs))
+					for i, acc := range accs {
+						want[i] = ref.Classify(wantSt, acc)
+						ref.Transfer(wantSt, acc)
+						ref.JoinInto(wantRb, wantSt)
+					}
+					st := start.Clone()
+					got := make([]Classification, len(accs))
+					d.Walk(st, rollback, accs, got)
+					walks++
+					where := func() string {
+						return fmt.Sprintf("refined=%v persist=%v shape=%+v seed=%d walk=%+v", refined, persist, sh, seed, accs)
+					}
+					if !st.Equal(wantSt) {
+						t.Fatalf("%s: final state\n %v\nwant\n %v", where(), st, wantSt)
+					}
+					if !rollback.Equal(wantRb) {
+						t.Fatalf("%s: rollback\n %v\nwant\n %v", where(), rollback, wantRb)
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: verdicts %v, want %v", where(), got, want)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d walks checked", walks)
 }
 
 // TestPropertyJoinCoversBothPaths models two divergent access sequences that

@@ -259,12 +259,36 @@ const (
 	persistence
 )
 
-// analyze runs the analysis behind all three entry points: it resolves every
-// access once, up front (timed as compile_exec), runs the fixpoint under
-// pprof labels, and flushes the bytecode, partition and fixpoint sections
-// into opts.Collector. The stats goldens, the stats schema, and the
-// benchmark read the compile_exec and bytecode names.
+// analyze runs the analysis behind all three entry points: it builds the
+// engine (prepare), runs the fixpoint under pprof labels, and flushes the
+// bytecode, partition and fixpoint sections into opts.Collector. The stats
+// goldens, the stats schema, and the benchmark read the compile_exec and
+// bytecode names.
 func analyze(ctx context.Context, prog *ir.Program, opts Options, m model) (*Result, error) {
+	e, err := prepare(prog, opts, m)
+	if err != nil {
+		return nil, err
+	}
+	var runErr error
+	pprof.Do(ctx, pprof.Labels("phase", "fixpoint", "engine", "dense"), func(ctx context.Context) {
+		runErr = e.run(ctx)
+	})
+	if runErr != nil {
+		return nil, runErr
+	}
+	res := e.result()
+	opts.Collector.AddFixpoint(res.Stats)
+	// Every analysis is one dense fixpoint. Wire v1 and stats.schema.json
+	// still require the partition section; this is the one place it is
+	// written.
+	opts.Collector.SetPartition(obs.PartitionStats{Engines: 1, Groups: 0, DepthGroup: -1})
+	return res, nil
+}
+
+// prepare builds the engine for one analysis of prog under model m: it
+// resolves every access once, up front (timed as compile_exec), and sets the
+// domain the model needs.
+func prepare(prog *ir.Program, opts Options, m model) (*engine, error) {
 	if err := validateDepths(opts); err != nil {
 		return nil, err
 	}
@@ -301,20 +325,7 @@ func analyze(ctx context.Context, prog *ir.Program, opts Options, m model) (*Res
 		e.dom.Persist = true
 		e.dom.Refined = false // the NYoung refinement is a must-analysis rule
 	}
-	var runErr error
-	pprof.Do(ctx, pprof.Labels("phase", "fixpoint", "engine", "dense"), func(ctx context.Context) {
-		runErr = e.run(ctx)
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	res := e.result()
-	opts.Collector.AddFixpoint(res.Stats)
-	// Every analysis is one dense fixpoint. Wire v1 and stats.schema.json
-	// still require the partition section; this is the one place it is
-	// written.
-	opts.Collector.SetPartition(obs.PartitionStats{Engines: 1, Groups: 0, DepthGroup: -1})
-	return res, nil
+	return e, nil
 }
 
 func validateDepths(opts Options) error {

@@ -33,11 +33,17 @@ type laneVal struct {
 }
 
 // laneSlot is one color's lane at a block, with its dirty flag: the lane's
-// in-state changed since it was last walked through the block.
+// in-state changed since it was last walked through the block. verdicts
+// holds the Classify verdict of each wrong-path access of the slot's last
+// walk, which is the walk of its final value once the fixpoint is reached:
+// joinLane marks the slot dirty on any change to its state or budget, and
+// the drain walks every dirty slot. classify reads them instead of walking
+// the lane again.
 type laneSlot struct {
 	color int
 	laneVal
-	dirty bool
+	dirty    bool
+	verdicts []cache.Classification
 }
 
 // partition is one SS flow: a color, plus (for per-rollback-block
@@ -103,11 +109,6 @@ type engine struct {
 	// pool recycles the engine's transfer/walk/classify scratch states; see
 	// cache.Pool for the ownership rules.
 	pool *cache.Pool
-	// slices holds branchSlice for every block that spawns colors (an
-	// effectively reachable unresolved condbr), the only blocks depthFor
-	// sees: the slice is state-independent, and depthFor runs on every pop
-	// of a dirty condbr.
-	slices map[ir.BlockID]blockSlice
 
 	inWork  []bool
 	changes []int // per-block S-change counts, for phase-1 widening
@@ -237,7 +238,6 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 
 	if opts.Speculative {
 		e.pdom = g.PostDominators()
-		e.slices = map[ir.BlockID]blockSlice{}
 		for _, b := range prog.Blocks {
 			t := b.Terminator()
 			// Resolved branches are unconditional jumps in the emitted
@@ -247,8 +247,6 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 			if t == nil || t.Op != ir.OpCondBr || t.Resolved || !e.effReach[b.ID] {
 				continue
 			}
-			loads, resolved := branchSlice(b)
-			e.slices[b.ID] = blockSlice{loads: loads, resolved: resolved}
 			stop := e.pdom.ImmediatePostDom(b.ID)
 			for _, predicted := range []bool{true, false} {
 				c := &color{
@@ -301,8 +299,8 @@ func laneNeedBudgets(prog *ir.Program, succs [][]ir.BlockID, steps *stepProgram)
 	for _, b := range prog.Blocks {
 		need[b.ID] = laneNeedInf
 		first[b.ID] = laneNeedInf
-		if spec := steps.blocks[b.ID].specSteps(); len(spec) > 0 {
-			first[b.ID] = spec[0].pos + 1
+		if bs := &steps.blocks[b.ID]; len(bs.spec) > 0 {
+			first[b.ID] = bs.steps[0].pos + 1
 		}
 	}
 	for changed := true; changed; {
@@ -552,19 +550,27 @@ func (e *engine) stepWTO(ctx context.Context, b ir.BlockID) error {
 	return nil
 }
 
-// transferBlock pushes a cache state through all accesses of a block.
-// The returned state is pooled scratch: the caller must hand it back with
-// e.pool.Put once it has been joined into its targets (joins copy, so no
-// target retains it).
-func (e *engine) transferBlock(b *ir.Block, st *cache.State) *cache.State {
-	out := e.pool.Get()
+// transferBlock pushes a cache state through all accesses of a block. It
+// also reports the §6.2 slice check: whether the block's branch condition is
+// computed within the block from loads that all hit. Each load the
+// condition depends on is classified against the state it meets, on the
+// way through. The returned state is pooled scratch: the caller must hand it
+// back with e.pool.Put once it has been joined into its targets (joins
+// copy, so no target retains it).
+func (e *engine) transferBlock(b *ir.Block, st *cache.State) (out *cache.State, condHits bool) {
+	out = e.pool.Get()
 	out.CopyFrom(st)
-	steps := e.steps.blocks[b.ID].steps
-	for i := range steps {
-		e.dom.Transfer(out, steps[i].acc)
+	bs := &e.steps.blocks[b.ID]
+	condHits = bs.condInBlock
+	for i := range bs.steps {
+		step := &bs.steps[i]
+		if condHits && step.cond && e.dom.Classify(out, step.acc) != cache.AlwaysHit {
+			condHits = false
+		}
+		e.dom.Transfer(out, step.acc)
 	}
-	e.stats.Transfers += int64(len(steps))
-	return out
+	e.stats.Transfers += int64(len(bs.steps))
+	return out, condHits
 }
 
 // saturate applies the phase-2 reference saturation to a loop-head
@@ -682,15 +688,16 @@ func (e *engine) process(n ir.BlockID) {
 	if t := block.Terminator(); t != nil && t.Op == ir.OpCondBr && !t.Resolved {
 		isCondBr = true
 	}
-	// injectLanes starts the block's speculative flows from one source
-	// state (either the normal flow or a post-rollback SS flow — after a
-	// rollback, execution is architectural again and can itself
-	// mispredict, so SS flows must seed lanes too).
-	injectLanes := func(src, out *cache.State) {
+	// injectLanes starts the block's speculative flows from the state one
+	// source flow leaves the block with (either the normal flow or a
+	// post-rollback SS flow — after a rollback, execution is architectural
+	// again and can itself mispredict, so SS flows must seed lanes too);
+	// condHits is that flow's §6.2 slice check from transferBlock.
+	injectLanes := func(condHits bool, out *cache.State) {
 		if !e.opts.Speculative || !isCondBr || e.classic {
 			return
 		}
-		depth := e.depthFor(block, src)
+		depth := e.depthFor(condHits)
 		if depth <= 0 {
 			return
 		}
@@ -713,11 +720,11 @@ func (e *engine) process(n ir.BlockID) {
 	if e.dirtyS[n] {
 		e.dirtyS[n] = false
 		if !e.S[n].IsBottom {
-			out := e.transferBlock(block, e.S[n])
+			out, condHits := e.transferBlock(block, e.S[n])
 			for _, s := range e.succs[n] {
 				e.joinS(s, out)
 			}
-			injectLanes(e.S[n], out)
+			injectLanes(condHits, out)
 			e.pool.Put(out)
 		}
 	}
@@ -737,11 +744,11 @@ func (e *engine) process(n ir.BlockID) {
 			e.joinS(n, st)
 			continue
 		}
-		out := e.transferBlock(block, st)
+		out, condHits := e.transferBlock(block, st)
 		for _, s := range e.succs[n] {
 			e.joinSS(s, pid, out)
 		}
-		injectLanes(st, out)
+		injectLanes(condHits, out)
 		e.pool.Put(out)
 	}
 
@@ -757,9 +764,8 @@ func (e *engine) process(n ir.BlockID) {
 			continue
 		}
 		lanes[i].dirty = false
-		lv := lanes[i].laneVal
 		c := e.colors[lanes[i].color]
-		out, rollback := e.laneWalk(block, lv)
+		out, rollback := e.laneWalk(block, &lanes[i])
 		if out.budget > 0 {
 			for _, s := range e.succs[n] {
 				e.joinLane(s, c.id, out)
@@ -776,10 +782,14 @@ func (e *engine) process(n ir.BlockID) {
 	}
 }
 
-// laneWalk pushes a lane through a block, consuming one budget unit per
-// instruction and joining the state after each memory access into the
-// rollback accumulator (a rollback may occur at any moment, §5.1). Both
-// returned states are pooled scratch the caller must Put back.
+// laneWalk pushes a lane slot through a block, consuming one budget unit
+// per instruction. cache.Domain.Walk transfers the wrong-path accesses
+// within the budget, records each one's verdict in the slot for classify,
+// and builds the rollback: the join of the states after each access, since
+// a rollback may occur at any moment (§5.1). It builds that join in closed
+// form, touching per access only the blocks a later access may touch, not
+// the whole universe. Both returned states are pooled scratch the caller
+// must Put back.
 //
 // The budget arithmetic is positional: an entry budget B executes the spec
 // step at instruction index p iff B >= p+1 (the spec steps already stop at
@@ -789,22 +799,17 @@ func (e *engine) process(n ir.BlockID) {
 // in-flight speculation, so a fenced block always leaves an out-budget of
 // zero; the accumulated rollback still injects, since a rollback may have
 // occurred at any access before the fence.
-func (e *engine) laneWalk(b *ir.Block, lv laneVal) (laneVal, *cache.State) {
+func (e *engine) laneWalk(b *ir.Block, slot *laneSlot) (laneVal, *cache.State) {
 	bs := &e.steps.blocks[b.ID]
 	st := e.pool.Get()
-	st.CopyFrom(lv.st)
-	budget := lv.budget
+	st.CopyFrom(slot.st)
+	budget := slot.budget
 	rollback := e.pool.Get()
 	rollback.SetBottom()
-	steps := bs.specSteps()
-	for i := range steps {
-		if budget <= steps[i].pos {
-			break
-		}
-		e.dom.Transfer(st, steps[i].spec)
-		e.stats.SpecTransfers++
-		e.dom.JoinInto(rollback, st)
-	}
+	accs := bs.specWithin(budget)
+	slot.verdicts = slices.Grow(slot.verdicts[:0], len(accs))[:len(accs)]
+	e.dom.Walk(st, rollback, accs, slot.verdicts)
+	e.stats.SpecTransfers += int64(len(accs))
 	switch {
 	case bs.fenceIdx >= 0 && budget > bs.fenceIdx:
 		budget = 0
@@ -842,115 +847,22 @@ func (e *engine) injectRollback(c *color, src ir.BlockID, st *cache.State) {
 	}
 }
 
-// blockSlice is the cached branchSlice result for one condbr block.
-type blockSlice struct {
-	loads    map[int]bool
-	resolved bool
-}
-
-// branchSlice computes the backward slice of a block's branch condition
-// within the block: the load instruction ids feeding the condition, and
-// whether the condition is fully resolved by in-block computation. It is
-// purely structural (state-independent), so engines cache it per block.
-func branchSlice(block *ir.Block) (sliceLoads map[int]bool, resolved bool) {
-	t := block.Terminator()
-	if t.A.IsConst {
-		return nil, true
-	}
-	needed := map[ir.Reg]bool{t.A.Reg: true}
-	sliceLoads = map[int]bool{}
-	for i := len(block.Instrs) - 2; i >= 0; i-- {
-		in := &block.Instrs[i]
-		if !writesDst(in.Op) || !needed[in.Dst] {
-			continue
-		}
-		delete(needed, in.Dst)
-		if in.Op == ir.OpLoad {
-			sliceLoads[in.ID] = true
-			if !in.Idx.IsConst {
-				needed[in.Idx.Reg] = true
-			}
-			continue
-		}
-		for _, v := range regOperands(in) {
-			needed[v] = true
-		}
-	}
-	// Unresolved register reads mean the condition depends on values computed
-	// before this block; we cannot cheaply prove the resolving loads hit.
-	return sliceLoads, len(needed) == 0
-}
-
-// depthFor implements §6.2: use b_h when every load feeding the branch
-// condition (within the branch block) is proved a must-hit against the
-// source state, b_m otherwise. As the fixpoint weakens states, the choice
-// can only move from b_h to b_m, so convergence is monotone. Each call is
-// one decision for the stats counters.
-func (e *engine) depthFor(block *ir.Block, src *cache.State) int {
+// depthFor implements §6.2: use b_h when the block's branch condition is
+// computed within the block and every load feeding it is proved a must-hit
+// against the source flow, which transferBlock checks on its way through
+// the block (condHits); b_m otherwise. As the fixpoint weakens states, the
+// choice can only move from b_h to b_m, so convergence is monotone. Each
+// call is one decision for the stats counters.
+func (e *engine) depthFor(condHits bool) int {
 	if !e.opts.DynamicDepthBounding {
 		return e.opts.DepthMiss
 	}
-	if e.sliceHits(block, src) {
+	if condHits {
 		e.stats.DepthHitBounds++
 		return e.opts.DepthHit
 	}
 	e.stats.DepthMissBounds++
 	return e.opts.DepthMiss
-}
-
-// sliceHits reports whether the block's branch condition is resolved within
-// the block and every load feeding it is a must-hit against src.
-func (e *engine) sliceHits(block *ir.Block, src *cache.State) bool {
-	bs := e.slices[block.ID]
-	if !bs.resolved {
-		return false
-	}
-	if len(bs.loads) == 0 {
-		return true
-	}
-	st := e.pool.Get()
-	st.CopyFrom(src)
-	defer e.pool.Put(st)
-	steps := e.steps.blocks[block.ID].steps
-	for i := range steps {
-		if bs.loads[steps[i].in.ID] && e.dom.Classify(st, steps[i].acc) != cache.AlwaysHit {
-			return false
-		}
-		e.dom.Transfer(st, steps[i].acc)
-	}
-	return true
-}
-
-func writesDst(op ir.Op) bool {
-	switch op {
-	case ir.OpStore, ir.OpBr, ir.OpCondBr, ir.OpRet, ir.OpNop, ir.OpFence:
-		return false
-	}
-	return true
-}
-
-// regOperands returns the register operands an instruction reads (excluding
-// Load, which is handled by its caller).
-func regOperands(in *ir.Instr) []ir.Reg {
-	var regs []ir.Reg
-	add := func(v ir.Value) {
-		if !v.IsConst {
-			regs = append(regs, v.Reg)
-		}
-	}
-	switch in.Op {
-	case ir.OpConst, ir.OpNop, ir.OpBr, ir.OpFence:
-		// no register reads
-	case ir.OpMov, ir.OpNeg, ir.OpNot, ir.OpBool, ir.OpCondBr, ir.OpRet:
-		add(in.A)
-	case ir.OpStore:
-		add(in.A)
-		add(in.Idx)
-	default: // binops
-		add(in.A)
-		add(in.B)
-	}
-	return regs
 }
 
 // result assembles the classification post-pass over the fixpoint states.
@@ -988,13 +900,21 @@ func (e *engine) result() *Result {
 	return res
 }
 
-// classify walks every flow through every block once more, combining
-// per-access verdicts: an access is always-hit only if it is always-hit on
-// the normal flow and on every speculative flow passing through it.
+// classify combines per-access verdicts: an access is always-hit only if it
+// is always-hit on the normal flow and on every speculative flow passing
+// through it. Normal and SS flows are walked through every block once more,
+// classifying each access before transferring it to the next; lanes are not
+// walked again, since each slot kept the verdicts of its last walk, which
+// used its final state and budget with laneWalk's positional budget and
+// fence truncation.
 func (e *engine) classify(res *Result) {
 	st := e.pool.Get()
 	defer e.pool.Put(st)
 	for _, b := range e.prog.Blocks {
+		bs := &e.steps.blocks[b.ID]
+		if len(bs.steps) == 0 {
+			continue
+		}
 		var flows []*cache.State
 		if !e.S[b.ID].IsBottom {
 			flows = append(flows, e.S[b.ID])
@@ -1004,10 +924,12 @@ func (e *engine) classify(res *Result) {
 				flows = append(flows, f)
 			}
 		}
-		bs := &e.steps.blocks[b.ID]
 		for fi, f := range flows {
 			st.CopyFrom(f)
 			for i := range bs.steps {
+				if i > 0 {
+					e.dom.Transfer(st, bs.steps[i-1].acc)
+				}
 				acc := bs.steps[i].acc
 				in := bs.steps[i].in
 				cls := e.dom.Classify(st, acc)
@@ -1017,31 +939,21 @@ func (e *engine) classify(res *Result) {
 					prev.Class = cache.Unknown
 					res.Access[in.ID] = prev
 				}
-				e.dom.Transfer(st, acc)
 			}
 		}
-		// Wrong-path verdicts from lanes (#SpMiss), with laneWalk's
-		// positional budget and fence truncation (without re-counting
-		// FencesHit).
+		// Wrong-path verdicts from lanes (#SpMiss): the i-th verdict of a
+		// slot belongs to the block's i-th step.
 		for _, lv := range e.Lane[b.ID] {
 			if lv.st.IsBottom {
 				continue
 			}
-			st.CopyFrom(lv.st)
-			steps := bs.specSteps()
-			for i := range steps {
-				if lv.budget <= steps[i].pos {
-					break
-				}
-				acc := steps[i].spec
-				in := steps[i].in
-				cls := e.dom.Classify(st, acc)
+			for i, cls := range lv.verdicts {
+				in := bs.steps[i].in
 				if prev, seen := res.SpecAccess[in.ID]; !seen {
 					res.SpecAccess[in.ID] = cls
 				} else if prev != cls {
 					res.SpecAccess[in.ID] = cache.Unknown
 				}
-				e.dom.Transfer(st, acc)
 			}
 		}
 	}
