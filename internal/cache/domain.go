@@ -64,11 +64,12 @@ type Domain struct {
 	Persist bool
 
 	// prefix is scratch for the NYoung cumulative histogram: prefix[a] is
-	// the number of shadow blocks in the set with age <= a. It is only as
-	// tall as the oldest counted age (top+1 entries), so an access costs
-	// O(blocks in the set) rather than O(assoc); shouldAge clamps taller
-	// ages to prefix[top]. Entries past len(prefix), up to its capacity,
-	// are always zero.
+	// the number of shadow blocks in the set with age <= a. An exact access
+	// counts only the ages its must pass can ask about (see accessExact),
+	// and the histogram is only as tall as the oldest counted age (top+1
+	// entries), so an access costs O(blocks in the set) rather than
+	// O(assoc); shouldAge clamps taller ages to prefix[top]. Entries past
+	// len(prefix), up to its capacity, are always zero.
 	prefix []int
 	// affected/affectedList are scratch for range transfers: membership mask
 	// and list of the cache sets a range access may touch. Reused across
@@ -113,6 +114,18 @@ func (d *Domain) assoc() int { return d.L.Config.Assoc }
 // iterating with stride NumSets visits exactly b's competitors.
 func (d *Domain) setStart(b layout.BlockID) int { return d.L.SetOf(b) }
 
+// Repeats reports whether acc, made right after prev, leaves every state
+// unchanged, so that a caller may skip its Transfer. It holds in the must
+// domain, with the NYoung rule on or off, when both accesses are exact and
+// to the same block v: prev left v's must age 1, so no block is younger and
+// none ages, and every other shadow age in v's set at 2 or more, or 0, so no
+// shadow age changes either. Sym is not compared; it does not matter to the
+// domain. Under persistence a re-access ages again every block younger than
+// v's oldest age, so nothing repeats there.
+func (d *Domain) Repeats(prev, acc Access) bool {
+	return !d.Persist && prev.Exact() && acc.Exact() && prev.First == acc.First
+}
+
 // Transfer applies one memory access to the state in place.
 func (d *Domain) Transfer(s *State, acc Access) {
 	if s.IsBottom {
@@ -135,17 +148,17 @@ func (d *Domain) Transfer(s *State, acc Access) {
 
 // shadowUpdateExact applies the Appendix-B may-aging for a known access:
 // blocks whose shadow age is <= the accessed block's old shadow age get one
-// step older. When the domain is refined, the histogram of the *new* shadow
-// ages is collected into d.prefix in the same pass (avoiding a second scan
-// for the NYoung rule).
-func (d *Domain) shadowUpdateExact(s *State, v layout.BlockID) {
+// step older. In the same pass it counts the *new* shadow ages up to limit
+// into d.prefix, the histogram the NYoung rule reads, avoiding a second scan;
+// older ages are never asked about (see accessExact). With limit 0 it builds
+// no histogram and leaves d.prefix as it was.
+func (d *Domain) shadowUpdateExact(s *State, v layout.BlockID, limit uint16) {
 	assoc := uint16(d.assoc())
 	stride := d.L.Config.NumSets
 	shadow := s.shadow
 	oldShadowV := shadow[v] // 0 = infinity
-	counting := d.Refined
 	var hist []int
-	if counting {
+	if limit > 0 {
 		hist = d.histogram()
 	}
 	top := uint16(1) // v's own new age
@@ -162,7 +175,7 @@ func (d *Domain) shadowUpdateExact(s *State, v layout.BlockID) {
 			a++
 			shadow[i] = a
 		}
-		if counting {
+		if a <= limit {
 			hist[a]++
 			if a > top {
 				top = a
@@ -170,7 +183,7 @@ func (d *Domain) shadowUpdateExact(s *State, v layout.BlockID) {
 		}
 	}
 	shadow[v] = 1
-	if counting {
+	if limit > 0 {
 		hist[1]++ // v itself
 		d.cumulate(hist, int(top))
 	}
@@ -222,8 +235,10 @@ func (d *Domain) cumulate(hist []int, top int) {
 
 // shouldAge implements the NYoung rule: u ages only if at least Age(u)
 // shadow blocks (other than u, in u's set) may be younger than or as young
-// as u. Shadow ages are the *new* ages, per Appendix B. An age past the
-// histogram's top reads prefix[top]: no counted shadow age is older.
+// as u. Shadow ages are the *new* ages, per Appendix B. It reads the
+// histogram the current access built, which counts every new shadow age up
+// to the access's limit, and ageU is never past that limit; an age past the
+// histogram's top reads prefix[top], since no counted shadow age is older.
 func (d *Domain) shouldAge(s *State, u int, ageU int) bool {
 	idx := ageU
 	if idx >= len(d.prefix) {
@@ -236,14 +251,33 @@ func (d *Domain) shouldAge(s *State, u int, ageU int) bool {
 	return n >= ageU
 }
 
-// accessExact implements the Fig. 4 / Appendix B transfer for a known block.
+// accessExact implements the Fig. 4 / Appendix B transfer for a known block
+// v. Let m be v's old must age. The must pass ages only blocks younger than
+// v, or every must-cached block when m is 0 (v may be uncached), so the
+// NYoung rule is asked only about ages up to m-1, or up to assoc when m is
+// 0, and the histogram counts no older shadow age. When m is 1, v is
+// already the youngest and no block ages: there is neither a histogram nor
+// a must pass. Whenever the must pass has a candidate, this access has
+// counted v's own age 1, so shouldAge never reads an earlier access's
+// histogram.
 func (d *Domain) accessExact(s *State, v layout.BlockID) {
 	assoc := d.assoc()
 	stride := d.L.Config.NumSets
 
-	d.shadowUpdateExact(s, v) // also builds d.prefix when refined
-
 	oldMustV := int(s.must[v]) // 0 = infinity
+	if oldMustV == 1 {
+		d.shadowUpdateExact(s, v, 0)
+		return
+	}
+	limit := 0
+	if d.Refined {
+		limit = oldMustV - 1
+		if oldMustV == 0 {
+			limit = assoc
+		}
+	}
+	d.shadowUpdateExact(s, v, uint16(limit))
+
 	for i := d.setStart(v); i < len(s.must); i += stride {
 		a := int(s.must[i])
 		if a == 0 || layout.BlockID(i) == v {
@@ -369,7 +403,9 @@ func (d *Domain) JoinInto(dst, src *State) bool {
 // of the state after the first access; each later access joins in only the
 // blocks some later access may touch; and the untouched must ages are copied
 // from the final state at the end. A walk costs O(universe + accesses ×
-// touched blocks) instead of O(accesses × universe).
+// touched blocks) instead of O(accesses × universe). An access that Repeats
+// the one before it is classified but neither transferred nor joined: the
+// state it leaves is the one already joined.
 func (d *Domain) Walk(st, rollback *State, accs []Access, verdicts []Classification) {
 	rollback.SetBottom()
 	if len(accs) == 0 || st.IsBottom {
@@ -387,6 +423,9 @@ func (d *Domain) Walk(st, rollback *State, accs []Access, verdicts []Classificat
 	touched := d.touchedRanges(accs[1:])
 	for i := 1; i < len(accs); i++ {
 		verdicts[i] = d.Classify(st, accs[i])
+		if d.Repeats(accs[i-1], accs[i]) {
+			continue
+		}
 		d.Transfer(st, accs[i])
 		for _, r := range touched {
 			d.joinRange(rollback, st, r)

@@ -13,7 +13,7 @@ import (
 
 // propLayout builds a layout over nBlocks scalar line-sized symbols with the
 // given set count.
-func propLayout(t *testing.T, nBlocks, numSets, assoc int) *layout.Layout {
+func propLayout(t testing.TB, nBlocks, numSets, assoc int) *layout.Layout {
 	t.Helper()
 	bd := ir.NewBuilder("prop")
 	for i := 0; i < nBlocks; i++ {
@@ -263,8 +263,9 @@ func TestPropertyRollbackClosedForm(t *testing.T) {
 // TestPropertyWalkMatchesStepwiseJoin: Walk's final state, rollback and
 // verdicts must equal a Classify, Transfer and JoinInto per access, on
 // random starts and random walks of 0–12 exact, range and whole-universe
-// accesses, with the NYoung rule on and off, in the must and the
-// persistence domain, over every shape in walkShapes.
+// accesses, one in four of them a repeat of the access before it, with the
+// NYoung rule on and off, in the must and the persistence domain, over every
+// shape in walkShapes.
 func TestPropertyWalkMatchesStepwiseJoin(t *testing.T) {
 	walks := 0
 	for _, refined := range []bool{true, false} {
@@ -282,9 +283,16 @@ func TestPropertyWalkMatchesStepwiseJoin(t *testing.T) {
 					}
 					accs := make([]Access, rng.Intn(13))
 					for i := range accs {
-						if rng.Intn(8) == 0 {
+						switch {
+						case i > 0 && rng.Intn(4) == 0:
+							// A repeat, as consecutive fetches of one code
+							// line make; a wrong-path spill may name
+							// another symbol for the same block.
+							accs[i] = accs[i-1]
+							accs[i].Sym++
+						case rng.Intn(8) == 0:
 							accs[i] = Access{First: 0, Count: sh.blocks}
-						} else {
+						default:
 							accs[i] = randAccess(rng, sh.blocks)
 						}
 					}
@@ -316,6 +324,57 @@ func TestPropertyWalkMatchesStepwiseJoin(t *testing.T) {
 		}
 	}
 	t.Logf("%d walks checked", walks)
+}
+
+// TestPropertyExactRepeatIsIdentity: in the must domain, with the NYoung
+// rule on and off, an exact access to the block the access before it
+// touched leaves the state Equal, which is what lets Repeats skip its
+// Transfer. Under persistence a re-access ages again every block younger
+// than the block's oldest age: Repeats must not hold there, and some start
+// must show the state changing.
+func TestPropertyExactRepeatIsIdentity(t *testing.T) {
+	domains := []struct{ refined, persist bool }{
+		{true, false},
+		{false, false},
+		{false, true}, // persistence, as core.AnalyzePersistence sets it
+	}
+	for _, dc := range domains {
+		changed := 0
+		for _, sh := range walkShapes {
+			l := propLayout(t, sh.blocks, sh.sets, sh.assoc)
+			d := &Domain{L: l, Refined: dc.refined, Persist: dc.persist}
+			for seed := int64(0); seed < 16; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				start := joinedStart(d, rng, sh.blocks)
+				for range 8 {
+					acc := Access{First: layout.BlockID(rng.Intn(sh.blocks)), Count: 1}
+					again := acc
+					again.Sym++ // a wrong-path spill may name another symbol
+					if d.Repeats(acc, again) == dc.persist {
+						t.Fatalf("domain=%+v: Repeats(%+v, %+v) = %v", dc, acc, again, !dc.persist)
+					}
+					st := start.Clone()
+					d.Transfer(st, acc)
+					once := st.Clone()
+					d.Transfer(st, again)
+					if st.Equal(once) {
+						continue
+					}
+					if !dc.persist {
+						t.Fatalf("domain=%+v shape=%+v seed=%d: a second access to b%d turns\n %v\ninto\n %v",
+							dc, sh, seed, acc.First, once, st)
+					}
+					changed++
+				}
+			}
+		}
+		if dc.persist && changed == 0 {
+			t.Fatal("persistence: no re-access changed its state")
+		}
+		if dc.persist {
+			t.Logf("persistence: %d re-accesses changed their state", changed)
+		}
+	}
 }
 
 // TestPropertyJoinCoversBothPaths models two divergent access sequences that

@@ -554,9 +554,11 @@ func (e *engine) stepWTO(ctx context.Context, b ir.BlockID) error {
 // also reports the §6.2 slice check: whether the block's branch condition is
 // computed within the block from loads that all hit. Each load the
 // condition depends on is classified against the state it meets, on the
-// way through. The returned state is pooled scratch: the caller must hand it
-// back with e.pool.Put once it has been joined into its targets (joins
-// copy, so no target retains it).
+// way through. A step that repeats the one before it (e.repeats) leaves the
+// state unchanged and is not transferred, though it counts as a transfer.
+// The returned state is pooled scratch: the caller must hand it back with
+// e.pool.Put once it has been joined into its targets (joins copy, so no
+// target retains it).
 func (e *engine) transferBlock(b *ir.Block, st *cache.State) (out *cache.State, condHits bool) {
 	out = e.pool.Get()
 	out.CopyFrom(st)
@@ -567,10 +569,18 @@ func (e *engine) transferBlock(b *ir.Block, st *cache.State) (out *cache.State, 
 		if condHits && step.cond && e.dom.Classify(out, step.acc) != cache.AlwaysHit {
 			condHits = false
 		}
-		e.dom.Transfer(out, step.acc)
+		if !e.repeats(bs, i) {
+			e.dom.Transfer(out, step.acc)
+		}
 	}
 	e.stats.Transfers += int64(len(bs.steps))
 	return out, condHits
+}
+
+// repeats reports whether the block's i-th architectural step repeats the
+// one before it, so that its transfer is the identity (cache.Domain.Repeats).
+func (e *engine) repeats(bs *blockSteps, i int) bool {
+	return i > 0 && e.dom.Repeats(bs.steps[i-1].acc, bs.steps[i].acc)
 }
 
 // saturate applies the phase-2 reference saturation to a loop-head
@@ -903,10 +913,11 @@ func (e *engine) result() *Result {
 // classify combines per-access verdicts: an access is always-hit only if it
 // is always-hit on the normal flow and on every speculative flow passing
 // through it. Normal and SS flows are walked through every block once more,
-// classifying each access before transferring it to the next; lanes are not
-// walked again, since each slot kept the verdicts of its last walk, which
-// used its final state and budget with laneWalk's positional budget and
-// fence truncation.
+// classifying each access before transferring it to the next, except that a
+// step repeating the one before it is not transferred, as in transferBlock;
+// lanes are not walked again, since each slot kept the verdicts of its last
+// walk, which used its final state and budget with laneWalk's positional
+// budget and fence truncation.
 func (e *engine) classify(res *Result) {
 	st := e.pool.Get()
 	defer e.pool.Put(st)
@@ -927,7 +938,7 @@ func (e *engine) classify(res *Result) {
 		for fi, f := range flows {
 			st.CopyFrom(f)
 			for i := range bs.steps {
-				if i > 0 {
+				if i > 0 && !e.repeats(bs, i-1) {
 					e.dom.Transfer(st, bs.steps[i-1].acc)
 				}
 				acc := bs.steps[i].acc
