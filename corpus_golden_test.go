@@ -140,52 +140,58 @@ func TestGoldenCorpusDigest(t *testing.T) {
 
 func checkCorpusDigest(t *testing.T, geom corpusDigestGeometry) {
 	cheap := (raceDetectorOn || testing.Short()) && !*updateGolden
-	var sb strings.Builder
-	got := map[string]string{}
+	var lines []string
 	for _, cp := range paperCorpus() {
 		if cheap && !corpusDigestCheap[cp.name] {
 			continue
 		}
-		line := corpusDigestLine(t, cp, geom)
-		got[cp.name] = line
-		sb.WriteString(line + "\n")
+		lines = append(lines, corpusDigestLine(t, cp, geom))
 	}
+	checkDigestLines(t, geom.file, lines, cheap)
+}
+
+// checkDigestLines checks computed digest lines against a golden file under
+// testdata/golden: the whole file when every program was analyzed, else each
+// line against the file's line with the same key, the text before
+// " accesses=".
+func checkDigestLines(t *testing.T, file string, lines []string, cheap bool) {
+	t.Helper()
 	if !cheap {
-		checkGolden(t, geom.file, sb.String())
+		checkGolden(t, file, strings.Join(lines, "\n")+"\n")
 		return
 	}
-	path := filepath.Join("testdata", "golden", geom.file)
+	got := map[string]string{}
+	for _, ln := range lines {
+		key, _, _ := strings.Cut(ln, " accesses=")
+		got[key] = ln
+	}
+	path := filepath.Join("testdata", "golden", file)
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ln := range strings.Split(strings.TrimSuffix(string(want), "\n"), "\n") {
-		name, _, _ := strings.Cut(ln, " ")
-		if g, ok := got[name]; ok {
+		key, _, _ := strings.Cut(ln, " accesses=")
+		if g, ok := got[key]; ok {
 			if g != ln {
-				t.Errorf("%s drifted from %s:\n got %s\nwant %s", name, path, g, ln)
+				t.Errorf("%s drifted from %s:\n got %s\nwant %s", key, path, g, ln)
 			}
-			delete(got, name)
+			delete(got, key)
 		}
 	}
-	for name := range got {
-		t.Errorf("%s has no line in %s", name, path)
+	for key := range got {
+		t.Errorf("%s has no line in %s", key, path)
 	}
 }
 
-// corpusModelsPrograms is the slice of the corpus the models digest pins:
-// Fig. 2, the ten side-channel kernels in the 4 KiB client, and two WCET
-// kernels (gtk and jdmarker carry loops and nested branches without the
-// multi-second i-cache cost of susan or adpcm).
-func corpusModelsPrograms() []corpusProgram {
-	var out []corpusProgram
-	for _, cp := range paperCorpus() {
-		b, ok := bench.ByName(cp.name)
-		if cp.name == "fig2" || cp.name == "gtk" || cp.name == "jdmarker" || (ok && b.Kind == bench.SideChannel) {
-			out = append(out, cp)
-		}
-	}
-	return out
+// corpusModelsCheap reports whether a program is in the slice of the corpus
+// the models digest checks under -race and -short: Fig. 2, the ten
+// side-channel kernels in the 4 KiB client, and two WCET kernels (gtk and
+// jdmarker carry loops and nested branches at a fraction of the i-cache
+// cost of susan or adpcm).
+func corpusModelsCheap(name string) bool {
+	b, ok := bench.ByName(name)
+	return name == "fig2" || name == "gtk" || name == "jdmarker" || (ok && b.Kind == bench.SideChannel)
 }
 
 // corpusModelLine analyzes one program under the i-cache or the persistence
@@ -237,13 +243,19 @@ func corpusModelLine(t *testing.T, cp corpusProgram, model string) string {
 // TestGoldenCorpusDigestModels pins the instruction-cache and persistence
 // analyses, which share the data-cache analysis's fixpoint and lane walks
 // but are otherwise pinned by no corpus-wide golden: one line per program
-// and model in testdata/golden/corpus_digest_models.txt.
+// of the whole corpus and model in testdata/golden/corpus_digest_models.txt.
+// Under -race or -short only corpusModelsCheap's slice is analyzed, and its
+// lines are compared against the full golden file.
 func TestGoldenCorpusDigestModels(t *testing.T) {
-	var sb strings.Builder
-	for _, cp := range corpusModelsPrograms() {
+	cheap := (raceDetectorOn || testing.Short()) && !*updateGolden
+	var lines []string
+	for _, cp := range paperCorpus() {
+		if cheap && !corpusModelsCheap(cp.name) {
+			continue
+		}
 		for _, model := range []string{"icache", "persist"} {
-			sb.WriteString(corpusModelLine(t, cp, model) + "\n")
+			lines = append(lines, corpusModelLine(t, cp, model))
 		}
 	}
-	checkGolden(t, "corpus_digest_models.txt", sb.String())
+	checkDigestLines(t, "corpus_digest_models.txt", lines, cheap)
 }

@@ -158,7 +158,10 @@ type Result struct {
 	// architecturally but cost time in the pipeline (the paper's #SpMiss).
 	SpecAccess map[int]cache.Classification
 
-	// Iterations counts worklist block processings (the paper's #Iteration).
+	// Iterations counts the fixpoint's WTO-sweep steps, each a walk of one
+	// block's normal and post-rollback flows (the paper's #Iteration). Lane
+	// walks are not counted here: they run in a drain of their own and show
+	// in Stats' lane counters. It measures effort, not verdicts.
 	Iterations int
 	// PoolStats reports the engine's scratch-state reuse: Gets - News is the
 	// number of state allocations the free list avoided.
@@ -240,9 +243,10 @@ func Analyze(prog *ir.Program, opts Options) (*Result, error) {
 	return AnalyzeContext(context.Background(), prog, opts)
 }
 
-// AnalyzeContext is Analyze with cancellation: the fixpoint loop polls ctx
-// between worklist iterations and returns ctx.Err() once it is done. The
-// analysis itself is pure, so a canceled run leaves no state behind.
+// AnalyzeContext is Analyze with cancellation: the fixpoint polls ctx
+// between WTO-sweep steps and between lane-drain pops, and returns ctx.Err()
+// once it is done. The analysis itself is pure, so a canceled run leaves no
+// state behind.
 func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (*Result, error) {
 	return analyze(ctx, prog, opts, dataCache)
 }

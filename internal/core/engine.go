@@ -37,7 +37,7 @@ type laneVal struct {
 // holds the Classify verdict of each wrong-path access of the slot's last
 // walk, which is the walk of its final value once the fixpoint is reached:
 // joinLane marks the slot dirty on any change to its state or budget, and
-// the drain walks every dirty slot. classify reads them instead of walking
+// drainLanes walks every dirty slot. classify reads them instead of walking
 // the lane again.
 type laneSlot struct {
 	color int
@@ -75,9 +75,18 @@ type engine struct {
 	// Lane[n] holds the lanes that have reached n, one slot per color,
 	// sorted by color id. A slot is inserted on its color's first joinLane
 	// at n, so memory follows the lanes the fixpoint reaches (a handful per
-	// block) rather than blocks × colors, and process and classify visit
+	// block) rather than blocks × colors, and drainLanes and classify visit
 	// the reached lanes in ascending color order.
 	Lane [][]laneSlot
+	// laneDirty is the lane worklist: a min-heap of the wtoPos of every
+	// block holding a dirty lane slot, which inLane marks. It is separate
+	// from the WTO heaps because a lane depends only on the state it spawned
+	// from, never on the flows of the blocks it walks, so drainLanes can
+	// finish every lane before the sweep moves on.
+	laneDirty []int
+	inLane    []bool
+	// lanePops counts drainLanes' pops, for its context polls.
+	lanePops int
 
 	// dirty flags: which flows at a block changed since last processed.
 	dirtyS  []bool
@@ -121,17 +130,12 @@ type engine struct {
 	wtoPending []int
 	// Dirty-element min-heaps, one per WTO nesting level (index c+1 for
 	// component c, index 0 for the top-level sequence), holding the indices
-	// of that level's dirty elements. Speculation makes information flow
-	// backward through non-CFG channels — a lane rollback joins SS at the
-	// branch's other successor, behind the lane's current block, and an SS
-	// flow reaching its vn_stop re-joins the normal state of that same
-	// block — so a plain front-to-back sweep would re-propagate
-	// intermediate states through the whole downstream tail once per
-	// backward event. The heaps let each sweep always process the earliest
-	// dirty element of its level next, draining upstream re-dirt before any
-	// downstream block is (re)visited: upstream-first, per nesting level (on
-	// an acyclic CFG the single top-level heap is a topological-order
-	// priority worklist).
+	// of that level's dirty elements. Back edges, and rollbacks of lanes
+	// that walk around a loop, make information flow backward, so the heaps
+	// let each sweep always process the earliest dirty element of its level
+	// next, draining upstream re-dirt before any downstream block is
+	// (re)visited: upstream-first, per nesting level (on an acyclic CFG the
+	// single top-level heap is a topological-order priority worklist).
 	// Entries are lazily deleted: an element may be stale by the time it is
 	// popped (block no longer in-work, component no longer pending) and is
 	// then skipped.
@@ -144,6 +148,11 @@ type engine struct {
 	wtoCompIdx []int
 	// wtoHeadComp[b] is the component headed by b, or -1.
 	wtoHeadComp []int
+	// wtoPos[b] is b's position in the flattened WTO, where each component
+	// head precedes its body, and wtoAt inverts it. On an acyclic CFG it is
+	// a topological order.
+	wtoPos []int
+	wtoAt  []ir.BlockID
 	// classic marks phase 1, the uncertainty pre-pass: lane spawning is off,
 	// so the engine converges the cheap classic must/may analysis (normal
 	// flow only) before every unresolved branch is re-seeded and lanes
@@ -209,6 +218,7 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 		S:            make([]*cache.State, n),
 		SS:           make([]map[int]*cache.State, n),
 		Lane:         make([][]laneSlot, n),
+		inLane:       make([]bool, n),
 		dirtyS:       make([]bool, n),
 		dirtySS:      make([]map[int]bool, n),
 		dirtySSOrder: make([][]int, n),
@@ -362,7 +372,8 @@ func (e *engine) enqueue(b ir.BlockID) {
 	}
 }
 
-// ctxCheckInterval is how many worklist pops pass between context polls.
+// ctxCheckInterval is how many worklist pops pass between context polls,
+// counted separately for the WTO sweep and for the lane drain.
 // One poll is a channel select — cheap, but not free on a loop that runs
 // millions of times on large unrolled programs.
 const ctxCheckInterval = 256
@@ -471,9 +482,12 @@ func (e *engine) initWTO() {
 		e.wtoHeadComp[i] = -1
 	}
 	e.wtoDirty = make([][]int, e.wto.NumComponents+1)
+	e.wtoPos = make([]int, n)
 	var index func(elems []cfg.WTOElem)
 	index = func(elems []cfg.WTOElem) {
 		for i, el := range elems {
+			e.wtoPos[el.Block] = len(e.wtoAt)
+			e.wtoAt = append(e.wtoAt, el.Block)
 			if el.Comp != nil {
 				e.wtoCompIdx[el.Comp.Index] = i
 				e.wtoHeadComp[el.Comp.Head] = el.Comp.Index
@@ -496,11 +510,11 @@ func (e *engine) solveWTO(ctx context.Context) error {
 // sweepWTO processes the elements of one WTO nesting level (lvl -1 is the
 // top-level sequence, otherwise a component index whose body elems is)
 // until the level is clean, always taking the earliest dirty element next
-// (the level's min-heap): upstream re-dirt — a rollback injection or
-// vn_stop self-merge landing behind the sweep — is drained before any
-// downstream block is revisited, keeping the cost of speculation's backward
-// information flow proportional to the re-dirtied region instead of the
-// whole downstream tail. Component elements loop locally — head, then body,
+// (the level's min-heap): upstream re-dirt — a back edge, or the rollback
+// of a lane walking around a loop — is drained before any downstream block
+// is revisited, keeping the cost of backward information flow
+// proportional to the re-dirtied region instead of the whole downstream
+// tail. Component elements loop locally — head, then body,
 // recursively — until nothing inside them is pending, so inner loops fully
 // stabilize before the outer sequence moves on (Bourdoncle's recursive
 // iteration strategy).
@@ -529,7 +543,12 @@ func (e *engine) sweepWTO(ctx context.Context, lvl int, elems []cfg.WTOElem) err
 }
 
 // stepWTO processes block b if it is pending, maintaining the component
-// pending counters that drive sweepWTO's local stabilization loops.
+// pending counters that drive sweepWTO's local stabilization loops, and
+// then drains the lanes the step spawned or re-dirtied. Each step is one
+// iteration; lane walks are counted by the lane counters instead. Draining
+// before the sweep moves on delivers all of a color's rollbacks to the
+// branch's other successor before the flows there are walked, so on an
+// acyclic CFG no flow lands behind the sweep and each is walked once.
 func (e *engine) stepWTO(ctx context.Context, b ir.BlockID) error {
 	if !e.inWork[b] {
 		return nil
@@ -538,15 +557,70 @@ func (e *engine) stepWTO(ctx context.Context, b ir.BlockID) error {
 	for c := e.wto.CompOf[b]; c >= 0; c = e.wto.Parent[c] {
 		e.wtoPending[c]--
 	}
-	if e.iter%ctxCheckInterval == 0 {
+	if err := pollCtx(ctx, e.iter); err != nil {
+		return err
+	}
+	e.iter++
+	e.process(b)
+	return e.drainLanes(ctx)
+}
+
+// pollCtx returns ctx's error when the n-th pop of a drain is due a context
+// poll and ctx is done.
+func pollCtx(ctx context.Context, n int) error {
+	if n%ctxCheckInterval == 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		default:
 		}
 	}
-	e.iter++
-	e.process(b)
+	return nil
+}
+
+// drainLanes walks every dirty lane slot until none is left, taking the
+// block earliest in the flattened WTO first. On an acyclic CFG that is a
+// topological order, so each slot is walked once per change of its input,
+// after every predecessor's walk has joined into it.
+func (e *engine) drainLanes(ctx context.Context) error {
+	for len(e.laneDirty) > 0 {
+		if err := pollCtx(ctx, e.lanePops); err != nil {
+			return err
+		}
+		e.lanePops++
+		n := e.wtoAt[intHeapPop(&e.laneDirty)]
+		e.inLane[n] = false
+		// Wrong-path lanes: explore the speculated side, accumulating a
+		// rollback state after every memory access within the budget. No
+		// slot is inserted into lanes during this loop: a lane joins only
+		// its own color at n's successors, and when n is its own successor
+		// that color already holds its slot here. So lanes stays valid
+		// throughout, and a lane a self-loop re-dirties stays dirty and puts
+		// n back on the lane worklist.
+		block := e.prog.Block(n)
+		lanes := e.Lane[n]
+		for i := range lanes {
+			if !lanes[i].dirty {
+				continue
+			}
+			lanes[i].dirty = false
+			c := e.colors[lanes[i].color]
+			out, rollback := e.laneWalk(block, &lanes[i])
+			if out.budget > 0 {
+				for _, s := range e.succs[n] {
+					e.joinLane(s, c.id, out)
+				}
+			} else {
+				e.stats.LanesExpired++
+			}
+			if !rollback.IsBottom {
+				e.injectRollback(c, n, rollback)
+				e.stats.Rollbacks++
+			}
+			e.pool.Put(out.st)
+			e.pool.Put(rollback)
+		}
+	}
 	return nil
 }
 
@@ -598,10 +672,17 @@ func (e *engine) saturate(target ir.BlockID, st *cache.State) (out *cache.State,
 	return scratch, true
 }
 
-// joinS merges st into S[target] and re-enqueues the target on change. In
-// phase 1 a loop head that keeps changing is widened: the engine's one
-// count-triggered widening site.
+// joinS merges st into S[target] and re-enqueues the target on change.
 func (e *engine) joinS(target ir.BlockID, st *cache.State) {
+	if e.mergeS(target, st) {
+		e.enqueue(target)
+	}
+}
+
+// mergeS merges st into S[target] and marks it dirty on change, without
+// queuing the target. In phase 1 a loop head that keeps changing is
+// widened: the engine's one count-triggered widening site.
+func (e *engine) mergeS(target ir.BlockID, st *cache.State) bool {
 	e.stats.Joins++
 	st, owned := e.saturate(target, st)
 	widening := e.classic && e.loopHeader[target] && e.changes[target] >= wideningThreshold
@@ -614,7 +695,7 @@ func (e *engine) joinS(target ir.BlockID, st *cache.State) {
 		e.pool.Put(st)
 	}
 	if !changed {
-		return
+		return false
 	}
 	e.stats.JoinChanges++
 	if widening {
@@ -623,7 +704,7 @@ func (e *engine) joinS(target ir.BlockID, st *cache.State) {
 	}
 	e.changes[target]++
 	e.dirtyS[target] = true
-	e.enqueue(target)
+	return true
 }
 
 // joinSS merges st into SS[target][pid] and re-enqueues on change.
@@ -649,8 +730,9 @@ func (e *engine) joinSS(target ir.BlockID, pid int, st *cache.State) {
 	e.enqueue(target)
 }
 
-// joinLane merges a lane value (state join, budget max) and re-enqueues on
-// change.
+// joinLane merges a lane value (state join, budget max) and, on change,
+// puts the target on the lane worklist drainLanes empties; lanes never
+// queue a block on the WTO sweep.
 func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 	e.stats.LaneJoins++
 	lanes := e.Lane[target]
@@ -673,7 +755,10 @@ func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 	}
 	if changed || !found {
 		cur.dirty = true
-		e.enqueue(target)
+		if !e.inLane[target] {
+			e.inLane[target] = true
+			intHeapPush(&e.laneDirty, e.wtoPos[target])
+		}
 	}
 }
 
@@ -689,8 +774,10 @@ func (e *engine) partFor(c *color, src ir.BlockID) int {
 	return pid
 }
 
-// process handles one worklist pop. Only flows whose in-state changed since
-// they were last pushed through the block are re-evaluated.
+// process handles one WTO-sweep pop: it walks the block's normal flow and
+// its post-rollback SS flows, spawning lanes at an unresolved branch. Only
+// flows whose in-state changed since they were last pushed through the
+// block are re-evaluated. The lanes themselves are walked by drainLanes.
 func (e *engine) process(n ir.BlockID) {
 	block := e.prog.Block(n)
 
@@ -726,6 +813,24 @@ func (e *engine) process(n ir.BlockID) {
 		}
 	}
 
+	// Post-rollback flows (Algorithm 2/3: SS states) whose color stops here
+	// convert back into the normal state before it is walked, so one walk
+	// covers them; this is the only vn_stop merge. The snapshot of the dirty
+	// order keeps the walks below deterministic; flows re-dirtied while we
+	// process them (self-loops) land in a fresh order slice and re-enqueue
+	// the block.
+	dirtySS := e.dirtySSOrder[n]
+	e.dirtySSOrder[n] = nil
+	walk := dirtySS[:0]
+	for _, pid := range dirtySS {
+		if e.parts[pid].color.stop != n {
+			walk = append(walk, pid)
+			continue
+		}
+		delete(e.dirtySS[n], pid)
+		e.mergeS(n, e.SS[n][pid])
+	}
+
 	// Normal (architectural) flow.
 	if e.dirtyS[n] {
 		e.dirtyS[n] = false
@@ -739,56 +844,16 @@ func (e *engine) process(n ir.BlockID) {
 		}
 	}
 
-	// Speculative post-rollback flows (Algorithm 2/3: SS states). At the
-	// color's vn_stop they convert back into the normal state; elsewhere
-	// they propagate in parallel with it. The snapshot of the dirty order
-	// keeps the walk deterministic; flows re-dirtied while we process them
-	// (self-loops) land in a fresh order slice and re-enqueue the block.
-	dirtySS := e.dirtySSOrder[n]
-	e.dirtySSOrder[n] = nil
-	for _, pid := range dirtySS {
+	// The other post-rollback flows propagate in parallel with the normal
+	// flow.
+	for _, pid := range walk {
 		delete(e.dirtySS[n], pid)
-		st := e.SS[n][pid]
-		p := e.parts[pid]
-		if n == p.color.stop {
-			e.joinS(n, st)
-			continue
-		}
-		out, condHits := e.transferBlock(block, st)
+		out, condHits := e.transferBlock(block, e.SS[n][pid])
 		for _, s := range e.succs[n] {
 			e.joinSS(s, pid, out)
 		}
 		injectLanes(condHits, out)
 		e.pool.Put(out)
-	}
-
-	// Wrong-path lanes: explore the speculated side, accumulating a rollback
-	// state after every memory access within the budget. No slot is
-	// inserted into lanes during this loop: a lane joins only its own
-	// color at n's successors, and when n is its own successor that color
-	// already holds its slot here. So lanes stays valid throughout, and a
-	// lane a self-loop re-dirties stays dirty for the next pop of n.
-	lanes := e.Lane[n]
-	for i := range lanes {
-		if !lanes[i].dirty {
-			continue
-		}
-		lanes[i].dirty = false
-		c := e.colors[lanes[i].color]
-		out, rollback := e.laneWalk(block, &lanes[i])
-		if out.budget > 0 {
-			for _, s := range e.succs[n] {
-				e.joinLane(s, c.id, out)
-			}
-		} else {
-			e.stats.LanesExpired++
-		}
-		if !rollback.IsBottom {
-			e.injectRollback(c, n, rollback)
-			e.stats.Rollbacks++
-		}
-		e.pool.Put(out.st)
-		e.pool.Put(rollback)
 	}
 }
 

@@ -7,8 +7,61 @@ import (
 
 	"specabsint/internal/bench"
 	"specabsint/internal/cache"
+	"specabsint/internal/ir"
+	"specabsint/internal/layout"
 	"specabsint/internal/passes"
 )
+
+// laneModels are the three analysis models, by name.
+var laneModels = []struct {
+	name string
+	m    model
+}{{"data", dataCache}, {"icache", instrCache}, {"persist", persistence}}
+
+var laneStrategies = []Strategy{StrategyJustInTime, StrategyMergeAtRollback, StrategyPerRollbackBlock}
+
+// corpusSource returns the source of one program of the paper corpus: Fig. 2,
+// or a kernel, with side-channel kernels wrapped in the 4 KiB client.
+func corpusSource(t *testing.T, name string) string {
+	t.Helper()
+	if name == "fig2" {
+		return bench.Fig2Program(-1)
+	}
+	b, ok := bench.ByName(name)
+	if !ok {
+		t.Fatalf("%s not in corpus", name)
+	}
+	if b.Kind == bench.SideChannel {
+		return bench.WithClient(b, 4096)
+	}
+	return b.Code
+}
+
+// compileForModel compiles a program with the default passes, as the
+// analysis model needs them.
+func compileForModel(t *testing.T, name, src string, m model) *ir.Program {
+	t.Helper()
+	prog := compile(t, src)
+	popts := passes.Default()
+	popts.ICacheModeled = m == instrCache
+	if _, err := passes.Run(prog, popts); err != nil {
+		t.Fatalf("%s: passes: %v", name, err)
+	}
+	return prog
+}
+
+// converge runs an engine to its fixpoint.
+func converge(t *testing.T, label string, prog *ir.Program, opts Options, m model) *engine {
+	t.Helper()
+	e, err := prepare(prog, opts, m)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if err := e.run(t.Context()); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return e
+}
 
 // TestLaneVerdictsMatchFinalWalk: classify takes each lane slot's wrong-path
 // verdicts from the slot's last walk instead of walking the lane again. That
@@ -17,55 +70,32 @@ import (
 // Classify, under laneWalk's positional budget and fence cut-off, and
 // require the recorded verdicts: on fig2, des, g72 and jcmarker, compiled
 // with the default passes, under every merge strategy and all three
-// analysis models, on the paper's cache. jcmarker's i-cache and persistence
-// analyses take seconds there and run at 64 sets × 8 ways instead. Under
-// -race or -short, g72 and jcmarker run only the data-cache model.
+// analysis models, on the paper's cache; jcmarker's i-cache and persistence
+// analyses also run at 64 sets × 8 ways. Under -race or -short, g72 and
+// jcmarker run only the data-cache model.
 func TestLaneVerdictsMatchFinalWalk(t *testing.T) {
 	cheap := raceDetectorOn || testing.Short()
-	progs := []struct{ name, src string }{{"fig2", bench.Fig2Program(-1)}}
-	for _, name := range []string{"des", "g72", "jcmarker"} {
-		b, ok := bench.ByName(name)
-		if !ok {
-			t.Fatalf("%s not in corpus", name)
-		}
-		src := b.Code
-		if b.Kind == bench.SideChannel {
-			src = bench.WithClient(b, 4096)
-		}
-		progs = append(progs, struct{ name, src string }{name, src})
-	}
-	models := []struct {
-		name string
-		m    model
-	}{{"data", dataCache}, {"icache", instrCache}, {"persist", persistence}}
-	strategies := []Strategy{StrategyJustInTime, StrategyMergeAtRollback, StrategyPerRollbackBlock}
-	for _, p := range progs {
-		for _, md := range models {
-			if cheap && md.m != dataCache && (p.name == "g72" || p.name == "jcmarker") {
+	for _, name := range []string{"fig2", "des", "g72", "jcmarker"} {
+		src := corpusSource(t, name)
+		for _, md := range laneModels {
+			if cheap && md.m != dataCache && (name == "g72" || name == "jcmarker") {
 				continue
 			}
-			prog := compile(t, p.src)
-			popts := passes.Default()
-			popts.ICacheModeled = md.m == instrCache
-			if _, err := passes.Run(prog, popts); err != nil {
-				t.Fatalf("%s: passes: %v", p.name, err)
+			caches := []layout.CacheConfig{DefaultOptions().Cache}
+			if name == "jcmarker" && md.m != dataCache {
+				caches = append(caches, setAssocConfig)
 			}
-			for _, s := range strategies {
-				label := fmt.Sprintf("%s/%s/%v", p.name, md.name, s)
-				opts := DefaultOptions()
-				opts.Strategy = s
-				if p.name == "jcmarker" && md.m != dataCache {
-					opts.Cache = setAssocConfig
-				}
-				e, err := prepare(prog, opts, md.m)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if err := e.run(t.Context()); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if slots := checkLaneVerdicts(t, label, e); slots == 0 {
-					t.Fatalf("%s: no lane slot reached", label)
+			prog := compileForModel(t, name, src, md.m)
+			for _, cc := range caches {
+				for _, s := range laneStrategies {
+					label := fmt.Sprintf("%s/%s/%v/%d×%d", name, md.name, s, cc.NumSets, cc.Assoc)
+					opts := DefaultOptions()
+					opts.Strategy = s
+					opts.Cache = cc
+					e := converge(t, label, prog, opts, md.m)
+					if slots := checkLaneVerdicts(t, label, e); slots == 0 {
+						t.Fatalf("%s: no lane slot reached", label)
+					}
 				}
 			}
 		}
@@ -103,4 +133,90 @@ func checkLaneVerdicts(t *testing.T, label string, e *engine) int {
 		}
 	}
 	return slots
+}
+
+// TestAcyclicFlowsWalkedOnce is the single-pass contract of the lane drain
+// and the vn_stop merge: on an effective CFG with no WTO component, the
+// engine walks every flow once, at its final value. Its counters must then
+// be what one walk of each final flow costs: one iteration per block whose
+// normal state is live; the block's steps once per live normal flow and per
+// live SS flow away from its vn_stop (there the SS flow merges into the
+// normal state instead); and one wrong-path transfer per verdict a lane slot
+// kept. It checks every acyclic program of the corpus under the data-cache
+// model, and hash, chacha20, jcmarker and stc under the i-cache and
+// persistence models, with every merge strategy. Under -race or -short only
+// fig2, hash and jcmarker run.
+func TestAcyclicFlowsWalkedOnce(t *testing.T) {
+	cheap := raceDetectorOn || testing.Short()
+	cheapSet := map[string]bool{"fig2": true, "hash": true, "jcmarker": true}
+	allModels := map[string]bool{"hash": true, "chacha20": true, "jcmarker": true, "stc": true}
+	names := []string{"fig2"}
+	for _, b := range bench.All() {
+		names = append(names, b.Name)
+	}
+	checked := 0
+	for _, name := range names {
+		if cheap && !cheapSet[name] {
+			continue
+		}
+		src := corpusSource(t, name)
+		for _, md := range laneModels {
+			if md.m != dataCache && !allModels[name] {
+				continue
+			}
+			prog := compileForModel(t, name, src, md.m)
+			for _, s := range laneStrategies {
+				label := fmt.Sprintf("%s/%s/%v", name, md.name, s)
+				opts := DefaultOptions()
+				opts.Strategy = s
+				e := converge(t, label, prog, opts, md.m)
+				if e.wto.NumComponents > 0 {
+					if md.m != dataCache || cheapSet[name] {
+						t.Fatalf("%s: %d WTO components, want an acyclic CFG", label, e.wto.NumComponents)
+					}
+					break
+				}
+				checkWalkedOnce(t, label, e)
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no acyclic program checked")
+	}
+	t.Logf("%d acyclic analyses walk each flow once", checked)
+}
+
+// checkWalkedOnce compares a converged engine's walk counters with the cost
+// of walking each of its final flows once.
+func checkWalkedOnce(t *testing.T, label string, e *engine) {
+	t.Helper()
+	var iters, transfers, specTransfers int64
+	for n := range e.S {
+		steps := int64(len(e.steps.blocks[n].steps))
+		if !e.S[n].IsBottom {
+			iters++
+			transfers += steps
+		}
+		for pid, st := range e.SS[n] {
+			if !st.IsBottom && e.parts[pid].color.stop != ir.BlockID(n) {
+				transfers += steps
+			}
+		}
+		for _, slot := range e.Lane[n] {
+			specTransfers += int64(len(slot.verdicts))
+		}
+	}
+	for _, c := range []struct {
+		counter   string
+		got, want int64
+	}{
+		{"iterations", int64(e.iter), iters},
+		{"transfers", e.stats.Transfers, transfers},
+		{"spec_transfers", e.stats.SpecTransfers, specTransfers},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %s = %d, walking each final flow once costs %d", label, c.counter, c.got, c.want)
+		}
+	}
 }

@@ -14,8 +14,7 @@ import (
 // passes on, neither g72 (where no branch resolves) nor jcmarker (where
 // guard chains against constant marker codes resolve) may do more fixpoint
 // work, and on jcmarker the resolved branches must cut the iterations and
-// colors to the figures measured when the wall-clock gate this replaces was
-// retired. Under -race or -short only jcmarker runs.
+// colors to the measured figures. Under -race or -short only jcmarker runs.
 func TestPassesCutFixpointWork(t *testing.T) {
 	kernels := []string{"g72", "jcmarker"}
 	if raceDetectorOn || testing.Short() {
@@ -62,8 +61,8 @@ func TestPassesCutFixpointWork(t *testing.T) {
 			if name != "jcmarker" {
 				return
 			}
-			if off.Iterations != 4208 || on.Iterations != 2640 {
-				t.Errorf("iterations %d -> %d with passes on, want 4208 -> 2640", off.Iterations, on.Iterations)
+			if off.Iterations != 1036 || on.Iterations != 908 {
+				t.Errorf("iterations %d -> %d with passes on, want 1036 -> 908", off.Iterations, on.Iterations)
 			}
 			if off.Colors != 772 || on.Colors != 516 {
 				t.Errorf("colors %d -> %d with passes on, want 772 -> 516", off.Colors, on.Colors)

@@ -71,7 +71,10 @@ type PassStat struct {
 // deterministic: identical across repeated runs. The struct is flat and
 // comparable with ==.
 type FixpointStats struct {
-	// Iterations counts worklist block processings (the paper's #Iteration).
+	// Iterations counts the fixpoint's WTO-sweep steps, each a walk of one
+	// block's normal and post-rollback flows (the paper's #Iteration). The
+	// lane drain's pops are not counted here; lane work shows in
+	// SpecTransfers, LaneJoins and Rollbacks.
 	Iterations int64 `json:"iterations"`
 	// Joins counts state joins attempted into normal-flow block entries;
 	// JoinChanges the subset that changed the target state.

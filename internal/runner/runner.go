@@ -6,7 +6,7 @@
 // pool adds the operational pieces a long corpus sweep needs:
 //
 //   - cancellation: the worker's context reaches core.AnalyzeContext, whose
-//     fixpoint loop polls it between worklist iterations, so a canceled
+//     fixpoint polls it between sweep steps and lane-drain pops, so a canceled
 //     batch stops mid-analysis rather than after the current job;
 //   - panic isolation: a crash in one job becomes that job's *PanicError
 //     instead of killing the whole batch;

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -159,11 +160,12 @@ func (c *pollCancelCtx) Err() error {
 }
 
 // TestCancelMidFixpoint runs a real analysis under a context that cancels on
-// its third poll — several hundred worklist iterations in — and checks the
-// fixpoint loop abandons the analysis with the context error.
+// its third poll and checks the fixpoint loop abandons the analysis with the
+// context error. The fixpoint polls once every ctxCheckInterval WTO-sweep
+// steps and once every ctxCheckInterval lane-drain pops; an uncanceled run of
+// the same job must poll more than three times, so the cancellation lands
+// mid-fixpoint rather than after it.
 func TestCancelMidFixpoint(t *testing.T) {
-	p := New(1)
-	ctx := newPollCancelCtx(3) // canceled on the poll at worklist iteration 512
 	b, ok := bench.ByName("adpcm")
 	if !ok {
 		t.Fatal("adpcm benchmark missing")
@@ -171,10 +173,20 @@ func TestCancelMidFixpoint(t *testing.T) {
 	jobs := []Job{{
 		Name:      b.Name,
 		Source:    b.Code,
-		MaxUnroll: 4096, // ~32k worklist iterations: cancellation lands mid-fixpoint
+		MaxUnroll: 4096, // 1,924 sweep steps and about 50 context polls
 		Opts:      core.DefaultOptions(),
 	}}
-	results := p.RunAll(ctx, jobs)
+	full := newPollCancelCtx(math.MaxInt)
+	if r := New(1).RunAll(full, jobs)[0]; r.Err != nil {
+		t.Fatalf("uncanceled run: %v", r.Err)
+	}
+	full.mu.Lock()
+	polls := math.MaxInt - full.remaining
+	full.mu.Unlock()
+	if polls <= 3 {
+		t.Fatalf("an uncanceled run polls %d times: canceling on the third poll is not mid-fixpoint", polls)
+	}
+	results := New(1).RunAll(newPollCancelCtx(3), jobs)
 	if !errors.Is(results[0].Err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", results[0].Err)
 	}
