@@ -29,10 +29,6 @@ type WTOElem struct {
 type WTOComponent struct {
 	Head ir.BlockID
 	Body []WTOElem
-	// Index is the component's dense id in [0, NumComponents), assigned in
-	// sequence order (outer before inner, left to right) — deterministic
-	// for a given graph.
-	Index int
 }
 
 // WTO is the hierarchical weak topological ordering of a graph.
@@ -40,35 +36,17 @@ type WTO struct {
 	// Sequence is the top-level ordering of all vertices reachable from
 	// entry.
 	Sequence []WTOElem
-	// CompOf[b] is the Index of the innermost component containing block
-	// b (a head belongs to its own component), or -1 for blocks outside
-	// every component — including blocks unreachable from entry.
-	CompOf []int
-	// Parent[c] is the Index of the component immediately enclosing
-	// component c, or -1 at top level.
-	Parent []int
 	// NumComponents counts the components in the ordering.
 	NumComponents int
-}
-
-// WTO computes the weak topological ordering of g over its full successor
-// relation.
-func (g *Graph) WTO() *WTO {
-	return WTOOf(len(g.Prog.Blocks), g.Prog.Entry, func(b ir.BlockID) []ir.BlockID {
-		return g.Succs[b]
-	})
 }
 
 // WTOOf computes the weak topological ordering of the graph with n vertices
 // rooted at entry under an arbitrary successor relation — e.g. the engine's
 // effective-successor graph, where statically resolved branches keep only
 // the taken edge. Vertices unreachable from entry are absent from the
-// sequence and have CompOf -1.
+// sequence.
 func WTOOf(n int, entry ir.BlockID, succs func(ir.BlockID) []ir.BlockID) *WTO {
-	w := &WTO{CompOf: make([]int, n)}
-	for i := range w.CompOf {
-		w.CompOf[i] = -1
-	}
+	w := &WTO{}
 	if n == 0 {
 		return w
 	}
@@ -91,6 +69,7 @@ func WTOOf(n int, entry ir.BlockID, succs func(ir.BlockID) []ir.BlockID) *WTO {
 			}
 		}
 		reverseElems(body)
+		w.NumComponents++
 		return &WTOComponent{Head: v, Body: body}
 	}
 	visit = func(v ir.BlockID, partition *[]WTOElem) int {
@@ -133,28 +112,6 @@ func WTOOf(n int, entry ir.BlockID, succs func(ir.BlockID) []ir.BlockID) *WTO {
 	visit(entry, &top)
 	reverseElems(top)
 	w.Sequence = top
-
-	// Assign dense component indices in sequence order and record the
-	// innermost-component and parent relations.
-	var walk func(elems []WTOElem, parent int)
-	walk = func(elems []WTOElem, parent int) {
-		for i := range elems {
-			el := &elems[i]
-			if el.Comp == nil {
-				if parent >= 0 {
-					w.CompOf[el.Block] = parent
-				}
-				continue
-			}
-			idx := w.NumComponents
-			w.NumComponents++
-			el.Comp.Index = idx
-			w.Parent = append(w.Parent, parent)
-			w.CompOf[el.Comp.Head] = idx
-			walk(el.Comp.Body, idx)
-		}
-	}
-	walk(w.Sequence, -1)
 	return w
 }
 

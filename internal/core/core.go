@@ -1,7 +1,7 @@
 // Package core implements the paper's contribution: abstract interpretation
 // that is sound under speculative execution (Algorithms 2 and 3).
 //
-// The CFG is augmented — implicitly, by the engine's worklist — with the
+// The CFG is augmented — implicitly, by the engine's sweep — with the
 // paper's virtual control flows: for every conditional branch b and
 // predicted direction p, a *color* (b, p) models the speculative execution
 // of the predicted side. The engine tracks three families of states:

@@ -79,10 +79,11 @@ type engine struct {
 	// the reached lanes in ascending color order.
 	Lane [][]laneSlot
 	// laneDirty is the lane worklist: a min-heap of the wtoPos of every
-	// block holding a dirty lane slot, which inLane marks. It is separate
-	// from the WTO heaps because a lane depends only on the state it spawned
-	// from, never on the flows of the blocks it walks, so drainLanes can
-	// finish every lane before the sweep moves on.
+	// block holding a dirty lane slot, which inLane marks. Lanes need a heap
+	// where the sweep needs none, because a lane walks around a loop and its
+	// flow lands behind the block it left. A lane depends only on the state
+	// it spawned from, never on the flows of the blocks it walks, so
+	// drainLanes can finish every lane before the sweep moves on.
 	laneDirty []int
 	inLane    []bool
 	// lanePops counts drainLanes' pops, for its context polls.
@@ -119,35 +120,10 @@ type engine struct {
 	// cache.Pool for the ownership rules.
 	pool *cache.Pool
 
-	inWork  []bool
 	changes []int // per-block S-change counts, for phase-1 widening
-	// wto is the Bourdoncle ordering of the effective CFG; an acyclic CFG is
-	// one top-level sequence with no components. Enqueued blocks are tracked
-	// as pending counts per enclosing component (wtoPending): the recursive
-	// sweep re-iterates a component exactly while it has pending members,
-	// stabilizing inner components before re-entering outer ones.
-	wto        *cfg.WTO
-	wtoPending []int
-	// Dirty-element min-heaps, one per WTO nesting level (index c+1 for
-	// component c, index 0 for the top-level sequence), holding the indices
-	// of that level's dirty elements. Back edges, and rollbacks of lanes
-	// that walk around a loop, make information flow backward, so the heaps
-	// let each sweep always process the earliest dirty element of its level
-	// next, draining upstream re-dirt before any downstream block is
-	// (re)visited: upstream-first, per nesting level (on an acyclic CFG the
-	// single top-level heap is a topological-order priority worklist).
-	// Entries are lazily deleted: an element may be stale by the time it is
-	// popped (block no longer in-work, component no longer pending) and is
-	// then skipped.
-	wtoDirty [][]int
-	// wtoBlockIdx[b] is b's element index within its immediate level (body
-	// of CompOf[b], or the top-level sequence); for component heads see
-	// wtoHeadComp/wtoCompIdx instead, since heads are not body elements.
-	wtoBlockIdx []int
-	// wtoCompIdx[c] is component c's element index within its parent level.
-	wtoCompIdx []int
-	// wtoHeadComp[b] is the component headed by b, or -1.
-	wtoHeadComp []int
+	// wto is the Bourdoncle ordering of the effective CFG that sweep walks;
+	// an acyclic CFG is one top-level sequence with no components.
+	wto *cfg.WTO
 	// wtoPos[b] is b's position in the flattened WTO, where each component
 	// head precedes its body, and wtoAt inverts it. On an acyclic CFG it is
 	// a topological order.
@@ -197,8 +173,8 @@ type engine struct {
 	// stats accumulates the engine's semantic effort counters in plain
 	// fields — no atomics, no indirection — and is copied into the Result
 	// once at the end of the run. The fields are deterministic because the
-	// whole engine is: the worklist, the dirty-flow orders, and every join
-	// are schedule-free single-goroutine computations.
+	// whole engine is: the sweep, the lane worklist, the dirty-flow orders,
+	// and every join are schedule-free single-goroutine computations.
 	stats obs.FixpointStats
 }
 
@@ -224,7 +200,6 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 		dirtySSOrder: make([][]int, n),
 		colorsAt:     map[ir.BlockID][]*color{},
 		partByKey:    map[partKey]int{},
-		inWork:       make([]bool, n),
 		changes:      make([]int, n),
 	}
 	for i := range e.S {
@@ -352,28 +327,8 @@ func effectiveReachable(prog *ir.Program, succs [][]ir.BlockID) []bool {
 	return reach
 }
 
-func (e *engine) enqueue(b ir.BlockID) {
-	if e.inWork[b] {
-		return
-	}
-	e.inWork[b] = true
-	// Queue b's element at its own level (component heads have no body
-	// element — they are re-stepped by their component's stabilization
-	// loop), then push each enclosing component's element at the level
-	// above when it transitions clean→pending.
-	if e.wtoHeadComp[b] < 0 {
-		intHeapPush(&e.wtoDirty[e.wto.CompOf[b]+1], e.wtoBlockIdx[b])
-	}
-	for c := e.wto.CompOf[b]; c >= 0; c = e.wto.Parent[c] {
-		e.wtoPending[c]++
-		if e.wtoPending[c] == 1 {
-			intHeapPush(&e.wtoDirty[e.wto.Parent[c]+1], e.wtoCompIdx[c])
-		}
-	}
-}
-
-// ctxCheckInterval is how many worklist pops pass between context polls,
-// counted separately for the WTO sweep and for the lane drain.
+// ctxCheckInterval is how many sweep steps, and separately how many
+// lane-drain pops, pass between context polls.
 // One poll is a channel select — cheap, but not free on a loop that runs
 // millions of times on large unrolled programs.
 const ctxCheckInterval = 256
@@ -386,8 +341,7 @@ func (e *engine) run(ctx context.Context) error {
 		// monotone iteration and the two-phase split below would only pay
 		// its phase-2 re-solve overhead. Solve in one pass; the laneNeed
 		// spawn skip still applies.
-		e.enqueue(e.prog.Entry)
-		return e.solveWTO(ctx)
+		return e.sweep(ctx, e.wto.Sequence)
 	}
 	// Phase 1 — the uncertainty pre-pass, a canonical classic pass. Lane
 	// spawning is off: with no lanes there are no rollbacks and hence no SS
@@ -395,8 +349,7 @@ func (e *engine) run(ctx context.Context) error {
 	// fixpoint, with count-triggered widening on the normal flow (see
 	// classic). The corpus goldens pin the verdicts this split produces.
 	e.classic = true
-	e.enqueue(e.prog.Entry)
-	if err := e.solveWTO(ctx); err != nil {
+	if err := e.sweep(ctx, e.wto.Sequence); err != nil {
 		return err
 	}
 	// Phase 2 — speculative completion. Every unresolved branch whose state
@@ -418,15 +371,14 @@ func (e *engine) run(ctx context.Context) error {
 	for _, b := range e.prog.Blocks {
 		if len(e.colorsAt[b.ID]) > 0 && !e.S[b.ID].IsBottom {
 			e.dirtyS[b.ID] = true
-			e.enqueue(b.ID)
 		}
 	}
-	return e.solveWTO(ctx)
+	return e.sweep(ctx, e.wto.Sequence)
 }
 
-// intHeapPush and intHeapPop maintain a plain min-heap of ints — the
-// per-level dirty-element queues, where container/heap's interface
-// indirection and per-push boxing would show up on the hot path.
+// intHeapPush and intHeapPop maintain a plain min-heap of ints — the lane
+// worklist, where container/heap's interface indirection and per-push boxing
+// would show up on the hot path.
 func intHeapPush(h *[]int, v int) {
 	*h = append(*h, v)
 	s := *h
@@ -465,76 +417,57 @@ func intHeapPop(h *[]int) int {
 	return v
 }
 
-// initWTO computes the Bourdoncle ordering over the effective CFG and
-// indexes the element tree for enqueue's cursor bubbling.
+// initWTO computes the Bourdoncle ordering over the effective CFG and the
+// flattened positions that order the lane worklist.
 func (e *engine) initWTO() {
 	n := len(e.prog.Blocks)
-	wto := cfg.WTOOf(n, e.prog.Entry, func(b ir.BlockID) []ir.BlockID {
+	e.wto = cfg.WTOOf(n, e.prog.Entry, func(b ir.BlockID) []ir.BlockID {
 		return e.succs[b]
 	})
-	e.stats.WTOComponents = int64(wto.NumComponents)
-	e.wto = wto
-	e.wtoPending = make([]int, e.wto.NumComponents)
-	e.wtoBlockIdx = make([]int, n)
-	e.wtoCompIdx = make([]int, e.wto.NumComponents)
-	e.wtoHeadComp = make([]int, n)
-	for i := range e.wtoHeadComp {
-		e.wtoHeadComp[i] = -1
-	}
-	e.wtoDirty = make([][]int, e.wto.NumComponents+1)
+	e.stats.WTOComponents = int64(e.wto.NumComponents)
 	e.wtoPos = make([]int, n)
 	var index func(elems []cfg.WTOElem)
 	index = func(elems []cfg.WTOElem) {
-		for i, el := range elems {
+		for _, el := range elems {
 			e.wtoPos[el.Block] = len(e.wtoAt)
 			e.wtoAt = append(e.wtoAt, el.Block)
 			if el.Comp != nil {
-				e.wtoCompIdx[el.Comp.Index] = i
-				e.wtoHeadComp[el.Comp.Head] = el.Comp.Index
 				index(el.Comp.Body)
-				continue
 			}
-			e.wtoBlockIdx[el.Block] = i
 		}
 	}
 	index(e.wto.Sequence)
 }
 
-// solveWTO drains pending work in weak topological order. One sweep of the
-// top level suffices: any dirty block keeps its whole chain of enclosing
-// elements queued, so the top-level heap is non-empty whenever work remains.
-func (e *engine) solveWTO(ctx context.Context) error {
-	return e.sweepWTO(ctx, -1, e.wto.Sequence)
-}
-
-// sweepWTO processes the elements of one WTO nesting level (lvl -1 is the
-// top-level sequence, otherwise a component index whose body elems is)
-// until the level is clean, always taking the earliest dirty element next
-// (the level's min-heap): upstream re-dirt — a back edge, or the rollback
-// of a lane walking around a loop — is drained before any downstream block
-// is revisited, keeping the cost of backward information flow
-// proportional to the re-dirtied region instead of the whole downstream
-// tail. Component elements loop locally — head, then body,
-// recursively — until nothing inside them is pending, so inner loops fully
-// stabilize before the outer sequence moves on (Bourdoncle's recursive
-// iteration strategy).
-func (e *engine) sweepWTO(ctx context.Context, lvl int, elems []cfg.WTOElem) error {
-	h := &e.wtoDirty[lvl+1]
-	for len(*h) > 0 {
-		el := &elems[intHeapPop(h)]
+// sweep is Bourdoncle's recursive iteration strategy over one WTO level: it
+// visits the level's elements in order and steps each dirty block, and it
+// iterates a component — head, then body, recursively — until the head is
+// clean, so inner loops stabilize before the outer sequence moves on.
+//
+// One in-order pass per level suffices because a step dirties only blocks
+// the sweep has yet to visit, or the head of a component it is iterating.
+// A flow becomes dirty in four places only: process(n) joins into succs[n];
+// its vn_stop merge dirties n itself and is used up by the same step; the
+// lanes drained after the step all carry n's colors, so their rollbacks land
+// at c.otherSucc, a successor of n; and the entry and phase-2 seeds are set
+// before a sweep starts. Every successor of n comes later in the WTO or
+// heads a component that contains n (cfg.WTOOf).
+func (e *engine) sweep(ctx context.Context, elems []cfg.WTOElem) error {
+	for _, el := range elems {
+		if err := e.step(ctx, el.Block); err != nil {
+			return err
+		}
 		if el.Comp == nil {
-			// Stale entries (block already stepped as part of an enclosing
-			// drain) are skipped by stepWTO's in-work check.
-			if err := e.stepWTO(ctx, el.Block); err != nil {
-				return err
-			}
 			continue
 		}
-		for e.wtoPending[el.Comp.Index] > 0 {
-			if err := e.stepWTO(ctx, el.Comp.Head); err != nil {
+		for {
+			if err := e.sweep(ctx, el.Comp.Body); err != nil {
 				return err
 			}
-			if err := e.sweepWTO(ctx, el.Comp.Index, el.Comp.Body); err != nil {
+			if !e.dirty(el.Block) {
+				break
+			}
+			if err := e.step(ctx, el.Block); err != nil {
 				return err
 			}
 		}
@@ -542,20 +475,21 @@ func (e *engine) sweepWTO(ctx context.Context, lvl int, elems []cfg.WTOElem) err
 	return nil
 }
 
-// stepWTO processes block b if it is pending, maintaining the component
-// pending counters that drive sweepWTO's local stabilization loops, and
-// then drains the lanes the step spawned or re-dirtied. Each step is one
-// iteration; lane walks are counted by the lane counters instead. Draining
-// before the sweep moves on delivers all of a color's rollbacks to the
-// branch's other successor before the flows there are walked, so on an
-// acyclic CFG no flow lands behind the sweep and each is walked once.
-func (e *engine) stepWTO(ctx context.Context, b ir.BlockID) error {
-	if !e.inWork[b] {
+// dirty reports whether a flow at b changed, or was seeded, since b was last
+// stepped.
+func (e *engine) dirty(b ir.BlockID) bool {
+	return e.dirtyS[b] || len(e.dirtySSOrder[b]) > 0
+}
+
+// step walks block b's dirty flows, if it has any, and then drains the lanes
+// the walk spawned or re-dirtied. Each step is one iteration; lane walks are
+// counted by the lane counters instead. Draining before the sweep moves on
+// delivers all of a color's rollbacks to the branch's other successor before
+// the flows there are walked, so on an acyclic CFG no flow lands behind the
+// sweep and each is walked once.
+func (e *engine) step(ctx context.Context, b ir.BlockID) error {
+	if !e.dirty(b) {
 		return nil
-	}
-	e.inWork[b] = false
-	for c := e.wto.CompOf[b]; c >= 0; c = e.wto.Parent[c] {
-		e.wtoPending[c]--
 	}
 	if err := pollCtx(ctx, e.iter); err != nil {
 		return err
@@ -565,8 +499,8 @@ func (e *engine) stepWTO(ctx context.Context, b ir.BlockID) error {
 	return e.drainLanes(ctx)
 }
 
-// pollCtx returns ctx's error when the n-th pop of a drain is due a context
-// poll and ctx is done.
+// pollCtx returns ctx's error when the n-th sweep step or lane-drain pop is
+// due a context poll and ctx is done.
 func pollCtx(ctx context.Context, n int) error {
 	if n%ctxCheckInterval == 0 {
 		select {
@@ -672,17 +606,10 @@ func (e *engine) saturate(target ir.BlockID, st *cache.State) (out *cache.State,
 	return scratch, true
 }
 
-// joinS merges st into S[target] and re-enqueues the target on change.
+// joinS merges st into S[target] and marks it dirty on change. In phase 1 a
+// loop head that keeps changing is widened: the engine's one count-triggered
+// widening site.
 func (e *engine) joinS(target ir.BlockID, st *cache.State) {
-	if e.mergeS(target, st) {
-		e.enqueue(target)
-	}
-}
-
-// mergeS merges st into S[target] and marks it dirty on change, without
-// queuing the target. In phase 1 a loop head that keeps changing is
-// widened: the engine's one count-triggered widening site.
-func (e *engine) mergeS(target ir.BlockID, st *cache.State) bool {
 	e.stats.Joins++
 	st, owned := e.saturate(target, st)
 	widening := e.classic && e.loopHeader[target] && e.changes[target] >= wideningThreshold
@@ -695,7 +622,7 @@ func (e *engine) mergeS(target ir.BlockID, st *cache.State) bool {
 		e.pool.Put(st)
 	}
 	if !changed {
-		return false
+		return
 	}
 	e.stats.JoinChanges++
 	if widening {
@@ -704,10 +631,9 @@ func (e *engine) mergeS(target ir.BlockID, st *cache.State) bool {
 	}
 	e.changes[target]++
 	e.dirtyS[target] = true
-	return true
 }
 
-// joinSS merges st into SS[target][pid] and re-enqueues on change.
+// joinSS merges st into SS[target][pid] and marks it dirty on change.
 func (e *engine) joinSS(target ir.BlockID, pid int, st *cache.State) {
 	e.stats.SpecJoins++
 	cur, ok := e.SS[target][pid]
@@ -727,12 +653,11 @@ func (e *engine) joinSS(target ir.BlockID, pid int, st *cache.State) {
 		e.dirtySS[target][pid] = true
 		e.dirtySSOrder[target] = append(e.dirtySSOrder[target], pid)
 	}
-	e.enqueue(target)
 }
 
 // joinLane merges a lane value (state join, budget max) and, on change,
-// puts the target on the lane worklist drainLanes empties; lanes never
-// queue a block on the WTO sweep.
+// puts the target on the lane worklist drainLanes empties; lanes never dirty
+// a flow the WTO sweep walks.
 func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 	e.stats.LaneJoins++
 	lanes := e.Lane[target]
@@ -774,7 +699,7 @@ func (e *engine) partFor(c *color, src ir.BlockID) int {
 	return pid
 }
 
-// process handles one WTO-sweep pop: it walks the block's normal flow and
+// process handles one WTO-sweep step: it walks the block's normal flow and
 // its post-rollback SS flows, spawning lanes at an unresolved branch. Only
 // flows whose in-state changed since they were last pushed through the
 // block are re-evaluated. The lanes themselves are walked by drainLanes.
@@ -817,8 +742,8 @@ func (e *engine) process(n ir.BlockID) {
 	// convert back into the normal state before it is walked, so one walk
 	// covers them; this is the only vn_stop merge. The snapshot of the dirty
 	// order keeps the walks below deterministic; flows re-dirtied while we
-	// process them (self-loops) land in a fresh order slice and re-enqueue
-	// the block.
+	// process them (self-loops) land in a fresh order slice and leave the
+	// block dirty for its component's next iteration.
 	dirtySS := e.dirtySSOrder[n]
 	e.dirtySSOrder[n] = nil
 	walk := dirtySS[:0]
@@ -828,7 +753,7 @@ func (e *engine) process(n ir.BlockID) {
 			continue
 		}
 		delete(e.dirtySS[n], pid)
-		e.mergeS(n, e.SS[n][pid])
+		e.joinS(n, e.SS[n][pid])
 	}
 
 	// Normal (architectural) flow.

@@ -122,9 +122,9 @@ func TestCancelBlockedBatch(t *testing.T) {
 }
 
 // pollCancelCtx is a context that reports itself canceled after a fixed
-// number of Done() polls. The fixpoint engine polls between worklist
-// iterations, so this cancels an analysis mid-fixpoint deterministically —
-// no timing involved.
+// number of Done() polls. The fixpoint engine polls every ctxCheckInterval
+// WTO-sweep steps and every ctxCheckInterval lane-drain pops, so this cancels
+// an analysis mid-fixpoint deterministically — no timing involved.
 type pollCancelCtx struct {
 	context.Context
 	mu        sync.Mutex
