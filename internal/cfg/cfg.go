@@ -276,12 +276,16 @@ func (l *Loop) Contains(b ir.BlockID) bool {
 }
 
 // NaturalLoops finds all natural loops (back edges t->h where h dominates
-// t), merging loops that share a header.
+// t), merging loops that share a header. A dominator precedes every block it
+// dominates in the reverse postorder, so only an edge that does not go
+// forward in it can be a back edge; the others are not tested against the
+// dominator tree, whose chain walk would cost a long acyclic program
+// O(edges × depth).
 func (g *Graph) NaturalLoops(dom *DomTree) []*Loop {
 	byHeader := map[ir.BlockID]*Loop{}
 	for _, b := range g.RPO {
 		for _, s := range g.Succs[b] {
-			if dom.Dominates(s, b) { // back edge b -> s
+			if g.RPOIndex[s] <= g.RPOIndex[b] && dom.Dominates(s, b) { // back edge b -> s
 				l := byHeader[s]
 				if l == nil {
 					l = &Loop{Header: s}

@@ -9,8 +9,8 @@ import (
 )
 
 // fixpointKernels names the corpus kernels the fixpoint benchmarks run on,
-// chosen to span analysis cost: vga converges in milliseconds, g72 in
-// hundreds of milliseconds, adpcm in seconds (on the seed engine).
+// chosen to span analysis cost: on a 2-vCPU x86-64 box vga converges in
+// 2–3 ms, g72 in about 40 ms and adpcm in about 0.1 s.
 var fixpointKernels = []struct {
 	size string
 	name string

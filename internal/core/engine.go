@@ -46,6 +46,13 @@ type laneSlot struct {
 	verdicts []cache.Classification
 }
 
+// ssVerdicts is what one SS flow kept at a block: the Classify verdict of
+// each of the block's steps on the flow's last walk through it.
+type ssVerdicts struct {
+	pid      int
+	verdicts []cache.Classification
+}
+
 // partition is one SS flow: a color, plus (for per-rollback-block
 // partitioning) the block where the rollback occurred.
 type partition struct {
@@ -72,6 +79,17 @@ type engine struct {
 
 	S  []*cache.State
 	SS []map[int]*cache.State
+	// verdictS[n] holds the Classify verdict of each of block n's steps on
+	// the last walk of its normal flow, and verdictSS[n] those of the last
+	// walk of each SS flow walked through n, one per step, in the order the
+	// flows were first walked there. A walk overwrites its slice in place.
+	// Every change to a flow marks it dirty and the sweep walks every dirty
+	// flow, so once the fixpoint is reached each live flow's last walk was
+	// the walk of its final value, and classify reads these verdicts instead
+	// of walking the flow again. An SS flow at its vn_stop is never walked
+	// and keeps no verdicts (see classify).
+	verdictS  [][]cache.Classification
+	verdictSS [][]ssVerdicts
 	// Lane[n] holds the lanes that have reached n, one slot per color,
 	// sorted by color id. A slot is inserted on its color's first joinLane
 	// at n, so memory follows the lanes the fixpoint reaches (a handful per
@@ -193,6 +211,8 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 		pool:         cache.NewPool(l.NumBlocks),
 		S:            make([]*cache.State, n),
 		SS:           make([]map[int]*cache.State, n),
+		verdictS:     make([][]cache.Classification, n),
+		verdictSS:    make([][]ssVerdicts, n),
 		Lane:         make([][]laneSlot, n),
 		inLane:       make([]bool, n),
 		dirtyS:       make([]bool, n),
@@ -558,29 +578,32 @@ func (e *engine) drainLanes(ctx context.Context) error {
 	return nil
 }
 
-// transferBlock pushes a cache state through all accesses of a block. It
+// transferBlock pushes a cache state through all accesses of a block,
+// classifying each access against the state it meets on the way through and
+// keeping the verdicts in *verdicts, one per step, overwritten in place. It
 // also reports the §6.2 slice check: whether the block's branch condition is
-// computed within the block from loads that all hit. Each load the
-// condition depends on is classified against the state it meets, on the
-// way through. A step that repeats the one before it (e.repeats) leaves the
-// state unchanged and is not transferred, though it counts as a transfer.
-// The returned state is pooled scratch: the caller must hand it back with
-// e.pool.Put once it has been joined into its targets (joins copy, so no
-// target retains it).
-func (e *engine) transferBlock(b *ir.Block, st *cache.State) (out *cache.State, condHits bool) {
+// computed within the block from loads that all hit. A step that repeats the
+// one before it (e.repeats) leaves the state unchanged and is not
+// transferred, though it counts as a transfer. The returned state is pooled
+// scratch: the caller must hand it back with e.pool.Put once it has been
+// joined into its targets (joins copy, so no target retains it).
+func (e *engine) transferBlock(b *ir.Block, st *cache.State, verdicts *[]cache.Classification) (out *cache.State, condHits bool) {
 	out = e.pool.Get()
 	out.CopyFrom(st)
 	bs := &e.steps.blocks[b.ID]
 	condHits = bs.condInBlock
+	vs := slices.Grow((*verdicts)[:0], len(bs.steps))[:len(bs.steps)]
 	for i := range bs.steps {
 		step := &bs.steps[i]
-		if condHits && step.cond && e.dom.Classify(out, step.acc) != cache.AlwaysHit {
+		vs[i] = e.dom.Classify(out, step.acc)
+		if step.cond && vs[i] != cache.AlwaysHit {
 			condHits = false
 		}
 		if !e.repeats(bs, i) {
 			e.dom.Transfer(out, step.acc)
 		}
 	}
+	*verdicts = vs
 	e.stats.Transfers += int64(len(bs.steps))
 	return out, condHits
 }
@@ -760,7 +783,7 @@ func (e *engine) process(n ir.BlockID) {
 	if e.dirtyS[n] {
 		e.dirtyS[n] = false
 		if !e.S[n].IsBottom {
-			out, condHits := e.transferBlock(block, e.S[n])
+			out, condHits := e.transferBlock(block, e.S[n], &e.verdictS[n])
 			for _, s := range e.succs[n] {
 				e.joinS(s, out)
 			}
@@ -773,13 +796,27 @@ func (e *engine) process(n ir.BlockID) {
 	// flow.
 	for _, pid := range walk {
 		delete(e.dirtySS[n], pid)
-		out, condHits := e.transferBlock(block, e.SS[n][pid])
+		out, condHits := e.transferBlock(block, e.SS[n][pid], e.keptSS(n, pid))
 		for _, s := range e.succs[n] {
 			e.joinSS(s, pid, out)
 		}
 		injectLanes(condHits, out)
 		e.pool.Put(out)
 	}
+}
+
+// keptSS returns where SS flow pid keeps its verdicts at block n, adding
+// the entry on the flow's first walk through n. A block holds a handful of
+// SS flows, so a list costs less than a map.
+func (e *engine) keptSS(n ir.BlockID, pid int) *[]cache.Classification {
+	kept := e.verdictSS[n]
+	for i := range kept {
+		if kept[i].pid == pid {
+			return &kept[i].verdicts
+		}
+	}
+	e.verdictSS[n] = append(kept, ssVerdicts{pid: pid})
+	return &e.verdictSS[n][len(kept)].verdicts
 }
 
 // laneWalk pushes a lane slot through a block, consuming one budget unit
@@ -902,40 +939,34 @@ func (e *engine) result() *Result {
 
 // classify combines per-access verdicts: an access is always-hit only if it
 // is always-hit on the normal flow and on every speculative flow passing
-// through it. Normal and SS flows are walked through every block once more,
-// classifying each access before transferring it to the next, except that a
-// step repeating the one before it is not transferred, as in transferBlock;
-// lanes are not walked again, since each slot kept the verdicts of its last
-// walk, which used its final state and budget with laneWalk's positional
-// budget and fence truncation.
+// through it. It walks nothing. Every live normal flow, every live SS flow
+// away from its vn_stop and every lane slot kept the verdicts of its last
+// walk, which is the walk of its final value (see verdictS and laneSlot); a
+// walked SS flow is live, since joinSS dirties a flow only when a join
+// changes it. An SS flow at its vn_stop is never walked: it was merged into
+// the normal state there, so S ⊒ SS, and Classify is monotone in the
+// must/may and the persistence domain. Where S's verdict is decisive, the
+// SS flow's is the same, and where it is Unknown, so is the combined
+// verdict; the SS flow changes nothing and is skipped.
 func (e *engine) classify(res *Result) {
-	st := e.pool.Get()
-	defer e.pool.Put(st)
+	var flows [][]cache.Classification
 	for _, b := range e.prog.Blocks {
 		bs := &e.steps.blocks[b.ID]
 		if len(bs.steps) == 0 {
 			continue
 		}
-		var flows []*cache.State
+		flows = flows[:0]
 		if !e.S[b.ID].IsBottom {
-			flows = append(flows, e.S[b.ID])
+			flows = append(flows, e.verdictS[b.ID])
 		}
-		for _, f := range e.SS[b.ID] {
-			if !f.IsBottom {
-				flows = append(flows, f)
-			}
+		for _, kept := range e.verdictSS[b.ID] {
+			flows = append(flows, kept.verdicts)
 		}
-		for fi, f := range flows {
-			st.CopyFrom(f)
-			for i := range bs.steps {
-				if i > 0 && !e.repeats(bs, i-1) {
-					e.dom.Transfer(st, bs.steps[i-1].acc)
-				}
-				acc := bs.steps[i].acc
+		for fi, verdicts := range flows {
+			for i, cls := range verdicts {
 				in := bs.steps[i].in
-				cls := e.dom.Classify(st, acc)
 				if fi == 0 {
-					res.Access[in.ID] = AccessInfo{Instr: in, Block: b.ID, Acc: acc, Class: cls}
+					res.Access[in.ID] = AccessInfo{Instr: in, Block: b.ID, Acc: bs.steps[i].acc, Class: cls}
 				} else if prev := res.Access[in.ID]; prev.Class != cls {
 					prev.Class = cache.Unknown
 					res.Access[in.ID] = prev

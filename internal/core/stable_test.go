@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"specabsint/internal/bench"
+	"specabsint/internal/cache"
 	"specabsint/internal/gen"
 	"specabsint/internal/ir"
 	"specabsint/internal/lower"
@@ -16,12 +18,13 @@ import (
 // TestFixpointIsStable: when run returns, the sweep has reached a fixpoint.
 // No normal, SS or lane flow may be left dirty, and walking any final normal
 // or SS flow through its block once more must give a state its successors
-// already cover; an SS flow at its vn_stop must be covered by the normal
-// state it merges into. It checks every corpus program under the three
-// analysis models, and 120 gen.Sized(2) programs, lowered with MaxUnroll 1
-// so that their loops survive, under every model and merge strategy. Under
-// -race or -short it checks fig2, g72 and hash under the data-cache model,
-// and 20 generated programs.
+// already cover, and the verdicts the flow kept from its last walk; an SS
+// flow at its vn_stop must be covered by the normal state it merges into.
+// It checks every corpus program under the three analysis models, and 120
+// gen.Sized(2) programs, lowered with MaxUnroll 1 so that their loops
+// survive, under every model and merge strategy. Under -race or -short it
+// checks fig2, g72 and hash under the data-cache model, and 20 generated
+// programs.
 func TestFixpointIsStable(t *testing.T) {
 	cheap := raceDetectorOn || testing.Short()
 	cheapSet := map[string]bool{"fig2": true, "g72": true, "hash": true}
@@ -99,6 +102,7 @@ func compileRolled(t *testing.T, src string, m model) *ir.Program {
 // is dirty or not covered by its targets.
 func checkStable(t *testing.T, label string, e *engine) {
 	t.Helper()
+	var verdicts []cache.Classification
 	for n := range e.S {
 		b := ir.BlockID(n)
 		if e.dirty(b) {
@@ -111,7 +115,10 @@ func checkStable(t *testing.T, label string, e *engine) {
 		}
 		block := e.prog.Block(b)
 		if !e.S[n].IsBottom {
-			out, _ := e.transferBlock(block, e.S[n])
+			out, _ := e.transferBlock(block, e.S[n], &verdicts)
+			if !slices.Equal(verdicts, e.verdictS[n]) {
+				t.Fatalf("%s: normal flow of block %d kept verdicts %v, its final value walks to %v", label, n, e.verdictS[n], verdicts)
+			}
 			for _, s := range e.succs[n] {
 				if !e.dom.Leq(out, e.S[s]) {
 					t.Fatalf("%s: normal flow of block %d walks to a state S[%d] does not cover", label, n, s)
@@ -129,7 +136,10 @@ func checkStable(t *testing.T, label string, e *engine) {
 				}
 				continue
 			}
-			out, _ := e.transferBlock(block, st)
+			out, _ := e.transferBlock(block, st, &verdicts)
+			if kept := *e.keptSS(b, pid); !slices.Equal(verdicts, kept) {
+				t.Fatalf("%s: SS flow %d of block %d kept verdicts %v, its final value walks to %v", label, pid, n, kept, verdicts)
+			}
 			for _, s := range e.succs[n] {
 				if next, ok := e.SS[s][pid]; !ok || !e.dom.Leq(out, next) {
 					t.Fatalf("%s: SS flow %d of block %d walks to a state SS[%d] does not cover", label, pid, n, s)

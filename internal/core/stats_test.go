@@ -167,49 +167,54 @@ func TestStatsCollectorFlush(t *testing.T) {
 // exceeds the bound is repeated from scratch before failing: external load
 // (the rest of `go test ./...` saturating every core) can only inflate a
 // sample, so a genuine regression fails every attempt while transient
-// contention does not.
+// contention does not. One g72 analysis takes only tens of milliseconds, so
+// host noise would be a large share of a one-analysis sample; each sample
+// times a batch of analyses spanning at least sampleSpan instead. The two
+// configurations alternate analysis by analysis within a round, so drift in
+// the host's speed bills both alike, and each analysis is timed in the
+// process's CPU time (cpuTime), which the rest of the suite running beside
+// the test does not inflate.
 func TestCollectorOverhead(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-round wall-clock benchmark; skipped in -short")
+		t.Skip("multi-round timing benchmark; skipped in -short")
 	}
 	if raceDetectorOn {
 		t.Skip("race instrumentation distorts the timing comparison")
 	}
+	const sampleSpan = 200 * time.Millisecond
 	prog := compileBench(t, "g72")
 	opts := DefaultOptions()
-	if _, err := Analyze(prog, opts); err != nil { // warm-up
-		t.Fatal(err)
-	}
-	run := func(col *obs.Collector) time.Duration {
+	analyze := func(col *obs.Collector) time.Duration {
 		opts.Collector = col
-		runtime.GC() // don't bill one sample for the previous sample's garbage
-		start := time.Now()
+		runtime.GC() // don't bill one analysis for the previous one's garbage
+		start := cpuTime()
 		if _, err := Analyze(prog, opts); err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(start)
+		return cpuTime() - start
 	}
+	// Warm up, and size the batch from the faster of two analyses.
+	one := min(analyze(nil), analyze(nil))
+	batch := int(sampleSpan/max(one, time.Millisecond)) + 1
+	t.Logf("one analysis %v, %d analyses per sample", one, batch)
 	measure := func() (minNil, minCol time.Duration) {
 		const rounds = 6
 		minNil, minCol = time.Duration(1<<62), time.Duration(1<<62)
 		for i := 0; i < rounds; i++ {
-			// Alternate the order so slow drift (thermal, background
-			// load) penalizes both configurations equally.
-			if i%2 == 0 {
-				if d := run(nil); d < minNil {
-					minNil = d
-				}
-				if d := run(obs.NewCollector()); d < minCol {
-					minCol = d
-				}
-			} else {
-				if d := run(obs.NewCollector()); d < minCol {
-					minCol = d
-				}
-				if d := run(nil); d < minNil {
-					minNil = d
+			var nilTime, colTime time.Duration
+			col := obs.NewCollector()
+			for k := 0; k < batch; k++ {
+				// Alternate the order so slow drift (thermal, background
+				// load) penalizes both configurations equally.
+				if (i+k)%2 == 0 {
+					nilTime += analyze(nil)
+					colTime += analyze(col)
+				} else {
+					colTime += analyze(col)
+					nilTime += analyze(nil)
 				}
 			}
+			minNil, minCol = min(minNil, nilTime), min(minCol, colTime)
 		}
 		return minNil, minCol
 	}

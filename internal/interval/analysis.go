@@ -16,11 +16,10 @@ type Env struct {
 	Mems []Interval // indexed by SymbolID (scalars only)
 }
 
-func (e *Env) clone() *Env {
-	return &Env{
-		Regs: append([]Interval(nil), e.Regs...),
-		Mems: append([]Interval(nil), e.Mems...),
-	}
+// copyFrom makes e a copy of o, reusing e's storage.
+func (e *Env) copyFrom(o *Env) {
+	e.Regs = append(e.Regs[:0], o.Regs...)
+	e.Mems = append(e.Mems[:0], o.Mems...)
 }
 
 func (e *Env) join(o *Env) (changed bool) {
@@ -93,7 +92,12 @@ type analyzer struct {
 	curGen     uint32
 }
 
-// Analyze runs the interval analysis to a fixpoint over g.
+// Analyze runs the interval analysis to a fixpoint over g: a FIFO worklist
+// that widens a loop head's environment once the head has been visited
+// wideningThreshold times. Two scratch environments serve the whole
+// fixpoint: env carries a block's out-environment, joined into each
+// successor's in-environment in place, and prev keeps a loop head's
+// environment aside only when that join must be widened.
 //
 // Branch conditions are not used to refine environments at successors: the
 // result therefore over-approximates the register/memory values observable
@@ -124,6 +128,7 @@ func Analyze(g *cfg.Graph) *Result {
 	inWork := make([]bool, nBlocks)
 	inWork[prog.Entry] = true
 
+	env, prev := &Env{}, &Env{}
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
@@ -131,7 +136,7 @@ func Analyze(g *cfg.Graph) *Result {
 		visits[b]++
 		a.res.Iterations++
 
-		env := in[b].clone()
+		env.copyFrom(in[b])
 		block := prog.Block(b)
 		a.transferBlock(block, env)
 		// Effective successors: a Resolved CondBr is an unconditional jump in
@@ -141,16 +146,22 @@ func Analyze(g *cfg.Graph) *Result {
 			if in[s] == nil {
 				in[s] = a.bottomEnv()
 			}
-			next := in[s].clone()
-			next.join(env)
-			if loopHeader[s] && visits[s] >= wideningThreshold {
-				next.widen(in[s])
+			// A widened join is widen(in[s] ⊔ env, in[s]), which covers
+			// in[s], so it replaces in[s] outright and changes it exactly
+			// when the plain join does.
+			widen := loopHeader[s] && visits[s] >= wideningThreshold
+			if widen {
+				prev.copyFrom(in[s])
 			}
-			if in[s].join(next) {
-				if !inWork[s] {
-					work = append(work, s)
-					inWork[s] = true
-				}
+			if !in[s].join(env) {
+				continue
+			}
+			if widen {
+				in[s].widen(prev)
+			}
+			if !inWork[s] {
+				work = append(work, s)
+				inWork[s] = true
 			}
 		}
 	}
