@@ -72,7 +72,6 @@ func AnalyzeAlgorithm1(prog *ir.Program, opts Options) (*Result, error) {
 		Layout:     l,
 		Opts:       opts,
 		In:         sol.In,
-		SpecIn:     make([]map[int]*cache.State, len(prog.Blocks)),
 		Access:     map[int]AccessInfo{},
 		SpecAccess: map[int]cache.Classification{},
 		Iterations: sol.Iterations,

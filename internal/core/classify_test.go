@@ -17,8 +17,8 @@ import (
 // it, and takes the lanes' verdicts from their slots.
 func refClassify(e *engine) (access map[int]AccessInfo, spec map[int]cache.Classification) {
 	access, spec = map[int]AccessInfo{}, map[int]cache.Classification{}
-	st := e.pool.Get()
-	defer e.pool.Put(st)
+	cur := e.pool.Get()
+	defer e.pool.Put(cur)
 	for _, b := range e.prog.Blocks {
 		bs := &e.steps.blocks[b.ID]
 		if len(bs.steps) == 0 {
@@ -28,20 +28,20 @@ func refClassify(e *engine) (access map[int]AccessInfo, spec map[int]cache.Class
 		if !e.S[b.ID].IsBottom {
 			flows = append(flows, e.S[b.ID])
 		}
-		for _, f := range e.SS[b.ID] {
-			if !f.IsBottom {
-				flows = append(flows, f)
+		for _, slot := range e.SS[b.ID] {
+			if !slot.st.IsBottom {
+				flows = append(flows, slot.st)
 			}
 		}
 		for fi, f := range flows {
-			st.CopyFrom(f)
+			cur.CopyFrom(f)
 			for i := range bs.steps {
 				if i > 0 && !e.repeats(bs, i-1) {
-					e.dom.Transfer(st, bs.steps[i-1].acc)
+					e.dom.Transfer(cur, bs.steps[i-1].acc)
 				}
 				acc := bs.steps[i].acc
 				in := bs.steps[i].in
-				cls := e.dom.Classify(st, acc)
+				cls := e.dom.Classify(cur, acc)
 				if fi == 0 {
 					access[in.ID] = AccessInfo{Instr: in, Block: b.ID, Acc: acc, Class: cls}
 				} else if prev := access[in.ID]; prev.Class != cls {

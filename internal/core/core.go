@@ -10,9 +10,10 @@
 //   - Lane[n][c] — the wrong-path exploration state of color c with its
 //     remaining speculation budget (the region between the paper's vn_start
 //     and the rollback points);
-//   - SS[n][p]  — speculative states after rollback, propagated through the
-//     other branch until the branch's immediate post-dominator (vn_stop),
-//     where they merge back into S (Just-in-Time merging, Fig. 6c).
+//   - SS[n]     — speculative states after rollback, one slot per color and
+//     rollback block (one per color under just-in-time merging), propagated
+//     through the other branch until the branch's immediate post-dominator
+//     (vn_stop), where they merge back into S (Just-in-Time merging, Fig. 6c).
 //
 // The merge strategies of Fig. 6 are selectable: merging rollback states
 // directly into the normal flow (Fig. 6d), just-in-time merging (Fig. 6c,
@@ -148,9 +149,6 @@ type Result struct {
 	// In[b] is the normal abstract state at the entry of block b after the
 	// fixpoint (speculative contributions already merged per the strategy).
 	In []*cache.State
-	// SpecIn[b] maps partition id to the speculative state at b's entry
-	// (JIT / per-rollback-block strategies only).
-	SpecIn []map[int]*cache.State
 	// Access maps instruction id to its architectural verdict.
 	Access map[int]AccessInfo
 	// SpecAccess maps instruction id to its verdict on wrong-path
@@ -163,9 +161,6 @@ type Result struct {
 	// walks are not counted here: they run in a drain of their own and show
 	// in Stats' lane counters. It measures effort, not verdicts.
 	Iterations int
-	// PoolStats reports the engine's scratch-state reuse: Gets - News is the
-	// number of state allocations the free list avoided.
-	PoolStats cache.PoolStats
 	// Branches counts conditional branches (= colors/2 when speculative).
 	Branches int
 	// Colors counts speculative flows considered.

@@ -46,23 +46,17 @@ type laneSlot struct {
 	verdicts []cache.Classification
 }
 
-// ssVerdicts is what one SS flow kept at a block: the Classify verdict of
-// each of the block's steps on the flow's last walk through it.
-type ssVerdicts struct {
-	pid      int
+// ssSlot is one post-rollback (SS) flow at a block: the rollbacks of one
+// color, from one rollback block src under per-rollback-block partitioning
+// or from all of them (src -1) under just-in-time merging, on their way
+// through the other side of the branch to its vn_stop. Like a laneSlot it
+// holds the flow's state, its dirty flag, and the verdicts of its last walk.
+type ssSlot struct {
+	color    int
+	src      ir.BlockID
+	st       *cache.State
+	dirty    bool
 	verdicts []cache.Classification
-}
-
-// partition is one SS flow: a color, plus (for per-rollback-block
-// partitioning) the block where the rollback occurred.
-type partition struct {
-	color *color
-	src   ir.BlockID // -1 for the merged (JIT) partition
-}
-
-type partKey struct {
-	colorID int
-	src     ir.BlockID
 }
 
 type engine struct {
@@ -77,19 +71,20 @@ type engine struct {
 	// which the engine sees instructions.
 	steps *stepProgram
 
-	S  []*cache.State
-	SS []map[int]*cache.State
+	S []*cache.State
+	// SS[n] holds the SS flows that have reached n, one slot per color and
+	// rollback block, in the order they first reached n. Slots are only
+	// appended, so dirtySSOrder can name them by index.
+	SS [][]ssSlot
 	// verdictS[n] holds the Classify verdict of each of block n's steps on
-	// the last walk of its normal flow, and verdictSS[n] those of the last
-	// walk of each SS flow walked through n, one per step, in the order the
-	// flows were first walked there. A walk overwrites its slice in place.
-	// Every change to a flow marks it dirty and the sweep walks every dirty
-	// flow, so once the fixpoint is reached each live flow's last walk was
-	// the walk of its final value, and classify reads these verdicts instead
-	// of walking the flow again. An SS flow at its vn_stop is never walked
-	// and keeps no verdicts (see classify).
-	verdictS  [][]cache.Classification
-	verdictSS [][]ssVerdicts
+	// the last walk of its normal flow; an SS slot keeps its own. A walk
+	// overwrites its slice in place. Every change to a flow marks it dirty
+	// and the sweep walks every dirty flow, so once the fixpoint is reached
+	// each live flow's last walk was the walk of its final value, and
+	// classify reads these verdicts instead of walking the flow again. An SS
+	// flow at its vn_stop is never walked and keeps no verdicts (see
+	// classify).
+	verdictS [][]cache.Classification
 	// Lane[n] holds the lanes that have reached n, one slot per color,
 	// sorted by color id. A slot is inserted on its color's first joinLane
 	// at n, so memory follows the lanes the fixpoint reaches (a handful per
@@ -107,20 +102,16 @@ type engine struct {
 	// lanePops counts drainLanes' pops, for its context polls.
 	lanePops int
 
-	// dirty flags: which flows at a block changed since last processed.
-	dirtyS  []bool
-	dirtySS []map[int]bool
-	// dirtySSOrder lists each block's dirty SS partitions in the order they
-	// became dirty, so process walks them deterministically (map range order
-	// would vary run to run, and the semantic counters — join/transfer
-	// totals, widening decisions — are pinned as run-to-run deterministic by
-	// the stats contract).
+	// dirtyS[n] flags a change to n's normal flow since n was last stepped.
+	dirtyS []bool
+	// dirtySSOrder lists the indices of each block's dirty SS slots in the
+	// order they became dirty, so process merges and walks them in that
+	// order: the join_changes counter of the vn_stop merges depends on it.
 	dirtySSOrder [][]int
 
-	colors    []*color
-	colorsAt  map[ir.BlockID][]*color
-	parts     []partition
-	partByKey map[partKey]int
+	colors []*color
+	// colorsAt[n] lists the two colors of n's branch, if n spawns any.
+	colorsAt [][]*color
 
 	pdom *cfg.PostDomTree
 
@@ -129,10 +120,6 @@ type engine struct {
 	// edge carries flow (the emitted branch is unconditional). Dominators,
 	// post-dominators, and vn_stop placement keep using the full edge set.
 	succs [][]ir.BlockID
-	// effReach marks blocks reachable from entry along effective successors;
-	// blocks behind a resolved branch's dead edge can be entered neither
-	// architecturally nor speculatively, so they spawn no colors.
-	effReach []bool
 
 	// pool recycles the engine's transfer/walk/classify scratch states; see
 	// cache.Pool for the ownership rules.
@@ -144,7 +131,9 @@ type engine struct {
 	wto *cfg.WTO
 	// wtoPos[b] is b's position in the flattened WTO, where each component
 	// head precedes its body, and wtoAt inverts it. On an acyclic CFG it is
-	// a topological order.
+	// a topological order. It is -1 for a block unreachable from entry along
+	// effective successors: one behind a resolved branch's dead edge, which
+	// no execution, architectural or wrong-path, can enter.
 	wtoPos []int
 	wtoAt  []ir.BlockID
 	// classic marks phase 1, the uncertainty pre-pass: lane spawning is off,
@@ -166,12 +155,11 @@ type engine struct {
 	// transform, so the phase-2 system stays monotone and its least fixpoint
 	// is identical under any fair visit order — widening never
 	// re-introduces schedule dependence. (Widening against the *evolving*
-	// previous iterate would: for states seeded at bottom, such as the
-	// per-color lanes and per-pid SS flows, whichever contribution lands
-	// first would become the reference.) Semantically this is the paper's
-	// §6.3 amplification: speculative pollution reaching a loop head is
-	// widened to its absorbing worst immediately instead of creeping one age
-	// step per fixpoint round.
+	// previous iterate would: for states seeded at bottom, such as the lanes
+	// and the SS flows, whichever contribution lands first would become the
+	// reference.) Semantically this is the paper's §6.3 amplification:
+	// speculative pollution reaching a loop head is widened to its absorbing
+	// worst immediately instead of creeping one age step per fixpoint round.
 	satRef []*cache.State
 	// laneNeed[b] is the minimum entry budget with which a wrong-path lane
 	// entering block b can still transfer at least one memory access
@@ -210,22 +198,17 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 		steps:        steps,
 		pool:         cache.NewPool(l.NumBlocks),
 		S:            make([]*cache.State, n),
-		SS:           make([]map[int]*cache.State, n),
+		SS:           make([][]ssSlot, n),
 		verdictS:     make([][]cache.Classification, n),
-		verdictSS:    make([][]ssVerdicts, n),
 		Lane:         make([][]laneSlot, n),
 		inLane:       make([]bool, n),
 		dirtyS:       make([]bool, n),
-		dirtySS:      make([]map[int]bool, n),
 		dirtySSOrder: make([][]int, n),
-		colorsAt:     map[ir.BlockID][]*color{},
-		partByKey:    map[partKey]int{},
+		colorsAt:     make([][]*color, n),
 		changes:      make([]int, n),
 	}
 	for i := range e.S {
 		e.S[i] = cache.Bottom()
-		e.SS[i] = map[int]*cache.State{}
-		e.dirtySS[i] = map[int]bool{}
 	}
 	e.S[prog.Entry] = cache.NewState(l.NumBlocks)
 	e.dirtyS[prog.Entry] = true
@@ -239,17 +222,16 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 	for _, b := range prog.Blocks {
 		e.succs[b.ID] = b.EffectiveSuccs()
 	}
-	e.effReach = effectiveReachable(prog, e.succs)
+	e.initWTO()
 
 	if opts.Speculative {
 		e.pdom = g.PostDominators()
 		for _, b := range prog.Blocks {
 			t := b.Terminator()
 			// Resolved branches are unconditional jumps in the emitted
-			// program: no misprediction, no colors. Blocks only reachable
-			// through a resolved branch's dead edge spawn none either — no
-			// execution, architectural or wrong-path, can enter them.
-			if t == nil || t.Op != ir.OpCondBr || t.Resolved || !e.effReach[b.ID] {
+			// program: no misprediction, no colors. Blocks the WTO leaves
+			// out, behind a resolved branch's dead edge, spawn none either.
+			if t == nil || t.Op != ir.OpCondBr || t.Resolved || e.wtoPos[b.ID] < 0 {
 				continue
 			}
 			stop := e.pdom.ImmediatePostDom(b.ID)
@@ -328,25 +310,6 @@ func laneNeedBudgets(prog *ir.Program, succs [][]ir.BlockID, steps *stepProgram)
 	return need
 }
 
-// effectiveReachable marks blocks reachable from entry along effective
-// successor edges.
-func effectiveReachable(prog *ir.Program, succs [][]ir.BlockID) []bool {
-	reach := make([]bool, len(prog.Blocks))
-	stack := []ir.BlockID{prog.Entry}
-	reach[prog.Entry] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range succs[n] {
-			if !reach[s] {
-				reach[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return reach
-}
-
 // ctxCheckInterval is how many sweep steps, and separately how many
 // lane-drain pops, pass between context polls.
 // One poll is a channel select — cheap, but not free on a loop that runs
@@ -354,7 +317,6 @@ func effectiveReachable(prog *ir.Program, succs [][]ir.BlockID) []bool {
 const ctxCheckInterval = 256
 
 func (e *engine) run(ctx context.Context) error {
-	e.initWTO()
 	if !slices.Contains(e.loopHeader, true) {
 		// No loop headers in the simplified CFG (the common case after full
 		// unrolling): widening cannot fire, so the whole system is a plain
@@ -446,6 +408,9 @@ func (e *engine) initWTO() {
 	})
 	e.stats.WTOComponents = int64(e.wto.NumComponents)
 	e.wtoPos = make([]int, n)
+	for i := range e.wtoPos {
+		e.wtoPos[i] = -1
+	}
 	var index func(elems []cfg.WTOElem)
 	index = func(elems []cfg.WTOElem) {
 		for _, el := range elems {
@@ -614,19 +579,20 @@ func (e *engine) repeats(bs *blockSteps, i int) bool {
 	return i > 0 && e.dom.Repeats(bs.steps[i-1].acc, bs.steps[i].acc)
 }
 
-// saturate applies the phase-2 reference saturation to a loop-head
-// contribution (see satRef): the returned state is pooled scratch the
-// caller must Put back when owned is true. Outside phase 2, or away from
-// loop heads, st is returned untouched.
-func (e *engine) saturate(target ir.BlockID, st *cache.State) (out *cache.State, owned bool) {
+// join merges st into dst, the state of one of target's flows, and reports
+// whether dst changed. In phase 2 a loop head's contribution is saturated
+// against satRef first, on a pooled copy (see satRef).
+func (e *engine) join(target ir.BlockID, dst, st *cache.State) bool {
 	if e.satRef == nil || !e.loopHeader[target] {
-		return st, false
+		return e.dom.JoinInto(dst, st)
 	}
-	scratch := e.pool.Get()
-	scratch.CopyFrom(st)
-	e.dom.Saturate(e.satRef[target], scratch)
+	sat := e.pool.Get()
+	sat.CopyFrom(st)
+	e.dom.Saturate(e.satRef[target], sat)
 	e.stats.Widenings++
-	return scratch, true
+	changed := e.dom.JoinInto(dst, sat)
+	e.pool.Put(sat)
+	return changed
 }
 
 // joinS merges st into S[target] and marks it dirty on change. In phase 1 a
@@ -634,17 +600,12 @@ func (e *engine) saturate(target ir.BlockID, st *cache.State) (out *cache.State,
 // widening site.
 func (e *engine) joinS(target ir.BlockID, st *cache.State) {
 	e.stats.Joins++
-	st, owned := e.saturate(target, st)
 	widening := e.classic && e.loopHeader[target] && e.changes[target] >= wideningThreshold
 	var prev *cache.State
 	if widening {
 		prev = e.S[target].Clone()
 	}
-	changed := e.dom.JoinInto(e.S[target], st)
-	if owned {
-		e.pool.Put(st)
-	}
-	if !changed {
+	if !e.join(target, e.S[target], st) {
 		return
 	}
 	e.stats.JoinChanges++
@@ -656,26 +617,33 @@ func (e *engine) joinS(target ir.BlockID, st *cache.State) {
 	e.dirtyS[target] = true
 }
 
-// joinSS merges st into SS[target][pid] and marks it dirty on change.
-func (e *engine) joinSS(target ir.BlockID, pid int, st *cache.State) {
+// joinSS merges st into target's SS flow of color c and rollback block src,
+// adding the flow's slot on its first join there, and marks the slot dirty
+// on change.
+func (e *engine) joinSS(target ir.BlockID, c int, src ir.BlockID, st *cache.State) {
 	e.stats.SpecJoins++
-	cur, ok := e.SS[target][pid]
-	if !ok {
-		cur = cache.Bottom()
-		e.SS[target][pid] = cur
+	i := e.ssIndex(target, c, src)
+	if i < 0 {
+		i = len(e.SS[target])
+		e.SS[target] = append(e.SS[target], ssSlot{color: c, src: src, st: cache.Bottom()})
 	}
-	st, owned := e.saturate(target, st)
-	changed := e.dom.JoinInto(cur, st)
-	if owned {
-		e.pool.Put(st)
+	slot := &e.SS[target][i]
+	if e.join(target, slot.st, st) && !slot.dirty {
+		slot.dirty = true
+		e.dirtySSOrder[target] = append(e.dirtySSOrder[target], i)
 	}
-	if !changed {
-		return
+}
+
+// ssIndex returns the index of n's SS slot of color c and rollback block
+// src, or -1 when that flow has not reached n. A block holds a handful of SS
+// flows, so a scan costs less than a map.
+func (e *engine) ssIndex(n ir.BlockID, c int, src ir.BlockID) int {
+	for i := range e.SS[n] {
+		if slot := &e.SS[n][i]; slot.color == c && slot.src == src {
+			return i
+		}
 	}
-	if !e.dirtySS[target][pid] {
-		e.dirtySS[target][pid] = true
-		e.dirtySSOrder[target] = append(e.dirtySSOrder[target], pid)
-	}
+	return -1
 }
 
 // joinLane merges a lane value (state join, budget max) and, on change,
@@ -692,11 +660,7 @@ func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 		e.Lane[target] = lanes
 	}
 	cur := &lanes[i]
-	lst, owned := e.saturate(target, lv.st)
-	changed := e.dom.JoinInto(cur.st, lst)
-	if owned {
-		e.pool.Put(lst)
-	}
+	changed := e.join(target, cur.st, lv.st)
 	if lv.budget > cur.budget {
 		cur.budget = lv.budget
 		changed = true
@@ -708,18 +672,6 @@ func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 			intHeapPush(&e.laneDirty, e.wtoPos[target])
 		}
 	}
-}
-
-// partFor interns a partition id.
-func (e *engine) partFor(c *color, src ir.BlockID) int {
-	key := partKey{colorID: c.id, src: src}
-	if pid, ok := e.partByKey[key]; ok {
-		return pid
-	}
-	pid := len(e.parts)
-	e.parts = append(e.parts, partition{color: c, src: src})
-	e.partByKey[key] = pid
-	return pid
 }
 
 // process handles one WTO-sweep step: it walks the block's normal flow and
@@ -770,13 +722,14 @@ func (e *engine) process(n ir.BlockID) {
 	dirtySS := e.dirtySSOrder[n]
 	e.dirtySSOrder[n] = nil
 	walk := dirtySS[:0]
-	for _, pid := range dirtySS {
-		if e.parts[pid].color.stop != n {
-			walk = append(walk, pid)
+	for _, i := range dirtySS {
+		slot := &e.SS[n][i]
+		if e.colors[slot.color].stop != n {
+			walk = append(walk, i)
 			continue
 		}
-		delete(e.dirtySS[n], pid)
-		e.joinS(n, e.SS[n][pid])
+		slot.dirty = false
+		e.joinS(n, slot.st)
 	}
 
 	// Normal (architectural) flow.
@@ -793,30 +746,18 @@ func (e *engine) process(n ir.BlockID) {
 	}
 
 	// The other post-rollback flows propagate in parallel with the normal
-	// flow.
-	for _, pid := range walk {
-		delete(e.dirtySS[n], pid)
-		out, condHits := e.transferBlock(block, e.SS[n][pid], e.keptSS(n, pid))
+	// flow. A walk adds no slot at n: at a self-loop it joins the slot it
+	// walks, so slot stays valid.
+	for _, i := range walk {
+		slot := &e.SS[n][i]
+		slot.dirty = false
+		out, condHits := e.transferBlock(block, slot.st, &slot.verdicts)
 		for _, s := range e.succs[n] {
-			e.joinSS(s, pid, out)
+			e.joinSS(s, slot.color, slot.src, out)
 		}
 		injectLanes(condHits, out)
 		e.pool.Put(out)
 	}
-}
-
-// keptSS returns where SS flow pid keeps its verdicts at block n, adding
-// the entry on the flow's first walk through n. A block holds a handful of
-// SS flows, so a list costs less than a map.
-func (e *engine) keptSS(n ir.BlockID, pid int) *[]cache.Classification {
-	kept := e.verdictSS[n]
-	for i := range kept {
-		if kept[i].pid == pid {
-			return &kept[i].verdicts
-		}
-	}
-	e.verdictSS[n] = append(kept, ssVerdicts{pid: pid})
-	return &e.verdictSS[n][len(kept)].verdicts
 }
 
 // laneWalk pushes a lane slot through a block, consuming one budget unit
@@ -874,13 +815,13 @@ func (e *engine) injectRollback(c *color, src ir.BlockID, st *cache.State) {
 			e.joinS(c.otherSucc, st)
 			return
 		}
-		e.joinSS(c.otherSucc, e.partFor(c, -1), st)
+		e.joinSS(c.otherSucc, c.id, -1, st)
 	case StrategyPerRollbackBlock:
 		if c.otherSucc == c.stop {
 			e.joinS(c.otherSucc, st)
 			return
 		}
-		e.joinSS(c.otherSucc, e.partFor(c, src), st)
+		e.joinSS(c.otherSucc, c.id, src, st)
 	}
 }
 
@@ -910,8 +851,7 @@ func (e *engine) result() *Result {
 		Layout:     e.l,
 		Opts:       e.opts,
 		In:         e.S,
-		SpecIn:     e.SS,
-		Access:     map[int]AccessInfo{},
+		Access:     make(map[int]AccessInfo, e.steps.stats().ArchSteps),
 		SpecAccess: map[int]cache.Classification{},
 		Iterations: e.iter,
 		Branches:   e.prog.CondBranchCount(),
@@ -919,10 +859,9 @@ func (e *engine) result() *Result {
 		domain:     e.dom,
 		idx:        e.idx,
 	}
-	res.PoolStats = e.pool.Stats()
 	e.stats.Iterations = int64(e.iter)
 	e.stats.Colors = int64(len(e.colors))
-	e.stats.StatesPooled = int64(res.PoolStats.Reused())
+	e.stats.StatesPooled = int64(e.pool.Stats().Reused())
 	res.Stats = e.stats
 	for _, c := range e.colors {
 		res.Flows = append(res.Flows, SpecFlow{
@@ -941,9 +880,9 @@ func (e *engine) result() *Result {
 // is always-hit on the normal flow and on every speculative flow passing
 // through it. It walks nothing. Every live normal flow, every live SS flow
 // away from its vn_stop and every lane slot kept the verdicts of its last
-// walk, which is the walk of its final value (see verdictS and laneSlot); a
-// walked SS flow is live, since joinSS dirties a flow only when a join
-// changes it. An SS flow at its vn_stop is never walked: it was merged into
+// walk, which is the walk of its final value (see verdictS, ssSlot and
+// laneSlot); a live SS slot was walked, since the join that first changed it
+// dirtied it. An SS flow at its vn_stop is never walked: it was merged into
 // the normal state there, so S ⊒ SS, and Classify is monotone in the
 // must/may and the persistence domain. Where S's verdict is decisive, the
 // SS flow's is the same, and where it is Unknown, so is the combined
@@ -959,8 +898,10 @@ func (e *engine) classify(res *Result) {
 		if !e.S[b.ID].IsBottom {
 			flows = append(flows, e.verdictS[b.ID])
 		}
-		for _, kept := range e.verdictSS[b.ID] {
-			flows = append(flows, kept.verdicts)
+		for _, slot := range e.SS[b.ID] {
+			if !slot.st.IsBottom && e.colors[slot.color].stop != b.ID {
+				flows = append(flows, slot.verdicts)
+			}
 		}
 		for fi, verdicts := range flows {
 			for i, cls := range verdicts {

@@ -198,8 +198,8 @@ func checkWalkedOnce(t *testing.T, label string, e *engine) {
 			iters++
 			transfers += steps
 		}
-		for pid, st := range e.SS[n] {
-			if !st.IsBottom && e.parts[pid].color.stop != ir.BlockID(n) {
+		for _, slot := range e.SS[n] {
+			if !slot.st.IsBottom && e.colors[slot.color].stop != ir.BlockID(n) {
 				transfers += steps
 			}
 		}

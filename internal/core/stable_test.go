@@ -16,10 +16,11 @@ import (
 )
 
 // TestFixpointIsStable: when run returns, the sweep has reached a fixpoint.
-// No normal, SS or lane flow may be left dirty, and walking any final normal
-// or SS flow through its block once more must give a state its successors
-// already cover, and the verdicts the flow kept from its last walk; an SS
-// flow at its vn_stop must be covered by the normal state it merges into.
+// No block may be left with a dirty flow, nor any SS or lane slot flagged
+// dirty, and walking any final normal or SS flow through its block once
+// more must give a state its successors already cover, and the verdicts the
+// flow kept from its last walk; an SS flow at its vn_stop must be covered by
+// the normal state it merges into.
 // It checks every corpus program under the three analysis models, and 120
 // gen.Sized(2) programs, lowered with MaxUnroll 1 so that their loops
 // survive, under every model and merge strategy. Under -race or -short it
@@ -126,23 +127,26 @@ func checkStable(t *testing.T, label string, e *engine) {
 			}
 			e.pool.Put(out)
 		}
-		for pid, st := range e.SS[n] {
-			if st.IsBottom {
+		for _, slot := range e.SS[n] {
+			if slot.dirty {
+				t.Fatalf("%s: block %d SS slot of color %d from %d still dirty at the fixpoint", label, n, slot.color, slot.src)
+			}
+			if slot.st.IsBottom {
 				continue
 			}
-			if e.parts[pid].color.stop == b {
-				if !e.dom.Leq(st, e.S[n]) {
-					t.Fatalf("%s: SS flow %d at its vn_stop %d is not covered by S", label, pid, n)
+			if e.colors[slot.color].stop == b {
+				if !e.dom.Leq(slot.st, e.S[n]) {
+					t.Fatalf("%s: SS flow of color %d from %d at its vn_stop %d is not covered by S", label, slot.color, slot.src, n)
 				}
 				continue
 			}
-			out, _ := e.transferBlock(block, st, &verdicts)
-			if kept := *e.keptSS(b, pid); !slices.Equal(verdicts, kept) {
-				t.Fatalf("%s: SS flow %d of block %d kept verdicts %v, its final value walks to %v", label, pid, n, kept, verdicts)
+			out, _ := e.transferBlock(block, slot.st, &verdicts)
+			if !slices.Equal(verdicts, slot.verdicts) {
+				t.Fatalf("%s: SS flow of color %d from %d at block %d kept verdicts %v, its final value walks to %v", label, slot.color, slot.src, n, slot.verdicts, verdicts)
 			}
 			for _, s := range e.succs[n] {
-				if next, ok := e.SS[s][pid]; !ok || !e.dom.Leq(out, next) {
-					t.Fatalf("%s: SS flow %d of block %d walks to a state SS[%d] does not cover", label, pid, n, s)
+				if i := e.ssIndex(s, slot.color, slot.src); i < 0 || !e.dom.Leq(out, e.SS[s][i].st) {
+					t.Fatalf("%s: SS flow of color %d from %d at block %d walks to a state its slot at %d does not cover", label, slot.color, slot.src, n, s)
 				}
 			}
 			e.pool.Put(out)

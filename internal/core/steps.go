@@ -163,54 +163,16 @@ func branchSlice(block *ir.Block) (sliceLoads map[int]bool, resolved bool) {
 	sliceLoads = map[int]bool{}
 	for i := len(block.Instrs) - 2; i >= 0; i-- {
 		in := &block.Instrs[i]
-		if !writesDst(in.Op) || !needed[in.Dst] {
+		if !in.Op.WritesDst() || !needed[in.Dst] {
 			continue
 		}
 		delete(needed, in.Dst)
 		if in.Op == ir.OpLoad {
 			sliceLoads[in.ID] = true
-			if !in.Idx.IsConst {
-				needed[in.Idx.Reg] = true
-			}
-			continue
 		}
-		for _, v := range regOperands(in) {
-			needed[v] = true
-		}
+		in.EachUse(func(v *ir.Value) { needed[v.Reg] = true })
 	}
 	// Unresolved register reads mean the condition depends on values computed
 	// before this block; we cannot cheaply prove the resolving loads hit.
 	return sliceLoads, len(needed) == 0
-}
-
-func writesDst(op ir.Op) bool {
-	switch op {
-	case ir.OpStore, ir.OpBr, ir.OpCondBr, ir.OpRet, ir.OpNop, ir.OpFence:
-		return false
-	}
-	return true
-}
-
-// regOperands returns the register operands an instruction reads (excluding
-// Load, which is handled by its caller).
-func regOperands(in *ir.Instr) []ir.Reg {
-	var regs []ir.Reg
-	add := func(v ir.Value) {
-		if !v.IsConst {
-			regs = append(regs, v.Reg)
-		}
-	}
-	switch in.Op {
-	case ir.OpConst, ir.OpNop, ir.OpBr, ir.OpFence:
-		// no register reads
-	case ir.OpMov, ir.OpNeg, ir.OpNot, ir.OpBool, ir.OpCondBr, ir.OpRet:
-		add(in.A)
-	case ir.OpStore:
-		add(in.A)
-		add(in.Idx)
-	default: // binops
-		add(in.A)
-		add(in.B)
-	}
-	return regs
 }

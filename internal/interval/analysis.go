@@ -184,25 +184,12 @@ func (a *analyzer) classifyRegisters() {
 		gen++
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			use := func(v ir.Value) {
-				if !v.IsConst && definedHere[v.Reg] != gen {
+			in.EachUse(func(v *ir.Value) {
+				if definedHere[v.Reg] != gen {
 					cross[v.Reg] = true
 				}
-			}
-			switch in.Op {
-			case ir.OpConst, ir.OpNop, ir.OpBr, ir.OpFence:
-			case ir.OpMov, ir.OpNeg, ir.OpNot, ir.OpBool, ir.OpCondBr, ir.OpRet:
-				use(in.A)
-			case ir.OpLoad:
-				use(in.Idx)
-			case ir.OpStore:
-				use(in.A)
-				use(in.Idx)
-			default:
-				use(in.A)
-				use(in.B)
-			}
-			if writesValue(in.Op) {
+			})
+			if in.Op.WritesDst() {
 				if defBlock[in.Dst] != noBlock && defBlock[in.Dst] != int(b.ID) {
 					cross[in.Dst] = true
 				}
@@ -219,14 +206,6 @@ func (a *analyzer) classifyRegisters() {
 			a.crossIdx[r] = -1
 		}
 	}
-}
-
-func writesValue(op ir.Op) bool {
-	switch op {
-	case ir.OpStore, ir.OpBr, ir.OpCondBr, ir.OpRet, ir.OpNop, ir.OpFence:
-		return false
-	}
-	return true
 }
 
 func (a *analyzer) bottomEnv() *Env {

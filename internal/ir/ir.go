@@ -133,6 +133,15 @@ func (o Op) IsTerminator() bool {
 	return o == OpBr || o == OpCondBr || o == OpRet
 }
 
+// WritesDst reports whether the op writes its Dst register.
+func (o Op) WritesDst() bool {
+	switch o {
+	case OpNop, OpStore, OpBr, OpCondBr, OpRet, OpFence:
+		return false
+	}
+	return true
+}
+
 // SymbolID identifies a memory symbol within a Program.
 type SymbolID int
 
@@ -212,6 +221,32 @@ func (b *Block) Succs() []BlockID {
 		return []BlockID{t.TrueTarget, t.FalseTarget}
 	}
 	return nil
+}
+
+// EachUse calls fn with a pointer to every register operand the
+// instruction reads, constants excluded, so callers can rewrite operands in
+// place.
+func (in *Instr) EachUse(fn func(*Value)) {
+	use := func(v *Value) {
+		if !v.IsConst {
+			fn(v)
+		}
+	}
+	switch in.Op {
+	case OpNop, OpBr, OpConst, OpFence:
+	case OpMov, OpNeg, OpNot, OpBool, OpRet, OpCondBr:
+		use(&in.A)
+	case OpLoad:
+		use(&in.Idx)
+	case OpStore:
+		use(&in.Idx)
+		use(&in.A)
+	default:
+		if in.Op.IsBinop() {
+			use(&in.A)
+			use(&in.B)
+		}
+	}
 }
 
 // TakenTarget returns the successor a Resolved CondBr always jumps to. It

@@ -1,6 +1,7 @@
 package irverify
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -325,6 +326,35 @@ func TestDiagnosticString(t *testing.T) {
 	for _, want := range []string{"[operand]", "else", "instr 0", "id 7", "line 12", "%r1000"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("diagnostic %q missing %q", s, want)
+		}
+	}
+}
+
+// TestDefUseMatchesIR: the verifier keeps its own definition of what each
+// opcode reads and writes, as the independent check on the IR. It must
+// agree with ir.Op.WritesDst and (*ir.Instr).EachUse on every opcode, with
+// register and with constant operands.
+func TestDefUseMatchesIR(t *testing.T) {
+	for op := ir.OpNop; op <= ir.OpFence; op++ {
+		for _, constants := range []bool{false, true} {
+			val := func(r ir.Reg) ir.Value {
+				if constants {
+					return ir.ConstVal(int64(r))
+				}
+				return ir.RegVal(r)
+			}
+			in := ir.Instr{Op: op, Dst: 1, A: val(2), B: val(3), Idx: val(4)}
+			var want, got []ir.Reg
+			forEachUse(&in, func(r ir.Reg) { want = append(want, r) })
+			in.EachUse(func(v *ir.Value) { got = append(got, v.Reg) })
+			slices.Sort(want)
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Errorf("%v (constants %v): EachUse reads %v, the verifier %v", op, constants, got, want)
+			}
+			if _, def := defOf(&in); op.WritesDst() != def {
+				t.Errorf("%v: WritesDst %v, the verifier %v", op, op.WritesDst(), def)
+			}
 		}
 	}
 }

@@ -29,6 +29,11 @@ func (c CacheConfig) Lines() int { return c.NumSets * c.Assoc }
 // SizeBytes returns the total cache capacity.
 func (c CacheConfig) SizeBytes() int { return c.Lines() * c.LineSize }
 
+// maxAssoc is the largest associativity the cache domain can represent: it
+// keeps ages in 16 bits, and the persistence domain reserves the largest
+// 16-bit value for a block that may have been evicted.
+const maxAssoc = 1<<16 - 2
+
 // Validate checks the configuration for plausibility.
 func (c CacheConfig) Validate() error {
 	if c.LineSize <= 0 || c.NumSets <= 0 || c.Assoc <= 0 {
@@ -36,6 +41,9 @@ func (c CacheConfig) Validate() error {
 	}
 	if c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("layout: line size %d is not a power of two", c.LineSize)
+	}
+	if c.Assoc > maxAssoc {
+		return fmt.Errorf("layout: associativity %d exceeds %d, the most 16-bit cache ages can track", c.Assoc, maxAssoc)
 	}
 	return nil
 }

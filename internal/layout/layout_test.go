@@ -38,11 +38,18 @@ func TestConfigValidate(t *testing.T) {
 		{LineSize: 0, NumSets: 1, Assoc: 1},
 		{LineSize: 64, NumSets: 0, Assoc: 1},
 		{LineSize: 63, NumSets: 1, Assoc: 1},
+		// Ages are 16-bit and the persistence domain's top is 65535; at
+		// 65540 ways a 16-bit associativity wraps to 4.
+		{LineSize: 64, NumSets: 1, Assoc: 65535},
+		{LineSize: 64, NumSets: 1, Assoc: 65540},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %+v should be invalid", c)
 		}
+	}
+	if c := (CacheConfig{LineSize: 64, NumSets: 1, Assoc: 65534}); c.Validate() != nil {
+		t.Errorf("config %+v should be valid: %v", c, c.Validate())
 	}
 }
 

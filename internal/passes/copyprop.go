@@ -21,16 +21,16 @@ func copyProp(prog *ir.Program) int {
 		active = active[:0]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			eachUse(in, func(v *ir.Value) {
+			in.EachUse(func(v *ir.Value) {
 				if stamp[v.Reg] == gen {
 					*v = copyOf[v.Reg]
 					n++
 				}
 			})
-			d, ok := instrDef(in)
-			if !ok {
+			if !in.Op.WritesDst() {
 				continue
 			}
+			d := in.Dst
 			// Overwriting d kills its own mapping and every mapping whose
 			// source it is.
 			stamp[d] = 0

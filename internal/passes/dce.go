@@ -76,12 +76,12 @@ func dceRound(prog *ir.Program) int {
 			liveOut(b, cur)
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := &b.Instrs[i]
-				if d, ok := instrDef(in); ok {
-					if ci := crossIdx[d]; ci >= 0 {
+				if in.Op.WritesDst() {
+					if ci := crossIdx[in.Dst]; ci >= 0 {
 						cur.clear(ci)
 					}
 				}
-				eachUse(in, func(v *ir.Value) {
+				in.EachUse(func(v *ir.Value) {
 					if ci := crossIdx[v.Reg]; ci >= 0 {
 						cur.set(ci)
 					}
@@ -106,7 +106,8 @@ func dceRound(prog *ir.Program) int {
 		gen++
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := &b.Instrs[i]
-			if d, ok := instrDef(in); ok {
+			if in.Op.WritesDst() {
+				d := in.Dst
 				ci := crossIdx[d]
 				isLive := localLive[d] == gen
 				if ci >= 0 {
@@ -122,7 +123,7 @@ func dceRound(prog *ir.Program) int {
 				}
 				localLive[d] = 0
 			}
-			eachUse(in, func(v *ir.Value) {
+			in.EachUse(func(v *ir.Value) {
 				if ci := crossIdx[v.Reg]; ci >= 0 {
 					cur.set(ci)
 				} else {

@@ -280,7 +280,7 @@ func sccp(prog *ir.Program) int {
 		s.curGen++
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]
-			eachUse(in, func(v *ir.Value) {
+			in.EachUse(func(v *ir.Value) {
 				if lv := s.read(env, v.Reg); lv.kind == latConst {
 					*v = ir.ConstVal(lv.c)
 					folded++

@@ -2,40 +2,6 @@ package passes
 
 import "specabsint/internal/ir"
 
-// eachUse calls fn with a pointer to every register operand the instruction
-// reads, so callers can rewrite operands in place.
-func eachUse(in *ir.Instr, fn func(*ir.Value)) {
-	useVal := func(v *ir.Value) {
-		if !v.IsConst {
-			fn(v)
-		}
-	}
-	switch in.Op {
-	case ir.OpNop, ir.OpBr, ir.OpConst, ir.OpFence:
-	case ir.OpMov, ir.OpNeg, ir.OpNot, ir.OpBool, ir.OpRet, ir.OpCondBr:
-		useVal(&in.A)
-	case ir.OpLoad:
-		useVal(&in.Idx)
-	case ir.OpStore:
-		useVal(&in.Idx)
-		useVal(&in.A)
-	default:
-		if in.Op.IsBinop() {
-			useVal(&in.A)
-			useVal(&in.B)
-		}
-	}
-}
-
-// instrDef returns the register the instruction writes, if any.
-func instrDef(in *ir.Instr) (ir.Reg, bool) {
-	switch in.Op {
-	case ir.OpNop, ir.OpStore, ir.OpBr, ir.OpCondBr, ir.OpRet, ir.OpFence:
-		return 0, false
-	}
-	return in.Dst, true
-}
-
 // bitset is a fixed-width bit vector over dense cross-register indices.
 type bitset []uint64
 
@@ -80,9 +46,9 @@ func classifyCross(prog *ir.Program) (crossIdx []int, numCross int) {
 		}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			eachUse(in, func(v *ir.Value) { touch(v.Reg) })
-			if d, ok := instrDef(in); ok {
-				touch(d)
+			in.EachUse(func(v *ir.Value) { touch(v.Reg) })
+			if in.Op.WritesDst() {
+				touch(in.Dst)
 			}
 		}
 	}

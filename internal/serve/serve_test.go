@@ -315,6 +315,32 @@ func TestBadRequests(t *testing.T) {
 	}
 	decodeErr(t, data)
 
+	// A geometry the analysis cannot model is a bad option, for a request
+	// and for one job of a batch: a 48-byte line used to fail inside the
+	// analysis as 500 internal, and 65540 ways wrapped to 4 in the 16-bit
+	// cache ages and answered 200.
+	for _, geom := range []wire.CacheGeometry{
+		{LineSize: 48, NumSets: 1, Assoc: 512},
+		{LineSize: 64, NumSets: 1, Assoc: 65540},
+	} {
+		opts := &wire.Options{Cache: &geom}
+		status, data = post(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: "int main() { return 0; }", Options: opts})
+		if status != http.StatusBadRequest {
+			t.Errorf("cache %+v: status %d: %s", geom, status, data)
+		} else if e := decodeErr(t, data); e.Code != wire.CodeBadRequest {
+			t.Errorf("cache %+v: code %q", geom, e.Code)
+		}
+		status, data = post(t, ts.URL+"/v1/batch", wire.BatchRequest{Jobs: []wire.BatchJob{
+			{Name: "good", Source: "int main() { return 0; }"},
+			{Name: "bad", Source: "int main() { return 0; }", Options: opts},
+		}})
+		if status != http.StatusBadRequest {
+			t.Errorf("batch job with cache %+v: status %d: %s", geom, status, data)
+		} else if e := decodeErr(t, data); e.Code != wire.CodeBadRequest || !strings.HasPrefix(e.Message, "job 1 (bad): ") {
+			t.Errorf("batch job with cache %+v: %+v", geom, e)
+		}
+	}
+
 	status, data = post(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: "int main() { return oops; }"})
 	if status != http.StatusUnprocessableEntity {
 		t.Errorf("compile error: status %d", status)

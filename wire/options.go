@@ -140,7 +140,9 @@ func FromConfig(cfg specabsint.Config) (*Options, error) {
 func ptr[T any](v T) *T { return &v }
 
 // Config resolves the document into a full configuration: the paper's
-// defaults overridden by every present field. A nil *Options is valid and
+// defaults overridden by every present field. It rejects an unknown
+// strategy, an unknown value of a retired field, and a cache geometry the
+// analysis cannot model (CacheConfig.Validate). A nil *Options is valid and
 // yields DefaultConfig. The returned Config converts to the option form
 // with Config.Options — the reconstruction path every service entry point
 // uses:
@@ -157,6 +159,9 @@ func (o *Options) Config() (specabsint.Config, error) {
 			LineSize: o.Cache.LineSize,
 			NumSets:  o.Cache.NumSets,
 			Assoc:    o.Cache.Assoc,
+		}
+		if err := cfg.Cache.Validate(); err != nil {
+			return cfg, err
 		}
 	}
 	if o.Speculative != nil {
