@@ -1,6 +1,5 @@
 // Command specvet is the project's vet multichecker: it runs the
-// repository-specific analyzers (tools/statecheck, the cache.State
-// pooling-discipline check, and tools/maprange, the nondeterministic
+// repository-specific analyzers (tools/maprange, the nondeterministic
 // map-iteration check) over the given packages and exits non-zero on
 // findings, mirroring `go vet` so CI can chain them.
 //
@@ -18,11 +17,9 @@ import (
 
 	"specabsint/tools/analysis"
 	"specabsint/tools/maprange"
-	"specabsint/tools/statecheck"
 )
 
 var analyzers = []*analysis.Analyzer{
-	statecheck.Analyzer,
 	maprange.Analyzer,
 }
 

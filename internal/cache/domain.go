@@ -354,7 +354,7 @@ func (d *Domain) Join(a, b *State) *State {
 }
 
 // JoinInto merges src into dst in place and reports whether dst changed.
-// JoinInto copies out of src and never retains it, so callers may pool src.
+// JoinInto copies out of src and never retains it, so callers may reuse src.
 func (d *Domain) JoinInto(dst, src *State) bool {
 	if d.Persist {
 		return d.persistJoinInto(dst, src)

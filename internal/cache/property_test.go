@@ -274,7 +274,7 @@ func TestPropertyWalkMatchesStepwiseJoin(t *testing.T) {
 				l := propLayout(t, sh.blocks, sh.sets, sh.assoc)
 				d := &Domain{L: l, Refined: refined, Persist: persist}
 				ref := &Domain{L: l, Refined: refined, Persist: persist}
-				rollback := Bottom() // reused across walks, as the engine's pool does
+				rollback := Bottom() // reused across walks, as the engine's scratch state is
 				var start *State
 				for seed := int64(0); seed < 48; seed++ {
 					rng := rand.New(rand.NewSource(seed))
@@ -557,34 +557,26 @@ func TestPropertyCopyFromMatchesClone(t *testing.T) {
 	}
 }
 
-// TestPropertyPoolReuse: the pool hands back usable buffers, counts reuse
-// accurately, and a recycled state carries no trace of its previous life
-// once reinitialized per the ownership rules.
+// TestPropertyPoolReuse: a reused scratch state, like the engine's, carries
+// no trace of its previous contents once reinitialized with SetBottom and
+// CopyFrom.
 func TestPropertyPoolReuse(t *testing.T) {
 	const blocks, assoc = 10, 4
 	l := propLayout(t, blocks, 1, assoc)
 	d := NewDomain(l)
-	p := NewPool(l.NumBlocks)
 
-	ref := randState(d, rng40(), blocks, 25)
-	s1 := p.Get()
-	s1.CopyFrom(ref)
-	if !s1.Equal(ref) {
-		t.Fatal("pooled state differs from its source after CopyFrom")
+	rng := rng40()
+	ref := randState(d, rng, blocks, 25)
+	s := randState(d, rng, blocks, 25) // its previous contents
+	s.CopyFrom(ref)
+	if !s.Equal(ref) {
+		t.Fatal("scratch state differs from its source after CopyFrom")
 	}
-	p.Put(s1)
-	s2 := p.Get()
-	if s2 != s1 {
-		t.Fatal("free list did not hand back the recycled state")
-	}
-	s2.SetBottom()
-	s2.CopyFrom(ref)
-	if !s2.Equal(ref) {
-		t.Fatal("recycled state differs from source after SetBottom+CopyFrom")
-	}
-	st := p.Stats()
-	if st.Gets != 2 || st.News != 1 || st.Puts != 1 || st.Reused() != 1 {
-		t.Fatalf("stats %+v, want Gets=2 News=1 Puts=1 Reused=1", st)
+	s.CopyFrom(randState(d, rng, blocks, 25)) // another use
+	s.SetBottom()
+	s.CopyFrom(ref)
+	if !s.Equal(ref) {
+		t.Fatal("reused state differs from source after SetBottom+CopyFrom")
 	}
 }
 

@@ -89,7 +89,7 @@ func (s *State) CopyFrom(src *State) {
 
 // SetBottom marks s unreachable while keeping its buffers, so a later
 // CopyFrom (e.g. via JoinInto's bottom case) reuses them instead of
-// allocating. The pooled counterpart of Bottom().
+// allocating. The in-place counterpart of Bottom().
 func (s *State) SetBottom() { s.IsBottom = true }
 
 // Equal reports structural equality.

@@ -17,8 +17,7 @@ import (
 // it, and takes the lanes' verdicts from their slots.
 func refClassify(e *engine) (access map[int]AccessInfo, spec map[int]cache.Classification) {
 	access, spec = map[int]AccessInfo{}, map[int]cache.Classification{}
-	cur := e.pool.Get()
-	defer e.pool.Put(cur)
+	cur := e.scratch(&e.walk)
 	for _, b := range e.prog.Blocks {
 		bs := &e.steps.blocks[b.ID]
 		if len(bs.steps) == 0 {

@@ -121,9 +121,14 @@ type engine struct {
 	// post-dominators, and vn_stop placement keep using the full edge set.
 	succs [][]ir.BlockID
 
-	// pool recycles the engine's transfer/walk/classify scratch states; see
-	// cache.Pool for the ownership rules.
-	pool *cache.Pool
+	// walk, rollback and sat are the engine's three scratch states, each
+	// allocated on its first use (see scratch). walk holds the state that
+	// transferBlock and laneWalk return: process finishes its walks before
+	// drainLanes starts, and each walk's state is joined into its targets
+	// before the next walk begins. rollback holds laneWalk's rollback, and
+	// sat the saturated copy join makes at a phase-2 loop head. Joins copy
+	// out of their source, so no flow ever retains a scratch state.
+	walk, rollback, sat *cache.State
 
 	changes []int // per-block S-change counts, for phase-1 widening
 	// wto is the Bourdoncle ordering of the effective CFG that sweep walks;
@@ -196,7 +201,6 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 		idx:          idx,
 		opts:         opts,
 		steps:        steps,
-		pool:         cache.NewPool(l.NumBlocks),
 		S:            make([]*cache.State, n),
 		SS:           make([][]ssSlot, n),
 		verdictS:     make([][]cache.Classification, n),
@@ -536,8 +540,6 @@ func (e *engine) drainLanes(ctx context.Context) error {
 				e.injectRollback(c, n, rollback)
 				e.stats.Rollbacks++
 			}
-			e.pool.Put(out.st)
-			e.pool.Put(rollback)
 		}
 	}
 	return nil
@@ -549,11 +551,10 @@ func (e *engine) drainLanes(ctx context.Context) error {
 // also reports the §6.2 slice check: whether the block's branch condition is
 // computed within the block from loads that all hit. A step that repeats the
 // one before it (e.repeats) leaves the state unchanged and is not
-// transferred, though it counts as a transfer. The returned state is pooled
-// scratch: the caller must hand it back with e.pool.Put once it has been
-// joined into its targets (joins copy, so no target retains it).
+// transferred, though it counts as a transfer. The returned state is the
+// walk scratch state, valid until the next walk.
 func (e *engine) transferBlock(b *ir.Block, st *cache.State, verdicts *[]cache.Classification) (out *cache.State, condHits bool) {
-	out = e.pool.Get()
+	out = e.scratch(&e.walk)
 	out.CopyFrom(st)
 	bs := &e.steps.blocks[b.ID]
 	condHits = bs.condInBlock
@@ -573,6 +574,18 @@ func (e *engine) transferBlock(b *ir.Block, st *cache.State, verdicts *[]cache.C
 	return out, condHits
 }
 
+// scratch returns the scratch state *s, allocating it on its first use;
+// every later use counts in Stats.StatesPooled. Its contents are stale, so
+// the caller initializes it with CopyFrom or SetBottom.
+func (e *engine) scratch(s **cache.State) *cache.State {
+	if *s == nil {
+		*s = cache.NewState(e.l.NumBlocks)
+	} else {
+		e.stats.StatesPooled++
+	}
+	return *s
+}
+
 // repeats reports whether the block's i-th architectural step repeats the
 // one before it, so that its transfer is the identity (cache.Domain.Repeats).
 func (e *engine) repeats(bs *blockSteps, i int) bool {
@@ -581,18 +594,16 @@ func (e *engine) repeats(bs *blockSteps, i int) bool {
 
 // join merges st into dst, the state of one of target's flows, and reports
 // whether dst changed. In phase 2 a loop head's contribution is saturated
-// against satRef first, on a pooled copy (see satRef).
+// against satRef first, on the sat scratch copy (see satRef).
 func (e *engine) join(target ir.BlockID, dst, st *cache.State) bool {
 	if e.satRef == nil || !e.loopHeader[target] {
 		return e.dom.JoinInto(dst, st)
 	}
-	sat := e.pool.Get()
+	sat := e.scratch(&e.sat)
 	sat.CopyFrom(st)
 	e.dom.Saturate(e.satRef[target], sat)
 	e.stats.Widenings++
-	changed := e.dom.JoinInto(dst, sat)
-	e.pool.Put(sat)
-	return changed
+	return e.dom.JoinInto(dst, sat)
 }
 
 // joinS merges st into S[target] and marks it dirty on change. In phase 1 a
@@ -741,7 +752,6 @@ func (e *engine) process(n ir.BlockID) {
 				e.joinS(s, out)
 			}
 			injectLanes(condHits, out)
-			e.pool.Put(out)
 		}
 	}
 
@@ -756,7 +766,6 @@ func (e *engine) process(n ir.BlockID) {
 			e.joinSS(s, slot.color, slot.src, out)
 		}
 		injectLanes(condHits, out)
-		e.pool.Put(out)
 	}
 }
 
@@ -766,8 +775,8 @@ func (e *engine) process(n ir.BlockID) {
 // and builds the rollback: the join of the states after each access, since
 // a rollback may occur at any moment (§5.1). It builds that join in closed
 // form, touching per access only the blocks a later access may touch, not
-// the whole universe. Both returned states are pooled scratch the caller
-// must Put back.
+// the whole universe. It returns the walk and rollback scratch states, valid
+// until the next lane walk.
 //
 // The budget arithmetic is positional: an entry budget B executes the spec
 // step at instruction index p iff B >= p+1 (the spec steps already stop at
@@ -779,10 +788,10 @@ func (e *engine) process(n ir.BlockID) {
 // occurred at any access before the fence.
 func (e *engine) laneWalk(b *ir.Block, slot *laneSlot) (laneVal, *cache.State) {
 	bs := &e.steps.blocks[b.ID]
-	st := e.pool.Get()
+	st := e.scratch(&e.walk)
 	st.CopyFrom(slot.st)
 	budget := slot.budget
-	rollback := e.pool.Get()
+	rollback := e.scratch(&e.rollback)
 	rollback.SetBottom()
 	accs := bs.specWithin(budget)
 	slot.verdicts = slices.Grow(slot.verdicts[:0], len(accs))[:len(accs)]
@@ -861,7 +870,6 @@ func (e *engine) result() *Result {
 	}
 	e.stats.Iterations = int64(e.iter)
 	e.stats.Colors = int64(len(e.colors))
-	e.stats.StatesPooled = int64(e.pool.Stats().Reused())
 	res.Stats = e.stats
 	for _, c := range e.colors {
 		res.Flows = append(res.Flows, SpecFlow{

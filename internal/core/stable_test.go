@@ -125,7 +125,6 @@ func checkStable(t *testing.T, label string, e *engine) {
 					t.Fatalf("%s: normal flow of block %d walks to a state S[%d] does not cover", label, n, s)
 				}
 			}
-			e.pool.Put(out)
 		}
 		for _, slot := range e.SS[n] {
 			if slot.dirty {
@@ -149,7 +148,6 @@ func checkStable(t *testing.T, label string, e *engine) {
 					t.Fatalf("%s: SS flow of color %d from %d at block %d walks to a state its slot at %d does not cover", label, slot.color, slot.src, n, s)
 				}
 			}
-			e.pool.Put(out)
 		}
 	}
 }

@@ -124,8 +124,9 @@ type FixpointStats struct {
 	// decisions falling back to b_m.
 	DepthHitBounds  int64 `json:"depth_hit_bounds"`
 	DepthMissBounds int64 `json:"depth_miss_bounds"`
-	// StatesPooled counts scratch states served from the engine free list
-	// instead of the heap.
+	// StatesPooled counts uses of the engine's scratch states served without
+	// allocating: every use of its walk, rollback and saturation states but
+	// the first of each.
 	StatesPooled int64 `json:"states_pooled"`
 }
 

@@ -1,7 +1,10 @@
 package wcet
 
 import (
+	"slices"
+
 	"specabsint/internal/cache"
+	"specabsint/internal/cfg"
 	"specabsint/internal/core"
 	"specabsint/internal/ir"
 )
@@ -27,8 +30,10 @@ type BoundOptions struct {
 // NewWithBounds computes the timing estimate like New, but bounds cyclic
 // CFGs using per-loop iteration limits: each natural loop is contracted —
 // innermost first — into a single node charged bound × (its body's longest
-// acyclic path). The result over-approximates every execution that respects
-// the bounds.
+// acyclic path). Like New it follows effective successors from entry, so a
+// loop no execution can enter or repeat, such as one behind a resolved
+// branch's dead edge, needs no bound. The result over-approximates every
+// execution that respects the bounds.
 func NewWithBounds(res *core.Result, costs CostModel, bounds BoundOptions) Estimate {
 	est := New(res, costs)
 	if est.WorstCaseCycles >= 0 {
@@ -81,13 +86,21 @@ func boundedLongestPath(res *core.Result, costs CostModel, bounds BoundOptions) 
 		}
 		edges[u][v] = true
 	}
-	for _, b := range g.RPO {
-		for _, s := range g.Succs[b] {
+	order, _ := effectiveOrder(res.Prog)
+	reached := make([]bool, n)
+	for _, b := range order {
+		reached[b] = true
+		for _, s := range res.Prog.Block(b).EffectiveSuccs() {
 			addEdge(int(b), int(s))
 		}
 	}
 
-	loops := g.NaturalLoops(g.Dominators())
+	// Only loops with a back edge an execution can take are contracted.
+	loops := slices.DeleteFunc(g.NaturalLoops(g.Dominators()), func(l *cfg.Loop) bool {
+		return !slices.ContainsFunc(l.Latches, func(t ir.BlockID) bool {
+			return reached[t] && slices.Contains(res.Prog.Block(t).EffectiveSuccs(), l.Header)
+		})
+	})
 	// Innermost first: smaller bodies are contained in larger ones.
 	for i := 0; i < len(loops); i++ {
 		for j := i + 1; j < len(loops); j++ {

@@ -1,7 +1,9 @@
 // Package wcet estimates worst-case execution time from the (speculative)
 // cache analysis: every memory access proved always-hit costs the hit
 // latency, every other access is charged the miss penalty, and the bound is
-// the longest path through the acyclic (unrolled) CFG. This is the first
+// the longest path from entry along effective successors (ir.Block.
+// EffectiveSuccs), the edges an execution can take: a resolved branch is an
+// unconditional jump, so no execution enters its dead side. This is the first
 // application of the paper (§2.1, §7.2): an analysis that ignores
 // speculation under-counts misses and can certify a deadline the hardware
 // then breaks.
@@ -11,7 +13,9 @@ import (
 	"fmt"
 
 	"specabsint/internal/cache"
+	"specabsint/internal/cfg"
 	"specabsint/internal/core"
+	"specabsint/internal/ir"
 )
 
 // CostModel assigns cycle costs.
@@ -77,41 +81,46 @@ func New(res *core.Result, costs CostModel) Estimate {
 	return est
 }
 
-// longestPath computes the maximum-cost entry-to-exit path of an acyclic
-// CFG, or -1 when a back edge exists.
+// longestPath computes the maximum-cost entry-to-exit path along effective
+// successors, or -1 when a cycle joins the blocks they reach.
 func longestPath(res *core.Result, costs CostModel) int64 {
-	g := res.Graph
-	// Detect cycles: a back edge in reverse postorder.
-	for _, b := range g.RPO {
-		for _, s := range g.Succs[b] {
-			if g.RPOIndex[s] <= g.RPOIndex[b] {
-				return -1
-			}
-		}
+	order, cyclic := effectiveOrder(res.Prog)
+	if cyclic {
+		return -1
 	}
-	const unset = int64(-1)
+	// A topological order reaches every block after all its predecessors.
 	dist := make([]int64, len(res.Prog.Blocks))
-	for i := range dist {
-		dist[i] = unset
-	}
-	dist[res.Prog.Entry] = 0
 	var worst int64
-	for _, b := range g.RPO {
-		if dist[b] == unset {
-			continue
+	for _, b := range order {
+		block := res.Prog.Block(b)
+		total := dist[b] + blockCost(res, costs, block)
+		succs := block.EffectiveSuccs()
+		if len(succs) == 0 {
+			worst = max(worst, total)
 		}
-		total := dist[b] + blockCost(res, costs, res.Prog.Block(b))
-		if len(g.Succs[b]) == 0 {
-			if total > worst {
-				worst = total
-			}
-			continue
-		}
-		for _, s := range g.Succs[b] {
-			if total > dist[s] {
-				dist[s] = total
-			}
+		for _, s := range succs {
+			dist[s] = max(dist[s], total)
 		}
 	}
 	return worst
+}
+
+// effectiveOrder returns the blocks reachable from entry along effective
+// successors in a weak topological order (cfg.WTOOf), which is a
+// topological order when no cycle joins them, and whether one does.
+func effectiveOrder(prog *ir.Program) (order []ir.BlockID, cyclic bool) {
+	w := cfg.WTOOf(len(prog.Blocks), prog.Entry, func(b ir.BlockID) []ir.BlockID {
+		return prog.Block(b).EffectiveSuccs()
+	})
+	var flatten func(elems []cfg.WTOElem)
+	flatten = func(elems []cfg.WTOElem) {
+		for _, el := range elems {
+			order = append(order, el.Block)
+			if el.Comp != nil {
+				flatten(el.Comp.Body)
+			}
+		}
+	}
+	flatten(w.Sequence)
+	return order, w.NumComponents > 0
 }

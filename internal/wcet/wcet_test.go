@@ -1,12 +1,14 @@
 package wcet
 
 import (
+	"fmt"
 	"testing"
 
 	"specabsint/internal/core"
 	"specabsint/internal/ir"
 	"specabsint/internal/layout"
 	"specabsint/internal/lower"
+	"specabsint/internal/passes"
 	"specabsint/internal/source"
 )
 
@@ -21,6 +23,33 @@ func analyze(t *testing.T, src string, opts core.Options, maxUnroll int) *core.R
 		t.Fatal(err)
 	}
 	res, err := core.Analyze(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// analyzeResolved lowers src with its loops kept, runs the pass pipeline,
+// whose branch resolution turns a branch on a constant condition into an
+// unconditional jump, and analyzes the result.
+func analyzeResolved(t *testing.T, src string) *core.Result {
+	t.Helper()
+	ast, err := source.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lower.Lower(ast, lower.Options{MaxUnroll: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := passes.Run(prog, passes.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.ResolvedBranches == 0 {
+		t.Fatal("the pass pipeline resolved no branch")
+	}
+	res, err := core.Analyze(prog, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,5 +313,88 @@ func TestBoundedWCETWithPersistence(t *testing.T) {
 	if withP.WorstCaseCycles*2 > plain.WorstCaseCycles {
 		t.Errorf("persistence improvement too small: %d vs %d",
 			withP.WorstCaseCycles, plain.WorstCaseCycles)
+	}
+}
+
+// TestDeadArmNotCharged: no execution enters the dead arm of a resolved
+// branch, so the bound charges only the live one. With flag 0 the live path
+// makes two accesses, the flag load and b[0]; at flag 1 it makes five.
+func TestDeadArmNotCharged(t *testing.T) {
+	src := func(flag int) string {
+		return fmt.Sprintf(`
+		int a[64]; int b[16];
+		int flag = %d;
+		int main() {
+			reg int t;
+			if (flag) {
+				t = a[0]; t = a[16]; t = a[32]; t = a[48];
+			} else {
+				t = b[0];
+			}
+			return t;
+		}`, flag)
+	}
+	costs := DefaultCosts()
+	live := New(analyzeResolved(t, src(1)), costs)
+	dead := New(analyzeResolved(t, src(0)), costs)
+	if live.WorstCaseCycles < 5*costs.MissPenalty {
+		t.Errorf("flag 1: wcet = %d, want >= %d for five cold loads", live.WorstCaseCycles, 5*costs.MissPenalty)
+	}
+	if dead.WorstCaseCycles < 0 || dead.WorstCaseCycles >= 3*costs.MissPenalty {
+		t.Errorf("flag 0: wcet = %d, want below %d: the four loads of the dead arm are charged",
+			dead.WorstCaseCycles, 3*costs.MissPenalty)
+	}
+}
+
+// TestDeadLoopNeedsNoBound: a loop behind a resolved branch's dead edge is
+// no cycle an execution can take. New bounds a program whose only loop is
+// dead, and NewWithBounds needs a bound only for the live loop of a program
+// with one live and one dead loop.
+func TestDeadLoopNeedsNoBound(t *testing.T) {
+	costs := DefaultCosts()
+	res := analyzeResolved(t, `
+	int a;
+	int flag = 0;
+	int main(int n) {
+		int s = 0;
+		if (flag) {
+			while (n > 0) { s += a; n = n - 1; }
+		}
+		return s + a;
+	}`)
+	est := New(res, costs)
+	if est.WorstCaseCycles < 0 {
+		t.Errorf("only loop dead: %v", est)
+	}
+	if bounded := NewWithBounds(res, costs, BoundOptions{}); bounded != est {
+		t.Errorf("only loop dead: NewWithBounds without bounds gives %v, New %v", bounded, est)
+	}
+
+	res = analyzeResolved(t, `
+	int a;
+	int flag = 0;
+	int main(int n, int m) {
+		int s = 0;
+		while (n > 0) { s += a; n = n - 1; }
+		if (flag) {
+			while (m > 0) { s += a; m = m - 1; }
+		}
+		return s;
+	}`)
+	loops := res.Graph.NaturalLoops(res.Graph.Dominators())
+	if len(loops) != 2 {
+		t.Fatalf("%d loops, want 2", len(loops))
+	}
+	bounds := BoundOptions{LoopBounds: map[ir.BlockID]int64{}}
+	for _, l := range loops {
+		if !res.In[l.Header].IsBottom {
+			bounds.LoopBounds[l.Header] = 10
+		}
+	}
+	if len(bounds.LoopBounds) != 1 {
+		t.Fatalf("%d loops reached by the analysis, want 1", len(bounds.LoopBounds))
+	}
+	if est := NewWithBounds(res, costs, bounds); est.WorstCaseCycles < 0 {
+		t.Errorf("live loop bounded, dead loop not: %v", est)
 	}
 }

@@ -8,7 +8,7 @@
 //
 // The driver is purely syntactic: packages are parsed, not type-checked.
 // Analyzers therefore work from AST shape and naming heuristics, which is
-// exactly the level the project's checkers need (see tools/statecheck).
+// exactly the level the project's checkers need (see tools/maprange).
 package analysis
 
 import (
