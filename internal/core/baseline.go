@@ -66,11 +66,16 @@ func AnalyzeAlgorithm1(prog *ir.Program, opts Options) (*Result, error) {
 	sol := absint.Solve[*cache.State](g, d, absint.Options{
 		WideningThreshold: wideningThreshold,
 	})
+	// The same order the engine sweeps, for the WCET timing schema.
+	wto := cfg.WTOOf(len(prog.Blocks), prog.Entry, func(b ir.BlockID) []ir.BlockID {
+		return prog.Block(b).EffectiveSuccs()
+	})
 	res := &Result{
 		Prog:       prog,
 		Graph:      g,
 		Layout:     l,
 		Opts:       opts,
+		WTO:        wto,
 		In:         sol.In,
 		Access:     map[int]AccessInfo{},
 		SpecAccess: map[int]cache.Classification{},

@@ -145,6 +145,10 @@ type Result struct {
 	Graph  *cfg.Graph
 	Layout *layout.Layout
 	Opts   Options
+	// WTO is the weak topological order of the effective CFG (ir.Block.
+	// EffectiveSuccs) that the fixpoint swept: every block reachable from
+	// entry, with one component per loop an execution can enter and repeat.
+	WTO *cfg.WTO
 
 	// In[b] is the normal abstract state at the entry of block b after the
 	// fixpoint (speculative contributions already merged per the strategy).

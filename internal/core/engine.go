@@ -859,6 +859,7 @@ func (e *engine) result() *Result {
 		Graph:      e.g,
 		Layout:     e.l,
 		Opts:       e.opts,
+		WTO:        e.wto,
 		In:         e.S,
 		Access:     make(map[int]AccessInfo, e.steps.stats().ArchSteps),
 		SpecAccess: map[int]cache.Classification{},

@@ -16,10 +16,5 @@ import (
 // speculation. Dynamic depth bounding keys off must-hit facts, which the
 // persistence domain does not provide, so the conservative window is used.
 func AnalyzePersistence(prog *ir.Program, opts Options) (*Result, error) {
-	return AnalyzePersistenceContext(context.Background(), prog, opts)
-}
-
-// AnalyzePersistenceContext is AnalyzePersistence with cancellation.
-func AnalyzePersistenceContext(ctx context.Context, prog *ir.Program, opts Options) (*Result, error) {
-	return analyze(ctx, prog, opts, persistence)
+	return analyze(context.Background(), prog, opts, persistence)
 }

@@ -5,7 +5,6 @@ import (
 
 	"specabsint/internal/core"
 	"specabsint/internal/ir"
-	"specabsint/internal/layout"
 	"specabsint/internal/obs"
 	"specabsint/internal/sidechannel"
 )
@@ -17,9 +16,9 @@ import (
 //   - tier 1 (programs): progKey = SHA-256(source) + every lowering option
 //     that shapes the IR → compiled *ir.Program. Shared by jobs that analyze
 //     one source under many analysis configurations (a strategy sweep).
-//   - tier 2 (reports): reportKey = progKey + the full analysis-options
-//     fingerprint + mode → the completed analysis. A resubmission of an
-//     identical request is answered without running the fixpoint at all.
+//   - tier 2 (reports): reportKey = progKey + the analysis options + mode →
+//     the completed analysis. A resubmission of an identical request is
+//     answered without running the fixpoint at all.
 //
 // Both tiers are bounded LRU: Get refreshes recency, Put evicts from the
 // cold end once the tier exceeds its bound. Every tier counts hits, misses
@@ -34,43 +33,17 @@ const (
 	DefaultReportCacheBound  = 4096
 )
 
-// optsKey is the comparable fingerprint of every analysis option that can
-// change a job's result or its stats document. Collector identity is
-// irrelevant, but whether stats were requested is part of the key: a cached
-// entry only carries a stats snapshot when its miss run collected one.
-type optsKey struct {
-	cache        layout.CacheConfig
-	speculative  bool
-	depthMiss    int
-	depthHit     int
-	dynamicDepth bool
-	strategy     core.Strategy
-	noUncert     bool
-	refinedJoin  bool
-	stats        bool
-}
-
-// fingerprintOptions reduces core.Options to its comparable key.
-func fingerprintOptions(o core.Options) optsKey {
-	return optsKey{
-		cache:        o.Cache,
-		speculative:  o.Speculative,
-		depthMiss:    o.DepthMiss,
-		depthHit:     o.DepthHit,
-		dynamicDepth: o.DynamicDepthBounding,
-		strategy:     o.Strategy,
-		noUncert:     o.DisableUncertainty,
-		refinedJoin:  o.RefinedJoin,
-		stats:        o.Collector != nil,
-	}
-}
-
 // reportKey addresses one completed analysis: the compiled program's content
-// key plus the analysis configuration it ran under.
+// key plus the analysis configuration it ran under. opts is the job's
+// core.Options with Collector cleared, since collector identity is
+// irrelevant; whether stats were requested is part of the key, because a
+// cached entry only carries a stats snapshot when its miss run collected
+// one.
 type reportKey struct {
-	prog progKey
-	opts optsKey
-	mode Mode
+	prog  progKey
+	opts  core.Options
+	stats bool
+	mode  Mode
 }
 
 // reportEntry is one cached analysis. Entries are immutable once stored;

@@ -14,6 +14,9 @@
 //     keyed by (source hash, lowering options), and — for Job.Cache jobs —
 //     full analysis results keyed additionally by the analysis options, so a
 //     resubmitted request skips the fixpoint entirely;
+//   - one worker bound across calls: a job holds one of the pool's worker
+//     slots while it compiles and analyzes, however many Run calls are in
+//     flight, and a report-cache hit needs no slot;
 //   - streamed results in completion order (Run) and a deterministic
 //     job-order wrapper (RunAll);
 //   - graceful drain (Drain): a shutting-down service can wait for every
@@ -163,6 +166,9 @@ type progEntry struct {
 // corpus skip re-lowering.
 type Pool struct {
 	workers int
+	// slots holds one token per running job. Every Run call shares it, so
+	// at most workers jobs compile or analyze at once.
+	slots chan struct{}
 
 	// Lifecycle metrics, atomics so Snapshot never contends with workers.
 	// Jobs dropped by cancellation before any worker picked them up count as
@@ -194,6 +200,7 @@ func New(workers int) *Pool {
 	}
 	return &Pool{
 		workers: workers,
+		slots:   make(chan struct{}, workers),
 		progs:   newLRU[progKey, *progEntry](DefaultProgramCacheBound),
 		reports: newLRU[reportKey, *reportEntry](DefaultReportCacheBound),
 	}
@@ -208,11 +215,12 @@ func (p *Pool) CacheStats() (hits, misses int64) {
 }
 
 // Snapshot returns the pool's expvar-style state: cumulative job counters,
-// instantaneous running/queue gauges, and both cache tiers' hit/miss/
-// eviction/size gauges. The counters are read individually (not under one
-// lock), so a snapshot taken while jobs move between states is approximately
-// — not transactionally — consistent; QueueDepth is clamped at zero for that
-// reason.
+// instantaneous running/queue gauges (a job waiting for a worker slot is
+// queued; one holding a slot is running, so Running never exceeds Workers),
+// and both cache tiers' hit/miss/eviction/size gauges. The counters are
+// read individually (not under one lock), so a snapshot taken while jobs
+// move between states is approximately — not transactionally — consistent;
+// QueueDepth is clamped at zero for that reason.
 func (p *Pool) Snapshot() obs.PoolSnapshot {
 	s := obs.PoolSnapshot{
 		Workers:   p.workers,
@@ -259,11 +267,12 @@ func (p *Pool) PublishExpvar(name string) {
 }
 
 // Run fans jobs out across the pool's workers and streams results in
-// completion order. The returned channel is closed after the last result;
-// the caller must drain it. When ctx is canceled, jobs already running
-// return their context error as soon as their fixpoint loop observes it,
-// and jobs not yet started are dropped (RunAll converts those into per-job
-// context errors).
+// completion order. Concurrent calls share the pool's worker slots. The
+// returned channel is closed after the last result; the caller must drain
+// it. When ctx is canceled, jobs waiting for a worker slot return their
+// context error at once, jobs already running as soon as their fixpoint loop
+// observes it, and jobs not yet started are dropped (RunAll converts those
+// into per-job context errors).
 func (p *Pool) Run(ctx context.Context, jobs []Job) <-chan Result {
 	p.submitted.Add(int64(len(jobs)))
 	out := make(chan Result)
@@ -326,11 +335,12 @@ func (p *Pool) RunAll(ctx context.Context, jobs []Job) []Result {
 	return results
 }
 
-// runJob executes one job with panic isolation.
+// runJob executes one job with panic isolation. It holds a worker slot
+// only to compile and analyze: a report-cache hit is answered without one.
 func (p *Pool) runJob(ctx context.Context, idx int, j Job) (res Result) {
-	p.running.Add(1)
 	res = Result{Index: idx, Name: j.Name}
 	start := time.Now()
+	held := false
 	defer func() {
 		res.Elapsed = time.Since(start)
 		if r := recover(); r != nil {
@@ -345,7 +355,10 @@ func (p *Pool) runJob(ctx context.Context, idx int, j Job) (res Result) {
 		if res.Err != nil && (errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded)) {
 			p.canceled.Add(1)
 		}
-		p.running.Add(-1)
+		if held {
+			p.running.Add(-1)
+			<-p.slots
+		}
 		p.completed.Add(1)
 	}()
 	if err := ctx.Err(); err != nil {
@@ -353,7 +366,10 @@ func (p *Pool) runJob(ctx context.Context, idx int, j Job) (res Result) {
 		return res
 	}
 	if j.run != nil {
-		res.Analysis, res.Leaks, res.Err = j.run(ctx)
+		if res.Err = p.acquire(ctx); res.Err == nil {
+			held = true
+			res.Analysis, res.Leaks, res.Err = j.run(ctx)
+		}
 		return res
 	}
 	// Report tier: identical successful requests are answered without
@@ -361,10 +377,13 @@ func (p *Pool) runJob(ctx context.Context, idx int, j Job) (res Result) {
 	var rkey reportKey
 	cacheable := j.Cache && j.Prog == nil
 	if cacheable {
+		opts := j.Opts
+		opts.Collector = nil
 		rkey = reportKey{
-			prog: p.progKeyFor(j.Source, j.MaxUnroll, j.Passes, j.Mode == ModeICache),
-			opts: fingerprintOptions(j.Opts),
-			mode: j.Mode,
+			prog:  p.progKeyFor(j.Source, j.MaxUnroll, j.Passes, j.Mode == ModeICache),
+			opts:  opts,
+			stats: j.Opts.Collector != nil,
+			mode:  j.Mode,
 		}
 		if e, ok := p.reportGet(rkey); ok {
 			res.Prog = e.prog
@@ -378,6 +397,10 @@ func (p *Pool) runJob(ctx context.Context, idx int, j Job) (res Result) {
 			return res
 		}
 	}
+	if res.Err = p.acquire(ctx); res.Err != nil {
+		return res
+	}
+	held = true
 	prog := j.Prog
 	if prog == nil {
 		var err error
@@ -422,6 +445,18 @@ func (p *Pool) runJob(ctx context.Context, idx int, j Job) (res Result) {
 		}
 	}
 	return res
+}
+
+// acquire takes a worker slot and counts the job as running, waiting for a
+// slot unless ctx ends first. runJob gives the slot back when the job ends.
+func (p *Pool) acquire(ctx context.Context) error {
+	select {
+	case p.slots <- struct{}{}:
+		p.running.Add(1)
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // modeLabel names a Mode for profiler labels.

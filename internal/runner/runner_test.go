@@ -9,7 +9,9 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"specabsint/internal/bench"
 	"specabsint/internal/core"
@@ -324,6 +326,97 @@ func TestPoolSnapshotCounters(t *testing.T) {
 	want = obs.PoolSnapshot{Workers: 2, Submitted: 6, Completed: 6, Panics: 1, Canceled: 3}
 	if s != want {
 		t.Fatalf("after cancel: %+v, want %+v", s, want)
+	}
+}
+
+// TestWorkerBoundAcrossCalls checks that concurrent RunAll calls share the
+// pool's worker slots: with one worker, four single-job calls run one job at
+// a time, and no snapshot shows more jobs running than workers. While the
+// only slot is held, a report-cache hit still completes, and a job waiting
+// for the slot honours its context.
+func TestWorkerBoundAcrossCalls(t *testing.T) {
+	p := New(1)
+	cached := cachedJob("fig2", bench.Fig2Program(-1), core.DefaultOptions())
+	if r := p.RunAll(context.Background(), []Job{cached})[0]; r.Err != nil || r.CacheHit {
+		t.Fatalf("cold cached job: err %v, hit %v", r.Err, r.CacheHit)
+	}
+	checkBound := func(when string) {
+		if s := p.Snapshot(); s.Running > int64(s.Workers) {
+			t.Errorf("%s: %d jobs running on %d workers", when, s.Running, s.Workers)
+		}
+	}
+	const calls = 4
+	var active, peak atomic.Int64
+	// One send per job that starts: the calls' jobs and the canceled one.
+	started := make(chan struct{}, calls+1)
+	release := make(chan struct{})
+	block := func(ctx context.Context) (*core.Result, *sidechannel.Report, error) {
+		n := active.Add(1)
+		defer active.Add(-1)
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+		checkBound("in a job")
+		started <- struct{}{}
+		select {
+		case <-release:
+			return &core.Result{}, nil, nil
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
+	}
+	waitSubmitted := func(n int64) {
+		for deadline := time.Now().Add(30 * time.Second); p.Snapshot().Submitted < n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d jobs submitted", p.Snapshot().Submitted, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.RunAll(context.Background(), []Job{{Name: fmt.Sprintf("block%d", i), run: block}})
+		}()
+	}
+	<-started
+	waitSubmitted(1 + calls)
+	if s := p.Snapshot(); s.Running != 1 || s.QueueDepth != calls-1 {
+		t.Errorf("one slot held, %d calls: running %d queue %d, want 1 and %d", calls, s.Running, s.QueueDepth, calls-1)
+	}
+
+	hit := make(chan Result, 1)
+	go func() { hit <- p.RunAll(context.Background(), []Job{cached})[0] }()
+	select {
+	case r := <-hit:
+		if r.Err != nil || !r.CacheHit {
+			t.Errorf("cached job: err %v, hit %v", r.Err, r.CacheHit)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a report-cache hit waited for the held worker slot")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiting := make(chan Result, 1)
+	go func() { waiting <- p.RunAll(ctx, []Job{{Name: "waiting", run: block}})[0] }()
+	waitSubmitted(1 + calls + 2)
+	cancel()
+	if r := <-waiting; !errors.Is(r.Err, context.Canceled) {
+		t.Errorf("job canceled while waiting for a slot: got %v, want context.Canceled", r.Err)
+	}
+
+	for i := 0; i < calls; i++ {
+		release <- struct{}{}
+		checkBound("between jobs")
+	}
+	wg.Wait()
+	if got := peak.Load(); got != 1 {
+		t.Errorf("%d jobs ran at once on a one-worker pool", got)
+	}
+	if s := p.Snapshot(); s.Running != 0 || s.QueueDepth != 0 || s.Submitted != s.Completed {
+		t.Errorf("after the calls: %+v", s)
 	}
 }
 

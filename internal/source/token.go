@@ -198,11 +198,6 @@ func (e *ParseError) Line() int { return e.Pos.Line }
 // Col returns the 1-based source column of the diagnostic.
 func (e *ParseError) Col() int { return e.Pos.Col }
 
-// Error is the pre-typed-errors name of ParseError.
-//
-// Deprecated: use ParseError.
-type Error = ParseError
-
 func errf(pos Pos, format string, args ...any) *ParseError {
 	return &ParseError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }

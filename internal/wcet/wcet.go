@@ -7,6 +7,19 @@
 // application of the paper (§2.1, §7.2): an analysis that ignores
 // speculation under-counts misses and can certify a deadline the hardware
 // then breaks.
+//
+// The longest path is a timing schema over core.Result.WTO, the weak
+// topological order of the effective CFG that the fixpoint swept. Its
+// components are the loops an execution can enter and repeat. Innermost
+// first, each component is charged its bound times the longest path from its
+// head through its body, with its nested components already contracted into
+// their heads. Every other edge goes forward in the order, so one in-order
+// pass per level gives the longest path.
+//
+// This assumes a reducible CFG, where each component is the natural loop of
+// a back edge an execution can take and is entered only at its head. MiniC's
+// structured lowering (if/while/for, break/continue, short-circuit
+// evaluation, inlining) produces no other kind of loop.
 package wcet
 
 import (
@@ -59,8 +72,39 @@ func (e Estimate) String() string {
 		e.Accesses, e.AlwaysHits, e.Misses, e.SpecMisses, wc)
 }
 
-// Estimate computes the timing summary from a completed cache analysis.
+// BoundOptions supplies loop-iteration bounds for cyclic CFGs. Loops the
+// front end could fully unroll never reach this point; the remaining loops
+// are data-dependent (the paper's quantl search loop is the canonical case),
+// so their bounds must come from the user — exactly as WCET tools require.
+type BoundOptions struct {
+	// LoopBounds maps a loop header block to the maximum number of times
+	// its body can execute.
+	LoopBounds map[ir.BlockID]int64
+	// DefaultLoopBound applies to loops without an explicit entry. Zero
+	// means "unknown": any unbounded loop makes the estimate -1.
+	DefaultLoopBound int64
+	// Persistence, when non-nil, is an AnalyzePersistence result over the
+	// same program and options. Accesses it proves persistent ("first
+	// miss") are charged the hit latency on every path plus one single
+	// miss penalty overall — the standard first-miss accounting. An
+	// acyclic CFG ignores it.
+	Persistence *core.Result
+}
+
+// New computes the timing summary from a completed cache analysis. It is
+// NewWithBounds with no bounds: WorstCaseCycles is -1 when the CFG has a
+// loop an execution can repeat.
 func New(res *core.Result, costs CostModel) Estimate {
+	return NewWithBounds(res, costs, BoundOptions{})
+}
+
+// NewWithBounds computes the timing summary, charging each loop (each
+// component of res.WTO) bound × the longest path from its header through its
+// body, innermost first. Like the WTO it follows effective successors from
+// entry, so a loop no execution can enter or repeat, such as one behind a
+// resolved branch's dead edge, needs no bound. The result over-approximates
+// every execution that respects the bounds.
+func NewWithBounds(res *core.Result, costs CostModel, bounds BoundOptions) Estimate {
 	est := Estimate{
 		Accesses:   res.AccessCount(),
 		Misses:     res.MissCount(),
@@ -76,51 +120,140 @@ func New(res *core.Result, costs CostModel) Estimate {
 			est.Unknown++
 		}
 	}
-	est.WorstCaseCycles = longestPath(res, costs)
+	est.WorstCaseCycles = worstCase(res, costs, bounds)
 	est.SpecExtraCycles = int64(est.SpecMisses) * costs.MissPenalty
 	return est
 }
 
-// longestPath computes the maximum-cost entry-to-exit path along effective
-// successors, or -1 when a cycle joins the blocks they reach.
-func longestPath(res *core.Result, costs CostModel) int64 {
-	order, cyclic := effectiveOrder(res.Prog)
-	if cyclic {
-		return -1
-	}
-	// A topological order reaches every block after all its predecessors.
-	dist := make([]int64, len(res.Prog.Blocks))
-	var worst int64
-	for _, b := range order {
-		block := res.Prog.Block(b)
-		total := dist[b] + blockCost(res, costs, block)
-		succs := block.EffectiveSuccs()
-		if len(succs) == 0 {
-			worst = max(worst, total)
-		}
-		for _, s := range succs {
-			dist[s] = max(dist[s], total)
-		}
-	}
-	return worst
+// schema is the timing schema's working state over the flattened WTO.
+type schema struct {
+	prog   *ir.Program
+	bounds BoundOptions
+	// order is the flattened WTO, each component head followed by its body,
+	// and pos inverts it. end[p] is one past the last position of the
+	// element at p: p+1 for a plain block, the end of its body for a head.
+	order    []ir.BlockID
+	pos, end []int
+	// cost[b] charges one traversal of block b.
+	cost []int64
+	// dist[b] is the longest path to b's entry from the start of the level
+	// that holds b.
+	dist []int64
 }
 
-// effectiveOrder returns the blocks reachable from entry along effective
-// successors in a weak topological order (cfg.WTOOf), which is a
-// topological order when no cycle joins them, and whether one does.
-func effectiveOrder(prog *ir.Program) (order []ir.BlockID, cyclic bool) {
-	w := cfg.WTOOf(len(prog.Blocks), prog.Entry, func(b ir.BlockID) []ir.BlockID {
-		return prog.Block(b).EffectiveSuccs()
-	})
-	var flatten func(elems []cfg.WTOElem)
-	flatten = func(elems []cfg.WTOElem) {
-		for _, el := range elems {
-			order = append(order, el.Block)
-			if el.Comp != nil {
-				flatten(el.Comp.Body)
+// worstCase returns the longest path from entry, or -1 when a loop has no
+// bound.
+func worstCase(res *core.Result, costs CostModel, bounds BoundOptions) int64 {
+	n := len(res.Prog.Blocks)
+	s := &schema{
+		prog:   res.Prog,
+		bounds: bounds,
+		order:  make([]ir.BlockID, 0, n),
+		pos:    make([]int, n),
+		end:    make([]int, n),
+		cost:   make([]int64, n),
+		dist:   make([]int64, n),
+	}
+	persist := bounds.Persistence
+	if res.WTO.NumComponents == 0 {
+		// Each access runs at most once: first-miss accounting would only
+		// add the hit latency to its miss.
+		persist = nil
+	}
+	var once int64
+	for _, b := range res.Prog.Blocks {
+		c, o := blockCost(res, costs, b, persist)
+		s.cost[b.ID] = c
+		once += o
+	}
+	if !s.flatten(res.WTO.Sequence) {
+		return -1
+	}
+	return s.walk(0, len(s.order)) + once
+}
+
+// flatten appends elems to s.order, and reports false when a component has
+// no bound.
+func (s *schema) flatten(elems []cfg.WTOElem) bool {
+	for _, el := range elems {
+		p := len(s.order)
+		s.pos[el.Block] = p
+		s.order = append(s.order, el.Block)
+		if el.Comp != nil && (s.bound(el.Block) <= 0 || !s.flatten(el.Comp.Body)) {
+			return false
+		}
+		s.end[p] = len(s.order)
+	}
+	return true
+}
+
+// bound returns the iteration bound of the loop headed by h.
+func (s *schema) bound(h ir.BlockID) int64 {
+	if b, ok := s.bounds.LoopBounds[h]; ok {
+		return b
+	}
+	return s.bounds.DefaultLoopBound
+}
+
+// walk returns the longest path through one WTO level, the positions
+// [lo, hi) of s.order, along the edges that stay inside it. It visits each
+// element once, in order, after every edge into it: a nested component first
+// walks its own body and is then charged as one node that leaves by the edges
+// of all its blocks.
+func (s *schema) walk(lo, hi int) int64 {
+	var longest int64
+	for p := lo; p < hi; p = s.end[p] {
+		b, e := s.order[p], s.end[p]
+		c := s.cost[b]
+		if e > p+1 {
+			// The head's edges into the body start the body's paths.
+			s.relax(p, p+1, e, c)
+			c = s.bound(b) * max(c, s.walk(p+1, e))
+		}
+		total := s.dist[b] + c
+		longest = max(longest, total)
+		s.relax(p, e, hi, total)
+	}
+	return longest
+}
+
+// relax raises dist along every edge from a block at positions [from, to) to
+// one at positions [to, hi) to total. An edge to an earlier position returns
+// to the head of a component holding its source, so this keeps every edge
+// that goes forward within the level.
+func (s *schema) relax(from, to, hi int, total int64) {
+	for q := from; q < to; q++ {
+		for _, t := range s.prog.Block(s.order[q]).EffectiveSuccs() {
+			if tp := s.pos[t]; tp >= to && tp < hi {
+				s.dist[t] = max(s.dist[t], total)
 			}
 		}
 	}
-	flatten(w.Sequence)
-	return order, w.NumComponents > 0
+}
+
+// blockCost charges one traversal of block b under the cost model. An access
+// persist, when non-nil, proves first-miss is charged the hit latency here,
+// and its misses, one per candidate cache block, go to once, charged a single
+// time overall.
+func blockCost(res *core.Result, costs CostModel, b *ir.Block, persist *core.Result) (c, once int64) {
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		c += costs.BaseLatency
+		if in.Op != ir.OpLoad && in.Op != ir.OpStore {
+			continue
+		}
+		if a, ok := res.Access[in.ID]; ok && a.Class == cache.AlwaysHit {
+			c += costs.HitLatency
+			continue
+		}
+		if persist != nil {
+			if p, ok := persist.Access[in.ID]; ok && p.Class == cache.AlwaysHit {
+				c += costs.HitLatency
+				once += int64(p.Acc.Count) * costs.MissPenalty
+				continue
+			}
+		}
+		c += costs.MissPenalty
+	}
+	return c, once
 }

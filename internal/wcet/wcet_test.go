@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"specabsint/internal/cfg"
 	"specabsint/internal/core"
 	"specabsint/internal/ir"
 	"specabsint/internal/layout"
@@ -54,6 +55,19 @@ func analyzeResolved(t *testing.T, src string) *core.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// loopHeads returns the heads of the WTO components in elems, outermost
+// first.
+func loopHeads(elems []cfg.WTOElem) []ir.BlockID {
+	var heads []ir.BlockID
+	for _, el := range elems {
+		if el.Comp != nil {
+			heads = append(heads, el.Block)
+			heads = append(heads, loopHeads(el.Comp.Body)...)
+		}
+	}
+	return heads
 }
 
 func TestCountsStraightLine(t *testing.T) {
@@ -259,13 +273,13 @@ func TestBoundedWCETPerHeaderBounds(t *testing.T) {
 		return s;
 	}`
 	res := analyze(t, src, core.DefaultOptions(), 1)
-	loops := res.Graph.NaturalLoops(res.Graph.Dominators())
-	if len(loops) != 1 {
-		t.Fatalf("%d loops", len(loops))
+	heads := loopHeads(res.WTO.Sequence)
+	if len(heads) != 1 {
+		t.Fatalf("%d loops", len(heads))
 	}
 	costs := DefaultCosts()
 	per := NewWithBounds(res, costs, BoundOptions{
-		LoopBounds: map[ir.BlockID]int64{loops[0].Header: 5},
+		LoopBounds: map[ir.BlockID]int64{heads[0]: 5},
 	})
 	def := NewWithBounds(res, costs, BoundOptions{DefaultLoopBound: 5})
 	if per.WorstCaseCycles != def.WorstCaseCycles {
@@ -381,20 +395,52 @@ func TestDeadLoopNeedsNoBound(t *testing.T) {
 		}
 		return s;
 	}`)
-	loops := res.Graph.NaturalLoops(res.Graph.Dominators())
-	if len(loops) != 2 {
-		t.Fatalf("%d loops, want 2", len(loops))
+	heads := loopHeads(res.WTO.Sequence)
+	if len(heads) != 1 {
+		t.Fatalf("%d WTO components, want 1: the dead loop is none", len(heads))
 	}
-	bounds := BoundOptions{LoopBounds: map[ir.BlockID]int64{}}
-	for _, l := range loops {
-		if !res.In[l.Header].IsBottom {
-			bounds.LoopBounds[l.Header] = 10
-		}
-	}
-	if len(bounds.LoopBounds) != 1 {
-		t.Fatalf("%d loops reached by the analysis, want 1", len(bounds.LoopBounds))
-	}
+	bounds := BoundOptions{LoopBounds: map[ir.BlockID]int64{heads[0]: 10}}
 	if est := NewWithBounds(res, costs, bounds); est.WorstCaseCycles < 0 {
 		t.Errorf("live loop bounded, dead loop not: %v", est)
+	}
+}
+
+// TestBoundedWCETResolvedBreak: a resolved branch that always breaks out of
+// the loop turns the block ending in it into the loop's exit path. No
+// iteration repeats that block, so it lies outside the loop's WTO component
+// and is charged once, after the loop: one more iteration of the bound adds
+// the iteration through b[16], not the four loads before the break.
+func TestBoundedWCETResolvedBreak(t *testing.T) {
+	res := analyzeResolved(t, `
+	int a[64]; int b[64];
+	int flag = 1;
+	int main(int n, int y) {
+		reg int s = 0;
+		reg int i = 0;
+		while (i < n) {
+			if (y > 0) {
+				s += a[1]; s += a[17]; s += a[33];
+				if (flag) { break; }
+				s += b[0];
+			}
+			s += b[16];
+			i = i + 1;
+		}
+		return s;
+	}`)
+	if heads := loopHeads(res.WTO.Sequence); len(heads) != 1 {
+		t.Fatalf("%d loops, want 1", len(heads))
+	}
+	costs := DefaultCosts()
+	at8 := NewWithBounds(res, costs, BoundOptions{DefaultLoopBound: 8}).WorstCaseCycles
+	at9 := NewWithBounds(res, costs, BoundOptions{DefaultLoopBound: 9}).WorstCaseCycles
+	if at8 < 4*costs.MissPenalty {
+		t.Errorf("bound 8: wcet = %d, want >= %d for the loads before the break", at8, 4*costs.MissPenalty)
+	}
+	// An iteration loads n, y and b[16]; the exit path loads a[1], a[17],
+	// a[33] and flag.
+	if step := at9 - at8; step <= 0 || step >= 4*costs.MissPenalty {
+		t.Errorf("one more iteration adds %d cycles, want below %d: the loads before the break run once",
+			step, 4*costs.MissPenalty)
 	}
 }
