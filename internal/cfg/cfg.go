@@ -1,12 +1,11 @@
 // Package cfg provides control-flow-graph utilities over IR programs:
-// predecessor/successor maps, reverse postorder, dominator and
-// post-dominator trees (the latter place the paper's vn_stop nodes), and
-// natural-loop detection.
+// predecessor/successor maps, reverse postorder, the post-dominator tree
+// that places the paper's vn_stop nodes, and Bourdoncle's weak topological
+// order, whose component heads are the loops every analysis widens at.
 package cfg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"specabsint/internal/ir"
@@ -74,80 +73,7 @@ func New(prog *ir.Program) *Graph {
 // Reachable reports whether b is reachable from entry.
 func (g *Graph) Reachable(b ir.BlockID) bool { return g.RPOIndex[b] >= 0 }
 
-// DomTree holds an immediate-dominator relation.
-type DomTree struct {
-	// IDom[b] is the immediate dominator of b; the root maps to itself.
-	// Unreachable blocks map to -1.
-	IDom []ir.BlockID
-}
-
-// Dominates reports whether a dominates b (reflexive).
-func (d *DomTree) Dominates(a, b ir.BlockID) bool {
-	if d.IDom[b] == -1 || d.IDom[a] == -1 {
-		return false
-	}
-	for {
-		if a == b {
-			return true
-		}
-		next := d.IDom[b]
-		if next == b {
-			return false
-		}
-		b = next
-	}
-}
-
-// Dominators computes the dominator tree using the Cooper-Harvey-Kennedy
-// iterative algorithm over the reverse postorder.
-func (g *Graph) Dominators() *DomTree {
-	n := len(g.Prog.Blocks)
-	idom := make([]ir.BlockID, n)
-	for i := range idom {
-		idom[i] = -1
-	}
-	entry := g.Prog.Entry
-	idom[entry] = entry
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range g.RPO {
-			if b == entry {
-				continue
-			}
-			var newIdom ir.BlockID = -1
-			for _, p := range g.Preds[b] {
-				if idom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = g.intersect(idom, p, newIdom)
-				}
-			}
-			if newIdom != -1 && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return &DomTree{IDom: idom}
-}
-
-func (g *Graph) intersect(idom []ir.BlockID, a, b ir.BlockID) ir.BlockID {
-	for a != b {
-		for g.RPOIndex[a] > g.RPOIndex[b] {
-			a = idom[a]
-		}
-		for g.RPOIndex[b] > g.RPOIndex[a] {
-			b = idom[b]
-		}
-	}
-	return a
-}
-
-// PostDominators computes the post-dominator tree. Because a program may
+// PostDomTree is the post-dominator tree. Because a program may
 // have several Ret blocks, a virtual exit (id == len(blocks)) is used as the
 // root; blocks whose only path forward diverges (infinite loop) post-dominate
 // nothing and map to the virtual exit as well.
@@ -255,75 +181,6 @@ func (g *Graph) PostDominators() *PostDomTree {
 // ImmediatePostDom returns the immediate post-dominator of b, which may be
 // the virtual exit.
 func (t *PostDomTree) ImmediatePostDom(b ir.BlockID) ir.BlockID { return t.IPDom[b] }
-
-// Loop is a natural loop.
-type Loop struct {
-	Header ir.BlockID
-	// Latches are the sources of back edges into Header.
-	Latches []ir.BlockID
-	// Body is the set of blocks in the loop (including header), sorted.
-	Body []ir.BlockID
-}
-
-// Contains reports whether the loop body contains b.
-func (l *Loop) Contains(b ir.BlockID) bool {
-	for _, x := range l.Body {
-		if x == b {
-			return true
-		}
-	}
-	return false
-}
-
-// NaturalLoops finds all natural loops (back edges t->h where h dominates
-// t), merging loops that share a header. A dominator precedes every block it
-// dominates in the reverse postorder, so only an edge that does not go
-// forward in it can be a back edge; the others are not tested against the
-// dominator tree, whose chain walk would cost a long acyclic program
-// O(edges × depth).
-func (g *Graph) NaturalLoops(dom *DomTree) []*Loop {
-	byHeader := map[ir.BlockID]*Loop{}
-	for _, b := range g.RPO {
-		for _, s := range g.Succs[b] {
-			if g.RPOIndex[s] <= g.RPOIndex[b] && dom.Dominates(s, b) { // back edge b -> s
-				l := byHeader[s]
-				if l == nil {
-					l = &Loop{Header: s}
-					byHeader[s] = l
-				}
-				l.Latches = append(l.Latches, b)
-			}
-		}
-	}
-	var loops []*Loop
-	for _, l := range byHeader {
-		bodySet := map[ir.BlockID]bool{l.Header: true}
-		var stack []ir.BlockID
-		for _, latch := range l.Latches {
-			if !bodySet[latch] {
-				bodySet[latch] = true
-				stack = append(stack, latch)
-			}
-		}
-		for len(stack) > 0 {
-			b := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, p := range g.Preds[b] {
-				if !bodySet[p] && g.Reachable(p) {
-					bodySet[p] = true
-					stack = append(stack, p)
-				}
-			}
-		}
-		for b := range bodySet {
-			l.Body = append(l.Body, b)
-		}
-		sort.Slice(l.Body, func(i, j int) bool { return l.Body[i] < l.Body[j] })
-		loops = append(loops, l)
-	}
-	sort.Slice(loops, func(i, j int) bool { return loops[i].Header < loops[j].Header })
-	return loops
-}
 
 // DOT renders the CFG in Graphviz format.
 func (g *Graph) DOT() string {

@@ -70,26 +70,6 @@ func TestRPOStartsAtEntry(t *testing.T) {
 	}
 }
 
-func TestDominatorsDiamond(t *testing.T) {
-	g := cfg.New(diamond(t))
-	dom := g.Dominators()
-	if dom.IDom[1] != 0 || dom.IDom[2] != 0 {
-		t.Errorf("idom(a)=%d idom(b)=%d, want 0,0", dom.IDom[1], dom.IDom[2])
-	}
-	if dom.IDom[3] != 0 {
-		t.Errorf("idom(join)=%d, want 0 (neither arm dominates)", dom.IDom[3])
-	}
-	if !dom.Dominates(0, 3) {
-		t.Error("entry should dominate join")
-	}
-	if dom.Dominates(1, 3) {
-		t.Error("a must not dominate join")
-	}
-	if !dom.Dominates(2, 2) {
-		t.Error("dominance must be reflexive")
-	}
-}
-
 func TestPostDominatorsDiamond(t *testing.T) {
 	g := cfg.New(diamond(t))
 	pdom := g.PostDominators()
@@ -129,6 +109,8 @@ func TestPostDominatorsMultipleExits(t *testing.T) {
 	}
 }
 
+// TestNaturalLoopsSimple: a for loop is one WTO component, and its head is
+// marked as one.
 func TestNaturalLoopsSimple(t *testing.T) {
 	prog := compile(t, `
 		int main() {
@@ -136,20 +118,19 @@ func TestNaturalLoopsSimple(t *testing.T) {
 			for (int i = 0; i < 10; i++) { s += i; }
 			return s;
 		}`)
-	g := cfg.New(prog)
-	loops := g.NaturalLoops(g.Dominators())
-	if len(loops) != 1 {
-		t.Fatalf("found %d loops, want 1", len(loops))
+	w := cfg.EffectiveWTO(prog)
+	if w.NumComponents != 1 {
+		t.Fatalf("found %d loops, want 1", w.NumComponents)
 	}
-	l := loops[0]
-	if len(l.Latches) == 0 {
-		t.Fatal("loop has no latch")
-	}
-	if !l.Contains(l.Header) {
-		t.Error("loop body must contain its header")
+	for _, el := range w.Sequence {
+		if el.Comp != nil && !w.Head[el.Block] {
+			t.Errorf("component head %d not marked", el.Block)
+		}
 	}
 }
 
+// TestNaturalLoopsNested: nested for loops are two WTO components, the
+// inner one in the outer one's body.
 func TestNaturalLoopsNested(t *testing.T) {
 	prog := compile(t, `
 		int main() {
@@ -159,28 +140,27 @@ func TestNaturalLoopsNested(t *testing.T) {
 			}
 			return s;
 		}`)
-	g := cfg.New(prog)
-	loops := g.NaturalLoops(g.Dominators())
-	if len(loops) != 2 {
-		t.Fatalf("found %d loops, want 2", len(loops))
+	w := cfg.EffectiveWTO(prog)
+	if w.NumComponents != 2 {
+		t.Fatalf("found %d loops, want 2", w.NumComponents)
 	}
-	// One loop body must strictly contain the other.
-	a, b := loops[0], loops[1]
-	if len(a.Body) > len(b.Body) {
-		a, b = b, a
-	}
-	for _, blk := range a.Body {
-		if !b.Contains(blk) {
-			t.Fatalf("inner loop block %d not inside outer loop", blk)
+	for _, el := range w.Sequence {
+		if el.Comp == nil {
+			continue
+		}
+		for _, inner := range el.Comp.Body {
+			if inner.Comp != nil {
+				return
+			}
 		}
 	}
+	t.Fatal("no loop nested inside the other")
 }
 
 func TestNoLoopsInStraightLine(t *testing.T) {
 	prog := compile(t, "int main() { int x = 1; return x; }")
-	g := cfg.New(prog)
-	if loops := g.NaturalLoops(g.Dominators()); len(loops) != 0 {
-		t.Errorf("found %d loops in straight-line code", len(loops))
+	if w := cfg.EffectiveWTO(prog); w.NumComponents != 0 {
+		t.Errorf("found %d loops in straight-line code", w.NumComponents)
 	}
 }
 
@@ -191,10 +171,8 @@ func TestWhileLoopDetected(t *testing.T) {
 			while (i < 100) { i += 3; }
 			return i;
 		}`)
-	g := cfg.New(prog)
-	loops := g.NaturalLoops(g.Dominators())
-	if len(loops) != 1 {
-		t.Fatalf("found %d loops, want 1", len(loops))
+	if w := cfg.EffectiveWTO(prog); w.NumComponents != 1 {
+		t.Fatalf("found %d loops, want 1", w.NumComponents)
 	}
 }
 
@@ -223,10 +201,6 @@ func TestUnreachableBlockHandled(t *testing.T) {
 	g := cfg.New(prog)
 	if g.Reachable(dead) {
 		t.Error("dead block should be unreachable")
-	}
-	dom := g.Dominators()
-	if dom.IDom[dead] != -1 {
-		t.Error("unreachable block should have no idom")
 	}
 	if !strings.Contains(g.DOT(), "b0") {
 		t.Error("DOT should include entry")

@@ -5,7 +5,7 @@ import "specabsint/internal/ir"
 // This file implements Bourdoncle's hierarchical weak topological ordering
 // (WTO) — "Efficient chaotic iteration strategies with widenings", FMPA'93 —
 // used by the fixpoint engine to stabilize inner loop components before
-// re-entering outer ones.
+// re-entering outer ones, and by every analysis to pick its widening points.
 //
 // A WTO of a directed graph is a well-parenthesized total order of its
 // vertices such that every back edge (u, v) has v ≤ u with v the head of a
@@ -38,6 +38,11 @@ type WTO struct {
 	Sequence []WTOElem
 	// NumComponents counts the components in the ordering.
 	NumComponents int
+	// Head[v] reports whether v heads a component. In the WTO of a
+	// program's effective CFG (EffectiveWTO) the heads are the loops an
+	// execution can enter and repeat, and the only blocks an analysis
+	// widens at.
+	Head []bool
 }
 
 // WTOOf computes the weak topological ordering of the graph with n vertices
@@ -46,7 +51,7 @@ type WTO struct {
 // the taken edge. Vertices unreachable from entry are absent from the
 // sequence.
 func WTOOf(n int, entry ir.BlockID, succs func(ir.BlockID) []ir.BlockID) *WTO {
-	w := &WTO{}
+	w := &WTO{Head: make([]bool, n)}
 	if n == 0 {
 		return w
 	}
@@ -70,6 +75,7 @@ func WTOOf(n int, entry ir.BlockID, succs func(ir.BlockID) []ir.BlockID) *WTO {
 		}
 		reverseElems(body)
 		w.NumComponents++
+		w.Head[v] = true
 		return &WTOComponent{Head: v, Body: body}
 	}
 	visit = func(v ir.BlockID, partition *[]WTOElem) int {
@@ -113,6 +119,15 @@ func WTOOf(n int, entry ir.BlockID, succs func(ir.BlockID) []ir.BlockID) *WTO {
 	reverseElems(top)
 	w.Sequence = top
 	return w
+}
+
+// EffectiveWTO is the WTO of prog's effective CFG (ir.Block.
+// EffectiveSuccs), where a resolved branch keeps only its taken edge: the
+// one order an analysis of prog sweeps, widens at and bounds loops by.
+func EffectiveWTO(prog *ir.Program) *WTO {
+	return WTOOf(len(prog.Blocks), prog.Entry, func(b ir.BlockID) []ir.BlockID {
+		return prog.Block(b).EffectiveSuccs()
+	})
 }
 
 func reverseElems(elems []WTOElem) {

@@ -43,7 +43,8 @@ func TestWTOOf(t *testing.T) {
 // graphs of up to 12 vertices decoded from the input: every vertex reachable
 // from 0 appears once and no other does; every edge between reachable
 // vertices goes forward in the flattened order or to the head of a
-// component holding its source; NumComponents counts the components.
+// component holding its source; Head marks exactly the component heads, and
+// NumComponents counts them.
 func FuzzWTOOf(f *testing.F) {
 	for _, c := range wtoCases {
 		f.Add(encodeGraph(c.succs))
@@ -125,6 +126,7 @@ func checkWTO(succs [][]ir.BlockID, w *cfg.WTO) error {
 		pos[i] = -1
 	}
 	members := map[ir.BlockID][]ir.BlockID{}
+	heads := make([]bool, n)
 	order, comps := 0, 0
 	var flatten func(elems []cfg.WTOElem, open []ir.BlockID) error
 	flatten = func(elems []cfg.WTOElem, open []ir.BlockID) error {
@@ -141,6 +143,7 @@ func checkWTO(succs [][]ir.BlockID, w *cfg.WTO) error {
 			inner := open
 			if el.Comp != nil {
 				comps++
+				heads[v] = true
 				if el.Comp.Head != v {
 					return fmt.Errorf("component at %d has head %d", v, el.Comp.Head)
 				}
@@ -167,6 +170,9 @@ func checkWTO(succs [][]ir.BlockID, w *cfg.WTO) error {
 	}
 	if w.NumComponents != comps {
 		return fmt.Errorf("NumComponents %d, the order has %d components", w.NumComponents, comps)
+	}
+	if !slices.Equal(w.Head, heads) {
+		return fmt.Errorf("Head %v, the component heads are %v", w.Head, heads)
 	}
 	for u := range n {
 		if !reach[u] {

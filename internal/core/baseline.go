@@ -48,7 +48,10 @@ func AnalyzeAlgorithm1(prog *ir.Program, opts Options) (*Result, error) {
 		return nil, err
 	}
 	g := cfg.New(prog)
-	idx := interval.Analyze(g)
+	// The same order the engine sweeps: its heads are the interval
+	// pre-pass's widening points, and WCET's timing schema reads it.
+	wto := cfg.EffectiveWTO(prog)
+	idx := interval.Analyze(prog, wto)
 	d := &cacheDomain{
 		dom:    &cache.Domain{L: l, Refined: opts.RefinedJoin},
 		l:      l,
@@ -65,10 +68,6 @@ func AnalyzeAlgorithm1(prog *ir.Program, opts Options) (*Result, error) {
 	}
 	sol := absint.Solve[*cache.State](g, d, absint.Options{
 		WideningThreshold: wideningThreshold,
-	})
-	// The same order the engine sweeps, for the WCET timing schema.
-	wto := cfg.WTOOf(len(prog.Blocks), prog.Entry, func(b ir.BlockID) []ir.BlockID {
-		return prog.Block(b).EffectiveSuccs()
 	})
 	res := &Result{
 		Prog:       prog,

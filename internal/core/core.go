@@ -148,6 +148,8 @@ type Result struct {
 	// WTO is the weak topological order of the effective CFG (ir.Block.
 	// EffectiveSuccs) that the fixpoint swept: every block reachable from
 	// entry, with one component per loop an execution can enter and repeat.
+	// Its component heads are the only blocks the interval pre-pass and the
+	// fixpoint widened at.
 	WTO *cfg.WTO
 
 	// In[b] is the normal abstract state at the entry of block b after the
@@ -289,8 +291,10 @@ func analyze(ctx context.Context, prog *ir.Program, opts Options, m model) (*Res
 }
 
 // prepare builds the engine for one analysis of prog under model m: it
-// resolves every access once, up front (timed as compile_exec), and sets the
-// domain the model needs.
+// builds the one WTO of the effective CFG, whose component heads are the
+// loops the interval pre-pass and the engine widen at, resolves every access
+// once, up front (timed as compile_exec), and sets the domain the model
+// needs.
 func prepare(prog *ir.Program, opts Options, m model) (*engine, error) {
 	if err := validateDepths(opts); err != nil {
 		return nil, err
@@ -312,8 +316,8 @@ func prepare(prog *ir.Program, opts Options, m model) (*engine, error) {
 		// conservative b_m window throughout.
 		opts.DynamicDepthBounding = false
 	}
-	g := cfg.New(prog)
-	idx := interval.Analyze(g)
+	wto := cfg.EffectiveWTO(prog)
+	idx := interval.Analyze(prog, wto)
 	var steps *stepProgram
 	opts.Collector.Phase("compile_exec", func() {
 		if m == instrCache {
@@ -323,7 +327,7 @@ func prepare(prog *ir.Program, opts Options, m model) (*engine, error) {
 		}
 	})
 	opts.Collector.SetBytecode(steps.stats())
-	e := newEngine(prog, g, l, idx, opts, steps)
+	e := newEngine(prog, cfg.New(prog), wto, l, idx, opts, steps)
 	if m == persistence {
 		e.dom.Persist = true
 		e.dom.Refined = false // the NYoung refinement is a must-analysis rule

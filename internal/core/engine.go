@@ -117,8 +117,9 @@ type engine struct {
 
 	// succs[n] is the effective successor list used for all state
 	// propagation: for a block ending in a Resolved CondBr only the taken
-	// edge carries flow (the emitted branch is unconditional). Dominators,
-	// post-dominators, and vn_stop placement keep using the full edge set.
+	// edge carries flow (the emitted branch is unconditional), and the WTO
+	// is built over it. Post-dominators, and with them vn_stop placement,
+	// keep using the full edge set.
 	succs [][]ir.BlockID
 
 	// walk, rollback and sat are the engine's three scratch states, each
@@ -132,7 +133,10 @@ type engine struct {
 
 	changes []int // per-block S-change counts, for phase-1 widening
 	// wto is the Bourdoncle ordering of the effective CFG that sweep walks;
-	// an acyclic CFG is one top-level sequence with no components.
+	// an acyclic CFG is one top-level sequence with no components. Its
+	// component heads (wto.Head) are the loop heads, the only blocks the
+	// engine widens and saturates at (§6.3 targets loops; widening ordinary
+	// merge blocks would discard precision that plain joins preserve).
 	wto *cfg.WTO
 	// wtoPos[b] is b's position in the flattened WTO, where each component
 	// head precedes its body, and wtoAt inverts it. On an acyclic CFG it is
@@ -175,11 +179,7 @@ type engine struct {
 	// (counted as LanesSkippedCertain). nil under DisableUncertainty, the
 	// spawn-everything reference run.
 	laneNeed []int
-	// loopHeader marks natural-loop headers: widening applies only there
-	// (§6.3 targets loops; widening ordinary merge blocks would discard
-	// precision that plain joins preserve).
-	loopHeader []bool
-	iter       int
+	iter     int
 
 	// stats accumulates the engine's semantic effort counters in plain
 	// fields — no atomics, no indirection — and is copied into the Result
@@ -190,8 +190,9 @@ type engine struct {
 }
 
 // newEngine builds an engine over prebuilt access steps (dataSteps for the
-// data cache, fetchSteps for the instruction cache).
-func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.Result, opts Options, steps *stepProgram) *engine {
+// data cache, fetchSteps for the instruction cache) that sweeps wto, the WTO
+// of prog's effective CFG.
+func newEngine(prog *ir.Program, g *cfg.Graph, wto *cfg.WTO, l *layout.Layout, idx *interval.Result, opts Options, steps *stepProgram) *engine {
 	n := len(prog.Blocks)
 	e := &engine{
 		prog:         prog,
@@ -201,6 +202,7 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 		idx:          idx,
 		opts:         opts,
 		steps:        steps,
+		wto:          wto,
 		S:            make([]*cache.State, n),
 		SS:           make([][]ssSlot, n),
 		verdictS:     make([][]cache.Classification, n),
@@ -216,11 +218,6 @@ func newEngine(prog *ir.Program, g *cfg.Graph, l *layout.Layout, idx *interval.R
 	}
 	e.S[prog.Entry] = cache.NewState(l.NumBlocks)
 	e.dirtyS[prog.Entry] = true
-
-	e.loopHeader = make([]bool, n)
-	for _, loop := range g.NaturalLoops(g.Dominators()) {
-		e.loopHeader[loop.Header] = true
-	}
 
 	e.succs = make([][]ir.BlockID, n)
 	for _, b := range prog.Blocks {
@@ -321,8 +318,8 @@ func laneNeedBudgets(prog *ir.Program, succs [][]ir.BlockID, steps *stepProgram)
 const ctxCheckInterval = 256
 
 func (e *engine) run(ctx context.Context) error {
-	if !slices.Contains(e.loopHeader, true) {
-		// No loop headers in the simplified CFG (the common case after full
+	if e.wto.NumComponents == 0 {
+		// No loop in the effective CFG (the common case after full
 		// unrolling): widening cannot fire, so the whole system is a plain
 		// monotone iteration and the two-phase split below would only pay
 		// its phase-2 re-solve overhead. Solve in one pass; the laneNeed
@@ -350,7 +347,7 @@ func (e *engine) run(ctx context.Context) error {
 	e.classic = false
 	e.satRef = make([]*cache.State, len(e.S))
 	for i := range e.satRef {
-		if e.loopHeader[i] {
+		if e.wto.Head[i] {
 			e.satRef[i] = e.S[i].Clone()
 		}
 	}
@@ -403,13 +400,10 @@ func intHeapPop(h *[]int) int {
 	return v
 }
 
-// initWTO computes the Bourdoncle ordering over the effective CFG and the
-// flattened positions that order the lane worklist.
+// initWTO computes the flattened positions of the WTO that order the lane
+// worklist.
 func (e *engine) initWTO() {
 	n := len(e.prog.Blocks)
-	e.wto = cfg.WTOOf(n, e.prog.Entry, func(b ir.BlockID) []ir.BlockID {
-		return e.succs[b]
-	})
 	e.stats.WTOComponents = int64(e.wto.NumComponents)
 	e.wtoPos = make([]int, n)
 	for i := range e.wtoPos {
@@ -596,7 +590,7 @@ func (e *engine) repeats(bs *blockSteps, i int) bool {
 // whether dst changed. In phase 2 a loop head's contribution is saturated
 // against satRef first, on the sat scratch copy (see satRef).
 func (e *engine) join(target ir.BlockID, dst, st *cache.State) bool {
-	if e.satRef == nil || !e.loopHeader[target] {
+	if e.satRef == nil || !e.wto.Head[target] {
 		return e.dom.JoinInto(dst, st)
 	}
 	sat := e.scratch(&e.sat)
@@ -611,7 +605,7 @@ func (e *engine) join(target ir.BlockID, dst, st *cache.State) bool {
 // widening site.
 func (e *engine) joinS(target ir.BlockID, st *cache.State) {
 	e.stats.Joins++
-	widening := e.classic && e.loopHeader[target] && e.changes[target] >= wideningThreshold
+	widening := e.classic && e.wto.Head[target] && e.changes[target] >= wideningThreshold
 	var prev *cache.State
 	if widening {
 		prev = e.S[target].Clone()

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"specabsint/internal/cache"
+	"specabsint/internal/ir"
 	"specabsint/internal/layout"
 	"specabsint/internal/machine"
 )
@@ -118,17 +120,15 @@ func TestPersistenceBrokenBySpeculation(t *testing.T) {
 
 // TestPersistenceSoundConcretely: an access classified persistent misses at
 // most once in any concrete run, including adversarially mis-speculated
-// ones.
+// ones. It checks loopReuse on a one-set cache under forced misprediction,
+// and ocb as the corpus digest compiles it, on the paper's cache, under
+// forced misprediction and four predictors, for both client modes.
 func TestPersistenceSoundConcretely(t *testing.T) {
 	prog := compile(t, loopReuse)
 	opts := DefaultOptions()
 	opts.Cache = layout.CacheConfig{LineSize: 64, NumSets: 1, Assoc: 8}
 	opts.DepthMiss, opts.DepthHit = 40, 40
-	persist, err := AnalyzePersistence(prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := machine.New(prog, machine.Config{
+	checkPersistenceSound(t, "loopReuse", prog, opts, machine.Config{
 		Cache:           opts.Cache,
 		ForceMispredict: true,
 		WrongPathOOB:    true,
@@ -136,8 +136,44 @@ func TestPersistenceSoundConcretely(t *testing.T) {
 		DepthHit:        40,
 		MaxSteps:        5_000_000,
 	})
+
+	prog = compileForModel(t, "ocb", corpusSource(t, "ocb"), persistence)
+	opts = DefaultOptions()
+	for mode := range int64(2) {
+		// A nil predictor stands for forced misprediction of every branch.
+		for _, pred := range []machine.Predictor{nil, machine.NewTwoBit(), machine.NewGShare(8), machine.NewAdversarial(), machine.AlwaysTaken{}} {
+			sim := machine.Config{
+				Cache:           opts.Cache,
+				Predictor:       pred,
+				ForceMispredict: pred == nil,
+				WrongPathOOB:    true,
+				DepthMiss:       opts.DepthMiss,
+				DepthHit:        opts.DepthHit,
+				MaxSteps:        5_000_000,
+				Inputs:          map[string]int64{"client_mode": mode, "sc_key": 37},
+			}
+			label := fmt.Sprintf("ocb mode=%d forced", mode)
+			if pred != nil {
+				label = fmt.Sprintf("ocb mode=%d %s", mode, pred.Name())
+			}
+			checkPersistenceSound(t, label, prog, opts, sim)
+		}
+	}
+}
+
+// checkPersistenceSound runs the persistence analysis of prog and one
+// concrete run, and fails the test for every access classified persistent
+// that missed more often than it has candidate blocks: each candidate line
+// can cold-miss once.
+func checkPersistenceSound(t *testing.T, label string, prog *ir.Program, opts Options, simCfg machine.Config) {
+	t.Helper()
+	persist, err := AnalyzePersistence(prog, opts)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", label, err)
+	}
+	sim, err := machine.New(prog, simCfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 	missCount := map[int]int{}
 	sim.OnAccess = func(r machine.AccessRecord) {
@@ -146,17 +182,12 @@ func TestPersistenceSoundConcretely(t *testing.T) {
 		}
 	}
 	if err := sim.Run(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", label, err)
 	}
 	for id, info := range persist.Access {
-		if info.Class != cache.AlwaysHit {
-			continue
-		}
-		// Persistent means at most `candidate blocks` first-misses in total
-		// (each candidate line can cold-miss once).
-		if missCount[id] > info.Acc.Count {
-			t.Errorf("instr %d classified persistent but missed %d times (candidates %d)",
-				id, missCount[id], info.Acc.Count)
+		if info.Class == cache.AlwaysHit && missCount[id] > info.Acc.Count {
+			t.Errorf("%s: instr %d classified persistent but missed %d times (candidates %d)",
+				label, id, missCount[id], info.Acc.Count)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"specabsint/internal/ir"
 )
 
 // These tests pin the uncertainty-focused speculation machinery: the
@@ -241,5 +243,53 @@ int main() {
 	}
 	if res.Stats.WTOComponents == 0 {
 		t.Error("WTOComponents = 0 on a program with a loop")
+	}
+}
+
+// TestDeadBackEdgeIsNoLoop: a loop whose every iteration breaks out through
+// a resolved branch has a back edge no execution takes, so its head heads no
+// WTO component and no flow is widened or saturated there, though the lanes
+// of the unresolved branch before it, and the branch at the head itself,
+// reach the head in the speculative pass.
+func TestDeadBackEdgeIsNoLoop(t *testing.T) {
+	prog := compileRolled(t, `
+int a[64]; int b[64];
+int flag = 1;
+int main(int n) {
+	reg int s = 0;
+	if (n > 0) { s = a[0]; } else { s = a[16]; }
+	while (n > s) {
+		s += b[0];
+		if (flag) { break; }
+		s += b[16];
+	}
+	return s;
+}`, dataCache)
+	if prog.ResolvedBranchCount() == 0 {
+		t.Fatal("the pass pipeline resolved no branch")
+	}
+	e := converge(t, "dead back edge", prog, DefaultOptions(), dataCache)
+	if e.stats.WTOComponents != 0 || e.stats.Widenings != 0 {
+		t.Errorf("wto_components = %d, widenings = %d, want 0 and 0: the back edge is dead",
+			e.stats.WTOComponents, e.stats.Widenings)
+	}
+	// The loop head is where the dead back edge returns: a live successor
+	// of a block only the dead edge of the resolved branch leads to.
+	head := ir.BlockID(-1)
+	for _, b := range prog.Blocks {
+		if e.wtoPos[b.ID] >= 0 {
+			continue
+		}
+		for _, s := range b.Succs() {
+			if e.wtoPos[s] >= 0 {
+				head = s
+			}
+		}
+	}
+	if head < 0 {
+		t.Fatal("no dead back edge")
+	}
+	if len(e.Lane[head]) == 0 {
+		t.Errorf("no lane reached the loop head %d", head)
 	}
 }

@@ -76,7 +76,6 @@ const wideningThreshold = 3
 
 // analyzer carries the fixpoint machinery.
 type analyzer struct {
-	g    *cfg.Graph
 	prog *ir.Program
 	res  *Result
 
@@ -92,20 +91,20 @@ type analyzer struct {
 	curGen     uint32
 }
 
-// Analyze runs the interval analysis to a fixpoint over g: a FIFO worklist
-// that widens a loop head's environment once the head has been visited
-// wideningThreshold times. Two scratch environments serve the whole
-// fixpoint: env carries a block's out-environment, joined into each
-// successor's in-environment in place, and prev keeps a loop head's
-// environment aside only when that join must be widened.
+// Analyze runs the interval analysis of prog to a fixpoint: a FIFO worklist
+// over effective successors that widens a loop head's environment once the
+// head has been visited wideningThreshold times. The loop heads are the
+// component heads of wto, the WTO of prog's effective CFG (cfg.
+// EffectiveWTO). Two scratch environments serve the whole fixpoint: env
+// carries a block's out-environment, joined into each successor's
+// in-environment in place, and prev keeps a loop head's environment aside
+// only when that join must be widened.
 //
 // Branch conditions are not used to refine environments at successors: the
 // result therefore over-approximates the register/memory values observable
 // on speculative (wrong-path) executions as well as architectural ones.
-func Analyze(g *cfg.Graph) *Result {
-	prog := g.Prog
+func Analyze(prog *ir.Program, wto *cfg.WTO) *Result {
 	a := &analyzer{
-		g:          g,
 		prog:       prog,
 		res:        &Result{Index: map[int]Interval{}},
 		crossIdx:   make([]int, prog.NumRegs),
@@ -117,11 +116,6 @@ func Analyze(g *cfg.Graph) *Result {
 	nBlocks := len(prog.Blocks)
 	in := make([]*Env, nBlocks)
 	visits := make([]int, nBlocks)
-
-	loopHeader := make([]bool, nBlocks)
-	for _, loop := range g.NaturalLoops(g.Dominators()) {
-		loopHeader[loop.Header] = true
-	}
 
 	in[prog.Entry] = a.entryEnv()
 	work := []ir.BlockID{prog.Entry}
@@ -149,7 +143,7 @@ func Analyze(g *cfg.Graph) *Result {
 			// A widened join is widen(in[s] ⊔ env, in[s]), which covers
 			// in[s], so it replaces in[s] outright and changes it exactly
 			// when the plain join does.
-			widen := loopHeader[s] && visits[s] >= wideningThreshold
+			widen := wto.Head[s] && visits[s] >= wideningThreshold
 			if widen {
 				prev.copyFrom(in[s])
 			}

@@ -19,8 +19,7 @@ func analyze(t *testing.T, src string, maxUnroll int) (*ir.Program, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := cfg.New(prog)
-	return prog, Analyze(g)
+	return prog, Analyze(prog, cfg.EffectiveWTO(prog))
 }
 
 // memInstrs returns all Load/Store instructions touching the named symbol.

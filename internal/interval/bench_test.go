@@ -15,11 +15,12 @@ func BenchmarkIntervalAnalyze(b *testing.B) {
 		if !ok {
 			b.Fatalf("kernel %q not in corpus", name)
 		}
-		g := cfg.New(compileWithPasses(b, k.Code, 0, false))
+		prog := compileWithPasses(b, k.Code, 0, false)
+		wto := cfg.EffectiveWTO(prog)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
-				Analyze(g)
+				Analyze(prog, wto)
 			}
 		})
 	}

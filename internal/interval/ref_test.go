@@ -18,11 +18,10 @@ import (
 // refAnalyze is the clone-based fixpoint Analyze replaced, kept as its
 // reference: it clones a block's in-environment on every visit and the
 // successor's on every edge, joins the clones, widens the joined copy
-// against the successor's environment, and joins that back.
-func refAnalyze(g *cfg.Graph) *Result {
-	prog := g.Prog
+// against the successor's environment at a head of wto, and joins that
+// back.
+func refAnalyze(prog *ir.Program, wto *cfg.WTO) *Result {
 	a := &analyzer{
-		g:          g,
 		prog:       prog,
 		res:        &Result{Index: map[int]Interval{}},
 		crossIdx:   make([]int, prog.NumRegs),
@@ -34,11 +33,6 @@ func refAnalyze(g *cfg.Graph) *Result {
 	nBlocks := len(prog.Blocks)
 	in := make([]*Env, nBlocks)
 	visits := make([]int, nBlocks)
-
-	loopHeader := make([]bool, nBlocks)
-	for _, loop := range g.NaturalLoops(g.Dominators()) {
-		loopHeader[loop.Header] = true
-	}
 
 	in[prog.Entry] = a.entryEnv()
 	work := []ir.BlockID{prog.Entry}
@@ -61,7 +55,7 @@ func refAnalyze(g *cfg.Graph) *Result {
 			}
 			next := in[s].clone()
 			next.join(env)
-			if loopHeader[s] && visits[s] >= wideningThreshold {
+			if wto.Head[s] && visits[s] >= wideningThreshold {
 				next.widen(in[s])
 			}
 			if in[s].join(next) {
@@ -109,11 +103,11 @@ func compileWithPasses(tb testing.TB, src string, maxUnroll int, icache bool) *i
 
 // requireReference fails the test unless Analyze and refAnalyze agree on
 // prog's Index and Iterations, and reports whether prog has a loop, whose
-// header widening may fire at.
+// head widening may fire at.
 func requireReference(t *testing.T, label string, prog *ir.Program) (looped bool) {
 	t.Helper()
-	g := cfg.New(prog)
-	got, want := Analyze(g), refAnalyze(g)
+	wto := cfg.EffectiveWTO(prog)
+	got, want := Analyze(prog, wto), refAnalyze(prog, wto)
 	if got.Iterations != want.Iterations {
 		t.Fatalf("%s: %d iterations, the clone-based fixpoint takes %d", label, got.Iterations, want.Iterations)
 	}
@@ -125,7 +119,7 @@ func requireReference(t *testing.T, label string, prog *ir.Program) (looped bool
 		}
 		t.Fatalf("%s: %d index intervals, the clone-based fixpoint gives %d", label, len(got.Index), len(want.Index))
 	}
-	return len(g.NaturalLoops(g.Dominators())) > 0
+	return wto.NumComponents > 0
 }
 
 // TestAnalyzeMatchesReference: the in-place fixpoint must compute the same

@@ -19,10 +19,6 @@ import (
 //go:embed stats.schema.json
 var statsSchemaJSON []byte
 
-// StatsSchemaJSON returns the embedded schema document (for tooling that
-// wants to re-export it).
-func StatsSchemaJSON() []byte { return append([]byte(nil), statsSchemaJSON...) }
-
 // schemaNode is the supported JSON-Schema keyword subset.
 type schemaNode struct {
 	Type                 string                 `json:"type"`

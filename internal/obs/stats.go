@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Stats is the full observability snapshot of one compile + analyze run: the
@@ -267,13 +266,6 @@ func (s *Stats) WriteText(w io.Writer) {
 	}
 }
 
-// SortPasses orders the pass stats by name. The pipeline records passes in
-// execution order, which is already deterministic; this helper exists for
-// callers merging stats from differently-ordered sources.
-func (s *Stats) SortPasses() {
-	sort.SliceStable(s.Passes, func(i, j int) bool { return s.Passes[i].Name < s.Passes[j].Name })
-}
-
 // PoolSnapshot is the expvar-style state of a runner.Pool, for long-running
 // batch services. Counters are cumulative since pool creation; Running and
 // QueueDepth are instantaneous gauges.
@@ -307,14 +299,4 @@ type PoolSnapshot struct {
 	ReportCacheMisses    int64 `json:"report_cache_misses"`
 	ReportCacheEvictions int64 `json:"report_cache_evictions"`
 	ReportCacheSize      int64 `json:"report_cache_size"`
-}
-
-// ReportCacheHitRate returns hits/(hits+misses) for the report tier, or 0
-// before any lookup.
-func (s PoolSnapshot) ReportCacheHitRate() float64 {
-	total := s.ReportCacheHits + s.ReportCacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.ReportCacheHits) / float64(total)
 }

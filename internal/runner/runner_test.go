@@ -420,12 +420,17 @@ func TestWorkerBoundAcrossCalls(t *testing.T) {
 	}
 }
 
+// expvarRuns numbers TestPublishExpvar's runs: expvar.Publish panics on a
+// name published before in the process, as under go test -count=2.
+var expvarRuns atomic.Int64
+
 // TestPublishExpvar checks the pool registers on the process expvar page and
 // renders its snapshot as JSON.
 func TestPublishExpvar(t *testing.T) {
 	p := New(1)
-	p.PublishExpvar("specabsint-runner-test-pool")
-	v := expvar.Get("specabsint-runner-test-pool")
+	name := fmt.Sprintf("specabsint-runner-test-pool-%d", expvarRuns.Add(1))
+	p.PublishExpvar(name)
+	v := expvar.Get(name)
 	if v == nil {
 		t.Fatal("PublishExpvar did not register the variable")
 	}

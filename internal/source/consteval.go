@@ -130,12 +130,3 @@ func EvalBinop(op Kind, l, r int64) (int64, error) {
 	}
 	return 0, fmt.Errorf("unsupported binary operator %s", op)
 }
-
-// IsComparison reports whether op yields a boolean (0/1) result.
-func IsComparison(op Kind) bool {
-	switch op {
-	case Lt, Gt, Le, Ge, EqEq, NotEq:
-		return true
-	}
-	return false
-}

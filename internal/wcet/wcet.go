@@ -12,9 +12,10 @@
 // topological order of the effective CFG that the fixpoint swept. Its
 // components are the loops an execution can enter and repeat. Innermost
 // first, each component is charged its bound times the longest path from its
-// head through its body, with its nested components already contracted into
-// their heads. Every other edge goes forward in the order, so one in-order
-// pass per level gives the longest path.
+// head through its body, plus the one run of its head that leaves the loop,
+// with its nested components already contracted into their heads. Every
+// other edge goes forward in the order, so one in-order pass per level gives
+// the longest path.
 //
 // This assumes a reducible CFG, where each component is the natural loop of
 // a back edge an execution can take and is entered only at its head. MiniC's
@@ -77,8 +78,9 @@ func (e Estimate) String() string {
 // are data-dependent (the paper's quantl search loop is the canonical case),
 // so their bounds must come from the user — exactly as WCET tools require.
 type BoundOptions struct {
-	// LoopBounds maps a loop header block to the maximum number of times
-	// its body can execute.
+	// LoopBounds maps a loop head, the head of a component of core.Result.
+	// WTO, to the maximum number of times its body can execute; its head
+	// runs once more, to exit.
 	LoopBounds map[ir.BlockID]int64
 	// DefaultLoopBound applies to loops without an explicit entry. Zero
 	// means "unknown": any unbounded loop makes the estimate -1.
@@ -99,11 +101,12 @@ func New(res *core.Result, costs CostModel) Estimate {
 }
 
 // NewWithBounds computes the timing summary, charging each loop (each
-// component of res.WTO) bound × the longest path from its header through its
-// body, innermost first. Like the WTO it follows effective successors from
-// entry, so a loop no execution can enter or repeat, such as one behind a
-// resolved branch's dead edge, needs no bound. The result over-approximates
-// every execution that respects the bounds.
+// component of res.WTO) bound × the longest path from its head through its
+// body, plus one run of its head, the test that exits, innermost first. Like
+// the WTO it follows effective successors from entry, so a loop no execution
+// can enter or repeat, such as one behind a resolved branch's dead edge,
+// needs no bound. The result over-approximates every execution that respects
+// the bounds.
 func NewWithBounds(res *core.Result, costs CostModel, bounds BoundOptions) Estimate {
 	est := Estimate{
 		Accesses:   res.AccessCount(),
@@ -199,7 +202,9 @@ func (s *schema) bound(h ir.BlockID) int64 {
 // [lo, hi) of s.order, along the edges that stay inside it. It visits each
 // element once, in order, after every edge into it: a nested component first
 // walks its own body and is then charged as one node that leaves by the edges
-// of all its blocks.
+// of all its blocks. That node costs bound iterations, each the head or a
+// path through the body back to it, and the head's last run: a loop whose
+// body runs bound times tests its condition bound+1 times.
 func (s *schema) walk(lo, hi int) int64 {
 	var longest int64
 	for p := lo; p < hi; p = s.end[p] {
@@ -208,7 +213,7 @@ func (s *schema) walk(lo, hi int) int64 {
 		if e > p+1 {
 			// The head's edges into the body start the body's paths.
 			s.relax(p, p+1, e, c)
-			c = s.bound(b) * max(c, s.walk(p+1, e))
+			c += s.bound(b) * max(c, s.walk(p+1, e))
 		}
 		total := s.dist[b] + c
 		longest = max(longest, total)

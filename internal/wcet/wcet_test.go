@@ -215,6 +215,64 @@ func TestBoundedWCETSimpleLoop(t *testing.T) {
 	}
 }
 
+// TestBoundedWCETChargesLoopExit: a while loop whose body runs k times runs
+// its head k+1 times, the last to leave the loop. On a loop with one path
+// through its body, the bound-k estimate is exactly the path that runs the
+// body k times: the blocks outside the loop once, the head k+1 times and the
+// body k times (425 cycles at k = 1, 640 at k = 2, non-speculative, under
+// DefaultCosts).
+func TestBoundedWCETChargesLoopExit(t *testing.T) {
+	ast, err := source.Parse(`int main(int n, int a) { int s = 0; while (n > 0) { s += a; n = n - 1; } return s; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lower.Lower(ast, lower.Options{MaxUnroll: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := passes.Run(prog, passes.Default()); err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Speculative = false
+	res, err := core.Analyze(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := DefaultCosts()
+	cost := func(b ir.BlockID) int64 {
+		c, _ := blockCost(res, costs, prog.Block(b), nil)
+		return c
+	}
+	var outside, head, body int64
+	loops := 0
+	for _, el := range res.WTO.Sequence {
+		if el.Comp == nil {
+			outside += cost(el.Block)
+			continue
+		}
+		loops++
+		head = cost(el.Block)
+		for _, in := range el.Comp.Body {
+			if in.Comp != nil {
+				t.Fatal("nested loop in the body")
+			}
+			body += cost(in.Block)
+		}
+	}
+	if loops != 1 {
+		t.Fatalf("%d loops, want 1", loops)
+	}
+	for k := int64(1); k <= 2; k++ {
+		want := outside + (k+1)*head + k*body
+		got := NewWithBounds(res, costs, BoundOptions{DefaultLoopBound: k}).WorstCaseCycles
+		if got != want {
+			t.Errorf("bound %d: wcet = %d, want %d: %d outside the loop + %d × head %d + %d × body %d",
+				k, got, want, outside, k+1, head, k, body)
+		}
+	}
+}
+
 func TestBoundedWCETDominatesUnrolledExact(t *testing.T) {
 	// The same loop, once unrolled exactly and once bounded: the bounded
 	// estimate must dominate the exact acyclic one.

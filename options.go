@@ -10,16 +10,10 @@ package specabsint
 //		specabsint.WithDepths(100, 10),
 //	)
 //
-// The same options configure CompileOpts (only WithMaxUnroll and WithConfig
-// affect lowering), AnalyzeContext, and the per-job overrides of
-// AnalyzeBatch.
+// The same options configure CompileOpts (only WithMaxUnroll and
+// WithPasses affect compilation), AnalyzeContext, and the per-job overrides
+// of AnalyzeBatch. A Config value reaches them through Config.Options.
 type Option func(*Config)
-
-// WithConfig replaces the whole configuration, bridging code that still
-// builds a Config by struct mutation into the option-based entry points.
-func WithConfig(cfg Config) Option {
-	return func(c *Config) { *c = cfg }
-}
 
 // WithCache sets the modeled data-cache geometry.
 func WithCache(cache CacheConfig) Option {

@@ -262,9 +262,10 @@ type Report struct {
 	Stats *Stats
 }
 
-// CompileOpts parses and lowers MiniC source. Only WithMaxUnroll (and a
-// MaxUnroll carried by WithConfig) affects lowering. Compilation errors
-// satisfy errors.As for *ParseError, with the source position preserved.
+// CompileOpts parses and lowers MiniC source. Only WithMaxUnroll affects
+// lowering, and WithPasses the pass pipeline that follows it. Compilation
+// errors satisfy errors.As for *ParseError, with the source position
+// preserved.
 func CompileOpts(src string, opts ...Option) (*CompiledProgram, error) {
 	return compileConfig(src, newConfig(opts))
 }
