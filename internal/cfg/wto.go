@@ -125,9 +125,16 @@ func WTOOf(n int, entry ir.BlockID, succs func(ir.BlockID) []ir.BlockID) *WTO {
 // EffectiveSuccs), where a resolved branch keeps only its taken edge: the
 // one order an analysis of prog sweeps, widens at and bounds loops by.
 func EffectiveWTO(prog *ir.Program) *WTO {
-	return WTOOf(len(prog.Blocks), prog.Entry, func(b ir.BlockID) []ir.BlockID {
-		return prog.Block(b).EffectiveSuccs()
-	})
+	// The DFS asks for a block's successors more than once, and a list the
+	// callback returns escapes, so every list is laid out once in one slab.
+	succs := make([][]ir.BlockID, len(prog.Blocks))
+	slab := make([]ir.BlockID, 0, 2*len(prog.Blocks))
+	for i, b := range prog.Blocks {
+		start := len(slab)
+		slab = append(slab, b.EffectiveSuccs()...)
+		succs[i] = slab[start:]
+	}
+	return WTOOf(len(prog.Blocks), prog.Entry, func(b ir.BlockID) []ir.BlockID { return succs[b] })
 }
 
 func reverseElems(elems []WTOElem) {

@@ -13,16 +13,17 @@ import (
 )
 
 // Reg is a virtual register id.
-type Reg int
+type Reg int32
 
 // String formats the register as %rN.
 func (r Reg) String() string { return fmt.Sprintf("%%r%d", int(r)) }
 
-// Value is an instruction operand: a register or a constant.
+// Value is an instruction operand: a register or a constant. The flag sits
+// after the register so the struct packs into 16 bytes.
 type Value struct {
-	IsConst bool
 	Const   int64
 	Reg     Reg
+	IsConst bool
 }
 
 // ConstVal makes a constant operand.
@@ -40,7 +41,7 @@ func (v Value) String() string {
 }
 
 // Op enumerates instruction opcodes.
-type Op int
+type Op uint8
 
 // Opcodes.
 const (
@@ -143,7 +144,7 @@ func (o Op) WritesDst() bool {
 }
 
 // SymbolID identifies a memory symbol within a Program.
-type SymbolID int
+type SymbolID int32
 
 // Symbol is a memory-resident program variable (scalar or array).
 type Symbol struct {
@@ -158,26 +159,29 @@ type Symbol struct {
 // SizeBytes returns the symbol's total storage size.
 func (s *Symbol) SizeBytes() int { return s.ElemSize * s.Len }
 
-// Instr is one IR instruction.
+// Instr is one IR instruction. Lowering emits one per source operation and
+// full unrolling repeats them, so programs hold tens of thousands: the
+// one-byte fields lead and register, block and symbol ids are 32-bit, which
+// packs an Instr into 88 bytes (TestInstrSize).
 type Instr struct {
-	Op   Op
-	Dst  Reg      // result register for value-producing ops
-	A, B Value    // operands
-	Sym  SymbolID // for Load/Store
-	Idx  Value    // element index for Load/Store
-	// CondBr: A = condition, TrueTarget/FalseTarget name successors.
-	TrueTarget  BlockID
-	FalseTarget BlockID
+	Op Op
 	// Resolved marks a CondBr whose outcome the pass pipeline proved at
 	// compile time: the emitted branch is unconditional (direction
 	// TakenTrue), so no speculative lane is spawned for it, the predictor
 	// never sees it, and only the taken edge carries abstract flow. The
-	// not-taken edge stays in the CFG so dominator/post-dominator geometry —
+	// not-taken edge stays in the CFG so post-dominator geometry —
 	// and with it every vn_stop placement — is unchanged by resolution.
 	Resolved  bool
 	TakenTrue bool
-	// Pos carries the originating source position (line may be 0 for
-	// synthesized instructions).
+	Dst       Reg      // result register for value-producing ops
+	A, B      Value    // operands
+	Idx       Value    // element index for Load/Store
+	Sym       SymbolID // for Load/Store
+	// CondBr: A = condition, TrueTarget/FalseTarget name successors.
+	TrueTarget  BlockID
+	FalseTarget BlockID
+	// Line is the originating source line (0 for synthesized
+	// instructions).
 	Line int
 	// ID is a program-unique instruction id assigned by Finalize; analyses
 	// key per-access results on it.
@@ -185,7 +189,7 @@ type Instr struct {
 }
 
 // BlockID identifies a basic block within a Function.
-type BlockID int
+type BlockID int32
 
 // Block is a basic block.
 type Block struct {
@@ -208,17 +212,17 @@ func (b *Block) Terminator() *Instr {
 
 // Succs returns the successor block IDs in order (true target first for
 // conditional branches). Resolved CondBrs still report both targets: the
-// static CFG shape is resolution-independent by design.
+// static CFG shape is resolution-independent by design. Succs is small
+// enough to inline, so a caller that only ranges over the result keeps it
+// on the stack (TestSuccsDoNotAllocate).
 func (b *Block) Succs() []BlockID {
-	t := b.Terminator()
-	if t == nil {
-		return nil
-	}
-	switch t.Op {
-	case OpBr:
-		return []BlockID{t.TrueTarget}
-	case OpCondBr:
-		return []BlockID{t.TrueTarget, t.FalseTarget}
+	if n := len(b.Instrs); n > 0 {
+		switch t := &b.Instrs[n-1]; t.Op {
+		case OpBr:
+			return []BlockID{t.TrueTarget}
+		case OpCondBr:
+			return []BlockID{t.TrueTarget, t.FalseTarget}
+		}
 	}
 	return nil
 }
@@ -261,15 +265,22 @@ func (in *Instr) TakenTarget() BlockID {
 // EffectiveSuccs returns the successors execution can actually follow: for a
 // block ending in a Resolved CondBr, only the taken edge; otherwise Succs.
 // Abstract flows, the interval analysis, and the concrete simulator all
-// propagate along effective successors, while dominator and post-dominator
-// computations keep using the full edge set (so vn_stop placements do not
-// move when a branch resolves).
+// propagate along effective successors, while post-dominator computations
+// keep using the full edge set (so vn_stop placements do not move when a
+// branch resolves). Like Succs it inlines, and allocates nothing for a
+// caller that does not keep the result.
 func (b *Block) EffectiveSuccs() []BlockID {
-	t := b.Terminator()
-	if t != nil && t.Op == OpCondBr && t.Resolved {
-		return []BlockID{t.TakenTarget()}
+	if n := len(b.Instrs); n > 0 {
+		switch t := &b.Instrs[n-1]; {
+		case t.Op == OpBr:
+			return []BlockID{t.TrueTarget}
+		case t.Op == OpCondBr && t.Resolved:
+			return []BlockID{t.TakenTarget()}
+		case t.Op == OpCondBr:
+			return []BlockID{t.TrueTarget, t.FalseTarget}
+		}
 	}
-	return b.Succs()
+	return nil
 }
 
 // Program is a lowered whole program: a single entry function (everything is

@@ -3,6 +3,7 @@ package ir
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // buildTiny constructs: entry: r0=const 1; condbr r0 ? a : b; a: ret 1; b: ret 0
@@ -166,5 +167,36 @@ func TestOpPredicates(t *testing.T) {
 	}
 	if OpLoad.IsTerminator() {
 		t.Error("load is not a terminator")
+	}
+}
+
+// TestInstrSize keeps Instr at 88 bytes or less: programs hold tens of
+// thousands of instructions, and every pass and step builder walks them.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got > 88 {
+		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want <= 88", got)
+	}
+}
+
+// TestSuccsDoNotAllocate checks that Succs and EffectiveSuccs stay small
+// enough to inline: a caller that only ranges over the result then keeps it
+// on the stack.
+func TestSuccsDoNotAllocate(t *testing.T) {
+	prog := buildTiny(t)
+	entry := prog.Block(prog.Entry)
+	sum := BlockID(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, s := range entry.Succs() {
+			sum += s
+		}
+		for _, s := range entry.EffectiveSuccs() {
+			sum += s
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ranging over successors allocated %.0f times per run, want 0", allocs)
+	}
+	if sum == 0 {
+		t.Fatal("no successors seen")
 	}
 }

@@ -10,19 +10,27 @@ import "specabsint/internal/ir"
 // reaches the instruction — architectural or wrong-path — and the mov itself
 // becomes dead for the DCE pass to nop. It returns the number of rewritten
 // operands.
+//
+// Every definition takes a fresh write stamp, and a copy records its
+// source's stamp, so overwriting a source kills each mapping from it
+// without a scan: a mapping holds while its source's stamp is unchanged.
 func copyProp(prog *ir.Program) int {
 	n := 0
 	copyOf := make([]ir.Value, prog.NumRegs)
-	stamp := make([]int, prog.NumRegs)
-	gen := 0
-	var active []ir.Reg // mov destinations with a live mapping this block
+	mapped := make([]int, prog.NumRegs)   // block generation of r's mapping
+	srcStamp := make([]int, prog.NumRegs) // written[src] when r's copy was made
+	written := make([]int, prog.NumRegs)  // stamp of r's latest definition
+	gen, stamp := 0, 0
+	live := func(r ir.Reg) bool {
+		src := copyOf[r]
+		return mapped[r] == gen && (src.IsConst || written[src.Reg] == srcStamp[r])
+	}
 	for _, b := range prog.Blocks {
 		gen++
-		active = active[:0]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			in.EachUse(func(v *ir.Value) {
-				if stamp[v.Reg] == gen {
+				if live(v.Reg) {
 					*v = copyOf[v.Reg]
 					n++
 				}
@@ -31,18 +39,17 @@ func copyProp(prog *ir.Program) int {
 				continue
 			}
 			d := in.Dst
-			// Overwriting d kills its own mapping and every mapping whose
-			// source it is.
-			stamp[d] = 0
-			for _, a := range active {
-				if stamp[a] == gen && !copyOf[a].IsConst && copyOf[a].Reg == d {
-					stamp[a] = 0
-				}
-			}
+			// Overwriting d kills its own mapping and, through the new
+			// stamp, every mapping whose source it is.
+			stamp++
+			written[d] = stamp
+			mapped[d] = 0
 			if in.Op == ir.OpMov && (in.A.IsConst || in.A.Reg != d) {
 				copyOf[d] = in.A
-				stamp[d] = gen
-				active = append(active, d)
+				mapped[d] = gen
+				if !in.A.IsConst {
+					srcStamp[d] = written[in.A.Reg]
+				}
 			}
 		}
 	}

@@ -34,27 +34,41 @@ func dceEligible(in *ir.Instr) bool {
 	return in.Op.IsBinop()
 }
 
-// dce runs elimination rounds until none fires (nopping an instruction can
-// make its operands' definitions dead in turn).
+// dce runs elimination rounds until none can fire. Nopping an instruction
+// can make its operands' definitions dead in turn. A round's backward sweep
+// already kills such chains within a block, since it never marks a nopped
+// instruction's uses; only a nopped reader of a cross-block register leaves
+// definitions that the round's liveness still counted live. So another
+// round runs only after a round nopped such a reader.
 func dce(prog *ir.Program) int {
 	total := 0
 	for {
-		n := dceRound(prog)
+		n, again := dceRound(prog)
 		total += n
-		if n == 0 {
+		if !again {
 			return total
 		}
 	}
 }
 
-func dceRound(prog *ir.Program) int {
+// dceRound runs one liveness fixpoint and sweep. It returns the number of
+// instructions nopped and whether any of them read a cross-block register.
+func dceRound(prog *ir.Program) (nops int, crossReads bool) {
 	crossIdx, numCross := classifyCross(prog)
 	words := (numCross + 63) / 64
 	nBlocks := len(prog.Blocks)
+	// Per block, over cross registers: liveIn, the registers it reads before
+	// writing them (uses), and those it writes (defs), so that
+	// liveIn = uses ∪ (liveOut \ defs) without walking its instructions.
 	liveIn := make([]bitset, nBlocks)
-	slab := make([]uint64, nBlocks*words)
+	uses := make([]bitset, nBlocks)
+	defs := make([]bitset, nBlocks)
+	slab := make([]uint64, 3*nBlocks*words)
 	for i := 0; i < nBlocks; i++ {
-		liveIn[i] = bitset(slab[i*words : (i+1)*words])
+		o := 3 * i * words
+		liveIn[i] = bitset(slab[o : o+words])
+		uses[i] = bitset(slab[o+words : o+2*words])
+		defs[i] = bitset(slab[o+2*words : o+3*words])
 	}
 	liveOut := func(b *ir.Block, dst bitset) {
 		for i := range dst {
@@ -62,6 +76,23 @@ func dceRound(prog *ir.Program) int {
 		}
 		for _, s := range b.Succs() {
 			dst.union(liveIn[s])
+		}
+	}
+	for _, b := range prog.Blocks {
+		u, d := uses[b.ID], defs[b.ID]
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
+			in := &b.Instrs[i]
+			if in.Op.WritesDst() {
+				if ci := crossIdx[in.Dst]; ci >= 0 {
+					u.clear(ci)
+					d.set(ci)
+				}
+			}
+			in.EachUse(func(v *ir.Value) {
+				if ci := crossIdx[v.Reg]; ci >= 0 {
+					u.set(ci)
+				}
+			})
 		}
 	}
 
@@ -74,19 +105,7 @@ func dceRound(prog *ir.Program) int {
 		for bi := nBlocks - 1; bi >= 0; bi-- {
 			b := prog.Blocks[bi]
 			liveOut(b, cur)
-			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				in := &b.Instrs[i]
-				if in.Op.WritesDst() {
-					if ci := crossIdx[in.Dst]; ci >= 0 {
-						cur.clear(ci)
-					}
-				}
-				in.EachUse(func(v *ir.Value) {
-					if ci := crossIdx[v.Reg]; ci >= 0 {
-						cur.set(ci)
-					}
-				})
-			}
+			cur.transfer(uses[b.ID], defs[b.ID])
 			if !cur.equal(liveIn[b.ID]) {
 				liveIn[b.ID].copyFrom(cur)
 				changed = true
@@ -97,7 +116,6 @@ func dceRound(prog *ir.Program) int {
 	// Sweep: walk each block backward; a dead eligible definition becomes a
 	// Nop (its uses are then not marked live, so in-block chains die in the
 	// same sweep). Block-local registers are tracked with generation stamps.
-	nops := 0
 	localLive := make([]int, prog.NumRegs)
 	gen := 0
 	for bi := nBlocks - 1; bi >= 0; bi-- {
@@ -114,6 +132,9 @@ func dceRound(prog *ir.Program) int {
 					isLive = cur.has(ci)
 				}
 				if !isLive && dceEligible(in) {
+					in.EachUse(func(v *ir.Value) {
+						crossReads = crossReads || crossIdx[v.Reg] >= 0
+					})
 					*in = ir.Instr{Op: ir.OpNop, Line: in.Line, ID: in.ID}
 					nops++
 					continue
@@ -132,5 +153,5 @@ func dceRound(prog *ir.Program) int {
 			})
 		}
 	}
-	return nops
+	return nops, crossReads
 }

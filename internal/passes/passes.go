@@ -13,9 +13,11 @@
 //     analysis uses: secret scalars and uninitialized scalars are unknown,
 //     initialized scalars start at their initializer, array contents are
 //     never tracked). Register uses whose value is a proven constant are
-//     rewritten to constant operands in place.
+//     rewritten to constant operands in place. Block entry environments
+//     share one slab, with slots for cross-block registers and scalars.
 //  2. copyprop — block-local forward copy propagation, replacing uses of
-//     mov destinations with the mov source so the mov becomes dead.
+//     mov destinations with the mov source so the mov becomes dead. Write
+//     stamps kill a copy whose source is overwritten in O(1).
 //  3. resolve — marks CondBrs whose condition operand is now a constant as
 //     Resolved (direction TakenTrue). Resolution never rewrites the CFG:
 //     both edges stay, so dominator/post-dominator geometry and every
@@ -27,8 +29,11 @@
 //     speculation budgets, the fetch stream, and cycle counts identical, so
 //     it has no memory or i-cache footprint by construction. Loads, stores,
 //     terminators, and potentially-faulting divisions are never eliminated.
-//     The pass is additionally gated off entirely when the caller models an
-//     instruction cache, per the conservative contract in DESIGN.md.
+//     A second round runs only after a round nopped a reader of a
+//     cross-block register, the one way a round can leave a definition
+//     dead. The pass is additionally gated off entirely when the caller
+//     models an instruction cache, per the conservative contract in
+//     DESIGN.md.
 //
 // Every transformation keeps the instruction-id assignment (Finalize is
 // never re-run) so per-access analysis results remain comparable across

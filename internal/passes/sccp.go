@@ -10,15 +10,17 @@ import (
 // The lattice per register / tracked scalar is the usual three-level one:
 // unknown (optimistically "no value seen yet"), a single constant, or
 // overdefined. Environments live only at block entries and only for
-// cross-block registers plus one slot per memory symbol; block-local
+// cross-block registers plus one slot per scalar symbol; block-local
 // temporaries are evaluated in a scratch table during the transfer, exactly
-// like the interval analysis.
+// like the interval analysis. Arrays get no slot: their contents are never
+// tracked, so a load from one is overdefined. Every block's entry
+// environment is a window of one slab, allocated once.
 //
 // Conditionality: propagation starts at entry and pushes environments only
 // along edges that can execute — a CondBr whose condition evaluates to a
 // constant propagates only its taken edge. Blocks never reached this way
-// keep a nil environment and are left untouched by the rewrite (they are
-// exactly the blocks behind a to-be-resolved branch's dead edge).
+// are left unreached and untouched by the rewrite (they are exactly the
+// blocks behind a to-be-resolved branch's dead edge).
 //
 // The memory model mirrors interval.entryEnv: secret scalars and
 // uninitialized scalars are overdefined at entry (input vectors may preload
@@ -65,18 +67,23 @@ func meet(a, b lat) lat {
 type sccpState struct {
 	prog     *ir.Program
 	crossIdx []int
-	numCross int
-	// env slot layout: [0,numCross) cross registers, then one slot per
-	// symbol (only scalars are ever non-overdefined).
-	width int
-	inEnv [][]lat
+	// env slot layout: [0,numCross) cross registers, then symSlot's slots
+	// for the scalar symbols.
+	width   int
+	symSlot []int // env slot of each scalar symbol; -1 for arrays
+	// envs holds each block's entry environment at [b*width, (b+1)*width),
+	// meaningful once reached[b] is set.
+	envs    []lat
+	reached []bool
 	// scratch holds block-local register values during one transfer.
 	scratch    []lat
 	scratchGen []int
 	curGen     int
 }
 
-func (s *sccpState) slotSym(id ir.SymbolID) int { return s.numCross + int(id) }
+func (s *sccpState) inEnv(b ir.BlockID) []lat {
+	return s.envs[int(b)*s.width : (int(b)+1)*s.width]
+}
 
 func (s *sccpState) read(env []lat, r ir.Reg) lat {
 	if ci := s.crossIdx[r]; ci >= 0 {
@@ -106,10 +113,10 @@ func (s *sccpState) lookup(env []lat, v ir.Value) lat {
 	return s.read(env, v.Reg)
 }
 
-func (s *sccpState) entryEnv() []lat {
-	env := make([]lat, s.width)
-	// Cross registers start unknown; input and secret registers are
-	// externally set and must never fold.
+// initEntry fills the entry block's environment. Cross registers start
+// unknown, except input and secret registers: they are externally set and
+// must never fold.
+func (s *sccpState) initEntry(env []lat) {
 	for _, r := range s.prog.InputRegs {
 		if ci := s.crossIdx[r]; ci >= 0 {
 			env[ci] = overLat
@@ -121,18 +128,17 @@ func (s *sccpState) entryEnv() []lat {
 		}
 	}
 	for _, sym := range s.prog.Symbols {
-		slot := s.slotSym(sym.ID)
+		slot := s.symSlot[sym.ID]
 		switch {
-		case sym.Len != 1 || sym.Secret:
-			env[slot] = overLat
-		case len(sym.Init) > 0:
+		case slot < 0:
+		case len(sym.Init) > 0 && !sym.Secret:
 			env[slot] = constLat(sym.Init[0])
 		default:
-			// Uninitialized scalars (e.g. main's parameters) model inputs.
+			// Secret scalars and uninitialized ones (e.g. main's
+			// parameters) model inputs.
 			env[slot] = overLat
 		}
 	}
-	return env
 }
 
 // transfer evaluates one instruction over env/scratch.
@@ -152,15 +158,14 @@ func (s *sccpState) transfer(env []lat, in *ir.Instr) {
 			return 0
 		}))
 	case ir.OpLoad:
-		sym := s.prog.Symbol(in.Sym)
-		if sym.Len == 1 {
-			s.write(env, in.Dst, env[s.slotSym(in.Sym)])
+		if slot := s.symSlot[in.Sym]; slot >= 0 {
+			s.write(env, in.Dst, env[slot])
 		} else {
 			s.write(env, in.Dst, overLat)
 		}
 	case ir.OpStore:
-		if s.prog.Symbol(in.Sym).Len == 1 {
-			env[s.slotSym(in.Sym)] = s.lookup(env, in.A)
+		if slot := s.symSlot[in.Sym]; slot >= 0 {
+			env[slot] = s.lookup(env, in.A)
 		}
 	case ir.OpNop, ir.OpBr, ir.OpCondBr, ir.OpRet, ir.OpFence:
 	default:
@@ -192,64 +197,66 @@ func (s *sccpState) unop(env []lat, in *ir.Instr, f func(int64) int64) lat {
 	return a
 }
 
-// outTargets returns the successors execution can reach from the block's
-// terminator under env: a constant-condition CondBr yields only its taken
-// edge.
-func (s *sccpState) outTargets(env []lat, t *ir.Instr) []ir.BlockID {
-	switch t.Op {
-	case ir.OpBr:
-		return []ir.BlockID{t.TrueTarget}
-	case ir.OpCondBr:
-		if t.Resolved {
-			return []ir.BlockID{t.TakenTarget()}
-		}
-		if cv := s.lookup(env, t.A); cv.kind == latConst {
-			if cv.c != 0 {
-				return []ir.BlockID{t.TrueTarget}
-			}
-			return []ir.BlockID{t.FalseTarget}
-		}
-		return []ir.BlockID{t.TrueTarget, t.FalseTarget}
-	}
-	return nil
-}
-
 // sccp runs the propagation to a fixpoint and then rewrites proven-constant
 // register uses to constant operands in place. It returns the number of
 // rewritten operands.
 func sccp(prog *ir.Program) int {
 	crossIdx, numCross := classifyCross(prog)
+	symSlot := make([]int, len(prog.Symbols))
+	width := numCross
+	for i, sym := range prog.Symbols {
+		symSlot[i] = -1
+		if sym.Len == 1 {
+			symSlot[i] = width
+			width++
+		}
+	}
 	s := &sccpState{
 		prog:       prog,
 		crossIdx:   crossIdx,
-		numCross:   numCross,
-		width:      numCross + len(prog.Symbols),
-		inEnv:      make([][]lat, len(prog.Blocks)),
+		width:      width,
+		symSlot:    symSlot,
+		envs:       make([]lat, len(prog.Blocks)*width),
+		reached:    make([]bool, len(prog.Blocks)),
 		scratch:    make([]lat, prog.NumRegs),
 		scratchGen: make([]int, prog.NumRegs),
 	}
-	s.inEnv[prog.Entry] = s.entryEnv()
+	s.initEntry(s.inEnv(prog.Entry))
+	s.reached[prog.Entry] = true
 	work := []ir.BlockID{prog.Entry}
 	inWork := make([]bool, len(prog.Blocks))
 	inWork[prog.Entry] = true
-	env := make([]lat, s.width)
+	env := make([]lat, width)
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
 		inWork[b] = false
 		blk := prog.Blocks[b]
-		copy(env, s.inEnv[b])
+		copy(env, s.inEnv(b))
 		s.curGen++
 		for i := range blk.Instrs {
 			s.transfer(env, &blk.Instrs[i])
 		}
-		t := blk.Terminator()
-		for _, succ := range s.outTargets(env, t) {
-			if s.inEnv[succ] == nil {
-				s.inEnv[succ] = append([]lat(nil), env...)
+		// Execution follows the effective successors, and of an
+		// unresolved CondBr whose condition is constant, only the taken
+		// edge.
+		succs := blk.EffectiveSuccs()
+		if t := blk.Terminator(); t.Op == ir.OpCondBr && !t.Resolved {
+			if cv := s.lookup(env, t.A); cv.kind == latConst {
+				if cv.c != 0 {
+					succs = succs[:1]
+				} else {
+					succs = succs[1:]
+				}
+			}
+		}
+		for _, succ := range succs {
+			dst := s.inEnv(succ)
+			if !s.reached[succ] {
+				s.reached[succ] = true
+				copy(dst, env)
 			} else {
 				changed := false
-				dst := s.inEnv[succ]
 				for i := range dst {
 					m := meet(dst[i], env[i])
 					if m != dst[i] {
@@ -273,10 +280,10 @@ func sccp(prog *ir.Program) int {
 	// which yields the same lattice values.
 	folded := 0
 	for _, blk := range prog.Blocks {
-		if s.inEnv[blk.ID] == nil {
+		if !s.reached[blk.ID] {
 			continue
 		}
-		copy(env, s.inEnv[blk.ID])
+		copy(env, s.inEnv(blk.ID))
 		s.curGen++
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]

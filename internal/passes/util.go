@@ -15,6 +15,13 @@ func (s bitset) union(o bitset) {
 		s[i] |= o[i]
 	}
 }
+
+// transfer sets s to uses ∪ (s \ defs).
+func (s bitset) transfer(uses, defs bitset) {
+	for i := range s {
+		s[i] = uses[i] | s[i]&^defs[i]
+	}
+}
 func (s bitset) equal(o bitset) bool {
 	for i := range s {
 		if s[i] != o[i] {
@@ -25,10 +32,13 @@ func (s bitset) equal(o bitset) bool {
 }
 
 // classifyCross assigns compact indices to cross-block registers (referenced
-// by more than one block); block-local registers map to -1. Mirrors the
-// interval analysis's sparse-environment trick: after full unrolling a
-// program has tens of thousands of single-block temporaries, and per-block
-// lattices must not carry them all.
+// by more than one block, or input registers); block-local registers map to
+// -1. Mirrors the interval analysis's sparse-environment trick: after full
+// unrolling a program has tens of thousands of single-block temporaries, and
+// per-block lattices must not carry them all. An input register is read
+// before any write, so its value can reach the next iteration of a loop
+// through the one block that references it; taking it for block-local would
+// let DCE nop a definition that iteration reads.
 func classifyCross(prog *ir.Program) (crossIdx []int, numCross int) {
 	const unseen = ir.BlockID(-1)
 	regBlock := make([]ir.BlockID, prog.NumRegs)
@@ -36,6 +46,9 @@ func classifyCross(prog *ir.Program) (crossIdx []int, numCross int) {
 		regBlock[i] = unseen
 	}
 	cross := make([]bool, prog.NumRegs)
+	for _, r := range prog.InputRegs {
+		cross[r] = true
+	}
 	for _, b := range prog.Blocks {
 		touch := func(r ir.Reg) {
 			if regBlock[r] == unseen {
