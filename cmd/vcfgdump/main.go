@@ -106,12 +106,14 @@ func run(stdout io.Writer, args []string) error {
 	if *showDOT && !*showVCFG {
 		fmt.Fprintln(out, g.DOT())
 	}
-	if *showVCFG {
-		opts := core.DefaultOptions()
-		res, err := core.Analyze(prog, opts)
-		if err != nil {
+	// The colors -vcfg draws and -colors lists are the analysis's own.
+	var res *core.Result
+	if *showVCFG || *showColors {
+		if res, err = core.Analyze(prog, core.DefaultOptions()); err != nil {
 			return err
 		}
+	}
+	if *showVCFG {
 		dot := g.DOT()
 		dot = strings.TrimSuffix(strings.TrimSpace(dot), "}")
 		var sb strings.Builder
@@ -138,27 +140,19 @@ func run(stdout io.Writer, args []string) error {
 		}
 	}
 	if *showColors {
-		pdom := g.PostDominators()
 		fmt.Fprintln(out, "speculative flows (color = branch x predicted direction):")
-		n := 0
-		for _, b := range prog.Blocks {
-			t := b.Terminator()
-			if t == nil || t.Op != ir.OpCondBr || t.Resolved || !g.Reachable(b.ID) {
-				continue
+		for _, f := range res.Flows {
+			dir, stop := "F", "exit"
+			if f.Predicted {
+				dir = "T"
 			}
-			succs := b.Succs()
-			stop := pdom.ImmediatePostDom(b.ID)
-			stopName := "exit"
-			if int(stop) < len(prog.Blocks) {
-				stopName = prog.Blocks[stop].Label
+			if int(f.Stop) < len(prog.Blocks) {
+				stop = prog.Blocks[f.Stop].Label
 			}
-			fmt.Fprintf(out, "  branch %-8s predict-T: speculate %s, rollback into %s, vn_stop %s\n",
-				b.Label, prog.Blocks[succs[0]].Label, prog.Blocks[succs[1]].Label, stopName)
-			fmt.Fprintf(out, "  branch %-8s predict-F: speculate %s, rollback into %s, vn_stop %s\n",
-				b.Label, prog.Blocks[succs[1]].Label, prog.Blocks[succs[0]].Label, stopName)
-			n += 2
+			fmt.Fprintf(out, "  branch %-8s predict-%s: speculate %s, rollback into %s, vn_stop %s\n",
+				prog.Blocks[f.Branch].Label, dir, prog.Blocks[f.SpecSucc].Label, prog.Blocks[f.OtherSucc].Label, stop)
 		}
-		fmt.Fprintf(out, "total colors: %d\n", n)
+		fmt.Fprintf(out, "total colors: %d\n", len(res.Flows))
 	}
 	return out.Flush()
 }
@@ -239,22 +233,6 @@ func dumpPasses(out io.Writer, prog *ir.Program) error {
 }
 
 // effBlockCount counts blocks reachable from entry along effective successor
-// edges (resolved branches contribute only their taken edge).
-func effBlockCount(prog *ir.Program) int {
-	reach := make([]bool, len(prog.Blocks))
-	stack := []ir.BlockID{prog.Entry}
-	reach[prog.Entry] = true
-	n := 1
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range prog.Blocks[b].EffectiveSuccs() {
-			if !reach[s] {
-				reach[s] = true
-				n++
-				stack = append(stack, s)
-			}
-		}
-	}
-	return n
-}
+// edges (resolved branches contribute only their taken edge): the blocks the
+// effective CFG's WTO orders.
+func effBlockCount(prog *ir.Program) int { return len(cfg.EffectiveWTO(prog).Order) }

@@ -98,3 +98,32 @@ func TestWriteErrorExitsNonzero(t *testing.T) {
 		t.Fatalf("error %v does not wrap the writer's failure", err)
 	}
 }
+
+// TestColorsAreTheAnalysisFlows pins -colors to the colors the analysis
+// spawns. After -passes the outer branch below is resolved, so the branch
+// behind its dead edge is unreachable along effective successors and spawns
+// no lane: -colors must list the live branch's two colors, the ones -vcfg
+// draws, and not the dead one's.
+func TestColorsAreTheAnalysisFlows(t *testing.T) {
+	path := writeProgram(t, `char a[64];
+int main() {
+  int x = 0;
+  int t = 0;
+  if (x == 1) {
+    if (a[0] == 3) { t = a[1]; }
+  }
+  if (a[2] == 5) { t = a[3]; }
+  return t;
+}
+`)
+	var out bytes.Buffer
+	if err := run(&out, []string{"-passes", "-dot=false", "-vcfg", "-colors", path}); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	drawn := strings.Count(text, `label="speculate"`)
+	listed := strings.Count(text, "  branch ")
+	if drawn != 2 || listed != drawn || !strings.Contains(text, "total colors: 2\n") {
+		t.Fatalf("-vcfg draws %d speculate edges, -colors lists %d colors, want 2 and 2:\n%s", drawn, listed, text)
+	}
+}

@@ -212,13 +212,12 @@ func corpusModelsCheap(name string) bool {
 // states_pooled zeroed (it counts scratch-state reuse, not analysis work).
 func corpusModelLine(t *testing.T, cp corpusProgram, model string) string {
 	t.Helper()
-	icache := model == "icache"
-	prog, _, err := runner.Compile(cp.src, 0, true, icache)
+	prog, _, err := runner.Compile(cp.src, 0, true)
 	if err != nil {
 		t.Fatalf("%s: %v", cp.name, err)
 	}
 	var res *core.Result
-	if icache {
+	if model == "icache" {
 		res, err = core.AnalyzeInstructionCache(prog, core.DefaultOptions())
 	} else {
 		res, err = core.AnalyzePersistence(prog, core.DefaultOptions())

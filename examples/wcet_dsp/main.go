@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"specabsint/internal/bench"
+	"specabsint/internal/cfg"
 	"specabsint/internal/core"
 	"specabsint/internal/layout"
 	"specabsint/internal/wcet"
@@ -27,6 +28,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The states are listed in reverse postorder of the CFG.
+	g := cfg.New(prog)
 
 	for _, spec := range []bool{false, true} {
 		opts := core.DefaultOptions()
@@ -41,7 +44,7 @@ func main() {
 		} else {
 			fmt.Println("=== non-speculative fixpoint (Table 1) ===")
 		}
-		for _, b := range res.Graph.RPO {
+		for _, b := range g.RPO {
 			st := res.In[b]
 			if st.IsBottom || st.MustCount() == 0 {
 				continue

@@ -85,9 +85,11 @@ type Domain struct {
 type blockRange struct{ lo, hi int }
 
 // affectedSets collects the distinct cache sets touched by acc into the
-// domain's scratch list, returning it. Valid until the next call.
+// domain's scratch list, returning it. Valid until the next call. A set is a
+// block id modulo NumSets, so no set reaches the universe's size, and the
+// mask needs no more entries than that, however many sets the cache has.
 func (d *Domain) affectedSets(acc Access) []int {
-	numSets := d.L.Config.NumSets
+	numSets := min(d.L.Config.NumSets, d.L.NumBlocks)
 	if len(d.affected) < numSets {
 		d.affected = make([]bool, numSets)
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
 
 	"specabsint/internal/ir"
@@ -341,6 +342,45 @@ func TestRangeAccessRepeatedEvicts(t *testing.T) {
 	d.Transfer(st, Access{First: aBlk, Count: 4})
 	if st.MustHit(sBlk, 4) {
 		t.Error("s should not be guaranteed cached after 4 unknown accesses")
+	}
+}
+
+// TestRangeAccessHugeNumSets: a range access's set scratch is sized by the
+// sets the universe's blocks map to, not by NumSets, so a cache with more
+// sets than the program has blocks costs no more than one with as many. A
+// mask of NumSets entries would take 16 MB here, and at 2^40 sets a block
+// no allocator can grant.
+func TestRangeAccessHugeNumSets(t *testing.T) {
+	bd := ir.NewBuilder("p")
+	bd.AddSymbol("arr", 4, 64, false, nil) // 256B = 4 blocks
+	entry := bd.NewBlock("entry")
+	bd.SetBlock(entry)
+	bd.Ret(ir.ConstVal(0))
+	prog, err := bd.Finish(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const numSets = 1 << 24
+	l, err := layout.New(prog, layout.CacheConfig{LineSize: 64, NumSets: numSets, Assoc: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, n := l.BlockRange(prog.SymbolByName("arr").ID)
+	for _, persist := range []bool{false, true} {
+		d := &Domain{L: l, Refined: !persist, Persist: persist}
+		st := NewState(l.NumBlocks)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d.Transfer(st, Access{First: first, Count: n})
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("persist=%v: one range access at %d sets allocated %d bytes, want under 1 MB", persist, numSets, got)
+		}
+		for b := first; b < first+layout.BlockID(n); b++ {
+			if shAge(st, b) != 1 {
+				t.Errorf("persist=%v: candidate %d not may-cached at age 1", persist, b)
+			}
+		}
 	}
 }
 

@@ -1,11 +1,15 @@
-// Package cfg provides control-flow-graph utilities over IR programs:
-// predecessor/successor maps, reverse postorder, the post-dominator tree
-// that places the paper's vn_stop nodes, and Bourdoncle's weak topological
-// order, whose component heads are the loops every analysis widens at.
+// Package cfg provides control-flow-graph utilities over IR programs. The
+// weak topological order of a program's effective CFG (EffectiveWTO), in
+// flat form and with the effective successor lists it was built over, is
+// the one order every analysis sweeps, widens at and bounds loops by.
+// PostDominators places the paper's vn_stop nodes over the full edge set.
+// Graph is the full-edge CFG, with predecessors and a reverse postorder, that
+// the IR verifier, the Algorithm-1 baseline and DOT output use.
 package cfg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"specabsint/internal/ir"
@@ -20,8 +24,6 @@ type Graph struct {
 	RPO []ir.BlockID
 	// RPOIndex[b] is b's position in RPO, or -1 if unreachable.
 	RPOIndex []int
-	// Exit collects all blocks ending in Ret.
-	Exits []ir.BlockID
 }
 
 // New builds the graph for prog.
@@ -38,9 +40,6 @@ func New(prog *ir.Program) *Graph {
 		g.Succs[b.ID] = succs
 		for _, s := range succs {
 			g.Preds[s] = append(g.Preds[s], b.ID)
-		}
-		if t := b.Terminator(); t != nil && t.Op == ir.OpRet {
-			g.Exits = append(g.Exits, b.ID)
 		}
 	}
 	// Postorder DFS from entry.
@@ -78,50 +77,69 @@ func (g *Graph) Reachable(b ir.BlockID) bool { return g.RPOIndex[b] >= 0 }
 // root; blocks whose only path forward diverges (infinite loop) post-dominate
 // nothing and map to the virtual exit as well.
 type PostDomTree struct {
-	// IPDom[b] is the immediate post-dominator of b; VirtualExit for blocks
-	// directly post-dominated by program exit; -1 for unreachable blocks.
+	// IPDom[b] is the immediate post-dominator of b: VirtualExit for a
+	// block directly post-dominated by program exit, or from which no exit
+	// is reachable.
 	IPDom       []ir.BlockID
 	VirtualExit ir.BlockID
 }
 
-// PostDominators computes the post-dominator tree of the graph.
-func (g *Graph) PostDominators() *PostDomTree {
-	n := len(g.Prog.Blocks)
+// PostDominators computes the post-dominator tree of prog over its full edge
+// set (ir.Block.Succs), so that resolving a branch never moves a vn_stop.
+func PostDominators(prog *ir.Program) *PostDomTree {
+	n := len(prog.Blocks)
 	virtual := ir.BlockID(n)
-	// Reverse graph: successors of b are preds; exits' successor is virtual.
-	rsucc := make([][]ir.BlockID, n+1)
-	rpred := make([][]ir.BlockID, n+1)
-	for b := 0; b < n; b++ {
-		for _, s := range g.Succs[b] {
-			rsucc[s] = append(rsucc[s], ir.BlockID(b))
-			rpred[b] = append(rpred[b], s)
+	isExit := func(b *ir.Block) bool {
+		t := b.Terminator()
+		return t != nil && t.Op == ir.OpRet
+	}
+	// The reverse graph in one slab: pred[off[v]:off[v+1]] lists v's
+	// predecessors, and the virtual exit's list every Ret block, in block
+	// order.
+	off := make([]int, n+2)
+	for _, b := range prog.Blocks {
+		for _, s := range b.Succs() {
+			off[s]++
+		}
+		if isExit(b) {
+			off[virtual]++
 		}
 	}
-	for _, e := range g.Exits {
-		rsucc[virtual] = append(rsucc[virtual], e)
-		rpred[e] = append(rpred[e], virtual)
+	for v := 1; v < len(off); v++ {
+		off[v] += off[v-1]
 	}
-	// Postorder on the reverse graph from virtual exit.
+	pred := make([]ir.BlockID, off[n+1])
+	for i := n - 1; i >= 0; i-- {
+		b := prog.Blocks[i]
+		if isExit(b) {
+			off[virtual]--
+			pred[off[virtual]] = b.ID
+		}
+		succs := b.Succs()
+		for j := len(succs) - 1; j >= 0; j-- {
+			off[succs[j]]--
+			pred[off[succs[j]]] = b.ID
+		}
+	}
+	// Reverse postorder on the reverse graph from the virtual exit, which
+	// comes first.
 	visited := make([]bool, n+1)
-	var post []ir.BlockID
-	var dfs func(b ir.BlockID)
-	dfs = func(b ir.BlockID) {
-		visited[b] = true
-		for _, s := range rsucc[b] {
-			if !visited[s] {
-				dfs(s)
+	rpo := make([]ir.BlockID, 0, n+1)
+	var dfs func(v ir.BlockID)
+	dfs = func(v ir.BlockID) {
+		visited[v] = true
+		for _, p := range pred[off[v]:off[v+1]] {
+			if !visited[p] {
+				dfs(p)
 			}
 		}
-		post = append(post, b)
+		rpo = append(rpo, v)
 	}
 	dfs(virtual)
+	slices.Reverse(rpo)
 	rpoIndex := make([]int, n+1)
 	for i := range rpoIndex {
 		rpoIndex[i] = -1
-	}
-	rpo := make([]ir.BlockID, len(post))
-	for i := range post {
-		rpo[i] = post[len(post)-1-i]
 	}
 	for i, b := range rpo {
 		rpoIndex[b] = i
@@ -143,35 +161,37 @@ func (g *Graph) PostDominators() *PostDomTree {
 		}
 		return a
 	}
-	changed := true
-	for changed {
+	// meet folds a successor p of the block into its candidate ipdom.
+	meet := func(idom, p ir.BlockID) ir.BlockID {
+		switch {
+		case ipdom[p] == -1:
+			return idom
+		case idom == -1:
+			return p
+		}
+		return intersect(p, idom)
+	}
+	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
-			if b == virtual {
-				continue
+		for _, v := range rpo[1:] {
+			b := prog.Blocks[v]
+			newIdom := ir.BlockID(-1)
+			for _, s := range b.Succs() {
+				newIdom = meet(newIdom, s)
 			}
-			var newIdom ir.BlockID = -1
-			for _, p := range rpred[b] {
-				if ipdom[p] == -1 {
-					continue
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
+			if isExit(b) {
+				newIdom = meet(newIdom, virtual)
 			}
-			if newIdom != -1 && ipdom[b] != newIdom {
-				ipdom[b] = newIdom
+			if newIdom != -1 && ipdom[v] != newIdom {
+				ipdom[v] = newIdom
 				changed = true
 			}
 		}
 	}
-	// Blocks reachable from entry but not reaching exit (infinite loops):
-	// treat their ipdom as the virtual exit so vn_stop placement still
-	// terminates speculation there.
-	for b := 0; b < n; b++ {
-		if g.Reachable(ir.BlockID(b)) && ipdom[b] == -1 {
+	// Blocks not reaching exit (infinite loops): treat their ipdom as the
+	// virtual exit so vn_stop placement still terminates speculation there.
+	for b := range n {
+		if ipdom[b] == -1 {
 			ipdom[b] = virtual
 		}
 	}

@@ -55,9 +55,6 @@ func TestGraphEdges(t *testing.T) {
 	if len(g.Preds[3]) != 2 {
 		t.Fatalf("join preds = %v", g.Preds[3])
 	}
-	if len(g.Exits) != 1 || g.Exits[0] != 3 {
-		t.Fatalf("exits = %v", g.Exits)
-	}
 }
 
 func TestRPOStartsAtEntry(t *testing.T) {
@@ -71,8 +68,7 @@ func TestRPOStartsAtEntry(t *testing.T) {
 }
 
 func TestPostDominatorsDiamond(t *testing.T) {
-	g := cfg.New(diamond(t))
-	pdom := g.PostDominators()
+	pdom := cfg.PostDominators(diamond(t))
 	if pdom.ImmediatePostDom(0) != 3 {
 		t.Errorf("ipdom(entry) = %d, want join (3)", pdom.ImmediatePostDom(0))
 	}
@@ -101,16 +97,15 @@ func TestPostDominatorsMultipleExits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := cfg.New(prog)
-	pdom := g.PostDominators()
+	pdom := cfg.PostDominators(prog)
 	if pdom.ImmediatePostDom(entry) != pdom.VirtualExit {
 		t.Errorf("ipdom(entry) = %d, want virtual exit %d",
 			pdom.ImmediatePostDom(entry), pdom.VirtualExit)
 	}
 }
 
-// TestNaturalLoopsSimple: a for loop is one WTO component, and its head is
-// marked as one.
+// TestNaturalLoopsSimple: a for loop is one WTO component, a marked head
+// followed by its body.
 func TestNaturalLoopsSimple(t *testing.T) {
 	prog := compile(t, `
 		int main() {
@@ -122,9 +117,9 @@ func TestNaturalLoopsSimple(t *testing.T) {
 	if w.NumComponents != 1 {
 		t.Fatalf("found %d loops, want 1", w.NumComponents)
 	}
-	for _, el := range w.Sequence {
-		if el.Comp != nil && !w.Head[el.Block] {
-			t.Errorf("component head %d not marked", el.Block)
+	for p, v := range w.Order {
+		if w.Head[v] && w.End[p] == p+1 {
+			t.Errorf("loop head %d has an empty body", v)
 		}
 	}
 }
@@ -144,12 +139,12 @@ func TestNaturalLoopsNested(t *testing.T) {
 	if w.NumComponents != 2 {
 		t.Fatalf("found %d loops, want 2", w.NumComponents)
 	}
-	for _, el := range w.Sequence {
-		if el.Comp == nil {
+	for p, v := range w.Order {
+		if !w.Head[v] {
 			continue
 		}
-		for _, inner := range el.Comp.Body {
-			if inner.Comp != nil {
+		for q := p + 1; q < w.End[p]; q++ {
+			if w.Head[w.Order[q]] {
 				return
 			}
 		}

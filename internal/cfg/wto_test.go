@@ -29,36 +29,34 @@ var wtoCases = []struct {
 
 func TestWTOOf(t *testing.T) {
 	for _, c := range wtoCases {
-		w := wtoOf(c.succs)
-		if got := renderWTO(w.Sequence); got != c.want {
-			t.Errorf("%s: WTO %q, want %q", c.name, got, c.want)
-		}
+		w := cfg.WTOOf(c.succs, 0)
 		if err := checkWTO(c.succs, w); err != nil {
 			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if got := renderWTO(w, 0, len(w.Order)); got != c.want {
+			t.Errorf("%s: WTO %q, want %q", c.name, got, c.want)
 		}
 	}
 }
 
-// FuzzWTOOf checks the contract the engine's one-pass sweep relies on, on
-// graphs of up to 12 vertices decoded from the input: every vertex reachable
-// from 0 appears once and no other does; every edge between reachable
-// vertices goes forward in the flattened order or to the head of a
-// component holding its source; Head marks exactly the component heads, and
-// NumComponents counts them.
+// FuzzWTOOf checks the flat form's contract, which the engine's sweep, its
+// lane worklist and the WCET schema rely on, on graphs of up to 12 vertices
+// decoded from the input, self-loops included: every vertex reachable from 0
+// has one position and no other vertex has one; End ranges nest; every edge
+// goes forward in the order or to the head of a component holding its
+// source; Head marks exactly the component heads, and NumComponents counts
+// them.
 func FuzzWTOOf(f *testing.F) {
 	for _, c := range wtoCases {
 		f.Add(encodeGraph(c.succs))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		succs := decodeGraph(data)
-		if err := checkWTO(succs, wtoOf(succs)); err != nil {
+		if err := checkWTO(succs, cfg.WTOOf(succs, 0)); err != nil {
 			t.Fatalf("graph %v: %v", succs, err)
 		}
 	})
-}
-
-func wtoOf(succs [][]ir.BlockID) *cfg.WTO {
-	return cfg.WTOOf(len(succs), 0, func(b ir.BlockID) []ir.BlockID { return succs[b] })
 }
 
 // decodeGraph reads a vertex count (1–12) and then, per vertex, a successor
@@ -93,13 +91,16 @@ func encodeGraph(succs [][]ir.BlockID) []byte {
 	return data
 }
 
-func renderWTO(elems []cfg.WTOElem) string {
-	parts := make([]string, len(elems))
-	for i, el := range elems {
-		parts[i] = fmt.Sprint(el.Block)
-		if el.Comp != nil {
-			parts[i] = "(" + strings.TrimSpace(parts[i]+" "+renderWTO(el.Comp.Body)) + ")"
+// renderWTO writes positions [lo, hi) of w's order in Bourdoncle's notation:
+// a component is parenthesized, its head first.
+func renderWTO(w *cfg.WTO, lo, hi int) string {
+	var parts []string
+	for p := lo; p < hi; p = w.End[p] {
+		part := fmt.Sprint(w.Order[p])
+		if w.Head[w.Order[p]] {
+			part = "(" + strings.TrimSpace(part+" "+renderWTO(w, p+1, w.End[p])) + ")"
 		}
+		parts = append(parts, part)
 	}
 	return strings.Join(parts, " ")
 }
@@ -119,70 +120,82 @@ func checkWTO(succs [][]ir.BlockID, w *cfg.WTO) error {
 			}
 		}
 	}
-	// pos is each vertex's place in the flattened order; members lists the
-	// vertices of the component each head heads.
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	members := map[ir.BlockID][]ir.BlockID{}
-	heads := make([]bool, n)
-	order, comps := 0, 0
-	var flatten func(elems []cfg.WTOElem, open []ir.BlockID) error
-	flatten = func(elems []cfg.WTOElem, open []ir.BlockID) error {
-		for _, el := range elems {
-			v := el.Block
-			if v < 0 || int(v) >= n {
-				return fmt.Errorf("vertex %d out of range", v)
-			}
-			if pos[v] >= 0 {
-				return fmt.Errorf("vertex %d appears twice", v)
-			}
-			pos[v] = order
-			order++
-			inner := open
-			if el.Comp != nil {
-				comps++
-				heads[v] = true
-				if el.Comp.Head != v {
-					return fmt.Errorf("component at %d has head %d", v, el.Comp.Head)
-				}
-				inner = append(open[:len(open):len(open)], v)
-			}
-			for _, h := range inner {
-				members[h] = append(members[h], v)
-			}
-			if el.Comp != nil {
-				if err := flatten(el.Comp.Body, inner); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := flatten(w.Sequence, nil); err != nil {
-		return err
+	if len(w.Pos) != n || len(w.Head) != n || len(w.Succs) != n || len(w.End) != len(w.Order) {
+		return fmt.Errorf("%d vertices: %d Pos, %d Head, %d Succs; %d positions, %d End",
+			n, len(w.Pos), len(w.Head), len(w.Succs), len(w.Order), len(w.End))
 	}
 	for v := range n {
-		if reach[v] != (pos[v] >= 0) {
-			return fmt.Errorf("vertex %d: reachable %v, in the order %v", v, reach[v], pos[v] >= 0)
+		if !slices.Equal(w.Succs[v], succs[v]) {
+			return fmt.Errorf("Succs[%d] = %v, the graph has %v", v, w.Succs[v], succs[v])
 		}
+	}
+	// Order and Pos invert each other, and exactly the reachable vertices
+	// have a position.
+	for p, v := range w.Order {
+		if v < 0 || int(v) >= n {
+			return fmt.Errorf("vertex %d out of range", v)
+		}
+		if w.Pos[v] != p {
+			return fmt.Errorf("vertex %d at position %d has Pos %d", v, p, w.Pos[v])
+		}
+	}
+	for v := range n {
+		if reach[v] != (w.Pos[v] >= 0) {
+			return fmt.Errorf("vertex %d: reachable %v, Pos %d", v, reach[v], w.Pos[v])
+		}
+		if w.Pos[v] < 0 && w.Head[v] {
+			return fmt.Errorf("unreachable vertex %d marked as a head", v)
+		}
+	}
+	// Extents nest: each lies inside the one of the innermost component
+	// open at its position, and only a head's extent holds a body.
+	var open []int
+	comps := 0
+	for p, v := range w.Order {
+		for len(open) > 0 && w.End[open[len(open)-1]] <= p {
+			open = open[:len(open)-1]
+		}
+		limit := len(w.Order)
+		if len(open) > 0 {
+			limit = w.End[open[len(open)-1]]
+		}
+		if w.End[p] <= p || w.End[p] > limit {
+			return fmt.Errorf("vertex %d at position %d: End %d outside (%d, %d]", v, p, w.End[p], p, limit)
+		}
+		if !w.Head[v] {
+			if w.End[p] != p+1 {
+				return fmt.Errorf("vertex %d heads no component but spans [%d, %d)", v, p, w.End[p])
+			}
+			continue
+		}
+		comps++
+		open = append(open, p)
 	}
 	if w.NumComponents != comps {
 		return fmt.Errorf("NumComponents %d, the order has %d components", w.NumComponents, comps)
 	}
-	if !slices.Equal(w.Head, heads) {
-		return fmt.Errorf("Head %v, the component heads are %v", w.Head, heads)
-	}
+	// Every edge goes forward, or back to the head of a component holding
+	// its source, and every head has such an edge: a component is a loop.
+	looped := make([]bool, n)
 	for u := range n {
 		if !reach[u] {
 			continue
 		}
+		pu := w.Pos[u]
 		for _, v := range succs[u] {
-			if pos[v] > pos[u] || slices.Contains(members[v], ir.BlockID(u)) {
+			pv := w.Pos[v]
+			if pv > pu {
 				continue
 			}
-			return fmt.Errorf("edge %d→%d goes back to a vertex that heads no component holding %d", u, v, u)
+			if !w.Head[v] || pu >= w.End[pv] {
+				return fmt.Errorf("edge %d→%d goes back to a vertex that heads no component holding %d", u, v, u)
+			}
+			looped[v] = true
+		}
+	}
+	for v := range n {
+		if w.Head[v] && !looped[v] {
+			return fmt.Errorf("head %d has no edge back from its component", v)
 		}
 	}
 	return nil

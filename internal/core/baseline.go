@@ -71,7 +71,6 @@ func AnalyzeAlgorithm1(prog *ir.Program, opts Options) (*Result, error) {
 	})
 	res := &Result{
 		Prog:       prog,
-		Graph:      g,
 		Layout:     l,
 		Opts:       opts,
 		WTO:        wto,

@@ -105,7 +105,7 @@ func TestClassifyMatchesWalk(t *testing.T) {
 			if cheap && md.m != dataCache {
 				continue
 			}
-			prog := compileForModel(t, name, src, md.m)
+			prog := compileWithPasses(t, name, src)
 			for _, s := range laneStrategies {
 				label := fmt.Sprintf("%s/%s/%v", name, md.name, s)
 				opts := DefaultOptions()
@@ -121,7 +121,7 @@ func TestClassifyMatchesWalk(t *testing.T) {
 	for seed := 1; seed <= programs; seed++ {
 		src := gen.Program(rand.New(rand.NewSource(int64(seed))), gen.Sized(2))
 		for _, md := range laneModels {
-			prog := compileRolled(t, src, md.m)
+			prog := compileRolled(t, src)
 			for _, s := range laneStrategies {
 				label := fmt.Sprintf("gen%d/%s/%v", seed, md.name, s)
 				opts := DefaultOptions()

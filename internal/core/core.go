@@ -19,6 +19,14 @@
 // directly into the normal flow (Fig. 6d), just-in-time merging (Fig. 6c,
 // default), and per-rollback-block trace partitioning which approximates
 // the unmerged flows of Fig. 6a/b.
+//
+// Each analysis builds one weak topological order of the effective CFG
+// (cfg.EffectiveWTO), in flat form with the effective successor lists it
+// was built over. The interval pre-pass and the engine propagate along
+// those lists and widen at its component heads, the engine sweeps it, and
+// Result.WTO hands it to the WCET schema. The vn_stop of each branch comes
+// from the post-dominators of the full edge set (cfg.PostDominators). Only
+// the Algorithm-1 baseline builds a cfg.Graph, for the generic solver.
 package core
 
 import (
@@ -142,7 +150,6 @@ type AccessInfo struct {
 // Result is a completed analysis.
 type Result struct {
 	Prog   *ir.Program
-	Graph  *cfg.Graph
 	Layout *layout.Layout
 	Opts   Options
 	// WTO is the weak topological order of the effective CFG (ir.Block.
@@ -327,7 +334,7 @@ func prepare(prog *ir.Program, opts Options, m model) (*engine, error) {
 		}
 	})
 	opts.Collector.SetBytecode(steps.stats())
-	e := newEngine(prog, cfg.New(prog), wto, l, idx, opts, steps)
+	e := newEngine(prog, wto, l, idx, opts, steps)
 	if m == persistence {
 		e.dom.Persist = true
 		e.dom.Refined = false // the NYoung refinement is a must-analysis rule

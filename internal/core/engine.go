@@ -61,7 +61,6 @@ type ssSlot struct {
 
 type engine struct {
 	prog *ir.Program
-	g    *cfg.Graph
 	l    *layout.Layout
 	dom  *cache.Domain
 	idx  *interval.Result
@@ -91,12 +90,13 @@ type engine struct {
 	// block) rather than blocks × colors, and drainLanes and classify visit
 	// the reached lanes in ascending color order.
 	Lane [][]laneSlot
-	// laneDirty is the lane worklist: a min-heap of the wtoPos of every
-	// block holding a dirty lane slot, which inLane marks. Lanes need a heap
-	// where the sweep needs none, because a lane walks around a loop and its
-	// flow lands behind the block it left. A lane depends only on the state
-	// it spawned from, never on the flows of the blocks it walks, so
-	// drainLanes can finish every lane before the sweep moves on.
+	// laneDirty is the lane worklist: a min-heap of the WTO position
+	// (wto.Pos) of every block holding a dirty lane slot, which inLane
+	// marks. Lanes need a heap where the sweep needs none, because a lane
+	// walks around a loop and its flow lands behind the block it left. A
+	// lane depends only on the state it spawned from, never on the flows of
+	// the blocks it walks, so drainLanes can finish every lane before the
+	// sweep moves on.
 	laneDirty []int
 	inLane    []bool
 	// lanePops counts drainLanes' pops, for its context polls.
@@ -113,15 +113,6 @@ type engine struct {
 	// colorsAt[n] lists the two colors of n's branch, if n spawns any.
 	colorsAt [][]*color
 
-	pdom *cfg.PostDomTree
-
-	// succs[n] is the effective successor list used for all state
-	// propagation: for a block ending in a Resolved CondBr only the taken
-	// edge carries flow (the emitted branch is unconditional), and the WTO
-	// is built over it. Post-dominators, and with them vn_stop placement,
-	// keep using the full edge set.
-	succs [][]ir.BlockID
-
 	// walk, rollback and sat are the engine's three scratch states, each
 	// allocated on its first use (see scratch). walk holds the state that
 	// transferBlock and laneWalk return: process finishes its walks before
@@ -132,19 +123,18 @@ type engine struct {
 	walk, rollback, sat *cache.State
 
 	changes []int // per-block S-change counts, for phase-1 widening
-	// wto is the Bourdoncle ordering of the effective CFG that sweep walks;
-	// an acyclic CFG is one top-level sequence with no components. Its
+	// wto is the Bourdoncle ordering of the effective CFG that sweep walks,
+	// and wto.Succs the effective successor lists all state propagates
+	// along: for a block ending in a Resolved CondBr only the taken edge
+	// carries flow (the emitted branch is unconditional). Post-dominators,
+	// and with them vn_stop placement, keep using the full edge set. On an
+	// acyclic CFG wto.Order is a topological order with no components. Its
 	// component heads (wto.Head) are the loop heads, the only blocks the
 	// engine widens and saturates at (§6.3 targets loops; widening ordinary
-	// merge blocks would discard precision that plain joins preserve).
+	// merge blocks would discard precision that plain joins preserve). A
+	// block off the order (wto.Pos -1) lies behind a resolved branch's dead
+	// edge, which no execution, architectural or wrong-path, can enter.
 	wto *cfg.WTO
-	// wtoPos[b] is b's position in the flattened WTO, where each component
-	// head precedes its body, and wtoAt inverts it. On an acyclic CFG it is
-	// a topological order. It is -1 for a block unreachable from entry along
-	// effective successors: one behind a resolved branch's dead edge, which
-	// no execution, architectural or wrong-path, can enter.
-	wtoPos []int
-	wtoAt  []ir.BlockID
 	// classic marks phase 1, the uncertainty pre-pass: lane spawning is off,
 	// so the engine converges the cheap classic must/may analysis (normal
 	// flow only) before every unresolved branch is re-seeded and lanes
@@ -192,11 +182,10 @@ type engine struct {
 // newEngine builds an engine over prebuilt access steps (dataSteps for the
 // data cache, fetchSteps for the instruction cache) that sweeps wto, the WTO
 // of prog's effective CFG.
-func newEngine(prog *ir.Program, g *cfg.Graph, wto *cfg.WTO, l *layout.Layout, idx *interval.Result, opts Options, steps *stepProgram) *engine {
+func newEngine(prog *ir.Program, wto *cfg.WTO, l *layout.Layout, idx *interval.Result, opts Options, steps *stepProgram) *engine {
 	n := len(prog.Blocks)
 	e := &engine{
 		prog:         prog,
-		g:            g,
 		l:            l,
 		dom:          &cache.Domain{L: l, Refined: opts.RefinedJoin},
 		idx:          idx,
@@ -218,24 +207,19 @@ func newEngine(prog *ir.Program, g *cfg.Graph, wto *cfg.WTO, l *layout.Layout, i
 	}
 	e.S[prog.Entry] = cache.NewState(l.NumBlocks)
 	e.dirtyS[prog.Entry] = true
-
-	e.succs = make([][]ir.BlockID, n)
-	for _, b := range prog.Blocks {
-		e.succs[b.ID] = b.EffectiveSuccs()
-	}
-	e.initWTO()
+	e.stats.WTOComponents = int64(wto.NumComponents)
 
 	if opts.Speculative {
-		e.pdom = g.PostDominators()
+		pdom := cfg.PostDominators(prog)
 		for _, b := range prog.Blocks {
 			t := b.Terminator()
 			// Resolved branches are unconditional jumps in the emitted
 			// program: no misprediction, no colors. Blocks the WTO leaves
 			// out, behind a resolved branch's dead edge, spawn none either.
-			if t == nil || t.Op != ir.OpCondBr || t.Resolved || e.wtoPos[b.ID] < 0 {
+			if t == nil || t.Op != ir.OpCondBr || t.Resolved || wto.Pos[b.ID] < 0 {
 				continue
 			}
-			stop := e.pdom.ImmediatePostDom(b.ID)
+			stop := pdom.ImmediatePostDom(b.ID)
 			for _, predicted := range []bool{true, false} {
 				c := &color{
 					id:        len(e.colors),
@@ -254,7 +238,7 @@ func newEngine(prog *ir.Program, g *cfg.Graph, wto *cfg.WTO, l *layout.Layout, i
 		}
 	}
 	if len(e.colors) > 0 && !opts.DisableUncertainty {
-		e.laneNeed = laneNeedBudgets(prog, e.succs, steps)
+		e.laneNeed = laneNeedBudgets(prog, wto.Succs, steps)
 	}
 	return e
 }
@@ -324,7 +308,7 @@ func (e *engine) run(ctx context.Context) error {
 		// monotone iteration and the two-phase split below would only pay
 		// its phase-2 re-solve overhead. Solve in one pass; the laneNeed
 		// spawn skip still applies.
-		return e.sweep(ctx, e.wto.Sequence)
+		return e.sweep(ctx, 0, len(e.wto.Order))
 	}
 	// Phase 1 — the uncertainty pre-pass, a canonical classic pass. Lane
 	// spawning is off: with no lanes there are no rollbacks and hence no SS
@@ -332,7 +316,7 @@ func (e *engine) run(ctx context.Context) error {
 	// fixpoint, with count-triggered widening on the normal flow (see
 	// classic). The corpus goldens pin the verdicts this split produces.
 	e.classic = true
-	if err := e.sweep(ctx, e.wto.Sequence); err != nil {
+	if err := e.sweep(ctx, 0, len(e.wto.Order)); err != nil {
 		return err
 	}
 	// Phase 2 — speculative completion. Every unresolved branch whose state
@@ -356,7 +340,7 @@ func (e *engine) run(ctx context.Context) error {
 			e.dirtyS[b.ID] = true
 		}
 	}
-	return e.sweep(ctx, e.wto.Sequence)
+	return e.sweep(ctx, 0, len(e.wto.Order))
 }
 
 // intHeapPush and intHeapPop maintain a plain min-heap of ints — the lane
@@ -400,57 +384,38 @@ func intHeapPop(h *[]int) int {
 	return v
 }
 
-// initWTO computes the flattened positions of the WTO that order the lane
-// worklist.
-func (e *engine) initWTO() {
-	n := len(e.prog.Blocks)
-	e.stats.WTOComponents = int64(e.wto.NumComponents)
-	e.wtoPos = make([]int, n)
-	for i := range e.wtoPos {
-		e.wtoPos[i] = -1
-	}
-	var index func(elems []cfg.WTOElem)
-	index = func(elems []cfg.WTOElem) {
-		for _, el := range elems {
-			e.wtoPos[el.Block] = len(e.wtoAt)
-			e.wtoAt = append(e.wtoAt, el.Block)
-			if el.Comp != nil {
-				index(el.Comp.Body)
-			}
-		}
-	}
-	index(e.wto.Sequence)
-}
-
-// sweep is Bourdoncle's recursive iteration strategy over one WTO level: it
-// visits the level's elements in order and steps each dirty block, and it
-// iterates a component — head, then body, recursively — until the head is
-// clean, so inner loops stabilize before the outer sequence moves on.
+// sweep is Bourdoncle's recursive iteration strategy over one WTO level, the
+// positions [lo, hi) of wto.Order: it visits the level's elements in order
+// and steps each dirty block, and it iterates a component — head, then body
+// at [p+1, wto.End[p]), recursively — until the head is clean, so inner
+// loops stabilize before the outer sequence moves on. A self-loop is a
+// component with an empty body.
 //
 // One in-order pass per level suffices because a step dirties only blocks
 // the sweep has yet to visit, or the head of a component it is iterating.
-// A flow becomes dirty in four places only: process(n) joins into succs[n];
-// its vn_stop merge dirties n itself and is used up by the same step; the
-// lanes drained after the step all carry n's colors, so their rollbacks land
-// at c.otherSucc, a successor of n; and the entry and phase-2 seeds are set
-// before a sweep starts. Every successor of n comes later in the WTO or
-// heads a component that contains n (cfg.WTOOf).
-func (e *engine) sweep(ctx context.Context, elems []cfg.WTOElem) error {
-	for _, el := range elems {
-		if err := e.step(ctx, el.Block); err != nil {
+// A flow becomes dirty in four places only: process(n) joins into n's
+// successors; its vn_stop merge dirties n itself and is used up by the same
+// step; the lanes drained after the step all carry n's colors, so their
+// rollbacks land at c.otherSucc, a successor of n; and the entry and phase-2
+// seeds are set before a sweep starts. Every successor of n comes later in
+// the WTO or heads a component that contains n (cfg.WTOOf).
+func (e *engine) sweep(ctx context.Context, lo, hi int) error {
+	for p := lo; p < hi; p = e.wto.End[p] {
+		b := e.wto.Order[p]
+		if err := e.step(ctx, b); err != nil {
 			return err
 		}
-		if el.Comp == nil {
+		if !e.wto.Head[b] {
 			continue
 		}
 		for {
-			if err := e.sweep(ctx, el.Comp.Body); err != nil {
+			if err := e.sweep(ctx, p+1, e.wto.End[p]); err != nil {
 				return err
 			}
-			if !e.dirty(el.Block) {
+			if !e.dirty(b) {
 				break
 			}
-			if err := e.step(ctx, el.Block); err != nil {
+			if err := e.step(ctx, b); err != nil {
 				return err
 			}
 		}
@@ -505,7 +470,7 @@ func (e *engine) drainLanes(ctx context.Context) error {
 			return err
 		}
 		e.lanePops++
-		n := e.wtoAt[intHeapPop(&e.laneDirty)]
+		n := e.wto.Order[intHeapPop(&e.laneDirty)]
 		e.inLane[n] = false
 		// Wrong-path lanes: explore the speculated side, accumulating a
 		// rollback state after every memory access within the budget. No
@@ -524,7 +489,7 @@ func (e *engine) drainLanes(ctx context.Context) error {
 			c := e.colors[lanes[i].color]
 			out, rollback := e.laneWalk(block, &lanes[i])
 			if out.budget > 0 {
-				for _, s := range e.succs[n] {
+				for _, s := range e.wto.Succs[n] {
 					e.joinLane(s, c.id, out)
 				}
 			} else {
@@ -674,7 +639,7 @@ func (e *engine) joinLane(target ir.BlockID, colorID int, lv laneVal) {
 		cur.dirty = true
 		if !e.inLane[target] {
 			e.inLane[target] = true
-			intHeapPush(&e.laneDirty, e.wtoPos[target])
+			intHeapPush(&e.laneDirty, e.wto.Pos[target])
 		}
 	}
 }
@@ -742,7 +707,7 @@ func (e *engine) process(n ir.BlockID) {
 		e.dirtyS[n] = false
 		if !e.S[n].IsBottom {
 			out, condHits := e.transferBlock(block, e.S[n], &e.verdictS[n])
-			for _, s := range e.succs[n] {
+			for _, s := range e.wto.Succs[n] {
 				e.joinS(s, out)
 			}
 			injectLanes(condHits, out)
@@ -756,7 +721,7 @@ func (e *engine) process(n ir.BlockID) {
 		slot := &e.SS[n][i]
 		slot.dirty = false
 		out, condHits := e.transferBlock(block, slot.st, &slot.verdicts)
-		for _, s := range e.succs[n] {
+		for _, s := range e.wto.Succs[n] {
 			e.joinSS(s, slot.color, slot.src, out)
 		}
 		injectLanes(condHits, out)
@@ -850,7 +815,6 @@ func (e *engine) depthFor(condHits bool) int {
 func (e *engine) result() *Result {
 	res := &Result{
 		Prog:       e.prog,
-		Graph:      e.g,
 		Layout:     e.l,
 		Opts:       e.opts,
 		WTO:        e.wto,

@@ -37,14 +37,12 @@ func corpusSource(t *testing.T, name string) string {
 	return b.Code
 }
 
-// compileForModel compiles a program with the default passes, as the
-// analysis model needs them.
-func compileForModel(t *testing.T, name, src string, m model) *ir.Program {
+// compileWithPasses compiles a program with the default passes, as every
+// analysis model compiles it.
+func compileWithPasses(t *testing.T, name, src string) *ir.Program {
 	t.Helper()
 	prog := compile(t, src)
-	popts := passes.Default()
-	popts.ICacheModeled = m == instrCache
-	if _, err := passes.Run(prog, popts); err != nil {
+	if _, err := passes.Run(prog, passes.Default()); err != nil {
 		t.Fatalf("%s: passes: %v", name, err)
 	}
 	return prog
@@ -85,7 +83,7 @@ func TestLaneVerdictsMatchFinalWalk(t *testing.T) {
 			if name == "jcmarker" && md.m != dataCache {
 				caches = append(caches, setAssocConfig)
 			}
-			prog := compileForModel(t, name, src, md.m)
+			prog := compileWithPasses(t, name, src)
 			for _, cc := range caches {
 				for _, s := range laneStrategies {
 					label := fmt.Sprintf("%s/%s/%v/%d×%d", name, md.name, s, cc.NumSets, cc.Assoc)
@@ -164,7 +162,7 @@ func TestAcyclicFlowsWalkedOnce(t *testing.T) {
 			if md.m != dataCache && !allModels[name] {
 				continue
 			}
-			prog := compileForModel(t, name, src, md.m)
+			prog := compileWithPasses(t, name, src)
 			for _, s := range laneStrategies {
 				label := fmt.Sprintf("%s/%s/%v", name, md.name, s)
 				opts := DefaultOptions()

@@ -137,7 +137,7 @@ func TestPersistenceSoundConcretely(t *testing.T) {
 		MaxSteps:        5_000_000,
 	})
 
-	prog = compileForModel(t, "ocb", corpusSource(t, "ocb"), persistence)
+	prog = compileWithPasses(t, "ocb", corpusSource(t, "ocb"))
 	opts = DefaultOptions()
 	for mode := range int64(2) {
 		// A nil predictor stands for forced misprediction of every branch.

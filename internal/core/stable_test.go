@@ -43,7 +43,7 @@ func TestFixpointIsStable(t *testing.T) {
 			if cheap && md.m != dataCache {
 				continue
 			}
-			prog := compileForModel(t, name, src, md.m)
+			prog := compileWithPasses(t, name, src)
 			label := fmt.Sprintf("%s/%s", name, md.name)
 			e := converge(t, label, prog, DefaultOptions(), md.m)
 			checkStable(t, label, e)
@@ -59,7 +59,7 @@ func TestFixpointIsStable(t *testing.T) {
 	for seed := 1; seed <= programs; seed++ {
 		src := gen.Program(rand.New(rand.NewSource(int64(seed))), gen.Sized(2))
 		for _, md := range laneModels {
-			prog := compileRolled(t, src, md.m)
+			prog := compileRolled(t, src)
 			for _, s := range laneStrategies {
 				label := fmt.Sprintf("gen%d/%s/%v", seed, md.name, s)
 				opts := DefaultOptions()
@@ -79,9 +79,8 @@ func TestFixpointIsStable(t *testing.T) {
 }
 
 // compileRolled compiles a generated program with every loop of more than
-// one trip left rolled, and the default passes as the analysis model needs
-// them.
-func compileRolled(t *testing.T, src string, m model) *ir.Program {
+// one trip left rolled, and the default passes.
+func compileRolled(t *testing.T, src string) *ir.Program {
 	t.Helper()
 	ast, err := source.Parse(src)
 	if err != nil {
@@ -91,9 +90,7 @@ func compileRolled(t *testing.T, src string, m model) *ir.Program {
 	if err != nil {
 		t.Fatalf("lower: %v\n%s", err, src)
 	}
-	popts := passes.Default()
-	popts.ICacheModeled = m == instrCache
-	if _, err := passes.Run(prog, popts); err != nil {
+	if _, err := passes.Run(prog, passes.Default()); err != nil {
 		t.Fatalf("passes: %v\n%s", err, src)
 	}
 	return prog
@@ -120,7 +117,7 @@ func checkStable(t *testing.T, label string, e *engine) {
 			if !slices.Equal(verdicts, e.verdictS[n]) {
 				t.Fatalf("%s: normal flow of block %d kept verdicts %v, its final value walks to %v", label, n, e.verdictS[n], verdicts)
 			}
-			for _, s := range e.succs[n] {
+			for _, s := range e.wto.Succs[n] {
 				if !e.dom.Leq(out, e.S[s]) {
 					t.Fatalf("%s: normal flow of block %d walks to a state S[%d] does not cover", label, n, s)
 				}
@@ -143,7 +140,7 @@ func checkStable(t *testing.T, label string, e *engine) {
 			if !slices.Equal(verdicts, slot.verdicts) {
 				t.Fatalf("%s: SS flow of color %d from %d at block %d kept verdicts %v, its final value walks to %v", label, slot.color, slot.src, n, slot.verdicts, verdicts)
 			}
-			for _, s := range e.succs[n] {
+			for _, s := range e.wto.Succs[n] {
 				if i := e.ssIndex(s, slot.color, slot.src); i < 0 || !e.dom.Leq(out, e.SS[s][i].st) {
 					t.Fatalf("%s: SS flow of color %d from %d at block %d walks to a state its slot at %d does not cover", label, slot.color, slot.src, n, s)
 				}

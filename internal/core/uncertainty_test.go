@@ -264,7 +264,7 @@ int main(int n) {
 		s += b[16];
 	}
 	return s;
-}`, dataCache)
+}`)
 	if prog.ResolvedBranchCount() == 0 {
 		t.Fatal("the pass pipeline resolved no branch")
 	}
@@ -277,11 +277,11 @@ int main(int n) {
 	// of a block only the dead edge of the resolved branch leads to.
 	head := ir.BlockID(-1)
 	for _, b := range prog.Blocks {
-		if e.wtoPos[b.ID] >= 0 {
+		if e.wto.Pos[b.ID] >= 0 {
 			continue
 		}
 		for _, s := range b.Succs() {
-			if e.wtoPos[s] >= 0 {
+			if e.wto.Pos[s] >= 0 {
 				head = s
 			}
 		}

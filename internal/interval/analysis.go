@@ -93,12 +93,13 @@ type analyzer struct {
 
 // Analyze runs the interval analysis of prog to a fixpoint: a FIFO worklist
 // over effective successors that widens a loop head's environment once the
-// head has been visited wideningThreshold times. The loop heads are the
-// component heads of wto, the WTO of prog's effective CFG (cfg.
-// EffectiveWTO). Two scratch environments serve the whole fixpoint: env
-// carries a block's out-environment, joined into each successor's
-// in-environment in place, and prev keeps a loop head's environment aside
-// only when that join must be widened.
+// head has been visited wideningThreshold times. wto is the WTO of prog's
+// effective CFG (cfg.EffectiveWTO): the worklist follows its successor
+// lists, and its component heads are the loop heads. Two scratch
+// environments serve the whole fixpoint: env carries a block's
+// out-environment, joined into each successor's in-environment in place,
+// and prev keeps a loop head's environment aside only when that join must
+// be widened.
 //
 // Branch conditions are not used to refine environments at successors: the
 // result therefore over-approximates the register/memory values observable
@@ -131,12 +132,12 @@ func Analyze(prog *ir.Program, wto *cfg.WTO) *Result {
 		a.res.Iterations++
 
 		env.copyFrom(in[b])
-		block := prog.Block(b)
-		a.transferBlock(block, env)
-		// Effective successors: a Resolved CondBr is an unconditional jump in
-		// the emitted program, so no execution — architectural or wrong-path —
-		// reaches its dead edge, and no value can flow there.
-		for _, s := range block.EffectiveSuccs() {
+		a.transferBlock(prog.Block(b), env)
+		// Effective successors (wto.Succs): a Resolved CondBr is an
+		// unconditional jump in the emitted program, so no execution —
+		// architectural or wrong-path — reaches its dead edge, and no value
+		// can flow there.
+		for _, s := range wto.Succs[b] {
 			if in[s] == nil {
 				in[s] = a.bottomEnv()
 			}

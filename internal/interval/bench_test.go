@@ -15,7 +15,7 @@ func BenchmarkIntervalAnalyze(b *testing.B) {
 		if !ok {
 			b.Fatalf("kernel %q not in corpus", name)
 		}
-		prog := compileWithPasses(b, k.Code, 0, false)
+		prog := compileWithPasses(b, k.Code, 0)
 		wto := cfg.EffectiveWTO(prog)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -76,10 +76,9 @@ func (e *Env) clone() *Env {
 	}
 }
 
-// compileWithPasses lowers src and runs the default passes on it, with the
-// i-cache variant of the pass set when icache is true, as an analysis of
-// that model compiles it.
-func compileWithPasses(tb testing.TB, src string, maxUnroll int, icache bool) *ir.Program {
+// compileWithPasses lowers src and runs the default passes on it, as an
+// analysis compiles it.
+func compileWithPasses(tb testing.TB, src string, maxUnroll int) *ir.Program {
 	tb.Helper()
 	ast, err := source.Parse(src)
 	if err != nil {
@@ -93,9 +92,7 @@ func compileWithPasses(tb testing.TB, src string, maxUnroll int, icache bool) *i
 	if err != nil {
 		tb.Fatalf("lower: %v\n%s", err, src)
 	}
-	popts := passes.Default()
-	popts.ICacheModeled = icache
-	if _, err := passes.Run(prog, popts); err != nil {
+	if _, err := passes.Run(prog, passes.Default()); err != nil {
 		tb.Fatalf("passes: %v\n%s", err, src)
 	}
 	return prog
@@ -124,8 +121,8 @@ func requireReference(t *testing.T, label string, prog *ir.Program) (looped bool
 
 // TestAnalyzeMatchesReference: the in-place fixpoint must compute the same
 // Index and Iterations as the clone-based one on every corpus program,
-// lowered as the analysis lowers it and with loops kept (MaxUnroll 1), under
-// both pass sets, and on 150 generated programs of gen.Sized sizes 1–3 with
+// lowered as the analysis lowers it and with loops kept (MaxUnroll 1), and
+// on 150 generated programs of gen.Sized sizes 1–3 with
 // loops kept, where widening fires. Under -short, 30 generated programs.
 func TestAnalyzeMatchesReference(t *testing.T) {
 	cyclic := 0
@@ -136,11 +133,9 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 			src = bench.WithClient(b, 4096)
 		}
 		for _, unroll := range []int{0, 1} {
-			for _, icache := range []bool{false, true} {
-				label := fmt.Sprintf("%s/unroll=%d/icache=%v", b.Name, unroll, icache)
-				if requireReference(t, label, compileWithPasses(t, src, unroll, icache)) {
-					cyclic++
-				}
+			label := fmt.Sprintf("%s/unroll=%d", b.Name, unroll)
+			if requireReference(t, label, compileWithPasses(t, src, unroll)) {
+				cyclic++
 			}
 		}
 	}
@@ -152,7 +147,7 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 		size := 1 + seed%3
 		src := gen.Program(rand.New(rand.NewSource(int64(seed))), gen.Sized(size))
 		label := fmt.Sprintf("gen%d/size=%d", seed, size)
-		if requireReference(t, label, compileWithPasses(t, src, 1, false)) {
+		if requireReference(t, label, compileWithPasses(t, src, 1)) {
 			cyclic++
 		}
 	}
@@ -173,6 +168,6 @@ func FuzzIntervalAnalyze(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size, unroll uint8) {
 		n, u := 1+int(size%3), 1+int(unroll%3)
 		src := gen.Program(rand.New(rand.NewSource(seed)), gen.Sized(n))
-		requireReference(t, fmt.Sprintf("seed %d size %d unroll %d", seed, n, u), compileWithPasses(t, src, u, false))
+		requireReference(t, fmt.Sprintf("seed %d size %d unroll %d", seed, n, u), compileWithPasses(t, src, u))
 	})
 }

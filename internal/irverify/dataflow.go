@@ -1,6 +1,7 @@
 package irverify
 
 import (
+	"specabsint/internal/cfg"
 	"specabsint/internal/ir"
 )
 
@@ -242,7 +243,7 @@ func (v *verifier) checkDefBeforeUse() {
 // resolution never moves vn_stop placements.
 func (v *verifier) checkSpecFlows() {
 	prog, g := v.prog, v.g
-	pdom := g.PostDominators()
+	pdom := cfg.PostDominators(prog)
 	n := len(prog.Blocks)
 	for _, bid := range g.RPO {
 		b := prog.Blocks[bid]

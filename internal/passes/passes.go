@@ -58,11 +58,6 @@ type Options struct {
 	ResolveBranches bool
 	// DCE enables dead-register elimination (Nop replacement).
 	DCE bool
-	// ICacheModeled disables DCE when the caller models an instruction
-	// cache. Nop replacement preserves the fetch stream, but the gate keeps
-	// the preservation argument trivial: with i-cache modeling on, the
-	// instruction stream is byte-identical to the unoptimized program.
-	ICacheModeled bool
 	// SkipVerify disables the post-pipeline structural verification.
 	SkipVerify bool
 }
@@ -123,7 +118,7 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		res.ResolvedBranches = n
 		res.Stats = append(res.Stats, PassStat{Name: "resolve", Changed: n})
 	}
-	if opts.DCE && !opts.ICacheModeled {
+	if opts.DCE {
 		n := dce(prog)
 		res.NopsInserted = n
 		res.Stats = append(res.Stats, PassStat{Name: "dce", Changed: n})

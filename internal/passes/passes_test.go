@@ -173,20 +173,6 @@ func TestDeadDivisionByZeroKept(t *testing.T) {
 	}
 }
 
-func TestICacheGateDisablesDCE(t *testing.T) {
-	prog := compile(t, `int main() {
-		reg int a = 2;
-		reg int b = a + 3;
-		return 1;
-	}`)
-	opts := passes.Default()
-	opts.ICacheModeled = true
-	res := run(t, prog, opts)
-	if res.NopsInserted != 0 {
-		t.Fatalf("DCE must be gated off under i-cache modeling, nopped %d", res.NopsInserted)
-	}
-}
-
 func TestUnresolvedLoopUntouched(t *testing.T) {
 	prog := compile(t, `int g;
 	int main(int n) {

@@ -39,7 +39,7 @@ func BenchmarkCompile(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
-				if _, _, err := Compile(src, 0, true, false); err != nil {
+				if _, _, err := Compile(src, 0, true); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -57,7 +57,7 @@ func TestCompileAllocationBound(t *testing.T) {
 	src := kernelSource(t, "susan")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, _, err := Compile(src, 0, true, false); err != nil {
+	if _, _, err := Compile(src, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -76,10 +76,9 @@ type Job struct {
 	// part of the cache key. 0 uses the lowering default.
 	MaxUnroll int
 	// Passes runs the analysis-preserving pass pipeline (internal/passes)
-	// after lowering; it is part of the cache key. DCE is automatically
-	// gated off for ModeICache jobs (nop insertion is analysis-preserving
-	// only while the instruction stream's cache footprint is unmodeled), so
-	// a source analyzed under both modes compiles twice.
+	// after lowering; it is part of the cache key. Every mode analyzes the
+	// same compilation: DCE replaces instructions with nops and removes
+	// none, so an instruction-cache analysis fetches the same stream.
 	Passes bool
 	// Prog, when non-nil, is analyzed directly (no compile, no cache).
 	Prog *ir.Program
@@ -145,7 +144,6 @@ type progKey struct {
 	hash      [sha256.Size]byte
 	maxUnroll int
 	passes    bool
-	icache    bool // gates DCE when passes run; irrelevant otherwise
 }
 
 // progEntry is a cache slot; once guarantees a single compilation even when
@@ -380,7 +378,7 @@ func (p *Pool) runJob(ctx context.Context, idx int, j Job) (res Result) {
 		opts := j.Opts
 		opts.Collector = nil
 		rkey = reportKey{
-			prog:  p.progKeyFor(j.Source, j.MaxUnroll, j.Passes, j.Mode == ModeICache),
+			prog:  p.progKeyFor(j.Source, j.MaxUnroll, j.Passes),
 			opts:  opts,
 			stats: j.Opts.Collector != nil,
 			mode:  j.Mode,
@@ -405,7 +403,7 @@ func (p *Pool) runJob(ctx context.Context, idx int, j Job) (res Result) {
 	if prog == nil {
 		var err error
 		var cstats *obs.Stats
-		prog, cstats, err = p.compile(j.Source, j.MaxUnroll, j.Passes, j.Mode == ModeICache)
+		prog, cstats, err = p.compile(j.Source, j.MaxUnroll, j.Passes)
 		if err != nil {
 			res.Err = err
 			return res
@@ -471,16 +469,16 @@ func modeLabel(m Mode) string {
 }
 
 // progKeyFor computes the program tier's content key.
-func (p *Pool) progKeyFor(src string, maxUnroll int, runPasses, icache bool) progKey {
-	return progKey{hash: sha256.Sum256([]byte(src)), maxUnroll: maxUnroll, passes: runPasses, icache: runPasses && icache}
+func (p *Pool) progKeyFor(src string, maxUnroll int, runPasses bool) progKey {
+	return progKey{hash: sha256.Sum256([]byte(src)), maxUnroll: maxUnroll, passes: runPasses}
 }
 
 // compile parses and lowers source through the cache. Concurrent requests
 // for the same (source, options) compile once and share the result — and its
 // compile-time stats snapshot, so cached compilations still produce full
 // observability documents.
-func (p *Pool) compile(src string, maxUnroll int, runPasses, icache bool) (*ir.Program, *obs.Stats, error) {
-	key := p.progKeyFor(src, maxUnroll, runPasses, icache)
+func (p *Pool) compile(src string, maxUnroll int, runPasses bool) (*ir.Program, *obs.Stats, error) {
+	key := p.progKeyFor(src, maxUnroll, runPasses)
 	p.mu.Lock()
 	e, ok := p.progs.get(key)
 	if ok {
@@ -497,7 +495,7 @@ func (p *Pool) compile(src string, maxUnroll int, runPasses, icache bool) (*ir.P
 				e.err = fmt.Errorf("compile panicked: %v", r)
 			}
 		}()
-		e.prog, e.stats, e.err = Compile(src, maxUnroll, runPasses, icache)
+		e.prog, e.stats, e.err = Compile(src, maxUnroll, runPasses)
 	})
 	return e.prog, e.stats, e.err
 }
@@ -505,10 +503,9 @@ func (p *Pool) compile(src string, maxUnroll int, runPasses, icache bool) (*ir.P
 // Compile is the uncached compile pipeline behind the pool's program cache
 // and specabsint.CompileOpts: it parses src, lowers it (maxUnroll > 0
 // overrides the lowering's unroll cap) and, when runPasses is set, runs the
-// pass pipeline, with DCE gated off when icache is set (see Job.Passes). The
-// returned snapshot holds the parse/lower/passes phases, each pass's effect
-// and the program's shape.
-func Compile(src string, maxUnroll int, runPasses, icache bool) (*ir.Program, *obs.Stats, error) {
+// pass pipeline. The returned snapshot holds the parse/lower/passes phases,
+// each pass's effect and the program's shape.
+func Compile(src string, maxUnroll int, runPasses bool) (*ir.Program, *obs.Stats, error) {
 	col := obs.NewCollector()
 	var ast *source.Program
 	var err error
@@ -526,10 +523,8 @@ func Compile(src string, maxUnroll int, runPasses, icache bool) (*ir.Program, *o
 		return nil, nil, err
 	}
 	if runPasses {
-		popts := passes.Default()
-		popts.ICacheModeled = icache
 		var pres *passes.Result
-		col.Phase("passes", func() { pres, err = passes.Run(prog, popts) })
+		col.Phase("passes", func() { pres, err = passes.Run(prog, passes.Default()) })
 		if err != nil {
 			return nil, nil, err
 		}

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -275,7 +276,10 @@ func jobOptions(batch, job *wire.Options) ([]specabsint.Option, *wire.Error) {
 	return cfg.Options(), nil
 }
 
-// mergeOptions overlays job fields (when present) over batch fields.
+// mergeOptions overlays every field a job sets over its batch's options.
+// Every wire.Options field is a pointer, nil when absent, so the overlay
+// walks them all: a field added later merges too, and a job's own value is
+// validated like a request's.
 func mergeOptions(batch, job *wire.Options) *wire.Options {
 	if batch == nil {
 		return job
@@ -284,35 +288,11 @@ func mergeOptions(batch, job *wire.Options) *wire.Options {
 		return batch
 	}
 	out := *batch
-	if job.Cache != nil {
-		out.Cache = job.Cache
-	}
-	if job.Speculative != nil {
-		out.Speculative = job.Speculative
-	}
-	if job.DepthMiss != nil {
-		out.DepthMiss = job.DepthMiss
-	}
-	if job.DepthHit != nil {
-		out.DepthHit = job.DepthHit
-	}
-	if job.DynamicDepthBounding != nil {
-		out.DynamicDepthBounding = job.DynamicDepthBounding
-	}
-	if job.Strategy != nil {
-		out.Strategy = job.Strategy
-	}
-	if job.RefinedJoin != nil {
-		out.RefinedJoin = job.RefinedJoin
-	}
-	if job.MaxUnroll != nil {
-		out.MaxUnroll = job.MaxUnroll
-	}
-	if job.Passes != nil {
-		out.Passes = job.Passes
-	}
-	if job.Stats != nil {
-		out.Stats = job.Stats
+	dst, src := reflect.ValueOf(&out).Elem(), reflect.ValueOf(job).Elem()
+	for i := range src.NumField() {
+		if f := src.Field(i); !f.IsNil() {
+			dst.Field(i).Set(f)
+		}
 	}
 	return &out
 }

@@ -360,7 +360,8 @@ func TestBadRequests(t *testing.T) {
 // still carries the retired scheduler, exec and set_parallelism options gets
 // a report byte-identical to one without them, and on one server it is
 // answered from the report-cache entry the request without them filled. An
-// unknown scheduler is still rejected. layer3 runs on a 64-set × 8-way
+// unknown scheduler or exec is still rejected, on a request and on a batch
+// job. layer3 runs on a 64-set × 8-way
 // cache, the geometry on which a set_parallelism that reached the engine
 // would change the reported iteration count.
 func TestRetiredOptionsAreNoOps(t *testing.T) {
@@ -427,6 +428,23 @@ func TestRetiredOptionsAreNoOps(t *testing.T) {
 		t.Errorf("scheduler=bogus: status %d", status)
 	}
 	decodeErr(t, data)
+
+	// A batch job's own options are validated whether or not the batch sets
+	// options of its own: the job's fields overlay the batch's, all of them.
+	spec := true
+	for _, jobOpts := range []*wire.Options{{Scheduler: &bogus}, {Exec: &bogus}} {
+		for _, batchOpts := range []*wire.Options{nil, {Speculative: &spec}} {
+			status, data = post(t, ts.URL+"/v1/batch", wire.BatchRequest{Options: batchOpts, Jobs: []wire.BatchJob{
+				{Name: "good", Source: "int main() { return 0; }"},
+				{Name: "bad", Source: "int main() { return 0; }", Options: jobOpts},
+			}})
+			if status != http.StatusBadRequest {
+				t.Errorf("job options %+v under batch options %+v: status %d: %s", *jobOpts, batchOpts, status, data)
+			} else if e := decodeErr(t, data); e.Code != wire.CodeBadRequest || !strings.HasPrefix(e.Message, "job 1 (bad): ") {
+				t.Errorf("job options %+v under batch options %+v: %+v", *jobOpts, batchOpts, e)
+			}
+		}
+	}
 }
 
 // TestAdmissionControl checks a request whose job count exceeds the queue

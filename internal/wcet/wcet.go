@@ -9,13 +9,15 @@
 // then breaks.
 //
 // The longest path is a timing schema over core.Result.WTO, the weak
-// topological order of the effective CFG that the fixpoint swept. Its
-// components are the loops an execution can enter and repeat. Innermost
-// first, each component is charged its bound times the longest path from its
-// head through its body, plus the one run of its head that leaves the loop,
-// with its nested components already contracted into their heads. Every
-// other edge goes forward in the order, so one in-order pass per level gives
-// the longest path.
+// topological order of the effective CFG that the fixpoint swept, read in
+// its flat form: a level is a range of WTO.Order, and the body of the
+// component headed at position p is the range [p+1, WTO.End[p]). Its
+// components are the loops an execution can enter and repeat, a self-loop
+// being one with an empty body. Innermost first, each component is charged
+// its bound times the longest path from its head through its body, plus the
+// one run of its head that leaves the loop, with its nested components
+// already contracted into their heads. Every other edge goes forward in the
+// order, so one in-order pass per level gives the longest path.
 //
 // This assumes a reducible CFG, where each component is the natural loop of
 // a back edge an execution can take and is entered only at its head. MiniC's
@@ -128,15 +130,10 @@ func NewWithBounds(res *core.Result, costs CostModel, bounds BoundOptions) Estim
 	return est
 }
 
-// schema is the timing schema's working state over the flattened WTO.
+// schema is the timing schema's working state over the WTO.
 type schema struct {
-	prog   *ir.Program
+	wto    *cfg.WTO
 	bounds BoundOptions
-	// order is the flattened WTO, each component head followed by its body,
-	// and pos inverts it. end[p] is one past the last position of the
-	// element at p: p+1 for a plain block, the end of its body for a head.
-	order    []ir.BlockID
-	pos, end []int
 	// cost[b] charges one traversal of block b.
 	cost []int64
 	// dist[b] is the longest path to b's entry from the start of the level
@@ -149,16 +146,18 @@ type schema struct {
 func worstCase(res *core.Result, costs CostModel, bounds BoundOptions) int64 {
 	n := len(res.Prog.Blocks)
 	s := &schema{
-		prog:   res.Prog,
+		wto:    res.WTO,
 		bounds: bounds,
-		order:  make([]ir.BlockID, 0, n),
-		pos:    make([]int, n),
-		end:    make([]int, n),
 		cost:   make([]int64, n),
 		dist:   make([]int64, n),
 	}
+	for _, h := range s.wto.Order {
+		if s.wto.Head[h] && s.bound(h) <= 0 {
+			return -1
+		}
+	}
 	persist := bounds.Persistence
-	if res.WTO.NumComponents == 0 {
+	if s.wto.NumComponents == 0 {
 		// Each access runs at most once: first-miss accounting would only
 		// add the hit latency to its miss.
 		persist = nil
@@ -169,25 +168,7 @@ func worstCase(res *core.Result, costs CostModel, bounds BoundOptions) int64 {
 		s.cost[b.ID] = c
 		once += o
 	}
-	if !s.flatten(res.WTO.Sequence) {
-		return -1
-	}
-	return s.walk(0, len(s.order)) + once
-}
-
-// flatten appends elems to s.order, and reports false when a component has
-// no bound.
-func (s *schema) flatten(elems []cfg.WTOElem) bool {
-	for _, el := range elems {
-		p := len(s.order)
-		s.pos[el.Block] = p
-		s.order = append(s.order, el.Block)
-		if el.Comp != nil && (s.bound(el.Block) <= 0 || !s.flatten(el.Comp.Body)) {
-			return false
-		}
-		s.end[p] = len(s.order)
-	}
-	return true
+	return s.walk(0, len(s.wto.Order)) + once
 }
 
 // bound returns the iteration bound of the loop headed by h.
@@ -199,7 +180,7 @@ func (s *schema) bound(h ir.BlockID) int64 {
 }
 
 // walk returns the longest path through one WTO level, the positions
-// [lo, hi) of s.order, along the edges that stay inside it. It visits each
+// [lo, hi) of the order, along the edges that stay inside it. It visits each
 // element once, in order, after every edge into it: a nested component first
 // walks its own body and is then charged as one node that leaves by the edges
 // of all its blocks. That node costs bound iterations, each the head or a
@@ -207,10 +188,10 @@ func (s *schema) bound(h ir.BlockID) int64 {
 // body runs bound times tests its condition bound+1 times.
 func (s *schema) walk(lo, hi int) int64 {
 	var longest int64
-	for p := lo; p < hi; p = s.end[p] {
-		b, e := s.order[p], s.end[p]
+	for p := lo; p < hi; p = s.wto.End[p] {
+		b, e := s.wto.Order[p], s.wto.End[p]
 		c := s.cost[b]
-		if e > p+1 {
+		if s.wto.Head[b] {
 			// The head's edges into the body start the body's paths.
 			s.relax(p, p+1, e, c)
 			c += s.bound(b) * max(c, s.walk(p+1, e))
@@ -228,8 +209,8 @@ func (s *schema) walk(lo, hi int) int64 {
 // that goes forward within the level.
 func (s *schema) relax(from, to, hi int, total int64) {
 	for q := from; q < to; q++ {
-		for _, t := range s.prog.Block(s.order[q]).EffectiveSuccs() {
-			if tp := s.pos[t]; tp >= to && tp < hi {
+		for _, t := range s.wto.Succs[s.wto.Order[q]] {
+			if tp := s.wto.Pos[t]; tp >= to && tp < hi {
 				s.dist[t] = max(s.dist[t], total)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"specabsint/internal/cfg"
 	"specabsint/internal/core"
 	"specabsint/internal/ir"
+	"specabsint/internal/irverify"
 	"specabsint/internal/layout"
 	"specabsint/internal/lower"
 	"specabsint/internal/passes"
@@ -57,14 +58,12 @@ func analyzeResolved(t *testing.T, src string) *core.Result {
 	return res
 }
 
-// loopHeads returns the heads of the WTO components in elems, outermost
-// first.
-func loopHeads(elems []cfg.WTOElem) []ir.BlockID {
+// loopHeads returns the heads of w's components, outermost first.
+func loopHeads(w *cfg.WTO) []ir.BlockID {
 	var heads []ir.BlockID
-	for _, el := range elems {
-		if el.Comp != nil {
-			heads = append(heads, el.Block)
-			heads = append(heads, loopHeads(el.Comp.Body)...)
+	for _, v := range w.Order {
+		if w.Head[v] {
+			heads = append(heads, v)
 		}
 	}
 	return heads
@@ -246,18 +245,19 @@ func TestBoundedWCETChargesLoopExit(t *testing.T) {
 	}
 	var outside, head, body int64
 	loops := 0
-	for _, el := range res.WTO.Sequence {
-		if el.Comp == nil {
-			outside += cost(el.Block)
+	w := res.WTO
+	for p := 0; p < len(w.Order); p = w.End[p] {
+		if !w.Head[w.Order[p]] {
+			outside += cost(w.Order[p])
 			continue
 		}
 		loops++
-		head = cost(el.Block)
-		for _, in := range el.Comp.Body {
-			if in.Comp != nil {
+		head = cost(w.Order[p])
+		for q := p + 1; q < w.End[p]; q++ {
+			if w.Head[w.Order[q]] {
 				t.Fatal("nested loop in the body")
 			}
-			body += cost(in.Block)
+			body += cost(w.Order[q])
 		}
 	}
 	if loops != 1 {
@@ -331,7 +331,7 @@ func TestBoundedWCETPerHeaderBounds(t *testing.T) {
 		return s;
 	}`
 	res := analyze(t, src, core.DefaultOptions(), 1)
-	heads := loopHeads(res.WTO.Sequence)
+	heads := loopHeads(res.WTO)
 	if len(heads) != 1 {
 		t.Fatalf("%d loops", len(heads))
 	}
@@ -453,7 +453,7 @@ func TestDeadLoopNeedsNoBound(t *testing.T) {
 		}
 		return s;
 	}`)
-	heads := loopHeads(res.WTO.Sequence)
+	heads := loopHeads(res.WTO)
 	if len(heads) != 1 {
 		t.Fatalf("%d WTO components, want 1: the dead loop is none", len(heads))
 	}
@@ -486,7 +486,7 @@ func TestBoundedWCETResolvedBreak(t *testing.T) {
 		}
 		return s;
 	}`)
-	if heads := loopHeads(res.WTO.Sequence); len(heads) != 1 {
+	if heads := loopHeads(res.WTO); len(heads) != 1 {
 		t.Fatalf("%d loops, want 1", len(heads))
 	}
 	costs := DefaultCosts()
@@ -500,5 +500,52 @@ func TestBoundedWCETResolvedBreak(t *testing.T) {
 	if step := at9 - at8; step <= 0 || step >= 4*costs.MissPenalty {
 		t.Errorf("one more iteration adds %d cycles, want below %d: the loads before the break run once",
 			step, 4*costs.MissPenalty)
+	}
+}
+
+// TestBoundedWCETSelfLoop: a block that branches back to itself is a loop
+// whose body is the block alone, a WTO component with an empty body. With
+// bound b it runs b+1 times: entry, (b+1) × the loop block, exit. MiniC
+// lowering emits no self-loop, so the program is built by hand.
+func TestBoundedWCETSelfLoop(t *testing.T) {
+	bd := ir.NewBuilder("selfloop")
+	a := bd.AddSymbol("a", 8, 1, false, nil)
+	b := bd.AddSymbol("b", 8, 1, false, nil)
+	entry, loop, exit := bd.NewBlock("entry"), bd.NewBlock("loop"), bd.NewBlock("exit")
+	bd.SetBlock(entry)
+	bd.Br(loop)
+	bd.SetBlock(loop)
+	x := bd.Load(a, ir.ConstVal(0))
+	bd.Load(b, ir.ConstVal(0))
+	bd.CondBr(ir.RegVal(x), loop, exit)
+	bd.SetBlock(exit)
+	bd.Ret(ir.ConstVal(0))
+	prog, err := bd.Finish(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := irverify.Verify(prog); err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Analyze(prog, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heads := loopHeads(res.WTO); len(heads) != 1 || heads[0] != loop {
+		t.Fatalf("loop heads %v, want [%d]", heads, loop)
+	}
+	costs := DefaultCosts()
+	cost := func(b ir.BlockID) int64 {
+		c, _ := blockCost(res, costs, prog.Block(b), nil)
+		return c
+	}
+	if c := cost(loop); c != 2*(costs.BaseLatency+costs.MissPenalty)+costs.BaseLatency {
+		t.Fatalf("loop block costs %d, want two missing loads and a branch", c)
+	}
+	for _, k := range []int64{1, 2, 10} {
+		want := cost(entry) + (k+1)*cost(loop) + cost(exit)
+		if got := NewWithBounds(res, costs, BoundOptions{DefaultLoopBound: k}).WorstCaseCycles; got != want {
+			t.Errorf("bound %d: wcet = %d, want %d", k, got, want)
+		}
 	}
 }

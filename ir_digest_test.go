@@ -12,17 +12,16 @@ import (
 )
 
 // irDigestBuilds are the compilations the IR digest pins for every program:
-// the default pipeline, the pipeline with an instruction cache modeled (no
-// DCE), lowering alone, and the pipeline over loops kept rolled.
+// the default pipeline, lowering alone, and the pipeline over loops kept
+// rolled.
 var irDigestBuilds = []struct {
-	name           string
-	maxUnroll      int
-	passes, icache bool
+	name      string
+	maxUnroll int
+	passes    bool
 }{
-	{"passes", 0, true, false},
-	{"icache", 0, true, true},
-	{"nopasses", 0, false, false},
-	{"unroll1", 1, true, false},
+	{"passes", 0, true},
+	{"nopasses", 0, false},
+	{"unroll1", 1, true},
 }
 
 // irDigestGenerated is how many seeded generated programs the digest's last
@@ -34,8 +33,8 @@ var irDigestConfigs = []gen.Config{gen.Default(), gen.Secrets(), gen.Sized(2), g
 // writeIR feeds h one compilation of src: its printed IR, register counts
 // and every instruction's source line and id, which the printout leaves out,
 // or the compile error.
-func writeIR(h io.Writer, src string, maxUnroll int, passes, icache bool) {
-	prog, _, err := runner.Compile(src, maxUnroll, passes, icache)
+func writeIR(h io.Writer, src string, maxUnroll int, passes bool) {
+	prog, _, err := runner.Compile(src, maxUnroll, passes)
 	if err != nil {
 		fmt.Fprintf(h, "error: %v\n", err)
 		return
@@ -56,7 +55,7 @@ func irDigestLine(key string, srcs []string) string {
 	for _, b := range irDigestBuilds {
 		h := sha256.New()
 		for _, src := range srcs {
-			writeIR(h, src, b.maxUnroll, b.passes, b.icache)
+			writeIR(h, src, b.maxUnroll, b.passes)
 		}
 		line += fmt.Sprintf(" %s=%x", b.name, h.Sum(nil))
 	}

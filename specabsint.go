@@ -274,7 +274,7 @@ func compileConfig(src string, cfg Config) (*CompiledProgram, error) {
 	// Compile-time stats are collected unconditionally: the counters are a
 	// handful of integers and the phase timers two clock reads each, noise
 	// next to parsing and lowering. WithStats only gates the analysis side.
-	prog, stats, err := runner.Compile(src, cfg.MaxUnroll, cfg.Passes, false)
+	prog, stats, err := runner.Compile(src, cfg.MaxUnroll, cfg.Passes)
 	if err != nil {
 		return nil, wrapErr(err)
 	}

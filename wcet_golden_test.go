@@ -22,7 +22,7 @@ func TestGoldenBoundedWCET(t *testing.T) {
 	costs := wcet.DefaultCosts()
 	var sb strings.Builder
 	for _, cp := range paperCorpus() {
-		prog, _, err := runner.Compile(cp.src, 1, true, false)
+		prog, _, err := runner.Compile(cp.src, 1, true)
 		if err != nil {
 			t.Fatalf("%s: %v", cp.name, err)
 		}
