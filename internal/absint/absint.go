@@ -4,10 +4,7 @@
 // extends the same fixpoint structure with virtual control flows.
 package absint
 
-import (
-	"specabsint/internal/cfg"
-	"specabsint/internal/ir"
-)
+import "specabsint/internal/ir"
 
 // Domain abstracts the lattice operations Algorithm 1 needs.
 type Domain[S any] interface {
@@ -40,19 +37,22 @@ type Options struct {
 	WideningThreshold int
 }
 
-// Solve runs Algorithm 1: a worklist fixpoint over the CFG.
-func Solve[S any](g *cfg.Graph, d Domain[S], opts Options) *Result[S] {
-	n := len(g.Prog.Blocks)
+// Solve runs Algorithm 1: a worklist fixpoint over prog's blocks, where
+// block b flows into succs[b]. An analysis passes the effective successors
+// (cfg.EffectiveWTO's Succs), so a branch the passes resolved has no dead
+// edge for the state to flow along.
+func Solve[S any](prog *ir.Program, succs [][]ir.BlockID, d Domain[S], opts Options) *Result[S] {
+	n := len(prog.Blocks)
 	res := &Result[S]{In: make([]S, n)}
 	for i := range res.In {
 		res.In[i] = d.Bottom()
 	}
-	res.In[g.Prog.Entry] = d.Entry()
+	res.In[prog.Entry] = d.Entry()
 
 	changes := make([]int, n)
-	work := []ir.BlockID{g.Prog.Entry}
+	work := []ir.BlockID{prog.Entry}
 	inWork := make([]bool, n)
-	inWork[g.Prog.Entry] = true
+	inWork[prog.Entry] = true
 
 	for len(work) > 0 {
 		b := work[0]
@@ -60,8 +60,8 @@ func Solve[S any](g *cfg.Graph, d Domain[S], opts Options) *Result[S] {
 		inWork[b] = false
 		res.Iterations++
 
-		out := d.TransferBlock(g.Prog.Block(b), res.In[b])
-		for _, s := range g.Succs[b] {
+		out := d.TransferBlock(prog.Block(b), res.In[b])
+		for _, s := range succs[b] {
 			if d.Leq(out, res.In[s]) {
 				continue
 			}

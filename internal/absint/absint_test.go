@@ -80,8 +80,7 @@ func diamondProg(t *testing.T) *ir.Program {
 
 func TestSolveDiamond(t *testing.T) {
 	prog := diamondProg(t)
-	g := cfg.New(prog)
-	res := Solve[int64](g, minDomain{}, Options{})
+	res := Solve[int64](prog, cfg.New(prog).Succs, minDomain{}, Options{})
 	// Join block sees min(5, 7) = 5.
 	if res.In[3] != 5 {
 		t.Errorf("join in-state = %d, want 5", res.In[3])
@@ -121,8 +120,7 @@ func TestSolveLoopTerminatesWithWidening(t *testing.T) {
 	}
 	prog.Blocks[0].Instrs = append([]ir.Instr{{Op: ir.OpConst, Dst: 0, A: ir.ConstVal(100)}}, prog.Blocks[0].Instrs...)
 	prog.Finalize()
-	g := cfg.New(prog)
-	res := Solve[int64](g, minDomain{}, Options{WideningThreshold: 2})
+	res := Solve[int64](prog, cfg.New(prog).Succs, minDomain{}, Options{WideningThreshold: 2})
 	if res.Iterations > 100 {
 		t.Errorf("iterations = %d, loop did not stabilize quickly", res.Iterations)
 	}
@@ -143,8 +141,7 @@ func TestUnreachableStaysBottom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := cfg.New(prog)
-	res := Solve[int64](g, minDomain{}, Options{})
+	res := Solve[int64](prog, cfg.New(prog).Succs, minDomain{}, Options{})
 	if res.In[dead] != math.MaxInt64 {
 		t.Errorf("unreachable block state = %d, want bottom", res.In[dead])
 	}

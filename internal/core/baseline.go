@@ -47,9 +47,9 @@ func AnalyzeAlgorithm1(prog *ir.Program, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := cfg.New(prog)
 	// The same order the engine sweeps: its heads are the interval
-	// pre-pass's widening points, and WCET's timing schema reads it.
+	// pre-pass's widening points, WCET's timing schema reads it, and its
+	// effective successors are the edges the solver follows.
 	wto := cfg.EffectiveWTO(prog)
 	idx := interval.Analyze(prog, wto)
 	d := &cacheDomain{
@@ -66,7 +66,7 @@ func AnalyzeAlgorithm1(prog *ir.Program, opts Options) (*Result, error) {
 			}
 		}
 	}
-	sol := absint.Solve[*cache.State](g, d, absint.Options{
+	sol := absint.Solve[*cache.State](prog, wto.Succs, d, absint.Options{
 		WideningThreshold: wideningThreshold,
 	})
 	res := &Result{

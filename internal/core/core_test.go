@@ -7,6 +7,7 @@ import (
 	"specabsint/internal/ir"
 	"specabsint/internal/layout"
 	"specabsint/internal/lower"
+	"specabsint/internal/passes"
 	"specabsint/internal/source"
 )
 
@@ -247,6 +248,10 @@ func TestSpeculativeNoBranchesEqualsBaseline(t *testing.T) {
 	}
 }
 
+// TestEngineMatchesAlgorithm1 checks the non-speculative engine against the
+// textbook solver, compiled without and with the passes. The last program's
+// branch is resolved by the passes, so both must leave its dead arm
+// unreached.
 func TestEngineMatchesAlgorithm1(t *testing.T) {
 	srcs := []string{
 		fig2Source,
@@ -257,29 +262,39 @@ func TestEngineMatchesAlgorithm1(t *testing.T) {
 		`int a; int b; int main(int x) {
 			while (x > 0) { a = a + b; x = x - 1; }
 			return a; }`,
+		`int t[64]; int u[64]; int main() { reg int flag = 0; int s = t[0];
+			if (flag) { s = s + u[0] + u[16] + u[32] + u[48]; }
+			return s + t[16]; }`,
 	}
 	for i, src := range srcs {
-		prog := compile(t, src)
-		opts := DefaultOptions()
-		opts.Cache = layout.CacheConfig{LineSize: 64, NumSets: 2, Assoc: 8}
-		opts.Speculative = false
-		eng, err := Analyze(prog, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alg1, err := AnalyzeAlgorithm1(prog, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eng.AccessCount() != alg1.AccessCount() {
-			t.Errorf("src %d: access counts differ: %d vs %d",
-				i, eng.AccessCount(), alg1.AccessCount())
-		}
-		for id, a := range eng.Access {
-			b, ok := alg1.Access[id]
-			if !ok || a.Class != b.Class {
-				t.Errorf("src %d: instr %d classified %v by engine, %v by Algorithm 1",
-					i, id, a.Class, b.Class)
+		for _, withPasses := range []bool{false, true} {
+			prog := compile(t, src)
+			if withPasses {
+				if _, err := passes.Run(prog, passes.Default()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opts := DefaultOptions()
+			opts.Cache = layout.CacheConfig{LineSize: 64, NumSets: 2, Assoc: 8}
+			opts.Speculative = false
+			eng, err := Analyze(prog, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alg1, err := AnalyzeAlgorithm1(prog, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.AccessCount() != alg1.AccessCount() {
+				t.Errorf("src %d (passes %v): access counts differ: %d vs %d",
+					i, withPasses, eng.AccessCount(), alg1.AccessCount())
+			}
+			for id, a := range eng.Access {
+				b, ok := alg1.Access[id]
+				if !ok || a.Class != b.Class {
+					t.Errorf("src %d (passes %v): instr %d classified %v by engine, %v by Algorithm 1",
+						i, withPasses, id, a.Class, b.Class)
+				}
 			}
 		}
 	}

@@ -16,9 +16,12 @@ type CacheSim struct {
 	sets [][]layout.BlockID // each set ordered youngest-first
 }
 
-// NewCacheSim creates an empty cache.
-func NewCacheSim(cfg layout.CacheConfig) *CacheSim {
-	return &CacheSim{cfg: cfg, sets: make([][]layout.BlockID, cfg.NumSets)}
+// NewCacheSim creates an empty cache for blocks 0 to blocks-1. A set is a
+// block id modulo NumSets, so those blocks map to the first
+// min(NumSets, blocks) sets, and only those are allocated, however many
+// sets the cache has.
+func NewCacheSim(cfg layout.CacheConfig, blocks int) *CacheSim {
+	return &CacheSim{cfg: cfg, sets: make([][]layout.BlockID, min(cfg.NumSets, blocks))}
 }
 
 // Access touches block b, returning whether it hit, and updates LRU state

@@ -24,7 +24,7 @@ func compile(t *testing.T, src string) *ir.Program {
 }
 
 func TestCacheSimLRU(t *testing.T) {
-	c := NewCacheSim(layout.CacheConfig{LineSize: 64, NumSets: 1, Assoc: 3})
+	c := NewCacheSim(layout.CacheConfig{LineSize: 64, NumSets: 1, Assoc: 3}, 6)
 	if c.Access(1) {
 		t.Error("first access should miss")
 	}
@@ -55,7 +55,7 @@ func TestCacheSimLRU(t *testing.T) {
 }
 
 func TestCacheSimSets(t *testing.T) {
-	c := NewCacheSim(layout.CacheConfig{LineSize: 64, NumSets: 2, Assoc: 1})
+	c := NewCacheSim(layout.CacheConfig{LineSize: 64, NumSets: 2, Assoc: 1}, 3)
 	c.Access(0) // set 0
 	c.Access(1) // set 1
 	if !c.Contains(0) || !c.Contains(1) {
@@ -74,7 +74,7 @@ func TestCacheSimSets(t *testing.T) {
 }
 
 func TestCacheSimFlushAndClone(t *testing.T) {
-	c := NewCacheSim(layout.CacheConfig{LineSize: 64, NumSets: 1, Assoc: 4})
+	c := NewCacheSim(layout.CacheConfig{LineSize: 64, NumSets: 1, Assoc: 4}, 8)
 	c.Access(7)
 	cl := c.Clone()
 	c.Flush()

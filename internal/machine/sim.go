@@ -143,15 +143,15 @@ func New(prog *ir.Program, cfg Config) (*Simulator, error) {
 		Prog:   prog,
 		Layout: l,
 		Cfg:    cfg,
-		Cache:  NewCacheSim(cfg.Cache),
+		Cache:  NewCacheSim(cfg.Cache, l.NumBlocks),
 		m:      interp.NewMachine(prog),
 	}
 	if cfg.ICache != nil {
-		_, blocks, err := layout.CodeLayout(prog, *cfg.ICache)
+		code, blocks, err := layout.CodeLayout(prog, *cfg.ICache)
 		if err != nil {
 			return nil, err
 		}
-		sim.ICacheSim = NewCacheSim(*cfg.ICache)
+		sim.ICacheSim = NewCacheSim(*cfg.ICache, code.NumBlocks)
 		sim.fetchBlocks = blocks
 	}
 	return sim, nil

@@ -1,8 +1,12 @@
 package specabsint
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+
+	"specabsint/internal/bench"
+	"specabsint/internal/layout"
 )
 
 const apiProgram = `
@@ -116,6 +120,47 @@ func TestSimulateMatchesAnalysisDirection(t *testing.T) {
 	}
 	if base.Mispredicts != 0 {
 		t.Errorf("baseline run should not mispredict, got %d", base.Mispredicts)
+	}
+}
+
+// TestSimulateHugeNumSets: the simulated cache allocates only the sets the
+// program's blocks map to, so a cache of 2^40 sets simulates Fig. 2 within a
+// megabyte, and like a cache with one set more than Fig. 2 has blocks. A
+// set list per cache set would take 24 TiB.
+func TestSimulateHugeNumSets(t *testing.T) {
+	prog, err := CompileOpts(bench.Fig2Program(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Cache = CacheConfig{LineSize: 64, NumSets: 1 << 40, Assoc: 8}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	huge, err := Simulate(prog, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("simulating Fig. 2 at 2^40 sets allocated %d bytes, want under 1 MB", got)
+	}
+	l, err := layout.New(prog.Internal(), cfg.Cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache.NumSets = l.NumBlocks + 1
+	small, err := Simulate(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if huge.Hits != small.Hits || huge.Misses != small.Misses ||
+		huge.SpecHits != small.SpecHits || huge.SpecMisses != small.SpecMisses {
+		t.Errorf("2^40 sets: %d hits, %d misses, %d spec hits, %d spec misses; %d sets: %d, %d, %d, %d",
+			huge.Hits, huge.Misses, huge.SpecHits, huge.SpecMisses,
+			cfg.Cache.NumSets, small.Hits, small.Misses, small.SpecHits, small.SpecMisses)
+	}
+	if huge.Misses == 0 || huge.Hits == 0 {
+		t.Errorf("2^40 sets: %d hits and %d misses, want both", huge.Hits, huge.Misses)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -50,7 +51,7 @@ func corpusReport(t testing.TB, name, src string) *specabsint.Report {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	rep, err := specabsint.AnalyzeContext(t.Context(), prog, opts...)
+	rep, err := specabsint.AnalyzeContext(context.Background(), prog, opts...)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -20,6 +20,13 @@
 // The stats section reuses the exact serialization of specabsint.Stats
 // (internal/obs), which `specanalyze -stats=json` prints bare and
 // stats.schema.json validates — one Stats encoding everywhere.
+//
+// Marshal and MarshalLine write the documents that carry a report (Report,
+// AnalyzeResponse, BatchItem and BatchResponse) with the package's own
+// one-pass writer (encode.go), and every other document with encoding/json.
+// The writer's bytes are json.MarshalIndent's (json.Marshal's for a line)
+// exactly: encoding/json is the reference the package's tests compare them
+// against, byte for byte. Decoding always goes through encoding/json.
 package wire
 
 import (
@@ -140,6 +147,9 @@ func FromReport(r *specabsint.Report) *Report {
 		},
 		Stats: r.Stats.Clone(),
 	}
+	if len(r.Accesses) > 0 {
+		out.Accesses = make([]Access, 0, len(r.Accesses))
+	}
 	for _, a := range r.Accesses {
 		wa := Access{
 			Line:        a.Line,
@@ -245,6 +255,9 @@ func toLeaks(leaks []Leak) ([]specabsint.Leak, error) {
 // indent, frozen field order, trailing newline. The same document always
 // produces the same bytes.
 func Marshal(doc any) ([]byte, error) {
+	if out, ok, err := encodeDoc(doc, true); ok {
+		return out, err
+	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return nil, err
@@ -256,6 +269,9 @@ func Marshal(doc any) ([]byte, error) {
 // terminated line — the NDJSON form used by /v1/batch/stream. Field order
 // and names match Marshal exactly; only whitespace differs.
 func MarshalLine(doc any) ([]byte, error) {
+	if out, ok, err := encodeDoc(doc, false); ok {
+		return out, err
+	}
 	out, err := json.Marshal(doc)
 	if err != nil {
 		return nil, err
