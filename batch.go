@@ -4,6 +4,8 @@ import (
 	"context"
 	"time"
 
+	"specabsint/internal/core"
+	"specabsint/internal/ir"
 	"specabsint/internal/obs"
 	"specabsint/internal/runner"
 )
@@ -31,7 +33,9 @@ type BatchResult struct {
 	// Name echoes the job's label.
 	Name string
 	// Report is the completed analysis; nil when Err is set. Report.Stats is
-	// populated when the job ran with WithStats(true).
+	// populated when the job ran with WithStats(true). A Service's report
+	// shares its Accesses, Leaks and SpectreGadgets with the report cache and
+	// with every other result served from it: treat them as read-only.
 	Report *Report
 	// CacheHit reports the result was served from a Service's report cache
 	// without running the analysis (always false for plain AnalyzeBatch).
@@ -44,43 +48,70 @@ type BatchResult struct {
 	Err error
 }
 
-// runnerJob lowers one BatchJob into the pool's job form: batch-level opts
-// first, per-job overrides on top, a fresh stats collector when requested.
-func runnerJob(j BatchJob, base []Option, cache bool) runner.Job {
-	cfg := newConfig(base)
-	for _, o := range j.Options {
-		if o != nil {
-			o(&cfg)
+// runnerJobs lowers BatchJobs into the pool's job form: batch-level opts
+// first, per-job overrides on top, analyzed by the pipeline AnalyzeContext
+// runs. keyed gives each job a report-cache key: the analysis options and
+// whether stats were requested, since a cached report carries stats only
+// when its miss run collected them. Lowering options are part of the
+// program key, and WithMitigateVerify does not change a report.
+func runnerJobs(jobs []BatchJob, base []Option, keyed bool) []runner.Job[*Report] {
+	rjobs := make([]runner.Job[*Report], len(jobs))
+	for i, j := range jobs {
+		cfg := newConfig(base)
+		for _, o := range j.Options {
+			if o != nil {
+				o(&cfg)
+			}
+		}
+		rjobs[i] = runner.Job[*Report]{
+			Name:      j.Name,
+			Source:    j.Source,
+			MaxUnroll: cfg.MaxUnroll,
+			Passes:    cfg.Passes,
+			Analyze: func(ctx context.Context, prog *ir.Program, compiled *obs.Stats) (*Report, error) {
+				return analyzeConfig(ctx, &CompiledProgram{prog: prog, stats: compiled}, cfg)
+			},
+		}
+		if j.Prog != nil {
+			rjobs[i].Prog = j.Prog.prog
+		}
+		if keyed {
+			rjobs[i].Key = reportKey{opts: cfg.coreOptions(), stats: cfg.Stats}
 		}
 	}
-	copts := cfg.coreOptions()
-	if cfg.Stats {
-		copts.Collector = obs.NewCollector()
-	}
-	rj := runner.Job{
-		Name:      j.Name,
-		Source:    j.Source,
-		MaxUnroll: cfg.MaxUnroll,
-		Passes:    cfg.Passes,
-		Opts:      copts,
-		Mode:      runner.ModeSideChannel,
-		Cache:     cache,
-	}
-	if j.Prog != nil {
-		rj.Prog = j.Prog.prog
-	}
-	return rj
+	return rjobs
 }
 
-// batchResult lifts one pool result into the public form.
-func batchResult(r runner.Result) BatchResult {
-	br := BatchResult{Index: r.Index, Name: r.Name, Elapsed: r.Elapsed, CacheHit: r.CacheHit}
-	if r.Err != nil {
-		br.Err = wrapErr(r.Err)
-		return br
+// reportKey is a Service job's report-cache key beyond its program.
+type reportKey struct {
+	opts  core.Options
+	stats bool
+}
+
+// runBatch runs the jobs on pool and returns one result per job, in job
+// order, with the per-job failures aggregated.
+func runBatch(ctx context.Context, pool *runner.Pool, jobs []BatchJob, opts []Option, keyed bool) ([]BatchResult, error) {
+	results := make([]BatchResult, len(jobs))
+	for i, r := range runner.RunAll(ctx, pool, runnerJobs(jobs, opts, keyed)) {
+		results[i] = batchResult(r, keyed)
 	}
-	br.Report = buildReport(r.Prog, r.Leaks)
-	br.Report.Stats = r.Stats
+	return results, batchError(results)
+}
+
+// batchResult lifts one pool result into the public form, wrapping its
+// error. A keyed job's report is the one the report cache holds, so the
+// result gets a copy with its own Stats; the access, leak and gadget slices
+// stay shared with the cache, read-only.
+func batchResult(r runner.Result[*Report], keyed bool) BatchResult {
+	br := BatchResult{Index: r.Index, Name: r.Name, Report: r.Value, Elapsed: r.Elapsed, CacheHit: r.CacheHit}
+	switch {
+	case r.Err != nil:
+		br.Err = wrapErr(r.Err)
+	case keyed:
+		rep := *r.Value
+		rep.Stats = rep.Stats.Clone()
+		br.Report = &rep
+	}
 	return br
 }
 
@@ -118,14 +149,5 @@ func batchError(results []BatchResult) error {
 // want the batch engine plus the content-addressed report cache should hold
 // a Service instead — AnalyzeBatch builds a fresh pool per call.
 func AnalyzeBatch(ctx context.Context, jobs []BatchJob, opts ...Option) ([]BatchResult, error) {
-	pool := runner.New(0)
-	rjobs := make([]runner.Job, len(jobs))
-	for i, j := range jobs {
-		rjobs[i] = runnerJob(j, opts, false)
-	}
-	results := make([]BatchResult, len(jobs))
-	for _, r := range pool.RunAll(ctx, rjobs) {
-		results[r.Index] = batchResult(r)
-	}
-	return results, batchError(results)
+	return runBatch(ctx, runner.New(0), jobs, opts, false)
 }

@@ -22,7 +22,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"specabsint"
 	"specabsint/internal/bench"
@@ -67,7 +66,7 @@ func main() {
 	switch {
 	case *corpus != "" && flag.NArg() == 0:
 		srcName = *corpus
-		text, err := corpusSource(*corpus)
+		text, err := bench.CorpusSource(*corpus)
 		if err != nil {
 			fatal(err)
 		}
@@ -222,27 +221,6 @@ func main() {
 		// The full document — placements, verification verdict, wire JSON —
 		// is specmitigate's job; this is the triage view.
 	}
-}
-
-// corpusSource resolves -corpus to MiniC source: the paper's Fig. 2 example
-// or any internal/bench benchmark (side-channel kernels are wrapped in the
-// Fig. 10 client with a 4 KiB attacker buffer so they have a main).
-func corpusSource(name string) (string, error) {
-	if name == "fig2" {
-		return bench.Fig2Program(-1), nil
-	}
-	b, ok := bench.ByName(name)
-	if !ok {
-		names := []string{"fig2"}
-		for _, bb := range bench.All() {
-			names = append(names, bb.Name)
-		}
-		return "", fmt.Errorf("unknown corpus program %q (have: %s)", name, strings.Join(names, ", "))
-	}
-	if b.Kind == bench.SideChannel {
-		return bench.WithClient(b, 4096), nil
-	}
-	return b.Code, nil
 }
 
 // printStats renders the stats document, the only output in -stats mode.

@@ -32,6 +32,7 @@ import (
 
 	"specabsint/internal/bench"
 	"specabsint/internal/experiments"
+	"specabsint/internal/serve"
 	"specabsint/wire"
 )
 
@@ -123,7 +124,7 @@ func analyze(client *http.Client, addr string, req request) sample {
 		}
 		if resp.StatusCode == http.StatusTooManyRequests {
 			rejected = true
-			time.Sleep(retryAfter(resp.Header, 50*time.Millisecond))
+			time.Sleep(serve.RetryAfter(resp.Header, 50*time.Millisecond))
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
@@ -135,17 +136,6 @@ func analyze(client *http.Client, addr string, req request) sample {
 		}
 		return sample{round: req.round, latency: time.Since(start), cacheHit: ar.CacheHit, rejected: rejected}
 	}
-}
-
-// retryAfter parses a 429's backoff hint.
-func retryAfter(h http.Header, def time.Duration) time.Duration {
-	if v := h.Get("Retry-After"); v != "" {
-		var secs int
-		if _, err := fmt.Sscanf(v, "%d", &secs); err == nil && secs >= 0 {
-			return time.Duration(secs) * time.Second
-		}
-	}
-	return def
 }
 
 // fetchMetrics grabs the daemon's post-run snapshot.

@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"specabsint"
 	"specabsint/internal/bench"
@@ -59,7 +58,7 @@ func main() {
 	switch {
 	case *corpus != "" && flag.NArg() == 0:
 		srcName = *corpus
-		text, err := corpusSource(*corpus)
+		text, err := bench.CorpusSource(*corpus)
 		if err != nil {
 			fatal(err)
 		}
@@ -150,27 +149,6 @@ func printReport(rep *specabsint.MitigationReport) {
 	default:
 		fmt.Printf("verify:   FAILED — a secret-varying trace pair survives the fence set (%d replays)\n", rep.Traces)
 	}
-}
-
-// corpusSource resolves -corpus like specanalyze does: the paper's Fig. 2
-// example or any internal/bench benchmark (side-channel kernels wrapped in
-// the Fig. 10 client with a 4 KiB attacker buffer).
-func corpusSource(name string) (string, error) {
-	if name == "fig2" {
-		return bench.Fig2Program(-1), nil
-	}
-	b, ok := bench.ByName(name)
-	if !ok {
-		names := []string{"fig2"}
-		for _, bb := range bench.All() {
-			names = append(names, bb.Name)
-		}
-		return "", fmt.Errorf("unknown corpus program %q (have: %s)", name, strings.Join(names, ", "))
-	}
-	if b.Kind == bench.SideChannel {
-		return bench.WithClient(b, 4096), nil
-	}
-	return b.Code, nil
 }
 
 func fatal(err error) {

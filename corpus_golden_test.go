@@ -1,6 +1,7 @@
 package specabsint
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -98,7 +99,7 @@ func corpusDigestLine(t *testing.T, cp corpusProgram, geom corpusDigestGeometry)
 	if err != nil {
 		t.Fatalf("%s: %v", cp.name, err)
 	}
-	rep, err := AnalyzeContext(t.Context(), p, opts...)
+	rep, err := AnalyzeContext(context.Background(), p, opts...)
 	if err != nil {
 		t.Fatalf("%s: %v", cp.name, err)
 	}
@@ -111,7 +112,7 @@ func corpusDigestLine(t *testing.T, cp corpusProgram, geom corpusDigestGeometry)
 		cp.name, len(rep.Accesses), rep.Misses, rep.SpecMisses, len(rep.Leaks),
 		sha256.Sum256([]byte(execReportText(rep))), sha256.Sum256(stats))
 	if geom.fences && corpusDigestMitigate[cp.name] {
-		mrep, err := Mitigate(t.Context(), p, WithCache(geom.cache))
+		mrep, err := Mitigate(context.Background(), p, WithCache(geom.cache))
 		if err != nil {
 			t.Fatalf("%s: mitigate: %v", cp.name, err)
 		}

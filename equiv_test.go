@@ -1,6 +1,7 @@
 package specabsint
 
 import (
+	"context"
 	"testing"
 
 	"specabsint/internal/bench"
@@ -30,7 +31,7 @@ func TestSchedulerEquivalenceCorpus(t *testing.T) {
 			}
 			render := func() string {
 				t.Helper()
-				rep, err := AnalyzeContext(t.Context(), p)
+				rep, err := AnalyzeContext(context.Background(), p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,7 +87,7 @@ func TestExecStatsEquivalence(t *testing.T) {
 			}
 			progs := []*CompiledProgram{p}
 			if name == "fig2" {
-				mrep, err := Mitigate(t.Context(), p, WithMitigateVerify(false))
+				mrep, err := Mitigate(context.Background(), p, WithMitigateVerify(false))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +152,7 @@ func statsFor(t *testing.T, src string) *Stats {
 // clock zeroed.
 func analyzeStats(t *testing.T, p *CompiledProgram) *Stats {
 	t.Helper()
-	rep, err := AnalyzeContext(t.Context(), p, WithStats(true))
+	rep, err := AnalyzeContext(context.Background(), p, WithStats(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestExecMitigateEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mrep, err := Mitigate(t.Context(), p)
+			mrep, err := Mitigate(context.Background(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +182,7 @@ func TestExecMitigateEquivalence(t *testing.T) {
 				t.Fatal("program reports no leak; the synthesizer has nothing to repair")
 			}
 
-			after, err := AnalyzeContext(t.Context(), mrep.Program)
+			after, err := AnalyzeContext(context.Background(), mrep.Program)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package specabsint
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +50,7 @@ func TestGoldenFig2Report(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := AnalyzeContext(t.Context(), p, opts...)
+		rep, err := AnalyzeContext(context.Background(), p, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -155,3 +155,25 @@ func ByName(name string) (Benchmark, bool) {
 	}
 	return Benchmark{}, false
 }
+
+// CorpusSource returns the MiniC source of one program of the corpus as the
+// command-line tools analyze it: "fig2" is the paper's Fig. 2 example, any
+// other name a benchmark, with side-channel kernels wrapped in the Fig. 10
+// client with a 4 KiB attacker buffer so they have a main.
+func CorpusSource(name string) (string, error) {
+	if name == "fig2" {
+		return Fig2Program(-1), nil
+	}
+	b, ok := ByName(name)
+	if !ok {
+		names := []string{"fig2"}
+		for _, bb := range All() {
+			names = append(names, bb.Name)
+		}
+		return "", fmt.Errorf("unknown corpus program %q (have: %s)", name, strings.Join(names, ", "))
+	}
+	if b.Kind == SideChannel {
+		return WithClient(b, 4096), nil
+	}
+	return b.Code, nil
+}

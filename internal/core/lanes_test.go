@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -24,17 +25,11 @@ var laneStrategies = []Strategy{StrategyJustInTime, StrategyMergeAtRollback, Str
 // or a kernel, with side-channel kernels wrapped in the 4 KiB client.
 func corpusSource(t *testing.T, name string) string {
 	t.Helper()
-	if name == "fig2" {
-		return bench.Fig2Program(-1)
+	src, err := bench.CorpusSource(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b, ok := bench.ByName(name)
-	if !ok {
-		t.Fatalf("%s not in corpus", name)
-	}
-	if b.Kind == bench.SideChannel {
-		return bench.WithClient(b, 4096)
-	}
-	return b.Code
+	return src
 }
 
 // compileWithPasses compiles a program with the default passes, as every
@@ -55,7 +50,7 @@ func converge(t *testing.T, label string, prog *ir.Program, opts Options, m mode
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if err := e.run(t.Context()); err != nil {
+	if err := e.run(context.Background()); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	return e

@@ -19,6 +19,7 @@ import (
 	"specabsint/internal/layout"
 	"specabsint/internal/machine"
 	"specabsint/internal/runner"
+	"specabsint/internal/sidechannel"
 )
 
 // Setup fixes the experimental configuration (the paper's §7 defaults).
@@ -104,12 +105,12 @@ type Table5Row struct {
 // worker finished first.
 func Table5(ctx context.Context, setup Setup) ([]Table5Row, error) {
 	benches := bench.WCETBenchmarks()
-	var jobs []runner.Job
+	var jobs []runner.Job[*core.Result]
 	for _, b := range benches {
-		jobs = append(jobs, setup.job(b.Name+"/nonspec", b.Code, setup.options(false)))
-		jobs = append(jobs, setup.job(b.Name+"/spec", b.Code, setup.options(true)))
+		jobs = append(jobs, job(setup, b.Name+"/nonspec", b.Code, core.AnalyzeContext, setup.options(false)))
+		jobs = append(jobs, job(setup, b.Name+"/spec", b.Code, core.AnalyzeContext, setup.options(true)))
 	}
-	results, err := collect(setup.pool().RunAll(ctx, jobs))
+	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
 	if err != nil {
 		return nil, err
 	}
@@ -118,27 +119,28 @@ func Table5(ctx context.Context, setup Setup) ([]Table5Row, error) {
 		base, spec := results[2*i], results[2*i+1]
 		rows = append(rows, Table5Row{
 			Name:        b.Name,
-			Branches:    spec.Analysis.Branches,
+			Branches:    spec.Value.Branches,
 			NonSpecTime: base.Elapsed,
-			NonSpecMiss: base.Analysis.MissCount(),
+			NonSpecMiss: base.Value.MissCount(),
 			SpecTime:    spec.Elapsed,
-			SpecMiss:    spec.Analysis.MissCount(),
-			SpecSpMiss:  spec.Analysis.SpecMissCount(),
-			Iterations:  spec.Analysis.Iterations,
+			SpecMiss:    spec.Value.MissCount(),
+			SpecSpMiss:  spec.Value.SpecMissCount(),
+			Iterations:  spec.Value.Iterations,
 		})
 	}
 	return rows, nil
 }
 
-// job builds a pool job for one benchmark source under one option set.
-func (s Setup) job(name, code string, opts core.Options) runner.Job {
-	return runner.Job{Name: name, Source: code, MaxUnroll: s.MaxUnroll, Opts: opts}
+// job builds a pool job that runs analyze under opts on one benchmark
+// source, compiled at the setup's unroll cap.
+func job[V any](s Setup, name, code string, analyze func(context.Context, *ir.Program, core.Options) (V, error), opts core.Options) runner.Job[V] {
+	return runner.Job[V]{Name: name, Source: code, MaxUnroll: s.MaxUnroll, Analyze: runner.Bind(analyze, opts)}
 }
 
 // collect fails a whole sweep on the first per-job error — the experiment
 // tables are all-or-nothing — while keeping the job-order determinism of
 // RunAll.
-func collect(results []runner.Result) ([]runner.Result, error) {
+func collect[V any](results []runner.Result[V]) ([]runner.Result[V], error) {
 	for _, r := range results {
 		if r.Err != nil {
 			return nil, fmt.Errorf("%s: %w", r.Name, r.Err)
@@ -165,16 +167,16 @@ type Table6Row struct {
 // analyzed under both strategies concurrently.
 func Table6(ctx context.Context, setup Setup) ([]Table6Row, error) {
 	benches := bench.WCETBenchmarks()
-	var jobs []runner.Job
+	var jobs []runner.Job[*core.Result]
 	for _, b := range benches {
 		rbOpts := setup.options(true)
 		rbOpts.Strategy = core.StrategyMergeAtRollback
 		jitOpts := setup.options(true)
 		jitOpts.Strategy = core.StrategyJustInTime
-		jobs = append(jobs, setup.job(b.Name+"/rollback", b.Code, rbOpts))
-		jobs = append(jobs, setup.job(b.Name+"/jit", b.Code, jitOpts))
+		jobs = append(jobs, job(setup, b.Name+"/rollback", b.Code, core.AnalyzeContext, rbOpts))
+		jobs = append(jobs, job(setup, b.Name+"/jit", b.Code, core.AnalyzeContext, jitOpts))
 	}
-	results, err := collect(setup.pool().RunAll(ctx, jobs))
+	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
 	if err != nil {
 		return nil, err
 	}
@@ -184,13 +186,13 @@ func Table6(ctx context.Context, setup Setup) ([]Table6Row, error) {
 		rows = append(rows, Table6Row{
 			Name:           b.Name,
 			RollbackTime:   rb.Elapsed,
-			RollbackMiss:   rb.Analysis.MissCount(),
-			RollbackSpMiss: rb.Analysis.SpecMissCount(),
-			RollbackIter:   rb.Analysis.Iterations,
+			RollbackMiss:   rb.Value.MissCount(),
+			RollbackSpMiss: rb.Value.SpecMissCount(),
+			RollbackIter:   rb.Value.Iterations,
 			JITTime:        jit.Elapsed,
-			JITMiss:        jit.Analysis.MissCount(),
-			JITSpMiss:      jit.Analysis.SpecMissCount(),
-			JITIter:        jit.Analysis.Iterations,
+			JITMiss:        jit.Value.MissCount(),
+			JITSpMiss:      jit.Value.SpecMissCount(),
+			JITIter:        jit.Value.Iterations,
 		})
 	}
 	return rows, nil
@@ -256,17 +258,15 @@ type probeTiming struct{ spec, non time.Duration }
 // setup's pool. Verdicts come back indexed like sizes.
 func probeSizes(ctx context.Context, b bench.Benchmark, setup Setup, sizes []int) ([]probeVerdict, []probeTiming, error) {
 	line := setup.Cache.LineSize
-	var jobs []runner.Job
+	var jobs []runner.Job[*sidechannel.Report]
 	for _, s := range sizes {
 		code := bench.WithClient(b, s*line)
 		for _, speculative := range []bool{true, false} {
-			j := setup.job(fmt.Sprintf("%s@%dL/spec=%v", b.Name, s, speculative),
-				code, setup.options(speculative))
-			j.Mode = runner.ModeSideChannel
-			jobs = append(jobs, j)
+			jobs = append(jobs, job(setup, fmt.Sprintf("%s@%dL/spec=%v", b.Name, s, speculative),
+				code, sidechannel.AnalyzeContext, setup.options(speculative)))
 		}
 	}
-	results, err := collect(setup.pool().RunAll(ctx, jobs))
+	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -274,7 +274,7 @@ func probeSizes(ctx context.Context, b bench.Benchmark, setup Setup, sizes []int
 	timings := make([]probeTiming, len(sizes))
 	for i := range sizes {
 		spec, non := results[2*i], results[2*i+1]
-		verdicts[i] = probeVerdict{spec: spec.Leaks.LeakDetected(), non: non.Leaks.LeakDetected()}
+		verdicts[i] = probeVerdict{spec: spec.Value.LeakDetected(), non: non.Value.LeakDetected()}
 		timings[i] = probeTiming{spec: spec.Elapsed, non: non.Elapsed}
 	}
 	return verdicts, timings, nil
@@ -489,16 +489,16 @@ type DepthRow struct {
 // §6.2 dynamic speculation-depth bounding, batched on the setup's pool.
 func DepthAblation(ctx context.Context, setup Setup) ([]DepthRow, error) {
 	benches := bench.WCETBenchmarks()
-	var jobs []runner.Job
+	var jobs []runner.Job[*core.Result]
 	for _, b := range benches {
 		onOpts := setup.options(true)
 		onOpts.DynamicDepthBounding = true
 		offOpts := setup.options(true)
 		offOpts.DynamicDepthBounding = false
-		jobs = append(jobs, setup.job(b.Name+"/bounded", b.Code, onOpts))
-		jobs = append(jobs, setup.job(b.Name+"/unbounded", b.Code, offOpts))
+		jobs = append(jobs, job(setup, b.Name+"/bounded", b.Code, core.AnalyzeContext, onOpts))
+		jobs = append(jobs, job(setup, b.Name+"/unbounded", b.Code, core.AnalyzeContext, offOpts))
 	}
-	results, err := collect(setup.pool().RunAll(ctx, jobs))
+	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
 	if err != nil {
 		return nil, err
 	}
@@ -508,11 +508,11 @@ func DepthAblation(ctx context.Context, setup Setup) ([]DepthRow, error) {
 		rows = append(rows, DepthRow{
 			Name:          b.Name,
 			BoundedTime:   on.Elapsed,
-			BoundedMiss:   on.Analysis.MissCount(),
-			BoundedIter:   on.Analysis.Iterations,
+			BoundedMiss:   on.Value.MissCount(),
+			BoundedIter:   on.Value.Iterations,
 			UnboundedTime: off.Elapsed,
-			UnboundedMiss: off.Analysis.MissCount(),
-			UnboundedIter: off.Analysis.Iterations,
+			UnboundedMiss: off.Value.MissCount(),
+			UnboundedIter: off.Value.Iterations,
 		})
 	}
 	return rows, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"specabsint/internal/bench"
+	"specabsint/internal/core"
 	"specabsint/internal/layout"
 	"specabsint/internal/runner"
 )
@@ -35,20 +36,20 @@ func GeometrySweep(ctx context.Context, benchName string, lineCounts []int, setu
 	if err != nil {
 		return nil, err
 	}
-	var jobs []runner.Job
+	var jobs []runner.Job[*core.Result]
 	for _, lines := range lineCounts {
 		cfg := layout.CacheConfig{LineSize: setup.Cache.LineSize, NumSets: 1, Assoc: lines}
 		for _, speculative := range []bool{false, true} {
 			opts := setup.options(speculative)
 			opts.Cache = cfg
-			jobs = append(jobs, runner.Job{
-				Name: fmt.Sprintf("%s@%d/spec=%v", b.Name, lines, speculative),
-				Prog: prog,
-				Opts: opts,
+			jobs = append(jobs, runner.Job[*core.Result]{
+				Name:    fmt.Sprintf("%s@%d/spec=%v", b.Name, lines, speculative),
+				Prog:    prog,
+				Analyze: runner.Bind(core.AnalyzeContext, opts),
 			})
 		}
 	}
-	results, err := collect(setup.pool().RunAll(ctx, jobs))
+	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
 	if err != nil {
 		return nil, err
 	}
@@ -57,9 +58,9 @@ func GeometrySweep(ctx context.Context, benchName string, lineCounts []int, setu
 		base, spec := results[2*i], results[2*i+1]
 		rows = append(rows, GeomRow{
 			Lines:       lines,
-			NonSpecMiss: base.Analysis.MissCount(),
-			SpecMiss:    spec.Analysis.MissCount(),
-			SpecSpMiss:  spec.Analysis.SpecMissCount(),
+			NonSpecMiss: base.Value.MissCount(),
+			SpecMiss:    spec.Value.MissCount(),
+			SpecSpMiss:  spec.Value.SpecMissCount(),
 		})
 	}
 	return rows, nil
@@ -79,17 +80,16 @@ type ICacheRow struct {
 func ICacheTable(ctx context.Context, lines int, setup Setup) ([]ICacheRow, error) {
 	benches := bench.WCETBenchmarks()
 	cfg := layout.CacheConfig{LineSize: setup.Cache.LineSize, NumSets: 1, Assoc: lines}
-	var jobs []runner.Job
+	var jobs []runner.Job[*core.Result]
 	for _, b := range benches {
 		for _, speculative := range []bool{false, true} {
 			opts := setup.options(speculative)
 			opts.Cache = cfg
-			j := setup.job(fmt.Sprintf("%s/icache/spec=%v", b.Name, speculative), b.Code, opts)
-			j.Mode = runner.ModeICache
-			jobs = append(jobs, j)
+			jobs = append(jobs, job(setup, fmt.Sprintf("%s/icache/spec=%v", b.Name, speculative),
+				b.Code, core.AnalyzeInstructionCacheContext, opts))
 		}
 	}
-	results, err := collect(setup.pool().RunAll(ctx, jobs))
+	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
 	if err != nil {
 		return nil, err
 	}
@@ -98,10 +98,10 @@ func ICacheTable(ctx context.Context, lines int, setup Setup) ([]ICacheRow, erro
 		base, spec := results[2*i], results[2*i+1]
 		rows = append(rows, ICacheRow{
 			Name:        b.Name,
-			Fetches:     spec.Analysis.AccessCount(),
-			NonSpecMiss: base.Analysis.MissCount(),
-			SpecMiss:    spec.Analysis.MissCount(),
-			SpecSpMiss:  spec.Analysis.SpecMissCount(),
+			Fetches:     spec.Value.AccessCount(),
+			NonSpecMiss: base.Value.MissCount(),
+			SpecMiss:    spec.Value.MissCount(),
+			SpecSpMiss:  spec.Value.SpecMissCount(),
 		})
 	}
 	return rows, nil

@@ -34,6 +34,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"specabsint/internal/core"
@@ -557,7 +558,7 @@ func verifyDifferential(prog *ir.Program, rep *sidechannel.Report, opts Options)
 		}
 		traces += 2
 		for id, sa := range seqA {
-			if !boolsEqual(sa, seqB[id]) && !leaked[id] {
+			if !slices.Equal(sa, seqB[id]) && !leaked[id] {
 				return false, traces, false, nil
 			}
 		}
@@ -568,16 +569,4 @@ func verifyDifferential(prog *ir.Program, rep *sidechannel.Report, opts Options)
 		}
 	}
 	return true, traces, false, nil
-}
-
-func boolsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

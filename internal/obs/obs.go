@@ -133,9 +133,8 @@ func (c *Collector) SetPartition(p PartitionStats) {
 
 // Replay merges a previously captured snapshot into the collector: program
 // shape and partition are overwritten, passes and phases appended, fixpoint
-// counters summed. It is how cached work (a shared compilation, a report-
-// cache hit) contributes its stats to a fresh run's document. A nil receiver
-// or a nil snapshot is a no-op.
+// counters summed. It is how a shared compilation contributes its stats to
+// a fresh analysis's document. A nil receiver or a nil snapshot is a no-op.
 func (c *Collector) Replay(s *Stats) {
 	if c == nil || s == nil {
 		return

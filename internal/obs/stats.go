@@ -292,8 +292,8 @@ type PoolSnapshot struct {
 	CacheEvictions int64 `json:"cache_evictions"`
 	CacheSize      int64 `json:"cache_size"`
 	// ReportCache* are the report tier's counters: how often an identical
-	// (source, options, mode) request was answered without running the
-	// analysis at all. Together with the program tier above, both levels of
+	// (source, options) request was answered without running the analysis
+	// at all. Together with the program tier above, both levels of
 	// the content-addressed cache are observable from one snapshot.
 	ReportCacheHits      int64 `json:"report_cache_hits"`
 	ReportCacheMisses    int64 `json:"report_cache_misses"`

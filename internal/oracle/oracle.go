@@ -47,6 +47,7 @@ import (
 	"specabsint/internal/machine"
 	"specabsint/internal/passes"
 	"specabsint/internal/runner"
+	"specabsint/internal/sidechannel"
 	"specabsint/internal/source"
 	"specabsint/internal/taint"
 )
@@ -249,15 +250,17 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 	// the unroll pair (Source-keyed so the pool's compile cache provides the
 	// re-lowered programs).
 	combos := c.combos()
-	jobs := make([]runner.Job, 0, len(combos)+2+2)
+	jobs := make([]runner.Job[*sidechannel.Report], 0, len(combos)+2+2)
 	for _, cb := range combos {
-		jobs = append(jobs, runner.Job{Name: cb.label, Prog: prog, Opts: cb.opts, Mode: runner.ModeSideChannel})
+		jobs = append(jobs, runner.Job[*sidechannel.Report]{Name: cb.label, Prog: prog,
+			Analyze: runner.Bind(sidechannel.AnalyzeContext, cb.opts)})
 	}
 	windowBase := len(jobs)
 	for _, d := range []int{cfg.WindowPair[0], cfg.WindowPair[1]} {
 		opts := c.baseOpts()
 		opts.DepthMiss, opts.DepthHit = d, d
-		jobs = append(jobs, runner.Job{Name: fmt.Sprintf("window-d%d", d), Prog: prog, Opts: opts, Mode: runner.ModeSideChannel})
+		jobs = append(jobs, runner.Job[*sidechannel.Report]{Name: fmt.Sprintf("window-d%d", d), Prog: prog,
+			Analyze: runner.Bind(sidechannel.AnalyzeContext, opts)})
 	}
 	unrollBase := len(jobs)
 	if cfg.SmallUnroll > 0 {
@@ -267,12 +270,12 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 		for _, u := range []int{cfg.SmallUnroll, lower.DefaultOptions().MaxUnroll} {
 			opts := c.baseOpts()
 			opts.DepthMiss, opts.DepthHit = 0, 0
-			jobs = append(jobs, runner.Job{Name: fmt.Sprintf("unroll-%d", u), Source: src, MaxUnroll: u,
-				Passes: !cfg.DisablePasses, Opts: opts, Mode: runner.ModeSideChannel})
+			jobs = append(jobs, runner.Job[*sidechannel.Report]{Name: fmt.Sprintf("unroll-%d", u), Source: src, MaxUnroll: u,
+				Passes: !cfg.DisablePasses, Analyze: runner.Bind(sidechannel.AnalyzeContext, opts)})
 		}
 	}
 
-	results := pool.RunAll(ctx, jobs)
+	results := runner.RunAll(ctx, pool, jobs)
 	c.res.Analyses = len(results)
 	for _, r := range results {
 		if r.Err != nil {
@@ -289,12 +292,12 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 	// Property sweep. Soundness and leak completeness per combo; the
 	// metamorphic properties on their dedicated jobs.
 	for i, cb := range combos {
-		c.checkSoundness(results[i].Leaks.Analysis, cb)
-		c.checkLeakCompleteness(results[i].Leaks, cb)
+		c.checkSoundness(results[i].Value.Analysis, cb)
+		c.checkLeakCompleteness(results[i].Value, cb)
 	}
-	c.checkWindowMonotone(results[windowBase].Leaks, results[windowBase+1].Leaks)
+	c.checkWindowMonotone(results[windowBase].Value, results[windowBase+1].Value)
 	if cfg.SmallUnroll > 0 {
-		c.checkUnrollMonotone(results[unrollBase], results[unrollBase+1])
+		c.checkUnrollMonotone(results[unrollBase].Value.Analysis, results[unrollBase+1].Value.Analysis)
 	}
 	return c.res, nil
 }

@@ -2,10 +2,11 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 
 	"specabsint/internal/cache"
+	"specabsint/internal/core"
 	"specabsint/internal/machine"
-	"specabsint/internal/runner"
 	"specabsint/internal/sidechannel"
 )
 
@@ -46,7 +47,7 @@ func (c *checker) checkLeakCompleteness(rep *sidechannel.Report, cb combo) {
 			return // the crash is already recorded
 		}
 		for id, sa := range seqA {
-			if boolsEqual(sa, seqB[id]) || leaked[id] {
+			if slices.Equal(sa, seqB[id]) || leaked[id] {
 				continue
 			}
 			line := 0
@@ -96,18 +97,6 @@ func (c *checker) traceSeq(cb combo, secrets []string, val int64, watch map[int]
 	return seq, true
 }
 
-func boolsEqual(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // checkWindowMonotone asserts the metamorphic window relation: a larger
 // speculation window explores a superset of wrong-path instructions, so no
 // lane-analyzed instruction and no reported Spectre gadget may disappear
@@ -140,9 +129,8 @@ func (c *checker) checkWindowMonotone(small, large *sidechannel.Report) {
 //     must hit on every concrete access of the fully-unrolled execution;
 //   - no flip: a line proved always-hit under the reduced unroll must not
 //     be proved always-miss (at an executed access) under the full unroll.
-func (c *checker) checkUnrollMonotone(small, large runner.Result) {
+func (c *checker) checkUnrollMonotone(sres, lres *core.Result) {
 	label := fmt.Sprintf("unroll %d->default", c.cfg.SmallUnroll)
-	sres, lres := small.Leaks.Analysis, large.Leaks.Analysis
 
 	// A line is must-hit when it has accesses and all of them are
 	// always-hit; with inlining several instructions share a line, and one
@@ -168,7 +156,7 @@ func (c *checker) checkUnrollMonotone(small, large runner.Result) {
 		Cache:    c.baseOpts().Cache,
 		MaxSteps: c.cfg.MaxSteps,
 	}
-	sim, err := machine.New(large.Prog, simCfg)
+	sim, err := machine.New(lres.Prog, simCfg)
 	if err != nil {
 		c.violate(Violation{Property: Crash, Config: label, Detail: fmt.Sprintf("simulator: %v", err)})
 		return

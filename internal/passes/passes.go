@@ -31,9 +31,8 @@
 //     terminators, and potentially-faulting divisions are never eliminated.
 //     A second round runs only after a round nopped a reader of a
 //     cross-block register, the one way a round can leave a definition
-//     dead. The pass is additionally gated off entirely when the caller
-//     models an instruction cache, per the conservative contract in
-//     DESIGN.md.
+//     dead. Every analysis model, the instruction cache's included,
+//     analyzes the same compilation.
 //
 // Every transformation keeps the instruction-id assignment (Finalize is
 // never re-run) so per-access analysis results remain comparable across

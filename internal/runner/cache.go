@@ -1,13 +1,6 @@
 package runner
 
-import (
-	"container/list"
-
-	"specabsint/internal/core"
-	"specabsint/internal/ir"
-	"specabsint/internal/obs"
-	"specabsint/internal/sidechannel"
-)
+import "container/list"
 
 // The pool's cache is two-tiered and content-addressed, which is what makes
 // a long-running analysis service (cmd/specserve) cheap under repetitive
@@ -16,9 +9,12 @@ import (
 //   - tier 1 (programs): progKey = SHA-256(source) + every lowering option
 //     that shapes the IR → compiled *ir.Program. Shared by jobs that analyze
 //     one source under many analysis configurations (a strategy sweep).
-//   - tier 2 (reports): reportKey = progKey + the analysis options + mode →
-//     the completed analysis. A resubmission of an identical request is
-//     answered without running the fixpoint at all.
+//   - tier 2 (reports): reportKey = progKey + the job's Key → the job's
+//     finished Value. The caller chooses what the Key holds (the root
+//     package's Service uses the analysis options and whether stats were
+//     requested) and what the Value is (the Service's finished Report, with
+//     its stats), so a resubmission of an identical request is answered
+//     without compiling, analyzing or building anything.
 //
 // Both tiers are bounded LRU: Get refreshes recency, Put evicts from the
 // cold end once the tier exceeds its bound. Every tier counts hits, misses
@@ -26,36 +22,19 @@ import (
 // see both tiers from one /metrics scrape.
 
 // Default cache bounds. Programs are the expensive tier to rebuild but cheap
-// to hold (one IR per distinct source); reports are tiny (classification
-// maps) so the report tier runs deeper.
+// to hold (one IR per distinct source); reports are tiny (a finished report
+// keeps one line, symbol and verdict per access, not the analysis's
+// per-block states) so the report tier runs deeper.
 const (
 	DefaultProgramCacheBound = 512
 	DefaultReportCacheBound  = 4096
 )
 
-// reportKey addresses one completed analysis: the compiled program's content
-// key plus the analysis configuration it ran under. opts is the job's
-// core.Options with Collector cleared, since collector identity is
-// irrelevant; whether stats were requested is part of the key, because a
-// cached entry only carries a stats snapshot when its miss run collected
-// one.
+// reportKey addresses one finished job: the compiled program's content key
+// plus the job's Key, which fixes what its analysis computes.
 type reportKey struct {
-	prog  progKey
-	opts  core.Options
-	stats bool
-	mode  Mode
-}
-
-// reportEntry is one cached analysis. Entries are immutable once stored;
-// concurrent hits share the pointers read-only (analyses never mutate their
-// inputs or results after completion).
-type reportEntry struct {
-	prog     *ir.Program
-	analysis *core.Result
-	leaks    *sidechannel.Report
-	// stats is the miss run's full observability snapshot (compile phases
-	// replayed + fixpoint counters); nil when the miss ran uninstrumented.
-	stats *obs.Stats
+	prog progKey
+	key  any
 }
 
 // lruCache is a minimal bounded LRU keyed by comparable K. Not safe for
@@ -109,25 +88,28 @@ func (c *lruCache[K, V]) trim() {
 
 func (c *lruCache[K, V]) len() int { return c.order.Len() }
 
-// reportGet returns the cached analysis for key, counting the hit or miss.
-func (p *Pool) reportGet(key reportKey) (*reportEntry, bool) {
+// reportGet returns the cached value for key, counting a hit, and a miss
+// when count is set.
+func (p *Pool) reportGet(key reportKey, count bool) (any, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, ok := p.reports.get(key)
-	if ok {
+	v, ok := p.reports.get(key)
+	switch {
+	case ok:
 		p.reportHits++
-	} else {
+	case count:
 		p.reportMisses++
 	}
-	return e, ok
+	return v, ok
 }
 
-// reportPut stores a completed analysis. Only successful results are cached;
-// errors (including cancellation) always re-run.
-func (p *Pool) reportPut(key reportKey, e *reportEntry) {
+// reportPut stores a finished value. Entries are immutable once stored:
+// concurrent hits share the value read-only. Only successful results are
+// cached; errors (including cancellation) always re-run.
+func (p *Pool) reportPut(key reportKey, v any) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.reports.put(key, e)
+	p.reports.put(key, v)
 }
 
 // ReportCacheStats returns the report tier's hit, miss and eviction counts.

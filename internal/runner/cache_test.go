@@ -3,45 +3,45 @@ package runner
 import (
 	"context"
 	"fmt"
-	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"specabsint/internal/bench"
 	"specabsint/internal/core"
+	"specabsint/internal/ir"
 	"specabsint/internal/obs"
+	"specabsint/internal/sidechannel"
 )
 
-// cachedJob builds one report-cacheable side-channel job over src.
-func cachedJob(name, src string, opts core.Options) Job {
-	return Job{Name: name, Source: src, Opts: opts, Mode: ModeSideChannel, Cache: true}
+// cachedJob builds one report-cacheable side-channel job over src, keyed by
+// its options.
+func cachedJob(name, src string, opts core.Options) Job[*sidechannel.Report] {
+	return Job[*sidechannel.Report]{Name: name, Source: src, Analyze: Bind(sidechannel.AnalyzeContext, opts), Key: opts}
 }
 
 // TestReportCacheHit checks that resubmitting an identical job is served
-// from the report cache with the same result and CacheHit set.
+// from the report cache with the stored value and CacheHit set.
 func TestReportCacheHit(t *testing.T) {
 	p := New(2)
 	src := bench.Fig2Program(-1)
 	job := cachedJob("fig2", src, core.DefaultOptions())
 
-	cold := p.RunAll(context.Background(), []Job{job})[0]
+	cold := RunAll(context.Background(), p, []Job[*sidechannel.Report]{job})[0]
 	if cold.Err != nil {
 		t.Fatal(cold.Err)
 	}
 	if cold.CacheHit {
 		t.Fatal("cold run reported CacheHit")
 	}
-	warm := p.RunAll(context.Background(), []Job{job})[0]
+	warm := RunAll(context.Background(), p, []Job[*sidechannel.Report]{job})[0]
 	if warm.Err != nil {
 		t.Fatal(warm.Err)
 	}
 	if !warm.CacheHit {
 		t.Fatal("identical resubmit missed the report cache")
 	}
-	if !reflect.DeepEqual(cold.Leaks, warm.Leaks) {
-		t.Error("cached leaks differ from cold run")
-	}
-	if cold.Analysis != warm.Analysis || cold.Prog != warm.Prog {
-		t.Error("cached run did not return the stored analysis/program")
+	if warm.Value != cold.Value {
+		t.Error("cached run did not return the stored value")
 	}
 	hits, misses, _ := p.ReportCacheStats()
 	if hits != 1 || misses != 1 {
@@ -49,52 +49,73 @@ func TestReportCacheHit(t *testing.T) {
 	}
 }
 
-// TestReportCacheKeyedByOptions checks that any analysis-relevant option
-// change misses the report cache.
-func TestReportCacheKeyedByOptions(t *testing.T) {
-	p := New(2)
-	src := bench.Fig2Program(-1)
-	base := core.DefaultOptions()
-
-	variants := []core.Options{base}
-	o := base
-	o.Speculative = false
-	variants = append(variants, o)
-	o = base
-	o.DepthMiss += 10
-	variants = append(variants, o)
-	o = base
-	o.Strategy = core.StrategyPerRollbackBlock
-	variants = append(variants, o)
-	o = base
-	o.RefinedJoin = !base.RefinedJoin
-	variants = append(variants, o)
-	o = base
-	o.Collector = obs.NewCollector() // instrumented ≠ uninstrumented
-	variants = append(variants, o)
-
-	for i, opts := range variants {
-		r := p.RunAll(context.Background(), []Job{cachedJob(fmt.Sprintf("v%d", i), src, opts)})[0]
-		if r.Err != nil {
-			t.Fatalf("variant %d: %v", i, r.Err)
-		}
-		if r.CacheHit {
-			t.Errorf("variant %d hit the cache despite a distinct configuration", i)
+// TestReportCacheKey checks what a report-cache entry is keyed by: the
+// job's Key and every lowering option, on top of the source.
+func TestReportCacheKey(t *testing.T) {
+	p := New(1)
+	analyses := 0
+	job := func(key any, maxUnroll int, passes bool) Job[int] {
+		return Job[int]{
+			Name: fmt.Sprint(key), Source: bench.Fig2Program(-1), MaxUnroll: maxUnroll, Passes: passes, Key: key,
+			Analyze: func(context.Context, *ir.Program, *obs.Stats) (int, error) {
+				analyses++
+				return analyses, nil
+			},
 		}
 	}
-	hits, misses, _ := p.ReportCacheStats()
-	if hits != 0 || misses != int64(len(variants)) {
-		t.Errorf("report cache stats: %d hits %d misses, want 0/%d", hits, misses, len(variants))
+	for i, c := range []struct {
+		job  Job[int]
+		hit  bool
+		want int
+	}{
+		{job("a", 0, false), false, 1},
+		{job("a", 0, false), true, 1},
+		{job("b", 0, false), false, 2},
+		{job("a", 8, false), false, 3},
+		{job("a", 0, true), false, 4},
+		{job("b", 0, false), true, 2},
+	} {
+		r := RunAll(context.Background(), p, []Job[int]{c.job})[0]
+		if r.Err != nil || r.CacheHit != c.hit || r.Value != c.want {
+			t.Errorf("job %d: value %d, hit %v, err %v; want value %d, hit %v", i, r.Value, r.CacheHit, r.Err, c.want, c.hit)
+		}
 	}
 }
 
-// TestReportCacheUncachedJobs checks that Cache=false jobs never touch the
-// report tier.
+// TestReportCacheBatchTwins checks that identical jobs of one batch reuse
+// the first one's value: a job that waited for a worker slot looks the
+// report tier up again before it compiles, and counts one hit or miss.
+func TestReportCacheBatchTwins(t *testing.T) {
+	p := New(1)
+	var analyses atomic.Int64
+	jobs := make([]Job[int64], 6)
+	for i := range jobs {
+		jobs[i] = Job[int64]{Name: "twin", Source: bench.Fig2Program(-1), Key: "k",
+			Analyze: func(context.Context, *ir.Program, *obs.Stats) (int64, error) {
+				return analyses.Add(1), nil
+			}}
+	}
+	for i, r := range RunAll(context.Background(), p, jobs) {
+		if r.Err != nil || r.Value != 1 {
+			t.Errorf("job %d: value %d, err %v; want the first analysis's value 1", i, r.Value, r.Err)
+		}
+	}
+	if n := analyses.Load(); n != 1 {
+		t.Errorf("%d analyses ran for %d identical jobs, want 1", n, len(jobs))
+	}
+	if hits, misses, _ := p.ReportCacheStats(); hits != 5 || misses != 1 {
+		t.Errorf("report cache stats: %d hits %d misses, want 5/1", hits, misses)
+	}
+}
+
+// TestReportCacheUncachedJobs checks that jobs without a Key never touch
+// the report tier.
 func TestReportCacheUncachedJobs(t *testing.T) {
 	p := New(1)
-	job := Job{Name: "plain", Source: bench.Fig2Program(-1), Opts: core.DefaultOptions(), Mode: ModeSideChannel}
+	job := cachedJob("plain", bench.Fig2Program(-1), core.DefaultOptions())
+	job.Key = nil
 	for i := 0; i < 2; i++ {
-		if r := p.RunAll(context.Background(), []Job{job})[0]; r.Err != nil || r.CacheHit {
+		if r := RunAll(context.Background(), p, []Job[*sidechannel.Report]{job})[0]; r.Err != nil || r.CacheHit {
 			t.Fatalf("run %d: err=%v cacheHit=%v", i, r.Err, r.CacheHit)
 		}
 	}
@@ -112,9 +133,9 @@ func TestReportCacheEviction(t *testing.T) {
 	a := cachedJob("a", bench.Fig2Program(1), core.DefaultOptions())
 	b := cachedJob("b", bench.Fig2Program(2), core.DefaultOptions())
 
-	p.RunAll(context.Background(), []Job{a}) // miss, cached
-	p.RunAll(context.Background(), []Job{b}) // miss, evicts a
-	r := p.RunAll(context.Background(), []Job{a})[0]
+	RunAll(context.Background(), p, []Job[*sidechannel.Report]{a}) // miss, cached
+	RunAll(context.Background(), p, []Job[*sidechannel.Report]{b}) // miss, evicts a
+	r := RunAll(context.Background(), p, []Job[*sidechannel.Report]{a})[0]
 	if r.CacheHit {
 		t.Error("evicted entry served as a hit")
 	}
@@ -134,55 +155,15 @@ func TestReportCacheEviction(t *testing.T) {
 	}
 }
 
-// TestReportCacheStatsReplay checks that a cache hit replays the miss run's
-// stats document into the hit's collector: semantic counters must be
-// byte-identical between the cold and warm runs.
-func TestReportCacheStatsReplay(t *testing.T) {
-	p := New(2)
-	src := bench.Fig2Program(-1)
-	mkJob := func() (Job, *obs.Collector) {
-		opts := core.DefaultOptions()
-		c := obs.NewCollector()
-		opts.Collector = c
-		return cachedJob("fig2", src, opts), c
-	}
-	coldJob, coldC := mkJob()
-	if r := p.RunAll(context.Background(), []Job{coldJob})[0]; r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	warmJob, warmC := mkJob()
-	r := p.RunAll(context.Background(), []Job{warmJob})[0]
-	if r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if !r.CacheHit {
-		t.Fatal("expected a report-cache hit")
-	}
-	cold, err := coldC.Snapshot().ZeroTimes().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := warmC.Snapshot().ZeroTimes().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(cold) != string(warm) {
-		t.Errorf("replayed stats differ from cold run:\ncold:\n%s\nwarm:\n%s", cold, warm)
-	}
-	if r.Stats == nil {
-		t.Error("cached result carries no stats snapshot")
-	}
-}
-
 // TestDrain checks that Drain returns once submitted work completes and
 // times out cleanly when it cannot.
 func TestDrain(t *testing.T) {
 	p := New(2)
-	jobs := make([]Job, 8)
+	jobs := make([]Job[*sidechannel.Report], 8)
 	for i := range jobs {
 		jobs[i] = cachedJob(fmt.Sprintf("j%d", i), bench.Fig2Program(i), core.DefaultOptions())
 	}
-	p.RunAll(context.Background(), jobs)
+	RunAll(context.Background(), p, jobs)
 	if err := p.Drain(context.Background()); err != nil {
 		t.Fatalf("drain after completion: %v", err)
 	}

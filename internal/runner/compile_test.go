@@ -18,17 +18,11 @@ var compileKernels = []string{"fig2", "des", "chacha20", "adpcm", "susan", "stc"
 // compiles it: side-channel kernels wrapped in the Fig. 10 client.
 func kernelSource(tb testing.TB, name string) string {
 	tb.Helper()
-	if name == "fig2" {
-		return bench.Fig2Program(-1)
+	src, err := bench.CorpusSource(name)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	b, ok := bench.ByName(name)
-	if !ok {
-		tb.Fatalf("kernel %q not in corpus", name)
-	}
-	if b.Kind == bench.SideChannel {
-		return bench.WithClient(b, 4096)
-	}
-	return b.Code
+	return src
 }
 
 // BenchmarkCompile measures Compile with passes on, from source to verified

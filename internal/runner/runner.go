@@ -1,24 +1,26 @@
-// Package runner is the batch-analysis engine: a worker pool that fans out
-// independent (program, options) analysis jobs across CPUs. The paper's §6.4
-// optimization makes colored speculative states independent per branch, and
-// its evaluation runs every benchmark under many configurations (strategies
-// × depths × cache geometries) — an embarrassingly parallel workload. The
-// pool adds the operational pieces a long corpus sweep needs:
+// Package runner is the batch engine: a worker pool that runs independent
+// jobs, each a program plus the caller's analysis of it, across CPUs. The
+// paper's §6.4 optimization makes colored speculative states independent
+// per branch, and its evaluation runs every benchmark under many
+// configurations (strategies × depths × cache geometries) — an
+// embarrassingly parallel workload. The pool knows no analysis: a Job
+// carries its own Analyze function, and the pool adds the operational
+// pieces a long corpus sweep or a daemon needs:
 //
-//   - cancellation: the worker's context reaches core.AnalyzeContext, whose
-//     fixpoint polls it between sweep steps and lane-drain pops, so a canceled
-//     batch stops mid-analysis rather than after the current job;
+//   - cancellation: the job's context reaches Analyze, whose fixpoint can
+//     poll it, so a canceled batch stops mid-analysis rather than after the
+//     current job;
 //   - panic isolation: a crash in one job becomes that job's *PanicError
 //     instead of killing the whole batch;
 //   - a two-tier content-addressed cache (see cache.go): compiled programs
-//     keyed by (source hash, lowering options), and — for Job.Cache jobs —
-//     full analysis results keyed additionally by the analysis options, so a
-//     resubmitted request skips the fixpoint entirely;
+//     keyed by (source hash, lowering options), and — for jobs with a Key —
+//     finished values keyed additionally by that Key, so a resubmitted
+//     request skips compiling and analyzing entirely;
 //   - one worker bound across calls: a job holds one of the pool's worker
 //     slots while it compiles and analyzes, however many Run calls are in
 //     flight, and a report-cache hit needs no slot;
-//   - streamed results in completion order (Run) and a deterministic
-//     job-order wrapper (RunAll);
+//   - one result per job, streamed in completion order (Run) or returned in
+//     job order (RunAll);
 //   - graceful drain (Drain): a shutting-down service can wait for every
 //     in-flight job before exiting.
 //
@@ -39,35 +41,17 @@ import (
 	"sync/atomic"
 	"time"
 
-	"specabsint/internal/core"
 	"specabsint/internal/ir"
 	"specabsint/internal/lower"
 	"specabsint/internal/obs"
 	"specabsint/internal/passes"
-	"specabsint/internal/sidechannel"
 	"specabsint/internal/source"
 )
 
-// Mode selects which analysis a job runs.
-type Mode int
-
-// Analysis modes.
-const (
-	// ModeAnalyze runs the speculative data-cache analysis
-	// (core.AnalyzeContext).
-	ModeAnalyze Mode = iota
-	// ModeSideChannel additionally runs leak and Spectre-gadget detection
-	// (sidechannel.AnalyzeContext).
-	ModeSideChannel
-	// ModeICache runs the §3.2 instruction-cache extension
-	// (core.AnalyzeInstructionCacheContext).
-	ModeICache
-)
-
-// Job is one analysis request: a program (source or pre-compiled) plus the
-// analysis options to run it under.
-type Job struct {
-	// Name labels the job in results and error messages.
+// Job is one unit of work: a program (source or pre-compiled) and the
+// analysis to run on it, whose result has type V.
+type Job[V any] struct {
+	// Name labels the job in results, error messages and CPU profiles.
 	Name string
 	// Source is MiniC source, compiled through the pool's program cache.
 	// Ignored when Prog is set.
@@ -76,53 +60,56 @@ type Job struct {
 	// part of the cache key. 0 uses the lowering default.
 	MaxUnroll int
 	// Passes runs the analysis-preserving pass pipeline (internal/passes)
-	// after lowering; it is part of the cache key. Every mode analyzes the
-	// same compilation: DCE replaces instructions with nops and removes
-	// none, so an instruction-cache analysis fetches the same stream.
+	// after lowering; it is part of the cache key. Every analysis model
+	// analyzes the same compilation: DCE replaces instructions with nops
+	// and removes none, so an instruction-cache analysis fetches the same
+	// stream.
 	Passes bool
 	// Prog, when non-nil, is analyzed directly (no compile, no cache).
 	Prog *ir.Program
-	// Opts configures the analysis.
-	Opts core.Options
-	// Mode selects the analysis pipeline (default ModeAnalyze).
-	Mode Mode
-	// Cache enables the report tier for this job: a previous successful run
-	// of the identical (source, lowering, options, mode) request is returned
-	// without re-running the analysis, and a miss stores its result for the
-	// next submission. Only Source jobs participate (the report cache is
-	// content-addressed; a caller-supplied Prog has no content key).
-	Cache bool
-
-	// run, when non-nil, replaces the built-in pipeline. Test seam for
-	// exercising pool mechanics (panics, blocking jobs) deterministically.
-	run func(ctx context.Context) (*core.Result, *sidechannel.Report, error)
+	// Analyze runs the job's analysis on the compiled program. compiled is
+	// the compilation's stats snapshot (program shape, pass effects,
+	// parse/lower/passes phases), shared by every job of that compilation
+	// and so read-only; nil for Prog jobs. Bind adapts an entry point such
+	// as core.AnalyzeContext.
+	Analyze func(ctx context.Context, prog *ir.Program, compiled *obs.Stats) (V, error)
+	// Key, when non-nil, enables the report tier for a Source job: the job
+	// is cached under its program key plus Key, so a later job with the same
+	// source, lowering options and Key is answered with the stored Value
+	// without compiling or analyzing, and a miss stores its Value. Key must
+	// be comparable and determine what Analyze computes; jobs whose Values
+	// differ in type must use distinct key types. Only successful runs are
+	// stored.
+	Key any
 }
 
 // Result is one completed job.
-type Result struct {
+type Result[V any] struct {
 	// Index is the job's position in the submitted slice.
 	Index int
 	// Name echoes the job's label.
 	Name string
-	// Prog is the program that was analyzed (the cached compilation for
-	// Source jobs). Nil when compilation failed.
-	Prog *ir.Program
-	// Analysis is the cache analysis result; nil when Err is set.
-	Analysis *core.Result
-	// Leaks carries the side-channel report for ModeSideChannel jobs.
-	Leaks *sidechannel.Report
+	// Value is what the job's Analyze returned. On a cache hit it is the
+	// stored Value, shared by every hit on the same entry.
+	Value V
 	// Elapsed is the job's wall-clock time (compile + analysis).
 	Elapsed time.Duration
-	// Stats is the run's observability snapshot: populated when the job ran
-	// with a collector (Opts.Collector != nil), whether the result was
-	// computed or served from the report cache.
-	Stats *obs.Stats
-	// CacheHit reports that the result was served from the report cache (no
-	// fixpoint ran for this job).
+	// CacheHit reports that Value was served from the report cache (nothing
+	// was compiled or analyzed for this job).
 	CacheHit bool
 	// Err is the job's failure, if any: a compile or analysis error, the
-	// context error for canceled jobs, or a *PanicError for crashed ones.
+	// context error for canceled jobs (also those canceled before they
+	// started), or a *PanicError for crashed ones.
 	Err error
+}
+
+// Bind adapts an analysis entry point that takes its options last, such as
+// core.AnalyzeContext, to a Job's Analyze: it runs analyze(ctx, prog, opts)
+// and ignores the compile-time stats.
+func Bind[V, O any](analyze func(context.Context, *ir.Program, O) (V, error), opts O) func(context.Context, *ir.Program, *obs.Stats) (V, error) {
+	return func(ctx context.Context, prog *ir.Program, _ *obs.Stats) (V, error) {
+		return analyze(ctx, prog, opts)
+	}
 }
 
 // PanicError reports a job that panicked. The batch is not affected; the
@@ -152,7 +139,7 @@ type progEntry struct {
 	once sync.Once
 	prog *ir.Program
 	// stats is the compile-time observability snapshot (program shape, pass
-	// effects, parse/lower/passes phases), replayed into instrumented jobs so
+	// effects, parse/lower/passes phases), handed to every job's Analyze so
 	// a cached compilation still yields a full stats document.
 	stats *obs.Stats
 	err   error
@@ -168,10 +155,10 @@ type Pool struct {
 	// at most workers jobs compile or analyze at once.
 	slots chan struct{}
 
-	// Lifecycle metrics, atomics so Snapshot never contends with workers.
-	// Jobs dropped by cancellation before any worker picked them up count as
-	// completed + canceled, keeping Submitted == Completed + Running +
-	// queue-resident at every instant.
+	// Lifecycle metrics, atomics so Snapshot never contends with jobs. A
+	// job counts as submitted when Run starts it, running while it holds a
+	// worker slot, and completed once its result is ready, so Submitted ==
+	// Completed + Running + queued at every instant.
 	submitted atomic.Int64
 	completed atomic.Int64
 	running   atomic.Int64
@@ -183,7 +170,7 @@ type Pool struct {
 	hits   int64
 	misses int64
 
-	reports      *lruCache[reportKey, *reportEntry]
+	reports      *lruCache[reportKey, any]
 	reportHits   int64
 	reportMisses int64
 }
@@ -200,7 +187,7 @@ func New(workers int) *Pool {
 		workers: workers,
 		slots:   make(chan struct{}, workers),
 		progs:   newLRU[progKey, *progEntry](DefaultProgramCacheBound),
-		reports: newLRU[reportKey, *reportEntry](DefaultReportCacheBound),
+		reports: newLRU[reportKey, any](DefaultReportCacheBound),
 	}
 }
 
@@ -264,92 +251,59 @@ func (p *Pool) PublishExpvar(name string) {
 	expvar.Publish(name, expvar.Func(func() any { return p.Snapshot() }))
 }
 
-// Run fans jobs out across the pool's workers and streams results in
-// completion order. Concurrent calls share the pool's worker slots. The
-// returned channel is closed after the last result; the caller must drain
-// it. When ctx is canceled, jobs waiting for a worker slot return their
-// context error at once, jobs already running as soon as their fixpoint loop
-// observes it, and jobs not yet started are dropped (RunAll converts those
-// into per-job context errors).
-func (p *Pool) Run(ctx context.Context, jobs []Job) <-chan Result {
+// Run starts every job on the pool's worker slots, which concurrent calls
+// share, and streams one result per job in completion order. The returned
+// channel has room for every result and is closed after the last, so a
+// caller that stops reading strands no goroutine. When ctx is canceled, jobs
+// not yet started and jobs waiting for a worker slot return the context
+// error at once, and running jobs as soon as their analysis observes it.
+func Run[V any](ctx context.Context, p *Pool, jobs []Job[V]) <-chan Result[V] {
 	p.submitted.Add(int64(len(jobs)))
-	out := make(chan Result)
-	feed := make(chan int)
-	go func() {
-		defer close(feed)
-		for i := range jobs {
-			select {
-			case feed <- i:
-			case <-ctx.Done():
-				// Jobs never handed to a worker: account them as completed
-				// cancellations so the snapshot gauges reconcile.
-				p.completed.Add(int64(len(jobs) - i))
-				p.canceled.Add(int64(len(jobs) - i))
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	workers := p.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
+	out := make(chan Result[V], len(jobs))
+	if len(jobs) == 0 {
+		close(out)
+		return out
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	var left atomic.Int64
+	left.Store(int64(len(jobs)))
+	for i := range jobs {
 		go func() {
-			defer wg.Done()
-			for i := range feed {
-				out <- p.runJob(ctx, i, jobs[i])
+			out <- runJob(ctx, p, i, jobs[i])
+			if left.Add(-1) == 0 {
+				close(out)
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
 	return out
 }
 
 // RunAll runs the batch and returns one result per job, in job order —
-// deterministic however the workers interleaved. Per-job failures (including
-// cancellation) are reported in Result.Err; jobs never started because the
-// context was canceled carry the context's error.
-func (p *Pool) RunAll(ctx context.Context, jobs []Job) []Result {
-	results := make([]Result, len(jobs))
-	started := make([]bool, len(jobs))
-	for r := range p.Run(ctx, jobs) {
+// deterministic however the jobs interleaved. Per-job failures (including
+// cancellation) are reported in Result.Err.
+func RunAll[V any](ctx context.Context, p *Pool, jobs []Job[V]) []Result[V] {
+	results := make([]Result[V], len(jobs))
+	for r := range Run(ctx, p, jobs) {
 		results[r.Index] = r
-		started[r.Index] = true
-	}
-	for i := range results {
-		if !started[i] {
-			err := ctx.Err()
-			if err == nil {
-				err = context.Canceled // unreachable: only cancellation skips jobs
-			}
-			results[i] = Result{Index: i, Name: jobs[i].Name, Err: err}
-		}
 	}
 	return results
 }
 
 // runJob executes one job with panic isolation. It holds a worker slot
 // only to compile and analyze: a report-cache hit is answered without one.
-func (p *Pool) runJob(ctx context.Context, idx int, j Job) (res Result) {
-	res = Result{Index: idx, Name: j.Name}
+func runJob[V any](ctx context.Context, p *Pool, idx int, j Job[V]) (res Result[V]) {
+	res = Result[V]{Index: idx, Name: j.Name}
 	start := time.Now()
 	held := false
 	defer func() {
-		res.Elapsed = time.Since(start)
 		if r := recover(); r != nil {
 			p.panics.Add(1)
-			res = Result{
-				Index:   idx,
-				Name:    j.Name,
-				Elapsed: time.Since(start),
-				Err:     &PanicError{Job: j.Name, Value: r, Stack: debug.Stack()},
+			res = Result[V]{
+				Index: idx,
+				Name:  j.Name,
+				Err:   &PanicError{Job: j.Name, Value: r, Stack: debug.Stack()},
 			}
 		}
+		res.Elapsed = time.Since(start)
 		if res.Err != nil && (errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded)) {
 			p.canceled.Add(1)
 		}
@@ -363,35 +317,22 @@ func (p *Pool) runJob(ctx context.Context, idx int, j Job) (res Result) {
 		res.Err = err
 		return res
 	}
-	if j.run != nil {
-		if res.Err = p.acquire(ctx); res.Err == nil {
-			held = true
-			res.Analysis, res.Leaks, res.Err = j.run(ctx)
-		}
-		return res
-	}
 	// Report tier: identical successful requests are answered without
-	// compiling or running anything.
+	// compiling or running anything. A job looks twice: without a slot,
+	// and again once it holds one, since a twin may have stored the value
+	// while it waited. Only the last look counts as the job's hit or miss.
 	var rkey reportKey
-	cacheable := j.Cache && j.Prog == nil
-	if cacheable {
-		opts := j.Opts
-		opts.Collector = nil
-		rkey = reportKey{
-			prog:  p.progKeyFor(j.Source, j.MaxUnroll, j.Passes),
-			opts:  opts,
-			stats: j.Opts.Collector != nil,
-			mode:  j.Mode,
+	cacheable := j.Key != nil && j.Prog == nil
+	hit := func(count bool) bool {
+		v, ok := p.reportGet(rkey, count)
+		if ok {
+			res.Value, res.CacheHit = v.(V), true
 		}
-		if e, ok := p.reportGet(rkey); ok {
-			res.Prog = e.prog
-			res.Analysis = e.analysis
-			res.Leaks = e.leaks
-			res.CacheHit = true
-			if e.stats != nil {
-				res.Stats = e.stats.Clone()
-				j.Opts.Collector.Replay(e.stats)
-			}
+		return ok
+	}
+	if cacheable {
+		rkey = reportKey{prog: progKeyFor(j.Source, j.MaxUnroll, j.Passes), key: j.Key}
+		if hit(false) {
 			return res
 		}
 	}
@@ -399,48 +340,26 @@ func (p *Pool) runJob(ctx context.Context, idx int, j Job) (res Result) {
 		return res
 	}
 	held = true
+	start = time.Now() // Elapsed leaves out the wait for a slot
+	if cacheable && hit(true) {
+		return res
+	}
 	prog := j.Prog
+	var compiled *obs.Stats
 	if prog == nil {
 		var err error
-		var cstats *obs.Stats
-		prog, cstats, err = p.compile(j.Source, j.MaxUnroll, j.Passes)
-		if err != nil {
+		if prog, compiled, err = p.compile(j.Source, j.MaxUnroll, j.Passes); err != nil {
 			res.Err = err
 			return res
 		}
-		// Replay the (possibly cached) compilation's stats so instrumented
-		// jobs get the full document: shape, passes, then analysis phases.
-		j.Opts.Collector.Replay(cstats)
 	}
-	res.Prog = prog
-	// The job and mode labels make a CPU profile of a batch attributable:
-	// samples group by which benchmark and pipeline they burned time in.
-	pprof.Do(ctx, pprof.Labels("job", j.Name, "mode", modeLabel(j.Mode)), func(ctx context.Context) {
-		switch j.Mode {
-		case ModeSideChannel:
-			rep, err := sidechannel.AnalyzeContext(ctx, prog, j.Opts)
-			if err != nil {
-				res.Err = err
-				return
-			}
-			res.Leaks = rep
-			res.Analysis = rep.Analysis
-		case ModeICache:
-			res.Analysis, res.Err = core.AnalyzeInstructionCacheContext(ctx, prog, j.Opts)
-		default:
-			res.Analysis, res.Err = core.AnalyzeContext(ctx, prog, j.Opts)
-		}
+	// The job label makes a CPU profile of a batch attributable: samples
+	// group by the job they burned time in.
+	pprof.Do(ctx, pprof.Labels("job", j.Name), func(ctx context.Context) {
+		res.Value, res.Err = j.Analyze(ctx, prog, compiled)
 	})
-	if res.Err == nil {
-		res.Stats = j.Opts.Collector.Snapshot()
-		if cacheable {
-			p.reportPut(rkey, &reportEntry{
-				prog:     res.Prog,
-				analysis: res.Analysis,
-				leaks:    res.Leaks,
-				stats:    res.Stats,
-			})
-		}
+	if res.Err == nil && cacheable {
+		p.reportPut(rkey, res.Value)
 	}
 	return res
 }
@@ -457,19 +376,8 @@ func (p *Pool) acquire(ctx context.Context) error {
 	}
 }
 
-// modeLabel names a Mode for profiler labels.
-func modeLabel(m Mode) string {
-	switch m {
-	case ModeSideChannel:
-		return "sidechannel"
-	case ModeICache:
-		return "icache"
-	}
-	return "analyze"
-}
-
 // progKeyFor computes the program tier's content key.
-func (p *Pool) progKeyFor(src string, maxUnroll int, runPasses bool) progKey {
+func progKeyFor(src string, maxUnroll int, runPasses bool) progKey {
 	return progKey{hash: sha256.Sum256([]byte(src)), maxUnroll: maxUnroll, passes: runPasses}
 }
 
@@ -478,7 +386,7 @@ func (p *Pool) progKeyFor(src string, maxUnroll int, runPasses bool) progKey {
 // compile-time stats snapshot, so cached compilations still produce full
 // observability documents.
 func (p *Pool) compile(src string, maxUnroll int, runPasses bool) (*ir.Program, *obs.Stats, error) {
-	key := p.progKeyFor(src, maxUnroll, runPasses)
+	key := progKeyFor(src, maxUnroll, runPasses)
 	p.mu.Lock()
 	e, ok := p.progs.get(key)
 	if ok {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,9 +16,27 @@ import (
 
 	"specabsint/internal/bench"
 	"specabsint/internal/core"
+	"specabsint/internal/ir"
 	"specabsint/internal/obs"
 	"specabsint/internal/sidechannel"
 )
+
+// analyzeJob is a Source job running the speculative data-cache analysis.
+func analyzeJob(name, src string, opts core.Options) Job[*core.Result] {
+	return Job[*core.Result]{Name: name, Source: src, Analyze: Bind(core.AnalyzeContext, opts)}
+}
+
+// stub is a job whose analysis is f. The pool mechanics under test never
+// look at the program, so it is an empty one and nothing compiles.
+func stub(name string, f func(ctx context.Context) (int, error)) Job[int] {
+	return Job[int]{Name: name, Prog: &ir.Program{}, Analyze: func(ctx context.Context, _ *ir.Program, _ *obs.Stats) (int, error) {
+		return f(ctx)
+	}}
+}
+
+func succeed(context.Context) (int, error) { return 1, nil }
+
+func crash(context.Context) (int, error) { panic("deliberate crash") }
 
 // TestRunAllOrderAndCompleteness checks that a batch larger than the worker
 // count returns exactly one result per job, in job order, regardless of how
@@ -25,15 +44,12 @@ import (
 func TestRunAllOrderAndCompleteness(t *testing.T) {
 	p := New(4)
 	const n = 32
-	jobs := make([]Job, n)
+	jobs := make([]Job[*core.Result], n)
 	for i := range jobs {
-		jobs[i] = Job{
-			Name:   fmt.Sprintf("job%d", i),
-			Source: bench.Fig2Program(i % 8), // 8 distinct programs
-			Opts:   core.DefaultOptions(),
-		}
+		// 8 distinct programs.
+		jobs[i] = analyzeJob(fmt.Sprintf("job%d", i), bench.Fig2Program(i%8), core.DefaultOptions())
 	}
-	results := p.RunAll(context.Background(), jobs)
+	results := RunAll(context.Background(), p, jobs)
 	if len(results) != n {
 		t.Fatalf("got %d results, want %d", len(results), n)
 	}
@@ -44,7 +60,7 @@ func TestRunAllOrderAndCompleteness(t *testing.T) {
 		if r.Err != nil {
 			t.Errorf("job %s: %v", r.Name, r.Err)
 		}
-		if r.Analysis == nil || r.Analysis.AccessCount() == 0 {
+		if r.Value == nil || r.Value.AccessCount() == 0 {
 			t.Errorf("job %s: empty analysis", r.Name)
 		}
 	}
@@ -58,17 +74,8 @@ func TestRunAllOrderAndCompleteness(t *testing.T) {
 // *PanicError without disturbing the rest of the batch.
 func TestPanicIsolation(t *testing.T) {
 	p := New(2)
-	ok := func(context.Context) (*core.Result, *sidechannel.Report, error) {
-		return &core.Result{}, nil, nil
-	}
-	jobs := []Job{
-		{Name: "good0", run: ok},
-		{Name: "boom", run: func(context.Context) (*core.Result, *sidechannel.Report, error) {
-			panic("deliberate crash")
-		}},
-		{Name: "good1", run: ok},
-	}
-	results := p.RunAll(context.Background(), jobs)
+	jobs := []Job[int]{stub("good0", succeed), stub("boom", crash), stub("good1", succeed)}
+	results := RunAll(context.Background(), p, jobs)
 	var perr *PanicError
 	if !errors.As(results[1].Err, &perr) {
 		t.Fatalf("job 1: got %v, want *PanicError", results[1].Err)
@@ -77,7 +84,7 @@ func TestPanicIsolation(t *testing.T) {
 		t.Errorf("panic error: %+v", perr)
 	}
 	for _, i := range []int{0, 2} {
-		if results[i].Err != nil {
+		if results[i].Err != nil || results[i].Value != 1 {
 			t.Errorf("job %d affected by sibling panic: %v", i, results[i].Err)
 		}
 	}
@@ -90,24 +97,20 @@ func TestCancelBlockedBatch(t *testing.T) {
 	p := New(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	running := make(chan struct{}, 2)
-	block := func(ctx context.Context) (*core.Result, *sidechannel.Report, error) {
+	block := func(ctx context.Context) (int, error) {
 		running <- struct{}{}
 		<-ctx.Done()
-		return nil, nil, ctx.Err()
+		return 0, ctx.Err()
 	}
-	jobs := []Job{
-		{Name: "blocked0", run: block},
-		{Name: "blocked1", run: block},
-		{Name: "never-started", run: block},
-	}
+	jobs := []Job[int]{stub("blocked0", block), stub("blocked1", block), stub("never-started", block)}
 	var (
 		wg      sync.WaitGroup
-		results []Result
+		results []Result[int]
 	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results = p.RunAll(ctx, jobs)
+		results = RunAll(ctx, p, jobs)
 	}()
 	<-running // both workers are now parked in a job
 	<-running
@@ -120,6 +123,56 @@ func TestCancelBlockedBatch(t *testing.T) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("job %s: got %v, want context.Canceled", r.Name, r.Err)
 		}
+	}
+}
+
+// TestRunYieldsEveryJob checks that Run delivers one result per job even
+// when ctx is canceled before any job starts: each carries the context
+// error, and the channel closes after the last.
+func TestRunYieldsEveryJob(t *testing.T) {
+	p := New(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	jobs := []Job[int]{stub("a", succeed), stub("b", succeed), stub("c", succeed)}
+	seen := map[int]bool{}
+	for r := range Run(ctx, p, jobs) {
+		if seen[r.Index] {
+			t.Errorf("job %d delivered twice", r.Index)
+		}
+		seen[r.Index] = true
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("job %s: got %v, want context.Canceled", r.Name, r.Err)
+		}
+	}
+	if len(seen) != len(jobs) {
+		t.Errorf("got %d results, want %d", len(seen), len(jobs))
+	}
+	if s := p.Snapshot(); s.Submitted != 3 || s.Completed != 3 || s.Canceled != 3 {
+		t.Errorf("snapshot %+v, want 3 submitted, completed and canceled", s)
+	}
+	if _, open := <-Run(ctx, p, []Job[int](nil)); open {
+		t.Error("an empty batch's channel is not closed")
+	}
+}
+
+// TestRunAbandoned checks that a caller that stops reading Run's channel
+// strands no goroutine: every job finishes and its goroutine exits.
+func TestRunAbandoned(t *testing.T) {
+	p := New(2)
+	before := runtime.NumGoroutine()
+	jobs := make([]Job[int], 8)
+	for i := range jobs {
+		jobs[i] = stub(fmt.Sprintf("j%d", i), succeed)
+	}
+	Run(context.Background(), p, jobs)
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after abandoning a batch, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -172,14 +225,11 @@ func TestCancelMidFixpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("adpcm benchmark missing")
 	}
-	jobs := []Job{{
-		Name:      b.Name,
-		Source:    b.Code,
-		MaxUnroll: 4096, // 1,924 sweep steps and about 50 context polls
-		Opts:      core.DefaultOptions(),
-	}}
+	job := analyzeJob(b.Name, b.Code, core.DefaultOptions())
+	job.MaxUnroll = 4096 // 1,924 sweep steps and about 50 context polls
+	jobs := []Job[*core.Result]{job}
 	full := newPollCancelCtx(math.MaxInt)
-	if r := New(1).RunAll(full, jobs)[0]; r.Err != nil {
+	if r := RunAll(full, New(1), jobs)[0]; r.Err != nil {
 		t.Fatalf("uncanceled run: %v", r.Err)
 	}
 	full.mu.Lock()
@@ -188,11 +238,11 @@ func TestCancelMidFixpoint(t *testing.T) {
 	if polls <= 3 {
 		t.Fatalf("an uncanceled run polls %d times: canceling on the third poll is not mid-fixpoint", polls)
 	}
-	results := New(1).RunAll(newPollCancelCtx(3), jobs)
+	results := RunAll(newPollCancelCtx(3), New(1), jobs)
 	if !errors.Is(results[0].Err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", results[0].Err)
 	}
-	if results[0].Analysis != nil {
+	if results[0].Value != nil {
 		t.Error("canceled job carries a partial analysis result")
 	}
 }
@@ -203,11 +253,11 @@ func TestCancelMidFixpoint(t *testing.T) {
 func TestBatchMatchesSerial(t *testing.T) {
 	benches := bench.WCETBenchmarks()
 	opts := core.DefaultOptions()
-	jobs := make([]Job, len(benches))
+	jobs := make([]Job[*sidechannel.Report], len(benches))
 	for i, b := range benches {
-		jobs[i] = Job{Name: b.Name, Source: b.Code, Opts: opts, Mode: ModeSideChannel}
+		jobs[i] = Job[*sidechannel.Report]{Name: b.Name, Source: b.Code, Analyze: Bind(sidechannel.AnalyzeContext, opts)}
 	}
-	results := New(0).RunAll(context.Background(), jobs)
+	results := RunAll(context.Background(), New(0), jobs)
 	for i, b := range benches {
 		r := results[i]
 		if r.Err != nil {
@@ -221,7 +271,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		got := r.Leaks
+		got := r.Value
 		if got.Analysis.MissCount() != want.Analysis.MissCount() ||
 			got.Analysis.SpecMissCount() != want.Analysis.SpecMissCount() ||
 			got.Analysis.Iterations != want.Analysis.Iterations {
@@ -242,11 +292,11 @@ func TestBatchMatchesSerial(t *testing.T) {
 // parse error, and sibling jobs complete.
 func TestCompileErrorPerJob(t *testing.T) {
 	p := New(2)
-	jobs := []Job{
-		{Name: "bad", Source: "int main( {", Opts: core.DefaultOptions()},
-		{Name: "good", Source: bench.Fig2Program(0), Opts: core.DefaultOptions()},
+	jobs := []Job[*core.Result]{
+		analyzeJob("bad", "int main( {", core.DefaultOptions()),
+		analyzeJob("good", bench.Fig2Program(0), core.DefaultOptions()),
 	}
-	results := p.RunAll(context.Background(), jobs)
+	results := RunAll(context.Background(), p, jobs)
 	if results[0].Err == nil {
 		t.Error("bad job: expected a compile error")
 	}
@@ -259,12 +309,12 @@ func TestCompileErrorPerJob(t *testing.T) {
 // on the same pool: a second identical sweep compiles nothing.
 func TestPoolReuseAcrossRuns(t *testing.T) {
 	p := New(2)
-	jobs := []Job{{Name: "fig2", Source: bench.Fig2Program(0), Opts: core.DefaultOptions()}}
-	if r := p.RunAll(context.Background(), jobs); r[0].Err != nil {
+	jobs := []Job[*core.Result]{analyzeJob("fig2", bench.Fig2Program(0), core.DefaultOptions())}
+	if r := RunAll(context.Background(), p, jobs); r[0].Err != nil {
 		t.Fatal(r[0].Err)
 	}
 	_, missesBefore := p.CacheStats()
-	if r := p.RunAll(context.Background(), jobs); r[0].Err != nil {
+	if r := RunAll(context.Background(), p, jobs); r[0].Err != nil {
 		t.Fatal(r[0].Err)
 	}
 	_, missesAfter := p.CacheStats()
@@ -280,40 +330,27 @@ func TestPoolSnapshotCounters(t *testing.T) {
 	if s := p.Snapshot(); s != (obs.PoolSnapshot{Workers: 2}) {
 		t.Fatalf("fresh pool snapshot = %+v", s)
 	}
-	ok := func(context.Context) (*core.Result, *sidechannel.Report, error) {
-		return &core.Result{}, nil, nil
-	}
-	p.RunAll(context.Background(), []Job{
-		{Name: "a", run: ok},
-		{Name: "boom", run: func(context.Context) (*core.Result, *sidechannel.Report, error) {
-			panic("deliberate crash")
-		}},
-		{Name: "b", run: ok},
-	})
+	RunAll(context.Background(), p, []Job[int]{stub("a", succeed), stub("boom", crash), stub("b", succeed)})
 	s := p.Snapshot()
 	want := obs.PoolSnapshot{Workers: 2, Submitted: 3, Completed: 3, Panics: 1}
 	if s != want {
 		t.Fatalf("after batch: %+v, want %+v", s, want)
 	}
 
-	// A canceled batch: two jobs park on the context, a third never starts
-	// (or starts only to observe the canceled context — both count as
-	// canceled completions, so the totals are deterministic either way).
+	// A canceled batch: two jobs park on the context, a third waits for a
+	// worker slot until the cancellation ends its wait; all three count as
+	// canceled completions.
 	ctx, cancel := context.WithCancel(context.Background())
 	running := make(chan struct{}, 2)
-	block := func(ctx context.Context) (*core.Result, *sidechannel.Report, error) {
+	block := func(ctx context.Context) (int, error) {
 		running <- struct{}{}
 		<-ctx.Done()
-		return nil, nil, ctx.Err()
+		return 0, ctx.Err()
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		p.RunAll(ctx, []Job{
-			{Name: "b0", run: block},
-			{Name: "b1", run: block},
-			{Name: "b2", run: block},
-		})
+		RunAll(ctx, p, []Job[int]{stub("b0", block), stub("b1", block), stub("b2", block)})
 	}()
 	<-running // both workers are parked inside a job
 	<-running
@@ -337,7 +374,7 @@ func TestPoolSnapshotCounters(t *testing.T) {
 func TestWorkerBoundAcrossCalls(t *testing.T) {
 	p := New(1)
 	cached := cachedJob("fig2", bench.Fig2Program(-1), core.DefaultOptions())
-	if r := p.RunAll(context.Background(), []Job{cached})[0]; r.Err != nil || r.CacheHit {
+	if r := RunAll(context.Background(), p, []Job[*sidechannel.Report]{cached})[0]; r.Err != nil || r.CacheHit {
 		t.Fatalf("cold cached job: err %v, hit %v", r.Err, r.CacheHit)
 	}
 	checkBound := func(when string) {
@@ -350,7 +387,7 @@ func TestWorkerBoundAcrossCalls(t *testing.T) {
 	// One send per job that starts: the calls' jobs and the canceled one.
 	started := make(chan struct{}, calls+1)
 	release := make(chan struct{})
-	block := func(ctx context.Context) (*core.Result, *sidechannel.Report, error) {
+	block := func(ctx context.Context) (int, error) {
 		n := active.Add(1)
 		defer active.Add(-1)
 		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
@@ -359,9 +396,9 @@ func TestWorkerBoundAcrossCalls(t *testing.T) {
 		started <- struct{}{}
 		select {
 		case <-release:
-			return &core.Result{}, nil, nil
+			return 1, nil
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return 0, ctx.Err()
 		}
 	}
 	waitSubmitted := func(n int64) {
@@ -378,7 +415,7 @@ func TestWorkerBoundAcrossCalls(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.RunAll(context.Background(), []Job{{Name: fmt.Sprintf("block%d", i), run: block}})
+			RunAll(context.Background(), p, []Job[int]{stub(fmt.Sprintf("block%d", i), block)})
 		}()
 	}
 	<-started
@@ -387,8 +424,8 @@ func TestWorkerBoundAcrossCalls(t *testing.T) {
 		t.Errorf("one slot held, %d calls: running %d queue %d, want 1 and %d", calls, s.Running, s.QueueDepth, calls-1)
 	}
 
-	hit := make(chan Result, 1)
-	go func() { hit <- p.RunAll(context.Background(), []Job{cached})[0] }()
+	hit := make(chan Result[*sidechannel.Report], 1)
+	go func() { hit <- RunAll(context.Background(), p, []Job[*sidechannel.Report]{cached})[0] }()
 	select {
 	case r := <-hit:
 		if r.Err != nil || !r.CacheHit {
@@ -399,8 +436,8 @@ func TestWorkerBoundAcrossCalls(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	waiting := make(chan Result, 1)
-	go func() { waiting <- p.RunAll(ctx, []Job{{Name: "waiting", run: block}})[0] }()
+	waiting := make(chan Result[int], 1)
+	go func() { waiting <- RunAll(ctx, p, []Job[int]{stub("waiting", block)})[0] }()
 	waitSubmitted(1 + calls + 2)
 	cancel()
 	if r := <-waiting; !errors.Is(r.Err, context.Canceled) {

@@ -427,7 +427,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatchStream serves POST /v1/batch/stream: NDJSON, one BatchItem per
-// line in completion order, flushed as they finish.
+// job and line in completion order, flushed as they finish.
 func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request) {
 	jobs, ok := s.decodeBatch(w, r)
 	if !ok {
@@ -452,7 +452,8 @@ func (s *Server) handleBatchStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if _, err := w.Write(line); err != nil {
-			// Client went away; the pool still drains its remaining jobs.
+			// Client went away. The stream has room for every result, so
+			// its remaining jobs finish without a reader.
 			return
 		}
 		if flusher != nil {
@@ -489,8 +490,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeDoc(w, http.StatusOK, wire.HealthResponse{V: wire.Version, OK: true, St: "serving"})
 }
 
-// Retry-After parsing helper for clients (specload): returns the suggested
-// backoff for a 429 response, defaulting to def.
+// RetryAfter returns the backoff a 429 response's Retry-After header
+// suggests, in whole seconds, or def when the header is absent or invalid.
 func RetryAfter(h http.Header, def time.Duration) time.Duration {
 	if v := h.Get("Retry-After"); v != "" {
 		if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {

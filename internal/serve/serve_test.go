@@ -269,6 +269,35 @@ func TestBatchStream(t *testing.T) {
 	}
 }
 
+// TestBatchStreamTimeout checks a stream yields one line per job even when
+// the deadline stops every job before it starts: each is a timeout item, as
+// in /v1/batch.
+func TestBatchStreamTimeout(t *testing.T) {
+	_, ts := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
+	const n = 3
+	req := wire.BatchRequest{}
+	for i := 0; i < n; i++ {
+		req.Jobs = append(req.Jobs, wire.BatchJob{Name: "j", Source: bench.Fig2Program(i)})
+	}
+	status, data := post(t, ts.URL+"/v1/batch/stream", req)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, data)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
+	if len(lines) != n {
+		t.Fatalf("got %d lines, want %d:\n%s", len(lines), n, data)
+	}
+	for _, line := range lines {
+		var item wire.BatchItem
+		if err := wire.Unmarshal(line, &item); err != nil {
+			t.Fatalf("bad NDJSON line: %v\n%s", err, line)
+		}
+		if item.Error == nil || item.Error.Code != wire.CodeTimeout {
+			t.Errorf("item %d: error %+v, want code %q", item.Index, item.Error, wire.CodeTimeout)
+		}
+	}
+}
+
 // TestBadRequests checks the 400/422 paths return structured errors.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

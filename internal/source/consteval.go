@@ -5,23 +5,13 @@ import "fmt"
 // EvalConst evaluates a compile-time constant expression (no identifiers,
 // calls, or array indexing allowed).
 func EvalConst(e Expr) (int64, error) {
-	return evalConstEnv(e, nil)
-}
-
-// evalConstEnv evaluates with an optional environment for named constants.
-func evalConstEnv(e Expr, env map[string]int64) (int64, error) {
 	switch x := e.(type) {
 	case *NumberExpr:
 		return x.Val, nil
 	case *IdentExpr:
-		if env != nil {
-			if v, ok := env[x.Name]; ok {
-				return v, nil
-			}
-		}
 		return 0, errf(x.Pos, "%q is not a compile-time constant", x.Name)
 	case *UnaryExpr:
-		v, err := evalConstEnv(x.X, env)
+		v, err := EvalConst(x.X)
 		if err != nil {
 			return 0, err
 		}
@@ -38,11 +28,11 @@ func evalConstEnv(e Expr, env map[string]int64) (int64, error) {
 		}
 		return 0, errf(x.Pos, "unsupported constant unary operator %s", x.Op)
 	case *BinaryExpr:
-		l, err := evalConstEnv(x.L, env)
+		l, err := EvalConst(x.L)
 		if err != nil {
 			return 0, err
 		}
-		r, err := evalConstEnv(x.R, env)
+		r, err := EvalConst(x.R)
 		if err != nil {
 			return 0, err
 		}
@@ -52,7 +42,7 @@ func evalConstEnv(e Expr, env map[string]int64) (int64, error) {
 		}
 		return v, nil
 	case *CondExpr:
-		l, err := evalConstEnv(x.L, env)
+		l, err := EvalConst(x.L)
 		if err != nil {
 			return 0, err
 		}
@@ -60,7 +50,7 @@ func evalConstEnv(e Expr, env map[string]int64) (int64, error) {
 			if l == 0 {
 				return 0, nil
 			}
-			r, err := evalConstEnv(x.R, env)
+			r, err := EvalConst(x.R)
 			if err != nil {
 				return 0, err
 			}
@@ -69,7 +59,7 @@ func evalConstEnv(e Expr, env map[string]int64) (int64, error) {
 		if l != 0 {
 			return 1, nil
 		}
-		r, err := evalConstEnv(x.R, env)
+		r, err := EvalConst(x.R)
 		if err != nil {
 			return 0, err
 		}

@@ -29,9 +29,12 @@ type ServiceConfig struct {
 // worker pool whose two-tier content-addressed cache persists across calls.
 // Tier 1 maps SHA-256(source) + lowering configuration to the compiled
 // program; tier 2 maps that plus the full analysis configuration to the
-// completed Report, so resubmitting an identical request re-runs nothing —
-// not even the fixpoint. Only successful analyses are cached; errors always
-// re-run.
+// finished Report, stats included, so resubmitting an identical request
+// re-runs nothing — not the fixpoint, not the report's construction. Only
+// successful analyses are cached; errors always re-run. Every result gets
+// its own copy of the Report struct and its Stats, but the Accesses, Leaks
+// and SpectreGadgets slices are shared by every request served the same
+// entry and must not be modified.
 //
 // A Service is safe for concurrent use. Unlike AnalyzeBatch (which builds a
 // throwaway pool per call), a Service's caches warm up over its lifetime —
@@ -64,41 +67,31 @@ func NewService(cfg ServiceConfig) *Service {
 // Analyze runs one cached analysis: source is compiled and analyzed through
 // the shared pool, consulting (and on success populating) the report cache.
 // The failure, if any, is in BatchResult.Err — same per-job semantics as
-// AnalyzeBatch.
+// AnalyzeBatch. The report's slices are shared with the cache (see
+// BatchResult.Report).
 func (s *Service) Analyze(ctx context.Context, name, source string, opts ...Option) BatchResult {
-	rj := runnerJob(BatchJob{Name: name, Source: source}, opts, true)
-	results := s.pool.RunAll(ctx, []runner.Job{rj})
-	return batchResult(results[0])
+	results, _ := runBatch(ctx, s.pool, []BatchJob{{Name: name, Source: source}}, opts, true)
+	return results[0]
 }
 
-// AnalyzeBatch is AnalyzeBatch on the shared cached pool: results in job
-// order, per-job failures aggregated into a *BatchError.
+// AnalyzeBatch is AnalyzeBatch on the shared cached pool: one result per
+// job, in job order, per-job failures aggregated into a *BatchError.
 func (s *Service) AnalyzeBatch(ctx context.Context, jobs []BatchJob, opts ...Option) ([]BatchResult, error) {
-	rjobs := make([]runner.Job, len(jobs))
-	for i, j := range jobs {
-		rjobs[i] = runnerJob(j, opts, true)
-	}
-	results := make([]BatchResult, len(jobs))
-	for _, r := range s.pool.RunAll(ctx, rjobs) {
-		results[r.Index] = batchResult(r)
-	}
-	return results, batchError(results)
+	return runBatch(ctx, s.pool, jobs, opts, true)
 }
 
-// Stream runs the jobs on the shared cached pool and delivers results in
-// completion order — the streamed-batch endpoint's engine. The channel is
-// closed after the last result; the caller must drain it. Jobs not started
-// when ctx is canceled are dropped (their indices never appear).
+// Stream runs the jobs on the shared cached pool and delivers one result per
+// job in completion order — the streamed-batch endpoint's engine. A job
+// canceled before it starts carries the context error, like AnalyzeBatch.
+// The channel has room for every result and is closed after the last, so a
+// caller that stops reading strands nothing.
 func (s *Service) Stream(ctx context.Context, jobs []BatchJob, opts ...Option) <-chan BatchResult {
-	rjobs := make([]runner.Job, len(jobs))
-	for i, j := range jobs {
-		rjobs[i] = runnerJob(j, opts, true)
-	}
-	out := make(chan BatchResult)
+	results := runner.Run(ctx, s.pool, runnerJobs(jobs, opts, true))
+	out := make(chan BatchResult, len(jobs))
 	go func() {
 		defer close(out)
-		for r := range s.pool.Run(ctx, rjobs) {
-			out <- batchResult(r)
+		for r := range results {
+			out <- batchResult(r, true)
 		}
 	}()
 	return out

@@ -287,9 +287,16 @@ func compileConfig(src string, cfg Config) (*CompiledProgram, error) {
 // polls ctx between iterations; on cancellation the returned error
 // satisfies both errors.Is(err, ErrCanceled) and errors.Is(err, ctx.Err()).
 func AnalyzeContext(ctx context.Context, p *CompiledProgram, opts ...Option) (*Report, error) {
-	return analyzeConfig(ctx, p, newConfig(opts))
+	rep, err := analyzeConfig(ctx, p, newConfig(opts))
+	if err != nil {
+		return nil, wrapErr(err)
+	}
+	return rep, nil
 }
 
+// analyzeConfig is the one analysis pipeline behind AnalyzeContext,
+// AnalyzeBatch and Service: the side-channel analysis, then the public
+// report. Its errors are unwrapped; each entry point wraps them once.
 func analyzeConfig(ctx context.Context, p *CompiledProgram, cfg Config) (*Report, error) {
 	copts := cfg.coreOptions()
 	var col *obs.Collector
@@ -302,7 +309,7 @@ func analyzeConfig(ctx context.Context, p *CompiledProgram, cfg Config) (*Report
 	}
 	rep, err := sidechannel.AnalyzeContext(ctx, p.prog, copts)
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	out := buildReport(p.prog, rep)
 	out.Stats = col.Snapshot()

@@ -1,6 +1,7 @@
 package specabsint
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -42,11 +43,11 @@ func TestAnalyzeSpeculativeVsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := AnalyzeContext(t.Context(), prog, tightConfig().Options()...)
+	spec, err := AnalyzeContext(context.Background(), prog, tightConfig().Options()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := AnalyzeContext(t.Context(), prog, append(tightConfig().Options(), WithSpeculation(false))...)
+	base, err := AnalyzeContext(context.Background(), prog, append(tightConfig().Options(), WithSpeculation(false))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestReportAccessesSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeContext(t.Context(), prog, tightConfig().Options()...)
+	rep, err := AnalyzeContext(context.Background(), prog, tightConfig().Options()...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package specabsint
 
 import (
+	"context"
 	"testing"
 
 	"specabsint/internal/bench"
@@ -29,7 +30,7 @@ func TestGoldenStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := AnalyzeContext(t.Context(), p, opts...)
+			rep, err := AnalyzeContext(context.Background(), p, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +61,7 @@ func TestStatsOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeContext(t.Context(), p)
+	rep, err := AnalyzeContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestStatsParallelismByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := AnalyzeContext(t.Context(), p, opts...)
+		rep, err := AnalyzeContext(context.Background(), p, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,7 +148,7 @@ func ptr[T any](v T) *T { return &v }
 // uses:
 //
 //	cfg, err := req.Options.Config()
-//	rep, err := svc.Analyze(ctx, src, cfg.Options()...)
+//	res := svc.Analyze(ctx, req.Name, req.Source, cfg.Options()...)
 func (o *Options) Config() (specabsint.Config, error) {
 	cfg := specabsint.DefaultConfig()
 	if o == nil {
