@@ -172,6 +172,40 @@ func TestAnalyzeBatchMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestAnalyzeBatchPrecompiledStats: a precompiled batch job analyzes its own
+// CompiledProgram, compile-time stats included, so under WithStats its
+// stats document equals the one AnalyzeContext gives for the same program.
+func TestAnalyzeBatchPrecompiledStats(t *testing.T) {
+	opts := append(tightOptions(), WithStats(true))
+	prog, err := CompileOpts(apiProgram, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(st *Stats) string {
+		t.Helper()
+		if st == nil {
+			t.Fatal("WithStats(true) produced no stats")
+		}
+		st.ZeroTimes()
+		out, err := st.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	want, err := AnalyzeContext(context.Background(), prog, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := AnalyzeBatch(context.Background(), []BatchJob{{Name: "precompiled", Prog: prog}}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := render(results[0].Report.Stats), render(want.Stats); got != want {
+		t.Fatalf("batch stats of a precompiled job:\n%s\nwant AnalyzeContext's:\n%s", got, want)
+	}
+}
+
 // TestAnalyzeBatchAggregatesFailures checks one bad job fails alone, the
 // aggregate is a *BatchError in job order, and errors.As digs through it to
 // the underlying *ParseError.

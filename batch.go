@@ -72,8 +72,13 @@ func runnerJobs(jobs []BatchJob, base []Option, keyed bool) []runner.Job[*Report
 				return analyzeConfig(ctx, &CompiledProgram{prog: prog, stats: compiled}, cfg)
 			},
 		}
-		if j.Prog != nil {
-			rjobs[i].Prog = j.Prog.prog
+		if p := j.Prog; p != nil {
+			// A precompiled job is analyzed as its own CompiledProgram, so
+			// its compile-time stats reach the report as in AnalyzeContext.
+			rjobs[i].Prog = p.prog
+			rjobs[i].Analyze = func(ctx context.Context, _ *ir.Program, _ *obs.Stats) (*Report, error) {
+				return analyzeConfig(ctx, p, cfg)
+			}
 		}
 		if keyed {
 			rjobs[i].Key = reportKey{opts: cfg.coreOptions(), stats: cfg.Stats}

@@ -19,12 +19,13 @@ import (
 	"specabsint/internal/experiments"
 	"specabsint/internal/ir"
 	"specabsint/internal/machine"
+	"specabsint/internal/runner"
 	"specabsint/internal/sidechannel"
 )
 
 func compileBench(b *testing.B, code string) *ir.Program {
 	b.Helper()
-	prog, err := bench.Compile(code, 4096)
+	prog, _, err := runner.Compile(code, 4096, false)
 	if err != nil {
 		b.Fatal(err)
 	}

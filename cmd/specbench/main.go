@@ -7,6 +7,8 @@
 //	specbench [-experiment all|fig2|table3|table4|table5|table6|table7|depth|icache|geometry]
 //	          [-workers N] [-timeout d] [-cpuprofile f] [-memprofile f]
 //
+// An -experiment name outside that list exits 2 and lists the valid names.
+//
 // The corpus sweeps fan out across -workers CPUs on a shared batch engine
 // (one compile per benchmark for the whole run); per-program results are
 // identical to the serial path. Ctrl-C or -timeout cancels the running
@@ -24,19 +26,55 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"specabsint/internal/experiments"
 	"specabsint/internal/runner"
 )
 
+// experiment is one table or figure specbench regenerates.
+type experiment struct {
+	name string
+	run  func(context.Context, experiments.Setup) error
+}
+
+// experimentList holds every experiment in the order -experiment all runs
+// them.
+var experimentList = []experiment{
+	{"fig2", fig2},
+	{"table3", table3},
+	{"table4", table4},
+	{"table5", table5},
+	{"table6", table6},
+	{"table7", table7},
+	{"depth", depth},
+	{"icache", icache},
+	{"geometry", geometry},
+}
+
+// experimentNames lists what -experiment accepts.
+func experimentNames() []string {
+	names := []string{"all"}
+	for _, e := range experimentList {
+		names = append(names, e.name)
+	}
+	return names
+}
+
 func main() {
-	which := flag.String("experiment", "all", "which experiment to run: all, fig2, table3, table4, table5, table6, table7, depth, icache, geometry")
+	which := flag.String("experiment", "all", "which experiment to run: "+strings.Join(experimentNames(), ", "))
 	workers := flag.Int("workers", 0, "concurrent analysis workers (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
+	if !slices.Contains(experimentNames(), *which) {
+		fmt.Fprintf(os.Stderr, "specbench: unknown experiment %q (valid: %s)\n",
+			*which, strings.Join(experimentNames(), ", "))
+		os.Exit(2)
+	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "specbench: %v\n", err)
@@ -44,7 +82,6 @@ func main() {
 	}
 	defer stopProfiles()
 	setup := experiments.PaperSetup()
-	setup.Workers = *workers
 	setup.Pool = runner.New(*workers)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -55,37 +92,23 @@ func main() {
 		defer cancel()
 	}
 
-	run := func(name string, fn func() error) {
-		if *which != "all" && *which != name {
-			return
+	for _, e := range experimentList {
+		if *which != "all" && *which != e.name {
+			continue
 		}
 		start := time.Now()
-		if err := fn(); err != nil {
+		if err := e.run(ctx, setup); err != nil {
 			stopProfiles()
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fmt.Fprintf(os.Stderr, "specbench: %s: canceled after %v\n",
-					name, time.Since(start).Round(time.Millisecond))
+					e.name, time.Since(start).Round(time.Millisecond))
 				os.Exit(130)
 			}
-			fmt.Fprintf(os.Stderr, "specbench: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "specbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("(%s finished in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s finished in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	run("fig2", func() error { return fig2(setup) })
-	run("table3", func() error {
-		return stats("Table 3 — execution time estimation: benchmark statistics", experiments.Table3())
-	})
-	run("table4", func() error {
-		return stats("Table 4 — side channel detection: benchmark statistics", experiments.Table4())
-	})
-	run("table5", func() error { return table5(ctx, setup) })
-	run("table6", func() error { return table6(ctx, setup) })
-	run("table7", func() error { return table7(ctx, setup) })
-	run("depth", func() error { return depth(ctx, setup) })
-	run("icache", func() error { return icache(ctx, setup) })
-	run("geometry", func() error { return geometry(ctx, setup) })
 }
 
 // startProfiles starts the requested pprof profiles and returns an
@@ -128,7 +151,7 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 	}, nil
 }
 
-func fig2(setup experiments.Setup) error {
+func fig2(_ context.Context, setup experiments.Setup) error {
 	res, err := experiments.Fig2(setup)
 	if err != nil {
 		return err
@@ -140,6 +163,14 @@ func fig2(setup experiments.Setup) error {
 	fmt.Printf("  concrete  mis-speculated:  %d observable misses + %d wrong-path miss = %d total\n",
 		res.SpecMisses, res.SpecSpMisses, res.SpecMisses+res.SpecSpMisses)
 	return nil
+}
+
+func table3(context.Context, experiments.Setup) error {
+	return stats("Table 3 — execution time estimation: benchmark statistics", experiments.Table3())
+}
+
+func table4(context.Context, experiments.Setup) error {
+	return stats("Table 4 — side channel detection: benchmark statistics", experiments.Table4())
 }
 
 func stats(title string, rows []experiments.StatRow) error {

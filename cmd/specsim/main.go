@@ -18,9 +18,8 @@ import (
 	"os"
 
 	"specabsint/internal/layout"
-	"specabsint/internal/lower"
 	"specabsint/internal/machine"
-	"specabsint/internal/source"
+	"specabsint/internal/runner"
 )
 
 func main() {
@@ -33,7 +32,7 @@ func main() {
 		predictor   = flag.String("predictor", "2bit", "branch predictor: 2bit, gshare, taken, nottaken, adversarial, oracle")
 		force       = flag.Bool("force-mispredict", false, "mispredict every branch (worst-case pollution)")
 		icacheLines = flag.Int("icache-lines", 0, "simulate an instruction cache with this many lines (0 = off)")
-		unroll      = flag.Int("unroll", 4096, "loop unrolling cap")
+		unroll      = flag.Int("unroll", 4096, "loop unrolling cap (0 or less: the lowering default)")
 	)
 	flag.Parse()
 	cacheCfg, err := layout.Geometry(*lines, *lineSize, *sets)
@@ -51,11 +50,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ast, err := source.Parse(string(src))
-	if err != nil {
-		fatal(err)
-	}
-	prog, err := lower.Lower(ast, lower.Options{MaxUnroll: *unroll})
+	prog, _, err := runner.Compile(string(src), *unroll, false)
 	if err != nil {
 		fatal(err)
 	}

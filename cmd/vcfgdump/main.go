@@ -6,9 +6,8 @@
 //
 //	vcfgdump [-ir] [-dot] [-colors] [-verify] [-passes] [-mitigate] program.c
 //
-// -passes runs the analysis-preserving pass pipeline one pass at a time and
-// prints the effective block and speculative-lane counts before and after
-// each pass; -verify re-runs the structural IR verifier on the final program
+// -passes runs the analysis-preserving pass pipeline and prints the
+// effective block and speculative-lane counts before and after each pass; -verify re-runs the structural IR verifier on the final program
 // and prints its verdict (non-zero exit on diagnostics); -mitigate runs the
 // fence synthesizer and prints the per-function mitigation summary — the
 // placements, the leak counts before and after, and the fenced blocks.
@@ -52,7 +51,7 @@ func run(stdout io.Writer, args []string) error {
 		showVCFG   = fs.Bool("vcfg", false, "print the CFG with the virtual (speculative) control flows as dashed edges")
 		showColors = fs.Bool("colors", false, "print the speculative flows (colors)")
 		maxUnroll  = fs.Int("unroll", 64, "loop unrolling cap (small keeps the graph readable)")
-		runPasses  = fs.Bool("passes", false, "run the pass pipeline one pass at a time, printing before/after block and lane counts")
+		runPasses  = fs.Bool("passes", false, "run the pass pipeline, printing each pass's before/after block and lane counts")
 		verify     = fs.Bool("verify", false, "re-run the structural IR verifier on the final program and print the verdict")
 		mitigateF  = fs.Bool("mitigate", false, "run the fence synthesizer and print the per-function mitigation summary")
 	)
@@ -87,7 +86,7 @@ func run(stdout io.Writer, args []string) error {
 	g := cfg.New(prog)
 
 	if *verify {
-		if diags := irverify.Diagnose(prog, g); len(diags) > 0 {
+		if diags := irverify.Diagnose(prog); len(diags) > 0 {
 			for _, d := range diags {
 				fmt.Fprintln(out, "verify:", d.String())
 			}
@@ -192,40 +191,35 @@ func dumpMitigation(out io.Writer, prog *ir.Program) error {
 	return nil
 }
 
-// dumpPasses applies the pipeline one pass at a time, printing the effective
-// block count (blocks reachable along taken-only edges) and speculative lane
-// count (unresolved conditional branches x 2 directions) around each pass.
+// dumpPasses runs the pass pipeline and prints, for each pass, the
+// effective block count (blocks reachable along taken-only edges) and the
+// speculative lane count (unresolved conditional branches x 2 directions)
+// before and after it, with the pass's effect from the run's Result.Stats.
+// Only resolve changes either count: no other pass marks a branch resolved.
 func dumpPasses(out io.Writer, prog *ir.Program) error {
-	type step struct {
-		name string
-		opts passes.Options
-	}
-	steps := []step{
-		{"sccp", passes.Options{SCCP: true}},
-		{"copyprop", passes.Options{CopyProp: true}},
-		{"resolve-branches", passes.Options{ResolveBranches: true}},
-		{"dce", passes.Options{DCE: true}},
+	blocks, lanes := effBlockCount(prog), prog.CondBranchCount()*2
+	res, err := passes.Run(prog, passes.Default())
+	if err != nil {
+		return err
 	}
 	fmt.Fprintln(out, "pass pipeline (before -> after):")
 	fmt.Fprintf(out, "  %-18s %-16s %-12s %s\n", "pass", "live blocks", "lanes", "effect")
-	blocks, lanes := effBlockCount(prog), prog.CondBranchCount()*2
 	fmt.Fprintf(out, "  %-18s %-16d %-12d -\n", "(input)", blocks, lanes)
-	for _, s := range steps {
-		res, err := passes.Run(prog, s.opts)
-		if err != nil {
-			return fmt.Errorf("pass %s: %w", s.name, err)
+	for _, ps := range res.Stats {
+		name, nb, nl, effect := ps.Name, blocks, lanes, "folded %d operand(s)"
+		switch ps.Name {
+		case "resolve":
+			name, effect = "resolve-branches", "resolved %d branch(es)"
+			nb, nl = effBlockCount(prog), prog.CondBranchCount()*2
+		case "dce":
+			effect = "nopped %d instruction(s)"
 		}
-		nb, nl := effBlockCount(prog), prog.CondBranchCount()*2
-		effect := "no change"
-		switch {
-		case res.FoldedOperands > 0:
-			effect = fmt.Sprintf("folded %d operand(s)", res.FoldedOperands)
-		case res.ResolvedBranches > 0:
-			effect = fmt.Sprintf("resolved %d branch(es)", res.ResolvedBranches)
-		case res.NopsInserted > 0:
-			effect = fmt.Sprintf("nopped %d instruction(s)", res.NopsInserted)
+		if ps.Changed == 0 {
+			effect = "no change"
+		} else {
+			effect = fmt.Sprintf(effect, ps.Changed)
 		}
-		fmt.Fprintf(out, "  %-18s %-16s %-12s %s\n", s.name,
+		fmt.Fprintf(out, "  %-18s %-16s %-12s %s\n", name,
 			fmt.Sprintf("%d -> %d", blocks, nb), fmt.Sprintf("%d -> %d", lanes, nl), effect)
 		blocks, lanes = nb, nl
 	}

@@ -127,3 +127,71 @@ int main() {
 		t.Fatalf("-vcfg draws %d speculate edges, -colors lists %d colors, want 2 and 2:\n%s", drawn, listed, text)
 	}
 }
+
+// TestPassesTable pins the -passes table byte for byte on a program whose
+// pipeline resolves a branch (the only pass that changes live blocks and
+// lanes) and on one where no branch resolves.
+func TestPassesTable(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, want string
+	}{
+		{
+			name: "resolved",
+			src: `char a[64];
+int main() {
+  int x = 0;
+  int t = 0;
+  if (x == 1) {
+    if (a[0] == 3) { t = a[1]; }
+  }
+  if (a[2] == 5) { t = a[3]; }
+  return t;
+}
+`,
+			want: `pass pipeline (before -> after):
+  pass               live blocks      lanes        effect
+  (input)            8                6            -
+  sccp               8 -> 8           6 -> 6       folded 2 operand(s)
+  copyprop           8 -> 8           6 -> 6       no change
+  resolve-branches   8 -> 5           6 -> 4       resolved 1 branch(es)
+  dce                5 -> 5           4 -> 4       nopped 1 instruction(s)
+`,
+		},
+		{
+			name: "unresolved",
+			src: `char ph[256];
+char p;
+secret reg int k;
+int main() {
+  reg int t;
+  reg int u;
+  u = p + 1;
+  t = u;
+  if (p == 0) {
+    t = ph[0];
+  }
+  t = t + ph[k & 255];
+  return t;
+}
+`,
+			want: `pass pipeline (before -> after):
+  pass               live blocks      lanes        effect
+  (input)            4                2            -
+  sccp               4 -> 4           2 -> 2       no change
+  copyprop           4 -> 4           2 -> 2       folded 2 operand(s)
+  resolve-branches   4 -> 4           2 -> 2       no change
+  dce                4 -> 4           2 -> 2       nopped 2 instruction(s)
+`,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(&out, []string{"-passes", "-dot=false", writeProgram(t, tc.src)}); err != nil {
+				t.Fatal(err)
+			}
+			if got := out.String(); got != tc.want {
+				t.Fatalf("-passes table:\n%s\nwant:\n%s", got, tc.want)
+			}
+		})
+	}
+}

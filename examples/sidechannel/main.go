@@ -14,6 +14,7 @@ import (
 	"specabsint/internal/bench"
 	"specabsint/internal/core"
 	"specabsint/internal/experiments"
+	"specabsint/internal/runner"
 	"specabsint/internal/sidechannel"
 )
 
@@ -32,7 +33,7 @@ func main() {
 	fmt.Printf("%-12s %-18s %-18s\n", "buffer", "classic analysis", "speculative analysis")
 	for _, bufBytes := range []int{0, 16 * 1024, 28 * 1024, 30592, 32 * 1024} {
 		src := bench.WithClient(kernel, bufBytes)
-		prog, err := bench.Compile(src, setup.MaxUnroll)
+		prog, _, err := runner.Compile(src, setup.MaxUnroll, false)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,10 +17,8 @@ import (
 	"specabsint/internal/core"
 	"specabsint/internal/layout"
 	"specabsint/internal/machine"
+	"specabsint/internal/runner"
 	"specabsint/internal/sidechannel"
-	"specabsint/internal/source"
-
-	"specabsint/internal/lower"
 )
 
 const gadget = `
@@ -39,11 +37,7 @@ int main() {
 }`
 
 func main() {
-	ast, err := source.Parse(gadget)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog, err := lower.Lower(ast, lower.DefaultOptions())
+	prog, _, err := runner.Compile(gadget, 0, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"specabsint/internal/core"
 	"specabsint/internal/experiments"
 	"specabsint/internal/machine"
+	"specabsint/internal/runner"
 	"specabsint/internal/wcet"
 )
 
@@ -24,7 +25,7 @@ func main() {
 	fmt.Println()
 
 	// --- Abstract analysis, both modes ------------------------------------
-	prog, err := bench.Compile(bench.Fig2Program(-1), setup.MaxUnroll)
+	prog, _, err := runner.Compile(bench.Fig2Program(-1), setup.MaxUnroll, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func main() {
 	// --- Concrete replay of Fig. 3 ----------------------------------------
 	fmt.Println()
 	fmt.Println("Concrete traces (secret k = 0):")
-	conc, err := bench.Compile(bench.Fig2Program(0), setup.MaxUnroll)
+	conc, _, err := runner.Compile(bench.Fig2Program(0), setup.MaxUnroll, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"specabsint/internal/cfg"
 	"specabsint/internal/core"
 	"specabsint/internal/layout"
+	"specabsint/internal/runner"
 	"specabsint/internal/wcet"
 )
 
@@ -24,7 +25,7 @@ func main() {
 	// variables...").
 	cacheCfg := layout.CacheConfig{LineSize: 64, NumSets: 1, Assoc: 9}
 
-	prog, err := bench.Compile(bench.QuantlProgram, 1) // keep the loop: the paper widens it
+	prog, _, err := runner.Compile(bench.QuantlProgram, 1, false) // keep the loop: the paper widens it
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"specabsint/internal/bench"
 	"specabsint/internal/machine"
+	"specabsint/internal/runner"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/golden")
@@ -116,7 +117,7 @@ func leakStrings(leaks []Leak) []string {
 // timing difference that constitutes the leak.
 func TestGoldenFig3Traces(t *testing.T) {
 	run := func(k int, forced bool) machine.Stats {
-		prog, err := bench.Compile(bench.Fig2Program(k), 0)
+		prog, _, err := runner.Compile(bench.Fig2Program(k), 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}

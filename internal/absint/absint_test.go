@@ -65,10 +65,7 @@ func diamondProg(t *testing.T) *ir.Program {
 	bd.Br(join)
 	bd.SetBlock(join)
 	bd.Ret(ir.ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	// Patch in the constants we care about: entry writes 10 to r0, arm a
 	// writes 5, arm b writes 7.
 	prog.Blocks[0].Instrs = append([]ir.Instr{{Op: ir.OpConst, Dst: 0, A: ir.ConstVal(10)}}, prog.Blocks[0].Instrs...)
@@ -114,10 +111,7 @@ func TestSolveLoopTerminatesWithWidening(t *testing.T) {
 	bd.Br(head)
 	bd.SetBlock(exit)
 	bd.Ret(ir.ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	prog.Blocks[0].Instrs = append([]ir.Instr{{Op: ir.OpConst, Dst: 0, A: ir.ConstVal(100)}}, prog.Blocks[0].Instrs...)
 	prog.Finalize()
 	res := Solve[int64](prog, cfg.New(prog).Succs, minDomain{}, Options{WideningThreshold: 2})
@@ -137,10 +131,7 @@ func TestUnreachableStaysBottom(t *testing.T) {
 	bd.Ret(ir.ConstVal(0))
 	bd.SetBlock(dead)
 	bd.Ret(ir.ConstVal(1))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	res := Solve[int64](prog, cfg.New(prog).Succs, minDomain{}, Options{})
 	if res.In[dead] != math.MaxInt64 {
 		t.Errorf("unreachable block state = %d, want bottom", res.In[dead])

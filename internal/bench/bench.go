@@ -10,10 +10,6 @@ package bench
 import (
 	"fmt"
 	"strings"
-
-	"specabsint/internal/ir"
-	"specabsint/internal/lower"
-	"specabsint/internal/source"
 )
 
 // Kind distinguishes the two benchmark sets.
@@ -43,20 +39,6 @@ func (b Benchmark) LoC() int {
 		}
 	}
 	return n
-}
-
-// Compile parses and lowers a benchmark (plus an optional client wrapper
-// already merged into code) to IR.
-func Compile(code string, maxUnroll int) (*ir.Program, error) {
-	ast, err := source.Parse(code)
-	if err != nil {
-		return nil, err
-	}
-	opts := lower.DefaultOptions()
-	if maxUnroll > 0 {
-		opts.MaxUnroll = maxUnroll
-	}
-	return lower.Lower(ast, opts)
 }
 
 // WithClient wraps a side-channel kernel in the paper's Fig. 10 client: the

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"specabsint/internal/runner"
 	"testing"
 
 	"specabsint/internal/core"
@@ -41,12 +42,9 @@ func TestWCETBenchmarksCompileAndRun(t *testing.T) {
 	for _, b := range WCETBenchmarks() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			prog, err := Compile(b.Code, 0)
+			prog, _, err := runner.Compile(b.Code, 0, false)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
-			}
-			if err := prog.Validate(); err != nil {
-				t.Fatalf("invalid IR: %v", err)
 			}
 			st, err := interp.NewMachine(prog).Run(5_000_000)
 			if err != nil {
@@ -65,7 +63,7 @@ func TestCryptoBenchmarksCompileAndRunWithClient(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			src := WithClient(b, 1024)
-			prog, err := Compile(src, 0)
+			prog, _, err := runner.Compile(src, 0, false)
 			if err != nil {
 				t.Fatalf("compile with client: %v", err)
 			}
@@ -84,7 +82,7 @@ func TestCryptoBenchmarksCompileAndRunWithClient(t *testing.T) {
 
 func TestCryptoKernelsDeclareContract(t *testing.T) {
 	for _, b := range CryptoBenchmarks() {
-		prog, err := Compile(WithClient(b, 64), 0)
+		prog, _, err := runner.Compile(WithClient(b, 64), 0, false)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -107,7 +105,7 @@ func TestSecretIndexedSplit(t *testing.T) {
 		"str2key": false, "salsa": false,
 	}
 	for _, b := range CryptoBenchmarks() {
-		prog, err := Compile(WithClient(b, 64), 0)
+		prog, _, err := runner.Compile(WithClient(b, 64), 0, false)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -124,7 +122,7 @@ func TestWCETBenchmarksAnalyzable(t *testing.T) {
 	for _, b := range WCETBenchmarks() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			prog, err := Compile(b.Code, 0)
+			prog, _, err := runner.Compile(b.Code, 0, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +141,7 @@ func TestWCETBenchmarksAnalyzable(t *testing.T) {
 }
 
 func TestFig2ProgramVariants(t *testing.T) {
-	sym, err := Compile(Fig2Program(-1), 0)
+	sym, _, err := runner.Compile(Fig2Program(-1), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +152,7 @@ func TestFig2ProgramVariants(t *testing.T) {
 		}
 	}
 	_ = found // symbolic variant keeps k in a secret register, not memory
-	conc, err := Compile(Fig2Program(128), 0)
+	conc, _, err := runner.Compile(Fig2Program(128), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +166,7 @@ func TestFig2ProgramVariants(t *testing.T) {
 }
 
 func TestQuantlProgramMatchesPaperValues(t *testing.T) {
-	prog, err := Compile(QuantlProgram, 0)
+	prog, _, err := runner.Compile(QuantlProgram, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,7 @@ func benchLayout(b *testing.B, nBlocks, numSets, assoc int) *layout.Layout {
 	entry := bd.NewBlock("entry")
 	bd.SetBlock(entry)
 	bd.Ret(ir.ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	l, err := layout.New(prog, layout.CacheConfig{LineSize: 64, NumSets: numSets, Assoc: assoc})
 	if err != nil {
 		b.Fatal(err)

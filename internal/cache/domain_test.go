@@ -20,10 +20,7 @@ func fourLine(t *testing.T, names ...string) (*layout.Layout, map[string]layout.
 	entry := bd.NewBlock("entry")
 	bd.SetBlock(entry)
 	bd.Ret(ir.ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	l, err := layout.New(prog, layout.CacheConfig{LineSize: 64, NumSets: 1, Assoc: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -316,10 +313,7 @@ func TestRangeAccessRepeatedEvicts(t *testing.T) {
 	entry := bd.NewBlock("entry")
 	bd.SetBlock(entry)
 	bd.Ret(ir.ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	l, err := layout.New(prog, layout.CacheConfig{LineSize: 64, NumSets: 1, Assoc: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -356,10 +350,7 @@ func TestRangeAccessHugeNumSets(t *testing.T) {
 	entry := bd.NewBlock("entry")
 	bd.SetBlock(entry)
 	bd.Ret(ir.ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	const numSets = 1 << 24
 	l, err := layout.New(prog, layout.CacheConfig{LineSize: 64, NumSets: numSets, Assoc: 4})
 	if err != nil {
@@ -580,10 +571,7 @@ func TestSetAssociativeIsolation(t *testing.T) {
 	entry := bd.NewBlock("entry")
 	bd.SetBlock(entry)
 	bd.Ret(ir.ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	l, err := layout.New(prog, layout.CacheConfig{LineSize: 64, NumSets: 2, Assoc: 2})
 	if err != nil {
 		t.Fatal(err)

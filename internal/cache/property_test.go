@@ -22,10 +22,7 @@ func propLayout(t testing.TB, nBlocks, numSets, assoc int) *layout.Layout {
 	entry := bd.NewBlock("entry")
 	bd.SetBlock(entry)
 	bd.Ret(ir.ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	l, err := layout.New(prog, layout.CacheConfig{LineSize: 64, NumSets: numSets, Assoc: assoc})
 	if err != nil {
 		t.Fatal(err)

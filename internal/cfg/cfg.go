@@ -4,7 +4,8 @@
 // the one order every analysis sweeps, widens at and bounds loops by.
 // PostDominators places the paper's vn_stop nodes over the full edge set.
 // Graph is the full-edge CFG, with predecessors and a reverse postorder, that
-// the IR verifier, the Algorithm-1 baseline and DOT output use.
+// the IR verifier and DOT output use; the analyses, the Algorithm-1 baseline
+// included, build none.
 package cfg
 
 import (

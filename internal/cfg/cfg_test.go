@@ -40,11 +40,7 @@ func diamond(t *testing.T) *ir.Program {
 	bd.Br(join)
 	bd.SetBlock(join)
 	bd.Ret(ir.ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog
+	return bd.Finish(entry)
 }
 
 func TestGraphEdges(t *testing.T) {
@@ -93,10 +89,7 @@ func TestPostDominatorsMultipleExits(t *testing.T) {
 	bd.Ret(ir.ConstVal(1))
 	bd.SetBlock(b)
 	bd.Ret(ir.ConstVal(2))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	pdom := cfg.PostDominators(prog)
 	if pdom.ImmediatePostDom(entry) != pdom.VirtualExit {
 		t.Errorf("ipdom(entry) = %d, want virtual exit %d",
@@ -189,10 +182,7 @@ func TestUnreachableBlockHandled(t *testing.T) {
 	bd.Ret(ir.ConstVal(0))
 	bd.SetBlock(dead)
 	bd.Ret(ir.ConstVal(1))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	g := cfg.New(prog)
 	if g.Reachable(dead) {
 		t.Error("dead block should be unreachable")

@@ -26,11 +26,7 @@ func compileKernel(tb testing.TB, name string) *ir.Program {
 	if !ok {
 		tb.Fatalf("kernel %q not in corpus", name)
 	}
-	prog, err := bench.Compile(b.Code, 0)
-	if err != nil {
-		tb.Fatalf("compile %s: %v", name, err)
-	}
-	return prog
+	return compile(tb, b.Code)
 }
 
 // BenchmarkFixpoint measures the full speculative fixpoint (paper default

@@ -25,8 +25,9 @@
 // was built over. The interval pre-pass and the engine propagate along
 // those lists and widen at its component heads, the engine sweeps it, and
 // Result.WTO hands it to the WCET schema. The vn_stop of each branch comes
-// from the post-dominators of the full edge set (cfg.PostDominators). Only
-// the Algorithm-1 baseline builds a cfg.Graph, for the generic solver.
+// from the post-dominators of the full edge set (cfg.PostDominators). The
+// Algorithm-1 baseline hands the generic solver the same order's effective
+// successor lists; no analysis builds a cfg.Graph.
 package core
 
 import (

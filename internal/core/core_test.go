@@ -11,15 +11,15 @@ import (
 	"specabsint/internal/source"
 )
 
-func compile(t *testing.T, src string) *ir.Program {
-	t.Helper()
+func compile(tb testing.TB, src string) *ir.Program {
+	tb.Helper()
 	ast, err := source.Parse(src)
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		tb.Fatalf("parse: %v", err)
 	}
 	prog, err := lower.Lower(ast, lower.DefaultOptions())
 	if err != nil {
-		t.Fatalf("lower: %v", err)
+		tb.Fatalf("lower: %v", err)
 	}
 	return prog
 }

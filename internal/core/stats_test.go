@@ -19,11 +19,7 @@ func compileBench(t *testing.T, name string) *ir.Program {
 	if !ok {
 		t.Fatalf("kernel %q not in corpus", name)
 	}
-	prog, err := bench.Compile(b.Code, 0)
-	if err != nil {
-		t.Fatalf("compile %s: %v", name, err)
-	}
-	return prog
+	return compile(t, b.Code)
 }
 
 // setAssocConfig is a 64-set × 8-way geometry: the set-associative

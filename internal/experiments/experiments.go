@@ -28,20 +28,20 @@ type Setup struct {
 	DepthMiss int
 	DepthHit  int
 	MaxUnroll int
-	// Workers caps the sweep concurrency; 0 uses GOMAXPROCS.
-	Workers int
 	// Pool, when non-nil, is the shared batch engine (worker pool plus
-	// compiled-program cache) the sweeps run on. Sharing one pool across
-	// tables lets a full specbench run lower each benchmark exactly once.
+	// compiled-program cache) the sweeps run on; its worker count caps the
+	// sweep concurrency. Sharing one pool across tables lets a full
+	// specbench run lower each benchmark exactly once.
 	Pool *runner.Pool
 }
 
-// pool returns the shared batch engine, creating a private one on demand.
+// pool returns the shared batch engine, creating a private GOMAXPROCS-wide
+// one on demand.
 func (s Setup) pool() *runner.Pool {
 	if s.Pool != nil {
 		return s.Pool
 	}
-	return runner.New(s.Workers)
+	return runner.New(0)
 }
 
 // PaperSetup returns the configuration used in the paper: 512 lines x 64 B,
@@ -374,7 +374,7 @@ func FindLeakThreshold(ctx context.Context, b bench.Benchmark, setup Setup) (siz
 // besides the attacker buffer, by compiling with a minimal buffer and
 // collecting the candidate blocks of every architectural access.
 func workingSetLines(ctx context.Context, b bench.Benchmark, setup Setup) (int, error) {
-	prog, err := bench.Compile(bench.WithClient(b, 64), setup.MaxUnroll)
+	prog, _, err := runner.Compile(bench.WithClient(b, 64), setup.MaxUnroll, false)
 	if err != nil {
 		return 0, err
 	}
@@ -414,7 +414,7 @@ func Fig2(setup Setup) (*Fig2Result, error) {
 	res := &Fig2Result{}
 
 	// Abstract: symbolic secret k.
-	prog, err := bench.Compile(bench.Fig2Program(-1), setup.MaxUnroll)
+	prog, _, err := runner.Compile(bench.Fig2Program(-1), setup.MaxUnroll, false)
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +435,7 @@ func Fig2(setup Setup) (*Fig2Result, error) {
 	}
 
 	// Concrete: k = 0 (the evicted line).
-	conc, err := bench.Compile(bench.Fig2Program(0), setup.MaxUnroll)
+	conc, _, err := runner.Compile(bench.Fig2Program(0), setup.MaxUnroll, false)
 	if err != nil {
 		return nil, err
 	}

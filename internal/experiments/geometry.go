@@ -32,7 +32,7 @@ func GeometrySweep(ctx context.Context, benchName string, lineCounts []int, setu
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
 	}
-	prog, err := bench.Compile(b.Code, setup.MaxUnroll)
+	prog, _, err := runner.Compile(b.Code, setup.MaxUnroll, false)
 	if err != nil {
 		return nil, err
 	}

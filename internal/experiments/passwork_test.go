@@ -7,6 +7,7 @@ import (
 	"specabsint/internal/core"
 	"specabsint/internal/obs"
 	"specabsint/internal/passes"
+	"specabsint/internal/runner"
 )
 
 // TestPassesCutFixpointWork is the pass pipeline's cost contract, stated in
@@ -28,7 +29,7 @@ func TestPassesCutFixpointWork(t *testing.T) {
 			}
 			analyze := func(withPasses bool) obs.FixpointStats {
 				t.Helper()
-				prog, err := bench.Compile(b.Code, 0)
+				prog, _, err := runner.Compile(b.Code, 0, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"specabsint/internal/bench"
+	"specabsint/internal/runner"
 	"specabsint/internal/taint"
 )
 
@@ -29,7 +29,7 @@ func TestDeterministic(t *testing.T) {
 func TestPinnedSeedsCompile(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		src := Source(rand.New(rand.NewSource(seed)))
-		if _, err := bench.Compile(src, 0); err != nil {
+		if _, _, err := runner.Compile(src, 0, false); err != nil {
 			t.Errorf("pinned seed %d no longer compiles: %v\n%s", seed, err, src)
 		}
 	}
@@ -51,7 +51,7 @@ func TestGeneratedProgramsCompile(t *testing.T) {
 	for name, cfg := range configs {
 		for seed := int64(100); seed < 100+n; seed++ {
 			src := Program(rand.New(rand.NewSource(seed)), cfg)
-			if _, err := bench.Compile(src, 0); err != nil {
+			if _, _, err := runner.Compile(src, 0, false); err != nil {
 				t.Fatalf("%s seed %d does not compile: %v\n%s", name, seed, err, src)
 			}
 		}
@@ -68,7 +68,7 @@ func TestFencedModeEmitsFences(t *testing.T) {
 		if strings.Contains(src, "fence;") {
 			fenced++
 		}
-		prog, err := bench.Compile(src, 0)
+		prog, _, err := runner.Compile(src, 0, false)
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
@@ -91,7 +91,7 @@ func TestSecretModeGroundTruth(t *testing.T) {
 		if !strings.Contains(src, "secret int sec;") {
 			t.Fatalf("seed %d: missing secret declaration", seed)
 		}
-		prog, err := bench.Compile(src, 0)
+		prog, _, err := runner.Compile(src, 0, false)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -40,11 +40,7 @@ func buildProg(t *testing.T) *ir.Program {
 	bd.SetBlock(exit)
 	bd.Ret(ir.RegVal(sum))
 
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog
+	return bd.Finish(entry)
 }
 
 func TestRunLoop(t *testing.T) {
@@ -81,10 +77,7 @@ func TestStepLimit(t *testing.T) {
 	entry := bd.NewBlock("entry")
 	bd.SetBlock(entry)
 	bd.Br(entry)
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	if _, err := NewMachine(prog).Run(100); !errors.Is(err, ErrStepLimit) {
 		t.Errorf("err = %v, want step limit", err)
 	}
@@ -97,10 +90,7 @@ func TestOutOfBounds(t *testing.T) {
 	bd.SetBlock(entry)
 	r := bd.Load(arr, ir.ConstVal(5))
 	bd.Ret(ir.RegVal(r))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	if _, err := NewMachine(prog).Run(100); !errors.Is(err, ErrOutOfBounds) {
 		t.Errorf("err = %v, want out of bounds", err)
 	}
@@ -112,10 +102,7 @@ func TestDivideByZero(t *testing.T) {
 	bd.SetBlock(entry)
 	r := bd.Binop(ir.OpDiv, ir.ConstVal(1), ir.ConstVal(0))
 	bd.Ret(ir.RegVal(r))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	if _, err := NewMachine(prog).Run(100); !errors.Is(err, ErrDivideByZero) {
 		t.Errorf("err = %v, want divide by zero", err)
 	}
@@ -207,10 +194,7 @@ func TestUnops(t *testing.T) {
 	s1 := bd.Binop(ir.OpAdd, ir.RegVal(a), ir.RegVal(b))
 	s2 := bd.Binop(ir.OpAdd, ir.RegVal(s1), ir.RegVal(c))
 	bd.Ret(ir.RegVal(s2))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	st, err := NewMachine(prog).Run(100)
 	if err != nil {
 		t.Fatal(err)

@@ -461,57 +461,3 @@ func (p *Program) FormatInstr(in *Instr) string {
 		return fmt.Sprintf("%s = %s %s, %s", in.Dst, in.Op, in.A, in.B)
 	}
 }
-
-// Validate checks structural invariants: every block ends in a terminator,
-// all branch targets exist, registers are within range, and symbol ids are
-// valid. It returns the first violation found.
-func (p *Program) Validate() error {
-	if len(p.Blocks) == 0 {
-		return fmt.Errorf("program has no blocks")
-	}
-	if int(p.Entry) >= len(p.Blocks) {
-		return fmt.Errorf("entry block %d out of range", p.Entry)
-	}
-	for _, b := range p.Blocks {
-		if len(b.Instrs) == 0 {
-			return fmt.Errorf("block %s is empty", b.Label)
-		}
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Op.IsTerminator() != (i == len(b.Instrs)-1) {
-				return fmt.Errorf("block %s: terminator in wrong position (instr %d)", b.Label, i)
-			}
-			if in.Op == OpLoad || in.Op == OpStore {
-				if int(in.Sym) >= len(p.Symbols) {
-					return fmt.Errorf("block %s: invalid symbol %d", b.Label, in.Sym)
-				}
-			}
-			for _, tgt := range []BlockID{in.TrueTarget, in.FalseTarget} {
-				if (in.Op == OpBr || in.Op == OpCondBr) && int(tgt) >= len(p.Blocks) {
-					return fmt.Errorf("block %s: branch target %d out of range", b.Label, tgt)
-				}
-			}
-			checkReg := func(v Value) error {
-				if !v.IsConst && (int(v.Reg) < 0 || int(v.Reg) >= p.NumRegs) {
-					return fmt.Errorf("block %s: register %s out of range", b.Label, v.Reg)
-				}
-				return nil
-			}
-			if err := checkReg(in.A); err != nil && usesA(in.Op) {
-				return err
-			}
-			if err := checkReg(in.B); err != nil && in.Op.IsBinop() {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func usesA(op Op) bool {
-	switch op {
-	case OpNop, OpBr, OpFence:
-		return false
-	}
-	return true
-}

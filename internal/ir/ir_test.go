@@ -20,18 +20,11 @@ func buildTiny(t *testing.T) *Program {
 	bd.Ret(ConstVal(1))
 	bd.SetBlock(b)
 	bd.Ret(ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog
+	return bd.Finish(entry)
 }
 
 func TestBuilderProducesValidProgram(t *testing.T) {
 	prog := buildTiny(t)
-	if err := prog.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if prog.InstrCount() != 4 {
 		t.Errorf("instr count = %d, want 4", prog.InstrCount())
 	}
@@ -71,10 +64,7 @@ func TestDeadCodeAfterTerminatorDropped(t *testing.T) {
 	bd.SetBlock(entry)
 	bd.Ret(ConstVal(0))
 	bd.Const(42) // dead, must be dropped
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	if n := len(prog.Block(entry).Instrs); n != 1 {
 		t.Errorf("entry has %d instrs, want 1", n)
 	}
@@ -85,10 +75,7 @@ func TestUnterminatedBlockGetsRet(t *testing.T) {
 	entry := bd.NewBlock("entry")
 	bd.SetBlock(entry)
 	bd.Const(3)
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	term := prog.Block(entry).Terminator()
 	if term == nil || term.Op != OpRet {
 		t.Fatal("expected synthesized ret")
@@ -101,10 +88,7 @@ func TestSymbolLookup(t *testing.T) {
 	entry := bd.NewBlock("entry")
 	bd.SetBlock(entry)
 	bd.Load(sid, ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	s := prog.SymbolByName("tbl")
 	if s == nil || s.ID != sid || !s.Secret || s.SizeBytes() != 64 {
 		t.Fatalf("bad symbol %+v", s)
@@ -135,10 +119,7 @@ func TestFormatInstr(t *testing.T) {
 	r := bd.Load(sid, ConstVal(2))
 	bd.Store(sid, ConstVal(3), RegVal(r))
 	bd.Ret(RegVal(r))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	got := prog.FormatInstr(&prog.Block(entry).Instrs[0])
 	if !strings.Contains(got, "load a[2]") {
 		t.Errorf("load formatting: %q", got)
@@ -146,15 +127,6 @@ func TestFormatInstr(t *testing.T) {
 	got = prog.FormatInstr(&prog.Block(entry).Instrs[1])
 	if !strings.Contains(got, "store a[3]") {
 		t.Errorf("store formatting: %q", got)
-	}
-}
-
-func TestValidateCatchesMisplacedTerminator(t *testing.T) {
-	prog := buildTiny(t)
-	// Corrupt: append an instruction after the terminator of block a.
-	prog.Blocks[1].Instrs = append(prog.Blocks[1].Instrs, Instr{Op: OpConst, Dst: 0, A: ConstVal(1)})
-	if err := prog.Validate(); err == nil {
-		t.Fatal("expected validation error")
 	}
 }
 

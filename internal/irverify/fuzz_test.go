@@ -1,6 +1,7 @@
 package irverify_test
 
 import (
+	"errors"
 	"testing"
 
 	"specabsint/internal/irverify"
@@ -10,10 +11,10 @@ import (
 
 // FuzzVerify asserts that lowering is closed over the verifier's invariants:
 // any source program the front end accepts must lower to IR that verifies
-// clean. It lowers with verification disabled and runs the verifier
-// explicitly, so a violation is reported by this harness rather than masked
-// by Lower's own internal check. The test lives in an external package
-// because lower itself imports irverify.
+// clean. Lower runs the verifier on its output, so a violation surfaces as
+// a Lower error wrapping an *irverify.Error, which this harness reports;
+// any other lowering error (a front-end rejection) ends the input. The test
+// lives in an external package because lower itself imports irverify.
 func FuzzVerify(f *testing.F) {
 	for _, seed := range []string{
 		"int main() { return 0; }",
@@ -35,12 +36,9 @@ func FuzzVerify(f *testing.F) {
 		}
 		opts := lower.DefaultOptions()
 		opts.MaxUnroll = 64 // explore program shapes, not giant unrollings
-		opts.SkipVerify = true
-		p, err := lower.Lower(prog, opts)
-		if err != nil {
-			return
-		}
-		if verr := irverify.Verify(p); verr != nil {
+		_, err = lower.Lower(prog, opts)
+		var verr *irverify.Error
+		if errors.As(err, &verr) {
 			t.Fatalf("lowered program failed verification:\n%v\nsource:\n%s", verr, src)
 		}
 	})

@@ -1,16 +1,18 @@
-// Package irverify is a structural verifier for lowered IR programs and
-// their control-flow graphs. It turns the invariants the analyses silently
-// rely on into positioned diagnostics, so a lowering, unrolling, inlining,
-// or pass-pipeline bug surfaces as "block X, instruction Y violates Z"
-// instead of a corrupted classification three layers downstream (PR 3's
-// fuzzer found two lowering bugs only after they had poisoned results).
+// Package irverify is the one structural check of IR programs: lowering
+// runs it on every program it builds, the pass pipeline on every program it
+// transforms, and the fence synthesizer on every fenced program. It turns
+// the invariants the analyses silently rely on into positioned diagnostics,
+// so a lowering, unrolling, inlining, or pass-pipeline bug surfaces as
+// "block X, instruction Y violates Z" instead of a corrupted classification
+// three layers downstream (the differential fuzzer once found two lowering
+// bugs only after they had poisoned results).
 //
 // Check families:
 //
 //   - program shape: entry in range, block/symbol ids match their indices,
 //     instruction ids dense in layout order (Finalize discipline);
 //   - terminator discipline: every block non-empty, exactly one terminator,
-//     at the end, branch targets in range, CFG edges matching the graph;
+//     at the end, branch targets in range;
 //   - operand/opcode arity: const-only operands where required, register
 //     operands in range, Resolved markers only on conditional branches;
 //   - symbol-and-index well-formedness: symbol ids valid, element sizes and
@@ -94,35 +96,24 @@ func (e *Error) Error() string {
 // produce an unbounded report.
 const maxDiags = 64
 
-// Verify checks prog against all invariant families, deriving the CFG
-// itself (only after the block-level checks pass: cfg.New indexes blocks by
-// branch target, so it must not see dangling edges). It returns nil when the
-// program is clean and an *Error otherwise.
+// Verify checks prog against all invariant families. It returns nil when
+// the program is clean and an *Error otherwise.
 func Verify(prog *ir.Program) error {
-	return asError(Diagnose(prog, nil))
-}
-
-// VerifyGraph checks prog against all invariant families using a caller-
-// provided CFG (which must have been built from prog — a stale graph is
-// itself reported as a violation). It returns nil when the program is clean
-// and an *Error otherwise.
-func VerifyGraph(prog *ir.Program, g *cfg.Graph) error {
-	return asError(Diagnose(prog, g))
-}
-
-func asError(diags []Diagnostic) error {
-	if len(diags) == 0 {
-		return nil
+	if diags := Diagnose(prog); len(diags) > 0 {
+		return &Error{Diags: diags}
 	}
-	return &Error{Diags: diags}
+	return nil
 }
 
 // Diagnose runs every check and returns all findings (possibly none), capped
 // at an internal limit. Check families run in dependency order — shape, then
-// symbols/blocks, then graph, then dataflow and speculative flows — and a
-// failing family stops the later ones, which assume its invariants.
-func Diagnose(prog *ir.Program, g *cfg.Graph) []Diagnostic {
-	v := &verifier{prog: prog, g: g}
+// symbols/blocks, then dataflow and speculative flows — and a failing family
+// stops the later ones, which assume its invariants. The CFG the path-
+// sensitive checks walk is derived from prog only after the block-level
+// checks pass: cfg.New indexes blocks by branch target, so it must not see
+// dangling edges.
+func Diagnose(prog *ir.Program) []Diagnostic {
+	v := &verifier{prog: prog}
 	v.diags = verifyProgramShape(prog)
 	if len(v.diags) > 0 {
 		return v.diags
@@ -130,18 +121,11 @@ func Diagnose(prog *ir.Program, g *cfg.Graph) []Diagnostic {
 	v.checkSymbols()
 	v.checkBlocks()
 	if len(v.diags) > 0 {
-		// Branch targets may dangle; building or trusting a CFG would fault.
 		return v.diags
 	}
-	if v.g == nil {
-		v.g = cfg.New(prog)
-	}
-	v.checkGraph()
-	if len(v.diags) == 0 {
-		// Path-sensitive checks assume structurally sound blocks and edges.
-		v.checkDefBeforeUse()
-		v.checkSpecFlows()
-	}
+	v.g = cfg.New(prog)
+	v.checkDefBeforeUse()
+	v.checkSpecFlows()
 	return v.diags
 }
 
@@ -324,48 +308,6 @@ func (v *verifier) checkInstr(b *ir.Block, i int, in *ir.Instr) {
 			use("right", in.B)
 		} else {
 			v.report(b, i, "operand", "unknown opcode %s", in.Op)
-		}
-	}
-}
-
-// checkGraph asserts the CFG mirrors the blocks: successor lists equal
-// Block.Succs, and every edge has its reverse in Preds.
-func (v *verifier) checkGraph() {
-	if v.g == nil {
-		return
-	}
-	n := len(v.prog.Blocks)
-	if len(v.g.Succs) != n || len(v.g.Preds) != n {
-		v.report(v.prog.Blocks[0], -1, "graph", "graph has %d/%d succ/pred entries for %d blocks",
-			len(v.g.Succs), len(v.g.Preds), n)
-		return
-	}
-	for _, b := range v.prog.Blocks {
-		want := b.Succs()
-		got := v.g.Succs[b.ID]
-		if len(want) != len(got) {
-			v.report(b, -1, "graph", "graph lists %d successors, terminator has %d", len(got), len(want))
-			continue
-		}
-		for k := range want {
-			if want[k] != got[k] {
-				v.report(b, -1, "graph", "successor %d is %d in the graph, %d in the terminator", k, got[k], want[k])
-			}
-		}
-		for _, s := range want {
-			if int(s) < 0 || int(s) >= n {
-				continue // already reported by checkInstr
-			}
-			found := false
-			for _, p := range v.g.Preds[s] {
-				if p == b.ID {
-					found = true
-					break
-				}
-			}
-			if !found {
-				v.report(b, -1, "graph", "edge to %s missing from its predecessor list", v.prog.Blocks[s].Label)
-			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"specabsint/internal/cfg"
 	"specabsint/internal/ir"
 )
 
@@ -43,11 +42,7 @@ func baseProgram(t *testing.T) *ir.Program {
 	bd.SetBlock(exit)
 	bd.Ret(ir.RegVal(r1))
 	bd.NewReg() // %r4: in range, never defined
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatalf("building base program: %v", err)
-	}
-	return prog
+	return bd.Finish(entry)
 }
 
 func TestVerifyCleanProgram(t *testing.T) {
@@ -56,178 +51,146 @@ func TestVerifyCleanProgram(t *testing.T) {
 	}
 }
 
-// TestMutationsRejected seeds ~19 distinct IR corruptions and requires each
+// TestMutationsRejected seeds 18 distinct IR corruptions and requires each
 // to be rejected with a diagnostic from the right check family, positioned at
 // the offending block (and instruction, where one exists).
 func TestMutationsRejected(t *testing.T) {
 	// Block indices in baseProgram: 0 entry, 1 then, 2 else, 3 exit.
 	tests := []struct {
-		name string
-		// mutate corrupts the program; it may return a (stale) graph to
-		// verify against instead of a freshly derived one.
-		mutate    func(p *ir.Program) *cfg.Graph
+		name      string
+		mutate    func(p *ir.Program)
 		wantCheck string
 		wantBlock string // expected Label; "" for program-level findings
 		wantInstr int    // expected instruction index; -1 for block-level
 	}{
 		{
 			name: "dangling branch edge",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[1].Instrs[1].TrueTarget = 99
-				return nil
 			},
 			wantCheck: "terminator", wantBlock: "then", wantInstr: 1,
 		},
 		{
 			name: "dangling condbr false edge",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[0].Instrs[3].FalseTarget = -7
-				return nil
 			},
 			wantCheck: "terminator", wantBlock: "entry", wantInstr: 3,
 		},
 		{
 			name: "use of never-defined register",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[2].Instrs[0].A = ir.RegVal(4)
-				return nil
 			},
 			wantCheck: "def-before-use", wantBlock: "else", wantInstr: 0,
 		},
 		{
 			name: "use defined on only one path",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[3].Instrs[0].A = ir.RegVal(3)
-				return nil
 			},
 			wantCheck: "def-before-use", wantBlock: "exit", wantInstr: 0,
 		},
 		{
 			name: "bad symbol id",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[0].Instrs[1].Sym = 9
-				return nil
 			},
 			wantCheck: "symbol", wantBlock: "entry", wantInstr: 1,
 		},
 		{
 			name: "non-positive element size",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Symbols[0].ElemSize = 0
-				return nil
 			},
 			wantCheck: "symbol", wantBlock: "", wantInstr: -1,
 		},
 		{
 			name: "oversized initializer",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Symbols[0].Init = make([]int64, 9)
-				return nil
 			},
 			wantCheck: "symbol", wantBlock: "", wantInstr: -1,
 		},
 		{
 			name: "duplicate symbol name",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Symbols = append(p.Symbols, &ir.Symbol{ID: 1, Name: "a", ElemSize: 8, Len: 1})
-				return nil
 			},
 			wantCheck: "symbol", wantBlock: "", wantInstr: -1,
 		},
 		{
 			name: "const with register operand",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[0].Instrs[0].A = ir.RegVal(0)
-				return nil
 			},
 			wantCheck: "operand", wantBlock: "entry", wantInstr: 0,
 		},
 		{
 			name: "operand register out of range",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[2].Instrs[0].B = ir.RegVal(1000)
-				return nil
 			},
 			wantCheck: "operand", wantBlock: "else", wantInstr: 0,
 		},
 		{
 			name: "destination register out of range",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[0].Instrs[1].Dst = -2
-				return nil
 			},
 			wantCheck: "operand", wantBlock: "entry", wantInstr: 1,
 		},
 		{
 			name: "resolved marker on non-branch",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[1].Instrs[1].Resolved = true
-				return nil
 			},
 			wantCheck: "operand", wantBlock: "then", wantInstr: 1,
 		},
 		{
 			name: "empty block",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[1].Instrs = nil
 				p.Finalize() // keep instruction ids dense so only emptiness is at fault
-				return nil
 			},
 			wantCheck: "terminator", wantBlock: "then", wantInstr: -1,
 		},
 		{
 			name: "terminator mid-block",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				b := p.Blocks[2]
 				b.Instrs = append([]ir.Instr{{Op: ir.OpBr, TrueTarget: 3}}, b.Instrs...)
 				p.Finalize()
-				return nil
 			},
 			wantCheck: "terminator", wantBlock: "else", wantInstr: 0,
 		},
 		{
 			name: "missing terminator",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				b := p.Blocks[2]
 				b.Instrs = b.Instrs[:1]
 				p.Finalize()
-				return nil
 			},
 			wantCheck: "terminator", wantBlock: "else", wantInstr: 0,
 		},
 		{
 			name: "instruction id corruption",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[3].Instrs[0].ID = 999
-				return nil
 			},
 			wantCheck: "program", wantBlock: "", wantInstr: -1,
 		},
 		{
 			name: "entry out of range",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Entry = 42
-				return nil
 			},
 			wantCheck: "program", wantBlock: "", wantInstr: -1,
 		},
 		{
-			name: "unbalanced lane edge in stale graph",
-			mutate: func(p *ir.Program) *cfg.Graph {
-				g := cfg.New(p)
-				// Retarget then's branch after the graph was built: the
-				// engine would walk a lane along an edge the graph no longer
-				// describes.
-				p.Blocks[1].Instrs[1].TrueTarget = 2
-				return g
-			},
-			wantCheck: "graph", wantBlock: "then", wantInstr: -1,
-		},
-		{
 			name: "degenerate lane pair",
-			mutate: func(p *ir.Program) *cfg.Graph {
+			mutate: func(p *ir.Program) {
 				p.Blocks[0].Instrs[3].FalseTarget = 1 // == TrueTarget
-				return nil
 			},
 			wantCheck: "spec-flow", wantBlock: "entry", wantInstr: 3,
 		},
@@ -235,13 +198,8 @@ func TestMutationsRejected(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			prog := baseProgram(t)
-			g := tt.mutate(prog)
-			var err error
-			if g != nil {
-				err = VerifyGraph(prog, g)
-			} else {
-				err = Verify(prog)
-			}
+			tt.mutate(prog)
+			err := Verify(prog)
 			if err == nil {
 				t.Fatalf("corruption %q was not rejected", tt.name)
 			}
@@ -310,10 +268,7 @@ func TestLoopDefBeforeUse(t *testing.T) {
 	bd.Br(head)
 	bd.SetBlock(exit)
 	bd.Ret(ir.RegVal(i))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatalf("building loop program: %v", err)
-	}
+	prog := bd.Finish(entry)
 	if err := Verify(prog); err != nil {
 		t.Fatalf("loop program should verify clean, got:\n%v", err)
 	}

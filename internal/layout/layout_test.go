@@ -16,11 +16,7 @@ func progWithSymbols(t *testing.T) *ir.Program {
 	entry := bd.NewBlock("entry")
 	bd.SetBlock(entry)
 	bd.Ret(ir.ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog
+	return bd.Finish(entry)
 }
 
 func TestPaperConfig(t *testing.T) {

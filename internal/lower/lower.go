@@ -31,27 +31,23 @@ type Options struct {
 	// unrolled. Loops above the cap (and loops containing break/continue)
 	// are left intact for the widening-based fixpoint.
 	MaxUnroll int
-	// InlineDepth caps the call-inlining depth as a safety net (the checker
-	// already rejects recursion).
-	InlineDepth int
-	// SkipVerify disables the post-lowering structural verification. The
-	// zero value verifies: every Lower output passes irverify before any
-	// analysis consumes it.
-	SkipVerify bool
 }
 
 // DefaultOptions returns the standard lowering configuration.
 func DefaultOptions() Options {
-	return Options{MaxUnroll: 4096, InlineDepth: 64}
+	return Options{MaxUnroll: 4096}
 }
 
-// Lower compiles a checked program to IR starting at main.
+// maxInlineDepth caps the call-inlining depth as a safety net (the checker
+// already rejects recursion).
+const maxInlineDepth = 64
+
+// Lower compiles a checked program to IR starting at main and verifies the
+// result: every Lower output passes irverify before any analysis consumes
+// it.
 func Lower(prog *source.Program, opts Options) (*ir.Program, error) {
 	if opts.MaxUnroll == 0 {
 		opts.MaxUnroll = DefaultOptions().MaxUnroll
-	}
-	if opts.InlineDepth == 0 {
-		opts.InlineDepth = DefaultOptions().InlineDepth
 	}
 	lw := &lowerer{
 		src:  prog,
@@ -62,10 +58,8 @@ func Lower(prog *source.Program, opts Options) (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !opts.SkipVerify {
-		if verr := irverify.Verify(p); verr != nil {
-			return nil, fmt.Errorf("lowering produced structurally invalid IR: %w", verr)
-		}
+	if verr := irverify.Verify(p); verr != nil {
+		return nil, fmt.Errorf("lowering produced structurally invalid IR: %w", verr)
 	}
 	return p, nil
 }
@@ -141,7 +135,7 @@ func (lw *lowerer) run() (*ir.Program, error) {
 	lw.bd.Ret(ir.RegVal(lw.retReg))
 	lw.popScope()
 	lw.popScope()
-	return lw.bd.Finish(entry)
+	return lw.bd.Finish(entry), nil
 }
 
 func (lw *lowerer) pushScope() { lw.scopes = append(lw.scopes, map[string]binding{}) }
@@ -799,7 +793,7 @@ func (lw *lowerer) lowerCall(call *source.CallExpr) (ir.Value, error) {
 	if f == nil {
 		return ir.Value{}, fmt.Errorf("%s: call to unknown function %q", call.Pos, call.Name)
 	}
-	if lw.inlineDepth >= lw.opts.InlineDepth {
+	if lw.inlineDepth >= maxInlineDepth {
 		return ir.Value{}, fmt.Errorf("%s: inline depth exceeded at call to %q", call.Pos, call.Name)
 	}
 	// Evaluate arguments in the caller's scope.

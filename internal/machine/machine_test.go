@@ -504,3 +504,48 @@ func TestICacheFetchStream(t *testing.T) {
 		t.Errorf("wrong-path fetches %d, counters %d+%d, wrong-path instructions %d", spec, st.SpecIFetchHits, st.SpecIFetchMisses, st.SpecInstructions)
 	}
 }
+
+// TestSecretDivergence replays a probe of a preloaded table at a secret
+// index, with the secret declared as a register and as a memory scalar:
+// secrets on different lines tell the probe's hit apart, secrets on one
+// line do not.
+func TestSecretDivergence(t *testing.T) {
+	for _, decl := range []string{"secret reg int k;", "secret int k;"} {
+		t.Run(decl, func(t *testing.T) {
+			prog := compile(t, "char ph[512];\n"+decl+`
+int main() {
+	reg int t;
+	t = ph[0];
+	t = ph[k & 511];
+	return t;
+}`)
+			if !HasSecretInputs(prog) {
+				t.Fatal("HasSecretInputs = false")
+			}
+			probe := -1
+			for _, b := range prog.Blocks {
+				for _, in := range b.Instrs {
+					if in.Op == ir.OpLoad && prog.Symbol(in.Sym).Name == "ph" {
+						probe = in.ID
+					}
+				}
+			}
+			cfg := Config{Cache: layout.CacheConfig{LineSize: 64, NumSets: 1, Assoc: 4}}
+			for _, tc := range []struct {
+				a, b int64
+				want int
+			}{{0, 100, 1}, {0, 1, 0}} {
+				got, err := SecretDivergence(prog, cfg, tc.a, tc.b, []int{probe})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != tc.want || (tc.want == 1 && got[0] != probe) {
+					t.Errorf("secrets %d/%d: diverged %v, want %d access(es) (probe %d)", tc.a, tc.b, got, tc.want, probe)
+				}
+			}
+		})
+	}
+	if HasSecretInputs(compile(t, "char ph[64];\nint main() { return ph[0]; }")) {
+		t.Error("HasSecretInputs = true on a program without secrets")
+	}
+}

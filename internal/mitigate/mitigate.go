@@ -34,7 +34,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"specabsint/internal/core"
@@ -46,35 +45,28 @@ import (
 	"specabsint/internal/wcet"
 )
 
-// Options configures a synthesis run.
+// Options configures a synthesis run. The WCET estimates behind candidate
+// tie-breaking and the reported overhead use wcet.DefaultCosts.
 type Options struct {
 	// Core is the analysis configuration the repair loop must satisfy;
 	// Speculative is forced on (a fence synthesizer for the classic analysis
 	// is meaningless).
 	Core core.Options
-	// Costs feeds the WCET estimates used for candidate tie-breaking and the
-	// reported overhead.
-	Costs wcet.CostModel
 	// Verify runs the differential secret-pair trace check on the fenced
 	// program (see Report.Verified).
 	Verify bool
-	// SecretPairs are the (s1, s2) secret assignments the differential check
-	// compares, mirroring the fuzz oracle's defaults.
-	SecretPairs [][2]int64
-	// MaxSteps bounds each concrete verification replay.
-	MaxSteps int64
 }
 
-// DefaultOptions mirrors the analyzer's and the fuzz oracle's defaults.
+// DefaultOptions mirrors the analyzer's defaults.
 func DefaultOptions() Options {
-	return Options{
-		Core:        core.DefaultOptions(),
-		Costs:       wcet.DefaultCosts(),
-		Verify:      true,
-		SecretPairs: [][2]int64{{0, 15}, {3, 12}, {7, 8}},
-		MaxSteps:    2_000_000,
-	}
+	return Options{Core: core.DefaultOptions(), Verify: true}
 }
+
+// secretPairs are the (s1, s2) secret assignments the differential check
+// compares, the fuzz oracle's defaults; maxSteps bounds each replay.
+var secretPairs = [...][2]int64{{0, 15}, {3, 12}, {7, 8}}
+
+const maxSteps = 2_000_000
 
 // Fence describes one synthesized fence placement. Block/Index locate the
 // insertion point in the *input* program: the fence sits immediately before
@@ -161,9 +153,6 @@ type leakKey struct {
 func Synthesize(ctx context.Context, prog *ir.Program, opts Options) (*Report, error) {
 	opts.Core.Speculative = true
 	opts.Core.Collector = nil
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = DefaultOptions().MaxSteps
-	}
 
 	rep := &Report{Program: prog}
 	base, err := analyzeLeaks(ctx, prog, identityIDs(prog), opts)
@@ -288,7 +277,7 @@ func analyzeLeaks(ctx context.Context, prog *ir.Program, origID []int, opts Opti
 	for _, l := range rep.SpectreLeaks {
 		a.leaks[leakKey{gadget: true, origID: origID[l.InstrID]}] = true
 	}
-	est := wcet.New(rep.Analysis, opts.Costs)
+	est := wcet.New(rep.Analysis, wcet.DefaultCosts())
 	a.wcetBound = est.WorstCaseCycles
 	a.charge = est.SpecExtraCycles
 	if est.WorstCaseCycles >= 0 {
@@ -479,91 +468,35 @@ func countKinds(leaks map[leakKey]bool) (timing, gadgets int) {
 }
 
 // verifyDifferential replays the fenced program with secret assignments that
-// differ only in the secret-tagged inputs (memory scalars via Inputs,
-// `secret reg` registers via RegInputs) under worst-case speculation
-// (every branch mispredicted, wrong-path OOB enabled), recording the
-// architectural hit/miss sequence of every secret-indexed access. A
-// divergence at an access the residual report does not name means the fence
-// set failed to close a real channel. Programs with secret-dependent control
-// flow, or without secrets, are skipped — mirroring the fuzz oracle's
-// leak-completeness scope.
+// differ only in the secret inputs (machine.SecretDivergence) under
+// worst-case speculation, comparing the architectural hit/miss sequence of
+// every secret-indexed access. A divergence at an access the residual
+// report does not name means the fence set failed to close a real channel.
+// Programs with secret-dependent control flow, or without secrets, are
+// skipped — mirroring the fuzz oracle's leak-completeness scope.
 func verifyDifferential(prog *ir.Program, rep *sidechannel.Report, opts Options) (verified bool, traces int, skipped bool, err error) {
 	tnt := taint.Analyze(prog)
-	var secretSyms []string
-	for _, s := range prog.Symbols {
-		if s.Secret && s.Len == 1 {
-			secretSyms = append(secretSyms, s.Name)
-		}
-	}
-	if (len(secretSyms) == 0 && len(prog.SecretRegs) == 0) ||
-		len(tnt.SecretBranches) > 0 || len(tnt.SecretIndexed) == 0 {
+	if !machine.HasSecretInputs(prog) || len(tnt.SecretBranches) > 0 || len(tnt.SecretIndexed) == 0 {
 		return false, 0, true, nil
-	}
-	watch := map[int]bool{}
-	for _, id := range tnt.SecretIndexed {
-		watch[id] = true
 	}
 	leaked := map[int]bool{}
 	for _, l := range rep.Leaks {
 		leaked[l.InstrID] = true
 	}
-
-	trace := func(val int64) (map[int][]bool, error) {
-		inputs := map[string]int64{}
-		for _, n := range secretSyms {
-			inputs[n] = val
-		}
-		regInputs := map[ir.Reg]int64{}
-		for _, r := range prog.SecretRegs {
-			regInputs[r] = val
-		}
-		cfg := machine.Config{
-			Cache:           opts.Core.Cache,
-			ForceMispredict: true,
-			DepthMiss:       opts.Core.DepthMiss,
-			DepthHit:        opts.Core.DepthHit,
-			WrongPathOOB:    true,
-			MaxSteps:        opts.MaxSteps,
-			Inputs:          inputs,
-			RegInputs:       regInputs,
-		}
-		sim, err := machine.New(prog, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("mitigate: verification simulator: %w", err)
-		}
-		seq := map[int][]bool{}
-		sim.OnAccess = func(r machine.AccessRecord) {
-			if !r.Speculative && watch[r.InstrID] {
-				seq[r.InstrID] = append(seq[r.InstrID], r.Hit)
-			}
-		}
-		if err := sim.Run(); err != nil {
-			return nil, fmt.Errorf("mitigate: verification replay: %w", err)
-		}
-		return seq, nil
+	cfg := machine.Config{
+		Cache:     opts.Core.Cache,
+		DepthMiss: opts.Core.DepthMiss,
+		DepthHit:  opts.Core.DepthHit,
+		MaxSteps:  maxSteps,
 	}
-
-	pairs := opts.SecretPairs
-	if len(pairs) == 0 {
-		pairs = DefaultOptions().SecretPairs
-	}
-	for _, pair := range pairs {
-		seqA, err := trace(pair[0])
+	for _, pair := range secretPairs {
+		diverged, err := machine.SecretDivergence(prog, cfg, pair[0], pair[1], tnt.SecretIndexed)
 		if err != nil {
-			return false, traces, false, err
-		}
-		seqB, err := trace(pair[1])
-		if err != nil {
-			return false, traces, false, err
+			return false, traces, false, fmt.Errorf("mitigate: verification replay: %w", err)
 		}
 		traces += 2
-		for id, sa := range seqA {
-			if !slices.Equal(sa, seqB[id]) && !leaked[id] {
-				return false, traces, false, nil
-			}
-		}
-		for id := range seqB {
-			if _, ok := seqA[id]; !ok && !leaked[id] {
+		for _, id := range diverged {
+			if !leaked[id] {
 				return false, traces, false, nil
 			}
 		}

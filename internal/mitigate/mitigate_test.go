@@ -6,12 +6,13 @@ import (
 
 	"specabsint/internal/bench"
 	"specabsint/internal/ir"
+	"specabsint/internal/runner"
 	"specabsint/internal/sidechannel"
 )
 
 func compile(t *testing.T, src string) *ir.Program {
 	t.Helper()
-	prog, err := bench.Compile(src, 0)
+	prog, _, err := runner.Compile(src, 0, false)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -56,18 +56,6 @@ func (c *Collector) StartPhase(name string) func() {
 	}
 }
 
-// AddPhase appends an already-measured phase sample — used to replay the
-// compile-time phases (parse, lower, passes) into the analysis collector so
-// one Stats document covers the whole pipeline.
-func (c *Collector) AddPhase(name string, nanos int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.stats.Phases = append(c.stats.Phases, PhaseStat{Name: name, Nanos: nanos})
-	c.mu.Unlock()
-}
-
 // Phase times fn as a named phase.
 func (c *Collector) Phase(name string, fn func()) {
 	if c == nil {

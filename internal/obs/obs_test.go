@@ -46,7 +46,7 @@ func TestNilCollectorAllocFree(t *testing.T) {
 // sum, program/partition are last-write-wins, passes and phases append.
 func TestCollectorAccumulates(t *testing.T) {
 	c := NewCollector()
-	c.SetProgram(ProgramStats{Blocks: 9, CondBranches: 4, ResolvedBranches: 1})
+	c.SetProgram(ProgramStats{Blocks: 9, CondBranches: 3, ResolvedBranches: 1})
 	c.AddPass("sccp", 5)
 	c.AddPass("resolve", 1)
 	c.AddFixpoint(FixpointStats{Iterations: 10, Joins: 3})

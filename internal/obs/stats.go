@@ -46,8 +46,9 @@ type ProgramStats struct {
 	Symbols int `json:"symbols"`
 	// MemAccesses counts static Load/Store instructions.
 	MemAccesses int `json:"mem_accesses"`
-	// CondBranches counts conditional branches; ResolvedBranches the subset
-	// statically decided by the pass pipeline (they spawn no lanes).
+	// CondBranches counts unresolved conditional branches; ResolvedBranches
+	// the conditional branches the pass pipeline decided statically (they
+	// spawn no lanes), which CondBranches leaves out.
 	CondBranches     int `json:"cond_branches"`
 	ResolvedBranches int `json:"resolved_branches"`
 }
@@ -55,7 +56,7 @@ type ProgramStats struct {
 // Lanes returns the number of speculative flows the engine must consider:
 // two per unresolved conditional branch (§6.4, one color per predicted
 // direction).
-func (p ProgramStats) Lanes() int { return 2 * (p.CondBranches - p.ResolvedBranches) }
+func (p ProgramStats) Lanes() int { return 2 * p.CondBranches }
 
 // PassStat records one pre-analysis pass's effect.
 type PassStat struct {
@@ -239,7 +240,7 @@ func (s *Stats) WriteText(w io.Writer) {
 	p, f := s.Program, s.Fixpoint
 	fmt.Fprintf(w, "program:   %d blocks, %d instrs, %d symbols, %d mem accesses\n",
 		p.Blocks, p.Instrs, p.Symbols, p.MemAccesses)
-	fmt.Fprintf(w, "branches:  %d conditional, %d resolved statically -> %d speculative lanes\n",
+	fmt.Fprintf(w, "branches:  %d unresolved, %d resolved statically -> %d speculative lanes\n",
 		p.CondBranches, p.ResolvedBranches, p.Lanes())
 	for _, ps := range s.Passes {
 		fmt.Fprintf(w, "pass:      %-8s changed %d\n", ps.Name, ps.Changed)

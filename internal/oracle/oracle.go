@@ -41,14 +41,10 @@ import (
 	"specabsint/internal/cache"
 	"specabsint/internal/core"
 	"specabsint/internal/ir"
-	"specabsint/internal/irverify"
 	"specabsint/internal/layout"
-	"specabsint/internal/lower"
 	"specabsint/internal/machine"
-	"specabsint/internal/passes"
 	"specabsint/internal/runner"
 	"specabsint/internal/sidechannel"
-	"specabsint/internal/source"
 	"specabsint/internal/taint"
 )
 
@@ -218,25 +214,12 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = 2_000_000
 	}
-	ast, err := source.Parse(src)
+	// Compiling verifies the IR after lowering and again after the passes,
+	// so a lowering or pipeline bug surfaces here as a positioned
+	// diagnostic rather than as a bogus soundness violation downstream.
+	prog, _, err := runner.Compile(src, 0, !cfg.DisablePasses)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: compile: %w", err)
-	}
-	prog, err := lower.Lower(ast, lower.DefaultOptions())
-	if err != nil {
-		return nil, fmt.Errorf("oracle: lower: %w", err)
-	}
-	if !cfg.DisablePasses {
-		// passes.Run structurally re-verifies its output, so a pipeline bug
-		// surfaces here as a positioned diagnostic rather than as a bogus
-		// soundness violation downstream.
-		if _, err := passes.Run(prog, passes.Default()); err != nil {
-			return nil, fmt.Errorf("oracle: %w", err)
-		}
-	} else if err := irverify.Verify(prog); err != nil {
-		// Lowering verifies its own output; re-check here so the oracle
-		// rejects structurally broken IR however it was produced.
-		return nil, fmt.Errorf("oracle: %w", err)
 	}
 	pool := cfg.Pool
 	if pool == nil {
@@ -247,8 +230,9 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 
 	// One batch carries every abstract analysis of the sweep: the
 	// (cache × depth) soundness combos, the window-monotonicity pair, and
-	// the unroll pair (Source-keyed so the pool's compile cache provides the
-	// re-lowered programs).
+	// the unroll pair (its reduced-unroll side Source-keyed, so the pool's
+	// compile cache provides the re-lowered program; its default side is
+	// the program compiled above).
 	combos := c.combos()
 	jobs := make([]runner.Job[*sidechannel.Report], 0, len(combos)+2+2)
 	for _, cb := range combos {
@@ -267,12 +251,13 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 		// The unroll pair runs at speculation depth 0: with no wrong path,
 		// concrete traces are identical across unroll levels, which is what
 		// makes the cross-unroll relation sound (see checkUnrollMonotone).
-		for _, u := range []int{cfg.SmallUnroll, lower.DefaultOptions().MaxUnroll} {
-			opts := c.baseOpts()
-			opts.DepthMiss, opts.DepthHit = 0, 0
-			jobs = append(jobs, runner.Job[*sidechannel.Report]{Name: fmt.Sprintf("unroll-%d", u), Source: src, MaxUnroll: u,
-				Passes: !cfg.DisablePasses, Analyze: runner.Bind(sidechannel.AnalyzeContext, opts)})
-		}
+		opts := c.baseOpts()
+		opts.DepthMiss, opts.DepthHit = 0, 0
+		analyze := runner.Bind(sidechannel.AnalyzeContext, opts)
+		jobs = append(jobs,
+			runner.Job[*sidechannel.Report]{Name: fmt.Sprintf("unroll-%d", cfg.SmallUnroll), Source: src,
+				MaxUnroll: cfg.SmallUnroll, Passes: !cfg.DisablePasses, Analyze: analyze},
+			runner.Job[*sidechannel.Report]{Name: "unroll-default", Prog: prog, Analyze: analyze})
 	}
 
 	results := runner.RunAll(ctx, pool, jobs)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"specabsint/internal/bench"
 	"specabsint/internal/gen"
 	"specabsint/internal/runner"
 )
@@ -88,27 +89,41 @@ func TestFuzzCorpusReplay(t *testing.T) {
 }
 
 // TestSecretCorpusExercisesLeakProperty guards against the leak-completeness
-// check silently becoming vacuous: the secret-carrying corpus programs must
-// actually reach it (secret scalars present, no secret-tainted branches).
+// check silently becoming vacuous: a secret-carrying corpus program, and the
+// paper's Fig. 2 with its secret `k` in a register, must actually reach it
+// (secrets present, no secret-tainted branches). The traces it adds are the
+// difference between a sweep with secret pairs and one without: one pair of
+// replays per secret pair per soundness combo.
 func TestSecretCorpusExercisesLeakProperty(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "fuzz-corpus", "spectre-v1.c"))
+	spectre, err := os.ReadFile(filepath.Join("testdata", "fuzz-corpus", "spectre-v1.c"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Quick()
-	res, err := Check(string(src), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed() {
-		t.Fatalf("unexpected violations: %v", res.Violations)
-	}
-	// The leak property runs one pair of traces per secret pair per combo on
-	// top of the soundness traces; Quick has 4 combos and 1 pair, so at least
-	// 8 extra traces must have run.
-	soundness := 4 * (len(cfg.Predictors) + 1) * cfg.InputVectors
-	if res.Traces < soundness+8 {
-		t.Fatalf("leak-completeness traces missing: %d total traces, soundness accounts for %d", res.Traces, soundness)
+	for _, tc := range []struct{ name, src string }{
+		{"spectre-v1.c", string(spectre)},
+		{"fig2-secret-reg", bench.Fig2Program(-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Quick()
+			res, err := Check(tc.src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failed() {
+				t.Fatalf("unexpected violations: %v", res.Violations)
+			}
+			noPairs := Quick()
+			noPairs.SecretPairs = nil
+			base, err := Check(tc.src, noPairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			combos := len(cfg.Caches) * len(cfg.Depths)
+			if got, want := res.Traces-base.Traces, 2*combos*len(cfg.SecretPairs); got != want {
+				t.Fatalf("leak-completeness ran %d traces (%d in all, %d without secret pairs), want %d",
+					got, res.Traces, base.Traces, want)
+			}
+		})
 	}
 }
 

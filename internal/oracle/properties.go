@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"fmt"
-	"slices"
 
 	"specabsint/internal/cache"
 	"specabsint/internal/core"
@@ -11,43 +10,38 @@ import (
 )
 
 // checkLeakCompleteness compares concrete traces that differ only in the
-// secret-tagged inputs: when the cache behaviour of a secret-indexed access
-// diverges between them, an attacker timing that access learns something
-// about the secret, so the side-channel report must name it. The property
-// holds unconditionally for programs whose secrets never reach a branch
-// condition (internal/gen's secret mode guarantees this); programs with
-// secret-dependent control flow are skipped — there the control-flow
-// channel, reported separately, already covers the divergence.
+// secret inputs (secret memory scalars and `secret reg` registers): when the
+// cache behaviour of a secret-indexed access diverges between them, an
+// attacker timing that access learns something about the secret, so the
+// side-channel report must name it. The property holds unconditionally for
+// programs whose secrets never reach a branch condition (internal/gen's
+// secret mode guarantees this); programs with secret-dependent control flow
+// are skipped — there the control-flow channel, reported separately,
+// already covers the divergence.
 func (c *checker) checkLeakCompleteness(rep *sidechannel.Report, cb combo) {
-	var secrets []string
-	for _, s := range c.prog.Symbols {
-		if s.Secret && s.Len == 1 {
-			secrets = append(secrets, s.Name)
-		}
-	}
-	if len(secrets) == 0 || len(c.tnt.SecretBranches) > 0 {
-		return
-	}
-	watch := map[int]bool{}
-	for _, id := range c.tnt.SecretIndexed {
-		watch[id] = true
-	}
-	if len(watch) == 0 {
+	if !machine.HasSecretInputs(c.prog) || len(c.tnt.SecretBranches) > 0 || len(c.tnt.SecretIndexed) == 0 {
 		return
 	}
 	leaked := map[int]bool{}
 	for _, l := range rep.Leaks {
 		leaked[l.InstrID] = true
 	}
+	simCfg := machine.Config{
+		Cache:     cb.opts.Cache,
+		DepthMiss: cb.opts.DepthMiss,
+		DepthHit:  cb.opts.DepthHit,
+		MaxSteps:  c.cfg.MaxSteps,
+	}
 	for pi, pair := range c.cfg.SecretPairs {
 		label := fmt.Sprintf("%s secrets=%d/%d", cb.label, pair[0], pair[1])
-		seqA, okA := c.traceSeq(cb, secrets, pair[0], watch, label)
-		seqB, okB := c.traceSeq(cb, secrets, pair[1], watch, label)
-		if !okA || !okB {
-			return // the crash is already recorded
+		diverged, err := machine.SecretDivergence(c.prog, simCfg, pair[0], pair[1], c.tnt.SecretIndexed)
+		if err != nil {
+			c.violate(Violation{Property: Crash, Config: label, Detail: fmt.Sprintf("secret-pair replay failed: %v", err)})
+			return
 		}
-		for id, sa := range seqA {
-			if slices.Equal(sa, seqB[id]) || leaked[id] {
+		c.res.Traces += 2
+		for _, id := range diverged {
+			if leaked[id] {
 				continue
 			}
 			line := 0
@@ -60,41 +54,6 @@ func (c *checker) checkLeakCompleteness(rep *sidechannel.Report, cb combo) {
 			})
 		}
 	}
-}
-
-// traceSeq replays the program with every secret set to val and returns the
-// architectural hit/miss sequence of each watched instruction.
-func (c *checker) traceSeq(cb combo, secrets []string, val int64, watch map[int]bool, label string) (map[int][]bool, bool) {
-	inputs := map[string]int64{}
-	for _, n := range secrets {
-		inputs[n] = val
-	}
-	simCfg := machine.Config{
-		Cache:           cb.opts.Cache,
-		ForceMispredict: true,
-		DepthMiss:       cb.opts.DepthMiss,
-		DepthHit:        cb.opts.DepthHit,
-		WrongPathOOB:    true,
-		MaxSteps:        c.cfg.MaxSteps,
-		Inputs:          inputs,
-	}
-	sim, err := machine.New(c.prog, simCfg)
-	if err != nil {
-		c.violate(Violation{Property: Crash, Config: label, Detail: fmt.Sprintf("simulator: %v", err)})
-		return nil, false
-	}
-	c.res.Traces++
-	seq := map[int][]bool{}
-	sim.OnAccess = func(r machine.AccessRecord) {
-		if !r.Speculative && watch[r.InstrID] {
-			seq[r.InstrID] = append(seq[r.InstrID], r.Hit)
-		}
-	}
-	if err := sim.Run(); err != nil {
-		c.violate(Violation{Property: Crash, Config: label, Detail: fmt.Sprintf("simulation failed: %v", err)})
-		return nil, false
-	}
-	return seq, true
 }
 
 // checkWindowMonotone asserts the metamorphic window relation: a larger

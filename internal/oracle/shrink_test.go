@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"specabsint/internal/bench"
 	"specabsint/internal/gen"
+	"specabsint/internal/runner"
 )
 
 // balanced reports whether every brace in src closes at or above depth 0.
@@ -46,7 +46,7 @@ func TestShrinkPreservesKeep(t *testing.T) {
 // the bound the acceptance criterion puts on reproducers.
 func TestShrinkReducesToCore(t *testing.T) {
 	compiles := func(s string) bool {
-		_, err := bench.Compile(s, 0)
+		_, _, err := runner.Compile(s, 0, false)
 		return err == nil
 	}
 	for seed := int64(1); seed <= 5; seed++ {
@@ -79,7 +79,7 @@ func TestShrinkIrreducible(t *testing.T) {
 func TestShrinkFlattensBlocks(t *testing.T) {
 	src := "int g0 = 0;\nint main(int inp) {\nif (inp > 0) {\nfor (int i = 0; i < 3; i++) {\nif (g0 == 0) {\ng0 = 7;\n}\n}\n}\nreturn g0;\n}\n"
 	compiles := func(s string) bool {
-		_, err := bench.Compile(s, 0)
+		_, _, err := runner.Compile(s, 0, false)
 		return err == nil
 	}
 	out := Shrink(src, func(s string) bool {

@@ -118,9 +118,9 @@ func TestDCESecondRound(t *testing.T) {
 	if !ok {
 		t.Fatal("program does not compile")
 	}
-	if _, err := Run(prog, Options{SCCP: true, CopyProp: true, ResolveBranches: true}); err != nil {
-		t.Fatal(err)
-	}
+	sccp(prog)
+	copyProp(prog)
+	resolveBranches(prog)
 	if n := dce(prog); n != 5 {
 		t.Fatalf("dce nopped %d instructions, want 5 (3 in round 1, then x's add and mov)\n%s", n, prog)
 	}
@@ -160,10 +160,7 @@ func TestCopyPropStaleSource(t *testing.T) {
 	sum := bd.Binop(ir.OpAdd, ir.RegVal(fromOther), ir.RegVal(early))
 	total := bd.Binop(ir.OpAdd, ir.RegVal(late), ir.RegVal(sum))
 	bd.Ret(ir.RegVal(total))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	copyProp(prog)
 	byDst := map[ir.Reg]*ir.Instr{}
 	for i := range prog.Blocks[0].Instrs {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"specabsint/internal/interp"
-	"specabsint/internal/irverify"
 	"specabsint/internal/lower"
 	"specabsint/internal/source"
 )
@@ -49,12 +48,8 @@ func FuzzPasses(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second lowering failed: %v", err)
 		}
-		popts := Default()
-		popts.SkipVerify = true
-		if _, err := Run(prog, popts); err != nil {
-			t.Fatal(err)
-		}
-		if err := irverify.Verify(prog); err != nil {
+		// Run's only failure is its closing irverify check.
+		if _, err := Run(prog, Default()); err != nil {
 			t.Fatalf("transformed program failed verification:\n%v\nsource:\n%s", err, src)
 		}
 		const steps = 200_000

@@ -46,25 +46,13 @@ import (
 	"specabsint/internal/irverify"
 )
 
-// Options selects which passes run.
-type Options struct {
-	// SCCP enables sparse conditional constant propagation + operand
-	// folding.
-	SCCP bool
-	// CopyProp enables block-local copy propagation.
-	CopyProp bool
-	// ResolveBranches enables marking constant-condition CondBrs Resolved.
-	ResolveBranches bool
-	// DCE enables dead-register elimination (Nop replacement).
-	DCE bool
-	// SkipVerify disables the post-pipeline structural verification.
-	SkipVerify bool
-}
+// Options configures the pipeline. It has no fields: every run applies all
+// four passes in order and verifies the result. Run keeps the parameter, and
+// Default its constructor, so existing callers need not change.
+type Options struct{}
 
-// Default returns the standard pipeline: everything on.
-func Default() Options {
-	return Options{SCCP: true, CopyProp: true, ResolveBranches: true, DCE: true}
-}
+// Default returns the standard pipeline.
+func Default() Options { return Options{} }
 
 // PassStat records one pass's effect.
 type PassStat struct {
@@ -96,38 +84,30 @@ func (r *Result) String() string {
 		r.FoldedOperands, r.ResolvedBranches, r.NopsInserted)
 }
 
-// Run executes the configured pipeline on prog in place and verifies the
-// result. The program must already be structurally valid (lowering verifies
-// its own output); a verification failure afterwards means a pass bug and is
-// returned as an error wrapping the irverify diagnostics.
-func Run(prog *ir.Program, opts Options) (*Result, error) {
-	res := &Result{}
-	if opts.SCCP {
-		folded := sccp(prog)
-		res.FoldedOperands += folded
-		res.Stats = append(res.Stats, PassStat{Name: "sccp", Changed: folded})
+// Run executes the pipeline on prog in place and verifies the result. The
+// program must already be structurally valid (lowering verifies its own
+// output); a verification failure afterwards means a pass bug, possibly one
+// that folded away the evidence of a lowering bug, and is returned as an
+// error wrapping the irverify diagnostics.
+func Run(prog *ir.Program, _ Options) (*Result, error) {
+	folded := sccp(prog)
+	copied := copyProp(prog)
+	resolved := resolveBranches(prog)
+	nopped := dce(prog)
+	if err := irverify.Verify(prog); err != nil {
+		return nil, fmt.Errorf("pass pipeline produced invalid IR: %w", err)
 	}
-	if opts.CopyProp {
-		n := copyProp(prog)
-		res.FoldedOperands += n
-		res.Stats = append(res.Stats, PassStat{Name: "copyprop", Changed: n})
-	}
-	if opts.ResolveBranches {
-		n := resolveBranches(prog)
-		res.ResolvedBranches = n
-		res.Stats = append(res.Stats, PassStat{Name: "resolve", Changed: n})
-	}
-	if opts.DCE {
-		n := dce(prog)
-		res.NopsInserted = n
-		res.Stats = append(res.Stats, PassStat{Name: "dce", Changed: n})
-	}
-	if !opts.SkipVerify {
-		if err := irverify.Verify(prog); err != nil {
-			return nil, fmt.Errorf("pass pipeline produced invalid IR: %w", err)
-		}
-	}
-	return res, nil
+	return &Result{
+		Stats: []PassStat{
+			{Name: "sccp", Changed: folded},
+			{Name: "copyprop", Changed: copied},
+			{Name: "resolve", Changed: resolved},
+			{Name: "dce", Changed: nopped},
+		},
+		FoldedOperands:   folded + copied,
+		ResolvedBranches: resolved,
+		NopsInserted:     nopped,
+	}, nil
 }
 
 // resolveBranches marks every reachable CondBr whose condition operand is a

@@ -221,11 +221,8 @@ func TestCopyPropagation(t *testing.T) {
 	bd.Mov(r2, ir.RegVal(r1))
 	r3 := bd.Binop(ir.OpAdd, ir.RegVal(r2), ir.ConstVal(1))
 	bd.Ret(ir.RegVal(r3))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatalf("finish: %v", err)
-	}
-	res := run(t, prog, passes.Options{CopyProp: true})
+	prog := bd.Finish(entry)
+	res := run(t, prog, passes.Default())
 	if res.FoldedOperands == 0 {
 		t.Fatalf("expected copy-propagated operand\n%s", prog)
 	}

@@ -112,13 +112,6 @@ func (p *Pool) reportPut(key reportKey, v any) {
 	p.reports.put(key, v)
 }
 
-// ReportCacheStats returns the report tier's hit, miss and eviction counts.
-func (p *Pool) ReportCacheStats() (hits, misses, evictions int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reportHits, p.reportMisses, p.reports.evictions
-}
-
 // SetCacheBounds bounds the two cache tiers (entries, not bytes); <= 0 makes
 // a tier unbounded. Shrinking a bound evicts immediately from the cold end.
 // Call before serving traffic; it is safe, but not atomic, afterwards.

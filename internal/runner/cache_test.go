@@ -43,8 +43,8 @@ func TestReportCacheHit(t *testing.T) {
 	if warm.Value != cold.Value {
 		t.Error("cached run did not return the stored value")
 	}
-	hits, misses, _ := p.ReportCacheStats()
-	if hits != 1 || misses != 1 {
+	snap := p.Snapshot()
+	if hits, misses := snap.ReportCacheHits, snap.ReportCacheMisses; hits != 1 || misses != 1 {
 		t.Errorf("report cache stats: %d hits %d misses, want 1/1", hits, misses)
 	}
 }
@@ -103,8 +103,8 @@ func TestReportCacheBatchTwins(t *testing.T) {
 	if n := analyses.Load(); n != 1 {
 		t.Errorf("%d analyses ran for %d identical jobs, want 1", n, len(jobs))
 	}
-	if hits, misses, _ := p.ReportCacheStats(); hits != 5 || misses != 1 {
-		t.Errorf("report cache stats: %d hits %d misses, want 5/1", hits, misses)
+	if snap := p.Snapshot(); snap.ReportCacheHits != 5 || snap.ReportCacheMisses != 1 {
+		t.Errorf("report cache stats: %d hits %d misses, want 5/1", snap.ReportCacheHits, snap.ReportCacheMisses)
 	}
 }
 
@@ -119,8 +119,8 @@ func TestReportCacheUncachedJobs(t *testing.T) {
 			t.Fatalf("run %d: err=%v cacheHit=%v", i, r.Err, r.CacheHit)
 		}
 	}
-	hits, misses, _ := p.ReportCacheStats()
-	if hits != 0 || misses != 0 {
+	snap := p.Snapshot()
+	if hits, misses := snap.ReportCacheHits, snap.ReportCacheMisses; hits != 0 || misses != 0 {
 		t.Errorf("uncached jobs touched the report tier: %d hits %d misses", hits, misses)
 	}
 }
@@ -139,19 +139,15 @@ func TestReportCacheEviction(t *testing.T) {
 	if r.CacheHit {
 		t.Error("evicted entry served as a hit")
 	}
-	hits, misses, evictions := p.ReportCacheStats()
-	if hits != 0 || misses != 3 {
+	snap := p.Snapshot()
+	if hits, misses := snap.ReportCacheHits, snap.ReportCacheMisses; hits != 0 || misses != 3 {
 		t.Errorf("report cache stats: %d hits %d misses, want 0/3", hits, misses)
 	}
-	if evictions < 2 {
-		t.Errorf("evictions = %d, want >= 2", evictions)
+	if snap.ReportCacheEvictions < 2 {
+		t.Errorf("evictions = %d, want >= 2", snap.ReportCacheEvictions)
 	}
-	snap := p.Snapshot()
 	if snap.ReportCacheSize != 1 {
 		t.Errorf("report cache size = %d, want 1", snap.ReportCacheSize)
-	}
-	if snap.ReportCacheEvictions != evictions {
-		t.Errorf("snapshot evictions = %d, want %d", snap.ReportCacheEvictions, evictions)
 	}
 }
 

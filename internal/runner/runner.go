@@ -191,14 +191,6 @@ func New(workers int) *Pool {
 	}
 }
 
-// CacheStats returns the program tier's hit and miss counts (the report
-// tier's live under ReportCacheStats; Snapshot carries both).
-func (p *Pool) CacheStats() (hits, misses int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses
-}
-
 // Snapshot returns the pool's expvar-style state: cumulative job counters,
 // instantaneous running/queue gauges (a job waiting for a worker slot is
 // queued; one holding a slot is running, so Running never exceeds Workers),
@@ -408,11 +400,13 @@ func (p *Pool) compile(src string, maxUnroll int, runPasses bool) (*ir.Program, 
 	return e.prog, e.stats, e.err
 }
 
-// Compile is the uncached compile pipeline behind the pool's program cache
-// and specabsint.CompileOpts: it parses src, lowers it (maxUnroll > 0
+// Compile is the one driver from MiniC source to verified IR, uncached:
+// the pool's program cache, specabsint.CompileOpts, the oracle, the
+// experiments and the tools call it. It parses src, lowers it (maxUnroll > 0
 // overrides the lowering's unroll cap) and, when runPasses is set, runs the
-// pass pipeline. The returned snapshot holds the parse/lower/passes phases,
-// each pass's effect and the program's shape.
+// pass pipeline; lowering verifies the IR it builds and the pipeline
+// verifies it again. The returned snapshot holds the parse/lower/passes
+// phases, each pass's effect and the program's shape.
 func Compile(src string, maxUnroll int, runPasses bool) (*ir.Program, *obs.Stats, error) {
 	col := obs.NewCollector()
 	var ast *source.Program

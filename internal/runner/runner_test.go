@@ -64,8 +64,8 @@ func TestRunAllOrderAndCompleteness(t *testing.T) {
 			t.Errorf("job %s: empty analysis", r.Name)
 		}
 	}
-	hits, misses := p.CacheStats()
-	if misses != 8 || hits != n-8 {
+	snap := p.Snapshot()
+	if hits, misses := snap.CacheHits, snap.CacheMisses; misses != 8 || hits != n-8 {
 		t.Errorf("cache stats: %d hits %d misses, want %d hits 8 misses", hits, misses, n-8)
 	}
 }
@@ -263,7 +263,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", b.Name, r.Err)
 		}
-		prog, err := bench.Compile(b.Code, 0)
+		prog, _, err := Compile(b.Code, 0, false)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -313,11 +313,11 @@ func TestPoolReuseAcrossRuns(t *testing.T) {
 	if r := RunAll(context.Background(), p, jobs); r[0].Err != nil {
 		t.Fatal(r[0].Err)
 	}
-	_, missesBefore := p.CacheStats()
+	missesBefore := p.Snapshot().CacheMisses
 	if r := RunAll(context.Background(), p, jobs); r[0].Err != nil {
 		t.Fatal(r[0].Err)
 	}
-	_, missesAfter := p.CacheStats()
+	missesAfter := p.Snapshot().CacheMisses
 	if missesAfter != missesBefore {
 		t.Errorf("second run recompiled: misses %d -> %d", missesBefore, missesAfter)
 	}

@@ -520,10 +520,7 @@ func TestBoundedWCETSelfLoop(t *testing.T) {
 	bd.CondBr(ir.RegVal(x), loop, exit)
 	bd.SetBlock(exit)
 	bd.Ret(ir.ConstVal(0))
-	prog, err := bd.Finish(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := bd.Finish(entry)
 	if err := irverify.Verify(prog); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"specabsint/internal/mitigate"
 	"specabsint/internal/obs"
 	"specabsint/internal/runner"
-	"specabsint/internal/wcet"
 )
 
 // FencePlacement describes one synthesized speculation barrier: the fence is
@@ -84,7 +83,6 @@ func Mitigate(ctx context.Context, p *CompiledProgram, opts ...Option) (*Mitigat
 func mitigateConfig(ctx context.Context, p *CompiledProgram, cfg Config) (*MitigationReport, error) {
 	mopts := mitigate.DefaultOptions()
 	mopts.Core = cfg.coreOptions()
-	mopts.Costs = wcet.DefaultCosts()
 	mopts.Verify = cfg.MitigateVerify
 	rep, err := mitigate.Synthesize(ctx, p.prog, mopts)
 	if err != nil {

@@ -38,6 +38,11 @@ func TestGoldenStats(t *testing.T) {
 				t.Fatal("WithStats(true) produced no stats")
 			}
 			st := rep.Stats
+			// The lane count is the colors the engine built: two per
+			// unresolved branch (jcmarker resolves 128 statically).
+			if lanes := st.Program.Lanes(); int64(lanes) != st.Fixpoint.Colors {
+				t.Errorf("Lanes() = %d, the engine built %d colors", lanes, st.Fixpoint.Colors)
+			}
 			st.ZeroTimes()
 			out, err := st.JSON()
 			if err != nil {
