@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"specabsint/internal/core"
-	"specabsint/internal/interp"
+	"specabsint/internal/ir"
 	"specabsint/internal/machine"
 	"specabsint/internal/taint"
 )
@@ -38,6 +38,13 @@ func TestCorpusComplete(t *testing.T) {
 	}
 }
 
+// execute runs prog on the simulator with speculation off.
+func execute(prog *ir.Program, maxSteps int64) (machine.Stats, error) {
+	cfg := machine.DefaultConfig()
+	cfg.DepthMiss, cfg.DepthHit, cfg.MaxSteps = 0, 0, maxSteps
+	return machine.RunProgram(prog, cfg)
+}
+
 func TestWCETBenchmarksCompileAndRun(t *testing.T) {
 	for _, b := range WCETBenchmarks() {
 		b := b
@@ -46,11 +53,9 @@ func TestWCETBenchmarksCompileAndRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			st, err := interp.NewMachine(prog).Run(5_000_000)
-			if err != nil {
+			if _, err := execute(prog, 5_000_000); err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			_ = st.Ret
 			if prog.MemAccessCount() == 0 {
 				t.Error("kernel performs no memory accesses")
 			}
@@ -67,7 +72,7 @@ func TestCryptoBenchmarksCompileAndRunWithClient(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile with client: %v", err)
 			}
-			if _, err := interp.NewMachine(prog).Run(5_000_000); err != nil {
+			if _, err := execute(prog, 5_000_000); err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			// The simulator must also execute it with speculation on.
@@ -156,7 +161,7 @@ func TestFig2ProgramVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := interp.NewMachine(conc).Run(1_000_000)
+	st, err := execute(conc, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +175,9 @@ func TestQuantlProgramMatchesPaperValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// main has params (el, detl) = (0, 0) in the zero-filled interpreter:
+	// main has params (el, detl) = (0, 0) in the zero-filled machine:
 	// wd=0 <= decis at mil=0, el >= 0 -> quant26bt_pos[0] = 61.
-	st, err := interp.NewMachine(prog).Run(1_000_000)
+	st, err := execute(prog, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -304,7 +304,7 @@ func analyze(ctx context.Context, prog *ir.Program, opts Options, m model) (*Res
 // once, up front (timed as compile_exec), and sets the domain the model
 // needs.
 func prepare(prog *ir.Program, opts Options, m model) (*engine, error) {
-	if err := validateDepths(opts); err != nil {
+	if err := ValidateDepths(opts.DepthMiss, opts.DepthHit); err != nil {
 		return nil, err
 	}
 	var l *layout.Layout
@@ -343,13 +343,16 @@ func prepare(prog *ir.Program, opts Options, m model) (*engine, error) {
 	return e, nil
 }
 
-func validateDepths(opts Options) error {
-	if opts.DepthMiss < 0 || opts.DepthHit < 0 {
+// ValidateDepths is the rule every analysis applies to its speculation
+// depths b_m (miss) and b_h (hit): neither is negative, and b_h does not
+// exceed b_m. The wire applies it where it resolves options, so the
+// service rejects as a bad request what an analysis would reject.
+func ValidateDepths(miss, hit int) error {
+	if miss < 0 || hit < 0 {
 		return fmt.Errorf("core: speculation depths must be non-negative")
 	}
-	if opts.DepthHit > opts.DepthMiss {
-		return fmt.Errorf("core: DepthHit (%d) must not exceed DepthMiss (%d)",
-			opts.DepthHit, opts.DepthMiss)
+	if hit > miss {
+		return fmt.Errorf("core: DepthHit (%d) must not exceed DepthMiss (%d)", hit, miss)
 	}
 	return nil
 }

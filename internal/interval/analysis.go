@@ -6,8 +6,7 @@ import (
 )
 
 // Env is the abstract environment at a block boundary. Only *cross-block*
-// registers (those read in a block other than the one defining them, or
-// defined in several blocks) are stored — after full loop unrolling a
+// registers (ir.Program.CrossRegs) are stored — after full loop unrolling a
 // program has tens of thousands of single-block temporaries, and carrying
 // all of them per block would dominate the analysis cost. Block-local
 // registers are evaluated in a scratch table during the block transfer.
@@ -108,11 +107,10 @@ func Analyze(prog *ir.Program, wto *cfg.WTO) *Result {
 	a := &analyzer{
 		prog:       prog,
 		res:        &Result{Index: map[int]Interval{}},
-		crossIdx:   make([]int, prog.NumRegs),
 		scratch:    make([]Interval, prog.NumRegs),
 		scratchGen: make([]uint32, prog.NumRegs),
 	}
-	a.classifyRegisters()
+	a.crossIdx, a.numCross = prog.CrossRegs()
 
 	nBlocks := len(prog.Blocks)
 	in := make([]*Env, nBlocks)
@@ -163,46 +161,6 @@ func Analyze(prog *ir.Program, wto *cfg.WTO) *Result {
 	return a.res
 }
 
-// classifyRegisters finds the registers whose values flow across block
-// boundaries.
-func (a *analyzer) classifyRegisters() {
-	const noBlock = -2
-	defBlock := make([]int, a.prog.NumRegs)
-	for i := range defBlock {
-		defBlock[i] = noBlock
-	}
-	cross := make([]bool, a.prog.NumRegs)
-	definedHere := make([]uint32, a.prog.NumRegs)
-	var gen uint32
-
-	for _, b := range a.prog.Blocks {
-		gen++
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			in.EachUse(func(v *ir.Value) {
-				if definedHere[v.Reg] != gen {
-					cross[v.Reg] = true
-				}
-			})
-			if in.Op.WritesDst() {
-				if defBlock[in.Dst] != noBlock && defBlock[in.Dst] != int(b.ID) {
-					cross[in.Dst] = true
-				}
-				defBlock[in.Dst] = int(b.ID)
-				definedHere[in.Dst] = gen
-			}
-		}
-	}
-	for r := range a.crossIdx {
-		if cross[r] {
-			a.crossIdx[r] = a.numCross
-			a.numCross++
-		} else {
-			a.crossIdx[r] = -1
-		}
-	}
-}
-
 func (a *analyzer) bottomEnv() *Env {
 	e := &Env{
 		Regs: make([]Interval, a.numCross),
@@ -223,14 +181,9 @@ func (a *analyzer) entryEnv() *Env {
 		if sym.Len != 1 {
 			continue
 		}
-		switch {
-		case sym.Secret:
-			// Secrets are arbitrary.
-			e.Mems[sym.ID] = Top()
-		case len(sym.Init) > 0:
-			e.Mems[sym.ID] = Single(sym.Init[0])
-		default:
-			// Uninitialized scalars (e.g. main's parameters) model inputs.
+		if v, known := sym.EntryValue(); known {
+			e.Mems[sym.ID] = Single(v)
+		} else {
 			e.Mems[sym.ID] = Top()
 		}
 	}

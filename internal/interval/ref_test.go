@@ -24,11 +24,10 @@ func refAnalyze(prog *ir.Program, wto *cfg.WTO) *Result {
 	a := &analyzer{
 		prog:       prog,
 		res:        &Result{Index: map[int]Interval{}},
-		crossIdx:   make([]int, prog.NumRegs),
 		scratch:    make([]Interval, prog.NumRegs),
 		scratchGen: make([]uint32, prog.NumRegs),
 	}
-	a.classifyRegisters()
+	a.crossIdx, a.numCross = prog.CrossRegs()
 
 	nBlocks := len(prog.Blocks)
 	in := make([]*Env, nBlocks)

@@ -143,6 +143,79 @@ func (o Op) WritesDst() bool {
 	return true
 }
 
+// EvalUnop returns what the one-operand op computes on a: OpNeg negates,
+// OpNot complements, and OpBool yields 1 for any nonzero a and 0 for zero.
+// The simulator executes with it and SCCP folds with it, so compile-time
+// folding and execution cannot disagree.
+func EvalUnop(op Op, a int64) int64 {
+	switch op {
+	case OpNeg:
+		return -a
+	case OpNot:
+		return ^a
+	case OpBool:
+		return b2i(a != 0)
+	}
+	panic(fmt.Sprintf("ir: %s is not a one-operand op", op))
+}
+
+// EvalBinop returns what the two-operand op computes on a and b: int64
+// arithmetic that wraps, shift amounts masked to 6 bits, an arithmetic
+// right shift, and comparisons that yield 1 or 0. ok is false for a
+// division or remainder by zero, which faults: the simulator stops there,
+// and a constant folder must leave the fault to run time. The simulator,
+// SCCP and MiniC's constant folder all evaluate with it.
+func EvalBinop(op Op, a, b int64) (v int64, ok bool) {
+	switch op {
+	case OpAdd:
+		return a + b, true
+	case OpSub:
+		return a - b, true
+	case OpMul:
+		return a * b, true
+	case OpDiv:
+		if b == 0 {
+			return 0, false
+		}
+		return a / b, true
+	case OpRem:
+		if b == 0 {
+			return 0, false
+		}
+		return a % b, true
+	case OpAnd:
+		return a & b, true
+	case OpOr:
+		return a | b, true
+	case OpXor:
+		return a ^ b, true
+	case OpShl:
+		return a << (uint64(b) & 63), true
+	case OpShr:
+		return a >> (uint64(b) & 63), true
+	case OpCmpLt:
+		return b2i(a < b), true
+	case OpCmpLe:
+		return b2i(a <= b), true
+	case OpCmpGt:
+		return b2i(a > b), true
+	case OpCmpGe:
+		return b2i(a >= b), true
+	case OpCmpEq:
+		return b2i(a == b), true
+	case OpCmpNe:
+		return b2i(a != b), true
+	}
+	panic(fmt.Sprintf("ir: %s is not a two-operand op", op))
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // SymbolID identifies a memory symbol within a Program.
 type SymbolID int32
 
@@ -158,6 +231,18 @@ type Symbol struct {
 
 // SizeBytes returns the symbol's total storage size.
 func (s *Symbol) SizeBytes() int { return s.ElemSize * s.Len }
+
+// EntryValue returns the value scalar s holds when the program starts, if
+// every run starts with that value: s has an initializer and is not
+// secret. An input vector may preload any other scalar (a main parameter,
+// a secret, an uninitialized global), so its entry value is unknown. SCCP
+// and the interval pre-pass seed their entry environments with this rule.
+func (s *Symbol) EntryValue() (v int64, known bool) {
+	if len(s.Init) == 0 || s.Secret {
+		return 0, false
+	}
+	return s.Init[0], true
+}
 
 // Instr is one IR instruction. Lowering emits one per source operation and
 // full unrolling repeats them, so programs hold tens of thousands: the
@@ -336,6 +421,50 @@ func (p *Program) Finalize() {
 	}
 	p.NumInstrs = id
 	p.symByName = nil
+}
+
+// CrossRegs partitions p's registers for the analyses that keep a value
+// per register only at block boundaries (SCCP, DCE and the interval
+// pre-pass). A register is cross-block when some block reads it before
+// writing it, or more than one block writes it; any other register lives
+// and dies within one block, so a block-local scratch table serves it.
+// After full unrolling a program has tens of thousands of such
+// temporaries, which per-block environments must not carry. crossIdx[r] is
+// r's dense index among the numCross cross-block registers, or -1 when r is
+// block-local.
+func (p *Program) CrossRegs() (crossIdx []int, numCross int) {
+	// writer[r] is the last block to write r, so within a block it equals
+	// the block's id exactly when the block has already written r.
+	writer := make([]BlockID, p.NumRegs)
+	for r := range writer {
+		writer[r] = -1
+	}
+	crossIdx = make([]int, p.NumRegs) // 1 marks cross-block until numbered
+	for _, b := range p.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			in.EachUse(func(v *Value) {
+				if writer[v.Reg] != b.ID {
+					crossIdx[v.Reg] = 1
+				}
+			})
+			if in.Op.WritesDst() {
+				if w := writer[in.Dst]; w >= 0 && w != b.ID {
+					crossIdx[in.Dst] = 1
+				}
+				writer[in.Dst] = b.ID
+			}
+		}
+	}
+	for r, c := range crossIdx {
+		if c == 1 {
+			crossIdx[r] = numCross
+			numCross++
+		} else {
+			crossIdx[r] = -1
+		}
+	}
+	return crossIdx, numCross
 }
 
 // InstrCount returns the number of instructions in the program.

@@ -172,3 +172,93 @@ func TestSuccsDoNotAllocate(t *testing.T) {
 		t.Fatal("no successors seen")
 	}
 }
+
+func TestAllBinops(t *testing.T) {
+	cases := []struct {
+		op      Op
+		a, b, r int64
+	}{
+		{OpAdd, 3, 4, 7},
+		{OpSub, 3, 4, -1},
+		{OpMul, 3, 4, 12},
+		{OpDiv, 17, 5, 3},
+		{OpRem, 17, 5, 2},
+		{OpAnd, 12, 10, 8},
+		{OpOr, 12, 10, 14},
+		{OpXor, 12, 10, 6},
+		{OpShl, 1, 4, 16},
+		{OpShl, 1, 65, 2}, // shift amounts are masked to 6 bits
+		{OpShr, 16, 3, 2},
+		{OpShr, -16, 2, -4}, // arithmetic right shift
+		{OpCmpLt, 1, 2, 1},
+		{OpCmpLe, 2, 2, 1},
+		{OpCmpGt, 1, 2, 0},
+		{OpCmpGe, 2, 2, 1},
+		{OpCmpEq, 5, 5, 1},
+		{OpCmpNe, 5, 5, 0},
+	}
+	for _, tc := range cases {
+		got, ok := EvalBinop(tc.op, tc.a, tc.b)
+		if !ok {
+			t.Fatalf("%s(%d,%d) faulted", tc.op, tc.a, tc.b)
+		}
+		if got != tc.r {
+			t.Errorf("%s(%d,%d) = %d, want %d", tc.op, tc.a, tc.b, got, tc.r)
+		}
+	}
+	for _, op := range []Op{OpDiv, OpRem} {
+		if _, ok := EvalBinop(op, 1, 0); ok {
+			t.Errorf("%s by zero did not fault", op)
+		}
+	}
+	for _, tc := range []struct {
+		op   Op
+		a, r int64
+	}{{OpNeg, 5, -5}, {OpNot, 0, -1}, {OpBool, 7, 1}, {OpBool, 0, 0}} {
+		if got := EvalUnop(tc.op, tc.a); got != tc.r {
+			t.Errorf("%s(%d) = %d, want %d", tc.op, tc.a, got, tc.r)
+		}
+	}
+}
+
+// TestCrossRegs partitions a loop's registers: one its head reads before
+// writing (an input), one defined in entry and read in the body, one that
+// two blocks write, and temporaries written before their block reads them.
+func TestCrossRegs(t *testing.T) {
+	bd := NewBuilder("cross")
+	entry, head, body, exit := bd.NewBlock("entry"), bd.NewBlock("head"), bd.NewBlock("body"), bd.NewBlock("exit")
+	in := bd.NewReg()
+	bd.MarkInputReg(in)
+	bd.SetBlock(entry)
+	step := bd.Const(1)  // read by body
+	twice := bd.Const(0) // written again by body
+	local := bd.Const(5) // read only in entry, after its write
+	bd.Mov(twice, RegVal(local))
+	bd.Br(head)
+	bd.SetBlock(head)
+	cond := bd.Binop(OpCmpLt, RegVal(in), ConstVal(9)) // in: read before any write
+	bd.CondBr(RegVal(cond), body, exit)
+	bd.SetBlock(body)
+	next := bd.Binop(OpAdd, RegVal(in), RegVal(step))
+	bd.Mov(in, RegVal(next))
+	bd.Mov(twice, RegVal(next))
+	bd.Br(head)
+	bd.SetBlock(exit)
+	bd.Ret(RegVal(twice))
+	prog := bd.Finish(entry)
+
+	crossIdx, numCross := prog.CrossRegs()
+	want := map[Reg]bool{in: true, step: true, twice: true, local: false, cond: false, next: false}
+	n := 0
+	for r, cross := range want {
+		if got := crossIdx[r] >= 0; got != cross {
+			t.Errorf("%s: cross-block = %v, want %v", r, got, cross)
+		}
+		if cross {
+			n++
+		}
+	}
+	if numCross != n {
+		t.Errorf("numCross = %d, want %d", numCross, n)
+	}
+}

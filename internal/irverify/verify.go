@@ -18,7 +18,7 @@
 //   - symbol-and-index well-formedness: symbol ids valid, element sizes and
 //     lengths positive, initializers no longer than the symbol, register
 //     indices in range (constant out-of-bounds indices are runtime faults,
-//     not structural corruption, and are left to the interpreter);
+//     not structural corruption, and are left to the simulator);
 //   - def-before-use on every path: a register read must be preceded by a
 //     write on all paths from entry, except for input registers
 //     (Program.InputRegs, seeded with SecretRegs) which model values in the

@@ -690,7 +690,7 @@ func (lw *lowerer) lowerExpr(e source.Expr) (ir.Value, error) {
 		if err != nil {
 			return ir.Value{}, err
 		}
-		op, ok := binOpOf(x.Op)
+		op, ok := source.BinOp(x.Op)
 		if !ok {
 			return ir.Value{}, fmt.Errorf("%s: bad binary op %s", x.Pos, x.Op)
 		}
@@ -716,44 +716,6 @@ func (lw *lowerer) lowerExpr(e source.Expr) (ir.Value, error) {
 		return lw.lowerCall(x)
 	}
 	return ir.Value{}, fmt.Errorf("lower: unknown expression %T", e)
-}
-
-func binOpOf(k source.Kind) (ir.Op, bool) {
-	switch k {
-	case source.Plus:
-		return ir.OpAdd, true
-	case source.Minus:
-		return ir.OpSub, true
-	case source.Star:
-		return ir.OpMul, true
-	case source.Slash:
-		return ir.OpDiv, true
-	case source.Percent:
-		return ir.OpRem, true
-	case source.Amp:
-		return ir.OpAnd, true
-	case source.Pipe:
-		return ir.OpOr, true
-	case source.Caret:
-		return ir.OpXor, true
-	case source.Shl:
-		return ir.OpShl, true
-	case source.Shr:
-		return ir.OpShr, true
-	case source.Lt:
-		return ir.OpCmpLt, true
-	case source.Le:
-		return ir.OpCmpLe, true
-	case source.Gt:
-		return ir.OpCmpGt, true
-	case source.Ge:
-		return ir.OpCmpGe, true
-	case source.EqEq:
-		return ir.OpCmpEq, true
-	case source.NotEq:
-		return ir.OpCmpNe, true
-	}
-	return 0, false
 }
 
 // lowerCondJump lowers a boolean expression directly into control flow.

@@ -3,21 +3,28 @@ package lower
 import (
 	"testing"
 
-	"specabsint/internal/interp"
 	"specabsint/internal/ir"
+	"specabsint/internal/machine"
 	"specabsint/internal/source"
 )
 
 // run compiles and executes src, returning main's result.
 func run(t *testing.T, src string, opts Options) int64 {
 	t.Helper()
-	prog := compile(t, src, opts)
-	m := interp.NewMachine(prog)
-	st, err := m.Run(10_000_000)
+	ret, err := execute(compile(t, src, opts), 10_000_000)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
-	return st.Ret
+	return ret
+}
+
+// execute runs prog on the simulator with speculation off and returns
+// main's result.
+func execute(prog *ir.Program, maxSteps int64) (int64, error) {
+	cfg := machine.DefaultConfig()
+	cfg.DepthMiss, cfg.DepthHit, cfg.MaxSteps = 0, 0, maxSteps
+	stats, err := machine.RunProgram(prog, cfg)
+	return stats.Ret, err
 }
 
 func compile(t *testing.T, src string, opts Options) *ir.Program {
@@ -187,13 +194,12 @@ func TestRegVariablesGenerateNoMemoryTraffic(t *testing.T) {
 	if n := prog.MemAccessCount(); n != 0 {
 		t.Errorf("reg-only program has %d memory accesses, want 0", n)
 	}
-	m := interp.NewMachine(prog)
-	st, err := m.Run(1_000_000)
+	ret, err := execute(prog, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Ret != 4950 {
-		t.Errorf("got %d, want 4950", st.Ret)
+	if ret != 4950 {
+		t.Errorf("got %d, want 4950", ret)
 	}
 }
 
@@ -219,10 +225,10 @@ func TestUnrollingRemovesBranches(t *testing.T) {
 		t.Errorf("unrolled has %d cond branches, looped has %d", ub, lb)
 	}
 	// Behavior must be identical.
-	m1, _ := interp.NewMachine(unrolled).Run(1_000_000)
-	m2, _ := interp.NewMachine(looped).Run(1_000_000)
-	if m1.Ret != m2.Ret {
-		t.Errorf("unrolled result %d != looped result %d", m1.Ret, m2.Ret)
+	r1, _ := execute(unrolled, 1_000_000)
+	r2, _ := execute(looped, 1_000_000)
+	if r1 != r2 {
+		t.Errorf("unrolled result %d != looped result %d", r1, r2)
 	}
 }
 
@@ -248,12 +254,12 @@ func TestUnrollingSkipsBreakLoops(t *testing.T) {
 	if !hasBackEdge {
 		t.Error("loop with break was unrolled")
 	}
-	m, err := interp.NewMachine(prog).Run(1_000_000)
+	ret, err := execute(prog, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Ret != 0 {
-		t.Errorf("got %d, want 0", m.Ret)
+	if ret != 0 {
+		t.Errorf("got %d, want 0", ret)
 	}
 }
 

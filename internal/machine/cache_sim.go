@@ -1,9 +1,12 @@
-// Package machine is a concrete speculative CPU simulator: a set-associative
-// LRU data cache, branch predictors, and an execution loop with
-// checkpoint/rollback wrong-path execution. It substitutes for the paper's
-// GEM5 + Alpha 21264 testbed: it supplies ground-truth cache behaviour for
-// the soundness property tests, the speculation-depth calibration, and the
-// concrete miss counts of the motivating example (Fig. 2/3).
+// Package machine is a concrete speculative CPU simulator and the
+// repository's one executor of IR programs: it executes each instruction
+// itself (what an op computes is ir.EvalBinop and ir.EvalUnop), over a
+// set-associative LRU data cache, branch predictors, and checkpoint/rollback
+// wrong-path execution. It substitutes for the paper's GEM5 + Alpha 21264
+// testbed: it supplies ground-truth cache behaviour for the soundness
+// property tests, the oracle, the fence verifier and the speculation-depth
+// calibration, and the concrete miss counts of the motivating example
+// (Fig. 2/3).
 package machine
 
 import (
@@ -68,22 +71,6 @@ func (c *CacheSim) AgeOf(b layout.BlockID) int {
 		}
 	}
 	return c.cfg.Assoc + 1
-}
-
-// Flush empties the cache.
-func (c *CacheSim) Flush() {
-	for i := range c.sets {
-		c.sets[i] = nil
-	}
-}
-
-// Clone deep-copies the cache state.
-func (c *CacheSim) Clone() *CacheSim {
-	n := &CacheSim{cfg: c.cfg, sets: make([][]layout.BlockID, len(c.sets))}
-	for i, s := range c.sets {
-		n.sets[i] = append([]layout.BlockID(nil), s...)
-	}
-	return n
 }
 
 // Occupancy returns the number of blocks currently cached.

@@ -73,19 +73,6 @@ func TestCacheSimSets(t *testing.T) {
 	}
 }
 
-func TestCacheSimFlushAndClone(t *testing.T) {
-	c := NewCacheSim(layout.CacheConfig{LineSize: 64, NumSets: 1, Assoc: 4}, 8)
-	c.Access(7)
-	cl := c.Clone()
-	c.Flush()
-	if c.Contains(7) {
-		t.Error("flush failed")
-	}
-	if !cl.Contains(7) {
-		t.Error("clone must be independent")
-	}
-}
-
 func TestTwoBitPredictor(t *testing.T) {
 	p := NewTwoBit()
 	if !p.Predict(1) {
@@ -375,7 +362,7 @@ func TestCyclesAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMin := stats.Instructions*cfg.BaseLatency + stats.Misses*cfg.MissPenalty + stats.Hits*cfg.HitLatency
+	wantMin := stats.Instructions*BaseLatency + stats.Misses*MissPenalty + stats.Hits*HitLatency
 	if stats.Cycles != wantMin {
 		t.Errorf("cycles = %d, want %d", stats.Cycles, wantMin)
 	}

@@ -4,9 +4,31 @@ import (
 	"errors"
 	"fmt"
 
-	"specabsint/internal/interp"
 	"specabsint/internal/ir"
 	"specabsint/internal/layout"
+)
+
+// ErrOutOfBounds is returned when an architectural memory access falls
+// outside its symbol. On a wrong path the same fault squashes the
+// speculation instead.
+var ErrOutOfBounds = errors.New("machine: memory access out of bounds")
+
+// ErrDivideByZero is returned for an architectural division or remainder
+// by zero.
+var ErrDivideByZero = errors.New("machine: division by zero")
+
+// ErrStepLimit is returned when architectural execution exceeds
+// Config.MaxSteps.
+var ErrStepLimit = errors.New("machine: step limit exceeded")
+
+// The cycle estimate charges BaseLatency per architectural instruction,
+// plus HitLatency per architectural data-cache hit and MissPenalty per
+// architectural data-cache or instruction-cache miss. Wrong-path work costs
+// no cycles.
+const (
+	BaseLatency = 1
+	HitLatency  = 1
+	MissPenalty = 100
 )
 
 // Config configures the speculative simulator.
@@ -32,10 +54,6 @@ type Config struct {
 	// every executed instruction (architectural or wrong-path) fetches its
 	// code block. Architectural fetch misses are charged MissPenalty cycles.
 	ICache *layout.CacheConfig
-	// HitLatency / MissPenalty / BaseLatency feed the cycle estimate.
-	HitLatency  int64
-	MissPenalty int64
-	BaseLatency int64
 	// MaxSteps bounds architectural execution.
 	MaxSteps int64
 	// Inputs preloads named memory-resident scalars (main parameters,
@@ -60,9 +78,6 @@ func DefaultConfig() Config {
 		DepthMiss:    200,
 		DepthHit:     20,
 		WrongPathOOB: true,
-		HitLatency:   1,
-		MissPenalty:  100,
-		BaseLatency:  1,
 		MaxSteps:     50_000_000,
 	}
 }
@@ -103,9 +118,10 @@ type AccessRecord struct {
 	Speculative bool
 }
 
-// Simulator executes a program with speculative wrong-path execution whose
-// cache side effects persist across rollback — the behaviour the paper's
-// analysis must soundly over-approximate.
+// Simulator executes a program instruction by instruction, with
+// speculative wrong-path execution whose cache side effects persist across
+// rollback — the behaviour the paper's analysis must soundly
+// over-approximate.
 type Simulator struct {
 	Prog   *ir.Program
 	Layout *layout.Layout
@@ -123,7 +139,6 @@ type Simulator struct {
 	ICacheSim   *CacheSim
 	fetchBlocks []layout.BlockID
 
-	m           *interp.Machine
 	missedSince bool // a load missed since the last branch resolved
 }
 
@@ -144,7 +159,6 @@ func New(prog *ir.Program, cfg Config) (*Simulator, error) {
 		Layout: l,
 		Cfg:    cfg,
 		Cache:  NewCacheSim(cfg.Cache, l.NumBlocks),
-		m:      interp.NewMachine(prog),
 	}
 	if cfg.ICache != nil {
 		code, blocks, err := layout.CodeLayout(prog, *cfg.ICache)
@@ -155,6 +169,84 @@ func New(prog *ir.Program, cfg Config) (*Simulator, error) {
 		sim.fetchBlocks = blocks
 	}
 	return sim, nil
+}
+
+// state is a complete machine state: the register file, memory, and the
+// next instruction. A mispredicted branch runs its wrong path on a deep
+// copy, so rolling back is dropping the copy.
+type state struct {
+	regs  []int64
+	mem   [][]int64 // indexed by SymbolID, then element
+	block ir.BlockID
+	ip    int // index of the next instruction within block
+	done  bool
+}
+
+// clone deep-copies the state: the checkpoint a wrong path runs on.
+func (st *state) clone() *state {
+	c := &state{
+		regs:  append([]int64(nil), st.regs...),
+		mem:   make([][]int64, len(st.mem)),
+		block: st.block,
+		ip:    st.ip,
+		done:  st.done,
+	}
+	for i, m := range st.mem {
+		c.mem[i] = append([]int64(nil), m...)
+	}
+	return c
+}
+
+func (st *state) value(v ir.Value) int64 {
+	if v.IsConst {
+		return v.Const
+	}
+	return st.regs[v.Reg]
+}
+
+// follow continues at the start of the true target of in, a Br or CondBr,
+// when taken, else at its false target.
+func (st *state) follow(in *ir.Instr, taken bool) {
+	st.block, st.ip = in.FalseTarget, 0
+	if taken {
+		st.block = in.TrueTarget
+	}
+}
+
+// newState builds the initial state: registers and memory zeroed, symbol
+// initializers applied, then Config.Inputs and Config.RegInputs preloaded.
+func (s *Simulator) newState() (*state, error) {
+	st := &state{
+		regs:  make([]int64, s.Prog.NumRegs),
+		mem:   make([][]int64, len(s.Prog.Symbols)),
+		block: s.Prog.Entry,
+	}
+	for i, sym := range s.Prog.Symbols {
+		st.mem[i] = make([]int64, sym.Len)
+		copy(st.mem[i], sym.Init)
+	}
+	for name, v := range s.Cfg.Inputs {
+		sym := s.Prog.SymbolByName(name)
+		if sym == nil {
+			return nil, fmt.Errorf("machine: input %q: no such symbol", name)
+		}
+		if sym.Len != 1 {
+			return nil, fmt.Errorf("machine: input %q: not a scalar", name)
+		}
+		st.mem[sym.ID][0] = v
+	}
+	for r, v := range s.Cfg.RegInputs {
+		if int(r) < 0 || int(r) >= s.Prog.NumRegs {
+			return nil, fmt.Errorf("machine: register input %s out of range", r)
+		}
+		st.regs[r] = v
+	}
+	return st, nil
+}
+
+// instr returns the instruction st executes next.
+func (s *Simulator) instr(st *state) *ir.Instr {
+	return &s.Prog.Blocks[st.block].Instrs[st.ip]
 }
 
 // fetch simulates the instruction fetch of in.
@@ -173,15 +265,40 @@ func (s *Simulator) fetch(in *ir.Instr, speculative bool) {
 		s.Stats.IFetchHits++
 	default:
 		s.Stats.IFetchMisses++
-		s.Stats.Cycles += s.Cfg.MissPenalty
+		s.Stats.Cycles += MissPenalty
 	}
 	if s.OnFetch != nil {
 		s.OnFetch(AccessRecord{InstrID: in.ID, Block: b, Hit: hit, Speculative: speculative})
 	}
 }
 
-// access performs the cache access for one memory instruction. sym may
-// differ from in.Sym when a wrong-path out-of-bounds access was redirected.
+// maxOOBReach bounds the out-of-bounds index a wrong path follows, so that
+// computing its address cannot overflow.
+const maxOOBReach = int64(1) << 40
+
+// locate bounds-checks an access of element elem of in's symbol and returns
+// the element it touches. On a wrong path with Config.WrongPathOOB set, an
+// out-of-bounds index reads or writes whatever element sits at the computed
+// address, as real hardware does (Spectre v1); only an address outside the
+// program's address space faults there.
+func (s *Simulator) locate(in *ir.Instr, elem int64, speculative bool) (ir.SymbolID, int64, error) {
+	sym := s.Prog.Symbol(in.Sym)
+	if elem >= 0 && elem < int64(sym.Len) {
+		return in.Sym, elem, nil
+	}
+	if speculative && s.Cfg.WrongPathOOB && elem <= maxOOBReach && elem >= -maxOOBReach {
+		if addr := s.Layout.AddrOfElem(in.Sym, elem); addr >= 0 && addr < s.Layout.AddressSpaceEnd() {
+			if id, e, ok := s.Layout.AddrToElem(addr); ok {
+				return id, e, nil
+			}
+		}
+	}
+	return 0, 0, fmt.Errorf("%w: access %s[%d] (len %d)", ErrOutOfBounds, sym.Name, elem, sym.Len)
+}
+
+// access performs the cache access of one memory instruction to element
+// elem of sym, which differs from in.Sym when a wrong-path out-of-bounds
+// index reached another symbol.
 func (s *Simulator) access(in *ir.Instr, sym ir.SymbolID, elem int64, speculative bool) {
 	b := s.Layout.BlockOfElem(sym, elem)
 	hit := s.Cache.Access(b)
@@ -194,10 +311,10 @@ func (s *Simulator) access(in *ir.Instr, sym ir.SymbolID, elem int64, speculativ
 	} else {
 		if hit {
 			s.Stats.Hits++
-			s.Stats.Cycles += s.Cfg.HitLatency
+			s.Stats.Cycles += HitLatency
 		} else {
 			s.Stats.Misses++
-			s.Stats.Cycles += s.Cfg.MissPenalty
+			s.Stats.Cycles += MissPenalty
 			s.missedSince = true
 		}
 	}
@@ -208,130 +325,123 @@ func (s *Simulator) access(in *ir.Instr, sym ir.SymbolID, elem int64, speculativ
 
 // Run executes the program to completion.
 func (s *Simulator) Run() error {
-	st := s.m.NewState()
-	for name, v := range s.Cfg.Inputs {
-		sym := s.Prog.SymbolByName(name)
-		if sym == nil {
-			return fmt.Errorf("machine: input %q: no such symbol", name)
-		}
-		if sym.Len != 1 {
-			return fmt.Errorf("machine: input %q: not a scalar", name)
-		}
-		st.Mem[sym.ID][0] = v
+	st, err := s.newState()
+	if err != nil {
+		return err
 	}
-	for r, v := range s.Cfg.RegInputs {
-		if int(r) < 0 || int(r) >= s.Prog.NumRegs {
-			return fmt.Errorf("machine: register input %s out of range", r)
+	for !st.done {
+		if s.Stats.Instructions >= s.Cfg.MaxSteps {
+			return ErrStepLimit
 		}
-		st.Regs[r] = v
-	}
-
-	// One hook set per path kind, built once: the wrong-path excursion swaps
-	// them in speculate and Run swaps back, instead of allocating a closure
-	// pair per architectural instruction.
-	archHooks := interp.Hooks{
-		OnMem: func(in *ir.Instr, sym ir.SymbolID, elem int64, isStore bool) {
-			s.access(in, sym, elem, false)
-		},
-	}
-	specHooks := interp.Hooks{
-		OnMem: func(in *ir.Instr, sym ir.SymbolID, elem int64, isStore bool) {
-			s.access(in, sym, elem, true)
-		},
-	}
-
-	s.m.Hooks = archHooks
-	for !st.Done {
-		if st.Steps >= s.Cfg.MaxSteps {
-			return interp.ErrStepLimit
-		}
-		in := s.m.CurrentInstr(st)
-		// Fetch before resolving/speculating: the wrong path starts with
-		// the branch already in the instruction cache.
+		in := s.instr(st)
+		// Fetch before the branch predicts: the wrong path starts with the
+		// branch already in the instruction cache.
 		s.fetch(in, false)
-		if in.Op == ir.OpCondBr && in.Resolved {
-			// The pass pipeline emitted this as an unconditional jump: no
-			// prediction, no misprediction, no speculation. The tripwire
-			// below is the simulator's check on the pipeline's proof — a
-			// resolved branch whose architectural outcome disagrees with the
-			// recorded direction means folding was unsound.
-			if condTaken(st, in) != in.TakenTrue {
-				return fmt.Errorf("machine: resolved branch at instr %d (line %d) would go %v architecturally, but passes fixed it %v",
-					in.ID, in.Line, condTaken(st, in), in.TakenTrue)
-			}
-		} else if in.Op == ir.OpCondBr {
-			s.Stats.Branches++
-			taken := condTaken(st, in)
-			predicted := s.Cfg.Predictor.Predict(in.ID)
-			if s.Cfg.ForceMispredict {
-				predicted = !taken
-			}
-			s.Cfg.Predictor.Update(in.ID, taken)
-			if predicted != taken {
-				s.Stats.Mispredicts++
-				depth := s.Cfg.DepthHit
-				if s.missedSince {
-					depth = s.Cfg.DepthMiss
-				}
-				if depth > 0 {
-					s.speculate(st, in, predicted, depth, specHooks)
-					s.m.Hooks = archHooks
-					s.Stats.Rollbacks++
-				}
-			}
-			// The branch resolves; the next condition starts clean.
-			s.missedSince = false
-		}
 		s.Stats.Instructions++
-		s.Stats.Cycles += s.Cfg.BaseLatency
-		if err := s.m.Step(st); err != nil {
+		s.Stats.Cycles += BaseLatency
+		if err := s.step(st, in, false); err != nil {
 			return err
 		}
 	}
-	s.Stats.Ret = st.Ret
 	return nil
 }
 
-// condTaken evaluates a CondBr's outcome without executing it.
-func condTaken(st *interp.State, in *ir.Instr) bool {
-	if in.A.IsConst {
-		return in.A.Const != 0
+// step executes in, the instruction st is at, on the architectural path or
+// on a wrong path (speculative). An architectural conditional branch is
+// predicted before it resolves, and a mispredicted one runs its wrong path
+// first. A fault returns ErrOutOfBounds or ErrDivideByZero.
+func (s *Simulator) step(st *state, in *ir.Instr, speculative bool) error {
+	st.ip++
+	switch in.Op {
+	case ir.OpNop, ir.OpFence:
+		// A fence is architecturally a no-op; speculate stops a wrong path
+		// before one.
+	case ir.OpConst, ir.OpMov:
+		st.regs[in.Dst] = st.value(in.A)
+	case ir.OpNeg, ir.OpNot, ir.OpBool:
+		st.regs[in.Dst] = ir.EvalUnop(in.Op, st.value(in.A))
+	case ir.OpLoad, ir.OpStore:
+		sym, elem, err := s.locate(in, st.value(in.Idx), speculative)
+		if err != nil {
+			return err
+		}
+		s.access(in, sym, elem, speculative)
+		if in.Op == ir.OpLoad {
+			st.regs[in.Dst] = st.mem[sym][elem]
+		} else {
+			st.mem[sym][elem] = st.value(in.A)
+		}
+	case ir.OpBr:
+		st.follow(in, true)
+	case ir.OpCondBr:
+		taken := st.value(in.A) != 0
+		if in.Resolved {
+			// The pass pipeline emitted an unconditional jump here: no
+			// prediction, no wrong path, and a wrong path follows the taken
+			// edge too. Architecturally, an outcome that disagrees with the
+			// recorded direction is the simulator's tripwire on the
+			// pipeline's proof: folding was unsound.
+			if !speculative && taken != in.TakenTrue {
+				return fmt.Errorf("machine: resolved branch at instr %d (line %d) would go %v architecturally, but passes fixed it %v",
+					in.ID, in.Line, taken, in.TakenTrue)
+			}
+			taken = in.TakenTrue
+		} else if !speculative {
+			s.predict(st, in, taken)
+		}
+		st.follow(in, taken)
+	case ir.OpRet:
+		if !speculative {
+			s.Stats.Ret = st.value(in.A)
+		}
+		st.done = true
+	default:
+		v, ok := ir.EvalBinop(in.Op, st.value(in.A), st.value(in.B))
+		if !ok {
+			return ErrDivideByZero
+		}
+		st.regs[in.Dst] = v
 	}
-	return st.Regs[in.A.Reg] != 0
+	return nil
+}
+
+// predict predicts the architectural conditional branch in, whose outcome
+// is taken, and on a misprediction runs the predicted path as a wrong path
+// before the branch resolves.
+func (s *Simulator) predict(st *state, in *ir.Instr, taken bool) {
+	s.Stats.Branches++
+	predicted := s.Cfg.Predictor.Predict(in.ID)
+	if s.Cfg.ForceMispredict {
+		predicted = !taken
+	}
+	s.Cfg.Predictor.Update(in.ID, taken)
+	if predicted != taken {
+		s.Stats.Mispredicts++
+		depth := s.Cfg.DepthHit
+		if s.missedSince {
+			depth = s.Cfg.DepthMiss
+		}
+		if depth > 0 {
+			s.speculate(st, in, predicted, depth)
+			s.Stats.Rollbacks++
+		}
+	}
+	// The branch resolves; the next condition starts clean.
+	s.missedSince = false
 }
 
 // speculate executes the wrong path from the branch on a cloned state. The
 // register and memory effects are discarded on return (the rollback), but
 // every cache access performed along the way persists in s.Cache — that is
-// precisely the side channel. Faults (out-of-bounds, division by zero) and
-// program exit squash the speculation early. Speculative stores allocate
-// cache lines (write-allocate at issue) but their values live only in the
-// cloned memory, so rollback discards them.
-func (s *Simulator) speculate(st *interp.State, branch *ir.Instr, predicted bool, depth int, hooks interp.Hooks) {
-	clone := st.Clone()
-	if predicted {
-		clone.Block = branch.TrueTarget
-	} else {
-		clone.Block = branch.FalseTarget
-	}
-	clone.IP = 0
-	s.m.Hooks = hooks
-	if s.Cfg.WrongPathOOB {
-		s.m.ResolveOOB = func(sym ir.SymbolID, elem int64) (ir.SymbolID, int64, bool) {
-			const lim = int64(1) << 40
-			if elem > lim || elem < -lim {
-				return 0, 0, false
-			}
-			addr := s.Layout.AddrOfElem(sym, elem)
-			if addr < 0 || addr >= s.Layout.AddressSpaceEnd() {
-				return 0, 0, false
-			}
-			return s.Layout.AddrToElem(addr)
-		}
-		defer func() { s.m.ResolveOOB = nil }()
-	}
-	for i := 0; i < depth && !clone.Done; i++ {
-		in := s.m.CurrentInstr(clone)
+// precisely the side channel. A fault (out-of-bounds, division by zero), a
+// fence, and program exit squash the speculation early. Speculative stores
+// allocate cache lines (write-allocate at issue) but their values live only
+// in the cloned memory, so rollback discards them.
+func (s *Simulator) speculate(st *state, branch *ir.Instr, predicted bool, depth int) {
+	wp := st.clone()
+	wp.follow(branch, predicted)
+	for i := 0; i < depth && !wp.done; i++ {
+		in := s.instr(wp)
 		if in.Op == ir.OpFence {
 			// A fence reaching execute kills all in-flight speculation: the
 			// wrong path stops here, before the fence's successors issue.
@@ -339,11 +449,8 @@ func (s *Simulator) speculate(st *interp.State, branch *ir.Instr, predicted bool
 			break
 		}
 		s.fetch(in, true)
-		if err := s.m.Step(clone); err != nil {
-			if errors.Is(err, interp.ErrOutOfBounds) || errors.Is(err, interp.ErrDivideByZero) {
-				break // fault on the wrong path: squash
-			}
-			break
+		if s.step(wp, in, true) != nil {
+			break // a fault on the wrong path squashes it
 		}
 		s.Stats.SpecInstructions++
 	}

@@ -96,48 +96,47 @@ func (v Violation) String() string {
 // Config tunes the oracle sweep. The zero value is not useful; start from
 // Default.
 type Config struct {
-	// Caches, Depths, Strategies span the analysis configurations checked:
-	// the sweep runs every (cache, depth) pair, cycling through the
-	// strategies so each is exercised against each geometry family.
-	Caches     []layout.CacheConfig
-	Depths     []int
-	Strategies []core.Strategy
+	// Caches and Depths span the analysis configurations checked: the sweep
+	// runs every (cache, depth) pair, cycling through the merge strategies
+	// so each is exercised against each geometry family.
+	Caches []layout.CacheConfig
+	Depths []int
 	// Predictors names the simulator predictors driven against every
 	// analysis: "taken", "nottaken", "2bit", "gshare", "adversarial". A
 	// forced-mispredict run (maximal wrong-path pollution) is always added.
 	Predictors []string
-	// InputNames are the scalars varied across concrete input vectors
-	// (unknown-input cells: main parameters and secret/uninitialized
-	// scalars). Names absent from a program are ignored; secret scalars are
-	// always included.
-	InputNames []string
 	// InputVectors is the number of concrete input vectors per analysis
 	// configuration (the first is all-zeros).
 	InputVectors int
 	// SecretPairs are (s1, s2) secret assignments compared by the
 	// leak-completeness property.
 	SecretPairs [][2]int64
-	// WindowPair is the (small, large) speculation-depth pair of the window
-	// monotonicity property.
-	WindowPair [2]int
-	// SmallUnroll is the reduced MaxUnroll compared against the lowering
-	// default by the unroll monotonicity property.
-	SmallUnroll int
-	// MaxSteps bounds each concrete simulation.
-	MaxSteps int64
-	// Seed derives the random input vectors (deterministically).
-	Seed int64
-	// MaxViolations caps collection per program (0 = 20).
-	MaxViolations int
-	// DisablePasses skips the analysis-preserving pass pipeline
-	// (internal/passes) after lowering. The zero value runs it, matching the
-	// production compile path: the oracle then certifies soundness of
-	// analysis over exactly the programs users analyze. Disabling it checks
-	// the raw lowered IR instead.
-	DisablePasses bool
 	// Pool runs the abstract analyses; nil creates a private pool.
 	Pool *runner.Pool
 }
+
+// The parts of the sweep every configuration shares.
+const (
+	// inputName is the scalar varied across concrete input vectors besides
+	// the secret scalars, when the program has it as an uninitialized
+	// scalar (generated programs take main's parameter as inp).
+	inputName = "inp"
+	// smallWindow and largeWindow are the speculation depths the window
+	// monotonicity property compares.
+	smallWindow, largeWindow = 4, 40
+	// smallUnroll is the reduced MaxUnroll the unroll monotonicity property
+	// compares against the lowering default.
+	smallUnroll = 1
+	// maxSteps bounds each concrete simulation.
+	maxSteps = 2_000_000
+	// seed derives the random input vectors.
+	seed = 1
+	// maxViolations caps the violations collected per program.
+	maxViolations = 20
+)
+
+// strategies are the merge strategies the soundness sweep cycles through.
+var strategies = []core.Strategy{core.StrategyJustInTime, core.StrategyMergeAtRollback, core.StrategyPerRollbackBlock}
 
 // Default is the standard oracle sweep: three cache geometries × three
 // depths with the merge strategies cycled across them, three trained
@@ -151,15 +150,9 @@ func Default() Config {
 			{LineSize: 32, NumSets: 4, Assoc: 2},
 		},
 		Depths:       []int{0, 12, 60},
-		Strategies:   []core.Strategy{core.StrategyJustInTime, core.StrategyMergeAtRollback, core.StrategyPerRollbackBlock},
 		Predictors:   []string{"2bit", "gshare", "adversarial"},
-		InputNames:   []string{"inp"},
 		InputVectors: 3,
 		SecretPairs:  [][2]int64{{0, 15}, {3, 12}, {7, 8}},
-		WindowPair:   [2]int{4, 40},
-		SmallUnroll:  1,
-		MaxSteps:     2_000_000,
-		Seed:         1,
 	}
 }
 
@@ -177,8 +170,8 @@ func Quick() Config {
 
 // Result is a completed oracle run over one program.
 type Result struct {
-	// Violations lists every refuted property instance (possibly capped at
-	// Config.MaxViolations).
+	// Violations lists every refuted property instance (at most
+	// maxViolations).
 	Violations []Violation
 	// Analyses and Traces count the abstract analyses and concrete
 	// simulations performed.
@@ -208,16 +201,10 @@ type checker struct {
 // CheckContext is Check with cancellation, threaded through the analysis
 // pool into every fixpoint loop.
 func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) {
-	if cfg.MaxViolations == 0 {
-		cfg.MaxViolations = 20
-	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 2_000_000
-	}
 	// Compiling verifies the IR after lowering and again after the passes,
 	// so a lowering or pipeline bug surfaces here as a positioned
 	// diagnostic rather than as a bogus soundness violation downstream.
-	prog, _, err := runner.Compile(src, 0, !cfg.DisablePasses)
+	prog, _, err := runner.Compile(src, 0, true)
 	if err != nil {
 		return nil, fmt.Errorf("oracle: compile: %w", err)
 	}
@@ -240,25 +227,23 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 			Analyze: runner.Bind(sidechannel.AnalyzeContext, cb.opts)})
 	}
 	windowBase := len(jobs)
-	for _, d := range []int{cfg.WindowPair[0], cfg.WindowPair[1]} {
+	for _, d := range []int{smallWindow, largeWindow} {
 		opts := c.baseOpts()
 		opts.DepthMiss, opts.DepthHit = d, d
 		jobs = append(jobs, runner.Job[*sidechannel.Report]{Name: fmt.Sprintf("window-d%d", d), Prog: prog,
 			Analyze: runner.Bind(sidechannel.AnalyzeContext, opts)})
 	}
+	// The unroll pair runs at speculation depth 0: with no wrong path,
+	// concrete traces are identical across unroll levels, which is what
+	// makes the cross-unroll relation sound (see checkUnrollMonotone).
 	unrollBase := len(jobs)
-	if cfg.SmallUnroll > 0 {
-		// The unroll pair runs at speculation depth 0: with no wrong path,
-		// concrete traces are identical across unroll levels, which is what
-		// makes the cross-unroll relation sound (see checkUnrollMonotone).
-		opts := c.baseOpts()
-		opts.DepthMiss, opts.DepthHit = 0, 0
-		analyze := runner.Bind(sidechannel.AnalyzeContext, opts)
-		jobs = append(jobs,
-			runner.Job[*sidechannel.Report]{Name: fmt.Sprintf("unroll-%d", cfg.SmallUnroll), Source: src,
-				MaxUnroll: cfg.SmallUnroll, Passes: !cfg.DisablePasses, Analyze: analyze},
-			runner.Job[*sidechannel.Report]{Name: "unroll-default", Prog: prog, Analyze: analyze})
-	}
+	unrollOpts := c.baseOpts()
+	unrollOpts.DepthMiss, unrollOpts.DepthHit = 0, 0
+	analyze := runner.Bind(sidechannel.AnalyzeContext, unrollOpts)
+	jobs = append(jobs,
+		runner.Job[*sidechannel.Report]{Name: fmt.Sprintf("unroll-%d", smallUnroll), Source: src,
+			MaxUnroll: smallUnroll, Passes: true, Analyze: analyze},
+		runner.Job[*sidechannel.Report]{Name: "unroll-default", Prog: prog, Analyze: analyze})
 
 	results := runner.RunAll(ctx, pool, jobs)
 	c.res.Analyses = len(results)
@@ -281,9 +266,7 @@ func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) 
 		c.checkLeakCompleteness(results[i].Value, cb)
 	}
 	c.checkWindowMonotone(results[windowBase].Value, results[windowBase+1].Value)
-	if cfg.SmallUnroll > 0 {
-		c.checkUnrollMonotone(results[unrollBase].Value.Analysis, results[unrollBase+1].Value.Analysis)
-	}
+	c.checkUnrollMonotone(results[unrollBase].Value.Analysis, results[unrollBase+1].Value.Analysis)
 	return c.res, nil
 }
 
@@ -309,7 +292,7 @@ func (c *checker) combos() []combo {
 			opts := core.DefaultOptions()
 			opts.Cache = cc
 			opts.DepthMiss, opts.DepthHit = d, d
-			opts.Strategy = c.cfg.Strategies[i%len(c.cfg.Strategies)]
+			opts.Strategy = strategies[i%len(strategies)]
 			opts.RefinedJoin = i%2 == 0
 			out = append(out, combo{
 				opts:  opts,
@@ -322,7 +305,7 @@ func (c *checker) combos() []combo {
 }
 
 func (c *checker) violate(v Violation) {
-	if len(c.res.Violations) < c.cfg.MaxViolations {
+	if len(c.res.Violations) < maxViolations {
 		c.res.Violations = append(c.res.Violations, v)
 	}
 }
@@ -342,9 +325,9 @@ func newPredictor(name string) machine.Predictor {
 	}
 }
 
-// inputSymbols resolves the scalars varied across input vectors: the
-// configured input names that exist as uninitialized memory scalars, plus
-// every secret scalar.
+// inputSymbols resolves the scalars varied across input vectors:
+// inputName when it is an uninitialized memory scalar, plus every secret
+// scalar.
 func (c *checker) inputSymbols() []string {
 	var names []string
 	seen := map[string]bool{}
@@ -354,9 +337,7 @@ func (c *checker) inputSymbols() []string {
 			names = append(names, s.Name)
 		}
 	}
-	for _, n := range c.cfg.InputNames {
-		add(c.prog.SymbolByName(n))
-	}
+	add(c.prog.SymbolByName(inputName))
 	for _, s := range c.prog.Symbols {
 		if s.Secret {
 			add(s)
@@ -374,7 +355,7 @@ func (c *checker) vectors() []map[string]int64 {
 	if len(names) == 0 {
 		return out
 	}
-	rng := rand.New(rand.NewSource(c.cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	for len(out) < c.cfg.InputVectors {
 		v := make(map[string]int64, len(names))
 		for _, n := range names {
@@ -398,7 +379,7 @@ func (c *checker) checkSoundness(res *core.Result, cb combo) {
 				DepthMiss:    cb.opts.DepthMiss,
 				DepthHit:     cb.opts.DepthHit,
 				WrongPathOOB: true,
-				MaxSteps:     c.cfg.MaxSteps,
+				MaxSteps:     maxSteps,
 				Inputs:       vec,
 			}
 			c.simCheck(res, simCfg, fmt.Sprintf("%s pred=%s vec=%d", cb.label, pname, vi))
@@ -411,7 +392,7 @@ func (c *checker) checkSoundness(res *core.Result, cb combo) {
 			DepthMiss:       cb.opts.DepthMiss,
 			DepthHit:        cb.opts.DepthHit,
 			WrongPathOOB:    true,
-			MaxSteps:        c.cfg.MaxSteps,
+			MaxSteps:        maxSteps,
 			Inputs:          vec,
 		}
 		c.simCheck(res, simCfg, fmt.Sprintf("%s forced vec=%d", cb.label, vi))
@@ -434,7 +415,7 @@ func (c *checker) simCheck(res *core.Result, simCfg machine.Config, label string
 		return 0
 	}
 	sim.OnAccess = func(r machine.AccessRecord) {
-		if len(c.res.Violations) >= c.cfg.MaxViolations {
+		if len(c.res.Violations) >= maxViolations {
 			return
 		}
 		if r.Speculative {

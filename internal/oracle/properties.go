@@ -30,7 +30,7 @@ func (c *checker) checkLeakCompleteness(rep *sidechannel.Report, cb combo) {
 		Cache:     cb.opts.Cache,
 		DepthMiss: cb.opts.DepthMiss,
 		DepthHit:  cb.opts.DepthHit,
-		MaxSteps:  c.cfg.MaxSteps,
+		MaxSteps:  maxSteps,
 	}
 	for pi, pair := range c.cfg.SecretPairs {
 		label := fmt.Sprintf("%s secrets=%d/%d", cb.label, pair[0], pair[1])
@@ -61,7 +61,7 @@ func (c *checker) checkLeakCompleteness(rep *sidechannel.Report, cb combo) {
 // lane-analyzed instruction and no reported Spectre gadget may disappear
 // when the window grows.
 func (c *checker) checkWindowMonotone(small, large *sidechannel.Report) {
-	label := fmt.Sprintf("window %d->%d", c.cfg.WindowPair[0], c.cfg.WindowPair[1])
+	label := fmt.Sprintf("window %d->%d", smallWindow, largeWindow)
 	for id := range small.Analysis.SpecAccess {
 		if _, ok := large.Analysis.SpecAccess[id]; !ok {
 			c.violate(Violation{Property: WindowMonotone, Config: label, InstrID: id,
@@ -89,7 +89,7 @@ func (c *checker) checkWindowMonotone(small, large *sidechannel.Report) {
 //   - no flip: a line proved always-hit under the reduced unroll must not
 //     be proved always-miss (at an executed access) under the full unroll.
 func (c *checker) checkUnrollMonotone(sres, lres *core.Result) {
-	label := fmt.Sprintf("unroll %d->default", c.cfg.SmallUnroll)
+	label := fmt.Sprintf("unroll %d->default", smallUnroll)
 
 	// A line is must-hit when it has accesses and all of them are
 	// always-hit; with inlining several instructions share a line, and one
@@ -113,7 +113,7 @@ func (c *checker) checkUnrollMonotone(sres, lres *core.Result) {
 
 	simCfg := machine.Config{
 		Cache:    c.baseOpts().Cache,
-		MaxSteps: c.cfg.MaxSteps,
+		MaxSteps: maxSteps,
 	}
 	sim, err := machine.New(lres.Prog, simCfg)
 	if err != nil {
@@ -122,7 +122,7 @@ func (c *checker) checkUnrollMonotone(sres, lres *core.Result) {
 	}
 	c.res.Traces++
 	sim.OnAccess = func(r machine.AccessRecord) {
-		if r.Speculative || len(c.res.Violations) >= c.cfg.MaxViolations {
+		if r.Speculative || len(c.res.Violations) >= maxViolations {
 			return
 		}
 		l := lineOf[r.InstrID]
@@ -131,11 +131,11 @@ func (c *checker) checkUnrollMonotone(sres, lres *core.Result) {
 		}
 		if !r.Hit {
 			c.violate(Violation{Property: UnrollMonotone, Config: label, InstrID: r.InstrID, Line: l,
-				Detail: fmt.Sprintf("line proved always-hit at MaxUnroll=%d but missed concretely under full unrolling", c.cfg.SmallUnroll)})
+				Detail: fmt.Sprintf("line proved always-hit at MaxUnroll=%d but missed concretely under full unrolling", smallUnroll)})
 		}
 		if missAt[r.InstrID] {
 			c.violate(Violation{Property: UnrollMonotone, Config: label, InstrID: r.InstrID, Line: l,
-				Detail: fmt.Sprintf("line proved always-hit at MaxUnroll=%d but always-miss under full unrolling", c.cfg.SmallUnroll)})
+				Detail: fmt.Sprintf("line proved always-hit at MaxUnroll=%d but always-miss under full unrolling", smallUnroll)})
 		}
 	}
 	if err := sim.Run(); err != nil {

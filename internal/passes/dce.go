@@ -54,7 +54,7 @@ func dce(prog *ir.Program) int {
 // dceRound runs one liveness fixpoint and sweep. It returns the number of
 // instructions nopped and whether any of them read a cross-block register.
 func dceRound(prog *ir.Program) (nops int, crossReads bool) {
-	crossIdx, numCross := classifyCross(prog)
+	crossIdx, numCross := prog.CrossRegs()
 	words := (numCross + 63) / 64
 	nBlocks := len(prog.Blocks)
 	// Per block, over cross registers: liveIn, the registers it reads before

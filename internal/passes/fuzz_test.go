@@ -4,8 +4,9 @@ import (
 	"errors"
 	"testing"
 
-	"specabsint/internal/interp"
+	"specabsint/internal/ir"
 	"specabsint/internal/lower"
+	"specabsint/internal/machine"
 	"specabsint/internal/source"
 )
 
@@ -52,9 +53,13 @@ func FuzzPasses(f *testing.F) {
 		if _, err := Run(prog, Default()); err != nil {
 			t.Fatalf("transformed program failed verification:\n%v\nsource:\n%s", err, src)
 		}
-		const steps = 200_000
-		want, wantErr := interp.NewMachine(plain).Run(steps)
-		got, gotErr := interp.NewMachine(prog).Run(steps)
+		execute := func(p *ir.Program) (machine.Stats, error) {
+			cfg := machine.DefaultConfig()
+			cfg.DepthMiss, cfg.DepthHit, cfg.MaxSteps = 0, 0, 200_000
+			return machine.RunProgram(p, cfg)
+		}
+		want, wantErr := execute(plain)
+		got, gotErr := execute(prog)
 		if fault(wantErr) != fault(gotErr) {
 			t.Fatalf("fault changed: %v -> %v\nsource:\n%s\ntransformed:\n%s", wantErr, gotErr, src, prog)
 		}
@@ -67,9 +72,9 @@ func FuzzPasses(f *testing.F) {
 	})
 }
 
-// fault names the interpreter error a run ended in, "" for none.
+// fault names the simulator error a run ended in, "" for none.
 func fault(err error) string {
-	for _, e := range []error{interp.ErrDivideByZero, interp.ErrOutOfBounds, interp.ErrStepLimit} {
+	for _, e := range []error{machine.ErrDivideByZero, machine.ErrOutOfBounds, machine.ErrStepLimit} {
 		if errors.Is(err, e) {
 			return e.Error()
 		}

@@ -10,11 +10,14 @@
 //
 //  1. sccp — sparse conditional constant propagation over registers and
 //     value-tracked memory scalars (the same memory model the interval
-//     analysis uses: secret scalars and uninitialized scalars are unknown,
-//     initialized scalars start at their initializer, array contents are
-//     never tracked). Register uses whose value is a proven constant are
-//     rewritten to constant operands in place. Block entry environments
-//     share one slab, with slots for cross-block registers and scalars.
+//     analysis uses, ir.Symbol.EntryValue: secret scalars and
+//     uninitialized scalars are unknown, initialized scalars start at
+//     their initializer, array contents are never tracked). It folds with
+//     ir.EvalBinop and ir.EvalUnop, what the simulator executes. Register
+//     uses whose value is a proven constant are rewritten to constant
+//     operands in place. Block entry environments share one slab, with
+//     slots for cross-block registers (ir.Program.CrossRegs, as in the
+//     interval analysis and DCE) and scalars.
 //  2. copyprop — block-local forward copy propagation, replacing uses of
 //     mov destinations with the mov source so the mov becomes dead. Write
 //     stamps kill a copy whose source is overwritten in O(1).

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"specabsint/internal/interp"
 	"specabsint/internal/ir"
 	"specabsint/internal/lower"
+	"specabsint/internal/machine"
 	"specabsint/internal/passes"
 	"specabsint/internal/source"
 )
@@ -23,6 +23,13 @@ func compile(t *testing.T, src string) *ir.Program {
 		t.Fatalf("lower: %v", err)
 	}
 	return prog
+}
+
+// execute runs prog on the simulator with speculation off.
+func execute(prog *ir.Program, maxSteps int64) (machine.Stats, error) {
+	cfg := machine.DefaultConfig()
+	cfg.DepthMiss, cfg.DepthHit, cfg.MaxSteps = 0, 0, maxSteps
+	return machine.RunProgram(prog, cfg)
 }
 
 func run(t *testing.T, prog *ir.Program, opts passes.Options) *passes.Result {
@@ -62,7 +69,7 @@ func TestResolveConstantBranch(t *testing.T) {
 	if got := prog.CondBranchCount(); got != 0 {
 		t.Fatalf("CondBranchCount = %d, want 0 (resolved branches cannot mispredict)", got)
 	}
-	st, err := interp.NewMachine(prog).Run(10_000)
+	st, err := execute(prog, 10_000)
 	if err != nil || st.Ret != 1 {
 		t.Fatalf("run: ret=%d err=%v, want 1", st.Ret, err)
 	}
@@ -137,7 +144,7 @@ func TestInputParamNotFolded(t *testing.T) {
 func TestRegInputNotFolded(t *testing.T) {
 	// A `reg` variable without an initializer models an input read straight
 	// from the register file; its value must never fold even though it is
-	// concretely zero in the unpreloaded interpreter.
+	// concretely zero on a simulator run without register inputs.
 	prog := compile(t, `int main() {
 		reg int x;
 		if (x < 5) { return 1; }
@@ -168,7 +175,7 @@ func TestDeadDivisionByZeroKept(t *testing.T) {
 	if !found {
 		t.Fatalf("dead division by zero must not be eliminated (it faults at runtime):\n%s", prog)
 	}
-	if _, err := interp.NewMachine(prog).Run(10_000); !errors.Is(err, interp.ErrDivideByZero) {
+	if _, err := execute(prog, 10_000); !errors.Is(err, machine.ErrDivideByZero) {
 		t.Fatalf("transformed program should still fault, got %v", err)
 	}
 }
@@ -204,7 +211,7 @@ func TestScalarGlobalThroughStore(t *testing.T) {
 	if res.ResolvedBranches != 1 {
 		t.Fatalf("stored-constant scalar branch should resolve, got %d\n%s", res.ResolvedBranches, prog)
 	}
-	st, err := interp.NewMachine(prog).Run(10_000)
+	st, err := execute(prog, 10_000)
 	if err != nil || st.Ret != 1 {
 		t.Fatalf("run: ret=%d err=%v, want 1", st.Ret, err)
 	}
@@ -248,8 +255,8 @@ func TestArchitecturalEquivalence(t *testing.T) {
 		plain := compile(t, src)
 		transformed := compile(t, src)
 		run(t, transformed, passes.Default())
-		st1, err1 := interp.NewMachine(plain).Run(1_000_000)
-		st2, err2 := interp.NewMachine(transformed).Run(1_000_000)
+		st1, err1 := execute(plain, 1_000_000)
+		st2, err2 := execute(transformed, 1_000_000)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("fault behavior diverged: %v vs %v\n%s", err1, err2, src)
 		}

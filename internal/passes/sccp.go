@@ -1,20 +1,18 @@
 package passes
 
-import (
-	"specabsint/internal/interp"
-	"specabsint/internal/ir"
-)
+import "specabsint/internal/ir"
 
 // Sparse conditional constant propagation.
 //
 // The lattice per register / tracked scalar is the usual three-level one:
 // unknown (optimistically "no value seen yet"), a single constant, or
 // overdefined. Environments live only at block entries and only for
-// cross-block registers plus one slot per scalar symbol; block-local
-// temporaries are evaluated in a scratch table during the transfer, exactly
-// like the interval analysis. Arrays get no slot: their contents are never
-// tracked, so a load from one is overdefined. Every block's entry
-// environment is a window of one slab, allocated once.
+// cross-block registers (ir.Program.CrossRegs, the partition the interval
+// analysis and DCE use) plus one slot per scalar symbol; block-local
+// temporaries are evaluated in a scratch table during the transfer. Arrays
+// get no slot: their contents are never tracked, so a load from one is
+// overdefined. Every block's entry environment is a window of one slab,
+// allocated once.
 //
 // Conditionality: propagation starts at entry and pushes environments only
 // along edges that can execute — a CondBr whose condition evaluates to a
@@ -22,13 +20,12 @@ import (
 // are left unreached and untouched by the rewrite (they are exactly the
 // blocks behind a to-be-resolved branch's dead edge).
 //
-// The memory model mirrors interval.entryEnv: secret scalars and
-// uninitialized scalars are overdefined at entry (input vectors may preload
-// them), initialized scalars start at their initializer, and array contents
-// are never value-tracked. Folding uses interp.EvalBinop so compile-time
-// arithmetic is bit-identical to the machine's, and a potentially faulting
-// operation (division by a non-constant or zero divisor) is never folded —
-// the fault must still happen at runtime.
+// A scalar starts at its ir.Symbol.EntryValue, the interval analysis's
+// rule too, and is overdefined at entry without one (input vectors may
+// preload it); array contents are never value-tracked. Folding evaluates
+// with ir.EvalUnop and ir.EvalBinop, the simulator's own semantics, and a
+// potentially faulting operation (division by a non-constant or zero
+// divisor) is never folded — the fault must still happen at runtime.
 
 type latKind int8
 
@@ -92,8 +89,8 @@ func (s *sccpState) read(env []lat, r ir.Reg) lat {
 	if s.scratchGen[r] == s.curGen {
 		return s.scratch[r]
 	}
-	// Read of a local register with no in-block definition: only input
-	// registers do this on verified IR, and inputs are arbitrary.
+	// A block-local register is written before its block reads it, so
+	// this read has no definition to see; overdefined is the safe answer.
 	return overLat
 }
 
@@ -128,15 +125,12 @@ func (s *sccpState) initEntry(env []lat) {
 		}
 	}
 	for _, sym := range s.prog.Symbols {
-		slot := s.symSlot[sym.ID]
-		switch {
-		case slot < 0:
-		case len(sym.Init) > 0 && !sym.Secret:
-			env[slot] = constLat(sym.Init[0])
-		default:
-			// Secret scalars and uninitialized ones (e.g. main's
-			// parameters) model inputs.
-			env[slot] = overLat
+		if slot := s.symSlot[sym.ID]; slot >= 0 {
+			if v, known := sym.EntryValue(); known {
+				env[slot] = constLat(v)
+			} else {
+				env[slot] = overLat
+			}
 		}
 	}
 }
@@ -146,17 +140,12 @@ func (s *sccpState) transfer(env []lat, in *ir.Instr) {
 	switch in.Op {
 	case ir.OpConst, ir.OpMov:
 		s.write(env, in.Dst, s.lookup(env, in.A))
-	case ir.OpNeg:
-		s.write(env, in.Dst, s.unop(env, in, func(c int64) int64 { return -c }))
-	case ir.OpNot:
-		s.write(env, in.Dst, s.unop(env, in, func(c int64) int64 { return ^c }))
-	case ir.OpBool:
-		s.write(env, in.Dst, s.unop(env, in, func(c int64) int64 {
-			if c != 0 {
-				return 1
-			}
-			return 0
-		}))
+	case ir.OpNeg, ir.OpNot, ir.OpBool:
+		a := s.lookup(env, in.A)
+		if a.kind == latConst {
+			a = constLat(ir.EvalUnop(in.Op, a.c))
+		}
+		s.write(env, in.Dst, a)
 	case ir.OpLoad:
 		if slot := s.symSlot[in.Sym]; slot >= 0 {
 			s.write(env, in.Dst, env[slot])
@@ -175,7 +164,7 @@ func (s *sccpState) transfer(env []lat, in *ir.Instr) {
 		a, b := s.lookup(env, in.A), s.lookup(env, in.B)
 		switch {
 		case a.kind == latConst && b.kind == latConst:
-			if v, err := interp.EvalBinop(in.Op, a.c, b.c); err == nil {
+			if v, ok := ir.EvalBinop(in.Op, a.c, b.c); ok {
 				s.write(env, in.Dst, constLat(v))
 			} else {
 				// Folding would erase a runtime fault (division by zero).
@@ -189,19 +178,11 @@ func (s *sccpState) transfer(env []lat, in *ir.Instr) {
 	}
 }
 
-func (s *sccpState) unop(env []lat, in *ir.Instr, f func(int64) int64) lat {
-	a := s.lookup(env, in.A)
-	if a.kind == latConst {
-		return constLat(f(a.c))
-	}
-	return a
-}
-
 // sccp runs the propagation to a fixpoint and then rewrites proven-constant
 // register uses to constant operands in place. It returns the number of
 // rewritten operands.
 func sccp(prog *ir.Program) int {
-	crossIdx, numCross := classifyCross(prog)
+	crossIdx, numCross := prog.CrossRegs()
 	symSlot := make([]int, len(prog.Symbols))
 	width := numCross
 	for i, sym := range prog.Symbols {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"specabsint"
+	"specabsint/internal/core"
 	"specabsint/wire"
 )
 
@@ -11,8 +12,9 @@ import (
 // handlers do: strict decoding as an analyze and as a batch request, the
 // version check, and the resolution of each job's options, batch-level
 // options merged with the job's. Nothing may panic. Whenever options
-// resolve, the resolved cache must pass Validate, and the configuration
-// must come back unchanged from wire.FromConfig and Config.
+// resolve, the resolved cache must pass Validate, the resolved depths the
+// analysis's depth rule, and the configuration must come back unchanged
+// from wire.FromConfig and Config.
 func FuzzDecodeRequest(f *testing.F) {
 	for _, seed := range []string{
 		// docs/API.md's /v1/analyze example.
@@ -22,6 +24,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"source": "int main() { return 0; }", "options": {"cache": {"line_size": 48, "num_sets": 1, "assoc": 512}}}`,
 		`{"source": "int main() { return 0; }", "options": {"cache": {"line_size": 64, "num_sets": 1, "assoc": 65540}}}`,
 		`{"v": 1, "options": {"strategy": "partition"}, "jobs": [{"name": "a", "source": "int main() { return 0; }"}, {"source": "int main() { return 1; }", "options": {"cache": {"line_size": 64, "num_sets": 64, "assoc": 8}}}]}`,
+		`{"source": "int main() { return 0; }", "options": {"depth_miss": 5, "depth_hit": 9}}`,
+		`{"options": {"depth_hit": 30}, "jobs": [{"source": "int main() { return 0; }", "options": {"depth_miss": 25}}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -56,6 +60,9 @@ func checkJobOptions(t *testing.T, batch, job *wire.Options) {
 	}
 	if err := cfg.Cache.Validate(); err != nil {
 		t.Fatalf("options resolve to a cache the analysis rejects: %v", err)
+	}
+	if err := core.ValidateDepths(cfg.DepthMiss, cfg.DepthHit); err != nil {
+		t.Fatalf("options resolve to depths the analysis rejects: %v", err)
 	}
 	doc, err := wire.FromConfig(cfg)
 	if err != nil {

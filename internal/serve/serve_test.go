@@ -370,6 +370,34 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 
+	// Speculation depths the analysis rejects are bad options too: a
+	// negative depth and depth_hit above depth_miss used to fail inside the
+	// analysis as 500 internal, and as a 200 batch with an internal item.
+	depth := func(v int) *int { return &v }
+	for _, tc := range []struct {
+		name string
+		opts *wire.Options
+	}{
+		{"depth_miss -1", &wire.Options{DepthMiss: depth(-1)}},
+		{"depth_miss 5, depth_hit 9", &wire.Options{DepthMiss: depth(5), DepthHit: depth(9)}},
+	} {
+		status, data = post(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: "int main() { return 0; }", Options: tc.opts})
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status %d: %s", tc.name, status, data)
+		} else if e := decodeErr(t, data); e.Code != wire.CodeBadRequest {
+			t.Errorf("%s: code %q", tc.name, e.Code)
+		}
+	}
+	status, data = post(t, ts.URL+"/v1/batch", wire.BatchRequest{Jobs: []wire.BatchJob{
+		{Name: "good", Source: "int main() { return 0; }"},
+		{Name: "bad", Source: "int main() { return 0; }", Options: &wire.Options{DepthHit: depth(-3)}},
+	}})
+	if status != http.StatusBadRequest {
+		t.Errorf("batch job with depth_hit -3: status %d: %s", status, data)
+	} else if e := decodeErr(t, data); e.Code != wire.CodeBadRequest || !strings.HasPrefix(e.Message, "job 1 (bad): ") {
+		t.Errorf("batch job with depth_hit -3: %+v", e)
+	}
+
 	status, data = post(t, ts.URL+"/v1/analyze", wire.AnalyzeRequest{Source: "int main() { return oops; }"})
 	if status != http.StatusUnprocessableEntity {
 		t.Errorf("compile error: status %d", status)

@@ -1,6 +1,6 @@
 package source
 
-import "fmt"
+import "specabsint/internal/ir"
 
 // EvalConst evaluates a compile-time constant expression (no identifiers,
 // calls, or array indexing allowed).
@@ -36,9 +36,16 @@ func EvalConst(e Expr) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		v, err := EvalBinop(x.Op, l, r)
-		if err != nil {
-			return 0, errf(x.Pos, "%v", err)
+		op, ok := BinOp(x.Op)
+		if !ok {
+			return 0, errf(x.Pos, "unsupported binary operator %s", x.Op)
+		}
+		v, ok := ir.EvalBinop(op, l, r)
+		if !ok {
+			if x.Op == Percent {
+				return 0, errf(x.Pos, "modulo by zero")
+			}
+			return 0, errf(x.Pos, "division by zero")
 		}
 		return v, nil
 	case *CondExpr:
@@ -75,48 +82,44 @@ func boolToInt(b bool) int64 {
 	return 0
 }
 
-// EvalBinop applies a binary operator to two concrete values with C-like
-// semantics on int64. Division and modulo by zero are errors.
-func EvalBinop(op Kind, l, r int64) (int64, error) {
-	switch op {
+// BinOp returns the IR op that computes binary operator k, for each of
+// MiniC's 16 arithmetic, bitwise, shift and comparison operators. Lowering
+// emits it, and EvalConst evaluates it with ir.EvalBinop, so a constant
+// expression folds to exactly what the program would compute at run time.
+func BinOp(k Kind) (ir.Op, bool) {
+	switch k {
 	case Plus:
-		return l + r, nil
+		return ir.OpAdd, true
 	case Minus:
-		return l - r, nil
+		return ir.OpSub, true
 	case Star:
-		return l * r, nil
+		return ir.OpMul, true
 	case Slash:
-		if r == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		return l / r, nil
+		return ir.OpDiv, true
 	case Percent:
-		if r == 0 {
-			return 0, fmt.Errorf("modulo by zero")
-		}
-		return l % r, nil
+		return ir.OpRem, true
 	case Amp:
-		return l & r, nil
+		return ir.OpAnd, true
 	case Pipe:
-		return l | r, nil
+		return ir.OpOr, true
 	case Caret:
-		return l ^ r, nil
+		return ir.OpXor, true
 	case Shl:
-		return l << (uint64(r) & 63), nil
+		return ir.OpShl, true
 	case Shr:
-		return l >> (uint64(r) & 63), nil
+		return ir.OpShr, true
 	case Lt:
-		return boolToInt(l < r), nil
-	case Gt:
-		return boolToInt(l > r), nil
+		return ir.OpCmpLt, true
 	case Le:
-		return boolToInt(l <= r), nil
+		return ir.OpCmpLe, true
+	case Gt:
+		return ir.OpCmpGt, true
 	case Ge:
-		return boolToInt(l >= r), nil
+		return ir.OpCmpGe, true
 	case EqEq:
-		return boolToInt(l == r), nil
+		return ir.OpCmpEq, true
 	case NotEq:
-		return boolToInt(l != r), nil
+		return ir.OpCmpNe, true
 	}
-	return 0, fmt.Errorf("unsupported binary operator %s", op)
+	return 0, false
 }

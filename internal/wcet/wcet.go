@@ -32,6 +32,7 @@ import (
 	"specabsint/internal/cfg"
 	"specabsint/internal/core"
 	"specabsint/internal/ir"
+	"specabsint/internal/machine"
 )
 
 // CostModel assigns cycle costs.
@@ -41,9 +42,10 @@ type CostModel struct {
 	MissPenalty int64 // per potentially-missing access (added to base)
 }
 
-// DefaultCosts mirrors the simulator's default latencies.
+// DefaultCosts returns the latencies the simulator charges
+// (machine.BaseLatency, HitLatency and MissPenalty).
 func DefaultCosts() CostModel {
-	return CostModel{BaseLatency: 1, HitLatency: 1, MissPenalty: 100}
+	return CostModel{BaseLatency: machine.BaseLatency, HitLatency: machine.HitLatency, MissPenalty: machine.MissPenalty}
 }
 
 // Estimate summarizes the timing analysis of one program.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"specabsint"
+	"specabsint/internal/core"
 )
 
 // Options is the wire form of an analysis configuration. Every field is
@@ -141,8 +142,10 @@ func ptr[T any](v T) *T { return &v }
 
 // Config resolves the document into a full configuration: the paper's
 // defaults overridden by every present field. It rejects an unknown
-// strategy, an unknown value of a retired field, and a cache geometry the
-// analysis cannot model (CacheConfig.Validate). A nil *Options is valid and
+// strategy, an unknown value of a retired field, a cache geometry the
+// analysis cannot model (CacheConfig.Validate), and speculation depths the
+// analysis rejects (a negative depth, or depth_hit above depth_miss). A nil
+// *Options is valid and
 // yields DefaultConfig. The returned Config converts to the option form
 // with Config.Options — the reconstruction path every service entry point
 // uses:
@@ -172,6 +175,9 @@ func (o *Options) Config() (specabsint.Config, error) {
 	}
 	if o.DepthHit != nil {
 		cfg.DepthHit = *o.DepthHit
+	}
+	if err := core.ValidateDepths(cfg.DepthMiss, cfg.DepthHit); err != nil {
+		return cfg, err
 	}
 	if o.DynamicDepthBounding != nil {
 		cfg.DynamicDepthBounding = *o.DynamicDepthBounding
