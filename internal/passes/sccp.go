@@ -89,8 +89,8 @@ func (s *sccpState) read(env []lat, r ir.Reg) lat {
 	if s.scratchGen[r] == s.curGen {
 		return s.scratch[r]
 	}
-	// A block-local register is written before its block reads it, so
-	// this read has no definition to see; overdefined is the safe answer.
+	// Unreachable on a read: CrossRegs leaves a register block-local only
+	// when its block writes it before reading it. Overdefined is safe.
 	return overLat
 }
 
