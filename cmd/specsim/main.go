@@ -29,7 +29,7 @@ func main() {
 		sets        = flag.Int("sets", 1, "cache sets (1 = fully associative)")
 		bm          = flag.Int("bm", 200, "speculation depth after a missing condition")
 		bh          = flag.Int("bh", 20, "speculation depth after a hitting condition")
-		predictor   = flag.String("predictor", "2bit", "branch predictor: 2bit, gshare, taken, nottaken, adversarial, oracle")
+		predictor   = flag.String("predictor", "2bit", "branch predictor: 2bit, gshare, taken, nottaken, adversarial")
 		force       = flag.Bool("force-mispredict", false, "mispredict every branch (worst-case pollution)")
 		icacheLines = flag.Int("icache-lines", 0, "simulate an instruction cache with this many lines (0 = off)")
 		unroll      = flag.Int("unroll", 4096, "loop unrolling cap (0 or less: the lowering default)")
@@ -71,8 +71,6 @@ func main() {
 		cfg.Predictor = machine.NeverTaken{}
 	case "adversarial":
 		cfg.Predictor = machine.NewAdversarial()
-	case "oracle":
-		cfg.DepthMiss, cfg.DepthHit = 0, 0 // perfect prediction = no wrong paths
 	default:
 		fatal(fmt.Errorf("unknown predictor %q", *predictor))
 	}

@@ -109,10 +109,13 @@ func (p *GShare) Update(id int, taken bool) {
 // Name identifies the predictor.
 func (p *GShare) Name() string { return "gshare" }
 
-// Adversarial always predicts the WRONG direction. It needs the actual
-// outcome before predicting, so the simulator feeds it through Update first;
-// it exists to maximize wrong-path cache pollution in worst-case and
-// side-channel experiments.
+// Adversarial predicts the opposite of each branch's previous outcome. The
+// simulator asks Predict before it calls Update with the outcome, so the
+// prediction is wrong whenever a branch repeats its previous direction and
+// right whenever the direction flips. It drives far more wrong paths than
+// a 2-bit predictor on biased branches, for worst-case and side-channel
+// experiments; Config.ForceMispredict is the mode that mispredicts every
+// branch.
 type Adversarial struct {
 	last map[int]bool
 }
