@@ -71,26 +71,58 @@ func BenchmarkTransfer(b *testing.B) {
 	}
 }
 
+// nestedState is a state at the shape of the repository benchmark's largest
+// nested-loops program (a 32×32 nest): 1,139 blocks at the paper's 512
+// ways, with about as many blocks must-cached (330) and may-cached (510) as
+// its exact accesses meet on average. It joins two paths that each cache
+// 420 blocks, [0, 420) and [90, 510), every block accessed once and then
+// 2×420 random ones; the join keeps the 330 they share must-cached and the
+// 510 either caches may-cached. An access to block 200 follows, so that
+// some block has must age 1.
+func nestedState(d *Domain) *State {
+	warm := func(lo, hi int, seed int64) *State {
+		rng := rand.New(rand.NewSource(seed))
+		st := NewState(d.L.NumBlocks)
+		for _, i := range rng.Perm(hi - lo) {
+			d.Transfer(st, Access{First: layout.BlockID(lo + i), Count: 1})
+		}
+		for i := 0; i < 2*(hi-lo); i++ {
+			d.Transfer(st, Access{First: layout.BlockID(lo + rng.Intn(hi-lo)), Count: 1})
+		}
+		return st
+	}
+	st := d.Join(warm(0, 420, 1), warm(90, 510, 2))
+	d.Transfer(st, Access{First: 200, Count: 1})
+	return st
+}
+
+// nestedBlocks is the universe of nestedState.
+const nestedBlocks = 1139
+
 // BenchmarkExactAccess measures one exact access by the must age m the
-// accessed block has, on adpcm's universe of 174 blocks at the paper's 512
-// ways and at 64 sets × 8 ways: youngest (m = 1: nothing can age, so there
-// is neither a NYoung histogram nor a must pass), middle (the median m of
-// the cached blocks: only younger blocks can age, so only shadow ages below
-// m are counted) and uncached (m = 0: every cached block can age). The
-// state is warmed over all but the last 14 blocks, which stay uncached, and
-// each iteration copies it back before the access.
+// accessed block has: youngest (m = 1: nothing can age, so there is
+// neither a NYoung histogram nor a must pass), middle (the median m of the
+// cached blocks: only younger blocks can age, so only shadow ages below m
+// are counted) and uncached (m = 0: every cached block can age). It runs on
+// adpcm's universe of 174 blocks at the paper's 512 ways and at 64 sets ×
+// 8 ways, warmed over all but the last 14 blocks, which stay uncached, and
+// on nestedState. The 512-way shapes run the word kernels and the 64-set
+// one the strided loops. Each iteration copies the state back before the
+// access.
 func BenchmarkExactAccess(b *testing.B) {
 	const blocks, uncached = 174, 14
-	for _, geo := range []struct {
-		name        string
-		sets, assoc int
+	for _, sh := range []struct {
+		name                string
+		blocks, sets, assoc int
+		start               func(d *Domain) *State
 	}{
-		{"fullyassoc-512", 1, 512},
-		{"64set-8way", 64, 8},
+		{"fullyassoc-512", blocks, 1, 512, func(d *Domain) *State { return warmState(d, blocks-uncached, 7) }},
+		{"64set-8way", blocks, 64, 8, func(d *Domain) *State { return warmState(d, blocks-uncached, 7) }},
+		{"nested-loops-1139", nestedBlocks, 1, 512, nestedState},
 	} {
-		l := benchLayout(b, blocks, geo.sets, geo.assoc)
+		l := benchLayout(b, sh.blocks, sh.sets, sh.assoc)
 		d := NewDomain(l)
-		start := warmState(d, blocks-uncached, 7)
+		start := sh.start(d)
 		cached := start.MustBlocks() // by must age, youngest first
 		for _, c := range []struct {
 			name string
@@ -98,9 +130,9 @@ func BenchmarkExactAccess(b *testing.B) {
 		}{
 			{"youngest", cached[0]},
 			{"middle", cached[len(cached)/2]},
-			{"uncached", blocks - 1},
+			{"uncached", layout.BlockID(sh.blocks - 1)},
 		} {
-			b.Run(geo.name+"/"+c.name, func(b *testing.B) {
+			b.Run(sh.name+"/"+c.name, func(b *testing.B) {
 				st := start.Clone()
 				acc := Access{First: c.v, Count: 1}
 				b.ReportAllocs()
@@ -115,14 +147,14 @@ func BenchmarkExactAccess(b *testing.B) {
 }
 
 // BenchmarkJoinInto measures the in-place join on already-converged (equal)
-// states — the steady-state case a fixpoint spends most of its time in.
+// states — the steady-state case a fixpoint spends most of its time in —
+// over 512 blocks at one set of 512 ways and at 64 sets × 8 ways, and on
+// nestedState. "nested-loops-1139/covered" joins nestedState into a state
+// that already covers it, the join of nestedState and the state six
+// random exact accesses make of it: nothing changes, but many lanes differ.
 func BenchmarkJoinInto(b *testing.B) {
-	for _, sets := range []int{1, 64} {
-		b.Run(fmt.Sprintf("%dset", sets), func(b *testing.B) {
-			l := benchLayout(b, 512, sets, 512/sets)
-			d := NewDomain(l)
-			src := warmState(d, 512, 3)
-			dst := src.Clone()
+	run := func(name string, d *Domain, dst, src *State) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -130,6 +162,20 @@ func BenchmarkJoinInto(b *testing.B) {
 			}
 		})
 	}
+	for _, sets := range []int{1, 64} {
+		d := NewDomain(benchLayout(b, 512, sets, 512/sets))
+		src := warmState(d, 512, 3)
+		run(fmt.Sprintf("%dset", sets), d, src.Clone(), src)
+	}
+	d := NewDomain(benchLayout(b, nestedBlocks, 1, 512))
+	src := nestedState(d)
+	run("nested-loops-1139/equal", d, src.Clone(), src)
+	moved := src.Clone()
+	rng := rand.New(rand.NewSource(4))
+	for range 6 {
+		d.Transfer(moved, Access{First: layout.BlockID(rng.Intn(nestedBlocks)), Count: 1})
+	}
+	run("nested-loops-1139/covered", d, d.Join(src, moved), src)
 }
 
 // BenchmarkWalk measures one lane walk of 6 exact accesses, about the paper

@@ -48,9 +48,10 @@ func (c Classification) MarshalJSON() ([]byte, error) {
 }
 
 // Domain bundles the layout with analysis options and implements the
-// abstract operations. All operations iterate the block universe with the
+// abstract operations. A transfer iterates the block universe with the
 // stride of the cache-set mapping, so only blocks competing for the accessed
-// set are touched.
+// set are touched; where the geometry allows, the exact access and the join
+// run on four blocks per step instead (wordKernels).
 type Domain struct {
 	L *layout.Layout
 	// Refined enables the Appendix-B shadow-variable aging rule (NYoung);
@@ -155,6 +156,10 @@ func (d *Domain) Transfer(s *State, acc Access) {
 // older ages are never asked about (see accessExact). With limit 0 it builds
 // no histogram and leaves d.prefix as it was.
 func (d *Domain) shadowUpdateExact(s *State, v layout.BlockID, limit uint16) {
+	if exact, _ := d.wordKernels(); exact {
+		d.shadowWords(s, v, limit)
+		return
+	}
 	assoc := uint16(d.assoc())
 	stride := d.L.Config.NumSets
 	shadow := s.shadow
@@ -237,17 +242,18 @@ func (d *Domain) cumulate(hist []int, top int) {
 
 // shouldAge implements the NYoung rule: u ages only if at least Age(u)
 // shadow blocks (other than u, in u's set) may be younger than or as young
-// as u. Shadow ages are the *new* ages, per Appendix B. It reads the
-// histogram the current access built, which counts every new shadow age up
-// to the access's limit, and ageU is never past that limit; an age past the
-// histogram's top reads prefix[top], since no counted shadow age is older.
-func (d *Domain) shouldAge(s *State, u int, ageU int) bool {
+// as u. Shadow ages are the *new* ages, per Appendix B: shadowU is u's. It
+// reads the histogram the current access built, which counts every new
+// shadow age up to the access's limit, and ageU is never past that limit;
+// an age past the histogram's top reads prefix[top], since no counted
+// shadow age is older.
+func (d *Domain) shouldAge(shadowU, ageU int) bool {
 	idx := ageU
 	if idx >= len(d.prefix) {
 		idx = len(d.prefix) - 1
 	}
 	n := d.prefix[idx]
-	if a := int(s.shadow[u]); a != 0 && a <= ageU {
+	if shadowU != 0 && shadowU <= ageU {
 		n-- // u itself does not count toward NYoung(u)
 	}
 	return n >= ageU
@@ -261,7 +267,8 @@ func (d *Domain) shouldAge(s *State, u int, ageU int) bool {
 // already the youngest and no block ages: there is neither a histogram nor
 // a must pass. Whenever the must pass has a candidate, this access has
 // counted v's own age 1, so shouldAge never reads an earlier access's
-// histogram.
+// histogram. On a cache with one set both passes run on words
+// (shadowWords, mustWords); with more sets they stride over v's set.
 func (d *Domain) accessExact(s *State, v layout.BlockID) {
 	assoc := d.assoc()
 	stride := d.L.Config.NumSets
@@ -280,21 +287,26 @@ func (d *Domain) accessExact(s *State, v layout.BlockID) {
 	}
 	d.shadowUpdateExact(s, v, uint16(limit))
 
-	for i := d.setStart(v); i < len(s.must); i += stride {
-		a := int(s.must[i])
-		if a == 0 || layout.BlockID(i) == v {
-			continue
-		}
-		if oldMustV != 0 && a >= oldMustV {
-			continue
-		}
-		if d.Refined && !d.shouldAge(s, i, a) {
-			continue
-		}
-		if a+1 > assoc {
-			s.must[i] = 0
-		} else {
-			s.must[i] = uint16(a + 1)
+	if exact, _ := d.wordKernels(); exact {
+		s.must[v] = 0 // a zero lane is skipped; v's new age is set below
+		d.mustWords(s, uint16(oldMustV))
+	} else {
+		for i := d.setStart(v); i < len(s.must); i += stride {
+			a := int(s.must[i])
+			if a == 0 || layout.BlockID(i) == v {
+				continue
+			}
+			if oldMustV != 0 && a >= oldMustV {
+				continue
+			}
+			if d.Refined && !d.shouldAge(int(s.shadow[i]), a) {
+				continue
+			}
+			if a+1 > assoc {
+				s.must[i] = 0
+			} else {
+				s.must[i] = uint16(a + 1)
+			}
 		}
 	}
 	if assoc >= 1 {
@@ -328,7 +340,7 @@ func (d *Domain) accessRange(s *State, acc Access) {
 			if a == 0 {
 				continue
 			}
-			if d.Refined && !d.shouldAge(s, i, a) {
+			if d.Refined && !d.shouldAge(int(s.shadow[i]), a) {
 				continue
 			}
 			if a+1 > assoc {
@@ -368,11 +380,14 @@ func (d *Domain) JoinInto(dst, src *State) bool {
 		dst.CopyFrom(src)
 		return true
 	}
+	if _, words := d.wordKernels(); words {
+		return joinWords(dst, src)
+	}
 	changed := false
 	// Bounding i by len(dst.must) on every iteration, rather than ranging
 	// over it, lets the compiler drop dst.must's bounds check: the stores
 	// below may alias dst's slice headers, so a range bound would not prove
-	// it. This loop and Leq carry the fixpoint's joins and orders.
+	// it. Only caches of more than maxWordAssoc ways join here.
 	for i := 0; i < len(dst.must); i++ {
 		dm, sm := dst.must[i], src.must[i]
 		if dm != 0 && (sm == 0 || sm > dm) {

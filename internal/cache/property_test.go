@@ -139,14 +139,9 @@ func randAccess(rng *rand.Rand, span int) Access {
 // it across states whose histograms differ in height — a state warmed over
 // the whole universe, with shadow ages up to assoc, interleaved with states
 // confined to a few blocks — must give exactly the states a fresh Domain
-// gives per transfer.
+// gives per transfer, on every shape in walkShapes.
 func TestPropertyNYoungScratchInvisible(t *testing.T) {
-	shapes := []struct{ blocks, sets, assoc int }{
-		{24, 1, 512},
-		{600, 1, 512},
-		{512, 64, 8},
-	}
-	for _, sh := range shapes {
+	for _, sh := range walkShapes {
 		l := propLayout(t, sh.blocks, sh.sets, sh.assoc)
 		shared := NewDomain(l)
 		spans := []int{sh.blocks, min(sh.blocks, 24), 3}
@@ -176,16 +171,24 @@ func TestPropertyNYoungScratchInvisible(t *testing.T) {
 	}
 }
 
-// walkShapes are the cache shapes the rollback walk properties run on: the
-// paper's 512-way cache over a universe smaller and larger than the ways, a
-// 64-set × 8-way cache, and two small set-associative shapes that evict
-// often.
+// walkShapes are the cache shapes the kernel and rollback walk properties
+// run on: the paper's 512-way cache over a universe smaller and larger than
+// the ways, a 64-set × 8-way cache, and two small shapes that evict often.
+// Two universes of the paper's cache are not a multiple of four blocks, so
+// the last word of each vector holds padding lanes beside blocks an access
+// touches or ages: 5 blocks (one lane of the second word) and 23 (three of
+// the sixth). At 40,000 ways a cache with one set is past maxWordAssoc, so
+// its exact accesses and joins keep the strided loops, as the 64-set
+// cache's exact accesses do.
 var walkShapes = []struct{ blocks, sets, assoc int }{
 	{24, 1, 512},
 	{600, 1, 512},
 	{512, 64, 8},
 	{16, 4, 2},
 	{8, 1, 4},
+	{5, 1, 512},
+	{23, 1, 512},
+	{24, 1, 40000},
 }
 
 // TestPropertyRollbackClosedForm checks the law Walk builds its rollback

@@ -6,13 +6,17 @@
 //
 // States are dense age vectors indexed by block id: the analyses track every
 // memory block of the program in every state, so a dense representation is
-// both smaller and much faster than hash maps.
+// both smaller and much faster than hash maps. A state keeps its two vectors
+// in one buffer of 64-bit words, four 16-bit ages (lanes) to a word, so that
+// on a cache whose ages fit in 15 bits the exact access and the join work on
+// four blocks per step (words.go).
 package cache
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"specabsint/internal/layout"
 )
@@ -30,6 +34,10 @@ type State struct {
 	IsBottom bool
 	must     []uint16
 	shadow   []uint16
+	// words is the one buffer must and shadow are views of: must's lanes
+	// fill its first half and shadow's its second, each padded with zero
+	// lanes to a whole number of words. See setLen.
+	words []uint64
 }
 
 // NewState returns the empty-cache state over numBlocks blocks: nothing is
@@ -37,8 +45,39 @@ type State struct {
 // backing allocation (the fixpoint materializes one state per block × flow,
 // so halving the allocation count matters).
 func NewState(numBlocks int) *State {
-	buf := make([]uint16, 2*numBlocks)
-	return &State{must: buf[:numBlocks:numBlocks], shadow: buf[numBlocks:]}
+	s := &State{}
+	s.setLen(numBlocks)
+	return s
+}
+
+// setLen lays s out for n blocks: w = ceil(n/4) words of must lanes, then w
+// words of shadow lanes, in s.words, which grows if it is too short. The
+// buffer is allocated as []uint64, so it is aligned for uint64 and hence
+// for uint16, and word k of it holds exactly lanes 4k..4k+3 of the lane
+// view over it. must starts at lane 0 and shadow at lane 4w, both on a word
+// boundary, so block b's must and shadow ages sit at the same bit offset of
+// must word b/4 and shadow word b/4, whatever the machine's byte order: a
+// word kernel reads both ages of four blocks at one index. The views are
+// cut to n lanes, so only word kernels see the padding lanes n..4w-1, and
+// they keep them zero: each kernel maps a zero lane to zero. setLen leaves
+// the contents as they were; a fresh buffer is zero, and CopyFrom
+// overwrites every word, padding included.
+func (s *State) setLen(n int) {
+	w := (n + 3) / 4
+	if cap(s.words) < 2*w {
+		s.words = make([]uint64, 2*w)
+	}
+	s.words = s.words[:2*w]
+	lanes := unsafe.Slice((*uint16)(unsafe.Pointer(unsafe.SliceData(s.words))), 8*w)
+	s.must = lanes[:n:n]
+	s.shadow = lanes[4*w : 4*w+n : 4*w+n]
+}
+
+// wordViews returns the must and shadow vectors as words of four lanes,
+// padding lanes included.
+func (s *State) wordViews() (must, shadow []uint64) {
+	w := len(s.words) / 2
+	return s.words[:w:w], s.words[w:]
 }
 
 // Bottom returns the unreachable state (identity of join).
@@ -57,11 +96,9 @@ func (s *State) Clone() *State {
 	if s.IsBottom {
 		return Bottom()
 	}
-	n := len(s.must)
-	buf := make([]uint16, 2*n)
-	copy(buf[:n], s.must)
-	copy(buf[n:], s.shadow)
-	return &State{must: buf[:n:n], shadow: buf[n:]}
+	c := NewState(len(s.must))
+	copy(c.words, s.words)
+	return c
 }
 
 // CopyFrom makes s a deep copy of src, reusing s's buffers when they are
@@ -74,16 +111,10 @@ func (s *State) CopyFrom(src *State) {
 		s.IsBottom = true
 		return
 	}
-	n := len(src.must)
-	if cap(s.must) < n || cap(s.shadow) < n {
-		buf := make([]uint16, 2*n)
-		s.must = buf[:n:n]
-		s.shadow = buf[n:]
+	if len(s.must) != len(src.must) {
+		s.setLen(len(src.must))
 	}
-	s.must = s.must[:n]
-	s.shadow = s.shadow[:n]
-	copy(s.must, src.must)
-	copy(s.shadow, src.shadow)
+	copy(s.words, src.words)
 	s.IsBottom = false
 }
 
