@@ -8,8 +8,8 @@
 // memory block of the program in every state, so a dense representation is
 // both smaller and much faster than hash maps. A state keeps its two vectors
 // in one buffer of 64-bit words, four 16-bit ages (lanes) to a word, so that
-// on a cache whose ages fit in 15 bits the exact access and the join work on
-// four blocks per step (words.go).
+// on a cache whose ages fit in 15 bits the join, and on such a cache with one
+// set the exact access too, work on four blocks per step (words.go).
 package cache
 
 import (
