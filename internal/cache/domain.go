@@ -72,11 +72,6 @@ type Domain struct {
 	// O(assoc); shouldAge clamps taller ages to prefix[top]. Entries past
 	// len(prefix), up to its capacity, are always zero.
 	prefix []int
-	// affected/affectedList are scratch for range transfers: membership mask
-	// and list of the cache sets a range access may touch. Reused across
-	// calls so the hot path performs no per-transfer allocation.
-	affected     []bool
-	affectedList []int
 	// touched is Walk's scratch: the block ranges its later accesses may
 	// touch, sorted and coalesced.
 	touched []blockRange
@@ -85,37 +80,10 @@ type Domain struct {
 // blockRange is the half-open block-id range [lo, hi).
 type blockRange struct{ lo, hi int }
 
-// affectedSets collects the distinct cache sets touched by acc into the
-// domain's scratch list, returning it. Valid until the next call. A set is a
-// block id modulo NumSets, so no set reaches the universe's size, and the
-// mask needs no more entries than that, however many sets the cache has.
-func (d *Domain) affectedSets(acc Access) []int {
-	numSets := min(d.L.Config.NumSets, d.L.NumBlocks)
-	if len(d.affected) < numSets {
-		d.affected = make([]bool, numSets)
-	}
-	d.affectedList = d.affectedList[:0]
-	for i := 0; i < acc.Count && len(d.affectedList) < numSets; i++ {
-		set := d.L.SetOf(acc.First + layout.BlockID(i))
-		if !d.affected[set] {
-			d.affected[set] = true
-			d.affectedList = append(d.affectedList, set)
-		}
-	}
-	for _, set := range d.affectedList {
-		d.affected[set] = false
-	}
-	return d.affectedList
-}
-
 // NewDomain creates a refined domain over l.
 func NewDomain(l *layout.Layout) *Domain { return &Domain{L: l, Refined: true} }
 
 func (d *Domain) assoc() int { return d.L.Config.Assoc }
-
-// setStart returns the first block id in the same cache set as b, so that
-// iterating with stride NumSets visits exactly b's competitors.
-func (d *Domain) setStart(b layout.BlockID) int { return d.L.SetOf(b) }
 
 // Repeats reports whether acc, made right after prev, leaves every state
 // unchanged, so that a caller may skip its Transfer. It holds in the must
@@ -169,7 +137,7 @@ func (d *Domain) shadowUpdateExact(s *State, v layout.BlockID, limit uint16) {
 		hist = d.histogram()
 	}
 	top := uint16(1) // v's own new age
-	for i := d.setStart(v); i < len(shadow); i += stride {
+	for i := d.L.SetOf(v); i < len(shadow); i += stride {
 		a := shadow[i]
 		if a == 0 || layout.BlockID(i) == v {
 			continue
@@ -291,7 +259,7 @@ func (d *Domain) accessExact(s *State, v layout.BlockID) {
 		s.must[v] = 0 // a zero lane is skipped; v's new age is set below
 		d.mustWords(s, uint16(oldMustV))
 	} else {
-		for i := d.setStart(v); i < len(s.must); i += stride {
+		for i := d.L.SetOf(v); i < len(s.must); i += stride {
 			a := int(s.must[i])
 			if a == 0 || layout.BlockID(i) == v {
 				continue
@@ -321,7 +289,6 @@ func (d *Domain) accessExact(s *State, v layout.BlockID) {
 func (d *Domain) accessRange(s *State, acc Access) {
 	assoc := d.assoc()
 	numSets := d.L.Config.NumSets
-	affected := d.affectedSets(acc)
 
 	// Shadow: candidates may be youngest now. Other blocks keep their
 	// lower bounds (the access may have gone elsewhere in their set).
@@ -330,8 +297,12 @@ func (d *Domain) accessRange(s *State, acc Access) {
 	}
 
 	// Must: age every block in an affected set (the accessed block's age is
-	// unknown, so conservatively it evicts from the bottom of the set).
-	for _, set := range affected {
+	// unknown, so conservatively it evicts from the bottom of the set). The
+	// candidates are consecutive blocks, so the first min(Count, NumSets)
+	// of them lie in distinct sets, which are all the sets the access may
+	// touch.
+	for b := range layout.BlockID(min(acc.Count, numSets)) {
+		set := d.L.SetOf(acc.First + b)
 		if d.Refined {
 			d.buildPrefix(s, set)
 		}
@@ -370,15 +341,15 @@ func (d *Domain) Join(a, b *State) *State {
 // JoinInto merges src into dst in place and reports whether dst changed.
 // JoinInto copies out of src and never retains it, so callers may reuse src.
 func (d *Domain) JoinInto(dst, src *State) bool {
-	if d.Persist {
-		return d.persistJoinInto(dst, src)
-	}
 	if src.IsBottom {
 		return false
 	}
 	if dst.IsBottom {
 		dst.CopyFrom(src)
 		return true
+	}
+	if d.Persist {
+		return persistJoinInto(dst, src)
 	}
 	if _, words := d.wordKernels(); words {
 		return joinWords(dst, src)
@@ -504,14 +475,14 @@ func (d *Domain) joinRange(dst, src *State, r blockRange) {
 // Leq reports whether a ⊑ b (b over-approximates a): b's must ages are no
 // younger than a's, and b's shadow ages no older than a's.
 func (d *Domain) Leq(a, b *State) bool {
-	if d.Persist {
-		return d.persistLeq(a, b)
-	}
 	if a.IsBottom {
 		return true
 	}
 	if b.IsBottom {
 		return false
+	}
+	if d.Persist {
+		return persistLeq(a, b)
 	}
 	for i := 0; i < len(a.must); i++ {
 		am, bm := a.must[i], b.must[i]
@@ -526,31 +497,33 @@ func (d *Domain) Leq(a, b *State) bool {
 	return true
 }
 
-// Widen accelerates convergence: any must age that grew since prev jumps to
-// evicted, and any shadow age that shrank (or appeared) jumps to 1. The
-// result over-approximates next, so widening preserves soundness (§6.3).
-func (d *Domain) Widen(prev, next *State) *State {
-	if d.Persist {
-		return d.persistWiden(prev, next)
-	}
+// Widen accelerates convergence by widening x, the iterate after prev, in
+// place: any must age that grew since prev jumps to evicted, and any shadow
+// age that shrank (or appeared) jumps to 1. A bottom x becomes a copy of
+// prev. The result over-approximates x, so widening preserves soundness
+// (§6.3).
+func (d *Domain) Widen(prev, x *State) {
 	if prev.IsBottom {
-		return next.Clone()
+		return
 	}
-	if next.IsBottom {
-		return prev.Clone()
+	if x.IsBottom {
+		x.CopyFrom(prev)
+		return
 	}
-	out := next.Clone()
-	for i := 0; i < len(out.must); i++ {
-		nm, pm := next.must[i], prev.must[i]
-		if nm != 0 && (pm == 0 || nm > pm) {
-			out.must[i] = 0
+	if d.Persist {
+		persistWiden(prev, x)
+		return
+	}
+	for i := 0; i < len(x.must); i++ {
+		xm, pm := x.must[i], prev.must[i]
+		if xm != 0 && (pm == 0 || xm > pm) {
+			x.must[i] = 0
 		}
-		ns, ps := next.shadow[i], prev.shadow[i]
-		if (ns != 0 && (ps == 0 || ns < ps)) || (ns == 0 && ps != 0) {
-			out.shadow[i] = 1
+		xs, ps := x.shadow[i], prev.shadow[i]
+		if (xs != 0 && (ps == 0 || xs < ps)) || (xs == 0 && ps != 0) {
+			x.shadow[i] = 1
 		}
 	}
-	return out
 }
 
 // Saturate clamps x, in place, against a fixed reference state: any must age
@@ -590,11 +563,11 @@ func (d *Domain) Saturate(ref, x *State) {
 // candidate blocks are must-cached, an AlwaysMiss when none may be cached,
 // and Unknown otherwise.
 func (d *Domain) Classify(s *State, acc Access) Classification {
-	if d.Persist {
-		return d.persistClassify(s, acc)
-	}
 	if s.IsBottom {
 		return Unknown
+	}
+	if d.Persist {
+		return persistClassify(s, acc)
 	}
 	assoc := d.assoc()
 	allHit, allMiss := true, true

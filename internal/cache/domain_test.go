@@ -3,6 +3,7 @@ package cache
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"specabsint/internal/ir"
 	"specabsint/internal/layout"
@@ -339,11 +340,10 @@ func TestRangeAccessRepeatedEvicts(t *testing.T) {
 	}
 }
 
-// TestRangeAccessHugeNumSets: a range access's set scratch is sized by the
-// sets the universe's blocks map to, not by NumSets, so a cache with more
-// sets than the program has blocks costs no more than one with as many. A
-// mask of NumSets entries would take 16 MB here, and at 2^40 sets a block
-// no allocator can grant.
+// TestRangeAccessHugeNumSets: a range access allocates nothing, so a cache
+// with more sets than the program has blocks costs no more than one with as
+// many. A mask of NumSets entries would take 16 MB here, and at 2^40 sets a
+// block no allocator can grant.
 func TestRangeAccessHugeNumSets(t *testing.T) {
 	bd := ir.NewBuilder("p")
 	bd.AddSymbol("arr", 4, 64, false, nil) // 256B = 4 blocks
@@ -495,7 +495,8 @@ func TestWidenOverApproximatesJoin(t *testing.T) {
 	next := prev.Clone()
 	next.SetMust(blk["x"], 2) // grew
 	next.SetShadow(blk["y"], 1)
-	w := d.Widen(prev, next)
+	w := next.Clone()
+	d.Widen(prev, w)
 	if !d.Leq(next, w) {
 		t.Error("widen must over-approximate next")
 	}
@@ -526,6 +527,18 @@ func TestStateCloneIndependence(t *testing.T) {
 	d.Transfer(c, exact(blk["y"]))
 	if _, ok := s.Must(blk["y"]); ok {
 		t.Error("mutating the clone leaked into the original")
+	}
+}
+
+// TestStateHeaderSize keeps a state's header to its bottom flag and its
+// must and shadow views, at most two slice headers and one word: the word
+// buffer is derived from must (buf), not stored. On a 64-bit machine that
+// is 56 bytes, the 64-byte size class, and the fixpoint keeps one state per
+// block and flow.
+func TestStateHeaderSize(t *testing.T) {
+	limit := 2*unsafe.Sizeof([]uint16(nil)) + unsafe.Sizeof(uintptr(0))
+	if got := unsafe.Sizeof(State{}); got > limit {
+		t.Fatalf("unsafe.Sizeof(State{}) = %d, want <= %d", got, limit)
 	}
 }
 

@@ -18,7 +18,7 @@ func refAccessExact(d *Domain, s *State, v layout.BlockID) {
 	stride := d.L.Config.NumSets
 	prefix := make([]int, assoc+2)
 	oldShadowV := int(s.shadow[v])
-	for i := d.setStart(v); i < len(s.shadow); i += stride {
+	for i := d.L.SetOf(v); i < len(s.shadow); i += stride {
 		a := int(s.shadow[i])
 		if a == 0 || i == int(v) {
 			continue
@@ -39,7 +39,7 @@ func refAccessExact(d *Domain, s *State, v layout.BlockID) {
 		prefix[a] += prefix[a-1]
 	}
 	oldMustV := int(s.must[v])
-	for i := d.setStart(v); i < len(s.must); i += stride {
+	for i := d.L.SetOf(v); i < len(s.must); i += stride {
 		a := int(s.must[i])
 		if a == 0 || i == int(v) || (oldMustV != 0 && a >= oldMustV) {
 			continue
@@ -100,7 +100,7 @@ func zeroPadded(s *State) bool {
 	c := NewState(s.NumBlocks())
 	copy(c.must, s.must)
 	copy(c.shadow, s.shadow)
-	return slices.Equal(c.words, s.words)
+	return slices.Equal(c.buf(), s.buf())
 }
 
 // joinedStart is a state as a merge point sees it: the join of two random

@@ -27,7 +27,7 @@ func (d *Domain) persistAccessExact(s *State, v layout.BlockID) {
 	d.shadowUpdateExact(s, v, 0) // may component unchanged in meaning
 
 	oldV := s.must[v]
-	for i := d.setStart(v); i < len(s.must); i += stride {
+	for i := d.L.SetOf(v); i < len(s.must); i += stride {
 		a := s.must[i]
 		if a == 0 || a == persistTop || layout.BlockID(i) == v {
 			continue
@@ -56,7 +56,6 @@ func (d *Domain) persistAccessExact(s *State, v layout.BlockID) {
 func (d *Domain) persistAccessRange(s *State, acc Access) {
 	assoc := d.assoc()
 	numSets := d.L.Config.NumSets
-	affected := d.affectedSets(acc)
 	for i := 0; i < acc.Count; i++ {
 		b := acc.First + layout.BlockID(i)
 		s.shadow[b] = 1
@@ -64,8 +63,10 @@ func (d *Domain) persistAccessRange(s *State, acc Access) {
 			s.must[b] = 1
 		}
 	}
-	for _, set := range affected {
-		for i := set; i < len(s.must); i += numSets {
+	// As in accessRange, the first min(Count, NumSets) candidates lie in
+	// distinct sets, which are all the sets the access may touch.
+	for b := range layout.BlockID(min(acc.Count, numSets)) {
+		for i := d.L.SetOf(acc.First + b); i < len(s.must); i += numSets {
 			a := s.must[i]
 			if a == 0 || a == persistTop {
 				continue
@@ -79,16 +80,10 @@ func (d *Domain) persistAccessRange(s *State, acc Access) {
 	}
 }
 
-// persistJoinInto merges with pointwise max: persistTop absorbs and ⊥ (0)
-// is the identity, both directly from uint16 ordering.
-func (d *Domain) persistJoinInto(dst, src *State) bool {
-	if src.IsBottom {
-		return false
-	}
-	if dst.IsBottom {
-		dst.CopyFrom(src)
-		return true
-	}
+// persistJoinInto is JoinInto's loop under persistence, for two states
+// that are not bottom. It merges with pointwise max: persistTop absorbs and
+// ⊥ (0) is the identity, both directly from uint16 ordering.
+func persistJoinInto(dst, src *State) bool {
 	changed := false
 	for i := 0; i < len(dst.must); i++ {
 		if src.must[i] > dst.must[i] {
@@ -104,14 +99,9 @@ func (d *Domain) persistJoinInto(dst, src *State) bool {
 	return changed
 }
 
-// persistLeq is the pointwise order matching persistJoinInto.
-func (d *Domain) persistLeq(a, b *State) bool {
-	if a.IsBottom {
-		return true
-	}
-	if b.IsBottom {
-		return false
-	}
+// persistLeq is the pointwise order matching persistJoinInto, for two
+// states that are not bottom.
+func persistLeq(a, b *State) bool {
 	for i := 0; i < len(a.must); i++ {
 		if a.must[i] > b.must[i] {
 			return false
@@ -124,34 +114,25 @@ func (d *Domain) persistLeq(a, b *State) bool {
 	return true
 }
 
-// persistWiden jumps growing ages straight to persistTop.
-func (d *Domain) persistWiden(prev, next *State) *State {
-	if prev.IsBottom {
-		return next.Clone()
-	}
-	if next.IsBottom {
-		return prev.Clone()
-	}
-	out := next.Clone()
-	for i := 0; i < len(out.must); i++ {
-		if next.must[i] > prev.must[i] && prev.must[i] != 0 {
-			out.must[i] = persistTop
+// persistWiden widens x in place against prev, neither bottom: growing
+// ages jump straight to persistTop.
+func persistWiden(prev, x *State) {
+	for i := 0; i < len(x.must); i++ {
+		if x.must[i] > prev.must[i] && prev.must[i] != 0 {
+			x.must[i] = persistTop
 		}
-		ns, ps := next.shadow[i], prev.shadow[i]
-		if (ns != 0 && (ps == 0 || ns < ps)) || (ns == 0 && ps != 0) {
-			out.shadow[i] = 1
+		xs, ps := x.shadow[i], prev.shadow[i]
+		if (xs != 0 && (ps == 0 || xs < ps)) || (xs == 0 && ps != 0) {
+			x.shadow[i] = 1
 		}
 	}
-	return out
 }
 
 // persistClassify reports AlwaysHit ("persistent": at most one miss across
 // all executions of the access) when no candidate may have been evicted
-// after loading; AlwaysMiss keeps its usual may-based meaning.
-func (d *Domain) persistClassify(s *State, acc Access) Classification {
-	if s.IsBottom {
-		return Unknown
-	}
+// after loading; AlwaysMiss keeps its usual may-based meaning. s is not
+// bottom.
+func persistClassify(s *State, acc Access) Classification {
 	persistent, allMiss := true, true
 	for i := 0; i < acc.Count; i++ {
 		b := acc.First + layout.BlockID(i)

@@ -14,6 +14,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -30,14 +31,12 @@ import (
 // shadow[b] is a lower bound on b's age along *some* path (the paper's ∃v
 // shadow variables); 0 encodes "definitely not cached on any path", which
 // makes an access to b an Always-Miss.
+//
+// must and shadow are views of one buffer of words (see setLen and buf).
 type State struct {
 	IsBottom bool
 	must     []uint16
 	shadow   []uint16
-	// words is the one buffer must and shadow are views of: must's lanes
-	// fill its first half and shadow's its second, each padded with zero
-	// lanes to a whole number of words. See setLen.
-	words []uint64
 }
 
 // NewState returns the empty-cache state over numBlocks blocks: nothing is
@@ -50,34 +49,38 @@ func NewState(numBlocks int) *State {
 	return s
 }
 
-// setLen lays s out for n blocks: w = ceil(n/4) words of must lanes, then w
-// words of shadow lanes, in s.words, which grows if it is too short. The
-// buffer is allocated as []uint64, so it is aligned for uint64 and hence
-// for uint16, and word k of it holds exactly lanes 4k..4k+3 of the lane
-// view over it. must starts at lane 0 and shadow at lane 4w, both on a word
-// boundary, so block b's must and shadow ages sit at the same bit offset of
-// must word b/4 and shadow word b/4, whatever the machine's byte order: a
-// word kernel reads both ages of four blocks at one index. The views are
-// cut to n lanes, so only word kernels see the padding lanes n..4w-1, and
-// they keep them zero: each kernel maps a zero lane to zero. setLen leaves
-// the contents as they were; a fresh buffer is zero, and CopyFrom
+// setLen lays s out for n blocks in a fresh buffer: w = ceil(n/4) words of
+// must lanes, then w words of shadow lanes. The buffer is allocated as
+// []uint64, so it is aligned for uint64 and hence for uint16, and word k of
+// it holds exactly lanes 4k..4k+3 of the lane view over it. must starts at
+// lane 0 and shadow at lane 4w, both on a word boundary, so block b's must
+// and shadow ages sit at the same bit offset of must word b/4 and shadow
+// word b/4, whatever the machine's byte order: a word kernel reads both
+// ages of four blocks at one index. The views are cut to n lanes, so only
+// word kernels see the padding lanes n..4w-1, and they keep them zero: each
+// kernel maps a zero lane to zero. The fresh buffer is zero, and CopyFrom
 // overwrites every word, padding included.
 func (s *State) setLen(n int) {
 	w := (n + 3) / 4
-	if cap(s.words) < 2*w {
-		s.words = make([]uint64, 2*w)
-	}
-	s.words = s.words[:2*w]
-	lanes := unsafe.Slice((*uint16)(unsafe.Pointer(unsafe.SliceData(s.words))), 8*w)
+	lanes := unsafe.Slice((*uint16)(unsafe.Pointer(unsafe.SliceData(make([]uint64, 2*w)))), 8*w)
 	s.must = lanes[:n:n]
 	s.shadow = lanes[4*w : 4*w+n : 4*w+n]
+}
+
+// buf returns the buffer setLen laid out, padding lanes included: its
+// 2*ceil(n/4) words start where must does. Deriving it, rather than storing
+// a third slice header, keeps a state's header in the 64-byte size class.
+func (s *State) buf() []uint64 {
+	w := (len(s.must) + 3) / 4
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s.must))), 2*w)
 }
 
 // wordViews returns the must and shadow vectors as words of four lanes,
 // padding lanes included.
 func (s *State) wordViews() (must, shadow []uint64) {
-	w := len(s.words) / 2
-	return s.words[:w:w], s.words[w:]
+	b := s.buf()
+	w := len(b) / 2
+	return b[:w:w], b[w:]
 }
 
 // Bottom returns the unreachable state (identity of join).
@@ -97,15 +100,16 @@ func (s *State) Clone() *State {
 		return Bottom()
 	}
 	c := NewState(len(s.must))
-	copy(c.words, s.words)
+	copy(c.buf(), s.buf())
 	return c
 }
 
-// CopyFrom makes s a deep copy of src, reusing s's buffers when they are
-// large enough. It is the allocation-free replacement for s = src.Clone():
-// a state that has ever held buffers keeps them across bottom transitions,
+// CopyFrom makes s a deep copy of src, reusing s's buffer when it holds as
+// many blocks. It is the allocation-free replacement for s = src.Clone():
+// a state that has ever held a buffer keeps it across bottom transitions,
 // so fixpoint loops that repeatedly copy into the same slot stop allocating
-// after the first round.
+// after the first round. Only a state of another length, one made by
+// Bottom() that never had a buffer, is laid out anew.
 func (s *State) CopyFrom(src *State) {
 	if src.IsBottom {
 		s.IsBottom = true
@@ -114,7 +118,7 @@ func (s *State) CopyFrom(src *State) {
 	if len(s.must) != len(src.must) {
 		s.setLen(len(src.must))
 	}
-	copy(s.words, src.words)
+	copy(s.buf(), src.buf())
 	s.IsBottom = false
 }
 
@@ -123,20 +127,13 @@ func (s *State) CopyFrom(src *State) {
 // allocating. The in-place counterpart of Bottom().
 func (s *State) SetBottom() { s.IsBottom = true }
 
-// Equal reports structural equality.
+// Equal reports structural equality. It compares whole words: the padding
+// lanes are zero in both states.
 func (s *State) Equal(o *State) bool {
 	if s.IsBottom || o.IsBottom {
 		return s.IsBottom == o.IsBottom
 	}
-	if len(s.must) != len(o.must) {
-		return false
-	}
-	for i := range s.must {
-		if s.must[i] != o.must[i] || s.shadow[i] != o.shadow[i] {
-			return false
-		}
-	}
-	return true
+	return len(s.must) == len(o.must) && slices.Equal(s.buf(), o.buf())
 }
 
 // Must returns b's must age and whether b is must-cached.

@@ -34,8 +34,12 @@ func (d *cacheDomain) TransferBlock(b *ir.Block, s *cache.State) *cache.State {
 
 func (d *cacheDomain) Join(a, b *cache.State) *cache.State { return d.dom.Join(a, b) }
 func (d *cacheDomain) Leq(a, b *cache.State) bool          { return d.dom.Leq(a, b) }
+
+// Widen widens next in place: absint.Solve passes the fresh join it made,
+// which nothing else holds.
 func (d *cacheDomain) Widen(prev, next *cache.State) *cache.State {
-	return d.dom.Widen(prev, next)
+	d.dom.Widen(prev, next)
+	return next
 }
 
 // AnalyzeAlgorithm1 runs the plain (non-speculative) cache analysis through

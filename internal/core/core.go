@@ -100,11 +100,12 @@ type Options struct {
 	// tests compare against, not exposed through the public configuration
 	// surface; the classic pre-pass and its widening run either way.
 	DisableUncertainty bool
-	// Collector, when non-nil, receives the run's compile_exec phase and
-	// its bytecode, partition and fixpoint sections on completion, from every
-	// entry point (Result.Stats always carries the fixpoint counters
-	// regardless; the collector is for callers aggregating several runs and
-	// phases). A nil collector costs nothing on the hot path.
+	// Collector, when non-nil, records the run's compile_exec phase and,
+	// once the fixpoint has run, its bytecode, fixpoint and partition
+	// sections, from every entry point. Result.Stats carries the fixpoint
+	// counters either way; the collector puts them in one stats document
+	// with the compile's and the caller's phases. A nil collector costs
+	// nothing on the hot path.
 	Collector *obs.Collector
 }
 
@@ -273,28 +274,24 @@ const (
 )
 
 // analyze runs the analysis behind all three entry points: it builds the
-// engine (prepare), runs the fixpoint under pprof labels, and flushes the
-// bytecode, partition and fixpoint sections into opts.Collector. The stats
-// goldens, the stats schema, and the benchmark read the compile_exec and
-// bytecode names.
+// engine (prepare), runs the fixpoint under the pprof label phase=fixpoint,
+// and records the bytecode, fixpoint and partition sections in
+// opts.Collector with one call. The stats goldens, the stats schema, and
+// the benchmark read the compile_exec and bytecode names.
 func analyze(ctx context.Context, prog *ir.Program, opts Options, m model) (*Result, error) {
 	e, err := prepare(prog, opts, m)
 	if err != nil {
 		return nil, err
 	}
 	var runErr error
-	pprof.Do(ctx, pprof.Labels("phase", "fixpoint", "engine", "dense"), func(ctx context.Context) {
+	pprof.Do(ctx, pprof.Labels("phase", "fixpoint"), func(ctx context.Context) {
 		runErr = e.run(ctx)
 	})
 	if runErr != nil {
 		return nil, runErr
 	}
 	res := e.result()
-	opts.Collector.AddFixpoint(res.Stats)
-	// Every analysis is one dense fixpoint. Wire v1 and stats.schema.json
-	// still require the partition section; this is the one place it is
-	// written.
-	opts.Collector.SetPartition(obs.PartitionStats{Engines: 1, Groups: 0, DepthGroup: -1})
+	opts.Collector.SetFixpoint(e.steps.stats(), res.Stats)
 	return res, nil
 }
 
@@ -334,7 +331,6 @@ func prepare(prog *ir.Program, opts Options, m model) (*engine, error) {
 			steps = dataSteps(prog, l, idx)
 		}
 	})
-	opts.Collector.SetBytecode(steps.stats())
 	e := newEngine(prog, wto, l, idx, opts, steps)
 	if m == persistence {
 		e.dom.Persist = true

@@ -580,7 +580,7 @@ func (e *engine) joinS(target ir.BlockID, st *cache.State) {
 	}
 	e.stats.JoinChanges++
 	if widening {
-		e.S[target] = e.dom.Widen(prev, e.S[target])
+		e.dom.Widen(prev, e.S[target])
 		e.stats.Widenings++
 	}
 	e.changes[target]++

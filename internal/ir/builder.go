@@ -38,9 +38,6 @@ func (bd *Builder) NewBlock(label string) BlockID {
 // SetBlock moves the insertion point to the given block.
 func (bd *Builder) SetBlock(id BlockID) { bd.current = bd.prog.Blocks[id] }
 
-// CurrentBlock returns the current insertion block id.
-func (bd *Builder) CurrentBlock() BlockID { return bd.current.ID }
-
 // SetLine records the source line attached to subsequently emitted
 // instructions.
 func (bd *Builder) SetLine(line int) { bd.line = line }

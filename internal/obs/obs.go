@@ -1,35 +1,32 @@
 // Package obs is the analysis observability layer: a zero-dependency
-// collector for the metrics the paper's evaluation is built on (fixpoint
+// recorder for the metrics the paper's evaluation is built on (fixpoint
 // iterations, speculative-lane counts, §6.2 depth-bound hits, per-phase
 // wall clock), threaded through the compile and analysis pipeline.
 //
-// The design splits the cost three ways so the hot path stays hot:
+// A Collector records one run, on the goroutine that runs it: one compile
+// (runner.Compile) or one analysis. It takes no lock and sums nothing. The
+// cost splits three ways so the hot path stays hot:
 //
-//   - The fixpoint engine accumulates its semantic counters in plain (non-
-//     atomic) struct fields local to one engine and flushes them into the
-//     Collector once per engine run — one mutex acquisition per fixpoint,
-//     nothing per iteration.
+//   - The fixpoint engine counts its semantic counters in plain struct
+//     fields and hands them to the Collector once, after its run: nothing
+//     per iteration.
 //   - Phase timing is two time.Now calls per phase; phases are coarse
 //     (parse, lower, fixpoint), so this is noise.
 //   - A nil *Collector is valid everywhere and every method on it is an
 //     allocation-free no-op, so un-instrumented runs pay nothing.
 //
-// Semantic counters are deterministic by construction: each engine's
-// counting is single-goroutine, and aggregation across runs is integer
-// addition, which no goroutine schedule can reorder into a different sum. That determinism is the testable contract pinned by
-// the golden and property tests.
+// Semantic counters are deterministic by construction: the engine counts
+// on one goroutine, and each section of the document is written once, by
+// the step that computed it. That determinism is the testable contract
+// pinned by the golden and property tests.
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// Collector accumulates one run's Stats. The zero value is ready to use;
-// a nil *Collector is valid and turns every method into a no-op. Collectors
-// are safe for concurrent use.
+// Collector records one run's Stats. The zero value is ready to use; a nil
+// *Collector is valid and turns every method into a no-op. A collector is
+// used by the one goroutine running the compile or analysis it records.
 type Collector struct {
-	mu    sync.Mutex
 	stats Stats
 }
 
@@ -49,10 +46,7 @@ func (c *Collector) StartPhase(name string) func() {
 	}
 	start := time.Now()
 	return func() {
-		d := time.Since(start)
-		c.mu.Lock()
-		c.stats.Phases = append(c.stats.Phases, PhaseStat{Name: name, Nanos: d.Nanoseconds()})
-		c.mu.Unlock()
+		c.stats.Phases = append(c.stats.Phases, PhaseStat{Name: name, Nanos: time.Since(start).Nanoseconds()})
 	}
 }
 
@@ -67,15 +61,12 @@ func (c *Collector) Phase(name string, fn func()) {
 	stop()
 }
 
-// SetProgram records the analyzed program's shape. Last write wins (the
-// shape is recomputed after the pass pipeline).
+// SetProgram records the analyzed program's shape.
 func (c *Collector) SetProgram(p ProgramStats) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
 	c.stats.Program = p
-	c.mu.Unlock()
 }
 
 // AddPass appends one pre-analysis pass record.
@@ -83,71 +74,39 @@ func (c *Collector) AddPass(name string, changed int) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
 	c.stats.Passes = append(c.stats.Passes, PassStat{Name: name, Changed: changed})
-	c.mu.Unlock()
 }
 
-// AddFixpoint merges one engine run's semantic counters. Engines flush once,
-// at the end of their run; sums are schedule-independent.
-func (c *Collector) AddFixpoint(f FixpointStats) {
+// SetFixpoint records an analysis's sections once its fixpoint has run: the
+// shape of its access-step program, its fixpoint counters, and the partition
+// section, which is the same for every analysis because every analysis is
+// one dense fixpoint.
+func (c *Collector) SetFixpoint(steps BytecodeStats, f FixpointStats) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	c.stats.Fixpoint.Add(f)
-	c.mu.Unlock()
+	c.stats.Bytecode = steps
+	c.stats.Fixpoint = f
+	c.stats.Partition = PartitionStats{Engines: 1, DepthGroup: -1}
 }
 
-// SetBytecode records the shape of the fixpoint's access-step program.
-func (c *Collector) SetBytecode(b BytecodeStats) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.stats.Bytecode = b
-	c.mu.Unlock()
-}
-
-// SetPartition records the cache-set decomposition that ran.
-func (c *Collector) SetPartition(p PartitionStats) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.stats.Partition = p
-	c.mu.Unlock()
-}
-
-// Replay merges a previously captured snapshot into the collector: program
-// shape and partition are overwritten, passes and phases appended, fixpoint
-// counters summed. It is how a shared compilation contributes its stats to
-// a fresh analysis's document. A nil receiver or a nil snapshot is a no-op.
+// Replay copies a compile snapshot's program shape, passes and phases into
+// the collector of the analysis that follows, so that one Stats document
+// covers the whole pipeline. A nil receiver or a nil snapshot is a no-op.
 func (c *Collector) Replay(s *Stats) {
 	if c == nil || s == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.stats.Program = s.Program
 	c.stats.Passes = append(c.stats.Passes, s.Passes...)
-	c.stats.Fixpoint.Add(s.Fixpoint)
-	if s.Partition != (PartitionStats{}) {
-		c.stats.Partition = s.Partition
-	}
-	if s.Bytecode != (BytecodeStats{}) {
-		c.stats.Bytecode = s.Bytecode
-	}
 	c.stats.Phases = append(c.stats.Phases, s.Phases...)
 }
 
-// Snapshot returns a deep copy of the collected stats; the collector can
-// keep accumulating afterwards.
+// Snapshot returns a deep copy of the recorded stats; the collector can
+// keep recording afterwards.
 func (c *Collector) Snapshot() *Stats {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.stats.Clone()
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -18,8 +17,8 @@ func TestNilCollectorNoOps(t *testing.T) {
 	}
 	c.SetProgram(ProgramStats{Blocks: 1})
 	c.AddPass("sccp", 3)
-	c.AddFixpoint(FixpointStats{Iterations: 7})
-	c.SetPartition(PartitionStats{Engines: 2})
+	c.SetFixpoint(BytecodeStats{Blocks: 2}, FixpointStats{Iterations: 7})
+	c.Replay(&Stats{Program: ProgramStats{Blocks: 4}})
 	if got := c.Snapshot(); got != nil {
 		t.Fatalf("nil collector snapshot = %+v, want nil", got)
 	}
@@ -32,27 +31,31 @@ func TestNilCollectorAllocFree(t *testing.T) {
 	fs := FixpointStats{Iterations: 1}
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.StartPhase("p")()
-		c.AddFixpoint(fs)
+		c.SetFixpoint(BytecodeStats{}, fs)
 		c.AddPass("sccp", 1)
 		c.SetProgram(ProgramStats{})
-		c.SetPartition(PartitionStats{})
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-collector hot path allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
-// TestCollectorAccumulates checks the merge semantics: fixpoint counters
-// sum, program/partition are last-write-wins, passes and phases append.
-func TestCollectorAccumulates(t *testing.T) {
+// TestCollectorRecordsOneRun records one compile and the analysis that
+// follows it: the compile's program shape, passes and phases replay into
+// the analysis's collector ahead of its own phases, and SetFixpoint writes
+// the bytecode and fixpoint sections with the dense partition section.
+func TestCollectorRecordsOneRun(t *testing.T) {
+	compile := NewCollector()
+	compile.Phase("parse", func() {})
+	compile.AddPass("sccp", 5)
+	compile.AddPass("resolve", 1)
+	compile.SetProgram(ProgramStats{Blocks: 9, CondBranches: 3, ResolvedBranches: 1})
+	compiled := compile.Snapshot()
+
 	c := NewCollector()
-	c.SetProgram(ProgramStats{Blocks: 9, CondBranches: 3, ResolvedBranches: 1})
-	c.AddPass("sccp", 5)
-	c.AddPass("resolve", 1)
-	c.AddFixpoint(FixpointStats{Iterations: 10, Joins: 3})
-	c.AddFixpoint(FixpointStats{Iterations: 5, LanesSpawned: 2})
-	c.SetPartition(PartitionStats{Engines: 3, Groups: 3, DepthGroup: -1})
+	c.Replay(compiled)
 	c.Phase("fixpoint", func() {})
+	c.SetFixpoint(BytecodeStats{Blocks: 9, ArchSteps: 4}, FixpointStats{Iterations: 10, Joins: 3, LanesSpawned: 2})
 
 	s := c.Snapshot()
 	if s.Program.Blocks != 9 || s.Program.Lanes() != 6 {
@@ -61,42 +64,29 @@ func TestCollectorAccumulates(t *testing.T) {
 	if len(s.Passes) != 2 || s.Passes[0].Name != "sccp" || s.Passes[1].Changed != 1 {
 		t.Fatalf("pass stats wrong: %+v", s.Passes)
 	}
-	if s.Fixpoint.Iterations != 15 || s.Fixpoint.Joins != 3 || s.Fixpoint.LanesSpawned != 2 {
+	if s.Fixpoint.Iterations != 10 || s.Fixpoint.Joins != 3 || s.Fixpoint.LanesSpawned != 2 {
 		t.Fatalf("fixpoint counters wrong: %+v", s.Fixpoint)
 	}
-	if s.Partition.Engines != 3 {
-		t.Fatalf("partition stats wrong: %+v", s.Partition)
+	if s.Bytecode.Blocks != 9 || s.Bytecode.ArchSteps != 4 {
+		t.Fatalf("bytecode stats wrong: %+v", s.Bytecode)
 	}
-	if len(s.Phases) != 1 || s.Phases[0].Name != "fixpoint" {
+	if want := (PartitionStats{Engines: 1, DepthGroup: -1}); s.Partition != want {
+		t.Fatalf("partition stats %+v, want the dense %+v", s.Partition, want)
+	}
+	if len(s.Phases) != 2 || s.Phases[0].Name != "parse" || s.Phases[1].Name != "fixpoint" {
 		t.Fatalf("phases wrong: %+v", s.Phases)
 	}
 
-	// Snapshot is a deep copy: mutating it must not reach the collector.
+	// Neither the snapshot nor the replayed compile shares slice backing
+	// with the collector.
 	s.Passes[0].Changed = 999
 	if c.Snapshot().Passes[0].Changed == 999 {
 		t.Fatal("snapshot shares slice backing with collector")
 	}
-}
-
-// TestCollectorConcurrentFlush drives concurrent engine flushes under -race
-// and checks the sum is exact.
-func TestCollectorConcurrentFlush(t *testing.T) {
-	c := NewCollector()
-	const goroutines, perG = 8, 100
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				c.AddFixpoint(FixpointStats{Iterations: 1, Transfers: 2})
-			}
-		}()
-	}
-	wg.Wait()
-	s := c.Snapshot()
-	if s.Fixpoint.Iterations != goroutines*perG || s.Fixpoint.Transfers != 2*goroutines*perG {
-		t.Fatalf("lost updates: %+v", s.Fixpoint)
+	c.stats.Passes[0].Changed = 999
+	c.stats.Phases[0].Nanos = -1
+	if compiled.Passes[0].Changed == 999 || compiled.Phases[0].Nanos == -1 {
+		t.Fatal("replay shares slice backing with the compile snapshot")
 	}
 }
 

@@ -95,8 +95,7 @@ type FixpointStats struct {
 	Widenings int64 `json:"widenings"`
 	// Colors counts the speculative flows the engine built: two per
 	// unresolved, effectively-reachable conditional branch (§6.4). It is
-	// structural — identical in every run over one program — so Add treats
-	// it as set-once rather than summed.
+	// structural: identical in every run over one program.
 	Colors int64 `json:"colors"`
 	// LanesSpawned counts lane injections at mispredicted branches (a color
 	// seeded with a fresh speculation budget); LanesExpired counts lane
@@ -112,9 +111,9 @@ type FixpointStats struct {
 	// budget is zeroed at the fence and nothing past it transfers.
 	FencesHit int64 `json:"fences_hit"`
 	// WTOComponents counts the components of the Bourdoncle weak
-	// topological ordering of the effective CFG — structural, identical in
-	// every run over one program (set-once in Add, like Colors), and 0 for
-	// an acyclic CFG.
+	// topological ordering of the effective CFG. Like Colors it is
+	// structural, identical in every run over one program; it is 0 for an
+	// acyclic CFG.
 	WTOComponents int64 `json:"wto_components"`
 	// Rollbacks counts rollback states injected into the architectural flow
 	// (every memory access inside a speculation window accumulates one).
@@ -130,38 +129,11 @@ type FixpointStats struct {
 	StatesPooled int64 `json:"states_pooled"`
 }
 
-// Add accumulates o into s, for collectors that aggregate several runs.
-// Integer sums are order-independent, so the aggregate is deterministic.
-func (s *FixpointStats) Add(o FixpointStats) {
-	s.Iterations += o.Iterations
-	s.Joins += o.Joins
-	s.JoinChanges += o.JoinChanges
-	s.SpecJoins += o.SpecJoins
-	s.LaneJoins += o.LaneJoins
-	s.Transfers += o.Transfers
-	s.SpecTransfers += o.SpecTransfers
-	s.Widenings += o.Widenings
-	if s.Colors == 0 {
-		s.Colors = o.Colors
-	}
-	s.LanesSpawned += o.LanesSpawned
-	s.LanesExpired += o.LanesExpired
-	s.LanesSkippedCertain += o.LanesSkippedCertain
-	s.FencesHit += o.FencesHit
-	if s.WTOComponents == 0 {
-		s.WTOComponents = o.WTOComponents
-	}
-	s.Rollbacks += o.Rollbacks
-	s.DepthHitBounds += o.DepthHitBounds
-	s.DepthMissBounds += o.DepthMissBounds
-	s.StatesPooled += o.StatesPooled
-}
-
 // PartitionStats is the stats document's partition section. Wire v1 and
 // stats.schema.json require it. The analyzer solves one dense fixpoint, so
 // every analysis reports Engines=1, Groups=0, DepthGroup=-1 and
-// SetsAnalyzed=0; the fields keep the names of the per-cache-set
-// decomposition the section once described.
+// SetsAnalyzed=0, which Collector.SetFixpoint writes; the fields keep the
+// names of the per-cache-set decomposition the section once described.
 type PartitionStats struct {
 	// Engines counts fixpoint engines run: always 1.
 	Engines int `json:"engines"`
@@ -175,9 +147,9 @@ type PartitionStats struct {
 }
 
 // BytecodeStats is the shape of the fixpoint's access-step program: how many
-// pre-resolved access steps the engine's loops iterate. A pure function of
-// the lowered program and cache geometry — identical across runs. All zero for analyses that record no data-cache steps (the
-// i-cache and persistence variants).
+// pre-resolved access steps the engine's loops iterate (the fetches, for the
+// instruction-cache analysis). A pure function of the lowered program and
+// cache geometry — identical across runs.
 type BytecodeStats struct {
 	// Blocks counts compiled basic blocks.
 	Blocks int64 `json:"blocks"`

@@ -53,18 +53,21 @@ type Config struct {
 	// RequestTimeout is the per-request analysis deadline; default 30s,
 	// negative disables it.
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps request bodies; default 4 MiB.
-	MaxBodyBytes int64
-	// MaxBatchJobs caps jobs per batch request; default 1024.
-	MaxBatchJobs int
 }
 
 // Defaults for Config's zero values.
 const (
 	DefaultQueueBound     = 256
 	DefaultRequestTimeout = 30 * time.Second
-	DefaultMaxBodyBytes   = 4 << 20
-	DefaultMaxBatchJobs   = 1024
+)
+
+// Request limits: a larger body, or a batch of more jobs, gets 400
+// bad_request.
+const (
+	// MaxBodyBytes caps request bodies at 4 MiB.
+	MaxBodyBytes = 4 << 20
+	// MaxBatchJobs caps the jobs of one batch request.
+	MaxBatchJobs = 1024
 )
 
 // Server is the v1 HTTP front end. Create with New; it implements
@@ -101,12 +104,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = DefaultRequestTimeout
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if cfg.MaxBatchJobs <= 0 {
-		cfg.MaxBatchJobs = DefaultMaxBatchJobs
 	}
 	s := &Server{svc: cfg.Service, cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
 	s.admission.capacity = cfg.QueueBound
@@ -193,7 +190,7 @@ func (s *Server) inFlight() int64 {
 
 // decodeBody strictly parses a wire request body into dst.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) *wire.Error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	defer body.Close()
 	buf, err := io.ReadAll(body)
 	if err != nil {
@@ -358,10 +355,10 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) ([]specabsi
 			&wire.Error{Code: wire.CodeBadRequest, Message: "empty batch"})
 		return nil, false
 	}
-	if len(req.Jobs) > s.cfg.MaxBatchJobs {
+	if len(req.Jobs) > MaxBatchJobs {
 		writeError(w, http.StatusBadRequest, &wire.Error{
 			Code:    wire.CodeBadRequest,
-			Message: fmt.Sprintf("batch of %d jobs exceeds the %d-job limit", len(req.Jobs), s.cfg.MaxBatchJobs),
+			Message: fmt.Sprintf("batch of %d jobs exceeds the %d-job limit", len(req.Jobs), MaxBatchJobs),
 		})
 		return nil, false
 	}

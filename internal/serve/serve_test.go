@@ -413,6 +413,54 @@ func TestBadRequests(t *testing.T) {
 	decodeErr(t, data)
 }
 
+// TestRequestLimits checks the request limits at their edges: a body of
+// MaxBodyBytes is read, one byte more is a bad request, and so is a batch
+// of MaxBatchJobs+1 jobs.
+func TestRequestLimits(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	// A valid request padded with whitespace before its closing brace.
+	body := func(size int) []byte {
+		b := bytes.Repeat([]byte(" "), size)
+		copy(b, `{"source":"int main() { return 0; }"`)
+		b[size-1] = '}'
+		return b
+	}
+	for _, tc := range []struct {
+		size int
+		want int
+	}{
+		{MaxBodyBytes, http.StatusOK},
+		{MaxBodyBytes + 1, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body(tc.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%d-byte body: status %d, want %d: %s", tc.size, resp.StatusCode, tc.want, data)
+		}
+		if tc.want == http.StatusBadRequest {
+			if e := decodeErr(t, data); e.Code != wire.CodeBadRequest {
+				t.Errorf("%d-byte body: code %q", tc.size, e.Code)
+			}
+		}
+	}
+
+	req := wire.BatchRequest{Jobs: make([]wire.BatchJob, MaxBatchJobs+1)}
+	for i := range req.Jobs {
+		req.Jobs[i].Source = "int main() { return 0; }"
+	}
+	status, data := post(t, ts.URL+"/v1/batch", req)
+	if status != http.StatusBadRequest {
+		t.Fatalf("batch of %d jobs: status %d, want 400: %s", len(req.Jobs), status, data)
+	}
+	if e := decodeErr(t, data); e.Code != wire.CodeBadRequest {
+		t.Errorf("batch of %d jobs: code %q", len(req.Jobs), e.Code)
+	}
+}
+
 // TestRetiredOptionsAreNoOps pins wire v1 compatibility: a request that
 // still carries the retired scheduler, exec and set_parallelism options gets
 // a report byte-identical to one without them, and on one server it is

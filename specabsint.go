@@ -29,7 +29,6 @@ package specabsint
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"specabsint/internal/cache"
@@ -199,16 +198,7 @@ type Leak struct {
 
 // String renders the leak for reports.
 func (l Leak) String() string {
-	kind := "load"
-	if l.Store {
-		kind = "store"
-	}
-	if l.Class == Unknown {
-		return fmt.Sprintf("line %d: secret-indexed %s of %s may hit or miss (%s)",
-			l.Line, kind, l.Symbol, l.Class)
-	}
-	return fmt.Sprintf("line %d: secret-dependent %s of %s installs a secret-selected cache line (%s)",
-		l.Line, kind, l.Symbol, l.Class)
+	return sidechannel.Leak{Sym: l.Symbol, Line: l.Line, Class: l.Class, Store: l.Store}.String()
 }
 
 // SpectreGadget is a Spectre-v1 style transmission gadget: an access on a
@@ -302,8 +292,9 @@ func analyzeConfig(ctx context.Context, p *CompiledProgram, cfg Config) (*Report
 	var col *obs.Collector
 	if cfg.Stats {
 		col = obs.NewCollector()
-		// Replay the compile-time snapshot so one Stats document covers the
-		// whole pipeline: program shape, pass effects, then analysis phases.
+		// The analysis's collector starts with the compile snapshot's
+		// program shape, passes and phases, so one Stats document covers
+		// the whole pipeline.
 		col.Replay(p.stats)
 		copts.Collector = col
 	}
