@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // The stats contract is pinned twice: golden tests fix the exact bytes for
@@ -29,26 +28,20 @@ type schemaNode struct {
 	Minimum              *float64               `json:"minimum"`
 }
 
-var statsSchema = sync.OnceValues(func() (*schemaNode, error) {
-	var s schemaNode
-	if err := json.Unmarshal(statsSchemaJSON, &s); err != nil {
-		return nil, fmt.Errorf("obs: embedded stats schema is invalid JSON: %w", err)
-	}
-	return &s, nil
-})
-
 // ValidateStats checks a serialized Stats document against the embedded
 // schema and returns the first violation found (with its JSON path), or nil.
+// It parses the 4 KB schema on every call; no caller validates in a hot
+// path.
 func ValidateStats(doc []byte) error {
-	s, err := statsSchema()
-	if err != nil {
-		return err
+	var s schemaNode
+	if err := json.Unmarshal(statsSchemaJSON, &s); err != nil {
+		return fmt.Errorf("obs: embedded stats schema is invalid JSON: %w", err)
 	}
 	var v any
 	if err := json.Unmarshal(doc, &v); err != nil {
 		return fmt.Errorf("obs: stats document is invalid JSON: %w", err)
 	}
-	return validate(s, v, "$")
+	return validate(&s, v, "$")
 }
 
 func validate(s *schemaNode, v any, path string) error {
