@@ -204,9 +204,8 @@ func BenchmarkMergeStrategiesFig7(b *testing.B) {
 // kernel (the guided search of §7.3).
 func BenchmarkLeakThreshold(b *testing.B) {
 	bm, _ := bench.ByName("hash")
-	setup := experiments.PaperSetup()
 	for i := 0; i < b.N; i++ {
-		if _, found, err := experiments.FindLeakThreshold(context.Background(), bm, setup); err != nil || !found {
+		if _, found, err := experiments.FindLeakThreshold(context.Background(), bm, nil); err != nil || !found {
 			b.Fatalf("found=%v err=%v", found, err)
 		}
 	}

@@ -37,7 +37,7 @@ import (
 // experiment is one table or figure specbench regenerates.
 type experiment struct {
 	name string
-	run  func(context.Context, experiments.Setup) error
+	run  func(context.Context, *runner.Pool) error
 }
 
 // experimentList holds every experiment in the order -experiment all runs
@@ -81,8 +81,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProfiles()
-	setup := experiments.PaperSetup()
-	setup.Pool = runner.New(*workers)
+	pool := runner.New(*workers)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -97,7 +96,7 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		if err := e.run(ctx, setup); err != nil {
+		if err := e.run(ctx, pool); err != nil {
 			stopProfiles()
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				fmt.Fprintf(os.Stderr, "specbench: %s: canceled after %v\n",
@@ -151,8 +150,8 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 	}, nil
 }
 
-func fig2(_ context.Context, setup experiments.Setup) error {
-	res, err := experiments.Fig2(setup)
+func fig2(context.Context, *runner.Pool) error {
+	res, err := experiments.Fig2()
 	if err != nil {
 		return err
 	}
@@ -165,11 +164,11 @@ func fig2(_ context.Context, setup experiments.Setup) error {
 	return nil
 }
 
-func table3(context.Context, experiments.Setup) error {
+func table3(context.Context, *runner.Pool) error {
 	return stats("Table 3 — execution time estimation: benchmark statistics", experiments.Table3())
 }
 
-func table4(context.Context, experiments.Setup) error {
+func table4(context.Context, *runner.Pool) error {
 	return stats("Table 4 — side channel detection: benchmark statistics", experiments.Table4())
 }
 
@@ -183,8 +182,8 @@ func stats(title string, rows []experiments.StatRow) error {
 	return nil
 }
 
-func table5(ctx context.Context, setup experiments.Setup) error {
-	rows, err := experiments.Table5(ctx, setup)
+func table5(ctx context.Context, pool *runner.Pool) error {
+	rows, err := experiments.Table5(ctx, pool)
 	if err != nil {
 		return err
 	}
@@ -204,8 +203,8 @@ func table5(ctx context.Context, setup experiments.Setup) error {
 	return nil
 }
 
-func table6(ctx context.Context, setup experiments.Setup) error {
-	rows, err := experiments.Table6(ctx, setup)
+func table6(ctx context.Context, pool *runner.Pool) error {
+	rows, err := experiments.Table6(ctx, pool)
 	if err != nil {
 		return err
 	}
@@ -226,8 +225,8 @@ func table6(ctx context.Context, setup experiments.Setup) error {
 	return nil
 }
 
-func table7(ctx context.Context, setup experiments.Setup) error {
-	rows, err := experiments.Table7(ctx, setup)
+func table7(ctx context.Context, pool *runner.Pool) error {
+	rows, err := experiments.Table7(ctx, pool)
 	if err != nil {
 		return err
 	}
@@ -246,8 +245,8 @@ func table7(ctx context.Context, setup experiments.Setup) error {
 	return nil
 }
 
-func depth(ctx context.Context, setup experiments.Setup) error {
-	rows, err := experiments.DepthAblation(ctx, setup)
+func depth(ctx context.Context, pool *runner.Pool) error {
+	rows, err := experiments.DepthAblation(ctx, pool)
 	if err != nil {
 		return err
 	}
@@ -266,9 +265,9 @@ func depth(ctx context.Context, setup experiments.Setup) error {
 	return nil
 }
 
-func icache(ctx context.Context, setup experiments.Setup) error {
+func icache(ctx context.Context, pool *runner.Pool) error {
 	const lines = 16
-	rows, err := experiments.ICacheTable(ctx, lines, setup)
+	rows, err := experiments.ICacheTable(ctx, lines, pool)
 	if err != nil {
 		return err
 	}
@@ -285,9 +284,9 @@ func icache(ctx context.Context, setup experiments.Setup) error {
 	return nil
 }
 
-func geometry(ctx context.Context, setup experiments.Setup) error {
+func geometry(ctx context.Context, pool *runner.Pool) error {
 	lineCounts := []int{8, 16, 32, 64, 128, 256, 512}
-	rows, err := experiments.GeometrySweep(ctx, "g72", lineCounts, setup)
+	rows, err := experiments.GeometrySweep(ctx, "g72", lineCounts, pool)
 	if err != nil {
 		return err
 	}

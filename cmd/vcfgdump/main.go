@@ -4,20 +4,19 @@
 //
 // Usage:
 //
-//	vcfgdump [-ir] [-dot] [-colors] [-verify] [-passes] [-mitigate] program.c
+//	vcfgdump [-ir] [-dot] [-vcfg] [-colors] [-verify] [-passes] program.c
 //
 // -passes runs the analysis-preserving pass pipeline and prints the
-// effective block and speculative-lane counts before and after each pass; -verify re-runs the structural IR verifier on the final program
-// and prints its verdict (non-zero exit on diagnostics); -mitigate runs the
-// fence synthesizer and prints the per-function mitigation summary — the
-// placements, the leak counts before and after, and the fenced blocks.
-// Fence instructions, whether written in the source or synthesized, render
-// as `fence` lines in both the -ir listing and the DOT node labels.
+// effective block and speculative-lane counts before and after each pass;
+// -verify re-runs the structural IR verifier on the final program and
+// prints its verdict (non-zero exit on diagnostics). Fence instructions
+// written in the source render as `fence` lines in both the -ir listing and
+// the DOT node labels; specmitigate and specanalyze -mitigate synthesize
+// fences.
 package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +28,6 @@ import (
 	"specabsint/internal/ir"
 	"specabsint/internal/irverify"
 	"specabsint/internal/lower"
-	"specabsint/internal/mitigate"
 	"specabsint/internal/passes"
 	"specabsint/internal/source"
 )
@@ -53,7 +51,6 @@ func run(stdout io.Writer, args []string) error {
 		maxUnroll  = fs.Int("unroll", 64, "loop unrolling cap (small keeps the graph readable)")
 		runPasses  = fs.Bool("passes", false, "run the pass pipeline, printing each pass's before/after block and lane counts")
 		verify     = fs.Bool("verify", false, "re-run the structural IR verifier on the final program and print the verdict")
-		mitigateF  = fs.Bool("mitigate", false, "run the fence synthesizer and print the per-function mitigation summary")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -133,11 +130,6 @@ func run(stdout io.Writer, args []string) error {
 		sb.WriteString("}\n")
 		fmt.Fprintln(out, sb.String())
 	}
-	if *mitigateF {
-		if err := dumpMitigation(out, prog); err != nil {
-			return err
-		}
-	}
 	if *showColors {
 		fmt.Fprintln(out, "speculative flows (color = branch x predicted direction):")
 		for _, f := range res.Flows {
@@ -154,41 +146,6 @@ func run(stdout io.Writer, args []string) error {
 		fmt.Fprintf(out, "total colors: %d\n", len(res.Flows))
 	}
 	return out.Flush()
-}
-
-// dumpMitigation runs the fence synthesizer on the program and prints the
-// per-function mitigation summary: MiniC programs have a single function
-// (main), so the function row carries the whole program's placements,
-// residuals, and fenced blocks.
-func dumpMitigation(out io.Writer, prog *ir.Program) error {
-	rep, err := mitigate.Synthesize(context.Background(), prog, mitigate.DefaultOptions())
-	if err != nil {
-		return fmt.Errorf("mitigate: %w", err)
-	}
-	fmt.Fprintln(out, "mitigation summary:")
-	fmt.Fprintf(out, "  %-10s %-8s %-8s %-8s %s\n", "function", "leaks", "residual", "fences", "fenced blocks")
-	blocks := map[string]bool{}
-	var labels []string
-	for _, f := range rep.Fences {
-		if !blocks[f.Label] {
-			blocks[f.Label] = true
-			labels = append(labels, f.Label)
-		}
-	}
-	list := "-"
-	if len(labels) > 0 {
-		list = strings.Join(labels, ",")
-	}
-	fmt.Fprintf(out, "  %-10s %-8d %-8d %-8d %s\n", "main",
-		rep.BaselineLeaks+rep.BaselineGadgets, rep.ResidualLeaks+rep.ResidualGadgets,
-		len(rep.Fences), list)
-	for _, f := range rep.Fences {
-		fmt.Fprintf(out, "    %s\n", f)
-	}
-	if rep.ResidualLeaks > 0 {
-		fmt.Fprintf(out, "  residual leaks are not speculation-induced (classic analysis reports them too)\n")
-	}
-	return nil
 }
 
 // dumpPasses runs the pass pipeline and prints, for each pass, the

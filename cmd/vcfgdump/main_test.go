@@ -50,34 +50,6 @@ func TestFenceRendering(t *testing.T) {
 	}
 }
 
-// TestMitigationSummary pins the -mitigate section: a leaky program gets a
-// per-function row with synthesized fences and zero residual.
-func TestMitigationSummary(t *testing.T) {
-	src := `char ph[256];
-char p;
-secret reg int k;
-reg int t;
-int main() {
-  if (p == 0) {
-    t = ph[k & 255];
-  }
-  return t;
-}
-`
-	path := writeProgram(t, src)
-	var out bytes.Buffer
-	if err := run(&out, []string{"-dot=false", "-mitigate", path}); err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-	if !strings.Contains(text, "mitigation summary:") {
-		t.Fatalf("no mitigation summary in output:\n%s", text)
-	}
-	if !strings.Contains(text, "main") {
-		t.Fatalf("no per-function row in output:\n%s", text)
-	}
-}
-
 // failingWriter errors on every write.
 type failingWriter struct{}
 

@@ -19,7 +19,6 @@ import (
 )
 
 func main() {
-	setup := experiments.PaperSetup()
 	kernel, ok := bench.ByName("hash")
 	if !ok {
 		log.Fatal("hash benchmark missing")
@@ -33,7 +32,7 @@ func main() {
 	fmt.Printf("%-12s %-18s %-18s\n", "buffer", "classic analysis", "speculative analysis")
 	for _, bufBytes := range []int{0, 16 * 1024, 28 * 1024, 30592, 32 * 1024} {
 		src := bench.WithClient(kernel, bufBytes)
-		prog, _, err := runner.Compile(src, setup.MaxUnroll, false)
+		prog, _, err := runner.Compile(src, 0, false)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +54,7 @@ func main() {
 	}
 
 	fmt.Println()
-	size, found, err := experiments.FindLeakThreshold(context.Background(), kernel, setup)
+	size, found, err := experiments.FindLeakThreshold(context.Background(), kernel, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,21 +11,18 @@ import (
 
 	"specabsint/internal/bench"
 	"specabsint/internal/core"
-	"specabsint/internal/experiments"
 	"specabsint/internal/machine"
 	"specabsint/internal/runner"
 	"specabsint/internal/wcet"
 )
 
 func main() {
-	setup := experiments.PaperSetup()
-
 	fmt.Println("Figure 2 program: 510 preloaded ph lines, a branch on uncached p,")
 	fmt.Println("then the load ph[k] the analysis must judge (512-line cache).")
 	fmt.Println()
 
 	// --- Abstract analysis, both modes ------------------------------------
-	prog, _, err := runner.Compile(bench.Fig2Program(-1), setup.MaxUnroll, false)
+	prog, _, err := runner.Compile(bench.Fig2Program(-1), 0, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +45,7 @@ func main() {
 	// --- Concrete replay of Fig. 3 ----------------------------------------
 	fmt.Println()
 	fmt.Println("Concrete traces (secret k = 0):")
-	conc, _, err := runner.Compile(bench.Fig2Program(0), setup.MaxUnroll, false)
+	conc, _, err := runner.Compile(bench.Fig2Program(0), 0, false)
 	if err != nil {
 		log.Fatal(err)
 	}

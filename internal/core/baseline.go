@@ -1,106 +1,88 @@
 package core
 
 import (
-	"specabsint/internal/absint"
 	"specabsint/internal/cache"
-	"specabsint/internal/cfg"
-	"specabsint/internal/interval"
 	"specabsint/internal/ir"
-	"specabsint/internal/layout"
 )
 
-// cacheDomain adapts the abstract cache domain to the generic Algorithm-1
-// solver, so the non-speculative baseline can be run through
-// absint.Solve and cross-checked against the engine with Speculative=false.
-type cacheDomain struct {
-	dom    *cache.Domain
-	l      *layout.Layout
-	idx    *interval.Result
-	access map[int]cache.Access
-}
-
-func (d *cacheDomain) Bottom() *cache.State { return cache.Bottom() }
-func (d *cacheDomain) Entry() *cache.State  { return cache.NewState(d.l.NumBlocks) }
-
-func (d *cacheDomain) TransferBlock(b *ir.Block, s *cache.State) *cache.State {
-	out := s.Clone()
-	for i := range b.Instrs {
-		if acc, ok := d.access[b.Instrs[i].ID]; ok {
-			d.dom.Transfer(out, acc)
-		}
-	}
-	return out
-}
-
-func (d *cacheDomain) Join(a, b *cache.State) *cache.State { return d.dom.Join(a, b) }
-func (d *cacheDomain) Leq(a, b *cache.State) bool          { return d.dom.Leq(a, b) }
-
-// Widen widens next in place: absint.Solve passes the fresh join it made,
-// which nothing else holds.
-func (d *cacheDomain) Widen(prev, next *cache.State) *cache.State {
-	d.dom.Widen(prev, next)
-	return next
-}
-
-// AnalyzeAlgorithm1 runs the plain (non-speculative) cache analysis through
-// the generic absint solver. It exists to validate that the speculative
-// engine with Speculative=false computes the same fixpoint as the textbook
-// Algorithm 1.
+// AnalyzeAlgorithm1 is the paper's Algorithm 1, the plain non-speculative
+// cache analysis, written as the textbook worklist fixpoint. It is the
+// reference the engine with Speculative=false is held to: the same verdicts
+// where widening does not decide them.
+//
+// It takes the layout, the effective-CFG WTO, the interval pre-pass, the
+// access steps and the domain from the engine's prepare, and nothing else
+// of the engine: a FIFO worklist over the WTO's successor lists pushes a
+// clone of each block's in-state through its accesses, joins the result
+// into every successor it is not already covered by, and widens a block's
+// in-state on every change after its first wideningThreshold ones, loop
+// head or not. Each reachable block's accesses are then classified in
+// order.
 func AnalyzeAlgorithm1(prog *ir.Program, opts Options) (*Result, error) {
-	l, err := layout.New(prog, opts.Cache)
+	opts.Speculative = false
+	e, err := prepare(prog, opts, dataCache)
 	if err != nil {
 		return nil, err
 	}
-	// The same order the engine sweeps: its heads are the interval
-	// pre-pass's widening points, WCET's timing schema reads it, and its
-	// effective successors are the edges the solver follows.
-	wto := cfg.EffectiveWTO(prog)
-	idx := interval.Analyze(prog, wto)
-	d := &cacheDomain{
-		dom:    &cache.Domain{L: l, Refined: opts.RefinedJoin},
-		l:      l,
-		idx:    idx,
-		access: map[int]cache.Access{},
+	n := len(prog.Blocks)
+	in := make([]*cache.State, n)
+	for i := range in {
+		in[i] = cache.Bottom()
 	}
-	for _, b := range prog.Blocks {
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Op == ir.OpLoad || in.Op == ir.OpStore {
-				d.access[in.ID] = resolveAccess(l, idx, in)
-			}
+	in[prog.Entry] = cache.NewState(e.l.NumBlocks)
+	changes := make([]int, n)
+	queued := make([]bool, n)
+	work := []ir.BlockID{prog.Entry}
+	queued[prog.Entry] = true
+	iterations := 0
+	for len(work) > 0 {
+		b := work[0]
+		work = work[1:]
+		queued[b] = false
+		iterations++
+		out := in[b].Clone()
+		for _, step := range e.steps.blocks[b].steps {
+			e.dom.Transfer(out, step.acc)
 		}
-	}
-	sol := absint.Solve[*cache.State](prog, wto.Succs, d, absint.Options{
-		WideningThreshold: wideningThreshold,
-	})
-	res := &Result{
-		Prog:       prog,
-		Layout:     l,
-		Opts:       opts,
-		WTO:        wto,
-		In:         sol.In,
-		Access:     map[int]AccessInfo{},
-		SpecAccess: map[int]cache.Classification{},
-		Iterations: sol.Iterations,
-		Branches:   prog.CondBranchCount(),
-		domain:     d.dom,
-		idx:        idx,
-	}
-	for _, b := range prog.Blocks {
-		if sol.In[b.ID].IsBottom {
-			continue
-		}
-		st := sol.In[b.ID].Clone()
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			acc, ok := d.access[in.ID]
-			if !ok {
+		for _, s := range e.wto.Succs[b] {
+			if e.dom.Leq(out, in[s]) {
 				continue
 			}
-			res.Access[in.ID] = AccessInfo{
-				Instr: in, Block: b.ID, Acc: acc, Class: d.dom.Classify(st, acc),
+			next := e.dom.Join(in[s], out)
+			if changes[s] >= wideningThreshold {
+				e.dom.Widen(in[s], next)
 			}
-			d.dom.Transfer(st, acc)
+			changes[s]++
+			in[s] = next
+			if !queued[s] {
+				work = append(work, s)
+				queued[s] = true
+			}
+		}
+	}
+	res := &Result{
+		Prog:       prog,
+		Layout:     e.l,
+		Opts:       e.opts,
+		WTO:        e.wto,
+		In:         in,
+		Access:     map[int]AccessInfo{},
+		SpecAccess: map[int]cache.Classification{},
+		Iterations: iterations,
+		Branches:   prog.CondBranchCount(),
+		domain:     e.dom,
+		idx:        e.idx,
+	}
+	for _, b := range prog.Blocks {
+		if in[b.ID].IsBottom {
+			continue
+		}
+		st := in[b.ID].Clone()
+		for _, step := range e.steps.blocks[b.ID].steps {
+			res.Access[step.in.ID] = AccessInfo{
+				Instr: step.in, Block: b.ID, Acc: step.acc, Class: e.dom.Classify(st, step.acc),
+			}
+			e.dom.Transfer(st, step.acc)
 		}
 	}
 	return res, nil

@@ -25,9 +25,10 @@
 // was built over. The interval pre-pass and the engine propagate along
 // those lists and widen at its component heads, the engine sweeps it, and
 // Result.WTO hands it to the WCET schema. The vn_stop of each branch comes
-// from the post-dominators of the full edge set (cfg.PostDominators). The
-// Algorithm-1 baseline hands the generic solver the same order's effective
-// successor lists; no analysis builds a cfg.Graph.
+// from the post-dominators of the full edge set (cfg.PostDominators); no
+// analysis builds a cfg.Graph. AnalyzeAlgorithm1, the non-speculative
+// reference the engine is tested against, runs its own worklist fixpoint
+// over the same successor lists.
 package core
 
 import (
@@ -111,7 +112,7 @@ type Options struct {
 
 // wideningThreshold is the number of changes of a loop head's normal state
 // in the classic pre-pass after which every further change is widened
-// (§6.3).
+// (§6.3). AnalyzeAlgorithm1 applies it to the in-state of every block.
 const wideningThreshold = 4
 
 // DefaultOptions mirrors the paper's experimental setup: 512-line 64-byte
@@ -176,13 +177,14 @@ type Result struct {
 	// walks are not counted here: they run in a drain of their own and show
 	// in Stats' lane counters. It measures effort, not verdicts.
 	Iterations int
-	// Branches counts conditional branches (= colors/2 when speculative).
+	// Branches counts the conditional branches the passes left unresolved
+	// (the paper's #Branch).
 	Branches int
-	// Colors counts speculative flows considered.
-	Colors int
-	// Flows describes every speculative flow: the branch, the speculated
-	// successor, the rollback target, and the vn_stop merge point (the
-	// virtual control flow of §5.1 made explicit, e.g. for DOT export).
+	// Flows describes every color the analysis built, one speculative flow
+	// per unresolved reachable branch and predicted direction: the branch,
+	// the speculated successor, the rollback target, and the vn_stop merge
+	// point (the virtual control flow of §5.1 made explicit, e.g. for DOT
+	// export). A color's id is its index.
 	Flows []SpecFlow
 
 	// Stats carries the engine's semantic effort counters, deterministic

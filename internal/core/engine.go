@@ -13,17 +13,6 @@ import (
 	"specabsint/internal/obs"
 )
 
-// color identifies one speculative flow: branch block + predicted direction
-// (§6.4, Algorithm 3: one independent speculative state per color).
-type color struct {
-	id        int
-	branch    ir.BlockID
-	predicted bool       // true: the True successor is speculated
-	specSucc  ir.BlockID // entry of the speculated side
-	otherSucc ir.BlockID // entry of the side rolled back to
-	stop      ir.BlockID // vn_stop: immediate post-dominator of branch
-}
-
 // laneVal is a wrong-path exploration state with its remaining instruction
 // budget. Budgets join by max: exploring deeper than the hardware would
 // only over-approximates.
@@ -109,9 +98,13 @@ type engine struct {
 	// order: the join_changes counter of the vn_stop merges depends on it.
 	dirtySSOrder [][]int
 
-	colors []*color
-	// colorsAt[n] lists the two colors of n's branch, if n spawns any.
-	colorsAt [][]*color
+	// colors describes every color, one speculative flow per branch and
+	// predicted direction (§6.4, Algorithm 3: one independent speculative
+	// state per color); a color's id is its index. It is Result.Flows.
+	colors []SpecFlow
+	// colorsAt[n] lists the ids of the two colors of n's branch, if n
+	// spawns any.
+	colorsAt [][]int
 
 	// walk, rollback and sat are the engine's three scratch states, each
 	// allocated on its first use (see scratch). walk holds the state that
@@ -199,7 +192,7 @@ func newEngine(prog *ir.Program, wto *cfg.WTO, l *layout.Layout, idx *interval.R
 		inLane:       make([]bool, n),
 		dirtyS:       make([]bool, n),
 		dirtySSOrder: make([][]int, n),
-		colorsAt:     make([][]*color, n),
+		colorsAt:     make([][]int, n),
 		changes:      make([]int, n),
 	}
 	for i := range e.S {
@@ -221,19 +214,14 @@ func newEngine(prog *ir.Program, wto *cfg.WTO, l *layout.Layout, idx *interval.R
 			}
 			stop := pdom.ImmediatePostDom(b.ID)
 			for _, predicted := range []bool{true, false} {
-				c := &color{
-					id:        len(e.colors),
-					branch:    b.ID,
-					predicted: predicted,
-					stop:      stop,
-				}
+				f := SpecFlow{Branch: b.ID, Predicted: predicted, Stop: stop}
 				if predicted {
-					c.specSucc, c.otherSucc = t.TrueTarget, t.FalseTarget
+					f.SpecSucc, f.OtherSucc = t.TrueTarget, t.FalseTarget
 				} else {
-					c.specSucc, c.otherSucc = t.FalseTarget, t.TrueTarget
+					f.SpecSucc, f.OtherSucc = t.FalseTarget, t.TrueTarget
 				}
-				e.colors = append(e.colors, c)
-				e.colorsAt[b.ID] = append(e.colorsAt[b.ID], c)
+				e.colorsAt[b.ID] = append(e.colorsAt[b.ID], len(e.colors))
+				e.colors = append(e.colors, f)
 			}
 		}
 	}
@@ -486,11 +474,11 @@ func (e *engine) drainLanes(ctx context.Context) error {
 				continue
 			}
 			lanes[i].dirty = false
-			c := e.colors[lanes[i].color]
+			c := lanes[i].color
 			out, rollback := e.laneWalk(block, &lanes[i])
 			if out.budget > 0 {
 				for _, s := range e.wto.Succs[n] {
-					e.joinLane(s, c.id, out)
+					e.joinLane(s, c, out)
 				}
 			} else {
 				e.stats.LanesExpired++
@@ -674,11 +662,12 @@ func (e *engine) process(n ir.BlockID) {
 			// nothing, and accumulates a Bottom rollback — spawning it
 			// would only burn lane joins and walks. Skipping is invisible
 			// to every classification (see laneNeed).
-			if e.laneNeed != nil && depth < e.laneNeed[c.specSucc] {
+			spec := e.colors[c].SpecSucc
+			if e.laneNeed != nil && depth < e.laneNeed[spec] {
 				e.stats.LanesSkippedCertain++
 				continue
 			}
-			e.joinLane(c.specSucc, c.id, laneVal{st: out, budget: depth})
+			e.joinLane(spec, c, laneVal{st: out, budget: depth})
 			e.stats.LanesSpawned++
 		}
 	}
@@ -694,7 +683,7 @@ func (e *engine) process(n ir.BlockID) {
 	walk := dirtySS[:0]
 	for _, i := range dirtySS {
 		slot := &e.SS[n][i]
-		if e.colors[slot.color].stop != n {
+		if e.colors[slot.color].Stop != n {
 			walk = append(walk, i)
 			continue
 		}
@@ -773,23 +762,24 @@ func (e *engine) laneWalk(b *ir.Block, slot *laneSlot) (laneVal, *cache.State) {
 
 // injectRollback feeds an accumulated rollback state of color c (observed in
 // block src) into the other branch, per the merge strategy.
-func (e *engine) injectRollback(c *color, src ir.BlockID, st *cache.State) {
+func (e *engine) injectRollback(c int, src ir.BlockID, st *cache.State) {
+	f := &e.colors[c]
 	switch e.opts.Strategy {
 	case StrategyMergeAtRollback:
-		e.joinS(c.otherSucc, st)
+		e.joinS(f.OtherSucc, st)
 	case StrategyJustInTime:
-		if c.otherSucc == c.stop {
+		if f.OtherSucc == f.Stop {
 			// Degenerate diamond: the other side is the merge point itself.
-			e.joinS(c.otherSucc, st)
+			e.joinS(f.OtherSucc, st)
 			return
 		}
-		e.joinSS(c.otherSucc, c.id, -1, st)
+		e.joinSS(f.OtherSucc, c, -1, st)
 	case StrategyPerRollbackBlock:
-		if c.otherSucc == c.stop {
-			e.joinS(c.otherSucc, st)
+		if f.OtherSucc == f.Stop {
+			e.joinS(f.OtherSucc, st)
 			return
 		}
-		e.joinSS(c.otherSucc, c.id, src, st)
+		e.joinSS(f.OtherSucc, c, src, st)
 	}
 }
 
@@ -823,22 +813,13 @@ func (e *engine) result() *Result {
 		SpecAccess: map[int]cache.Classification{},
 		Iterations: e.iter,
 		Branches:   e.prog.CondBranchCount(),
-		Colors:     len(e.colors),
+		Flows:      e.colors,
 		domain:     e.dom,
 		idx:        e.idx,
 	}
 	e.stats.Iterations = int64(e.iter)
 	e.stats.Colors = int64(len(e.colors))
 	res.Stats = e.stats
-	for _, c := range e.colors {
-		res.Flows = append(res.Flows, SpecFlow{
-			Branch:    c.branch,
-			Predicted: c.predicted,
-			SpecSucc:  c.specSucc,
-			OtherSucc: c.otherSucc,
-			Stop:      c.stop,
-		})
-	}
 	e.classify(res)
 	return res
 }
@@ -866,7 +847,7 @@ func (e *engine) classify(res *Result) {
 			flows = append(flows, e.verdictS[b.ID])
 		}
 		for _, slot := range e.SS[b.ID] {
-			if !slot.st.IsBottom && e.colors[slot.color].stop != b.ID {
+			if !slot.st.IsBottom && e.colors[slot.color].Stop != b.ID {
 				flows = append(flows, slot.verdicts)
 			}
 		}

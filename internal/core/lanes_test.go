@@ -192,7 +192,7 @@ func checkWalkedOnce(t *testing.T, label string, e *engine) {
 			transfers += steps
 		}
 		for _, slot := range e.SS[n] {
-			if !slot.st.IsBottom && e.colors[slot.color].stop != ir.BlockID(n) {
+			if !slot.st.IsBottom && e.colors[slot.color].Stop != ir.BlockID(n) {
 				transfers += steps
 			}
 		}

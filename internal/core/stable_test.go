@@ -130,7 +130,7 @@ func checkStable(t *testing.T, label string, e *engine) {
 			if slot.st.IsBottom {
 				continue
 			}
-			if e.colors[slot.color].stop == b {
+			if e.colors[slot.color].Stop == b {
 				if !e.dom.Leq(slot.st, e.S[n]) {
 					t.Fatalf("%s: SS flow of color %d from %d at its vn_stop %d is not covered by S", label, slot.color, slot.src, n)
 				}

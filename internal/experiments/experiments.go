@@ -4,6 +4,14 @@
 // Table 6 (merge strategies), Table 7 (side-channel detection), the Fig. 2/3
 // motivating example, and the §6.2/§6.3 ablations. The cmd/specbench binary
 // and the repository's bench_test.go both drive this package.
+//
+// Every experiment runs the paper's configuration (§7): core.DefaultOptions
+// (512 lines × 64 B, LRU, speculation depths 200 on a miss and 20 on a hit),
+// on programs lowered at the lowering's default unroll cap. The sweeps run
+// on a runner.Pool, the batch engine whose worker count caps their
+// concurrency; sharing one across tables lets a full specbench run lower
+// each benchmark once. A nil pool gives each sweep a private
+// GOMAXPROCS-wide one.
 package experiments
 
 import (
@@ -22,47 +30,23 @@ import (
 	"specabsint/internal/sidechannel"
 )
 
-// Setup fixes the experimental configuration (the paper's §7 defaults).
-type Setup struct {
-	Cache     layout.CacheConfig
-	DepthMiss int
-	DepthHit  int
-	MaxUnroll int
-	// Pool, when non-nil, is the shared batch engine (worker pool plus
-	// compiled-program cache) the sweeps run on; its worker count caps the
-	// sweep concurrency. Sharing one pool across tables lets a full
-	// specbench run lower each benchmark exactly once.
-	Pool *runner.Pool
-}
-
-// pool returns the shared batch engine, creating a private GOMAXPROCS-wide
-// one on demand.
-func (s Setup) pool() *runner.Pool {
-	if s.Pool != nil {
-		return s.Pool
+// orNew returns pool, or a private GOMAXPROCS-wide pool when it is nil.
+func orNew(pool *runner.Pool) *runner.Pool {
+	if pool != nil {
+		return pool
 	}
 	return runner.New(0)
 }
 
-// PaperSetup returns the configuration used in the paper: 512 lines x 64 B,
-// LRU, speculation windows 200 (miss) / 20 (hit).
-func PaperSetup() Setup {
-	return Setup{
-		Cache:     layout.PaperConfig(),
-		DepthMiss: 200,
-		DepthHit:  20,
-		MaxUnroll: 4096,
-	}
-}
-
-func (s Setup) options(speculative bool) core.Options {
+// options returns the paper's analysis options, speculative or not.
+func options(speculative bool) core.Options {
 	o := core.DefaultOptions()
-	o.Cache = s.Cache
-	o.DepthMiss = s.DepthMiss
-	o.DepthHit = s.DepthHit
 	o.Speculative = speculative
 	return o
 }
+
+// paperCache is the cache every experiment models, core.DefaultOptions'.
+var paperCache = core.DefaultOptions().Cache
 
 // StatRow is one line of Table 3 / Table 4.
 type StatRow struct {
@@ -101,16 +85,16 @@ type Table5Row struct {
 
 // Table5 regenerates the execution-time estimation comparison. The per-
 // benchmark (non-speculative, speculative) analysis pairs run concurrently
-// on the setup's pool; rows come back in corpus order regardless of which
-// worker finished first.
-func Table5(ctx context.Context, setup Setup) ([]Table5Row, error) {
+// on pool; rows come back in corpus order regardless of which worker
+// finished first.
+func Table5(ctx context.Context, pool *runner.Pool) ([]Table5Row, error) {
 	benches := bench.WCETBenchmarks()
 	var jobs []runner.Job[*core.Result]
 	for _, b := range benches {
-		jobs = append(jobs, job(setup, b.Name+"/nonspec", b.Code, core.AnalyzeContext, setup.options(false)))
-		jobs = append(jobs, job(setup, b.Name+"/spec", b.Code, core.AnalyzeContext, setup.options(true)))
+		jobs = append(jobs, job(b.Name+"/nonspec", b.Code, core.AnalyzeContext, options(false)))
+		jobs = append(jobs, job(b.Name+"/spec", b.Code, core.AnalyzeContext, options(true)))
 	}
-	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
+	results, err := collect(runner.RunAll(ctx, orNew(pool), jobs))
 	if err != nil {
 		return nil, err
 	}
@@ -132,9 +116,9 @@ func Table5(ctx context.Context, setup Setup) ([]Table5Row, error) {
 }
 
 // job builds a pool job that runs analyze under opts on one benchmark
-// source, compiled at the setup's unroll cap.
-func job[V any](s Setup, name, code string, analyze func(context.Context, *ir.Program, core.Options) (V, error), opts core.Options) runner.Job[V] {
-	return runner.Job[V]{Name: name, Source: code, MaxUnroll: s.MaxUnroll, Analyze: runner.Bind(analyze, opts)}
+// source.
+func job[V any](name, code string, analyze func(context.Context, *ir.Program, core.Options) (V, error), opts core.Options) runner.Job[V] {
+	return runner.Job[V]{Name: name, Source: code, Analyze: runner.Bind(analyze, opts)}
 }
 
 // collect fails a whole sweep on the first per-job error — the experiment
@@ -165,18 +149,18 @@ type Table6Row struct {
 // Table6 regenerates the merging-strategy comparison (Fig. 6d vs Fig. 6c).
 // Thanks to the pool's compile cache, each benchmark is lowered once and
 // analyzed under both strategies concurrently.
-func Table6(ctx context.Context, setup Setup) ([]Table6Row, error) {
+func Table6(ctx context.Context, pool *runner.Pool) ([]Table6Row, error) {
 	benches := bench.WCETBenchmarks()
 	var jobs []runner.Job[*core.Result]
 	for _, b := range benches {
-		rbOpts := setup.options(true)
+		rbOpts := options(true)
 		rbOpts.Strategy = core.StrategyMergeAtRollback
-		jitOpts := setup.options(true)
+		jitOpts := options(true)
 		jitOpts.Strategy = core.StrategyJustInTime
-		jobs = append(jobs, job(setup, b.Name+"/rollback", b.Code, core.AnalyzeContext, rbOpts))
-		jobs = append(jobs, job(setup, b.Name+"/jit", b.Code, core.AnalyzeContext, jitOpts))
+		jobs = append(jobs, job(b.Name+"/rollback", b.Code, core.AnalyzeContext, rbOpts))
+		jobs = append(jobs, job(b.Name+"/jit", b.Code, core.AnalyzeContext, jitOpts))
 	}
-	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
+	results, err := collect(runner.RunAll(ctx, orNew(pool), jobs))
 	if err != nil {
 		return nil, err
 	}
@@ -212,17 +196,17 @@ type Table7Row struct {
 // kernel the client buffer size is swept (as in §7.3, from 32 KB down)
 // until the two methods diverge; kernels with no diverging size are
 // reported at the full 32 KB buffer.
-func Table7(ctx context.Context, setup Setup) ([]Table7Row, error) {
+func Table7(ctx context.Context, pool *runner.Pool) ([]Table7Row, error) {
 	var rows []Table7Row
 	for _, b := range bench.CryptoBenchmarks() {
-		size, found, err := FindLeakThreshold(ctx, b, setup)
+		size, found, err := FindLeakThreshold(ctx, b, pool)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		if !found {
-			size = setup.Cache.SizeBytes()
+			size = paperCache.SizeBytes()
 		}
-		row, err := table7At(ctx, b, size, setup)
+		row, err := table7At(ctx, b, size, pool)
 		if err != nil {
 			return nil, err
 		}
@@ -231,9 +215,9 @@ func Table7(ctx context.Context, setup Setup) ([]Table7Row, error) {
 	return rows, nil
 }
 
-func table7At(ctx context.Context, b bench.Benchmark, bufBytes int, setup Setup) (Table7Row, error) {
-	line := setup.Cache.LineSize
-	v, elapsed, err := probeSizes(ctx, b, setup, []int{(bufBytes + line - 1) / line})
+func table7At(ctx context.Context, b bench.Benchmark, bufBytes int, pool *runner.Pool) (Table7Row, error) {
+	line := paperCache.LineSize
+	v, elapsed, err := probeSizes(ctx, b, pool, []int{(bufBytes + line - 1) / line})
 	if err != nil {
 		return Table7Row{}, err
 	}
@@ -254,19 +238,19 @@ type probeVerdict struct{ spec, non bool }
 type probeTiming struct{ spec, non time.Duration }
 
 // probeSizes analyzes the benchmark's client at each buffer size (in cache
-// lines) under both analyses, fanning the 2*len(sizes) jobs out on the
-// setup's pool. Verdicts come back indexed like sizes.
-func probeSizes(ctx context.Context, b bench.Benchmark, setup Setup, sizes []int) ([]probeVerdict, []probeTiming, error) {
-	line := setup.Cache.LineSize
+// lines) under both analyses, fanning the 2*len(sizes) jobs out on pool.
+// Verdicts come back indexed like sizes.
+func probeSizes(ctx context.Context, b bench.Benchmark, pool *runner.Pool, sizes []int) ([]probeVerdict, []probeTiming, error) {
+	line := paperCache.LineSize
 	var jobs []runner.Job[*sidechannel.Report]
 	for _, s := range sizes {
 		code := bench.WithClient(b, s*line)
 		for _, speculative := range []bool{true, false} {
-			jobs = append(jobs, job(setup, fmt.Sprintf("%s@%dL/spec=%v", b.Name, s, speculative),
-				code, sidechannel.AnalyzeContext, setup.options(speculative)))
+			jobs = append(jobs, job(fmt.Sprintf("%s@%dL/spec=%v", b.Name, s, speculative),
+				code, sidechannel.AnalyzeContext, options(speculative)))
 		}
 	}
-	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
+	results, err := collect(runner.RunAll(ctx, orNew(pool), jobs))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -291,15 +275,15 @@ func probeSizes(ctx context.Context, b bench.Benchmark, setup Setup, sizes []int
 // working-set lines). A narrow scan around that estimate finds the exact
 // point; a coarse full sweep is the fallback for kernels with unusual
 // structure.
-func FindLeakThreshold(ctx context.Context, b bench.Benchmark, setup Setup) (size int, found bool, err error) {
-	line := setup.Cache.LineSize
-	maxLines := setup.Cache.Lines()
+func FindLeakThreshold(ctx context.Context, b bench.Benchmark, pool *runner.Pool) (size int, found bool, err error) {
+	line := paperCache.LineSize
+	maxLines := paperCache.Lines()
 	probeAll := func(sizes []int) ([]probeVerdict, error) {
-		v, _, err := probeSizes(ctx, b, setup, sizes)
+		v, _, err := probeSizes(ctx, b, pool, sizes)
 		return v, err
 	}
 
-	guess, err := workingSetLines(ctx, b, setup)
+	guess, err := workingSetLines(ctx, b)
 	if err != nil {
 		return 0, false, err
 	}
@@ -373,12 +357,12 @@ func FindLeakThreshold(ctx context.Context, b bench.Benchmark, setup Setup) (siz
 // workingSetLines estimates the distinct cache lines the client+kernel touch
 // besides the attacker buffer, by compiling with a minimal buffer and
 // collecting the candidate blocks of every architectural access.
-func workingSetLines(ctx context.Context, b bench.Benchmark, setup Setup) (int, error) {
-	prog, _, err := runner.Compile(bench.WithClient(b, 64), setup.MaxUnroll, false)
+func workingSetLines(ctx context.Context, b bench.Benchmark) (int, error) {
+	prog, _, err := runner.Compile(bench.WithClient(b, 64), 0, false)
 	if err != nil {
 		return 0, err
 	}
-	res, err := core.AnalyzeContext(ctx, prog, setup.options(false))
+	res, err := core.AnalyzeContext(ctx, prog, options(false))
 	if err != nil {
 		return 0, err
 	}
@@ -410,23 +394,23 @@ type Fig2Result struct {
 }
 
 // Fig2 regenerates the Fig. 2/3 motivating example.
-func Fig2(setup Setup) (*Fig2Result, error) {
+func Fig2() (*Fig2Result, error) {
 	res := &Fig2Result{}
 
 	// Abstract: symbolic secret k.
-	prog, _, err := runner.Compile(bench.Fig2Program(-1), setup.MaxUnroll, false)
+	prog, _, err := runner.Compile(bench.Fig2Program(-1), 0, false)
 	if err != nil {
 		return nil, err
 	}
 	final := lastLoadOf(prog, "ph")
-	base, err := core.Analyze(prog, setup.options(false))
+	base, err := core.Analyze(prog, options(false))
 	if err != nil {
 		return nil, err
 	}
 	if cls, ok := base.ClassOf(final.ID); ok {
 		res.NonSpecAlwaysHit = cls == cache.AlwaysHit
 	}
-	spec, err := core.Analyze(prog, setup.options(true))
+	spec, err := core.Analyze(prog, options(true))
 	if err != nil {
 		return nil, err
 	}
@@ -435,12 +419,11 @@ func Fig2(setup Setup) (*Fig2Result, error) {
 	}
 
 	// Concrete: k = 0 (the evicted line).
-	conc, _, err := runner.Compile(bench.Fig2Program(0), setup.MaxUnroll, false)
+	conc, _, err := runner.Compile(bench.Fig2Program(0), 0, false)
 	if err != nil {
 		return nil, err
 	}
 	cfg := machine.DefaultConfig()
-	cfg.Cache = setup.Cache
 	cfg.DepthMiss, cfg.DepthHit = 0, 0
 	stats, err := machine.RunProgram(conc, cfg)
 	if err != nil {
@@ -449,7 +432,6 @@ func Fig2(setup Setup) (*Fig2Result, error) {
 	res.NonSpecMisses, res.NonSpecHits = stats.Misses, stats.Hits
 
 	cfg = machine.DefaultConfig()
-	cfg.Cache = setup.Cache
 	cfg.ForceMispredict = true
 	cfg.DepthMiss, cfg.DepthHit = 3, 3
 	stats, err = machine.RunProgram(conc, cfg)
@@ -486,19 +468,19 @@ type DepthRow struct {
 }
 
 // DepthAblation compares the speculative analysis with and without the
-// §6.2 dynamic speculation-depth bounding, batched on the setup's pool.
-func DepthAblation(ctx context.Context, setup Setup) ([]DepthRow, error) {
+// §6.2 dynamic speculation-depth bounding, batched on pool.
+func DepthAblation(ctx context.Context, pool *runner.Pool) ([]DepthRow, error) {
 	benches := bench.WCETBenchmarks()
 	var jobs []runner.Job[*core.Result]
 	for _, b := range benches {
-		onOpts := setup.options(true)
+		onOpts := options(true)
 		onOpts.DynamicDepthBounding = true
-		offOpts := setup.options(true)
+		offOpts := options(true)
 		offOpts.DynamicDepthBounding = false
-		jobs = append(jobs, job(setup, b.Name+"/bounded", b.Code, core.AnalyzeContext, onOpts))
-		jobs = append(jobs, job(setup, b.Name+"/unbounded", b.Code, core.AnalyzeContext, offOpts))
+		jobs = append(jobs, job(b.Name+"/bounded", b.Code, core.AnalyzeContext, onOpts))
+		jobs = append(jobs, job(b.Name+"/unbounded", b.Code, core.AnalyzeContext, offOpts))
 	}
-	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
+	results, err := collect(runner.RunAll(ctx, orNew(pool), jobs))
 	if err != nil {
 		return nil, err
 	}

@@ -9,12 +9,6 @@ import (
 	"specabsint/internal/layout"
 )
 
-// quickSetup shrinks the analysis for fast tests while keeping the paper's
-// cache geometry.
-func quickSetup() Setup {
-	return PaperSetup()
-}
-
 func TestTable3And4Statistics(t *testing.T) {
 	t3 := Table3()
 	if len(t3) != 10 {
@@ -32,7 +26,7 @@ func TestTable3And4Statistics(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	rows, err := Table5(context.Background(), quickSetup())
+	rows, err := Table5(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +72,7 @@ func TestTable6Shape(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("full-corpus strategy sweep is too slow under the race detector; raced via internal/runner")
 	}
-	rows, err := Table6(context.Background(), quickSetup())
+	rows, err := Table6(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +103,7 @@ func TestTable7PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 7 sweep is expensive")
 	}
-	rows, err := Table7(context.Background(), quickSetup())
+	rows, err := Table7(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +128,7 @@ func TestTable7PaperShape(t *testing.T) {
 }
 
 func TestFig2Experiment(t *testing.T) {
-	res, err := Fig2(quickSetup())
+	res, err := Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +153,7 @@ func TestDepthAblation(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("full-corpus depth ablation is too slow under the race detector; raced via internal/runner")
 	}
-	rows, err := DepthAblation(context.Background(), quickSetup())
+	rows, err := DepthAblation(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +187,7 @@ func TestFindLeakThresholdOnFig2LikeKernel(t *testing.T) {
 	if !ok {
 		t.Fatal("hash missing")
 	}
-	size, found, err := FindLeakThreshold(context.Background(), b, quickSetup())
+	size, found, err := FindLeakThreshold(context.Background(), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

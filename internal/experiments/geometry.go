@@ -27,20 +27,20 @@ type GeomRow struct {
 //
 // The benchmark is compiled once; the analyses (one pair per geometry) are
 // independent and share the compiled program across the pool's workers.
-func GeometrySweep(ctx context.Context, benchName string, lineCounts []int, setup Setup) ([]GeomRow, error) {
+func GeometrySweep(ctx context.Context, benchName string, lineCounts []int, pool *runner.Pool) ([]GeomRow, error) {
 	b, ok := bench.ByName(benchName)
 	if !ok {
 		return nil, fmt.Errorf("unknown benchmark %q", benchName)
 	}
-	prog, _, err := runner.Compile(b.Code, setup.MaxUnroll, false)
+	prog, _, err := runner.Compile(b.Code, 0, false)
 	if err != nil {
 		return nil, err
 	}
 	var jobs []runner.Job[*core.Result]
 	for _, lines := range lineCounts {
-		cfg := layout.CacheConfig{LineSize: setup.Cache.LineSize, NumSets: 1, Assoc: lines}
+		cfg := layout.CacheConfig{LineSize: paperCache.LineSize, NumSets: 1, Assoc: lines}
 		for _, speculative := range []bool{false, true} {
-			opts := setup.options(speculative)
+			opts := options(speculative)
 			opts.Cache = cfg
 			jobs = append(jobs, runner.Job[*core.Result]{
 				Name:    fmt.Sprintf("%s@%d/spec=%v", b.Name, lines, speculative),
@@ -49,7 +49,7 @@ func GeometrySweep(ctx context.Context, benchName string, lineCounts []int, setu
 			})
 		}
 	}
-	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
+	results, err := collect(runner.RunAll(ctx, orNew(pool), jobs))
 	if err != nil {
 		return nil, err
 	}
@@ -76,20 +76,20 @@ type ICacheRow struct {
 }
 
 // ICacheTable runs the §3.2 extension — the same speculative analysis over
-// the instruction cache — on the WCET suite, batched on the setup's pool.
-func ICacheTable(ctx context.Context, lines int, setup Setup) ([]ICacheRow, error) {
+// the instruction cache — on the WCET suite, batched on pool.
+func ICacheTable(ctx context.Context, lines int, pool *runner.Pool) ([]ICacheRow, error) {
 	benches := bench.WCETBenchmarks()
-	cfg := layout.CacheConfig{LineSize: setup.Cache.LineSize, NumSets: 1, Assoc: lines}
+	cfg := layout.CacheConfig{LineSize: paperCache.LineSize, NumSets: 1, Assoc: lines}
 	var jobs []runner.Job[*core.Result]
 	for _, b := range benches {
 		for _, speculative := range []bool{false, true} {
-			opts := setup.options(speculative)
+			opts := options(speculative)
 			opts.Cache = cfg
-			jobs = append(jobs, job(setup, fmt.Sprintf("%s/icache/spec=%v", b.Name, speculative),
+			jobs = append(jobs, job(fmt.Sprintf("%s/icache/spec=%v", b.Name, speculative),
 				b.Code, core.AnalyzeInstructionCacheContext, opts))
 		}
 	}
-	results, err := collect(runner.RunAll(ctx, setup.pool(), jobs))
+	results, err := collect(runner.RunAll(ctx, orNew(pool), jobs))
 	if err != nil {
 		return nil, err
 	}

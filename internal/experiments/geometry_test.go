@@ -6,7 +6,7 @@ import (
 )
 
 func TestGeometrySweepShape(t *testing.T) {
-	rows, err := GeometrySweep(context.Background(), "g72", []int{4, 16, 64, 256}, quickSetup())
+	rows, err := GeometrySweep(context.Background(), "g72", []int{4, 16, 64, 256}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestGeometrySweepShape(t *testing.T) {
 }
 
 func TestGeometrySweepUnknownBench(t *testing.T) {
-	if _, err := GeometrySweep(context.Background(), "nope", []int{8}, quickSetup()); err == nil {
+	if _, err := GeometrySweep(context.Background(), "nope", []int{8}, nil); err == nil {
 		t.Fatal("expected error for unknown benchmark")
 	}
 }
@@ -42,12 +42,7 @@ func TestICacheTableShape(t *testing.T) {
 	if raceDetectorOn {
 		t.Skip("full-corpus i-cache sweep is too slow under the race detector; raced via internal/runner")
 	}
-	// A modest speculation window keeps the 10-benchmark i-cache sweep
-	// fast; the shape is the same as with the paper's 200.
-	setup := quickSetup()
-	setup.DepthMiss = 60
-	setup.DepthHit = 20
-	rows, err := ICacheTable(context.Background(), 16, setup)
+	rows, err := ICacheTable(context.Background(), 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,8 +102,9 @@ type Config struct {
 	Caches []layout.CacheConfig
 	Depths []int
 	// Predictors names the simulator predictors driven against every
-	// analysis: "taken", "nottaken", "2bit", "gshare", "adversarial". A
-	// forced-mispredict run (maximal wrong-path pollution) is always added.
+	// analysis: "taken", "nottaken", "2bit", "gshare", "adversarial"; any
+	// other name makes Check fail. A forced-mispredict run (maximal
+	// wrong-path pollution) is always added.
 	Predictors []string
 	// InputVectors is the number of concrete input vectors per analysis
 	// configuration (the first is all-zeros).
@@ -199,8 +200,14 @@ type checker struct {
 }
 
 // CheckContext is Check with cancellation, threaded through the analysis
-// pool into every fixpoint loop.
+// pool into every fixpoint loop. A predictor name it does not know is an
+// error, reported before anything is compiled or analyzed.
 func CheckContext(ctx context.Context, src string, cfg Config) (*Result, error) {
+	for _, name := range cfg.Predictors {
+		if newPredictor(name) == nil {
+			return nil, fmt.Errorf("oracle: unknown predictor %q", name)
+		}
+	}
 	// Compiling verifies the IR after lowering and again after the passes,
 	// so a lowering or pipeline bug surfaces here as a positioned
 	// diagnostic rather than as a bogus soundness violation downstream.
@@ -310,8 +317,12 @@ func (c *checker) violate(v Violation) {
 	}
 }
 
+// newPredictor returns a fresh predictor of the named kind (see
+// Config.Predictors), or nil for a name it does not know.
 func newPredictor(name string) machine.Predictor {
 	switch name {
+	case "2bit":
+		return machine.NewTwoBit()
 	case "taken":
 		return machine.AlwaysTaken{}
 	case "nottaken":
@@ -320,9 +331,8 @@ func newPredictor(name string) machine.Predictor {
 		return machine.NewGShare(8)
 	case "adversarial":
 		return machine.NewAdversarial()
-	default:
-		return machine.NewTwoBit()
 	}
+	return nil
 }
 
 // inputSymbols resolves the scalars varied across input vectors:

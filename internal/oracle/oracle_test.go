@@ -136,6 +136,17 @@ func TestCheckRejectsUncompilableProgram(t *testing.T) {
 	}
 }
 
+// TestCheckRejectsUnknownPredictor: a misspelt predictor name is an error,
+// not a sweep under some other predictor.
+func TestCheckRejectsUnknownPredictor(t *testing.T) {
+	cfg := Quick()
+	cfg.Predictors = []string{"2bti"}
+	_, err := Check("int main() { return 0; }", cfg)
+	if err == nil || !strings.Contains(err.Error(), `"2bti"`) {
+		t.Fatalf("Check with predictor 2bti: err = %v, want an unknown-predictor error", err)
+	}
+}
+
 func TestViolationString(t *testing.T) {
 	v := Violation{Property: MustHit, Config: "cfg", InstrID: 7, Line: 3, Detail: "missed"}
 	s := v.String()
